@@ -195,7 +195,7 @@ fn bench_sim(c: &mut Criterion) {
         b.iter(|| {
             bench::run_protocol_sim(
                 black_box(&g),
-                bench::Proto::PimSpt,
+                scenario::Protocol::Pim,
                 &[bench::Workload {
                     group: Group::test(1),
                     members: vec![NodeId(2), NodeId(9), NodeId(17)],

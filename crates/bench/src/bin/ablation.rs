@@ -19,7 +19,7 @@
 //! internets and schedules are compared under each knob, and output is
 //! bit-identical for every `--threads` value.
 
-use bench::{cli, run_protocol_sim_opts, stats, Proto, SimOptions, Workload};
+use bench::{cli, run_protocol_sim_opts, stats, SimOptions, Workload};
 use graph::gen::{random_connected, RandomGraphParams};
 use graph::NodeId;
 use mctree::GroupSpec;
@@ -27,6 +27,7 @@ use netsim::Duration;
 use pim::PimConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use scenario::Protocol;
 use wire::Group;
 
 const NODES: usize = 30;
@@ -63,13 +64,18 @@ struct TrialOut {
 
 /// Run one sweep point (`trials` simulations) through the deterministic
 /// fan-out and fold the results.
-fn run_point(args: &cli::Args, proto: Proto, loss: f64, pim: PimConfig) -> (u64, u64, Vec<f64>) {
+fn run_point(
+    args: &cli::Args,
+    protocol: Protocol,
+    loss: f64,
+    pim: PimConfig,
+) -> (u64, u64, Vec<f64>) {
     let outs = par::run_trials(args.threads, args.trials, |t| {
         let trial = t as u64;
         let (g, w) = scenario(args.seed, trial);
         let r = run_protocol_sim_opts(
             &g,
-            proto,
+            protocol,
             &[w],
             &SimOptions {
                 packets_per_sender: PACKETS,
@@ -105,12 +111,15 @@ fn main() {
         "loss", "protocol", "delivered", "ctrl", "ctrl/pkt"
     );
     for loss in [0.0f64, 0.05, 0.15, 0.30] {
-        for proto in [Proto::PimShared, Proto::Cbt] {
-            let (delivered, expected, ctrl) = run_point(&args, proto, loss, PimConfig::default());
+        for (name, protocol) in [("PIM-shared", Protocol::Pim), ("CBT", Protocol::Cbt)] {
+            // PIM pinned to the shared tree: soft state vs acks on the
+            // same tree shape.
+            let (delivered, expected, ctrl) =
+                run_point(&args, protocol, loss, PimConfig::shared_tree_only());
             println!(
                 "{:<8} {:<11} {:>6.1}% {:>11.0} {:>10.2}",
                 format!("{:.0}%", loss * 100.0),
-                proto.name(),
+                name,
                 100.0 * delivered as f64 / expected as f64,
                 stats(&ctrl).mean,
                 stats(&ctrl).mean / (PACKETS as f64 * 2.0)
@@ -126,9 +135,9 @@ fn main() {
             refresh_period: Duration(refresh),
             holdtime: Duration(refresh * 3),
             entry_linger: Duration(refresh * 3),
-            ..PimConfig::default()
+            ..PimConfig::shared_tree_only()
         };
-        let (delivered, expected, ctrl) = run_point(&args, Proto::PimShared, 0.15, pim);
+        let (delivered, expected, ctrl) = run_point(&args, Protocol::Pim, 0.15, pim);
         println!(
             "{:<10} {:>6.1}% {:>11.0}",
             format!("{refresh}t"),

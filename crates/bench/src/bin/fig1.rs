@@ -13,10 +13,12 @@
 //!
 //! Run: `cargo run -p bench --release --bin fig1 [--seed N]`
 
-use bench::{cli, run_protocol_sim, Proto, Workload};
+use bench::{cli, run_protocol_sim_opts, SimOptions, Workload};
 use graph::gen::three_domains;
+use pim::PimConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use scenario::Protocol;
 use wire::Group;
 
 const DOMAIN_SIZE: usize = 6;
@@ -51,11 +53,24 @@ fn main() {
         "protocol", "state", "ctrl", "data", "links", "hot", "dlv/exp", "events", "timers", "stale"
     );
     let mut results = Vec::new();
-    for proto in [Proto::Dvmrp, Proto::Cbt, Proto::PimShared, Proto::PimSpt] {
-        let r = run_protocol_sim(&g, proto, std::slice::from_ref(&w), PACKETS, args.seed);
+    // PIM-shared is PIM with the switchover policy pinned to Never.
+    let contenders = [
+        ("DVMRP", Protocol::Dvmrp, PimConfig::default()),
+        ("CBT", Protocol::Cbt, PimConfig::default()),
+        ("PIM-shared", Protocol::Pim, PimConfig::shared_tree_only()),
+        ("PIM-SPT", Protocol::Pim, PimConfig::default()),
+    ];
+    for (name, protocol, pim) in contenders {
+        let opts = SimOptions {
+            packets_per_sender: PACKETS,
+            seed: args.seed,
+            pim,
+            ..SimOptions::default()
+        };
+        let r = run_protocol_sim_opts(&g, protocol, std::slice::from_ref(&w), &opts);
         println!(
             "{:<11} {:>6} {:>7} {:>7} {:>6} {:>6} {:>5}/{:<5} {:>8} {:>7} {:>6}",
-            proto.name(),
+            name,
             r.state_entries,
             r.control_pkts,
             r.data_pkts,
@@ -67,7 +82,7 @@ fn main() {
             r.timers_fired,
             r.timers_skipped_stale
         );
-        results.push((proto, r));
+        results.push(r);
     }
     println!();
     println!("# Event loop: `events` = all dispatches (packet deliveries + timer wakeups");
@@ -77,9 +92,9 @@ fn main() {
     println!();
 
     let total_links = g.edge_count();
-    let dvmrp = &results[0].1;
-    let cbt = &results[1].1;
-    let pim_spt = &results[3].1;
+    let dvmrp = &results[0];
+    let cbt = &results[1];
+    let pim_spt = &results[3];
     // The Fig 1(c) bold path runs across the backbone triangle —
     // three_domains() adds those three links first, so they are edges
     // 0, 1, 2. (Domain border links carry send+receive load that is

@@ -37,13 +37,15 @@
 //! Run: `cargo run -p bench --release --bin overhead [--trials N]
 //! [--seed N] [--congestion]`
 
-use bench::{cli, run_protocol_sim_opts, stats, Proto, SimOptions, Workload};
+use bench::{cli, run_protocol_sim_opts, stats, SimOptions, Workload};
 use graph::gen::{random_connected, RandomGraphParams};
 use graph::NodeId;
 use mctree::GroupSpec;
 use netsim::{CtrlProto, LinkCapacity};
+use pim::PimConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use scenario::Protocol;
 use wire::Group;
 
 const NODES: usize = 50;
@@ -93,10 +95,17 @@ fn main() {
         "ecn",
         "peakq"
     );
+    // PIM-shared is PIM with the switchover policy pinned to Never.
+    let contenders = [
+        ("PIM-SPT", Protocol::Pim, PimConfig::default()),
+        ("PIM-shared", Protocol::Pim, PimConfig::shared_tree_only()),
+        ("CBT", Protocol::Cbt, PimConfig::default()),
+        ("DVMRP", Protocol::Dvmrp, PimConfig::default()),
+    ];
     let mut attribution: Vec<(usize, &'static str, [u64; 6])> = Vec::new();
     for &members in &[2usize, 5, 10, 20, 40] {
         let senders = members.min(4);
-        for proto in [Proto::PimSpt, Proto::PimShared, Proto::Cbt, Proto::Dvmrp] {
+        for (name, protocol, pim) in contenders {
             let mut state = Vec::new();
             let mut ctrl = Vec::new();
             let mut data = Vec::new();
@@ -133,11 +142,12 @@ fn main() {
                 };
                 let r = run_protocol_sim_opts(
                     &g,
-                    proto,
+                    protocol,
                     &[w],
                     &SimOptions {
                         packets_per_sender: PACKETS,
                         seed: args.seed ^ trial as u64,
+                        pim,
                         capacity,
                         ..SimOptions::default()
                     },
@@ -160,11 +170,11 @@ fn main() {
                 ecn += r.ecn_marks;
                 peakq = peakq.max(r.peak_queue_bytes);
             }
-            attribution.push((members, proto.name(), ctrl_by));
+            attribution.push((members, name, ctrl_by));
             println!(
                 "{:<10} {:<11} {:>8.1} {:>9.0} {:>9.0} {:>7.1} {:>7.1} {:>5}/{:<5} {:>5} {:>9.0} {:>8.0} {:>4}/{:<4} {:>5} {:>6}",
                 members,
-                proto.name(),
+                name,
                 stats(&state).mean,
                 stats(&ctrl).mean,
                 stats(&data).mean,

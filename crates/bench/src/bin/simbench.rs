@@ -36,7 +36,7 @@
 //! [--members N,N,...] [--congestion] [--json PATH]`
 //! (`--trials` = LAN packets).
 
-use bench::{cli, perf, run_protocol_sim_hier, run_protocol_sim_opts, Proto, SimOptions, Workload};
+use bench::{cli, perf, run_protocol_sim_hier, run_protocol_sim_opts, SimOptions, Workload};
 use graph::gen::{
     hierarchical, random_connected, waxman, HierParams, RandomGraphParams, WaxmanParams,
 };
@@ -46,6 +46,7 @@ use netsim::{Ctx, Duration, IfaceId, LinkCapacity, Node, NodeIdx, SimTime, World
 use pim::PimConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use scenario::Protocol;
 use std::any::Any;
 use wire::Group;
 
@@ -177,7 +178,7 @@ fn protocol_run(seed: u64, threads: usize) -> (u64, f64) {
     let (r, wall_ms) = perf::time(|| {
         run_protocol_sim_opts(
             &g,
-            Proto::PimSpt,
+            Protocol::Pim,
             &[w],
             &SimOptions {
                 packets_per_sender: 40,
@@ -252,7 +253,7 @@ fn congestion_sweep(seed: u64, threads: usize) -> Vec<CongestionRow> {
             let (r, wall_ms) = perf::time(|| {
                 run_protocol_sim_opts(
                     &g,
-                    Proto::PimSpt,
+                    Protocol::Pim,
                     std::slice::from_ref(&w),
                     &SimOptions {
                         packets_per_sender: 40,
@@ -327,7 +328,7 @@ fn node_sweep(sizes: &[usize], seed: u64, threads: usize) -> Vec<SweepRow> {
             let (r, wall_ms) = perf::time(|| {
                 run_protocol_sim_opts(
                     &g,
-                    Proto::PimSpt,
+                    Protocol::Pim,
                     std::slice::from_ref(&w),
                     &SimOptions {
                         packets_per_sender: 30,
@@ -434,7 +435,7 @@ fn hier_run(routers: usize, total_members: u64, seed: u64, threads: usize) -> Hi
     let (r, wall_ms) = perf::time(|| {
         run_protocol_sim_hier(
             &h,
-            Proto::PimSpt,
+            Protocol::Pim,
             std::slice::from_ref(&w),
             &SimOptions {
                 packets_per_sender: 30,

@@ -15,11 +15,10 @@
 //! Run: `cargo run -p bench --release --bin spt_switch [--seed N]`
 
 use bench::cli;
-use graph::{Graph, NodeId};
-use igmp::HostNode;
-use netsim::{host_addr, router_addr, Duration, NodeIdx, SimTime, Topology};
-use pim::{Engine, PimConfig, PimRouter, SptPolicy};
-use unicast::OracleRib;
+use graph::NodeId;
+use netsim::{host_addr, Duration, SimTime};
+use pim::{PimConfig, SptPolicy};
+use scenario::{topology, NetSpec};
 use wire::Group;
 
 const PACKETS: u64 = 24;
@@ -27,75 +26,31 @@ const GAP: u64 = 20;
 const SEND_START: u64 = 200;
 
 fn run(policy: SptPolicy, seed: u64) -> Vec<(u64, Option<u64>, usize)> {
-    // The e2e diamond: receiver behind n0, source behind n3, RP at n2;
-    // direct n0-n3 link (delay 2) beats the RP path (delay 3).
-    let mut g = Graph::with_nodes(4);
-    g.add_edge(NodeId(0), NodeId(1), 1);
-    g.add_edge(NodeId(1), NodeId(2), 1);
-    g.add_edge(NodeId(2), NodeId(3), 1);
-    g.add_edge(NodeId(0), NodeId(3), 2);
-    let topo = Topology::from_graph(&g);
-    let rp = router_addr(NodeId(2));
-    let group = Group::test(1);
-    let r_addr = host_addr(NodeId(0), 0);
+    // The explorer's diamond: receiver behind n0, source behind n3, RP at
+    // n2; direct n0-n3 link (delay 2) beats the RP path (delay 3).
+    let g = topology("diamond").expect("diamond").graph;
     let s_addr = host_addr(NodeId(3), 0);
-
-    let mut ribs = OracleRib::for_all(&g, &topo);
-    for (i, rib) in ribs.iter_mut().enumerate() {
-        if i != 0 {
-            rib.alias_host(r_addr, router_addr(NodeId(0)));
-        }
-        if i != 3 {
-            rib.alias_host(s_addr, router_addr(NodeId(3)));
-        }
+    let mut net = NetSpec {
+        groups: &[(Group::test(1), vec![NodeId(2)])],
+        host_routers: &[NodeId(0), NodeId(3)],
+        pim: PimConfig {
+            spt_policy: policy,
+            ..PimConfig::default()
+        },
+        seed,
+        ..NetSpec::default()
     }
-    let mut it = ribs.into_iter();
-    let cfg = PimConfig {
-        spt_policy: policy,
-        ..PimConfig::default()
-    };
-    let (mut world, _) = topo.build_world(&g, seed, |plan| {
-        let e = Engine::new(plan.addr, plan.ifaces.len(), cfg);
-        let mut r = PimRouter::new(e, Box::new(it.next().expect("rib per plan")));
-        r.engine_mut().set_rp_mapping(group, vec![rp]);
-        Box::new(r)
-    });
-    let rh = world.add_node(Box::new(HostNode::new(r_addr)));
-    let (_l, ifs) = world.add_lan(&[NodeIdx(0), rh], Duration(1));
-    world
-        .node_mut::<PimRouter>(NodeIdx(0))
-        .attach_host_lan(ifs[0], &[r_addr]);
-    let sh = world.add_node(Box::new(HostNode::new(s_addr)));
-    let (_l, ifs) = world.add_lan(&[NodeIdx(3), sh], Duration(1));
-    world
-        .node_mut::<PimRouter>(NodeIdx(3))
-        .attach_host_lan(ifs[0], &[s_addr]);
+    .build(&g);
+    net.join_at(0, 20);
+    net.send_at(1, SEND_START, PACKETS, GAP);
+    net.world
+        .run_until(SimTime(SEND_START + PACKETS * GAP + 500));
 
-    world.at(SimTime(20), move |w| {
-        w.call_node(rh, |n, ctx| {
-            n.as_any_mut()
-                .downcast_mut::<HostNode>()
-                .expect("host")
-                .join(ctx, group);
-        });
-    });
-    for k in 0..PACKETS {
-        world.at(SimTime(SEND_START + k * GAP), move |w| {
-            w.call_node(sh, |n, ctx| {
-                n.as_any_mut()
-                    .downcast_mut::<HostNode>()
-                    .expect("host")
-                    .send_data(ctx, group);
-            });
-        });
-    }
-    world.run_until(SimTime(SEND_START + PACKETS * GAP + 500));
-
-    let host: &HostNode = world.node(rh);
+    let host = net.host(0);
     (0..PACKETS)
         .map(|seq| {
             let arrivals: Vec<_> = host
-                .received
+                .received()
                 .iter()
                 .filter(|r| r.seq == seq && r.source == s_addr)
                 .collect();

@@ -2,26 +2,23 @@
 //! (see DESIGN.md §2 for the experiment index):
 //!
 //! * [`stats`] — mean/std-dev for the Monte-Carlo figures;
-//! * [`Workload`]/[`Proto`]/[`run_protocol_sim`] — build a full protocol
-//!   simulation (PIM in SPT or shared-tree mode, DVMRP, or CBT) over any
-//!   [`graph::Graph`], drive a membership+traffic scenario, and collect
-//!   the paper's overhead metrics (router state, control packets, data
-//!   packets, link concentration, deliveries);
+//! * [`Workload`]/[`run_protocol_sim`] — drive a membership+traffic
+//!   scenario over a network from [`scenario::NetSpec`] (PIM in SPT or
+//!   shared-tree mode, DVMRP, or CBT, over any [`graph::Graph`]) and
+//!   collect the paper's overhead metrics (router state, control packets,
+//!   data packets, link concentration, deliveries);
 //! * [`cli`] — tiny flag parsing shared by the binaries.
 
 #![warn(missing_docs)]
 
-use cbt::{CbtConfig, CbtEngine, CbtRouter};
-use dvmrp::{DvmrpConfig, DvmrpEngine, DvmrpRouter};
+use cbt::CbtRouter;
+use dvmrp::DvmrpRouter;
 use graph::gen::HierTopology;
 use graph::{Graph, NodeId};
-use igmp::{HostNode, PopulationNode};
-use netsim::{
-    host_addr, router_addr, CtrlProto, Duration, LinkCapacity, LinkKind, NodeIdx, SimTime, Topology,
-};
-use pim::{Engine as PimEngine, PimConfig, PimRouter};
+use netsim::{CtrlProto, LinkCapacity, LinkId, LinkKind, NodeIdx, SimTime};
+use pim::{PimConfig, PimRouter};
+use scenario::{NetSpec, Protocol};
 use std::collections::BTreeSet;
-use unicast::OracleRib;
 use wire::Group;
 
 /// Mean and standard deviation of a sample.
@@ -58,37 +55,12 @@ pub struct Workload {
     /// The RP (PIM) / core (CBT) router for the group. Ignored by DVMRP.
     pub rendezvous: NodeId,
     /// Aggregate group members behind each member router. `1` attaches
-    /// one explicit [`HostNode`] per site (the classic workloads,
+    /// one explicit [`igmp::HostNode`] per site (the classic workloads,
     /// byte-identical to before this knob existed); `> 1` attaches one
-    /// [`PopulationNode`] holding that many members, and deliveries are
+    /// [`igmp::PopulationNode`] holding that many members, and deliveries are
     /// accounted member-weighted (each unique reception at the site
     /// counts `population` deliveries).
     pub population: u64,
-}
-
-/// Which protocol to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Proto {
-    /// PIM sparse mode with immediate SPT switchover.
-    PimSpt,
-    /// PIM sparse mode pinned to the RP shared tree (policy Never).
-    PimShared,
-    /// Dense-mode truncated-broadcast-and-prune.
-    Dvmrp,
-    /// Core Based Trees.
-    Cbt,
-}
-
-impl Proto {
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Proto::PimSpt => "PIM-SPT",
-            Proto::PimShared => "PIM-shared",
-            Proto::Dvmrp => "DVMRP",
-            Proto::Cbt => "CBT",
-        }
-    }
 }
 
 /// Overhead metrics from one protocol run — the paper's §1 efficiency
@@ -174,8 +146,8 @@ pub struct SimOptions {
     /// Independent per-receiver drop probability on every router-router
     /// link (failure injection; applies to control and data alike).
     pub link_loss: f64,
-    /// PIM configuration (both PIM modes; `spt_policy` is overridden by
-    /// the chosen [`Proto`]).
+    /// PIM configuration. "PIM-shared" is [`Protocol::Pim`] with
+    /// [`PimConfig::shared_tree_only`] here.
     pub pim: PimConfig,
     /// Worker threads for the region-partitioned world (1 = the classic
     /// sequential core). Results are byte-identical for any value.
@@ -206,7 +178,7 @@ impl Default for SimOptions {
     }
 }
 
-/// Run `proto` over `g` with the given workloads: members join, every
+/// Run `protocol` over `g` with the given workloads: members join, every
 /// sender transmits `packets_per_sender` packets, and the run continues
 /// long enough for timers to settle. Returns the overhead metrics.
 ///
@@ -215,14 +187,14 @@ impl Default for SimOptions {
 /// between the multicast protocols alone.
 pub fn run_protocol_sim(
     g: &Graph,
-    proto: Proto,
+    protocol: Protocol,
     workloads: &[Workload],
     packets_per_sender: u64,
     seed: u64,
 ) -> SimResult {
     run_protocol_sim_opts(
         g,
-        proto,
+        protocol,
         workloads,
         &SimOptions {
             packets_per_sender,
@@ -235,11 +207,11 @@ pub fn run_protocol_sim(
 /// [`run_protocol_sim`] with full [`SimOptions`] control.
 pub fn run_protocol_sim_opts(
     g: &Graph,
-    proto: Proto,
+    protocol: Protocol,
     workloads: &[Workload],
     opts: &SimOptions,
 ) -> SimResult {
-    run_protocol_sim_core(g, proto, workloads, opts, None)
+    run_protocol_sim_core(g, protocol, workloads, opts, None)
 }
 
 /// [`run_protocol_sim_opts`] over a hierarchical topology: the world is
@@ -251,179 +223,85 @@ pub fn run_protocol_sim_opts(
 /// byte-identical either way.
 pub fn run_protocol_sim_hier(
     h: &HierTopology,
-    proto: Proto,
+    protocol: Protocol,
     workloads: &[Workload],
     opts: &SimOptions,
 ) -> SimResult {
     let hints = h.region_hints(opts.threads);
-    run_protocol_sim_core(&h.graph, proto, workloads, opts, Some(&hints))
+    run_protocol_sim_core(&h.graph, protocol, workloads, opts, Some(&hints))
 }
 
 /// The shared simulation core behind [`run_protocol_sim_opts`] and
-/// [`run_protocol_sim_hier`]. `region_hints`, when given, must assign a
-/// region to every *router* (graph node); attached hosts inherit their
-/// router's region.
+/// [`run_protocol_sim_hier`]. `region_hints`, when given, assigns a
+/// region to every *router* (see [`scenario::ScenarioNet::parallelize`]).
 fn run_protocol_sim_core(
     g: &Graph,
-    proto: Proto,
+    protocol: Protocol,
     workloads: &[Workload],
     opts: &SimOptions,
     region_hints: Option<&[u32]>,
 ) -> SimResult {
     let packets_per_sender = opts.packets_per_sender;
-    let seed = opts.seed;
-    let topo = Topology::from_graph(g);
-    if let Some(hints) = region_hints {
-        assert_eq!(hints.len(), g.node_count(), "one region hint per router");
-    }
 
-    // Which routers need an attached host.
-    let mut involved: BTreeSet<NodeId> = BTreeSet::new();
-    for w in workloads {
-        involved.extend(w.members.iter().copied());
-        involved.extend(w.senders.iter().copied());
-    }
-
-    // Oracle unicast routing with every host aliased everywhere.
-    let mut ribs = OracleRib::for_all(g, &topo);
-    for &n in &involved {
-        let h = host_addr(n, 0);
-        for (i, rib) in ribs.iter_mut().enumerate() {
-            if i != n.index() {
-                rib.alias_host(h, router_addr(n));
-            }
-        }
-    }
-
-    let mut rib_iter = ribs.into_iter();
-    let (mut world, links) = topo.build_world(g, seed, |plan| match proto {
-        Proto::PimSpt | Proto::PimShared => {
-            let cfg = PimConfig {
-                spt_policy: if proto == Proto::PimSpt {
-                    opts.pim.spt_policy
-                } else {
-                    pim::SptPolicy::Never
-                },
-                ..opts.pim
-            };
-            let engine = PimEngine::new(plan.addr, plan.ifaces.len(), cfg);
-            let mut r = PimRouter::new(engine, Box::new(rib_iter.next().expect("rib per plan")));
-            for w in workloads {
-                r.engine_mut()
-                    .set_rp_mapping(w.group, vec![router_addr(w.rendezvous)]);
-            }
-            Box::new(r)
-        }
-        Proto::Dvmrp => {
-            let engine = DvmrpEngine::new(plan.addr, plan.ifaces.len(), DvmrpConfig::default());
-            let r = DvmrpRouter::new(engine, Box::new(rib_iter.next().expect("rib per plan")));
-            Box::new(r)
-        }
-        Proto::Cbt => {
-            let engine = CbtEngine::new(plan.addr, CbtConfig::default());
-            let mut r = CbtRouter::new(engine, Box::new(rib_iter.next().expect("rib per plan")));
-            for w in workloads {
-                r.engine_mut().set_core(w.group, router_addr(w.rendezvous));
-            }
-            Box::new(r)
-        }
-    });
-
-    if opts.link_loss > 0.0 {
-        for &l in &links {
-            world.set_link_loss(l, opts.link_loss);
-        }
-    }
-    if !opts.capacity.is_unlimited() {
-        for &l in &links {
-            world.set_link_capacity(l, opts.capacity);
-        }
-    }
-
-    // Attach one host node per involved router: an explicit HostNode, or
-    // a PopulationNode when any workload puts an aggregate membership
-    // (population > 1) behind it. Both speak IGMP on the same LAN shape,
-    // so the routers can't tell the difference.
-    let aggregate_at = |n: NodeId| {
+    // One host slot per involved router, in router order; a slot is
+    // aggregate when any workload puts a population > 1 behind it.
+    let involved: BTreeSet<NodeId> = workloads
+        .iter()
+        .flat_map(|w| w.members.iter().chain(&w.senders).copied())
+        .collect();
+    let host_routers: Vec<NodeId> = involved.into_iter().collect();
+    let slot_of = |n: NodeId| {
+        host_routers
+            .binary_search(&n)
+            .expect("every member and sender router has a host slot")
+    };
+    // Member weight of site `n` for group `g` (1 for a non-member).
+    let weight_of = |n: NodeId, g: Option<Group>| -> u64 {
         workloads
             .iter()
-            .any(|w| w.population > 1 && w.members.contains(&n))
+            .filter(|w| g.is_none_or(|g| w.group == g) && w.members.contains(&n))
+            .map(|w| w.population)
+            .max()
+            .unwrap_or(1)
+            .max(1)
     };
-    let mut host_of = std::collections::BTreeMap::new();
-    // Hosts inherit their router's region; extended in add_node order.
-    let mut full_hints: Vec<u32> = region_hints.map(<[u32]>::to_vec).unwrap_or_default();
-    for &n in &involved {
-        let h_addr = host_addr(n, 0);
-        let aggregate = aggregate_at(n);
-        let h_idx = if aggregate {
-            world.add_node(Box::new(PopulationNode::new(h_addr)))
-        } else {
-            world.add_node(Box::new(HostNode::new(h_addr)))
-        };
-        let (_l, ifs) = world.add_lan(&[NodeIdx(n.index()), h_idx], Duration(1));
-        match proto {
-            Proto::PimSpt | Proto::PimShared => world
-                .node_mut::<PimRouter>(NodeIdx(n.index()))
-                .attach_host_lan(ifs[0], &[h_addr]),
-            Proto::Dvmrp => world
-                .node_mut::<DvmrpRouter>(NodeIdx(n.index()))
-                .attach_host_lan(ifs[0], &[h_addr]),
-            Proto::Cbt => world
-                .node_mut::<CbtRouter>(NodeIdx(n.index()))
-                .attach_host_lan(ifs[0], &[h_addr]),
+    let populations: Vec<u64> = host_routers.iter().map(|&n| weight_of(n, None)).collect();
+    let groups: Vec<(Group, Vec<NodeId>)> = workloads
+        .iter()
+        .map(|w| (w.group, vec![w.rendezvous]))
+        .collect();
+    let mut net = NetSpec {
+        protocol,
+        groups: &groups,
+        host_routers: &host_routers,
+        populations: &populations,
+        pim: opts.pim,
+        seed: opts.seed,
+        ..NetSpec::default()
+    }
+    .build(g);
+
+    // Host LANs are never lossy or capped: the impairments under study
+    // are transit-network ones (p2p link k is graph edge k).
+    for l in (0..g.edge_count()).map(LinkId) {
+        if opts.link_loss > 0.0 {
+            net.world.set_link_loss(l, opts.link_loss);
         }
-        if let Some(hints) = region_hints {
-            full_hints.push(hints[n.index()]);
+        if !opts.capacity.is_unlimited() {
+            net.world.set_link_capacity(l, opts.capacity);
         }
-        host_of.insert(n, (h_idx, aggregate));
     }
 
     // Schedule joins and transmissions.
     let mut stagger = 0u64;
     for w in workloads {
-        let group = w.group;
-        let population = w.population;
         for &m in &w.members {
-            let (h, aggregate) = host_of[&m];
-            world.at(SimTime(JOIN_START + stagger % 40), move |w| {
-                w.call_node(h, |n, ctx| {
-                    if aggregate {
-                        n.as_any_mut()
-                            .downcast_mut::<PopulationNode>()
-                            .expect("population node")
-                            .join_members(ctx, group, population);
-                    } else {
-                        n.as_any_mut()
-                            .downcast_mut::<HostNode>()
-                            .expect("host node")
-                            .join(ctx, group);
-                    }
-                });
-            });
+            net.join_group_at(slot_of(m), w.group, JOIN_START + stagger % 40);
             stagger += 1;
         }
         for &s in &w.senders {
-            let (h, aggregate) = host_of[&s];
-            for k in 0..packets_per_sender {
-                world.at(
-                    SimTime(SEND_START + (stagger % 17) + k * SEND_GAP),
-                    move |w| {
-                        w.call_node(h, |n, ctx| {
-                            if aggregate {
-                                n.as_any_mut()
-                                    .downcast_mut::<PopulationNode>()
-                                    .expect("population node")
-                                    .send_data(ctx, group);
-                            } else {
-                                n.as_any_mut()
-                                    .downcast_mut::<HostNode>()
-                                    .expect("host node")
-                                    .send_data(ctx, group);
-                            }
-                        });
-                    },
-                );
-            }
+            let start = SEND_START + (stagger % 17);
+            net.send_group_at(slot_of(s), w.group, start, packets_per_sender, SEND_GAP);
             stagger += 3;
         }
     }
@@ -436,36 +314,25 @@ fn run_protocol_sim_core(
     {
         let state_sample = std::rc::Rc::clone(&state_sample);
         let nodes = g.node_count();
-        world.at(SimTime(sample_at), move |w| {
-            let mut total = 0;
-            for i in 0..nodes {
-                total += match proto {
-                    Proto::PimSpt | Proto::PimShared => {
-                        w.node::<PimRouter>(NodeIdx(i)).engine().entry_count()
-                    }
-                    Proto::Dvmrp => w.node::<DvmrpRouter>(NodeIdx(i)).engine().entry_count(),
-                    Proto::Cbt => w.node::<CbtRouter>(NodeIdx(i)).engine().entry_count(),
-                };
-            }
-            state_sample.set(total);
+        net.world.at(SimTime(sample_at), move |w| {
+            let entries = |i| match protocol {
+                Protocol::Pim => w.node::<PimRouter>(NodeIdx(i)).engine().entry_count(),
+                Protocol::Dvmrp => w.node::<DvmrpRouter>(NodeIdx(i)).engine().entry_count(),
+                Protocol::Cbt => w.node::<CbtRouter>(NodeIdx(i)).engine().entry_count(),
+            };
+            state_sample.set((0..nodes).map(entries).sum());
         });
     }
 
     let end = SEND_START + packets_per_sender * SEND_GAP + COOLDOWN;
-    world.parallelize(opts.threads);
-    // Hierarchical runs carry domain-aligned region hints: override the
-    // generic auto-partition so the parallel core cuts only gateway links
-    // (maximising conservative lookahead). Hosts inherit their router's
-    // region, so no host LAN ever crosses a region boundary.
-    if region_hints.is_some() && opts.threads > 1 {
-        world.set_partition(&full_hints);
-    }
+    net.parallelize(opts.threads, region_hints);
     if opts.profile {
-        world.enable_profile();
+        net.world.enable_profile();
     }
     let run_started = std::time::Instant::now();
-    world.run_until(SimTime(end));
+    net.world.run_until(SimTime(end));
     let run_ms = run_started.elapsed().as_secs_f64() * 1e3;
+    let world = &net.world;
 
     // Collect metrics.
     let mut result = SimResult {
@@ -508,37 +375,23 @@ fn run_protocol_sim_core(
     // weight each reception by the member population behind the LAN, so
     // `deliveries` counts *member* receptions in both representations
     // (population 1 degenerates to the explicit accounting exactly).
-    let weight_of = |n: NodeId, g: Group| -> u64 {
-        workloads
-            .iter()
-            .filter(|w| w.group == g && w.members.contains(&n))
-            .map(|w| w.population)
-            .max()
-            .unwrap_or(1)
-            .max(1)
-    };
     let mut fp: u64 = 0xcbf2_9ce4_8422_2325;
     let mut fold = |v: u64| {
         fp ^= v;
         fp = fp.wrapping_mul(0x100_0000_01b3);
     };
-    for (&n, &(h, aggregate)) in &host_of {
-        let received: &[igmp::Received] = if aggregate {
-            &world.node::<PopulationNode>(h).received
-        } else {
-            &world.node::<HostNode>(h).received
-        };
+    for (slot, &n) in host_routers.iter().enumerate() {
         let member_of: BTreeSet<Group> = workloads
             .iter()
             .filter(|w| w.members.contains(&n))
             .map(|w| w.group)
             .collect();
         let mut seen = BTreeSet::new();
-        for r in received {
+        for r in net.host(slot).received() {
             if !member_of.contains(&r.group) {
                 continue;
             }
-            let weight = weight_of(n, r.group);
+            let weight = weight_of(n, Some(r.group));
             if seen.insert((r.group, r.source, r.seq)) {
                 result.deliveries += weight;
             } else {
@@ -788,16 +641,27 @@ mod tests {
             rendezvous: NodeId(0),
             population: 1,
         };
-        for proto in [Proto::PimSpt, Proto::PimShared, Proto::Dvmrp, Proto::Cbt] {
-            let r = run_protocol_sim(&g, proto, std::slice::from_ref(&w), 6, 9);
+        let contenders = [
+            (Protocol::Pim, PimConfig::default()),
+            (Protocol::Pim, PimConfig::shared_tree_only()),
+            (Protocol::Dvmrp, PimConfig::default()),
+            (Protocol::Cbt, PimConfig::default()),
+        ];
+        for (protocol, pim) in contenders {
+            let opts = SimOptions {
+                packets_per_sender: 6,
+                seed: 9,
+                pim,
+                ..SimOptions::default()
+            };
+            let r = run_protocol_sim_opts(&g, protocol, std::slice::from_ref(&w), &opts);
+            let label = format!("{protocol:?} {:?}", pim.spt_policy);
             assert_eq!(
-                r.deliveries,
-                r.expected_deliveries,
-                "{} dropped packets: {r:?}",
-                proto.name()
+                r.deliveries, r.expected_deliveries,
+                "{label} dropped packets: {r:?}"
             );
-            assert!(r.state_entries > 0, "{}", proto.name());
-            assert!(r.control_pkts > 0, "{}", proto.name());
+            assert!(r.state_entries > 0, "{label}");
+            assert!(r.control_pkts > 0, "{label}");
         }
     }
 
@@ -821,8 +685,8 @@ mod tests {
             rendezvous: NodeId(5),
             population: 1,
         };
-        let pim = run_protocol_sim(&g, Proto::PimSpt, std::slice::from_ref(&w), 8, 2);
-        let dvm = run_protocol_sim(&g, Proto::Dvmrp, &[w], 8, 2);
+        let pim = run_protocol_sim(&g, Protocol::Pim, std::slice::from_ref(&w), 8, 2);
+        let dvm = run_protocol_sim(&g, Protocol::Dvmrp, &[w], 8, 2);
         assert!(
             dvm.data_links_used > pim.data_links_used,
             "dense {} vs sparse {}",

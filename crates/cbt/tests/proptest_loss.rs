@@ -75,12 +75,7 @@ proptest! {
             world.set_link_loss(LinkId(k), f64::from(pm) / 1000.0);
         }
         world.at(SimTime(10), move |w| {
-            w.call_node(host, |n, ctx| {
-                n.as_any_mut()
-                    .downcast_mut::<HostNode>()
-                    .expect("host")
-                    .join(ctx, group);
-            });
+            igmp::with_host(w, host, |h, ctx| h.join(ctx, group));
         });
         // Loss persists through the whole join phase — every hop-by-hop
         // Join-Request/Join-Ack exchange must win by retransmission. Then

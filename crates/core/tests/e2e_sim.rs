@@ -102,22 +102,12 @@ fn run_scenario(cfg: PimConfig, packets: u64, gap: u64) -> Net {
     let mut net = build(cfg);
     let rh = net.r_host;
     net.world.at(SimTime(20), move |w| {
-        w.call_node(rh, |n, ctx| {
-            n.as_any_mut()
-                .downcast_mut::<HostNode>()
-                .expect("host node")
-                .join(ctx, group());
-        });
+        igmp::with_host(w, rh, |h, ctx| h.join(ctx, group()));
     });
     let sh = net.s_host;
     for k in 0..packets {
         net.world.at(SimTime(200 + k * gap), move |w| {
-            w.call_node(sh, |n, ctx| {
-                n.as_any_mut()
-                    .downcast_mut::<HostNode>()
-                    .expect("host node")
-                    .send_data(ctx, group());
-            });
+            igmp::with_host(w, sh, |h, ctx| h.send_data(ctx, group()));
         });
     }
     net.world.run_until(SimTime(200 + packets * gap + 400));
@@ -129,12 +119,7 @@ fn shared_tree_is_built_from_receiver_to_rp() {
     let mut net = build(PimConfig::default());
     let rh = net.r_host;
     net.world.at(SimTime(20), move |w| {
-        w.call_node(rh, |n, ctx| {
-            n.as_any_mut()
-                .downcast_mut::<HostNode>()
-                .expect("host")
-                .join(ctx, group());
-        });
+        igmp::with_host(w, rh, |h, ctx| h.join(ctx, group()));
     });
     net.world.run_until(SimTime(150));
 
@@ -168,7 +153,7 @@ fn shared_tree_is_built_from_receiver_to_rp() {
 #[test]
 fn data_flows_and_spt_switchover_happens() {
     let net = run_scenario(PimConfig::default(), 30, 20);
-    let host: &HostNode = net.world.node(net.r_host);
+    let host = igmp::host(&net.world, net.r_host);
     let seqs = host.seqs_from(net.s_addr, group());
 
     // Continuous delivery: every packet exactly once, in order.
@@ -199,14 +184,14 @@ fn data_flows_and_spt_switchover_happens() {
 #[test]
 fn latency_drops_after_spt_switch() {
     let net = run_scenario(PimConfig::default(), 30, 20);
-    let host: &HostNode = net.world.node(net.r_host);
+    let host = igmp::host(&net.world, net.r_host);
     let first = host
-        .received
+        .received()
         .iter()
         .find(|r| r.seq == 0)
         .expect("first packet");
     let last = host
-        .received
+        .received()
         .iter()
         .find(|r| r.seq == 29)
         .expect("last packet");
@@ -224,7 +209,7 @@ fn latency_drops_after_spt_switch() {
 #[test]
 fn shared_tree_only_policy_never_switches() {
     let net = run_scenario(PimConfig::shared_tree_only(), 20, 20);
-    let host: &HostNode = net.world.node(net.r_host);
+    let host = igmp::host(&net.world, net.r_host);
     let seqs = host.seqs_from(net.s_addr, group());
     assert_eq!(seqs, (0..20).collect::<Vec<u64>>());
     let r0: &PimRouter = net.world.node(NodeIdx(0));
@@ -234,7 +219,7 @@ fn shared_tree_only_policy_never_switches() {
         "policy Never: no (S,G) state at the DR"
     );
     // Steady-state latency stays on the RP path: 1 + (1+1+1) + 1 = 5.
-    let last = host.received.iter().find(|r| r.seq == 19).expect("last");
+    let last = host.received().iter().find(|r| r.seq == 19).expect("last");
     assert_eq!(last.at.ticks() - (200 + 19 * 20), 5);
 }
 
@@ -248,7 +233,7 @@ fn after_packets_policy_switches_late() {
         ..PimConfig::default()
     };
     let net = run_scenario(cfg, 30, 20);
-    let host: &HostNode = net.world.node(net.r_host);
+    let host = igmp::host(&net.world, net.r_host);
     let seqs = host.seqs_from(net.s_addr, group());
     assert_eq!(
         seqs,
@@ -262,8 +247,12 @@ fn after_packets_policy_switches_late() {
         "switch must eventually happen"
     );
     // Early packets ride the RP path (latency 5), late ones the SPT (4).
-    let early = host.received.iter().find(|r| r.seq == 0).expect("seq 0");
-    let late = host.received.iter().find(|r| r.seq == 29).expect("seq 29");
+    let early = host.received().iter().find(|r| r.seq == 0).expect("seq 0");
+    let late = host
+        .received()
+        .iter()
+        .find(|r| r.seq == 29)
+        .expect("seq 29");
     assert_eq!(early.at.ticks() - 200, 5);
     assert_eq!(late.at.ticks() - (200 + 29 * 20), 4);
 }
@@ -293,16 +282,11 @@ fn membership_expires_after_receiver_leaves() {
     let mut net = build(PimConfig::default());
     let rh = net.r_host;
     net.world.at(SimTime(20), move |w| {
-        w.call_node(rh, |n, ctx| {
-            n.as_any_mut()
-                .downcast_mut::<HostNode>()
-                .expect("host")
-                .join(ctx, group());
-        });
+        igmp::with_host(w, rh, |h, ctx| h.join(ctx, group()));
     });
     // Leave silently at t=400 (IGMPv1): membership times out at the DR.
     net.world.at(SimTime(400), move |w| {
-        w.node_mut::<HostNode>(rh).leave(group());
+        igmp::host_mut(w, rh).leave(group());
     });
     net.world.run_until(SimTime(1500));
     let r0: &PimRouter = net.world.node(NodeIdx(0));

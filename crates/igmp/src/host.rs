@@ -99,16 +99,6 @@ impl HostNode {
         std::mem::take(&mut self.received)
     }
 
-    /// Sequence numbers received from `source` for `group`, in arrival
-    /// order.
-    pub fn seqs_from(&self, source: Addr, group: Group) -> Vec<u64> {
-        self.received
-            .iter()
-            .filter(|r| r.source == source && r.group == group)
-            .map(|r| r.seq)
-            .collect()
-    }
-
     fn emit(&mut self, ctx: &mut Ctx<'_>, outs: Vec<HostOutput>) {
         for o in outs {
             match o {

@@ -17,9 +17,11 @@
 
 #![warn(missing_docs)]
 
+pub mod endpoint;
 pub mod host;
 pub mod population;
 
+pub use endpoint::{host, host_mut, with_host, Endpoint};
 pub use host::{HostNode, Received};
 pub use population::{Churn, PopulationNode};
 

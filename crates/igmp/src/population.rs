@@ -91,6 +91,8 @@ pub struct PopulationNode {
     addr: Addr,
     memberships: BTreeMap<Group, Membership>,
     rp_mappings: BTreeMap<Group, Vec<Addr>>,
+    /// How many members "the whole slot" is, for [`crate::Endpoint`].
+    pub(crate) population: u64,
     /// Data packets received for joined groups, one entry per packet
     /// (weight = member count at arrival, accumulated in
     /// [`PopulationNode::member_receptions`]).
@@ -108,12 +110,22 @@ impl PopulationNode {
             addr,
             memberships: BTreeMap::new(),
             rp_mappings: BTreeMap::new(),
+            population: 1,
             received: Vec::new(),
             member_receptions: 0,
             reports_sent: 0,
             next_seq: 0,
             wakeup: None,
         }
+    }
+
+    /// Size the slot: [`crate::Endpoint::join`] and
+    /// [`crate::Endpoint::leave`] move this many members at once
+    /// (default 1). Partial churn stays with
+    /// [`PopulationNode::join_members`] / [`PopulationNode::leave_members`].
+    pub fn sized(mut self, population: u64) -> PopulationNode {
+        self.population = population;
+        self
     }
 
     /// The population's spokesman address (source of its reports/data).
@@ -204,16 +216,6 @@ impl PopulationNode {
     /// Drain the reception log without copying.
     pub fn take_received(&mut self) -> Vec<Received> {
         std::mem::take(&mut self.received)
-    }
-
-    /// Sequence numbers received from `source` for `group`, in arrival
-    /// order.
-    pub fn seqs_from(&self, source: Addr, group: Group) -> Vec<u64> {
-        self.received
-            .iter()
-            .filter(|r| r.source == source && r.group == group)
-            .map(|r| r.seq)
-            .collect()
     }
 
     fn send_report(&mut self, ctx: &mut Ctx<'_>, group: Group) {

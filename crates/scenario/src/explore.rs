@@ -31,9 +31,7 @@
 //! depends on generator internals.
 
 use crate::net::{build_net, Protocol, ScenarioNet, Substrate};
-use crate::oracle::{
-    check_congestion_recovery, check_delivery, check_no_orphans, check_structure, Violation,
-};
+use crate::oracle::{check_battery, Violation};
 use crate::schedule::{FaultEvent, FaultSchedule};
 use graph::{Graph, NodeId};
 use netsim::{host_addr, NodeIdx, SimTime};
@@ -489,22 +487,7 @@ fn run_case_inner(
     let source = host_addr(topo.host_routers[0], 0);
     let expected: Vec<u64> = (TRAIN..TRAIN + PROBES).collect();
 
-    let mut violations = check_structure(&net);
-    if members.is_empty() {
-        violations.extend(check_no_orphans(&net));
-    } else {
-        let c = net.world.counters();
-        let congested =
-            c.queue_drops_data() > 0 || c.queue_drops_ctrl() > 0 || c.peak_queue_bytes() > 0;
-        if congested {
-            // Same expectation as plain delivery, but labeled
-            // `congestion-recovery` so triage can tell "the tree never
-            // recovered from overload" apart from ordinary fault loss.
-            violations.extend(check_congestion_recovery(&net, &members, source, &expected));
-        } else {
-            violations.extend(check_delivery(&net, &members, source, &expected));
-        }
-    }
+    let violations = check_battery(&net, &members, source, &expected);
 
     let causal = causal.lock().unwrap().clone();
 

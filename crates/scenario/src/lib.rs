@@ -55,11 +55,11 @@ pub use fuzz::{
     corpus, fuzz_engine, fuzz_engines, fuzz_wire, mutate, EngineFuzzOutcome, SeedStream,
     WireFuzzReport,
 };
-pub use net::{build_net, build_net_aggregate, Protocol, ScenarioNet, Substrate};
+pub use net::{build_net, build_net_aggregate, NetSpec, Protocol, ScenarioNet, Substrate};
 pub use oracle::{
-    check_bounded_queues, check_bounded_state, check_cbt_ack_ledger, check_congestion_recovery,
-    check_delivery, check_hardening, check_loop_freedom, check_no_orphans, check_no_starvation,
-    check_rpf, check_structure, Violation,
+    check_battery, check_bounded_queues, check_bounded_state, check_cbt_ack_ledger,
+    check_congestion_recovery, check_delivery, check_hardening, check_loop_freedom,
+    check_no_orphans, check_no_starvation, check_rpf, check_structure, congested, Violation,
 };
 pub use schedule::{FaultEvent, FaultSchedule};
 pub use search::{

@@ -8,7 +8,7 @@
 use cbt::{CbtConfig, CbtEngine, CbtRouter};
 use dvmrp::{DvmrpConfig, DvmrpEngine, DvmrpRouter};
 use graph::{Graph, NodeId};
-use igmp::{HostNode, PopulationNode};
+use igmp::{Endpoint, HostNode, PopulationNode};
 use netsim::{host_addr, router_addr, Duration, IfaceId, NodeIdx, SimTime, Topology, World};
 use pim::{Engine, PimConfig, PimRouter};
 use telemetry::SharedSink;
@@ -18,9 +18,10 @@ use unicast::OracleRib;
 use wire::{Addr, Group};
 
 /// The multicast protocol under test.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Protocol {
     /// PIM sparse mode (the paper's architecture).
+    #[default]
     Pim,
     /// DVMRP dense mode (broadcast-and-prune baseline).
     Dvmrp,
@@ -48,10 +49,11 @@ impl Protocol {
 }
 
 /// The unicast substrate the routers run underneath the multicast engine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Substrate {
     /// Static tables from global knowledge (deterministic, zero chatter —
     /// what the explorer uses for byte-identical trace comparison).
+    #[default]
     Oracle,
     /// RIP-like distance vector.
     DistanceVector,
@@ -96,6 +98,36 @@ pub struct ScenarioNet {
     pub populations: Vec<u64>,
 }
 
+/// Everything the one network builder needs besides the router graph.
+/// Every multicast router in the workspace is constructed by
+/// [`NetSpec::build`], so all protocols and all harnesses (explorer,
+/// benches, integration tests, examples) see the identical topology,
+/// host placement, RIB aliasing and RNG streams for the same spec.
+/// The default is PIM over oracle routing with the default engine
+/// configuration and seed 0; `groups` must be filled in.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct NetSpec<'a> {
+    /// The multicast protocol every router runs.
+    pub protocol: Protocol,
+    /// The unicast substrate underneath it.
+    pub substrate: Substrate,
+    /// Every group with its rendezvous routers: the RP list in preference
+    /// order for PIM, the core (first entry) for CBT, unused by DVMRP.
+    /// The first group is the one [`ScenarioNet`]'s group-less methods
+    /// and the oracles target.
+    pub groups: &'a [(Group, Vec<NodeId>)],
+    /// One host slot behind each of these routers, in world-node order.
+    pub host_routers: &'a [NodeId],
+    /// Aggregate member population per host slot (see
+    /// [`ScenarioNet::populations`]); empty means one explicit host in
+    /// every slot.
+    pub populations: &'a [u64],
+    /// PIM engine configuration (ignored by the baselines).
+    pub pim: PimConfig,
+    /// World RNG seed.
+    pub seed: u64,
+}
+
 /// Build a network of `protocol` routers over `g` with a host behind each
 /// router in `host_routers`, the rendezvous point (RP or core) at
 /// `rendezvous`, and the chosen unicast substrate.
@@ -108,7 +140,6 @@ pub fn build_net(
     host_routers: &[NodeId],
     seed: u64,
 ) -> ScenarioNet {
-    let ones = vec![1; host_routers.len()];
     build_net_aggregate(
         g,
         protocol,
@@ -116,7 +147,7 @@ pub fn build_net(
         group,
         rendezvous,
         host_routers,
-        &ones,
+        &[],
         seed,
     )
 }
@@ -137,180 +168,204 @@ pub fn build_net_aggregate(
     populations: &[u64],
     seed: u64,
 ) -> ScenarioNet {
-    assert_eq!(
-        populations.len(),
-        host_routers.len(),
-        "one population count per host slot"
-    );
-    let topo = Topology::from_graph(g);
-    let rdv_addr = router_addr(rendezvous);
-
-    let mut oracle = OracleRib::for_all(g, &topo);
-    for &n in host_routers {
-        let h = host_addr(n, 0);
-        for (i, rib) in oracle.iter_mut().enumerate() {
-            if i != n.index() {
-                rib.alias_host(h, router_addr(n));
-            }
-        }
-    }
-    let mut oracle_iter = oracle.into_iter();
-
-    let (mut world, _links) = topo.build_world(g, seed, |plan| {
-        let unicast: Box<dyn unicast::Engine> = match substrate {
-            Substrate::Oracle => Box::new(oracle_iter.next().expect("rib per plan")),
-            Substrate::DistanceVector => {
-                let _ = oracle_iter.next();
-                Box::new(DvEngine::new(plan, DvConfig::default()))
-            }
-            Substrate::LinkState => {
-                let _ = oracle_iter.next();
-                Box::new(LsEngine::new(plan, LsConfig::default()))
-            }
-        };
-        match protocol {
-            Protocol::Pim => {
-                let mut r = PimRouter::new(
-                    Engine::new(plan.addr, plan.ifaces.len(), PimConfig::default()),
-                    unicast,
-                );
-                r.engine_mut().set_rp_mapping(group, vec![rdv_addr]);
-                Box::new(r)
-            }
-            Protocol::Dvmrp => Box::new(DvmrpRouter::new(
-                DvmrpEngine::new(plan.addr, plan.ifaces.len(), DvmrpConfig::default()),
-                unicast,
-            )),
-            Protocol::Cbt => {
-                let mut e = CbtEngine::new(plan.addr, CbtConfig::default());
-                e.set_core(group, rdv_addr);
-                Box::new(CbtRouter::new(e, unicast))
-            }
-        }
-    });
-
-    let mut hosts = Vec::new();
-    for (k, &n) in host_routers.iter().enumerate() {
-        let ha = host_addr(n, 0);
-        let hi = if populations[k] > 1 {
-            world.add_node(Box::new(PopulationNode::new(ha)))
-        } else {
-            world.add_node(Box::new(HostNode::new(ha)))
-        };
-        let (_l, ifs) = world.add_lan(&[NodeIdx(n.index()), hi], Duration(1));
-        let r = NodeIdx(n.index());
-        match protocol {
-            Protocol::Pim => world
-                .node_mut::<PimRouter>(r)
-                .attach_host_lan(ifs[0], &[ha]),
-            Protocol::Dvmrp => world
-                .node_mut::<DvmrpRouter>(r)
-                .attach_host_lan(ifs[0], &[ha]),
-            Protocol::Cbt => world
-                .node_mut::<CbtRouter>(r)
-                .attach_host_lan(ifs[0], &[ha]),
-        }
-        hosts.push((hi, ha));
-    }
-
-    let peers = topo
-        .plans()
-        .iter()
-        .map(|p| {
-            p.ifaces
-                .iter()
-                .map(|i| IfacePeer {
-                    iface: i.iface,
-                    neighbor: i.neighbor,
-                    neighbor_addr: i.neighbor_addr,
-                })
-                .collect()
-        })
-        .collect();
-
-    ScenarioNet {
-        world,
-        hosts,
+    NetSpec {
         protocol,
-        group,
-        router_count: g.node_count(),
-        rendezvous,
-        host_routers: host_routers.to_vec(),
-        peers,
-        populations: populations.to_vec(),
+        substrate,
+        groups: &[(group, vec![rendezvous])],
+        host_routers,
+        populations,
+        seed,
+        ..NetSpec::default()
+    }
+    .build(g)
+}
+
+impl NetSpec<'_> {
+    /// Wire routers over `g` (p2p link `k` of the world is graph edge
+    /// `k`), the unicast substrate and the host slots into a world:
+    /// routers in graph order, then hosts in `host_routers` order.
+    pub fn build(&self, g: &Graph) -> ScenarioNet {
+        let &NetSpec {
+            protocol,
+            substrate,
+            host_routers,
+            pim,
+            seed,
+            ..
+        } = self;
+        let populations = if self.populations.is_empty() {
+            vec![1; host_routers.len()]
+        } else {
+            self.populations.to_vec()
+        };
+        assert_eq!(
+            populations.len(),
+            host_routers.len(),
+            "one population count per host slot"
+        );
+        let groups: Vec<(Group, Vec<Addr>)> = self
+            .groups
+            .iter()
+            .map(|(grp, rdv)| (*grp, rdv.iter().map(|&n| router_addr(n)).collect()))
+            .collect();
+        assert!(
+            self.groups.iter().all(|(_, rdv)| !rdv.is_empty()),
+            "every group needs a rendezvous router"
+        );
+        let &(group, ref rdv) = self.groups.first().expect("a network needs a group");
+        let rendezvous = rdv[0];
+        let topo = Topology::from_graph(g);
+
+        // The all-pairs oracle is the expensive part of set-up; only the
+        // substrate that serves routes from it pays for it.
+        let mut ribs = match substrate {
+            Substrate::Oracle => OracleRib::for_all_with_hosts(g, &topo, host_routers),
+            Substrate::DistanceVector | Substrate::LinkState => Vec::new(),
+        }
+        .into_iter();
+        let (mut world, _links) = topo.build_world(g, seed, |plan| {
+            let unicast: Box<dyn unicast::Engine> = match substrate {
+                Substrate::Oracle => Box::new(ribs.next().expect("for_all: one RIB per plan")),
+                Substrate::DistanceVector => Box::new(DvEngine::new(plan, DvConfig::default())),
+                Substrate::LinkState => Box::new(LsEngine::new(plan, LsConfig::default())),
+            };
+            match protocol {
+                Protocol::Pim => {
+                    let mut r =
+                        PimRouter::new(Engine::new(plan.addr, plan.ifaces.len(), pim), unicast);
+                    for (grp, rps) in &groups {
+                        r.engine_mut().set_rp_mapping(*grp, rps.clone());
+                    }
+                    Box::new(r)
+                }
+                Protocol::Dvmrp => Box::new(DvmrpRouter::new(
+                    DvmrpEngine::new(plan.addr, plan.ifaces.len(), DvmrpConfig::default()),
+                    unicast,
+                )),
+                Protocol::Cbt => {
+                    let mut e = CbtEngine::new(plan.addr, CbtConfig::default());
+                    for (grp, cores) in &groups {
+                        e.set_core(*grp, cores[0]);
+                    }
+                    Box::new(CbtRouter::new(e, unicast))
+                }
+            }
+        });
+
+        let mut hosts = Vec::new();
+        for (&n, &population) in host_routers.iter().zip(&populations) {
+            let ha = host_addr(n, 0);
+            let hi = if population > 1 {
+                world.add_node(Box::new(PopulationNode::new(ha).sized(population)))
+            } else {
+                world.add_node(Box::new(HostNode::new(ha)))
+            };
+            let r = NodeIdx(n.index());
+            let (_l, ifs) = world.add_lan(&[r, hi], Duration(1));
+            match protocol {
+                Protocol::Pim => world
+                    .node_mut::<PimRouter>(r)
+                    .attach_host_lan(ifs[0], &[ha]),
+                Protocol::Dvmrp => world
+                    .node_mut::<DvmrpRouter>(r)
+                    .attach_host_lan(ifs[0], &[ha]),
+                Protocol::Cbt => world
+                    .node_mut::<CbtRouter>(r)
+                    .attach_host_lan(ifs[0], &[ha]),
+            }
+            hosts.push((hi, ha));
+        }
+
+        let peers = topo
+            .plans()
+            .iter()
+            .map(|p| {
+                p.ifaces
+                    .iter()
+                    .map(|i| IfacePeer {
+                        iface: i.iface,
+                        neighbor: i.neighbor,
+                        neighbor_addr: i.neighbor_addr,
+                    })
+                    .collect()
+            })
+            .collect();
+
+        ScenarioNet {
+            world,
+            hosts,
+            protocol,
+            group,
+            router_count: g.node_count(),
+            rendezvous,
+            host_routers: host_routers.to_vec(),
+            peers,
+            populations,
+        }
     }
 }
 
 impl ScenarioNet {
-    /// Schedule host slot `k` to stream `count` data packets starting at
-    /// `start`, `gap` ticks apart. Returns nothing; sequence numbers are
-    /// consecutive from the host's own counter.
+    /// Schedule host slot `slot` to stream `count` data packets to the
+    /// first group starting at `start`, `gap` ticks apart. Sequence
+    /// numbers are consecutive from the host's own counter.
     pub fn send_at(&mut self, slot: usize, start: u64, count: u64, gap: u64) {
+        self.send_group_at(slot, self.group, start, count, gap);
+    }
+
+    /// [`ScenarioNet::send_at`] to any of the network's groups.
+    pub fn send_group_at(&mut self, slot: usize, group: Group, start: u64, count: u64, gap: u64) {
         let (host, _) = self.hosts[slot];
-        let group = self.group;
-        let aggregate = self.populations[slot] > 1;
         for k in 0..count {
             self.world.at(SimTime(start + k * gap), move |w| {
-                w.call_node(host, |n, ctx| {
-                    if aggregate {
-                        n.as_any_mut()
-                            .downcast_mut::<PopulationNode>()
-                            .expect("host slot is a PopulationNode")
-                            .send_data(ctx, group);
-                    } else {
-                        n.as_any_mut()
-                            .downcast_mut::<HostNode>()
-                            .expect("host slot is a HostNode")
-                            .send_data(ctx, group);
-                    }
-                });
+                igmp::with_host(w, host, |h, ctx| h.send_data(ctx, group));
             });
         }
     }
 
-    /// Schedule host slot `k`'s members to join at `at`: the slot's whole
-    /// population for an aggregate slot, the single host otherwise.
+    /// Schedule host slot `slot`'s members to join the first group at
+    /// `at`: the slot's whole population for an aggregate slot, the
+    /// single host otherwise.
     pub fn join_at(&mut self, slot: usize, at: u64) {
+        self.join_group_at(slot, self.group, at);
+    }
+
+    /// [`ScenarioNet::join_at`] for any of the network's groups.
+    pub fn join_group_at(&mut self, slot: usize, group: Group, at: u64) {
         let (host, _) = self.hosts[slot];
-        let group = self.group;
-        let population = self.populations[slot];
         self.world.at(SimTime(at), move |w| {
-            w.call_node(host, |n, ctx| {
-                if population > 1 {
-                    n.as_any_mut()
-                        .downcast_mut::<PopulationNode>()
-                        .expect("host slot is a PopulationNode")
-                        .join_members(ctx, group, population);
-                } else {
-                    n.as_any_mut()
-                        .downcast_mut::<HostNode>()
-                        .expect("host slot is a HostNode")
-                        .join(ctx, group);
-                }
-            });
+            igmp::with_host(w, host, |h, ctx| h.join(ctx, group));
         });
     }
 
-    /// Schedule host slot `k`'s entire membership to leave at `at`.
+    /// Schedule host slot `slot`'s entire membership to leave the first
+    /// group at `at`.
     pub fn leave_at(&mut self, slot: usize, at: u64) {
         let (host, _) = self.hosts[slot];
         let group = self.group;
-        let population = self.populations[slot];
         self.world.at(SimTime(at), move |w| {
-            w.call_node(host, |n, _ctx| {
-                if population > 1 {
-                    n.as_any_mut()
-                        .downcast_mut::<PopulationNode>()
-                        .expect("host slot is a PopulationNode")
-                        .leave_members(group, population);
-                } else {
-                    n.as_any_mut()
-                        .downcast_mut::<HostNode>()
-                        .expect("host slot is a HostNode")
-                        .leave(group);
-                }
-            });
+            igmp::with_host(w, host, |h, _ctx| h.leave(group));
         });
+    }
+
+    /// The host behind slot `slot`, for post-run inspection.
+    pub fn host(&self, slot: usize) -> &dyn Endpoint {
+        igmp::host(&self.world, self.hosts[slot].0)
+    }
+
+    /// Advance the world on `threads` workers. With `router_regions`
+    /// (one region per router, e.g. `HierTopology::region_hints`) that
+    /// assignment replaces the auto-partitioner's, every host inheriting
+    /// its attachment router's region so no host LAN crosses a cut.
+    /// Results are byte-identical for any value of either argument.
+    pub fn parallelize(&mut self, threads: usize, router_regions: Option<&[u32]>) {
+        self.world.parallelize(threads);
+        if let Some(regions) = router_regions.filter(|_| threads > 1) {
+            assert_eq!(regions.len(), self.router_count, "one region per router");
+            let mut all = regions.to_vec();
+            all.extend(self.host_routers.iter().map(|n| regions[n.index()]));
+            self.world.set_partition(&all);
+        }
     }
 
     /// The **flash-crowd** workload: `cycles` rounds of synchronized
@@ -354,18 +409,10 @@ impl ScenarioNet {
         }
     }
 
-    /// The sequence numbers host slot `k` received from `source`.
+    /// The sequence numbers host slot `slot` received from `source` on
+    /// the first group.
     pub fn seqs(&self, slot: usize, source: Addr) -> Vec<u64> {
-        let (host, _) = self.hosts[slot];
-        if self.populations[slot] > 1 {
-            self.world
-                .node::<PopulationNode>(host)
-                .seqs_from(source, self.group)
-        } else {
-            self.world
-                .node::<HostNode>(host)
-                .seqs_from(source, self.group)
-        }
+        self.host(slot).seqs_from(source, self.group)
     }
 
     /// Attach one structured-event sink to the whole network: the world's

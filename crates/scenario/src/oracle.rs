@@ -618,6 +618,13 @@ pub fn check_no_starvation(net: &ScenarioNet) -> Vec<Violation> {
     out
 }
 
+/// Did any transmit queue back up during the run (a tail drop or a
+/// nonzero queue peak)?
+pub fn congested(net: &ScenarioNet) -> bool {
+    let c = net.world.counters();
+    c.queue_drops_data() > 0 || c.queue_drops_ctrl() > 0 || c.peak_queue_bytes() > 0
+}
+
 /// Graceful degradation's other half: once congestion clears, service
 /// must come back. If the run congested at all (any queue drop or a
 /// nonzero queue peak), every member must still have received the full
@@ -632,10 +639,7 @@ pub fn check_congestion_recovery(
     source: Addr,
     expected: &[u64],
 ) -> Vec<Violation> {
-    let c = net.world.counters();
-    let congested =
-        c.queue_drops_data() > 0 || c.queue_drops_ctrl() > 0 || c.peak_queue_bytes() > 0;
-    if !congested {
+    if !congested(net) {
         return Vec::new();
     }
     check_delivery(net, members, source, expected)
@@ -663,5 +667,29 @@ pub fn check_structure(net: &ScenarioNet) -> Vec<Violation> {
     out.extend(check_hardening(net));
     out.extend(check_bounded_queues(net));
     out.extend(check_no_starvation(net));
+    out
+}
+
+/// The post-run battery every harness applies to a healed, quiesced
+/// network: [`check_structure`] always; then [`check_no_orphans`] when no
+/// member is left, otherwise eventual delivery of `expected` from
+/// `source` to every slot in `members` — labeled `congestion-recovery`
+/// ([`check_congestion_recovery`]) when the run congested, so triage can
+/// tell "the tree never recovered from overload" apart from ordinary
+/// fault loss, and plain [`check_delivery`] when it did not.
+pub fn check_battery(
+    net: &ScenarioNet,
+    members: &[u32],
+    source: Addr,
+    expected: &[u64],
+) -> Vec<Violation> {
+    let mut out = check_structure(net);
+    out.extend(if members.is_empty() {
+        check_no_orphans(net)
+    } else if congested(net) {
+        check_congestion_recovery(net, members, source, expected)
+    } else {
+        check_delivery(net, members, source, expected)
+    });
     out
 }

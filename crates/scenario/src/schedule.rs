@@ -22,7 +22,6 @@
 //! and its paired [`FaultEvent::Heal`] restores every cut link *and*
 //! resets their channel models to clean in the same tick.
 
-use igmp::HostNode;
 use netsim::{ChannelModel, LinkCapacity, LinkId, NodeIdx, SimTime, World};
 use wire::Group;
 
@@ -523,12 +522,7 @@ impl FaultSchedule {
                 let idx = hosts[h as usize];
                 for k in 0..u64::from(count) {
                     world.at(SimTime(at + k * gap), move |w| {
-                        w.call_node(idx, |n, ctx| {
-                            n.as_any_mut()
-                                .downcast_mut::<HostNode>()
-                                .expect("host slot is a HostNode")
-                                .send_data(ctx, group);
-                        });
+                        igmp::with_host(w, idx, |h, ctx| h.send_data(ctx, group));
                     });
                 }
                 continue;
@@ -596,19 +590,8 @@ fn apply(w: &mut World, ev: FaultEvent, hosts: &[NodeIdx], group: Group, mark: b
         }
         FaultEvent::CrashRouter(r) => w.crash_node(NodeIdx(r as usize)),
         FaultEvent::RestartRouter(r) => w.restart_node(NodeIdx(r as usize)),
-        FaultEvent::Join(h) => {
-            let idx = hosts[h as usize];
-            w.call_node(idx, |n, ctx| {
-                n.as_any_mut()
-                    .downcast_mut::<HostNode>()
-                    .expect("host slot is a HostNode")
-                    .join(ctx, group);
-            });
-        }
-        FaultEvent::Leave(h) => {
-            let idx = hosts[h as usize];
-            w.node_mut::<HostNode>(idx).leave(group);
-        }
+        FaultEvent::Join(h) => igmp::with_host(w, hosts[h as usize], |m, ctx| m.join(ctx, group)),
+        FaultEvent::Leave(h) => igmp::host_mut(w, hosts[h as usize]).leave(group),
         FaultEvent::Bandwidth(l, rate, queue, prio) => {
             let cap = if rate == 0 {
                 LinkCapacity::UNLIMITED

@@ -12,7 +12,7 @@ use crate::{Engine, Output, Rib, RouteEntry};
 use graph::algo::AllPairs;
 use graph::{Graph, NodeId};
 use netsim::build::Topology;
-use netsim::{router_addr, Duration, IfaceId, SimTime};
+use netsim::{host_addr, router_addr, Duration, IfaceId, SimTime};
 use std::collections::HashMap;
 use wire::{Addr, Message};
 
@@ -95,6 +95,25 @@ impl OracleRib {
     pub fn for_all(g: &Graph, topo: &Topology) -> Vec<OracleRib> {
         let ap = AllPairs::new(g);
         g.nodes().map(|n| Self::for_node(g, topo, &ap, n)).collect()
+    }
+
+    /// [`OracleRib::for_all`] for a network with one host (address
+    /// `host_addr(n, 0)`) behind each router `n` of `host_routers`: every
+    /// *other* router reaches that host the way it reaches `n` (`n` has
+    /// no route to itself, so the alias is a no-op on its own table).
+    pub fn for_all_with_hosts(
+        g: &Graph,
+        topo: &Topology,
+        host_routers: &[NodeId],
+    ) -> Vec<OracleRib> {
+        let mut ribs = Self::for_all(g, topo);
+        for &n in host_routers {
+            let (host, router) = (host_addr(n, 0), router_addr(n));
+            for rib in &mut ribs {
+                rib.alias_host(host, router);
+            }
+        }
+        ribs
     }
 
     /// Create an empty RIB with just a local address (unit-test helper).

@@ -151,22 +151,12 @@ fn main() {
     // Both hosts join; sender streams throughout.
     for (h, t) in [(host_a, 10u64), (host_b, 14)] {
         world.at(SimTime(t), move |w| {
-            w.call_node(h, |n, ctx| {
-                n.as_any_mut()
-                    .downcast_mut::<HostNode>()
-                    .expect("host")
-                    .join(ctx, group);
-            });
+            igmp::with_host(w, h, |h, ctx| h.join(ctx, group));
         });
     }
     for k in 0..80u64 {
         world.at(SimTime(100 + k * 25), move |w| {
-            w.call_node(sender, |n, ctx| {
-                n.as_any_mut()
-                    .downcast_mut::<HostNode>()
-                    .expect("host")
-                    .send_data(ctx, group);
-            });
+            igmp::with_host(w, sender, |h, ctx| h.send_data(ctx, group));
         });
     }
 
@@ -192,14 +182,14 @@ fn main() {
     // Host A leaves at t=700 (silently; its membership expires ~t=1000),
     // causing r_a to prune (*,G) on the LAN. r_b must override.
     world.at(SimTime(700), move |w| {
-        w.node_mut::<HostNode>(host_a).leave(group);
+        igmp::host_mut(w, host_a).leave(group);
     });
     println!();
     println!("t=700   hostA leaves (IGMPv1: silently). r_a's membership timer will lapse,");
     println!("        r_a will prune (*,G) onto the LAN — and r_b must override the prune.");
 
     world.run_until(SimTime(2100));
-    let hb: &HostNode = world.node(host_b);
+    let hb = igmp::host(&world, host_b);
     let seqs = hb.seqs_from(h_src, group);
     println!();
     println!(
@@ -212,7 +202,7 @@ fn main() {
         seqs.len() >= 79,
         "hostB must not lose packets to r_a's prune"
     );
-    let ha: &HostNode = world.node(host_a);
+    let ha = igmp::host(&world, host_a);
     let a_count = ha.seqs_from(h_src, group).len();
     println!("        hostA stopped receiving after its leave (got {a_count}/80).");
     assert!(a_count < 80, "hostA left mid-stream");

@@ -1,137 +1,16 @@
-//! Shared setup helpers for the example binaries: a small PIM internet
-//! with hosts, built from any [`graph::Graph`].
+//! Shared helpers for the example binaries. Their networks come from
+//! [`scenario::NetSpec`], the one builder every harness uses.
 //!
 //! Each example is a runnable scenario narrated to stdout; run them with
 //! `cargo run -p examples --example <name>`. Start with `quickstart`.
 
-use graph::{Graph, NodeId};
-use igmp::HostNode;
-use netsim::{host_addr, router_addr, Duration, NodeIdx, SimTime, Topology, World};
-use pim::{Engine, PimConfig, PimRouter};
-use unicast::dv::{DvConfig, DvEngine};
-use unicast::OracleRib;
-use wire::{Addr, Group};
+use scenario::ScenarioNet;
+use wire::Addr;
 
-/// A built example network: the world plus handles to its hosts.
-pub struct ExampleNet {
-    /// The simulation world.
-    pub world: World,
-    /// Host node index and address per router that got a host
-    /// (`hosts[i] = (host node, host addr)` for the i-th entry of
-    /// `host_routers` passed to [`build_pim_net`]).
-    pub hosts: Vec<(NodeIdx, Addr)>,
-}
-
-/// Build a PIM internet over `g` with oracle unicast routing, an RP at
-/// `rp`, the group mapped on every router, and one host attached to each
-/// router in `host_routers`.
-pub fn build_pim_net(
-    g: &Graph,
-    group: Group,
-    rps: &[NodeId],
-    host_routers: &[NodeId],
-    cfg: PimConfig,
-    seed: u64,
-) -> ExampleNet {
-    let topo = Topology::from_graph(g);
-    let rp_addrs: Vec<Addr> = rps.iter().map(|&n| router_addr(n)).collect();
-
-    let mut ribs = OracleRib::for_all(g, &topo);
-    for &n in host_routers {
-        let h = host_addr(n, 0);
-        for (i, rib) in ribs.iter_mut().enumerate() {
-            if i != n.index() {
-                rib.alias_host(h, router_addr(n));
-            }
-        }
-    }
-    let mut rib_iter = ribs.into_iter();
-    let (mut world, _links) = topo.build_world(g, seed, |plan| {
-        let engine = Engine::new(plan.addr, plan.ifaces.len(), cfg);
-        let mut router =
-            PimRouter::new(engine, Box::new(rib_iter.next().expect("one rib per plan")));
-        router.engine_mut().set_rp_mapping(group, rp_addrs.clone());
-        Box::new(router)
-    });
-
-    let mut hosts = Vec::new();
-    for &n in host_routers {
-        let h_addr = host_addr(n, 0);
-        let h_idx = world.add_node(Box::new(HostNode::new(h_addr)));
-        let (_l, ifs) = world.add_lan(&[NodeIdx(n.index()), h_idx], Duration(1));
-        world
-            .node_mut::<PimRouter>(NodeIdx(n.index()))
-            .attach_host_lan(ifs[0], &[h_addr]);
-        hosts.push((h_idx, h_addr));
-    }
-    ExampleNet { world, hosts }
-}
-
-/// Like [`build_pim_net`], but every router runs the live distance-vector
-/// unicast engine instead of the static oracle — so the network adapts to
-/// link failures (unicast reconvergence drives PIM's §3.8 repair).
-/// Allow a few hundred ticks of convergence before joining groups.
-pub fn build_pim_net_dv(
-    g: &Graph,
-    group: Group,
-    rps: &[NodeId],
-    host_routers: &[NodeId],
-    cfg: PimConfig,
-    seed: u64,
-) -> ExampleNet {
-    let topo = Topology::from_graph(g);
-    let rp_addrs: Vec<Addr> = rps.iter().map(|&n| router_addr(n)).collect();
-    let (mut world, _links) = topo.build_world(g, seed, |plan| {
-        let engine = Engine::new(plan.addr, plan.ifaces.len(), cfg);
-        let dv = DvEngine::new(plan, DvConfig::default());
-        let mut router = PimRouter::new(engine, Box::new(dv));
-        router.engine_mut().set_rp_mapping(group, rp_addrs.clone());
-        Box::new(router)
-    });
-    let mut hosts = Vec::new();
-    for &n in host_routers {
-        let h_addr = host_addr(n, 0);
-        let h_idx = world.add_node(Box::new(HostNode::new(h_addr)));
-        let (_l, ifs) = world.add_lan(&[NodeIdx(n.index()), h_idx], Duration(1));
-        world
-            .node_mut::<PimRouter>(NodeIdx(n.index()))
-            .attach_host_lan(ifs[0], &[h_addr]);
-        hosts.push((h_idx, h_addr));
-    }
-    ExampleNet { world, hosts }
-}
-
-/// Schedule `host` to join `group` at `at`.
-pub fn join_at(world: &mut World, host: NodeIdx, group: Group, at: u64) {
-    world.at(SimTime(at), move |w| {
-        w.call_node(host, |n, ctx| {
-            n.as_any_mut()
-                .downcast_mut::<HostNode>()
-                .expect("host node")
-                .join(ctx, group);
-        });
-    });
-}
-
-/// Schedule `host` to send `count` packets to `group`, `gap` ticks apart,
-/// starting at `start`.
-pub fn send_at(world: &mut World, host: NodeIdx, group: Group, start: u64, count: u64, gap: u64) {
-    for k in 0..count {
-        world.at(SimTime(start + k * gap), move |w| {
-            w.call_node(host, |n, ctx| {
-                n.as_any_mut()
-                    .downcast_mut::<HostNode>()
-                    .expect("host node")
-                    .send_data(ctx, group);
-            });
-        });
-    }
-}
-
-/// Summarize what `host` received from `source` on `group`.
-pub fn describe_reception(world: &World, host: NodeIdx, source: Addr, group: Group) -> String {
-    let h: &HostNode = world.node(host);
-    let seqs = h.seqs_from(source, group);
+/// Summarize what host slot `slot` received from `source` on the net's
+/// group.
+pub fn describe_reception(net: &ScenarioNet, slot: usize, source: Addr) -> String {
+    let seqs = net.seqs(slot, source);
     if seqs.is_empty() {
         return "nothing".to_string();
     }

@@ -8,103 +8,35 @@
 //!
 //! Run: `cargo run -p examples --example protocol_independence`
 
-use graph::{Graph, NodeId};
-use igmp::HostNode;
-use netsim::{host_addr, router_addr, Duration, IfaceId, NodeIdx, SimTime, Topology};
-use pim::{Engine, PimConfig, PimRouter};
-use unicast::dv::{DvConfig, DvEngine};
-use unicast::ls::{LsConfig, LsEngine};
-use unicast::OracleRib;
+use graph::NodeId;
+use netsim::{host_addr, IfaceId, NodeIdx, SimTime};
+use pim::PimRouter;
+use scenario::{topology, NetSpec, Substrate};
 use wire::Group;
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Substrate {
-    Oracle,
-    DistanceVector,
-    LinkState,
-}
 
 /// Run the quickstart diamond over the given unicast substrate; return
 /// (packets delivered, (*,G) iif at the receiver DR, (S,G) iif at the
 /// receiver DR).
 fn run(sub: Substrate) -> (usize, Option<IfaceId>, Option<IfaceId>) {
-    let mut g = Graph::with_nodes(4);
-    g.add_edge(NodeId(0), NodeId(1), 1);
-    g.add_edge(NodeId(1), NodeId(2), 1);
-    g.add_edge(NodeId(2), NodeId(3), 1);
-    g.add_edge(NodeId(0), NodeId(3), 2);
-    let topo = Topology::from_graph(&g);
+    // 0 -1- 1 -1- 2(RP) -1- 3 plus a 0 -2- 3 shortcut.
+    let g = topology("diamond").expect("diamond").graph;
     let group = Group::test(1);
-    let rp = router_addr(NodeId(2));
-    let r_addr = host_addr(NodeId(0), 0);
     let s_addr = host_addr(NodeId(3), 0);
-
-    let mut oracle = OracleRib::for_all(&g, &topo);
-    for (i, rib) in oracle.iter_mut().enumerate() {
-        if i != 0 {
-            rib.alias_host(r_addr, router_addr(NodeId(0)));
-        }
-        if i != 3 {
-            rib.alias_host(s_addr, router_addr(NodeId(3)));
-        }
+    let mut net = NetSpec {
+        substrate: sub,
+        groups: &[(group, vec![NodeId(2)])],
+        host_routers: &[NodeId(0), NodeId(3)], // receiver, sender
+        seed: 5,
+        ..NetSpec::default()
     }
-    let mut oracle_iter = oracle.into_iter();
-
-    let (mut world, _) = topo.build_world(&g, 5, |plan| {
-        let unicast: Box<dyn unicast::Engine> = match sub {
-            Substrate::Oracle => Box::new(oracle_iter.next().expect("rib")),
-            Substrate::DistanceVector => {
-                let _ = oracle_iter.next();
-                Box::new(DvEngine::new(plan, DvConfig::default()))
-            }
-            Substrate::LinkState => {
-                let _ = oracle_iter.next();
-                Box::new(LsEngine::new(plan, LsConfig::default()))
-            }
-        };
-        let mut r = PimRouter::new(
-            Engine::new(plan.addr, plan.ifaces.len(), PimConfig::default()),
-            unicast,
-        );
-        r.engine_mut().set_rp_mapping(group, vec![rp]);
-        Box::new(r)
-    });
-
-    let rh = world.add_node(Box::new(HostNode::new(r_addr)));
-    let (_l, ifs) = world.add_lan(&[NodeIdx(0), rh], Duration(1));
-    world
-        .node_mut::<PimRouter>(NodeIdx(0))
-        .attach_host_lan(ifs[0], &[r_addr]);
-    let sh = world.add_node(Box::new(HostNode::new(s_addr)));
-    let (_l, ifs) = world.add_lan(&[NodeIdx(3), sh], Duration(1));
-    world
-        .node_mut::<PimRouter>(NodeIdx(3))
-        .attach_host_lan(ifs[0], &[s_addr]);
-
+    .build(&g);
     // Real routing protocols need convergence time before the join.
-    world.at(SimTime(400), move |w| {
-        w.call_node(rh, |n, ctx| {
-            n.as_any_mut()
-                .downcast_mut::<HostNode>()
-                .expect("host")
-                .join(ctx, group);
-        });
-    });
-    for k in 0..20u64 {
-        world.at(SimTime(800 + k * 25), move |w| {
-            w.call_node(sh, |n, ctx| {
-                n.as_any_mut()
-                    .downcast_mut::<HostNode>()
-                    .expect("host")
-                    .send_data(ctx, group);
-            });
-        });
-    }
-    world.run_until(SimTime(2200));
+    net.join_at(0, 400);
+    net.send_at(1, 800, 20, 25);
+    net.world.run_until(SimTime(2200));
 
-    let host: &HostNode = world.node(rh);
-    let got = host.seqs_from(s_addr, group).len();
-    let r0: &PimRouter = world.node(NodeIdx(0));
+    let got = net.seqs(0, s_addr).len();
+    let r0: &PimRouter = net.world.node(NodeIdx(0));
     let gs = r0.engine().group_state(group).expect("state at DR");
     (
         got,

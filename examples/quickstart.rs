@@ -5,10 +5,11 @@
 //!
 //! Run: `cargo run -p examples --example quickstart`
 
-use examples::{build_pim_net, describe_reception, join_at, send_at};
+use examples::describe_reception;
 use graph::{Graph, NodeId};
 use netsim::{NodeIdx, SimTime};
-use pim::{PimConfig, PimRouter};
+use pim::PimRouter;
+use scenario::NetSpec;
 use wire::Group;
 
 fn main() {
@@ -22,16 +23,14 @@ fn main() {
     g.add_edge(NodeId(4), NodeId(3), 1);
 
     let group = Group::test(1);
-    let mut net = build_pim_net(
-        &g,
-        group,
-        &[NodeId(2)],
-        &[NodeId(0), NodeId(3)],
-        PimConfig::default(),
-        7,
-    );
-    let (receiver, _) = net.hosts[0];
-    let (sender, sender_addr) = net.hosts[1];
+    let mut net = NetSpec {
+        groups: &[(group, vec![NodeId(2)])],
+        host_routers: &[NodeId(0), NodeId(3)], // receiver, sender
+        seed: 7,
+        ..NetSpec::default()
+    }
+    .build(&g);
+    let (_, sender_addr) = net.hosts[1];
 
     println!("== PIM quickstart: the paper's Figure 3 sequence ==");
     println!("Topology: receiver-[r0]-[r1]-[r2=RP]-[r3]-sender, shortcut r0-r4-r3.");
@@ -39,7 +38,7 @@ fn main() {
 
     // 1. The receiver joins; IGMP tells its DR; the DR joins toward the RP.
     net.world.enable_capture(400);
-    join_at(&mut net.world, receiver, group, 10);
+    net.join_at(0, 10);
     net.world.run_until(SimTime(100));
     println!("packet capture of the join sequence (tcpdump-style):");
     for rec in net
@@ -75,14 +74,14 @@ fn main() {
     }
 
     // 2. The sender transmits 20 packets, 25 ticks apart.
-    send_at(&mut net.world, sender, group, 200, 20, 25);
+    net.send_at(1, 200, 20, 25);
     net.world.run_until(SimTime(1000));
 
     // 3. Inspect the outcome.
     println!("t=1000 sender transmitted 20 packets starting at t=200.");
     println!(
         "       receiver got: {}",
-        describe_reception(&net.world, receiver, sender_addr, group)
+        describe_reception(&net, 0, sender_addr)
     );
     let r3: &PimRouter = net.world.node(NodeIdx(3));
     println!(
@@ -105,9 +104,9 @@ fn main() {
         sg.pruned_from_shared
     );
 
-    let host: &igmp::HostNode = net.world.node(receiver);
-    let first = host.received.iter().find(|r| r.seq == 0).expect("seq 0");
-    let last = host.received.iter().find(|r| r.seq == 19).expect("seq 19");
+    let received = net.host(0).received();
+    let first = received.iter().find(|r| r.seq == 0).expect("seq 0");
+    let last = received.iter().find(|r| r.seq == 19).expect("seq 19");
     println!();
     println!(
         "       latency: first packet {}t (via RP tree), last packet {}t (via SPT).",

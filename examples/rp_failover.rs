@@ -7,11 +7,10 @@
 //!
 //! Run: `cargo run -p examples --example rp_failover`
 
-use examples::{build_pim_net_dv, join_at, send_at};
 use graph::{Graph, NodeId};
-use igmp::HostNode;
 use netsim::{router_addr, NodeIdx, SimTime};
-use pim::{PimConfig, PimRouter};
+use pim::PimRouter;
+use scenario::{NetSpec, Substrate};
 use wire::Group;
 
 fn main() {
@@ -26,16 +25,17 @@ fn main() {
     g.add_edge(NodeId(2), NodeId(4), 1);
 
     let group = Group::test(1);
-    let mut net = build_pim_net_dv(
-        &g,
-        group,
-        &[NodeId(2), NodeId(3)], // two RPs, preference order
-        &[NodeId(0), NodeId(4)],
-        PimConfig::default(),
-        3,
-    );
-    let (receiver, _) = net.hosts[0];
-    let (sender, sender_addr) = net.hosts[1];
+    // Live distance-vector routing, so the network adapts to link
+    // failures (unicast reconvergence drives PIM's §3.8 repair).
+    let mut net = NetSpec {
+        substrate: Substrate::DistanceVector,
+        groups: &[(group, vec![NodeId(2), NodeId(3)])], // two RPs, preference order
+        host_routers: &[NodeId(0), NodeId(4)],          // receiver, sender
+        seed: 3,
+        ..NetSpec::default()
+    }
+    .build(&g);
+    let (_, sender_addr) = net.hosts[1];
 
     println!("== RP failover (paper §3.9) over live distance-vector unicast routing ==");
     println!("Two RPs advertised for {group}: r2 (primary) and r3 (alternate).");
@@ -43,8 +43,8 @@ fn main() {
 
     // Let the routing protocol converge, then join and start a steady
     // stream: 70 packets, one every 40 ticks, from t=500 to t=3260.
-    join_at(&mut net.world, receiver, group, 400);
-    send_at(&mut net.world, sender, group, 500, 70, 40);
+    net.join_at(0, 400);
+    net.send_at(1, 500, 70, 40);
     net.world.run_until(SimTime(650));
 
     let r0: &PimRouter = net.world.node(NodeIdx(0));
@@ -71,9 +71,9 @@ fn main() {
     assert_eq!(new_rp, router_addr(NodeId(3)), "must fail over to RP#2");
 
     // Delivery resumed without sender intervention.
-    let host: &HostNode = net.world.node(receiver);
-    let late: Vec<u64> = host
-        .received
+    let late: Vec<u64> = net
+        .host(0)
+        .received()
         .iter()
         .filter(|r| r.source == sender_addr && r.at > SimTime(2500))
         .map(|r| r.seq)
@@ -88,7 +88,7 @@ fn main() {
         late.len() >= 10,
         "delivery must resume through the alternate RP: {late:?}"
     );
-    let all = host.seqs_from(sender_addr, group);
+    let all = net.seqs(0, sender_addr);
     println!(
         "        total received {}/70 — the outage spans detection (DV timeout + RP-timer)",
         all.len()

@@ -21,12 +21,11 @@
 
 use graph::gen::{waxman, WaxmanParams};
 use graph::NodeId;
-use igmp::HostNode;
-use netsim::{host_addr, router_addr, Duration, NodeIdx, SimTime, Topology};
-use pim::{Engine, PimConfig, PimRouter, SptPolicy};
+use netsim::{host_addr, Duration, NodeIdx, SimTime};
+use pim::{PimConfig, PimRouter, SptPolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use unicast::OracleRib;
+use scenario::NetSpec;
 use wire::Group;
 
 fn main() {
@@ -38,7 +37,6 @@ fn main() {
         },
         &mut rng,
     );
-    let topo = Topology::from_graph(&g);
 
     let conf = Group::test(1); // teleconference, SPT policy
     let disco = Group::test(2); // resource discovery, shared-tree policy
@@ -58,16 +56,6 @@ fn main() {
         }
     }
 
-    let mut ribs = OracleRib::for_all(&g, &topo);
-    for &n in &involved {
-        let h = host_addr(n, 0);
-        for (i, rib) in ribs.iter_mut().enumerate() {
-            if i != n.index() {
-                rib.alias_host(h, router_addr(n));
-            }
-        }
-    }
-    let mut rib_iter = ribs.into_iter();
     // Per-receiver tree choice: each DR runs one engine whose *policy*
     // decides per group. Here we pick the policy per group via the
     // switchover threshold: immediate for the teleconference; never for
@@ -80,49 +68,29 @@ fn main() {
         },
         ..PimConfig::default()
     };
-    let (mut world, _) = topo.build_world(&g, 42, |plan| {
-        let engine = Engine::new(plan.addr, plan.ifaces.len(), cfg);
-        let mut r = PimRouter::new(engine, Box::new(rib_iter.next().expect("rib")));
-        r.engine_mut().set_rp_mapping(conf, vec![router_addr(rp)]);
-        r.engine_mut().set_rp_mapping(disco, vec![router_addr(rp)]);
-        Box::new(r)
-    });
-
-    let mut host_of = std::collections::BTreeMap::new();
-    for &n in &involved {
-        let ha = host_addr(n, 0);
-        let hi = world.add_node(Box::new(HostNode::new(ha)));
-        let (_l, ifs) = world.add_lan(&[NodeIdx(n.index()), hi], Duration(1));
-        world
-            .node_mut::<PimRouter>(NodeIdx(n.index()))
-            .attach_host_lan(ifs[0], &[ha]);
-        host_of.insert(n, hi);
+    let mut net = NetSpec {
+        groups: &[(conf, vec![rp]), (disco, vec![rp])],
+        host_routers: &involved,
+        pim: cfg,
+        seed: 42,
+        ..NetSpec::default()
     }
+    .build(&g);
+    let slot_of = |n: NodeId| {
+        involved
+            .iter()
+            .position(|&m| m == n)
+            .expect("every member router has a host slot")
+    };
 
     // Joins.
     let mut t = 10;
     for &m in &conf_members {
-        let h = host_of[&m];
-        world.at(SimTime(t), move |w| {
-            w.call_node(h, |n, ctx| {
-                n.as_any_mut()
-                    .downcast_mut::<HostNode>()
-                    .expect("host")
-                    .join(ctx, conf);
-            });
-        });
+        net.join_group_at(slot_of(m), conf, t);
         t += 2;
     }
     for &m in &disco_members {
-        let h = host_of[&m];
-        world.at(SimTime(t), move |w| {
-            w.call_node(h, |n, ctx| {
-                n.as_any_mut()
-                    .downcast_mut::<HostNode>()
-                    .expect("host")
-                    .join(ctx, disco);
-            });
-        });
+        net.join_group_at(slot_of(m), disco, t);
         t += 2;
     }
 
@@ -131,33 +99,13 @@ fn main() {
     // 5-packets-in-2000t switchover threshold, so they stay on the RP
     // tree, exactly as §3.3 intends).
     for &s in speakers {
-        let h = host_of[&s];
-        for k in 0..40u64 {
-            world.at(SimTime(300 + k * 10), move |w| {
-                w.call_node(h, |n, ctx| {
-                    n.as_any_mut()
-                        .downcast_mut::<HostNode>()
-                        .expect("host")
-                        .send_data(ctx, conf);
-                });
-            });
-        }
+        net.send_group_at(slot_of(s), conf, 300, 40, 10);
     }
     for (j, &s) in disco_members.iter().enumerate() {
-        let h = host_of[&s];
-        for k in 0..3u64 {
-            world.at(SimTime(320 + j as u64 * 37 + k * 400), move |w| {
-                w.call_node(h, |n, ctx| {
-                    n.as_any_mut()
-                        .downcast_mut::<HostNode>()
-                        .expect("host")
-                        .send_data(ctx, disco);
-                });
-            });
-        }
+        net.send_group_at(slot_of(s), disco, 320 + j as u64 * 37, 3, 400);
     }
 
-    world.run_until(SimTime(3500));
+    net.world.run_until(SimTime(3500));
 
     // Count per-group (S,G) state across all routers.
     let mut conf_sg = 0usize;
@@ -165,7 +113,7 @@ fn main() {
     let mut conf_star = 0usize;
     let mut disco_star = 0usize;
     for i in 0..g.node_count() {
-        let r: &PimRouter = world.node(NodeIdx(i));
+        let r: &PimRouter = net.world.node(NodeIdx(i));
         if let Some(gs) = r.engine().group_state(conf) {
             conf_sg += gs.sources.iter().filter(|(_, e)| !e.is_negative()).count();
             conf_star += usize::from(gs.star.is_some());
@@ -204,8 +152,7 @@ fn main() {
         if m == speakers[0] {
             continue;
         }
-        let h: &HostNode = world.node(host_of[&m]);
-        let got = h.seqs_from(speaker_addr, conf).len();
+        let got = net.seqs(slot_of(m), speaker_addr).len();
         if got >= 38 {
             ok += 1;
         }

@@ -20,63 +20,47 @@ cargo test -q --offline
 echo "== cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --quiet
 
+echo "== cargo check benchmark/ (the frozen consumer of the public API)"
+(cd benchmark && cargo check --offline --all-targets)
+
+# gate NAME PATTERN CMD...: the parallel-core contract, checked end to
+# end on a real binary. CMD runs at --threads 1 and --threads 4; its
+# output lines matching PATTERN (thread count masked) must exist, be
+# byte-identical at both widths, and contain no FAIL.
+gate() {
+    name=$1 pattern=$2
+    shift 2
+    for t in 1 4; do
+        "$@" --threads "$t" >"target/check/$name-raw.txt" ||
+            { echo "$name failed at --threads $t"; exit 1; }
+        grep -e "$pattern" "target/check/$name-raw.txt" | sed 's/threads=[0-9]*//' \
+            >"target/check/$name-${t}t.txt" || true
+    done
+    [ -s "target/check/$name-1t.txt" ] || { echo "$name printed no '$pattern' lines"; exit 1; }
+    cmp "target/check/$name-1t.txt" "target/check/$name-4t.txt" ||
+        { echo "$name diverged across thread counts"; exit 1; }
+    ! grep -q FAIL "target/check/$name-1t.txt" || { echo "$name: oracle violations"; exit 1; }
+}
+
 echo "== determinism: --threads 1 vs --threads 4"
-# The parallel-core contract, checked end to end on real binaries: the
-# sweep output and the reception fingerprint must be byte-identical at
-# any thread count.
 mkdir -p target/check
-./target/release/fig2a --trials 4 --threads 1 >target/check/det-1t.txt
-./target/release/fig2a --trials 4 --threads 4 >target/check/det-4t.txt
-diff target/check/det-1t.txt target/check/det-4t.txt ||
-    { echo "fig2a diverged across thread counts"; exit 1; }
+gate fig2a '' ./target/release/fig2a --trials 4
 # --congestion folds the bounded-capacity sweep's reception fingerprints
-# into the same diff: congestion must not cost determinism.
-./target/release/simbench --smoke --congestion --threads 1 | grep fingerprint >target/check/fp-1t.txt
-./target/release/simbench --smoke --congestion --threads 4 | grep fingerprint >target/check/fp-4t.txt
-diff target/check/fp-1t.txt target/check/fp-4t.txt ||
-    { echo "simbench fingerprint diverged across thread counts"; exit 1; }
-# Causal provenance is part of the determinism contract too: the full
-# `trace why` report (backward slices, critical paths, blast radii,
-# causal-index fingerprint) on every corpus pin must be non-empty and
-# byte-identical at any thread count.
+# in: congestion must not cost determinism.
+gate simbench fingerprint ./target/release/simbench --smoke --congestion
+# Causal provenance too: the full `trace why` report (backward slices,
+# critical paths, blast radii, causal-index fingerprint) on every pin.
 for pin in corpus/*.replay; do
-    base="target/check/why-$(basename "$pin" .replay)"
-    ./target/release/trace why "$pin" --threads 1 >"$base-1t.txt"
-    ./target/release/trace why "$pin" --threads 4 >"$base-4t.txt"
-    [ -s "$base-1t.txt" ] || { echo "trace why $pin produced no output"; exit 1; }
-    cmp "$base-1t.txt" "$base-4t.txt" ||
-        { echo "trace why $pin diverged across thread counts"; exit 1; }
+    gate "why-$(basename "$pin" .replay)" '' ./target/release/trace why "$pin"
 done
-echo "determinism: OK"
-
-echo "== hierarchical smoke (500 routers, 10^4 aggregate members)"
-# Scale gate: all three protocols over the wide-area backbone+domains
-# topology with aggregate member populations, full oracle battery
-# (delivery, structure, site-scaled state bound), thread-invariant.
-./target/release/hier_smoke --threads 1 | sed 's/threads=[0-9]*//' >target/check/hier-1t.txt
-./target/release/hier_smoke --threads 4 | sed 's/threads=[0-9]*//' >target/check/hier-4t.txt
-diff target/check/hier-1t.txt target/check/hier-4t.txt ||
-    { echo "hier_smoke diverged across thread counts"; exit 1; }
-! grep -q FAIL target/check/hier-1t.txt ||
-    { echo "hier_smoke oracle violations"; exit 1; }
-grep -q PASS target/check/hier-1t.txt ||
-    { echo "hier_smoke produced no PASS lines"; exit 1; }
-echo "hier smoke: OK"
-
-echo "== overload smoke (flash-crowd + RP-overload under capped links)"
-# Congestion gate: both overload workloads against all three protocols
-# with a capped RP-side link, full oracle battery (bounded queues, no
-# control-plane starvation, post-heal congestion recovery), and the
-# printed drop/mark/peak counters byte-identical across thread counts.
-./target/release/overload_smoke --threads 1 | sed 's/threads=[0-9]*//' >target/check/overload-1t.txt
-./target/release/overload_smoke --threads 4 | sed 's/threads=[0-9]*//' >target/check/overload-4t.txt
-diff target/check/overload-1t.txt target/check/overload-4t.txt ||
-    { echo "overload_smoke diverged across thread counts"; exit 1; }
-! grep -q FAIL target/check/overload-1t.txt ||
-    { echo "overload_smoke oracle violations"; exit 1; }
-grep -q PASS target/check/overload-1t.txt ||
-    { echo "overload_smoke produced no PASS lines"; exit 1; }
-echo "overload smoke: OK"
+# Scale: all three protocols over 500 routers / 10^4 aggregate members,
+# full oracle battery including the site-scaled state bound.
+gate smoke-hier 'PASS\|FAIL' ./target/release/smoke hier
+# Congestion: flash-crowd and RP-overload under a capped RP-side link;
+# bounded queues, no control starvation, post-heal recovery, and the
+# printed drop/mark/peak counters thread-invariant.
+gate smoke-overload 'PASS\|FAIL' ./target/release/smoke overload
+echo "determinism + smokes: OK"
 
 echo "== bench smoke"
 ./scripts/bench.sh smoke

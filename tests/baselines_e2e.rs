@@ -2,119 +2,74 @@
 //! simulator, plus head-to-head behavior contrasts with PIM (the paper's
 //! §1 comparisons, as executable assertions).
 
-use cbt::{CbtConfig, CbtEngine, CbtRouter};
-use dvmrp::{DvmrpConfig, DvmrpEngine, DvmrpRouter};
+use cbt::CbtRouter;
 use graph::{Graph, NodeId};
-use igmp::HostNode;
-use netsim::{host_addr, router_addr, Duration, LinkId, NodeIdx, SimTime, Topology};
-use unicast::OracleRib;
+use netsim::{LinkId, NodeIdx, SimTime};
+use scenario::{build_net, topology, Protocol, ScenarioNet, Substrate};
 use wire::Group;
 
 fn group() -> Group {
     Group::test(1)
 }
 
-/// A 6-node line with a stub branch:
+/// The explorer's 6-node line with a stub branch:
 /// `0 - 1 - 2 - 3 - 4` and `2 - 5` (5 is a leaf with no members).
 fn line_with_stub() -> Graph {
-    let mut g = Graph::with_nodes(6);
-    g.add_edge(NodeId(0), NodeId(1), 1);
-    g.add_edge(NodeId(1), NodeId(2), 1);
-    g.add_edge(NodeId(2), NodeId(3), 1);
-    g.add_edge(NodeId(3), NodeId(4), 1);
-    g.add_edge(NodeId(2), NodeId(5), 1);
-    g
+    topology("line-stub").expect("line-stub").graph
 }
 
-fn oracle_ribs(g: &Graph, topo: &Topology, host_routers: &[NodeId]) -> Vec<OracleRib> {
-    let mut ribs = OracleRib::for_all(g, topo);
-    for &n in host_routers {
-        let h = host_addr(n, 0);
-        for (i, rib) in ribs.iter_mut().enumerate() {
-            if i != n.index() {
-                rib.alias_host(h, router_addr(n));
-            }
-        }
-    }
-    ribs
+/// `protocol` routers over `g` with oracle routing, the core (unused by
+/// DVMRP) at `core`, and one host behind each of `host_routers`.
+fn build(
+    protocol: Protocol,
+    g: &Graph,
+    core: NodeId,
+    host_routers: &[NodeId],
+    seed: u64,
+) -> ScenarioNet {
+    build_net(
+        g,
+        protocol,
+        Substrate::Oracle,
+        group(),
+        core,
+        host_routers,
+        seed,
+    )
 }
 
 // ---------------------------------------------------------------------
 // DVMRP end-to-end
 // ---------------------------------------------------------------------
 
-struct DvmrpNet {
-    world: netsim::World,
-    hosts: Vec<(NodeIdx, wire::Addr)>,
-}
-
-fn build_dvmrp(g: &Graph, host_routers: &[NodeId], seed: u64) -> DvmrpNet {
-    let topo = Topology::from_graph(g);
-    let mut ribs = oracle_ribs(g, &topo, host_routers).into_iter();
-    let (mut world, _) = topo.build_world(g, seed, |plan| {
-        let e = DvmrpEngine::new(plan.addr, plan.ifaces.len(), DvmrpConfig::default());
-        Box::new(DvmrpRouter::new(e, Box::new(ribs.next().expect("rib"))))
-    });
-    let mut hosts = Vec::new();
-    for &n in host_routers {
-        let ha = host_addr(n, 0);
-        let hi = world.add_node(Box::new(HostNode::new(ha)));
-        let (_l, ifs) = world.add_lan(&[NodeIdx(n.index()), hi], Duration(1));
-        world
-            .node_mut::<DvmrpRouter>(NodeIdx(n.index()))
-            .attach_host_lan(ifs[0], &[ha]);
-        hosts.push((hi, ha));
-    }
-    DvmrpNet { world, hosts }
-}
-
 #[test]
 fn dvmrp_floods_prunes_and_grafts() {
     let g = line_with_stub();
-    let mut net = build_dvmrp(&g, &[NodeId(0), NodeId(4), NodeId(5)], 8);
-    let (member, _) = net.hosts[0]; // behind node 0
-    let (sender, s_addr) = net.hosts[1]; // behind node 4
-    let (late_member, _) = net.hosts[2]; // behind node 5, joins later
+    let mut net = build(
+        Protocol::Dvmrp,
+        &g,
+        NodeId(0),
+        &[NodeId(0), NodeId(4), NodeId(5)],
+        8,
+    );
+    // Slot 0 (behind node 0) is the member, slot 1 (node 4) the sender,
+    // slot 2 (node 5) joins later.
+    let (_, s_addr) = net.hosts[1];
 
     // Member joins; sender streams 50 packets.
-    net.world.at(SimTime(20), move |w| {
-        w.call_node(member, |n, ctx| {
-            n.as_any_mut()
-                .downcast_mut::<HostNode>()
-                .expect("host")
-                .join(ctx, group());
-        });
-    });
-    for k in 0..50u64 {
-        net.world.at(SimTime(100 + k * 30), move |w| {
-            w.call_node(sender, |n, ctx| {
-                n.as_any_mut()
-                    .downcast_mut::<HostNode>()
-                    .expect("host")
-                    .send_data(ctx, group());
-            });
-        });
-    }
+    net.join_at(0, 20);
+    net.send_at(1, 100, 50, 30);
     // The stub member joins mid-stream: its branch was pruned; the graft
     // must restore delivery without waiting for the prune to time out.
-    net.world.at(SimTime(800), move |w| {
-        w.call_node(late_member, |n, ctx| {
-            n.as_any_mut()
-                .downcast_mut::<HostNode>()
-                .expect("host")
-                .join(ctx, group());
-        });
-    });
+    net.join_at(2, 800);
     net.world.run_until(SimTime(2200));
 
-    let h0: &HostNode = net.world.node(member);
     assert_eq!(
-        h0.seqs_from(s_addr, group()),
+        net.seqs(0, s_addr),
         (0..50).collect::<Vec<u64>>(),
         "the dense-mode member must receive everything"
     );
-    let h5: &HostNode = net.world.node(late_member);
-    let got5 = h5.seqs_from(s_addr, group());
+    let got5 = net.seqs(2, s_addr);
     assert!(!got5.is_empty(), "the grafted member must receive");
     // Graft latency: the first packet after joining at 800 is seq ~24
     // (sent at 820); allow the graft round-trip.
@@ -140,18 +95,8 @@ fn dvmrp_truncated_broadcast_prunes_back() {
     // No members at all: the first packets flood, prunes converge, and
     // data stops flowing network-wide until the prune lifetime lapses.
     let g = line_with_stub();
-    let mut net = build_dvmrp(&g, &[NodeId(4)], 9);
-    let (sender, _) = net.hosts[0];
-    for k in 0..40u64 {
-        net.world.at(SimTime(100 + k * 10), move |w| {
-            w.call_node(sender, |n, ctx| {
-                n.as_any_mut()
-                    .downcast_mut::<HostNode>()
-                    .expect("host")
-                    .send_data(ctx, group());
-            });
-        });
-    }
+    let mut net = build(Protocol::Dvmrp, &g, NodeId(0), &[NodeId(4)], 9);
+    net.send_at(0, 100, 40, 10);
     // Snapshot after the first flood epoch, then across the prune window
     // and the grow-back.
     net.world.run_until(SimTime(300));
@@ -181,72 +126,29 @@ fn dvmrp_truncated_broadcast_prunes_back() {
 // CBT end-to-end
 // ---------------------------------------------------------------------
 
-struct CbtNet {
-    world: netsim::World,
-    hosts: Vec<(NodeIdx, wire::Addr)>,
-}
-
-fn build_cbt(g: &Graph, core: NodeId, host_routers: &[NodeId], seed: u64) -> CbtNet {
-    let topo = Topology::from_graph(g);
-    let mut ribs = oracle_ribs(g, &topo, host_routers).into_iter();
-    let core_addr = router_addr(core);
-    let (mut world, _) = topo.build_world(g, seed, |plan| {
-        let e = CbtEngine::new(plan.addr, CbtConfig::default());
-        let mut r = CbtRouter::new(e, Box::new(ribs.next().expect("rib")));
-        r.engine_mut().set_core(group(), core_addr);
-        Box::new(r)
-    });
-    let mut hosts = Vec::new();
-    for &n in host_routers {
-        let ha = host_addr(n, 0);
-        let hi = world.add_node(Box::new(HostNode::new(ha)));
-        let (_l, ifs) = world.add_lan(&[NodeIdx(n.index()), hi], Duration(1));
-        world
-            .node_mut::<CbtRouter>(NodeIdx(n.index()))
-            .attach_host_lan(ifs[0], &[ha]);
-        hosts.push((hi, ha));
-    }
-    CbtNet { world, hosts }
-}
-
 #[test]
 fn cbt_bidirectional_tree_delivers_member_to_member() {
     let g = line_with_stub();
     // Core at node 2 (the junction); members behind 0, 4, 5.
-    let mut net = build_cbt(&g, NodeId(2), &[NodeId(0), NodeId(4), NodeId(5)], 4);
-    let member_hosts: Vec<_> = net.hosts.clone();
-    for (i, &(h, _)) in member_hosts.iter().enumerate() {
-        net.world.at(SimTime(20 + i as u64 * 5), move |w| {
-            w.call_node(h, |n, ctx| {
-                n.as_any_mut()
-                    .downcast_mut::<HostNode>()
-                    .expect("host")
-                    .join(ctx, group());
-            });
-        });
+    let mut net = build(
+        Protocol::Cbt,
+        &g,
+        NodeId(2),
+        &[NodeId(0), NodeId(4), NodeId(5)],
+        4,
+    );
+    for slot in 0..3 {
+        net.join_at(slot, 20 + slot as u64 * 5);
     }
     // Member behind node 4 sends: the packet travels UP toward the core
     // and down every other branch (bidirectional forwarding, no RP
     // detour for on-tree senders).
-    let (sender, s_addr) = member_hosts[1];
-    for k in 0..30u64 {
-        net.world.at(SimTime(200 + k * 25), move |w| {
-            w.call_node(sender, |n, ctx| {
-                n.as_any_mut()
-                    .downcast_mut::<HostNode>()
-                    .expect("host")
-                    .send_data(ctx, group());
-            });
-        });
-    }
+    let (_, s_addr) = net.hosts[1];
+    net.send_at(1, 200, 30, 25);
     net.world.run_until(SimTime(1600));
-    for (i, &(h, _)) in member_hosts.iter().enumerate() {
-        if i == 1 {
-            continue;
-        }
-        let host: &HostNode = net.world.node(h);
+    for i in [0, 2] {
         assert_eq!(
-            host.seqs_from(s_addr, group()),
+            net.seqs(i, s_addr),
             (0..30).collect::<Vec<u64>>(),
             "member {i} must receive the full stream"
         );
@@ -256,32 +158,14 @@ fn cbt_bidirectional_tree_delivers_member_to_member() {
 #[test]
 fn cbt_off_tree_sender_encapsulates_via_core() {
     let g = line_with_stub();
-    let mut net = build_cbt(&g, NodeId(2), &[NodeId(0), NodeId(4)], 4);
-    let (member, _) = net.hosts[0];
-    let (sender, s_addr) = net.hosts[1];
+    let mut net = build(Protocol::Cbt, &g, NodeId(2), &[NodeId(0), NodeId(4)], 4);
+    let (_, s_addr) = net.hosts[1];
     // Only node 0's host joins; node 4's host is a non-member sender.
-    net.world.at(SimTime(20), move |w| {
-        w.call_node(member, |n, ctx| {
-            n.as_any_mut()
-                .downcast_mut::<HostNode>()
-                .expect("host")
-                .join(ctx, group());
-        });
-    });
-    for k in 0..20u64 {
-        net.world.at(SimTime(200 + k * 25), move |w| {
-            w.call_node(sender, |n, ctx| {
-                n.as_any_mut()
-                    .downcast_mut::<HostNode>()
-                    .expect("host")
-                    .send_data(ctx, group());
-            });
-        });
-    }
+    net.join_at(0, 20);
+    net.send_at(1, 200, 20, 25);
     net.world.run_until(SimTime(1200));
-    let host: &HostNode = net.world.node(member);
     assert_eq!(
-        host.seqs_from(s_addr, group()),
+        net.seqs(0, s_addr),
         (0..20).collect::<Vec<u64>>(),
         "non-member sender's packets must arrive via core encapsulation"
     );
@@ -295,32 +179,14 @@ fn cbt_subtree_recovers_after_parent_failure() {
     g.add_edge(NodeId(1), NodeId(2), 1); // e1
     g.add_edge(NodeId(0), NodeId(3), 2); // e2 backup
     g.add_edge(NodeId(3), NodeId(2), 2); // e3
-    let mut net = build_cbt(&g, NodeId(2), &[NodeId(0), NodeId(2)], 6);
-    let (member, _) = net.hosts[0];
-    let (sender, s_addr) = net.hosts[1];
-    net.world.at(SimTime(20), move |w| {
-        w.call_node(member, |n, ctx| {
-            n.as_any_mut()
-                .downcast_mut::<HostNode>()
-                .expect("host")
-                .join(ctx, group());
-        });
-    });
-    for k in 0..60u64 {
-        net.world.at(SimTime(100 + k * 30), move |w| {
-            w.call_node(sender, |n, ctx| {
-                n.as_any_mut()
-                    .downcast_mut::<HostNode>()
-                    .expect("host")
-                    .send_data(ctx, group());
-            });
-        });
-    }
+    let mut net = build(Protocol::Cbt, &g, NodeId(2), &[NodeId(0), NodeId(2)], 6);
+    let (_, s_addr) = net.hosts[1];
+    net.join_at(0, 20);
+    net.send_at(1, 100, 60, 30);
     net.world
         .at(SimTime(600), |w| w.set_link_up(LinkId(0), false));
     net.world.run_until(SimTime(3000));
-    let host: &HostNode = net.world.node(member);
-    let got = host.seqs_from(s_addr, group());
+    let got = net.seqs(0, s_addr);
     // Note: with the static oracle rib, CBT's rejoin keeps using the dead
     // next hop until the echo timeout fires; the oracle still routes via
     // the dead link, so recovery requires the join retransmission to pick

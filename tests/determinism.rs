@@ -10,9 +10,9 @@
 //! broken tie-break).
 
 use graph::NodeId;
-use integration_tests::{build_net, diamond, join_at, send_at, Substrate};
+use integration_tests::diamond;
 use netsim::SimTime;
-use pim::PimConfig;
+use scenario::{NetSpec, Substrate};
 use wire::Group;
 
 /// Render the full capture of one diamond run (joins, data, SPT switch,
@@ -20,20 +20,17 @@ use wire::Group;
 fn run_trace(substrate: Substrate, seed: u64) -> String {
     let g = diamond();
     let group = Group::test(1);
-    let mut net = build_net(
-        &g,
-        group,
-        &[NodeId(2)],
-        &[NodeId(0), NodeId(3)],
+    let mut net = NetSpec {
         substrate,
-        PimConfig::default(),
+        groups: &[(group, vec![NodeId(2)])],
+        host_routers: &[NodeId(0), NodeId(3)],
         seed,
-    );
+        ..NetSpec::default()
+    }
+    .build(&g);
     net.world.enable_capture(100_000);
-    let (receiver, _) = net.hosts[0];
-    let (sender, _) = net.hosts[1];
-    join_at(&mut net.world, receiver, group, 400);
-    send_at(&mut net.world, sender, group, 800, 12, 30);
+    net.join_at(0, 400);
+    net.send_at(1, 800, 12, 30);
     net.world.run_until(SimTime(2200));
 
     let mut out = String::new();

@@ -121,12 +121,7 @@ fn join_suppression_scales_sublinearly() {
     for (i, &m) in members.iter().enumerate() {
         let at = 10 + i as u64 * 3;
         world.at(SimTime(at), move |w| {
-            w.call_node(m, |n, ctx| {
-                n.as_any_mut()
-                    .downcast_mut::<HostNode>()
-                    .expect("host")
-                    .join(ctx, group);
-            });
+            igmp::with_host(w, m, |h, ctx| h.join(ctx, group));
         });
     }
     // Warm up the tree fully, then capture a long steady-state window.
@@ -150,27 +145,17 @@ fn suppressed_routers_still_deliver() {
     for (i, &m) in members.iter().enumerate() {
         let at = 10 + i as u64 * 3;
         world.at(SimTime(at), move |w| {
-            w.call_node(m, |n, ctx| {
-                n.as_any_mut()
-                    .downcast_mut::<HostNode>()
-                    .expect("host")
-                    .join(ctx, group);
-            });
+            igmp::with_host(w, m, |h, ctx| h.join(ctx, group));
         });
     }
     for k in 0..30u64 {
         world.at(SimTime(500 + k * 30), move |w| {
-            w.call_node(sender, |n, ctx| {
-                n.as_any_mut()
-                    .downcast_mut::<HostNode>()
-                    .expect("host")
-                    .send_data(ctx, group);
-            });
+            igmp::with_host(w, sender, |h, ctx| h.send_data(ctx, group));
         });
     }
     world.run_until(SimTime(2600));
     for (i, &m) in members.iter().enumerate() {
-        let h: &HostNode = world.node(m);
+        let h = igmp::host(&world, m);
         assert_eq!(
             h.seqs_from(s_addr, group),
             (0..30).collect::<Vec<u64>>(),
@@ -190,22 +175,12 @@ fn data_crosses_lan_once_per_packet() {
     for (i, &m) in members.iter().enumerate() {
         let at = 10 + i as u64 * 3;
         world.at(SimTime(at), move |w| {
-            w.call_node(m, |n, ctx| {
-                n.as_any_mut()
-                    .downcast_mut::<HostNode>()
-                    .expect("host")
-                    .join(ctx, group);
-            });
+            igmp::with_host(w, m, |h, ctx| h.join(ctx, group));
         });
     }
     for k in 0..20u64 {
         world.at(SimTime(500 + k * 30), move |w| {
-            w.call_node(sender, |n, ctx| {
-                n.as_any_mut()
-                    .downcast_mut::<HostNode>()
-                    .expect("host")
-                    .send_data(ctx, group);
-            });
+            igmp::with_host(w, sender, |h, ctx| h.send_data(ctx, group));
         });
     }
     world.run_until(SimTime(1800));

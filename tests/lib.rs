@@ -1,130 +1,8 @@
-//! Shared scaffolding for the cross-crate integration tests.
-//!
-//! The helpers build a complete PIM internet over an arbitrary graph with
-//! a selectable unicast substrate (the §2 protocol-independence axis) and
-//! drive a join → send → verify scenario.
+//! Shared scaffolding for the cross-crate integration tests. Networks
+//! come from [`scenario::NetSpec`], the one builder every harness uses.
 
-use graph::{Graph, NodeId};
-use igmp::HostNode;
-use netsim::{host_addr, router_addr, Duration, NodeIdx, SimTime, Topology, World};
-use pim::{Engine, PimConfig, PimRouter};
-use unicast::dv::{DvConfig, DvEngine};
-use unicast::ls::{LsConfig, LsEngine};
-use unicast::OracleRib;
-use wire::{Addr, Group};
-
-/// Which unicast routing engine the routers run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Substrate {
-    /// Static tables from global knowledge.
-    Oracle,
-    /// RIP-like distance vector.
-    DistanceVector,
-    /// OSPF-like link state.
-    LinkState,
-}
-
-/// A built test network.
-pub struct TestNet {
-    /// The world.
-    pub world: World,
-    /// `(host node, host addr)` per entry of `host_routers`.
-    pub hosts: Vec<(NodeIdx, Addr)>,
-}
-
-/// Build a PIM network over `g` with a host behind each router in
-/// `host_routers`, the RP(s) at `rps`, and the chosen unicast substrate.
-pub fn build_net(
-    g: &Graph,
-    group: Group,
-    rps: &[NodeId],
-    host_routers: &[NodeId],
-    substrate: Substrate,
-    cfg: PimConfig,
-    seed: u64,
-) -> TestNet {
-    let topo = Topology::from_graph(g);
-    let rp_addrs: Vec<Addr> = rps.iter().map(|&n| router_addr(n)).collect();
-
-    let mut oracle = OracleRib::for_all(g, &topo);
-    for &n in host_routers {
-        let h = host_addr(n, 0);
-        for (i, rib) in oracle.iter_mut().enumerate() {
-            if i != n.index() {
-                rib.alias_host(h, router_addr(n));
-            }
-        }
-    }
-    let mut oracle_iter = oracle.into_iter();
-
-    let (mut world, _links) = topo.build_world(g, seed, |plan| {
-        let unicast: Box<dyn unicast::Engine> = match substrate {
-            Substrate::Oracle => Box::new(oracle_iter.next().expect("rib per plan")),
-            Substrate::DistanceVector => {
-                let _ = oracle_iter.next();
-                Box::new(DvEngine::new(plan, DvConfig::default()))
-            }
-            Substrate::LinkState => {
-                let _ = oracle_iter.next();
-                Box::new(LsEngine::new(plan, LsConfig::default()))
-            }
-        };
-        let mut r = PimRouter::new(Engine::new(plan.addr, plan.ifaces.len(), cfg), unicast);
-        r.engine_mut().set_rp_mapping(group, rp_addrs.clone());
-        Box::new(r)
-    });
-
-    let mut hosts = Vec::new();
-    for &n in host_routers {
-        let h_addr = host_addr(n, 0);
-        let h_idx = world.add_node(Box::new(HostNode::new(h_addr)));
-        let (_l, ifs) = world.add_lan(&[NodeIdx(n.index()), h_idx], Duration(1));
-        world
-            .node_mut::<PimRouter>(NodeIdx(n.index()))
-            .attach_host_lan(ifs[0], &[h_addr]);
-        hosts.push((h_idx, h_addr));
-    }
-    TestNet { world, hosts }
-}
-
-/// Schedule a host join.
-pub fn join_at(world: &mut World, host: NodeIdx, group: Group, at: u64) {
-    world.at(SimTime(at), move |w| {
-        w.call_node(host, |n, ctx| {
-            n.as_any_mut()
-                .downcast_mut::<HostNode>()
-                .expect("host node")
-                .join(ctx, group);
-        });
-    });
-}
-
-/// Schedule a packet train from a host.
-pub fn send_at(world: &mut World, host: NodeIdx, group: Group, start: u64, count: u64, gap: u64) {
-    for k in 0..count {
-        world.at(SimTime(start + k * gap), move |w| {
-            w.call_node(host, |n, ctx| {
-                n.as_any_mut()
-                    .downcast_mut::<HostNode>()
-                    .expect("host node")
-                    .send_data(ctx, group);
-            });
-        });
-    }
-}
-
-/// The sequence numbers `host` received from `source` on `group`.
-pub fn seqs(world: &World, host: NodeIdx, source: Addr, group: Group) -> Vec<u64> {
-    world.node::<HostNode>(host).seqs_from(source, group)
-}
-
-/// A standard five-node diamond used by several tests:
+/// The explorer's four-node diamond, used by several tests:
 /// `0 -1- 1 -1- 2 -1- 3` plus a `0 -2- 3` shortcut; RP at node 2.
-pub fn diamond() -> Graph {
-    let mut g = Graph::with_nodes(4);
-    g.add_edge(NodeId(0), NodeId(1), 1);
-    g.add_edge(NodeId(1), NodeId(2), 1);
-    g.add_edge(NodeId(2), NodeId(3), 1);
-    g.add_edge(NodeId(0), NodeId(3), 2);
-    g
+pub fn diamond() -> graph::Graph {
+    scenario::topology("diamond").expect("diamond").graph
 }

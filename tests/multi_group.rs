@@ -5,78 +5,28 @@
 
 use graph::gen::{random_connected, RandomGraphParams};
 use graph::NodeId;
-use igmp::HostNode;
-use netsim::{host_addr, router_addr, Duration, NodeIdx, SimTime, Topology};
-use pim::{Engine, OifKind, PimConfig, PimRouter};
+use netsim::{NodeIdx, SimTime};
+use pim::{OifKind, PimRouter};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use unicast::OracleRib;
-use wire::{Addr, Group};
+use scenario::{NetSpec, ScenarioNet};
+use wire::Group;
 
-/// Build a net where every router in `host_routers` gets a host; groups
-/// are configured per router via `set_rp_mapping` afterwards.
+/// A PIM net over `g` with the given group → RP-list map and one host
+/// behind each router in `host_routers`.
 fn build_multi(
     g: &graph::Graph,
-    mappings: &[(Group, Vec<Addr>)],
+    groups: &[(Group, Vec<NodeId>)],
     host_routers: &[NodeId],
     seed: u64,
-) -> (netsim::World, Vec<(NodeIdx, Addr)>) {
-    let topo = Topology::from_graph(g);
-    let mut ribs = OracleRib::for_all(g, &topo);
-    for &n in host_routers {
-        let h = host_addr(n, 0);
-        for (i, rib) in ribs.iter_mut().enumerate() {
-            if i != n.index() {
-                rib.alias_host(h, router_addr(n));
-            }
-        }
+) -> ScenarioNet {
+    NetSpec {
+        groups,
+        host_routers,
+        seed,
+        ..NetSpec::default()
     }
-    let mut rib_iter = ribs.into_iter();
-    let (mut world, _) = topo.build_world(g, seed, |plan| {
-        let mut r = PimRouter::new(
-            Engine::new(plan.addr, plan.ifaces.len(), PimConfig::default()),
-            Box::new(rib_iter.next().expect("rib")),
-        );
-        for (grp, rps) in mappings {
-            r.engine_mut().set_rp_mapping(*grp, rps.clone());
-        }
-        Box::new(r)
-    });
-    let mut hosts = Vec::new();
-    for &n in host_routers {
-        let ha = host_addr(n, 0);
-        let hi = world.add_node(Box::new(HostNode::new(ha)));
-        let (_l, ifs) = world.add_lan(&[NodeIdx(n.index()), hi], Duration(1));
-        world
-            .node_mut::<PimRouter>(NodeIdx(n.index()))
-            .attach_host_lan(ifs[0], &[ha]);
-        hosts.push((hi, ha));
-    }
-    (world, hosts)
-}
-
-fn join(world: &mut netsim::World, host: NodeIdx, grp: Group, at: u64) {
-    world.at(SimTime(at), move |w| {
-        w.call_node(host, |n, ctx| {
-            n.as_any_mut()
-                .downcast_mut::<HostNode>()
-                .expect("host")
-                .join(ctx, grp);
-        });
-    });
-}
-
-fn send(world: &mut netsim::World, host: NodeIdx, grp: Group, start: u64, count: u64, gap: u64) {
-    for k in 0..count {
-        world.at(SimTime(start + k * gap), move |w| {
-            w.call_node(host, |n, ctx| {
-                n.as_any_mut()
-                    .downcast_mut::<HostNode>()
-                    .expect("host")
-                    .send_data(ctx, grp);
-            });
-        });
-    }
+    .build(g)
 }
 
 #[test]
@@ -92,33 +42,26 @@ fn independent_groups_do_not_interfere() {
     );
     let ga = Group::test(10);
     let gb = Group::test(11);
-    let rp_a = router_addr(NodeId(0));
-    let rp_b = router_addr(NodeId(19));
     let host_routers = [NodeId(2), NodeId(5), NodeId(11), NodeId(17)];
-    let (mut world, hosts) =
-        build_multi(&g, &[(ga, vec![rp_a]), (gb, vec![rp_b])], &host_routers, 13);
-    // hosts[0], hosts[1] are group A members; hosts[2], hosts[3] group B.
-    join(&mut world, hosts[0].0, ga, 10);
-    join(&mut world, hosts[1].0, ga, 15);
-    join(&mut world, hosts[2].0, gb, 12);
-    join(&mut world, hosts[3].0, gb, 18);
-    // hosts[1] sends to A; hosts[3] sends to B, overlapping in time.
-    send(&mut world, hosts[1].0, ga, 300, 25, 20);
-    send(&mut world, hosts[3].0, gb, 305, 25, 20);
-    world.run_until(SimTime(1600));
+    let groups = [(ga, vec![NodeId(0)]), (gb, vec![NodeId(19)])];
+    let mut net = build_multi(&g, &groups, &host_routers, 13);
+    // Slots 0, 1 are group A members; slots 2, 3 group B.
+    net.join_group_at(0, ga, 10);
+    net.join_group_at(1, ga, 15);
+    net.join_group_at(2, gb, 12);
+    net.join_group_at(3, gb, 18);
+    // Slot 1 sends to A; slot 3 sends to B, overlapping in time.
+    net.send_group_at(1, ga, 300, 25, 20);
+    net.send_group_at(3, gb, 305, 25, 20);
+    net.world.run_until(SimTime(1600));
 
-    let h0: &HostNode = world.node(hosts[0].0);
-    assert_eq!(h0.seqs_from(hosts[1].1, ga), (0..25).collect::<Vec<u64>>());
-    assert!(
-        h0.seqs_from(hosts[3].1, gb).is_empty(),
-        "no cross-group leak"
-    );
-    let h2: &HostNode = world.node(hosts[2].0);
-    assert_eq!(h2.seqs_from(hosts[3].1, gb), (0..25).collect::<Vec<u64>>());
-    assert!(
-        h2.seqs_from(hosts[1].1, ga).is_empty(),
-        "no cross-group leak"
-    );
+    let (a_src, b_src) = (net.hosts[1].1, net.hosts[3].1);
+    let h0 = net.host(0);
+    assert_eq!(h0.seqs_from(a_src, ga), (0..25).collect::<Vec<u64>>());
+    assert!(h0.seqs_from(b_src, gb).is_empty(), "no cross-group leak");
+    let h2 = net.host(2);
+    assert_eq!(h2.seqs_from(b_src, gb), (0..25).collect::<Vec<u64>>());
+    assert!(h2.seqs_from(a_src, ga).is_empty(), "no cross-group leak");
 }
 
 #[test]
@@ -133,17 +76,17 @@ fn one_host_in_many_groups() {
         &mut rng,
     );
     let groups: Vec<Group> = (20..26).map(Group::test).collect();
-    let rp = router_addr(NodeId(7));
-    let mappings: Vec<(Group, Vec<Addr>)> = groups.iter().map(|&g| (g, vec![rp])).collect();
+    let mappings: Vec<(Group, Vec<NodeId>)> =
+        groups.iter().map(|&g| (g, vec![NodeId(7)])).collect();
     let host_routers = [NodeId(1), NodeId(13)];
-    let (mut world, hosts) = build_multi(&g, &mappings, &host_routers, 14);
+    let mut net = build_multi(&g, &mappings, &host_routers, 14);
     // Host 0 joins all six groups; host 1 sends one packet train to each.
     for (i, &grp) in groups.iter().enumerate() {
-        join(&mut world, hosts[0].0, grp, 10 + i as u64 * 3);
-        send(&mut world, hosts[1].0, grp, 300 + i as u64 * 11, 8, 30);
+        net.join_group_at(0, grp, 10 + i as u64 * 3);
+        net.send_group_at(1, grp, 300 + i as u64 * 11, 8, 30);
     }
-    world.run_until(SimTime(1800));
-    let h: &HostNode = world.node(hosts[0].0);
+    net.world.run_until(SimTime(1800));
+    let h = net.host(0);
     for &grp in &groups {
         // Host sequence numbers are global per sender (interleaved across
         // its groups), so assert count and monotonicity, not exact values.
@@ -151,7 +94,7 @@ fn one_host_in_many_groups() {
         // data flows down both the shared tree and the new SPT until the
         // RPT prune lands) overlaps the train, so count distinct seqs and
         // allow adjacent duplicates.
-        let got = h.seqs_from(hosts[1].1, grp);
+        let got = h.seqs_from(net.hosts[1].1, grp);
         assert!(
             got.windows(2).all(|w| w[1] >= w[0]),
             "out of order: {got:?}"
@@ -161,7 +104,7 @@ fn one_host_in_many_groups() {
         assert_eq!(distinct.len(), 8, "group {grp} incomplete: {got:?}");
     }
     // The DR holds one (*,G) per group (plus per-source SPT state).
-    let dr: &PimRouter = world.node(NodeIdx(1));
+    let dr: &PimRouter = net.world.node(NodeIdx(1));
     let stars = groups
         .iter()
         .filter(|&&grp| {
@@ -191,25 +134,24 @@ fn state_invariants_after_random_scenario() {
             &mut rng,
         );
         let grp = Group::test(1);
-        let rp = router_addr(NodeId(3));
         let host_routers: Vec<NodeId> =
             vec![NodeId(5), NodeId(9), NodeId(14), NodeId(20), NodeId(24)];
-        let (mut world, hosts) = build_multi(&g, &[(grp, vec![rp])], &host_routers, seed);
-        for (i, &(h, _)) in hosts.iter().enumerate() {
-            join(&mut world, h, grp, 10 + i as u64 * 9);
+        let mut net = build_multi(&g, &[(grp, vec![NodeId(3)])], &host_routers, seed);
+        for slot in 0..host_routers.len() {
+            net.join_at(slot, 10 + slot as u64 * 9);
         }
         // Everyone sends; members churn.
-        for &(h, _) in &hosts {
-            send(&mut world, h, grp, 400, 15, 35);
+        for slot in 0..host_routers.len() {
+            net.send_at(slot, 400, 15, 35);
         }
-        let leaver = hosts[2].0;
-        world.at(SimTime(700), move |w| {
-            w.node_mut::<HostNode>(leaver).leave(grp);
+        let leaver = net.hosts[2].0;
+        net.world.at(SimTime(700), move |w| {
+            igmp::host_mut(w, leaver).leave(grp);
         });
-        world.run_until(SimTime(2500));
+        net.world.run_until(SimTime(2500));
 
         for i in 0..g.node_count() {
-            let r: &PimRouter = world.node(NodeIdx(i));
+            let r: &PimRouter = net.world.node(NodeIdx(i));
             let Some(gs) = r.engine().group_state(grp) else {
                 continue;
             };
@@ -249,16 +191,12 @@ fn state_invariants_after_random_scenario() {
             }
         }
         // Sanity: members that stayed got full streams from all senders.
-        for (i, &(h, _)) in hosts.iter().enumerate() {
-            if i == 2 {
-                continue;
-            }
-            let host: &HostNode = world.node(h);
-            for (j, &(_, s_addr)) in hosts.iter().enumerate() {
+        for i in (0..host_routers.len()).filter(|&i| i != 2) {
+            for (j, &(_, s_addr)) in net.hosts.iter().enumerate() {
                 if i == j {
                     continue;
                 }
-                let got = host.seqs_from(s_addr, grp);
+                let got = net.seqs(i, s_addr);
                 assert!(
                     got.len() >= 14,
                     "seed {seed}: member {i} got only {} of 15 from sender {j}",
@@ -283,11 +221,10 @@ fn oif_kinds_behave() {
         &mut rng,
     );
     let grp = Group::test(1);
-    let rp = router_addr(NodeId(0));
-    let (mut world, hosts) = build_multi(&g, &[(grp, vec![rp])], &[NodeId(4)], 7);
-    join(&mut world, hosts[0].0, grp, 10);
-    world.run_until(SimTime(2000));
-    let dr: &PimRouter = world.node(NodeIdx(4));
+    let mut net = build_multi(&g, &[(grp, vec![NodeId(0)])], &[NodeId(4)], 7);
+    net.join_at(0, 10);
+    net.world.run_until(SimTime(2000));
+    let dr: &PimRouter = net.world.node(NodeIdx(4));
     let star = dr
         .engine()
         .group_state(grp)

@@ -5,11 +5,12 @@
 
 use graph::gen::{random_connected, RandomGraphParams};
 use graph::NodeId;
-use integration_tests::{build_net, diamond, join_at, send_at, seqs, Substrate};
+use integration_tests::diamond;
 use netsim::{IfaceId, NodeIdx, SimTime};
-use pim::{PimConfig, PimRouter};
+use pim::PimRouter;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use scenario::{NetSpec, Substrate};
 use wire::Group;
 
 fn group() -> Group {
@@ -20,22 +21,20 @@ fn group() -> Group {
 /// (S,G) iif at DR).
 fn run_diamond(sub: Substrate) -> (Vec<u64>, Option<IfaceId>, Option<IfaceId>) {
     let g = diamond();
-    let mut net = build_net(
-        &g,
-        group(),
-        &[NodeId(2)],
-        &[NodeId(0), NodeId(3)],
-        sub,
-        PimConfig::default(),
-        9,
-    );
-    let (receiver, _) = net.hosts[0];
-    let (sender, s_addr) = net.hosts[1];
-    join_at(&mut net.world, receiver, group(), 400);
-    send_at(&mut net.world, sender, group(), 800, 15, 30);
+    let mut net = NetSpec {
+        substrate: sub,
+        groups: &[(group(), vec![NodeId(2)])],
+        host_routers: &[NodeId(0), NodeId(3)],
+        seed: 9,
+        ..NetSpec::default()
+    }
+    .build(&g);
+    let (_, s_addr) = net.hosts[1];
+    net.join_at(0, 400);
+    net.send_at(1, 800, 15, 30);
     net.world.run_until(SimTime(2200));
 
-    let got = seqs(&net.world, receiver, s_addr, group());
+    let got = net.seqs(0, s_addr);
     let r0: &PimRouter = net.world.node(NodeIdx(0));
     let gs = r0.engine().group_state(group()).expect("state at DR");
     (
@@ -84,24 +83,22 @@ fn random_topologies_deliver_under_all_substrates() {
             Substrate::DistanceVector,
             Substrate::LinkState,
         ] {
-            let mut net = build_net(
-                &g,
-                group(),
-                &[NodeId(0)],
-                &host_routers,
-                sub,
-                PimConfig::default(),
+            let mut net = NetSpec {
+                substrate: sub,
+                groups: &[(group(), vec![NodeId(0)])],
+                host_routers: &host_routers,
                 seed,
-            );
-            let member_hosts: Vec<_> = net.hosts[..3].to_vec();
-            let (sender, s_addr) = net.hosts[3];
-            for (i, &(h, _)) in member_hosts.iter().enumerate() {
-                join_at(&mut net.world, h, group(), 400 + i as u64 * 7);
+                ..NetSpec::default()
             }
-            send_at(&mut net.world, sender, group(), 900, 10, 40);
+            .build(&g);
+            let (_, s_addr) = net.hosts[3];
+            for slot in 0..3 {
+                net.join_at(slot, 400 + slot as u64 * 7);
+            }
+            net.send_at(3, 900, 10, 40);
             net.world.run_until(SimTime(2600));
-            for &(h, _) in &member_hosts {
-                let got = seqs(&net.world, h, s_addr, group());
+            for slot in 0..3 {
+                let got = net.seqs(slot, s_addr);
                 assert_eq!(
                     got,
                     (0..10).collect::<Vec<u64>>(),
@@ -120,17 +117,15 @@ fn random_topologies_deliver_under_all_substrates() {
 fn star_iif_matches_rpf_under_live_routing() {
     for sub in [Substrate::DistanceVector, Substrate::LinkState] {
         let g = diamond();
-        let mut net = build_net(
-            &g,
-            group(),
-            &[NodeId(2)],
-            &[NodeId(0)],
-            sub,
-            PimConfig::default(),
-            5,
-        );
-        let (receiver, _) = net.hosts[0];
-        join_at(&mut net.world, receiver, group(), 400);
+        let mut net = NetSpec {
+            substrate: sub,
+            groups: &[(group(), vec![NodeId(2)])],
+            host_routers: &[NodeId(0)],
+            seed: 5,
+            ..NetSpec::default()
+        }
+        .build(&g);
+        net.join_at(0, 400);
         net.world.run_until(SimTime(1200));
         for i in 0..4usize {
             let r: &PimRouter = net.world.node(NodeIdx(i));

@@ -9,11 +9,10 @@
 use graph::gen::{random_connected, RandomGraphParams};
 use graph::NodeId;
 use igmp::HostNode;
-use integration_tests::{build_net, join_at, Substrate};
 use netsim::{host_addr, Duration, SimTime, World};
-use pim::PimConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use scenario::NetSpec;
 use wire::Group;
 
 /// An idle, converged PIM internet (routers + queriers + member-less
@@ -32,15 +31,13 @@ fn idle_converged_network_is_quiescent() {
         &mut rng,
     );
     let host_routers = [NodeId(2), NodeId(5), NodeId(11), NodeId(14)];
-    let mut net = build_net(
-        &g,
-        Group::test(1),
-        &[NodeId(0)],
-        &host_routers,
-        Substrate::Oracle,
-        PimConfig::default(),
-        9,
-    );
+    let mut net = NetSpec {
+        groups: &[(Group::test(1), vec![NodeId(0)])],
+        host_routers: &host_routers,
+        seed: 9,
+        ..NetSpec::default()
+    }
+    .build(&g);
     // No joins, no senders: after neighbor discovery settles this network
     // carries only periodic soft-state refreshes.
     net.world.run_until(SimTime(400));
@@ -106,17 +103,14 @@ fn member_less_hosts_schedule_nothing() {
 #[test]
 fn joined_member_still_refreshes() {
     let g = integration_tests::diamond();
-    let mut net = build_net(
-        &g,
-        Group::test(1),
-        &[NodeId(2)],
-        &[NodeId(0)],
-        Substrate::Oracle,
-        PimConfig::default(),
-        5,
-    );
-    let (receiver, _) = net.hosts[0];
-    join_at(&mut net.world, receiver, Group::test(1), 100);
+    let mut net = NetSpec {
+        groups: &[(Group::test(1), vec![NodeId(2)])],
+        host_routers: &[NodeId(0)],
+        seed: 5,
+        ..NetSpec::default()
+    }
+    .build(&g);
+    net.join_at(0, 100);
     net.world.run_until(SimTime(600));
     let timers0 = net.world.counters().timers_fired();
     net.world.run_until(SimTime(2600));

@@ -3,9 +3,10 @@
 //! periodic refresh, and survive RP failure.
 
 use graph::{Graph, NodeId};
-use integration_tests::{build_net, diamond, join_at, send_at, seqs, Substrate};
+use integration_tests::diamond;
 use netsim::{LinkId, NodeIdx, SimTime};
 use pim::{PimConfig, PimRouter};
+use scenario::{NetSpec, Substrate};
 use wire::Group;
 
 fn group() -> Group {
@@ -20,28 +21,25 @@ fn group() -> Group {
 #[test]
 fn soft_state_survives_control_loss() {
     let g = diamond();
-    let mut net = build_net(
-        &g,
-        group(),
-        &[NodeId(2)],
-        &[NodeId(0), NodeId(3)],
-        Substrate::Oracle,
-        PimConfig::default(),
-        1234,
-    );
+    let mut net = NetSpec {
+        groups: &[(group(), vec![NodeId(2)])],
+        host_routers: &[NodeId(0), NodeId(3)],
+        seed: 1234,
+        ..NetSpec::default()
+    }
+    .build(&g);
     // Lossy control plane on the two tree links (router-router links are
     // LinkId 0..4 = graph edges).
     for l in 0..4 {
         net.world.set_link_loss(LinkId(l), 0.2);
     }
-    let (receiver, _) = net.hosts[0];
-    let (sender, s_addr) = net.hosts[1];
-    join_at(&mut net.world, receiver, group(), 50);
+    let (_, s_addr) = net.hosts[1];
+    net.join_at(0, 50);
     // A long steady stream; early packets may die to loss, but the tree
     // must hold and most packets arrive.
-    send_at(&mut net.world, sender, group(), 600, 60, 30);
+    net.send_at(1, 600, 60, 30);
     net.world.run_until(SimTime(3500));
-    let got = seqs(&net.world, receiver, s_addr, group());
+    let got = net.seqs(0, s_addr);
     assert!(
         got.len() >= 40,
         "soft state must keep the tree alive through 20% loss; got {} of 60",
@@ -67,25 +65,24 @@ fn link_failure_reroutes_tree() {
     g.add_edge(NodeId(1), NodeId(2), 1); // e1
     g.add_edge(NodeId(0), NodeId(3), 2); // e2 (backup)
     g.add_edge(NodeId(3), NodeId(2), 2); // e3
-    let mut net = build_net(
-        &g,
-        group(),
-        &[NodeId(2)],
-        &[NodeId(0), NodeId(2)],
-        Substrate::DistanceVector,
-        PimConfig::shared_tree_only(),
-        77,
-    );
-    let (receiver, _) = net.hosts[0];
-    let (sender, s_addr) = net.hosts[1]; // sender sits at the RP's site
-    join_at(&mut net.world, receiver, group(), 400);
-    send_at(&mut net.world, sender, group(), 500, 80, 40);
+    let mut net = NetSpec {
+        substrate: Substrate::DistanceVector,
+        groups: &[(group(), vec![NodeId(2)])],
+        host_routers: &[NodeId(0), NodeId(2)],
+        pim: PimConfig::shared_tree_only(),
+        seed: 77,
+        ..NetSpec::default()
+    }
+    .build(&g);
+    let (_, s_addr) = net.hosts[1]; // sender sits at the RP's site
+    net.join_at(0, 400);
+    net.send_at(1, 500, 80, 40);
     // Cut the primary path mid-stream.
     net.world
         .at(SimTime(1000), |w| w.set_link_up(LinkId(0), false));
     net.world.run_until(SimTime(4200));
 
-    let got = seqs(&net.world, receiver, s_addr, group());
+    let got = net.seqs(0, s_addr);
     // Pre-failure packets all arrive; post-reconvergence packets arrive;
     // only the DV detection window (route_timeout = 180) may lose some.
     let first_window: Vec<u64> = got.iter().copied().filter(|&s| s < 12).collect();
@@ -120,27 +117,26 @@ fn link_failure_reroutes_tree() {
 #[test]
 fn membership_churn() {
     let g = diamond();
-    let mut net = build_net(
-        &g,
-        group(),
-        &[NodeId(2)],
-        &[NodeId(0), NodeId(3)],
-        Substrate::Oracle,
-        PimConfig::shared_tree_only(),
-        5,
-    );
+    let mut net = NetSpec {
+        groups: &[(group(), vec![NodeId(2)])],
+        host_routers: &[NodeId(0), NodeId(3)],
+        pim: PimConfig::shared_tree_only(),
+        seed: 5,
+        ..NetSpec::default()
+    }
+    .build(&g);
     let (receiver, _) = net.hosts[0];
-    let (sender, s_addr) = net.hosts[1];
-    join_at(&mut net.world, receiver, group(), 20);
-    send_at(&mut net.world, sender, group(), 100, 120, 30); // through t=3670
-                                                            // Leave at t=900 (silent), rejoin at t=2400.
+    let (_, s_addr) = net.hosts[1];
+    net.join_at(0, 20);
+    net.send_at(1, 100, 120, 30); // through t=3670
+                                  // Leave at t=900 (silent), rejoin at t=2400.
     net.world.at(SimTime(900), move |w| {
-        w.node_mut::<igmp::HostNode>(receiver).leave(group());
+        igmp::host_mut(w, receiver).leave(group());
     });
-    join_at(&mut net.world, receiver, group(), 2400);
+    net.join_at(0, 2400);
     net.world.run_until(SimTime(4400));
 
-    let got = seqs(&net.world, receiver, s_addr, group());
+    let got = net.seqs(0, s_addr);
     // Early packets arrive (joined), then a gap (left; membership expires
     // after the IGMP timeout ≈ 280t), then reception resumes after the
     // rejoin.
@@ -168,22 +164,21 @@ fn rp_failover_restores_shared_tree() {
     g.add_edge(NodeId(1), NodeId(3), 1); // to RP#2
     g.add_edge(NodeId(3), NodeId(4), 1);
     g.add_edge(NodeId(2), NodeId(4), 1);
-    let mut net = build_net(
-        &g,
-        group(),
-        &[NodeId(2), NodeId(3)],
-        &[NodeId(0), NodeId(4)],
-        Substrate::DistanceVector,
+    let mut net = NetSpec {
+        substrate: Substrate::DistanceVector,
+        groups: &[(group(), vec![NodeId(2), NodeId(3)])],
+        host_routers: &[NodeId(0), NodeId(4)],
         // Shared-tree only: the receiver must depend on the RP, so the
         // failover is load-bearing (with SPTs the receiver would dodge
         // the dead RP entirely).
-        PimConfig::shared_tree_only(),
-        3,
-    );
-    let (receiver, _) = net.hosts[0];
-    let (sender, s_addr) = net.hosts[1];
-    join_at(&mut net.world, receiver, group(), 400);
-    send_at(&mut net.world, sender, group(), 500, 80, 40);
+        pim: PimConfig::shared_tree_only(),
+        seed: 3,
+        ..NetSpec::default()
+    }
+    .build(&g);
+    let (_, s_addr) = net.hosts[1];
+    net.join_at(0, 400);
+    net.send_at(1, 500, 80, 40);
     net.world.at(SimTime(700), |w| {
         w.set_link_up(LinkId(1), false);
         w.set_link_up(LinkId(4), false);
@@ -197,7 +192,7 @@ fn rp_failover_restores_shared_tree() {
         netsim::router_addr(NodeId(3)),
         "must have failed over to RP#2"
     );
-    let got = seqs(&net.world, receiver, s_addr, group());
+    let got = net.seqs(0, s_addr);
     let late: Vec<u64> = got.iter().copied().filter(|&s| s >= 60).collect();
     assert_eq!(
         late,
@@ -221,25 +216,23 @@ fn rp_failover_appears_in_flight_recorder() {
     g.add_edge(NodeId(1), NodeId(3), 1); // to RP#2
     g.add_edge(NodeId(3), NodeId(4), 1);
     g.add_edge(NodeId(2), NodeId(4), 1);
-    let mut net = build_net(
-        &g,
-        group(),
-        &[NodeId(2), NodeId(3)],
-        &[NodeId(0), NodeId(4)],
-        Substrate::DistanceVector,
-        PimConfig::shared_tree_only(),
-        3,
-    );
+    let mut net = NetSpec {
+        substrate: Substrate::DistanceVector,
+        groups: &[(group(), vec![NodeId(2), NodeId(3)])],
+        host_routers: &[NodeId(0), NodeId(4)],
+        pim: PimConfig::shared_tree_only(),
+        seed: 3,
+        ..NetSpec::default()
+    }
+    .build(&g);
     // Large ring: this run is long, and the excerpt of interest (the
     // failover at t≈1000) must survive 3000 ticks of steady-state
     // chatter that follows it.
     let rec = Arc::new(Mutex::new(FlightRecorder::new(8192)));
     let sink: SharedSink = rec.clone();
     net.world.set_telemetry(sink);
-    let (receiver, _) = net.hosts[0];
-    let (sender, _) = net.hosts[1];
-    join_at(&mut net.world, receiver, group(), 400);
-    send_at(&mut net.world, sender, group(), 500, 80, 40);
+    net.join_at(0, 400);
+    net.send_at(1, 500, 80, 40);
     net.world.at(SimTime(700), |w| {
         w.set_link_up(LinkId(1), false);
         w.set_link_up(LinkId(4), false);
@@ -279,21 +272,20 @@ fn rp_crash_and_restart(substrate: Substrate, seed: u64) {
     g.add_edge(NodeId(0), NodeId(1), 1);
     g.add_edge(NodeId(1), NodeId(2), 1);
     g.add_edge(NodeId(2), NodeId(3), 1);
-    let mut net = build_net(
-        &g,
-        group(),
-        &[NodeId(2)],
-        &[NodeId(0), NodeId(3)],
+    let mut net = NetSpec {
         substrate,
+        groups: &[(group(), vec![NodeId(2)])],
+        host_routers: &[NodeId(0), NodeId(3)],
         // Shared-tree only: delivery genuinely depends on the RP holding
         // (*,G) and (S,G) state, so the rebuild is load-bearing.
-        PimConfig::shared_tree_only(),
+        pim: PimConfig::shared_tree_only(),
         seed,
-    );
-    let (receiver, _) = net.hosts[0];
-    let (sender, s_addr) = net.hosts[1];
-    join_at(&mut net.world, receiver, group(), 50);
-    send_at(&mut net.world, sender, group(), 400, 120, 30); // through t=3970
+        ..NetSpec::default()
+    }
+    .build(&g);
+    let (_, s_addr) = net.hosts[1];
+    net.join_at(0, 50);
+    net.send_at(1, 400, 120, 30); // through t=3970
 
     // Crash the RP mid-stream; its engine, unicast and IGMP state are
     // erased (NVRAM model: only static config survives). Restart shortly
@@ -324,7 +316,7 @@ fn rp_crash_and_restart(substrate: Substrate, seed: u64) {
         !star.oifs_empty(),
         "the rebuilt shared tree must have downstream receivers"
     );
-    let got = seqs(&net.world, receiver, s_addr, group());
+    let got = net.seqs(0, s_addr);
     // Early packets arrive; the crash window loses some; after the RP is
     // back and soft state has refreshed, delivery must fully resume.
     assert!(got.contains(&0), "pre-crash delivery");

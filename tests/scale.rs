@@ -4,12 +4,14 @@
 //! represented" (§1) — plus bit-for-bit reproducibility of a complete
 //! protocol run.
 
-use bench::{run_protocol_sim, Proto, Workload};
+use bench::{run_protocol_sim, run_protocol_sim_opts, SimOptions, Workload};
 use graph::gen::{random_connected, RandomGraphParams};
 use graph::NodeId;
 use mctree::GroupSpec;
+use pim::PimConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use scenario::Protocol;
 use wire::Group;
 
 fn many_group_workloads(n_groups: u32, nodes: usize, rng: &mut StdRng) -> Vec<Workload> {
@@ -39,7 +41,7 @@ fn twenty_sparse_groups_on_fifty_nodes() {
         &mut rng,
     );
     let workloads = many_group_workloads(20, 50, &mut rng);
-    let r = run_protocol_sim(&g, Proto::PimSpt, &workloads, 6, 1);
+    let r = run_protocol_sim(&g, Protocol::Pim, &workloads, 6, 1);
     // 20 groups × 2 senders × 3 other members × 6 packets = 720 expected.
     assert_eq!(r.expected_deliveries, 720);
     let rate = r.deliveries as f64 / r.expected_deliveries as f64;
@@ -69,8 +71,18 @@ fn shared_tree_mode_scales_with_less_state() {
         &mut rng,
     );
     let workloads = many_group_workloads(12, 50, &mut rng);
-    let spt = run_protocol_sim(&g, Proto::PimSpt, &workloads, 6, 1);
-    let shared = run_protocol_sim(&g, Proto::PimShared, &workloads, 6, 1);
+    let spt = run_protocol_sim(&g, Protocol::Pim, &workloads, 6, 1);
+    let shared = run_protocol_sim_opts(
+        &g,
+        Protocol::Pim,
+        &workloads,
+        &SimOptions {
+            packets_per_sender: 6,
+            seed: 1,
+            pim: PimConfig::shared_tree_only(),
+            ..SimOptions::default()
+        },
+    );
     // "Shared trees ... have less per-source overhead" (§3): with 2
     // senders per group, SPT mode holds strictly more entries.
     assert!(
@@ -98,7 +110,7 @@ fn full_protocol_run_is_deterministic() {
     let workloads = many_group_workloads(5, 30, &mut rng);
     let runs: Vec<String> = (0..2)
         .map(|_| {
-            let mut r = run_protocol_sim(&g, Proto::PimSpt, &workloads, 8, 42);
+            let mut r = run_protocol_sim(&g, Protocol::Pim, &workloads, 8, 42);
             r.run_ms = 0.0; // wall clock, legitimately varies run to run
             format!("{r:?}")
         })
@@ -118,13 +130,25 @@ fn all_protocols_survive_many_groups() {
         &mut rng,
     );
     let workloads = many_group_workloads(8, 30, &mut rng);
-    for proto in [Proto::PimSpt, Proto::PimShared, Proto::Dvmrp, Proto::Cbt] {
-        let r = run_protocol_sim(&g, proto, &workloads, 5, 7);
+    let contenders = [
+        (Protocol::Pim, PimConfig::default()),
+        (Protocol::Pim, PimConfig::shared_tree_only()),
+        (Protocol::Dvmrp, PimConfig::default()),
+        (Protocol::Cbt, PimConfig::default()),
+    ];
+    for (protocol, pim) in contenders {
+        let opts = SimOptions {
+            packets_per_sender: 5,
+            seed: 7,
+            pim,
+            ..SimOptions::default()
+        };
+        let r = run_protocol_sim_opts(&g, protocol, &workloads, &opts);
         let rate = r.deliveries as f64 / r.expected_deliveries as f64;
         assert!(
             rate > 0.98,
-            "{}: delivery rate {rate:.4} across 8 groups ({r:?})",
-            proto.name()
+            "{protocol:?} {:?}: delivery rate {rate:.4} across 8 groups ({r:?})",
+            pim.spt_policy
         );
     }
 }

@@ -7,11 +7,11 @@
 use graph::algo::AllPairs;
 use graph::gen::{random_connected, RandomGraphParams};
 use graph::{Graph, NodeId};
-use integration_tests::{build_net, Substrate};
 use netsim::{router_addr, NodeIdx, SimTime, Topology};
-use pim::{PimConfig, PimRouter};
+use pim::PimRouter;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use scenario::{NetSpec, Substrate};
 use unicast::{OracleRib, Rib};
 use wire::Group;
 
@@ -57,15 +57,13 @@ fn random_graph(seed: u64, nodes: usize) -> Graph {
 fn distance_vector_converges_to_shortest_paths() {
     for seed in [1u64, 7, 23] {
         let g = random_graph(seed, 14);
-        let mut net = build_net(
-            &g,
-            Group::test(1),
-            &[NodeId(0)],
-            &[],
-            Substrate::DistanceVector,
-            PimConfig::default(),
+        let mut net = NetSpec {
+            substrate: Substrate::DistanceVector,
+            groups: &[(Group::test(1), vec![NodeId(0)])],
             seed,
-        );
+            ..NetSpec::default()
+        }
+        .build(&g);
         net.world.run_until(SimTime(1000));
         assert_converged_to_oracle(&g, &net.world);
     }
@@ -75,15 +73,13 @@ fn distance_vector_converges_to_shortest_paths() {
 fn link_state_converges_to_shortest_paths() {
     for seed in [1u64, 7, 23] {
         let g = random_graph(seed, 14);
-        let mut net = build_net(
-            &g,
-            Group::test(1),
-            &[NodeId(0)],
-            &[],
-            Substrate::LinkState,
-            PimConfig::default(),
+        let mut net = NetSpec {
+            substrate: Substrate::LinkState,
+            groups: &[(Group::test(1), vec![NodeId(0)])],
             seed,
-        );
+            ..NetSpec::default()
+        }
+        .build(&g);
         net.world.run_until(SimTime(1000));
         assert_converged_to_oracle(&g, &net.world);
     }
@@ -96,15 +92,13 @@ fn distance_vector_reconverges_after_failure() {
     for i in 0..5u32 {
         g.add_edge(NodeId(i), NodeId((i + 1) % 5), 1);
     }
-    let mut net = build_net(
-        &g,
-        Group::test(1),
-        &[NodeId(0)],
-        &[],
-        Substrate::DistanceVector,
-        PimConfig::default(),
-        2,
-    );
+    let mut net = NetSpec {
+        substrate: Substrate::DistanceVector,
+        groups: &[(Group::test(1), vec![NodeId(0)])],
+        seed: 2,
+        ..NetSpec::default()
+    }
+    .build(&g);
     net.world.run_until(SimTime(800));
     {
         let r0: &PimRouter = net.world.node(NodeIdx(0));
@@ -143,15 +137,13 @@ fn link_state_reconverges_after_failure() {
     for i in 0..5u32 {
         g.add_edge(NodeId(i), NodeId((i + 1) % 5), 1);
     }
-    let mut net = build_net(
-        &g,
-        Group::test(1),
-        &[NodeId(0)],
-        &[],
-        Substrate::LinkState,
-        PimConfig::default(),
-        2,
-    );
+    let mut net = NetSpec {
+        substrate: Substrate::LinkState,
+        groups: &[(Group::test(1), vec![NodeId(0)])],
+        seed: 2,
+        ..NetSpec::default()
+    }
+    .build(&g);
     net.world.run_until(SimTime(500));
     net.world
         .at(SimTime(500), |w| w.set_link_up(netsim::LinkId(0), false));
