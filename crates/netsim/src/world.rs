@@ -376,50 +376,67 @@ pub struct CaptureRecord {
     pub summary: String,
 }
 
-/// A buffered telemetry entry: the emission plus the canonical key of the
-/// dispatch that produced it, so the barrier merge can restore the
-/// partition-independent order.
-struct BufEntry {
-    tag: Tag,
-    idx: u64,
-    node: u32,
-    at: u64,
-    ev: telemetry::Event,
-    /// Cause of the emitting dispatch (None for causal roots).
-    cause: Option<Tag>,
-}
-
 /// Per-region telemetry buffer. Node adapters and the world's own
 /// emitters write here during a window (each buffer is only touched by
 /// the thread running its region — the mutex is uncontended); the main
-/// thread drains all buffers at every barrier, sorts by `(tag, idx)`,
-/// and streams into the user's sink. `idx` is monotone per buffer:
-/// same-tag entries always come from a single dispatch in a single
-/// region, so only their relative order matters.
+/// thread drains all buffers at every barrier, restores the
+/// partition-independent order, and hands the window to the user's sink
+/// as one [`telemetry::Sink::batch`].
 #[derive(Default)]
 struct RegionBuf {
-    tag: Tag,
-    cause: Option<Tag>,
-    next: u64,
-    entries: Vec<BufEntry>,
+    /// The running dispatch and its cause, stamped on every emission.
+    prov: telemetry::Provenance,
+    events: Vec<telemetry::Emission>,
     /// One provenance edge per dispatch this window — including silent
     /// dispatches that emit no events, so backward slices never have
     /// holes where a hop merely forwarded data.
-    links: Vec<(Tag, Option<Tag>)>,
+    links: Vec<(telemetry::EventId, Option<telemetry::EventId>)>,
 }
 
-impl telemetry::Sink for RegionBuf {
-    fn event(&mut self, node: u32, at: u64, ev: &telemetry::Event) {
-        let idx = self.next;
-        self.next += 1;
-        self.entries.push(BufEntry {
-            tag: self.tag,
-            idx,
+impl RegionBuf {
+    /// Open dispatch `tag`: record its provenance edge and stamp what
+    /// it emits from here on.
+    fn begin(&mut self, tag: Tag, cause: Option<Tag>) {
+        let (id, cause) = (tag.event_id(), cause.map(Tag::event_id));
+        self.prov = telemetry::Provenance { id, cause };
+        self.links.push((id, cause));
+    }
+
+    fn push(&mut self, node: u32, at: u64, ev: telemetry::Event) {
+        self.events.push(telemetry::Emission {
             node,
             at,
-            ev: ev.clone(),
-            cause: self.cause,
+            ev,
+            prov: self.prov,
         });
+    }
+
+    /// Put the window's entries in canonical (dispatch-id) order. The
+    /// region ran its dispatches in execution order: ascending in time,
+    /// but within one tick ordered by the tags of the events handled,
+    /// not by the ids of the dispatches handling them. So entries are
+    /// only ever out of place among same-tick neighbours, and sorting
+    /// tick by tick is a full sort at a fraction of the comparisons.
+    /// Stable for events: one dispatch's emissions keep emission order.
+    fn sort_canonical(&mut self) {
+        for tick in self
+            .events
+            .chunk_by_mut(|a, b| a.prov.id.time == b.prov.id.time)
+        {
+            tick.sort_by_key(|e| e.prov.id);
+        }
+        for tick in self.links.chunk_by_mut(|a, b| a.0.time == b.0.time) {
+            tick.sort_unstable();
+        }
+        debug_assert!(self.events.is_sorted_by_key(|e| e.prov.id));
+        debug_assert!(self.links.is_sorted());
+    }
+}
+
+/// What the node adapters' [`telemetry::Telem`] handles write through.
+impl telemetry::Sink for RegionBuf {
+    fn event(&mut self, node: u32, at: u64, ev: &telemetry::Event) {
+        self.push(node, at, ev.clone());
     }
 }
 
@@ -594,10 +611,7 @@ impl Region {
             emit: 0,
         };
         if let Some(buf) = &self.buf {
-            let mut guard = buf.lock().expect("region buffer poisoned");
-            guard.tag = tag;
-            guard.cause = cause;
-            guard.links.push((tag, cause));
+            telemetry::lock(buf).begin(tag, cause);
         }
         let mut node_box = self.nodes[slot].take().expect("node re-entrancy");
         {
@@ -731,13 +745,7 @@ impl<'a> Ctx<'a> {
     #[inline]
     fn emit(&mut self, node: NodeIdx, f: impl FnOnce() -> telemetry::Event) {
         if let Some(buf) = &self.region.buf {
-            let ev = f();
-            use telemetry::Sink as _;
-            buf.lock().expect("region buffer poisoned").event(
-                node.0 as u32,
-                self.region.now.ticks(),
-                &ev,
-            );
+            telemetry::lock(buf).push(node.0 as u32, self.region.now.ticks(), f());
         }
     }
 
@@ -1130,6 +1138,10 @@ pub struct World {
     /// Counter shard for world-level dispatches (scripts).
     world_counters: Counters,
     telem: Option<telemetry::SharedSink>,
+    /// Scratch for [`World::flush_telemetry`]'s merged window, kept so
+    /// its capacity is reused from barrier to barrier.
+    flush_links: Vec<(telemetry::EventId, Option<telemetry::EventId>)>,
+    flush_events: Vec<telemetry::Emission>,
     seed: u64,
     threads: usize,
     /// Conservative lookahead: `Some(min cross-region link delay)` when
@@ -1172,6 +1184,8 @@ impl World {
             script_seq: 0,
             world_counters: Counters::default(),
             telem: None,
+            flush_links: Vec::new(),
+            flush_events: Vec::new(),
             seed,
             threads: 1,
             lookahead: None,
@@ -1536,16 +1550,15 @@ impl World {
                 seq: u64::MAX,
                 emit: 0,
             });
-            let mut s = sink.lock().expect("sink poisoned");
-            s.link(id.event_id(), None);
-            s.event_caused(
-                node.0 as u32,
-                self.now.ticks(),
-                &ev,
-                telemetry::Provenance {
-                    id: id.event_id(),
-                    cause: None,
-                },
+            let id = id.event_id();
+            telemetry::lock(sink).batch(
+                &[(id, None)],
+                &[telemetry::Emission {
+                    node: node.0 as u32,
+                    at: self.now.ticks(),
+                    ev,
+                    prov: telemetry::Provenance { id, cause: None },
+                }],
             );
         }
     }
@@ -1740,45 +1753,44 @@ impl World {
     }
 
     /// Merge all region telemetry buffers into the user sink in
-    /// canonical `(tag, idx)` order and clear them. Called at every
-    /// barrier, so each flushed batch covers a disjoint slice of the
-    /// canonical order and concatenation preserves it.
+    /// canonical order and clear them. Called at every barrier, so each
+    /// flushed batch covers a disjoint slice of the canonical order and
+    /// concatenation preserves it. The sink is locked once and takes the
+    /// whole window as one [`telemetry::Sink::batch`]: provenance edges
+    /// first (every dispatch, silent ones included), then the events.
     fn flush_telemetry(&mut self) {
         let Some(sink) = &self.telem else {
             return;
         };
-        let mut batch: Vec<BufEntry> = Vec::new();
-        let mut links: Vec<(Tag, Option<Tag>)> = Vec::new();
+        let (links, events) = (&mut self.flush_links, &mut self.flush_events);
+        // Cleared here, not after delivery: a sink that panicked mid-batch
+        // must not get the same window again on the next flush.
+        links.clear();
+        events.clear();
+        let mut sources = 0;
         for r in &self.regions {
             if let Some(buf) = &r.buf {
-                let mut guard = buf.lock().expect("region buffer poisoned");
-                batch.append(&mut guard.entries);
+                let mut guard = telemetry::lock(buf);
+                if guard.links.is_empty() && guard.events.is_empty() {
+                    continue;
+                }
+                sources += 1;
+                guard.sort_canonical();
+                events.append(&mut guard.events);
                 links.append(&mut guard.links);
             }
         }
-        if batch.is_empty() && links.is_empty() {
+        if sources == 0 {
             return;
         }
-        batch.sort_by_key(|a| (a.tag, a.idx));
-        links.sort_unstable();
-        let mut s = sink.lock().expect("sink poisoned");
-        // Provenance edges first (every dispatch, silent ones included),
-        // then the events themselves; both in canonical order, so the
-        // stream a sink sees is identical for any partition.
-        for (id, cause) in links {
-            s.link(id.event_id(), cause.map(Tag::event_id));
+        if sources > 1 {
+            // Merge the per-region sorted runs. One dispatch runs in one
+            // region, so same-id events came from one buffer and the
+            // stable sort keeps their emission order.
+            events.sort_by_key(|e| e.prov.id);
+            links.sort();
         }
-        for e in batch {
-            s.event_caused(
-                e.node,
-                e.at,
-                &e.ev,
-                telemetry::Provenance {
-                    id: e.tag.event_id(),
-                    cause: e.cause.map(Tag::event_id),
-                },
-            );
-        }
+        telemetry::lock(sink).batch(links, events);
     }
 
     /// Run one lock-step window: every region processes its events due
@@ -2663,14 +2675,10 @@ mod tests {
     }
 
     /// Build a 4-node line `n0 -1- n1 -5- n2 -1- n3` (the delay-5 middle
-    /// link is the natural cross-region cut), drive cross-link ping-pong
-    /// traffic with loss + adversarial channel + a mid-run crash/restart,
-    /// and return (receptions, timers, telemetry JSONL, counter totals).
-    #[allow(clippy::type_complexity)]
-    fn partitioned_fixture(
-        partition: Option<&[u32]>,
-        threads: Option<usize>,
-    ) -> (Vec<Vec<(u64, IfaceId, Vec<u8>)>>, Vec<String>, Vec<u64>) {
+    /// link is the natural cross-region cut) and script cross-link
+    /// ping-pong traffic with loss + adversarial channel + a mid-run
+    /// crash/restart onto it. Not started: attach telemetry, then run.
+    fn fixture_world(partition: Option<&[u32]>, threads: Option<usize>) -> (World, Vec<NodeIdx>) {
         let mut w = World::new(42);
         let nodes: Vec<NodeIdx> = (0..4).map(|_| w.add_node(Box::new(Echo::new()))).collect();
         w.add_p2p(nodes[0], nodes[1], Duration(1));
@@ -2704,8 +2712,6 @@ mod tests {
                 ctrl_priority: false,
             },
         );
-        let sink = Arc::new(Mutex::new(VecSink(Vec::new())));
-        w.set_telemetry(sink.clone() as telemetry::SharedSink);
         let (n1, n2) = (nodes[1], nodes[2]);
         for t in 0..30u64 {
             w.at(SimTime(t * 4), move |w| {
@@ -2715,6 +2721,19 @@ mod tests {
         }
         w.at(SimTime(35), move |w| w.crash_node(n2));
         w.at(SimTime(60), move |w| w.restart_node(n2));
+        (w, nodes)
+    }
+
+    /// Run [`fixture_world`] to t=600 and return (receptions, telemetry
+    /// JSONL, counter totals).
+    #[allow(clippy::type_complexity)]
+    fn partitioned_fixture(
+        partition: Option<&[u32]>,
+        threads: Option<usize>,
+    ) -> (Vec<Vec<(u64, IfaceId, Vec<u8>)>>, Vec<String>, Vec<u64>) {
+        let (mut w, nodes) = fixture_world(partition, threads);
+        let sink = Arc::new(Mutex::new(VecSink(Vec::new())));
+        w.set_telemetry(sink.clone() as telemetry::SharedSink);
         w.run_until(SimTime(600));
         let receptions = nodes
             .iter()
@@ -2756,6 +2775,37 @@ mod tests {
         assert_eq!(single.0, scattered.0);
         assert_eq!(single.1, scattered.1);
         assert_eq!(single.2, scattered.2);
+    }
+
+    /// A sink that panics must cost the run that one panic and nothing
+    /// else: the locks it poisoned are recovered, so the world can be run
+    /// on, the sibling sink's stream is whole, and nothing is delivered
+    /// twice.
+    #[test]
+    fn a_panicking_sink_leaves_the_world_and_its_siblings_usable() {
+        /// Panics while consuming its 40th event.
+        struct Bomb(u32);
+        impl telemetry::Sink for Bomb {
+            fn event(&mut self, _node: u32, _at: u64, _ev: &telemetry::Event) {
+                self.0 += 1;
+                assert_ne!(self.0, 40, "sink bug");
+            }
+        }
+        let reference = partitioned_fixture(Some(&[0, 0, 1, 1]), None).1;
+        assert!(reference.len() > 40);
+
+        let (mut w, _) = fixture_world(Some(&[0, 0, 1, 1]), None);
+        let sibling = Arc::new(Mutex::new(VecSink(Vec::new())));
+        let mut fan = telemetry::Fanout::new();
+        fan.push(sibling.clone());
+        fan.push(Arc::new(Mutex::new(Bomb(0))));
+        w.set_telemetry(Arc::new(Mutex::new(fan)));
+        let blown = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            w.run_until(SimTime(600));
+        }));
+        assert!(blown.is_err(), "the 40th event blows up");
+        w.run_until(SimTime(600));
+        assert_eq!(telemetry::lock(&sibling).0, reference);
     }
 
     /// `parallelize(n)` (auto-partition + scoped threads) is also

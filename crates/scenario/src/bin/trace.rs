@@ -148,7 +148,7 @@ fn why(args: &[String]) {
             println!("[{}] blast radius = {blast} dispatches", r.render());
             if let Some(d) = causal.dispatch(r) {
                 for rec in &d.records {
-                    println!("    t{} r{} {}", rec.at, rec.node, rec.line);
+                    println!("    t{} r{} {}", rec.at, rec.node, rec.ev);
                 }
             }
         }

@@ -392,7 +392,7 @@ pub fn run_case_coverage(
         run_case_inner(topo, protocol, schedule, seed, threads, coverage.clone())
     })) {
         Ok(outcome) => {
-            let map = coverage.lock().unwrap().map().clone();
+            let map = telemetry::lock(&coverage).map().clone();
             (outcome, map)
         }
         Err(payload) => {
@@ -405,7 +405,9 @@ pub fn run_case_coverage(
             // record it (plus topology and protocol) in the violation
             // itself, so the repro is one trace.sh invocation away even
             // when only the summary line survives.
-            let mut map = coverage.lock().unwrap().map().clone();
+            // The panic may have unwound through the sink tree and
+            // poisoned it; what coverage the run reached is still there.
+            let mut map = telemetry::lock(&coverage).map().clone();
             map.record(telemetry::feature("panic", &[]));
             (
                 CaseOutcome {
@@ -489,7 +491,9 @@ fn run_case_inner(
 
     let violations = check_battery(&net, &members, source, &expected);
 
-    let causal = causal.lock().unwrap().clone();
+    // The sinks are dropped with the world right after this, so take
+    // what they accumulated rather than copying it.
+    let causal = std::mem::take(&mut *telemetry::lock(&causal));
 
     // Post-mortem dumps for every router an oracle implicated, each with
     // the backward causal slice explaining its last flag transition.
@@ -504,7 +508,7 @@ fn run_case_inner(
         .into_iter()
         .map(|n| NodeDump {
             node: n,
-            flight: flight.lock().unwrap().dump(n as u32),
+            flight: telemetry::lock(&flight).dump(n as u32),
             state: net
                 .state_dump(n, SimTime(CHECK_AT))
                 .lines()
@@ -518,9 +522,9 @@ fn run_case_inner(
         })
         .collect();
 
-    metrics.lock().unwrap().finish();
     let (metrics, join_samples, reconv_samples) = {
-        let m = metrics.lock().unwrap();
+        let mut m = telemetry::lock(&metrics);
+        m.finish();
         (
             m.render(),
             m.join_latency.samples().to_vec(),
@@ -529,15 +533,15 @@ fn run_case_inner(
     };
     // Detach point: surface the write-error counter the sink accumulated
     // silently during the run. Nonzero means lost event lines.
-    let sink_errors = jsonl.lock().unwrap().errors;
+    let jsonl = std::mem::take(&mut *telemetry::lock(&jsonl));
+    let sink_errors = jsonl.errors;
     if sink_errors != 0 {
         eprintln!(
             "warning: JSONL telemetry sink dropped {sink_errors} event line(s) \
              (write errors); stream fingerprint is unreliable"
         );
     }
-    let telemetry = String::from_utf8(jsonl.lock().unwrap().get_ref().clone())
-        .expect("JSONL telemetry is always UTF-8");
+    let telemetry = String::from_utf8(jsonl.into_inner()).expect("JSONL telemetry is always UTF-8");
 
     let trace = trace_lines(&net);
     CaseOutcome {
@@ -927,5 +931,75 @@ mod tests {
                 protocol.name()
             );
         }
+    }
+
+    /// A JSONL writer that takes `ok` lines, then fails every write.
+    struct FailAfter {
+        ok: usize,
+        taken: Vec<u8>,
+    }
+
+    impl std::io::Write for FailAfter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.ok == 0 {
+                return Err(std::io::Error::other("disk full"));
+            }
+            self.ok -= 1;
+            self.taken.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// `CaseOutcome::sink_errors` is `JsonlSink::errors` at detach. The
+    /// case runner's own writer is a `Vec` and cannot fail, so the count
+    /// is shown on the same run with a writer that does: it loses exactly
+    /// the lines after the failure, never panics, and leaves the sibling
+    /// stream — the one `run_case` reports — byte-identical.
+    #[test]
+    fn a_failing_jsonl_writer_is_counted_line_by_line_and_hurts_no_sibling() {
+        let topo = &topologies()[0];
+        let schedule = random_schedule(topo, 3, false);
+        let group = Group::test(1);
+        let reference = run_case(topo, Protocol::Pim, &schedule, 3);
+        assert_eq!(reference.sink_errors, 0);
+        let lines = reference.telemetry.lines().count();
+        assert!(lines > 1000, "a real stream, got {lines} lines");
+
+        let failing = Arc::new(Mutex::new(JsonlSink::new(FailAfter {
+            ok: 1000,
+            taken: Vec::new(),
+        })));
+        let healthy = Arc::new(Mutex::new(JsonlSink::new(Vec::new())));
+        let mut fan = Fanout::new();
+        fan.push(failing.clone());
+        fan.push(healthy.clone());
+        let mut net = build_net(
+            &topo.graph,
+            Protocol::Pim,
+            Substrate::Oracle,
+            group,
+            topo.rendezvous,
+            &topo.host_routers,
+            3,
+        );
+        net.attach_telemetry(Arc::new(Mutex::new(fan)));
+        let host_nodes: Vec<NodeIdx> = net.hosts.iter().map(|&(n, _)| n).collect();
+        schedule.install(&mut net.world, &host_nodes, group);
+        net.send_at(0, 100, TRAIN, 40);
+        net.send_at(0, PROBE_START, PROBES, PROBE_GAP);
+        net.world.run_until(SimTime(CHECK_AT));
+
+        let healthy = telemetry::lock(&healthy);
+        assert_eq!(healthy.errors, 0);
+        assert_eq!(healthy.get_ref().as_slice(), reference.telemetry.as_bytes());
+        let failing = telemetry::lock(&failing);
+        assert_eq!(failing.errors, (lines - 1000) as u64);
+        assert!(reference
+            .telemetry
+            .as_bytes()
+            .starts_with(&failing.get_ref().taken));
     }
 }

@@ -9,8 +9,8 @@
 //!
 //! Three sinks ship with the crate:
 //!
-//! * [`FlightRecorder`] — a bounded per-node ring buffer of rendered
-//!   events, dumped into replay artifacts when an oracle fires;
+//! * [`FlightRecorder`] — a bounded per-node ring buffer of events,
+//!   dumped into replay artifacts when an oracle fires;
 //! * [`JsonlSink`] — a JSON-lines writer keyed by deterministic sim
 //!   time, whose byte stream doubles as the determinism fingerprint;
 //! * [`MetricsAggregator`] — sim-time histograms of join latency,
@@ -23,6 +23,16 @@
 //! attached, so packet traces are bit-identical with telemetry on or
 //! off. Every event is keyed by deterministic sim time ([`Ticks`]) —
 //! wall-clock time never appears in an event or a rendered line.
+//!
+//! # Record now, render on read
+//!
+//! Sinks store the compact [`Event`] and produce text only when somebody
+//! reads it ([`FlightRecorder::dump`], the [`CausalIndex`] slices): most
+//! runs pass every oracle and nobody ever does. The one sink whose
+//! output *is* text, [`JsonlSink`], writes each line through
+//! [`Event::write_json`] into a reused buffer. The simulator hands the
+//! sink tree one barrier window at a time ([`Sink::batch`]), so a
+//! [`Fanout`] locks each child once per window, not once per event.
 //!
 //! # Zero overhead when disabled
 //!
@@ -39,7 +49,7 @@ pub use trace::CausalIndex;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::io::Write;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use wire::{Addr, Group, Message};
 
@@ -61,7 +71,7 @@ pub type Ticks = u64;
 /// Ordering is lexicographic `(time, epoch, origin, seq)` — exactly the
 /// simulator's deterministic execution order — so "parent precedes
 /// child" is checkable as plain `<` on ids.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventId {
     /// Sim time of the dispatch.
     pub time: Ticks,
@@ -88,7 +98,7 @@ impl EventId {
 /// from (`id`) and that dispatch's own cause — the dispatch that created
 /// the event being handled (`None` for roots: `on_start` and scripted
 /// faults).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Provenance {
     /// The dispatch this event was emitted during.
     pub id: EventId,
@@ -116,29 +126,40 @@ pub mod flags {
     /// CBT: this router is attached to the group's core-based tree.
     pub const ON_TREE: u8 = 16;
 
+    /// A flag set that displays as a stable short string, e.g. `WC|RP`;
+    /// the empty set displays as `-`. Lets the renderers write flags
+    /// without an intermediate `String`.
+    #[derive(Clone, Copy)]
+    pub(crate) struct Set(pub(crate) u8);
+
+    impl std::fmt::Display for Set {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            const NAMES: [(u8, &str); 5] = [
+                (WC, "WC"),
+                (RP, "RP"),
+                (SPT, "SPT"),
+                (PRUNED, "PRUNED"),
+                (ON_TREE, "ON_TREE"),
+            ];
+            let mut sep = "";
+            for (bit, name) in NAMES {
+                if self.0 & bit != 0 {
+                    f.write_str(sep)?;
+                    f.write_str(name)?;
+                    sep = "|";
+                }
+            }
+            if sep.is_empty() {
+                f.write_str("-")?;
+            }
+            Ok(())
+        }
+    }
+
     /// Render a flag set as a stable short string, e.g. `WC|RP`.
     /// Empty sets render as `-`.
     pub fn render(f: u8) -> String {
-        const NAMES: [(u8, &str); 5] = [
-            (WC, "WC"),
-            (RP, "RP"),
-            (SPT, "SPT"),
-            (PRUNED, "PRUNED"),
-            (ON_TREE, "ON_TREE"),
-        ];
-        let mut out = String::new();
-        for (bit, name) in NAMES {
-            if f & bit != 0 {
-                if !out.is_empty() {
-                    out.push('|');
-                }
-                out.push_str(name);
-            }
-        }
-        if out.is_empty() {
-            out.push('-');
-        }
-        out
+        Set(f).to_string()
     }
 }
 
@@ -330,60 +351,11 @@ pub enum Event {
 }
 
 impl Event {
-    /// Stable single-line text rendering (used by the flight recorder
-    /// and replay artifacts; changing it invalidates recorded dumps).
+    /// Stable single-line text rendering — the [`fmt::Display`] output
+    /// as a `String` (used by flight dumps, causal slices and replay
+    /// artifacts; changing it invalidates recorded dumps).
     pub fn render(&self) -> String {
-        match self {
-            Event::EntryCreated {
-                group,
-                key,
-                flags: f,
-            } => {
-                format!("entry-created ({key},{group}) flags={}", flags::render(*f))
-            }
-            Event::EntryModified {
-                group,
-                key,
-                from,
-                to,
-            } => format!(
-                "entry-modified ({key},{group}) {}->{}",
-                flags::render(*from),
-                flags::render(*to)
-            ),
-            Event::EntryExpired { group, key } => format!("entry-expired ({key},{group})"),
-            Event::TimerArmed { token, deadline } => {
-                format!("timer-armed token={token} deadline={deadline}")
-            }
-            Event::TimerFired { token } => format!("timer-fired token={token}"),
-            Event::TimerCancelled { token } => format!("timer-cancelled token={token}"),
-            Event::CtrlSend { kind, dst } => format!("ctrl-send {kind} dst={dst}"),
-            Event::CtrlRecv { kind, src } => format!("ctrl-recv {kind} src={src}"),
-            Event::DataDelivered { group, source } => {
-                format!("data-delivered group={group} source={source}")
-            }
-            Event::LocalMemberJoined { group } => format!("member-joined group={group}"),
-            Event::LocalMemberLeft { group } => format!("member-left group={group}"),
-            Event::DrChanged { iface, is_dr } => format!("dr-changed iface={iface} is_dr={is_dr}"),
-            Event::QuerierChanged { iface, is_querier } => {
-                format!("querier-changed iface={iface} is_querier={is_querier}")
-            }
-            Event::RpFailover { group, from, to } => {
-                format!("rp-failover group={group} from={from} to={to}")
-            }
-            Event::SptSwitchStart { group, source } => {
-                format!("spt-switch-start group={group} source={source}")
-            }
-            Event::RouteChanged { dst } => format!("route-changed dst={dst}"),
-            Event::Fault { desc } => format!("fault {desc}"),
-            Event::DecodeFailed { kind, iface } => {
-                format!("decode-failed kind={kind} iface={iface}")
-            }
-            Event::ChannelImpaired { what, link } => format!("channel {what} link={link}"),
-            Event::QueueDrop { what, link } => format!("queue-drop {what} link={link}"),
-            Event::EcnMark { link } => format!("ecn-mark link={link}"),
-            Event::QueueDepth { link, bytes } => format!("queue-depth link={link} bytes={bytes}"),
-        }
+        self.to_string()
     }
 
     /// The event's stable kind tag, used as the JSON `ev` field.
@@ -414,22 +386,25 @@ impl Event {
         }
     }
 
-    /// Render as one JSON object (no trailing newline). Hand-rolled —
-    /// the workspace builds offline with no serde — but every field is
-    /// either numeric, a dotted-quad, or an escaped string, so the
-    /// output is valid JSON.
-    pub fn to_json(&self, node: u32, at: Ticks) -> String {
-        let mut s = format!("{{\"t\":{at},\"node\":{node},\"ev\":\"{}\"", self.kind());
+    /// Write the event as one JSON object (no trailing newline) into
+    /// `out`. Hand-rolled — the workspace builds offline with no serde —
+    /// but every field is either numeric, a dotted-quad, or an escaped
+    /// string, so the output is valid JSON.
+    pub fn write_json(&self, node: u32, at: Ticks, out: &mut impl fmt::Write) -> fmt::Result {
+        let mut j = JsonFields(out);
+        j.0.write_str("{\"t\":")?;
+        j.dec(at)?;
+        j.num("node", u64::from(node))?;
+        j.text("ev", self.kind())?;
         match self {
             Event::EntryCreated {
                 group,
                 key,
                 flags: f,
             } => {
-                s.push_str(&format!(
-                    ",\"group\":\"{group}\",\"key\":\"{key}\",\"flags\":\"{}\"",
-                    flags::render(*f)
-                ));
+                j.addr("group", group.addr())?;
+                j.entry_key(*key)?;
+                j.flags("flags", *f)?;
             }
             Event::EntryModified {
                 group,
@@ -437,78 +412,227 @@ impl Event {
                 from,
                 to,
             } => {
-                s.push_str(&format!(
-                    ",\"group\":\"{group}\",\"key\":\"{key}\",\"from\":\"{}\",\"to\":\"{}\"",
-                    flags::render(*from),
-                    flags::render(*to)
-                ));
+                j.addr("group", group.addr())?;
+                j.entry_key(*key)?;
+                j.flags("from", *from)?;
+                j.flags("to", *to)?;
             }
             Event::EntryExpired { group, key } => {
-                s.push_str(&format!(",\"group\":\"{group}\",\"key\":\"{key}\""));
+                j.addr("group", group.addr())?;
+                j.entry_key(*key)?;
             }
             Event::TimerArmed { token, deadline } => {
-                s.push_str(&format!(",\"token\":{token},\"deadline\":{deadline}"));
+                j.num("token", *token)?;
+                j.num("deadline", *deadline)?;
             }
             Event::TimerFired { token } | Event::TimerCancelled { token } => {
-                s.push_str(&format!(",\"token\":{token}"));
+                j.num("token", *token)?
             }
             Event::CtrlSend { kind, dst } => {
-                s.push_str(&format!(",\"kind\":\"{kind}\",\"dst\":\"{dst}\""));
+                j.text("kind", kind)?;
+                j.addr("dst", *dst)?;
             }
             Event::CtrlRecv { kind, src } => {
-                s.push_str(&format!(",\"kind\":\"{kind}\",\"src\":\"{src}\""));
+                j.text("kind", kind)?;
+                j.addr("src", *src)?;
             }
-            Event::DataDelivered { group, source } => {
-                s.push_str(&format!(",\"group\":\"{group}\",\"source\":\"{source}\""));
+            Event::DataDelivered { group, source } | Event::SptSwitchStart { group, source } => {
+                j.addr("group", group.addr())?;
+                j.addr("source", *source)?;
             }
             Event::LocalMemberJoined { group } | Event::LocalMemberLeft { group } => {
-                s.push_str(&format!(",\"group\":\"{group}\""));
+                j.addr("group", group.addr())?
             }
             Event::DrChanged { iface, is_dr } => {
-                s.push_str(&format!(",\"iface\":{iface},\"is_dr\":{is_dr}"));
+                j.num("iface", u64::from(*iface))?;
+                j.flag("is_dr", *is_dr)?;
             }
             Event::QuerierChanged { iface, is_querier } => {
-                s.push_str(&format!(",\"iface\":{iface},\"is_querier\":{is_querier}"));
+                j.num("iface", u64::from(*iface))?;
+                j.flag("is_querier", *is_querier)?;
             }
             Event::RpFailover { group, from, to } => {
-                s.push_str(&format!(
-                    ",\"group\":\"{group}\",\"from\":\"{from}\",\"to\":\"{to}\""
-                ));
+                j.addr("group", group.addr())?;
+                j.addr("from", *from)?;
+                j.addr("to", *to)?;
             }
-            Event::SptSwitchStart { group, source } => {
-                s.push_str(&format!(",\"group\":\"{group}\",\"source\":\"{source}\""));
-            }
-            Event::RouteChanged { dst } => {
-                s.push_str(&format!(",\"dst\":\"{dst}\""));
-            }
-            Event::Fault { desc } => {
-                s.push_str(",\"desc\":\"");
-                for c in desc.chars() {
-                    match c {
-                        '"' => s.push_str("\\\""),
-                        '\\' => s.push_str("\\\\"),
-                        '\n' => s.push_str("\\n"),
-                        c if (c as u32) < 0x20 => s.push_str(&format!("\\u{:04x}", c as u32)),
-                        c => s.push(c),
-                    }
-                }
-                s.push('"');
-            }
+            Event::RouteChanged { dst } => j.addr("dst", *dst)?,
+            Event::Fault { desc } => j.escaped("desc", desc)?,
             Event::DecodeFailed { kind, iface } => {
-                s.push_str(&format!(",\"kind\":\"{kind}\",\"iface\":{iface}"));
+                j.text("kind", kind)?;
+                j.num("iface", u64::from(*iface))?;
             }
             Event::ChannelImpaired { what, link } | Event::QueueDrop { what, link } => {
-                s.push_str(&format!(",\"what\":\"{what}\",\"link\":{link}"));
+                j.text("what", what)?;
+                j.num("link", u64::from(*link))?;
             }
-            Event::EcnMark { link } => {
-                s.push_str(&format!(",\"link\":{link}"));
-            }
+            Event::EcnMark { link } => j.num("link", u64::from(*link))?,
             Event::QueueDepth { link, bytes } => {
-                s.push_str(&format!(",\"link\":{link},\"bytes\":{bytes}"));
+                j.num("link", u64::from(*link))?;
+                j.num("bytes", *bytes)?;
             }
         }
-        s.push('}');
+        j.0.write_char('}')
+    }
+
+    /// [`Event::write_json`] into a fresh `String`.
+    pub fn to_json(&self, node: u32, at: Ticks) -> String {
+        let mut s = String::new();
+        self.write_json(node, at, &mut s)
+            .expect("writing to a String cannot fail");
         s
+    }
+}
+
+/// The field writers behind [`Event::write_json`]: each appends one
+/// `,"name":value` member straight into the output. The JSONL stream is
+/// the hottest text path in the crate (every event of every traced run
+/// goes through it), so these push literal pieces and decimal digits
+/// directly instead of going through `format_args!`.
+struct JsonFields<'a, W>(&'a mut W);
+
+impl<W: fmt::Write> JsonFields<'_, W> {
+    fn name(&mut self, name: &str) -> fmt::Result {
+        self.0.write_str(",\"")?;
+        self.0.write_str(name)?;
+        self.0.write_str("\":")
+    }
+
+    fn dec(&mut self, mut n: u64) -> fmt::Result {
+        let mut buf = [0u8; 20];
+        let mut i = buf.len();
+        loop {
+            i -= 1;
+            buf[i] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.0
+            .write_str(std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII"))
+    }
+
+    fn num(&mut self, name: &str, n: u64) -> fmt::Result {
+        self.name(name)?;
+        self.dec(n)
+    }
+
+    fn flag(&mut self, name: &str, b: bool) -> fmt::Result {
+        self.name(name)?;
+        self.0.write_str(if b { "true" } else { "false" })
+    }
+
+    /// A string member whose value needs no escaping (kind tags, message
+    /// names and the other `&'static str` labels events carry).
+    fn text(&mut self, name: &str, v: &str) -> fmt::Result {
+        self.name(name)?;
+        self.0.write_char('"')?;
+        self.0.write_str(v)?;
+        self.0.write_char('"')
+    }
+
+    fn quad(&mut self, a: Addr) -> fmt::Result {
+        let [b0, b1, b2, b3] = a.to_bytes();
+        self.dec(u64::from(b0))?;
+        for b in [b1, b2, b3] {
+            self.0.write_char('.')?;
+            self.dec(u64::from(b))?;
+        }
+        Ok(())
+    }
+
+    fn addr(&mut self, name: &str, a: Addr) -> fmt::Result {
+        self.name(name)?;
+        self.0.write_char('"')?;
+        self.quad(a)?;
+        self.0.write_char('"')
+    }
+
+    fn entry_key(&mut self, key: EntryKey) -> fmt::Result {
+        match key {
+            EntryKey::Star => self.text("key", "*"),
+            EntryKey::Source(s) => self.addr("key", s),
+        }
+    }
+
+    fn flags(&mut self, name: &str, f: u8) -> fmt::Result {
+        self.name(name)?;
+        write!(self.0, "\"{}\"", flags::Set(f))
+    }
+
+    fn escaped(&mut self, name: &str, v: &str) -> fmt::Result {
+        self.name(name)?;
+        self.0.write_char('"')?;
+        for c in v.chars() {
+            match c {
+                '"' => self.0.write_str("\\\"")?,
+                '\\' => self.0.write_str("\\\\")?,
+                '\n' => self.0.write_str("\\n")?,
+                c if (c as u32) < 0x20 => write!(self.0, "\\u{:04x}", c as u32)?,
+                c => self.0.write_char(c)?,
+            }
+        }
+        self.0.write_char('"')
+    }
+}
+
+/// The stable single-line text form (see [`Event::render`]).
+impl fmt::Display for Event {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use flags::Set;
+        match self {
+            Event::EntryCreated {
+                group,
+                key,
+                flags: fl,
+            } => write!(f, "entry-created ({key},{group}) flags={}", Set(*fl)),
+            Event::EntryModified {
+                group,
+                key,
+                from,
+                to,
+            } => write!(
+                f,
+                "entry-modified ({key},{group}) {}->{}",
+                Set(*from),
+                Set(*to)
+            ),
+            Event::EntryExpired { group, key } => write!(f, "entry-expired ({key},{group})"),
+            Event::TimerArmed { token, deadline } => {
+                write!(f, "timer-armed token={token} deadline={deadline}")
+            }
+            Event::TimerFired { token } => write!(f, "timer-fired token={token}"),
+            Event::TimerCancelled { token } => write!(f, "timer-cancelled token={token}"),
+            Event::CtrlSend { kind, dst } => write!(f, "ctrl-send {kind} dst={dst}"),
+            Event::CtrlRecv { kind, src } => write!(f, "ctrl-recv {kind} src={src}"),
+            Event::DataDelivered { group, source } => {
+                write!(f, "data-delivered group={group} source={source}")
+            }
+            Event::LocalMemberJoined { group } => write!(f, "member-joined group={group}"),
+            Event::LocalMemberLeft { group } => write!(f, "member-left group={group}"),
+            Event::DrChanged { iface, is_dr } => {
+                write!(f, "dr-changed iface={iface} is_dr={is_dr}")
+            }
+            Event::QuerierChanged { iface, is_querier } => {
+                write!(f, "querier-changed iface={iface} is_querier={is_querier}")
+            }
+            Event::RpFailover { group, from, to } => {
+                write!(f, "rp-failover group={group} from={from} to={to}")
+            }
+            Event::SptSwitchStart { group, source } => {
+                write!(f, "spt-switch-start group={group} source={source}")
+            }
+            Event::RouteChanged { dst } => write!(f, "route-changed dst={dst}"),
+            Event::Fault { desc } => write!(f, "fault {desc}"),
+            Event::DecodeFailed { kind, iface } => {
+                write!(f, "decode-failed kind={kind} iface={iface}")
+            }
+            Event::ChannelImpaired { what, link } => write!(f, "channel {what} link={link}"),
+            Event::QueueDrop { what, link } => write!(f, "queue-drop {what} link={link}"),
+            Event::EcnMark { link } => write!(f, "ecn-mark link={link}"),
+            Event::QueueDepth { link, bytes } => write!(f, "queue-depth link={link} bytes={bytes}"),
+        }
     }
 }
 
@@ -539,6 +663,21 @@ pub fn message_kind(msg: &Message) -> &'static str {
     }
 }
 
+/// One emitted event with everything a sink is told about it: the
+/// arguments of [`Sink::event_caused`] as a value, so a whole window's
+/// emissions can be handed over as one slice ([`Sink::batch`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Emission {
+    /// Node that emitted the event.
+    pub node: u32,
+    /// Sim time of emission.
+    pub at: Ticks,
+    /// The event.
+    pub ev: Event,
+    /// The dispatch it was emitted from, and that dispatch's cause.
+    pub prov: Provenance,
+}
+
 /// A consumer of structured events.
 ///
 /// Sinks receive every event with the emitting node index and the sim
@@ -563,6 +702,31 @@ pub trait Sink {
     /// backward slices never have holes where a hop merely forwarded
     /// data. Default is a no-op.
     fn link(&mut self, _id: EventId, _cause: Option<EventId>) {}
+
+    /// Consume one barrier window's worth of the stream at once: every
+    /// dispatch edge of the window, then every event, both in canonical
+    /// order. The default is exactly the per-record delivery — [`Sink::link`]
+    /// for each link, then [`Sink::event_caused`] for each event — so a
+    /// sink that implements only those sees the stream it always did.
+    /// Overrides must stay equivalent to that; [`Fanout`] overrides it to
+    /// lock each child once per window instead of once per record.
+    fn batch(&mut self, links: &[(EventId, Option<EventId>)], events: &[Emission]) {
+        for &(id, cause) in links {
+            self.link(id, cause);
+        }
+        for e in events {
+            self.event_caused(e.node, e.at, &e.ev, e.prov);
+        }
+    }
+}
+
+/// Lock a sink (or any telemetry buffer), recovering the guard when an
+/// earlier panic poisoned the mutex. Sinks only observe: a sink left
+/// half-updated by a panic is still safe to read and to keep feeding,
+/// and recovering here is what lets the no-panic oracle report the
+/// *first* panic instead of dying on a second one at the next emission.
+pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The shared handle every emitter clones: a thread-safe, shareable
@@ -617,7 +781,7 @@ impl Telem {
     pub fn emit(&self, at: Ticks, f: impl FnOnce() -> Event) {
         if let Some((sink, node)) = &self.inner {
             let ev = f();
-            sink.lock().expect("sink poisoned").event(*node, at, &ev);
+            lock(sink).event(*node, at, &ev);
         }
     }
 
@@ -633,12 +797,13 @@ impl Telem {
     }
 }
 
-/// A bounded per-node ring buffer of rendered events — the flight
-/// recorder dumped into replay artifacts when an oracle fires.
+/// A bounded per-node ring buffer of events — the flight recorder
+/// dumped into replay artifacts when an oracle fires. The ring keeps the
+/// compact events; text is produced only by [`FlightRecorder::dump`].
 #[derive(Debug, Default)]
 pub struct FlightRecorder {
     cap: usize,
-    rings: BTreeMap<u32, VecDeque<String>>,
+    rings: BTreeMap<u32, VecDeque<(Ticks, Event)>>,
 }
 
 /// Default per-node flight-recorder capacity.
@@ -658,7 +823,7 @@ impl FlightRecorder {
     pub fn dump(&self, node: u32) -> Vec<String> {
         self.rings
             .get(&node)
-            .map(|r| r.iter().cloned().collect())
+            .map(|r| r.iter().map(|(at, ev)| format!("t{at} {ev}")).collect())
             .unwrap_or_default()
     }
 
@@ -674,7 +839,7 @@ impl Sink for FlightRecorder {
         if ring.len() == self.cap {
             ring.pop_front();
         }
-        ring.push_back(format!("t{at} {}", ev.render()));
+        ring.push_back((at, ev.clone()));
     }
 }
 
@@ -686,14 +851,21 @@ impl Sink for FlightRecorder {
 #[derive(Debug, Default)]
 pub struct JsonlSink<W: Write> {
     out: W,
-    /// Write-error count; sinks must never panic mid-simulation.
+    /// The line being assembled; reused so steady state allocates nothing.
+    line: String,
+    /// Write-error count, one per lost line; sinks must never panic
+    /// mid-simulation.
     pub errors: u64,
 }
 
 impl<W: Write> JsonlSink<W> {
     /// A sink writing JSONL to `out`.
     pub fn new(out: W) -> JsonlSink<W> {
-        JsonlSink { out, errors: 0 }
+        JsonlSink {
+            out,
+            line: String::new(),
+            errors: 0,
+        }
     }
 
     /// Consume the sink, returning the writer.
@@ -709,8 +881,10 @@ impl<W: Write> JsonlSink<W> {
 
 impl<W: Write> Sink for JsonlSink<W> {
     fn event(&mut self, node: u32, at: Ticks, ev: &Event) {
-        let line = ev.to_json(node, at);
-        if writeln!(self.out, "{line}").is_err() {
+        self.line.clear();
+        let rendered = ev.write_json(node, at, &mut self.line);
+        self.line.push('\n');
+        if rendered.is_err() || self.out.write_all(self.line.as_bytes()).is_err() {
             self.errors += 1;
         }
     }
@@ -968,22 +1142,28 @@ impl Fanout {
 impl Sink for Fanout {
     fn event(&mut self, node: u32, at: Ticks, ev: &Event) {
         for child in &self.children {
-            child.lock().expect("sink poisoned").event(node, at, ev);
+            lock(child).event(node, at, ev);
         }
     }
 
     fn event_caused(&mut self, node: u32, at: Ticks, ev: &Event, prov: Provenance) {
         for child in &self.children {
-            child
-                .lock()
-                .expect("sink poisoned")
-                .event_caused(node, at, ev, prov);
+            lock(child).event_caused(node, at, ev, prov);
         }
     }
 
     fn link(&mut self, id: EventId, cause: Option<EventId>) {
         for child in &self.children {
-            child.lock().expect("sink poisoned").link(id, cause);
+            lock(child).link(id, cause);
+        }
+    }
+
+    /// One lock per child per window: each child takes the whole batch
+    /// before the next child sees any of it. Children are independent,
+    /// so each still sees exactly the per-record stream.
+    fn batch(&mut self, links: &[(EventId, Option<EventId>)], events: &[Emission]) {
+        for child in &self.children {
+            lock(child).batch(links, events);
         }
     }
 }
@@ -997,10 +1177,13 @@ impl Sink for Fanout {
 /// `DefaultHasher`) so feature ids and map hashes are stable across
 /// Rust releases: committed corpus artifacts and the search corpus
 /// outlive any one toolchain.
-fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
+const fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
+    // `while`, not `for`: const fns cannot iterate.
+    let mut i = 0;
+    while i < bytes.len() {
+        h ^= bytes[i] as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        i += 1;
     }
     h
 }
@@ -1011,16 +1194,19 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// Derive a stable coverage-feature id from a class label and its
 /// numeric parts. Same inputs → same id, on every platform, forever.
 pub fn feature(class: &str, parts: &[u64]) -> u64 {
-    let mut h = fnv1a(class.as_bytes(), FNV_OFFSET);
-    for p in parts {
-        h = fnv1a(&p.to_le_bytes(), h);
-    }
-    h
+    feature_from(strpart(class), parts)
+}
+
+/// [`feature`] continued from an already-hashed class label
+/// (`strpart(class)`): a feature id hashes its class first, so a
+/// constant class costs nothing per event.
+fn feature_from(class: u64, parts: &[u64]) -> u64 {
+    parts.iter().fold(class, |h, p| fnv1a(&p.to_le_bytes(), h))
 }
 
 /// Stable hash of a short string (event-kind tags, oracle names) for
 /// use as a [`feature`] part.
-pub fn strpart(s: &str) -> u64 {
+pub const fn strpart(s: &str) -> u64 {
     fnv1a(s.as_bytes(), FNV_OFFSET)
 }
 
@@ -1120,11 +1306,48 @@ impl CoverageMap {
 /// different contexts (e.g. different protocols under one search run)
 /// never collide. The sink observes only — attaching it is invisible
 /// to the packet trace, like every other sink.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct CoverageSink {
     map: CoverageMap,
     tag: u64,
-    last_kind: BTreeMap<u32, &'static str>,
+    /// Dense by node: the node's digram-feature prefix (class, tag and
+    /// node already hashed in) and [`strpart`] of its previous event kind.
+    digrams: Vec<(u64, Option<u64>)>,
+    names: StaticStrParts,
+}
+
+/// Memo of [`strpart`] over the `&'static str` names events carry (kind
+/// tags, message kinds, decode-error and impairment labels), so each
+/// name is hashed once per sink rather than once per event. Keyed by
+/// address: a `'static` string's bytes never change, so the same
+/// `(address, length)` is always the same text. Direct-mapped — a slot
+/// collision only costs a re-hash, never a wrong value.
+#[derive(Clone, Debug)]
+struct StaticStrParts {
+    slots: [Option<(&'static str, u64)>; 64],
+}
+
+impl StaticStrParts {
+    fn get(&mut self, s: &'static str) -> u64 {
+        let addr = s.as_ptr() as usize;
+        let slot = &mut self.slots
+            [addr.wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as usize) >> (usize::BITS - 6)];
+        match slot {
+            // Fat-pointer equality: same address and same length.
+            Some((seen, h)) if std::ptr::eq(*seen, s) => *h,
+            _ => {
+                let h = strpart(s);
+                *slot = Some((s, h));
+                h
+            }
+        }
+    }
+}
+
+impl Default for CoverageSink {
+    fn default() -> CoverageSink {
+        CoverageSink::new(0)
+    }
 }
 
 impl CoverageSink {
@@ -1133,7 +1356,8 @@ impl CoverageSink {
         CoverageSink {
             map: CoverageMap::new(),
             tag,
-            last_kind: BTreeMap::new(),
+            digrams: Vec::new(),
+            names: StaticStrParts { slots: [None; 64] },
         }
     }
 
@@ -1150,6 +1374,21 @@ impl CoverageSink {
 
 impl Sink for CoverageSink {
     fn event(&mut self, node: u32, _at: Ticks, ev: &Event) {
+        // Class labels hashed at compile time; `feature_from(X, parts)`
+        // is `feature("x", parts)` bit for bit.
+        const ENTRY_FLAGS: u64 = strpart("entry-flags");
+        const ENTRY_EXPIRED: u64 = strpart("entry-expired");
+        const CTRL_SEND: u64 = strpart("ctrl-send");
+        const CTRL_RECV: u64 = strpart("ctrl-recv");
+        const DECODE: u64 = strpart("decode");
+        const IMPAIR: u64 = strpart("impair");
+        const QDROP: u64 = strpart("qdrop");
+        const ECN: u64 = strpart("ecn");
+        const QDEPTH: u64 = strpart("qdepth");
+        const DELIVER: u64 = strpart("deliver");
+        const EV: u64 = strpart("ev");
+        const DIGRAM: u64 = strpart("digram");
+
         let t = self.tag;
         let n = u64::from(node);
         let key_class = |k: &EntryKey| -> u64 {
@@ -1158,56 +1397,48 @@ impl Sink for CoverageSink {
                 EntryKey::Source(_) => 1,
             }
         };
-        match ev {
-            Event::EntryCreated { key, flags: f2, .. } => self.map.record(feature(
-                "entry-flags",
-                &[t, n, key_class(key), 0, u64::from(*f2)],
-            )),
-            Event::EntryModified { key, from, to, .. } => self.map.record(feature(
-                "entry-flags",
+        let k = self.names.get(ev.kind());
+        let feature = match ev {
+            Event::EntryCreated { key, flags: f2, .. } => {
+                feature_from(ENTRY_FLAGS, &[t, n, key_class(key), 0, u64::from(*f2)])
+            }
+            Event::EntryModified { key, from, to, .. } => feature_from(
+                ENTRY_FLAGS,
                 &[t, n, key_class(key), u64::from(*from), u64::from(*to)],
-            )),
-            Event::EntryExpired { key, .. } => self
-                .map
-                .record(feature("entry-expired", &[t, n, key_class(key)])),
-            Event::CtrlSend { kind, .. } => {
-                self.map
-                    .record(feature("ctrl-send", &[t, n, strpart(kind)]));
+            ),
+            Event::EntryExpired { key, .. } => feature_from(ENTRY_EXPIRED, &[t, n, key_class(key)]),
+            Event::CtrlSend { kind, .. } => feature_from(CTRL_SEND, &[t, n, self.names.get(kind)]),
+            Event::CtrlRecv { kind, .. } => feature_from(CTRL_RECV, &[t, n, self.names.get(kind)]),
+            Event::DecodeFailed { kind, .. } => feature_from(DECODE, &[t, n, self.names.get(kind)]),
+            Event::ChannelImpaired { what, link } => {
+                feature_from(IMPAIR, &[t, u64::from(*link), self.names.get(what)])
             }
-            Event::CtrlRecv { kind, .. } => {
-                self.map
-                    .record(feature("ctrl-recv", &[t, n, strpart(kind)]));
-            }
-            Event::DecodeFailed { kind, .. } => {
-                self.map.record(feature("decode", &[t, n, strpart(kind)]));
-            }
-            Event::ChannelImpaired { what, link } => self
-                .map
-                .record(feature("impair", &[t, u64::from(*link), strpart(what)])),
             // Congestion features reward schedules that actually reach
             // queue pressure: drops by class and link, marks by link,
             // and depth by link + log2 backlog bucket.
-            Event::QueueDrop { what, link } => self
-                .map
-                .record(feature("qdrop", &[t, u64::from(*link), strpart(what)])),
-            Event::EcnMark { link } => self.map.record(feature("ecn", &[t, u64::from(*link)])),
-            Event::QueueDepth { link, bytes } => self.map.record(feature(
-                "qdepth",
+            Event::QueueDrop { what, link } => {
+                feature_from(QDROP, &[t, u64::from(*link), self.names.get(what)])
+            }
+            Event::EcnMark { link } => feature_from(ECN, &[t, u64::from(*link)]),
+            Event::QueueDepth { link, bytes } => feature_from(
+                QDEPTH,
                 &[t, u64::from(*link), u64::from(CoverageMap::bucket(*bytes))],
-            )),
-            Event::DataDelivered { .. } => self.map.record(feature("deliver", &[t, n])),
+            ),
+            Event::DataDelivered { .. } => feature_from(DELIVER, &[t, n]),
             // Everything else contributes its kind per node (RP
             // failover, DR/querier flips, SPT switch starts, faults,
             // route changes, membership, timers).
-            other => self
-                .map
-                .record(feature("ev", &[t, n, strpart(other.kind())])),
-        }
+            _ => feature_from(EV, &[t, n, k]),
+        };
+        self.map.record(feature);
         // Event-kind digram per node: the interleaving signal.
-        let k = ev.kind();
-        if let Some(prev) = self.last_kind.insert(node, k) {
-            self.map
-                .record(feature("digram", &[t, n, strpart(prev), strpart(k)]));
+        while self.digrams.len() <= node as usize {
+            let i = self.digrams.len() as u64;
+            self.digrams.push((feature_from(DIGRAM, &[t, i]), None));
+        }
+        let (prefix, last) = &mut self.digrams[node as usize];
+        if let Some(prev) = last.replace(k) {
+            self.map.record(feature_from(*prefix, &[prev, k]));
         }
     }
 }
@@ -1411,6 +1642,172 @@ mod tests {
         fan.event(3, 50, &Event::LocalMemberJoined { group: g() });
         assert_eq!(rec.lock().unwrap().dump(3).len(), 1);
         assert_eq!(metrics.lock().unwrap().pending_joins.len(), 1);
+    }
+
+    /// A sink that writes down exactly what it is told, in order.
+    #[derive(Default)]
+    struct Tape(Vec<String>);
+
+    impl Sink for Tape {
+        fn event(&mut self, _node: u32, _at: Ticks, _ev: &Event) {
+            unreachable!("fed with provenance only");
+        }
+        fn event_caused(&mut self, node: u32, at: Ticks, ev: &Event, prov: Provenance) {
+            self.0.push(format!("event n{node} t{at} {ev} {prov:?}"));
+        }
+        fn link(&mut self, id: EventId, cause: Option<EventId>) {
+            self.0.push(format!("link {id:?} {cause:?}"));
+        }
+    }
+
+    /// One window: three dispatches (one silent), four events.
+    fn window() -> (Vec<(EventId, Option<EventId>)>, Vec<Emission>) {
+        let id = |seq| EventId {
+            time: 7,
+            epoch: 2,
+            origin: 1,
+            seq,
+        };
+        let links = vec![(id(0), None), (id(1), Some(id(0))), (id(2), Some(id(1)))];
+        let emit = |node, seq: u64, ev| Emission {
+            node,
+            at: 7,
+            ev,
+            prov: Provenance {
+                id: id(seq),
+                cause: seq.checked_sub(1).map(id),
+            },
+        };
+        let events = vec![
+            emit(1, 0, Event::LocalMemberJoined { group: g() }),
+            emit(1, 0, Event::TimerFired { token: 4 }),
+            emit(
+                2,
+                2,
+                Event::Fault {
+                    desc: "crash r2".into(),
+                },
+            ),
+            emit(2, 2, Event::EcnMark { link: 3 }),
+        ];
+        (links, events)
+    }
+
+    #[test]
+    fn batch_is_exactly_per_record_delivery() {
+        let (links, events) = window();
+        let mut by_record = Tape::default();
+        for &(id, cause) in &links {
+            by_record.link(id, cause);
+        }
+        for e in &events {
+            by_record.event_caused(e.node, e.at, &e.ev, e.prov);
+        }
+        assert_eq!(by_record.0.len(), 7);
+
+        let mut by_default = Tape::default();
+        by_default.batch(&links, &events);
+        assert_eq!(by_default.0, by_record.0);
+
+        let (a, b) = (
+            Arc::new(Mutex::new(Tape::default())),
+            Arc::new(Mutex::new(Tape::default())),
+        );
+        let mut fan = Fanout::new();
+        fan.push(a.clone());
+        fan.push(b.clone());
+        fan.batch(&links, &events);
+        assert_eq!(lock(&a).0, by_record.0);
+        assert_eq!(lock(&b).0, by_record.0);
+    }
+
+    /// A writer that takes `ok` lines and then fails every write.
+    struct FailAfter {
+        ok: usize,
+        taken: Vec<u8>,
+    }
+
+    impl Write for FailAfter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.ok == 0 {
+                return Err(std::io::Error::other("disk full"));
+            }
+            self.ok -= 1;
+            self.taken.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn jsonl_counts_one_error_per_lost_line_and_never_panics() {
+        let (links, events) = window();
+        let failing = Arc::new(Mutex::new(JsonlSink::new(FailAfter {
+            ok: 3,
+            taken: Vec::new(),
+        })));
+        let healthy = Arc::new(Mutex::new(JsonlSink::new(Vec::new())));
+        let mut fan = Fanout::new();
+        fan.push(failing.clone());
+        fan.push(healthy.clone());
+        fan.batch(&links, &events);
+        fan.batch(&links, &events);
+
+        let whole = lock(&healthy).get_ref().clone();
+        assert_eq!(lock(&healthy).errors, 0);
+        assert_eq!(whole.iter().filter(|b| **b == b'\n').count(), 8);
+        // Three lines got through intact; the other five are counted.
+        let failing = lock(&failing);
+        assert_eq!(failing.errors, 5);
+        let kept = &failing.get_ref().taken;
+        assert_eq!(kept.iter().filter(|b| **b == b'\n').count(), 3);
+        assert!(whole.starts_with(kept));
+    }
+
+    /// Panics while consuming its third event, as a buggy sink would.
+    #[derive(Default)]
+    struct Bomb {
+        seen: u32,
+    }
+
+    impl Sink for Bomb {
+        fn event(&mut self, _node: u32, _at: Ticks, _ev: &Event) {
+            self.seen += 1;
+            assert_ne!(self.seen, 3, "sink bug");
+        }
+    }
+
+    #[test]
+    fn a_panicking_sink_poisons_nothing_for_good() {
+        let (links, events) = window();
+        let before = Arc::new(Mutex::new(FlightRecorder::new(8)));
+        let bomb = Arc::new(Mutex::new(Bomb::default()));
+        let after = Arc::new(Mutex::new(Tape::default()));
+        let mut fan = Fanout::new();
+        fan.push(before.clone());
+        fan.push(bomb.clone());
+        fan.push(after.clone());
+        let tree: SharedSink = Arc::new(Mutex::new(fan));
+
+        // The world's flush: lock the tree, hand over the window.
+        let flush = || lock(&tree).batch(&links, &events);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(flush));
+        assert!(unwound.is_err(), "the third event blows up");
+        assert!(tree.is_poisoned() && bomb.is_poisoned());
+
+        // Siblings stay readable: the one before the bomb has the whole
+        // window, the one after it never saw this window.
+        assert_eq!(lock(&before).dump(2).len(), 2);
+        assert!(lock(&after).0.is_empty());
+
+        // And the tree keeps delivering: the next flush neither panics
+        // on the poisoned locks nor skips anyone.
+        flush();
+        assert_eq!(lock(&before).dump(2).len(), 4);
+        assert_eq!(lock(&bomb).seen, 3 + 4);
+        assert_eq!(lock(&after).0.len(), 7);
     }
 
     #[test]

@@ -27,19 +27,29 @@ use std::collections::BTreeMap;
 
 use crate::{Event, EventId, Provenance, Sink, Ticks, FNV_OFFSET};
 
-/// One event emitted during a dispatch, as stored in the index.
+/// One event emitted during a dispatch, as stored in the index: the
+/// compact event itself. Text (`rec.ev.render()`) and the kind tag
+/// (`rec.ev.kind()`) are derived by whoever reads the record.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Record {
     /// Node that emitted the event.
     pub node: u32,
     /// Sim time of emission.
     pub at: Ticks,
-    /// Stable kind tag ([`Event::kind`]).
-    pub kind: &'static str,
+    /// The event.
+    pub ev: Event,
+}
+
+impl Record {
     /// Group address bits, for membership/delivery events.
-    pub group: Option<u32>,
-    /// Stable single-line rendering ([`Event::render`]).
-    pub line: String,
+    pub fn group(&self) -> Option<u32> {
+        match &self.ev {
+            Event::DataDelivered { group, .. }
+            | Event::LocalMemberJoined { group }
+            | Event::LocalMemberLeft { group } => Some(group.addr().0),
+            _ => None,
+        }
+    }
 }
 
 /// One dispatch in the causal DAG: its single cause and the events it
@@ -59,10 +69,16 @@ pub struct Dispatch {
 /// Like every sink, the index observes and never participates: it is
 /// fed from the same deterministic flush the JSONL stream is, so its
 /// contents — and every rendered slice — are partition-independent.
+///
+/// Dispatches are the only stored state, kept sorted by id; the
+/// parent→children direction is derived from their `cause` fields when a
+/// forward query asks for it.
 #[derive(Clone, Debug, Default)]
 pub struct CausalIndex {
-    dispatches: BTreeMap<EventId, Dispatch>,
-    children: BTreeMap<EventId, Vec<EventId>>,
+    /// Sorted by id. The simulator delivers ids in ascending order, so
+    /// inserts are appends; out-of-order delivery through the public
+    /// [`Sink`] API is still placed correctly.
+    dispatches: Vec<(EventId, Dispatch)>,
 }
 
 impl CausalIndex {
@@ -83,12 +99,34 @@ impl CausalIndex {
 
     /// The dispatch record for `id`, if observed.
     pub fn dispatch(&self, id: EventId) -> Option<&Dispatch> {
-        self.dispatches.get(&id)
+        self.position(id).ok().map(|i| &self.dispatches[i].1)
     }
 
-    /// Direct consequences of `id`, in canonical order.
-    pub fn children(&self, id: EventId) -> &[EventId] {
-        self.children.get(&id).map(Vec::as_slice).unwrap_or(&[])
+    /// Where `id` is (`Ok`) or would be inserted (`Err`).
+    fn position(&self, id: EventId) -> Result<usize, usize> {
+        self.dispatches.binary_search_by_key(&id, |(d, _)| *d)
+    }
+
+    /// The slot of dispatch `id`, created with `cause` if unseen.
+    fn slot(&mut self, id: EventId, cause: Option<EventId>) -> &mut Dispatch {
+        let fresh = Dispatch {
+            cause,
+            records: Vec::new(),
+        };
+        let i = match self.dispatches.last() {
+            Some((last, _)) if *last >= id => match self.position(id) {
+                Ok(i) => i,
+                Err(i) => {
+                    self.dispatches.insert(i, (id, fresh));
+                    i
+                }
+            },
+            _ => {
+                self.dispatches.push((id, fresh));
+                self.dispatches.len() - 1
+            }
+        };
+        &mut self.dispatches[i].1
     }
 
     // -- anchors ------------------------------------------------------
@@ -99,27 +137,28 @@ impl CausalIndex {
     /// post-mortems here: the final state transition is the event the
     /// violated invariant is *about*.
     pub fn last_flag_transition(&self, node: Option<u32>) -> Option<EventId> {
-        let mut last = None;
-        for (id, d) in &self.dispatches {
-            if d.records
-                .iter()
-                .any(|r| r.kind.starts_with("entry_") && node.map(|n| r.node == n).unwrap_or(true))
-            {
-                last = Some(*id);
-            }
-        }
-        last
+        self.last_emitting(|r| {
+            matches!(
+                r.ev,
+                Event::EntryCreated { .. }
+                    | Event::EntryModified { .. }
+                    | Event::EntryExpired { .. }
+            ) && node.is_none_or(|n| r.node == n)
+        })
     }
 
     /// The last dispatch that emitted any event from `node`.
     pub fn last_event_on(&self, node: u32) -> Option<EventId> {
-        let mut last = None;
-        for (id, d) in &self.dispatches {
-            if d.records.iter().any(|r| r.node == node) {
-                last = Some(*id);
-            }
-        }
-        last
+        self.last_emitting(|r| r.node == node)
+    }
+
+    /// The last dispatch (canonical order) with a record matching `pred`.
+    fn last_emitting(&self, pred: impl Fn(&Record) -> bool) -> Option<EventId> {
+        self.dispatches
+            .iter()
+            .rev()
+            .find(|(_, d)| d.records.iter().any(&pred))
+            .map(|(id, _)| *id)
     }
 
     /// Root dispatches (no cause) that emitted a `fault` mark — the
@@ -128,7 +167,12 @@ impl CausalIndex {
     pub fn fault_roots(&self) -> Vec<EventId> {
         self.dispatches
             .iter()
-            .filter(|(_, d)| d.cause.is_none() && d.records.iter().any(|r| r.kind == "fault"))
+            .filter(|(_, d)| {
+                d.cause.is_none()
+                    && d.records
+                        .iter()
+                        .any(|r| matches!(r.ev, Event::Fault { .. }))
+            })
             .map(|(id, _)| *id)
             .collect()
     }
@@ -143,11 +187,12 @@ impl CausalIndex {
         let mut chain = Vec::new();
         let mut cur = Some(id);
         while let Some(c) = cur {
-            if !self.dispatches.contains_key(&c) || chain.len() > self.dispatches.len() {
+            let Some(d) = self.dispatch(c) else { break };
+            if chain.len() > self.dispatches.len() {
                 break;
             }
             chain.push(c);
-            cur = self.dispatches[&c].cause;
+            cur = d.cause;
         }
         chain.reverse();
         chain
@@ -167,17 +212,27 @@ impl CausalIndex {
     }
 
     /// Every dispatch reachable from `id` (including `id`), in BFS
-    /// order — the blast radius of a fault injection.
+    /// order with siblings in canonical order — the blast radius of a
+    /// fault injection. The children lists are derived here, from each
+    /// dispatch's `cause`: the one stored direction of an edge is the
+    /// only source of truth, whatever order links and events arrived in.
     pub fn forward_slice(&self, id: EventId) -> Vec<EventId> {
-        if !self.dispatches.contains_key(&id) {
+        if self.dispatch(id).is_none() {
             return Vec::new();
+        }
+        let mut children: BTreeMap<EventId, Vec<EventId>> = BTreeMap::new();
+        for (child, d) in &self.dispatches {
+            if let Some(parent) = d.cause {
+                children.entry(parent).or_default().push(*child);
+            }
         }
         let mut out = vec![id];
         let mut i = 0;
         while i < out.len() {
-            let cur = out[i];
+            if let Some(c) = children.get(&out[i]) {
+                out.extend_from_slice(c);
+            }
             i += 1;
-            out.extend(self.children(cur).iter().copied());
         }
         out
     }
@@ -193,13 +248,13 @@ impl CausalIndex {
         let mut delivery = None;
         'outer: for (id, d) in &self.dispatches {
             for r in &d.records {
-                if r.node != member || r.group != Some(group) {
+                if r.node != member || r.group() != Some(group) {
                     continue;
                 }
-                if r.kind == "member_joined" && join_at.is_none() {
+                if matches!(r.ev, Event::LocalMemberJoined { .. }) && join_at.is_none() {
                     join_at = Some(r.at);
                 }
-                if r.kind == "data_delivered" {
+                if matches!(r.ev, Event::DataDelivered { .. }) {
                     if let Some(j) = join_at {
                         delivery = Some((*id, r.at, j));
                         break 'outer;
@@ -253,10 +308,10 @@ impl CausalIndex {
             _ => format!("n{}", id.origin.saturating_sub(1)),
         };
         let mut out = vec![format!("#{depth} [{}] {who}{suffix}", id.render())];
-        match self.dispatches.get(&id) {
+        match self.dispatch(id) {
             Some(d) if !d.records.is_empty() => {
                 for r in &d.records {
-                    out.push(format!("    t{} r{} {}", r.at, r.node, r.line));
+                    out.push(format!("    t{} r{} {}", r.at, r.node, r.ev));
                 }
             }
             _ => out.push("    (silent)".into()),
@@ -273,7 +328,7 @@ impl CausalIndex {
     pub fn check(&self) -> Result<(), String> {
         for (id, d) in &self.dispatches {
             if let Some(c) = d.cause {
-                if !self.dispatches.contains_key(&c) {
+                if self.dispatch(c).is_none() {
                     return Err(format!(
                         "dispatch {} has unobserved cause {}",
                         id.render(),
@@ -326,42 +381,17 @@ impl Sink for CausalIndex {
     fn event(&mut self, _node: u32, _at: Ticks, _ev: &Event) {}
 
     fn event_caused(&mut self, node: u32, at: Ticks, ev: &Event, prov: Provenance) {
-        let group = match ev {
-            Event::DataDelivered { group, .. }
-            | Event::LocalMemberJoined { group }
-            | Event::LocalMemberLeft { group } => Some(group.addr().0),
-            _ => None,
-        };
-        self.dispatches
-            .entry(prov.id)
-            .or_insert_with(|| Dispatch {
-                cause: prov.cause,
-                records: Vec::new(),
-            })
-            .records
-            .push(Record {
-                node,
-                at,
-                kind: ev.kind(),
-                group,
-                line: ev.render(),
-            });
+        self.slot(prov.id, prov.cause).records.push(Record {
+            node,
+            at,
+            ev: ev.clone(),
+        });
     }
 
+    /// The first edge seen for `id` wins, whether it arrived as a link
+    /// or as an event's provenance.
     fn link(&mut self, id: EventId, cause: Option<EventId>) {
-        if self.dispatches.contains_key(&id) {
-            return;
-        }
-        self.dispatches.insert(
-            id,
-            Dispatch {
-                cause,
-                records: Vec::new(),
-            },
-        );
-        if let Some(c) = cause {
-            self.children.entry(c).or_default().push(id);
-        }
+        self.slot(id, cause);
     }
 }
 
@@ -458,6 +488,40 @@ mod tests {
     }
 
     #[test]
+    fn an_event_seen_before_its_link_still_joins_the_blast_radius() {
+        // Legal through the public `Sink` API: a dispatch first shows up
+        // as an event's provenance, its link arrives afterwards (or
+        // never). The edge must be visible in both directions.
+        let root = id(0, 0, 1, 0);
+        let early = id(5, 2, 2, 0);
+        let late = id(6, 2, 3, 0);
+        let fire = |ix: &mut CausalIndex| {
+            let prov = Provenance {
+                id: early,
+                cause: Some(root),
+            };
+            ix.event_caused(1, 5, &Event::TimerFired { token: 1 }, prov);
+        };
+        let mut ix = CausalIndex::new();
+        ix.link(root, None);
+        fire(&mut ix);
+        ix.link(late, Some(early));
+        ix.link(early, Some(root));
+        assert_eq!(ix.forward_slice(root), vec![root, early, late]);
+        assert_eq!(ix.backward_chain(late), vec![root, early, late]);
+        ix.check().expect("well-formed");
+        assert_eq!(ix.len(), 3);
+
+        // Arrival order does not show in what a reader sees.
+        let mut in_order = CausalIndex::new();
+        in_order.link(root, None);
+        in_order.link(early, Some(root));
+        in_order.link(late, Some(early));
+        fire(&mut in_order);
+        assert_eq!(ix.dump(), in_order.dump());
+    }
+
+    #[test]
     fn critical_path_attributes_the_dominant_hop() {
         let ix = small_dag();
         // Delivery and join are both on node 1 for group 7.
@@ -479,8 +543,7 @@ mod tests {
         assert!(bad.check().is_err(), "cause after child must be rejected");
         let mut orphan = CausalIndex::new();
         orphan.link(id(5, 2, 1, 0), None);
-        let d = orphan.dispatches.get_mut(&id(5, 2, 1, 0)).unwrap();
-        d.cause = Some(id(1, 2, 9, 9));
+        orphan.dispatches[0].1.cause = Some(id(1, 2, 9, 9));
         assert!(orphan.check().is_err(), "unobserved cause must be rejected");
     }
 

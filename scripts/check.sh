@@ -60,6 +60,12 @@ gate smoke-hier 'PASS\|FAIL' ./target/release/smoke hier
 # bounded queues, no control starvation, post-heal recovery, and the
 # printed drop/mark/peak counters thread-invariant.
 gate smoke-overload 'PASS\|FAIL' ./target/release/smoke overload
+# The full telemetry fan-out through a real binary: the regression corpus
+# replayed byte for byte, then 18 explorer cases with all five sinks
+# attached; the chaos summary (impairments and decode drops read back
+# from the JSONL stream, join-latency and reconvergence histograms from
+# the metrics sink) must not depend on the width.
+gate explore '' ./target/release/explore 6 0 --corpus corpus
 echo "determinism + smokes: OK"
 
 echo "== bench smoke"
