@@ -52,7 +52,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -304,7 +304,50 @@ struct Tag {
     emit: u32,
 }
 
+/// Width of the `seq` field in [`Tag::sub_key`]: a node may run 2⁵⁶
+/// dispatches before the packed key would stop ordering like the tag
+/// (at a dispatch per nanosecond, two years of host time).
+const SEQ_BITS: u32 = 56;
+
+/// Hand out the next per-node dispatch sequence number, refusing to run
+/// past the range [`Tag::sub_key`] can hold. A real check: a `seq` that
+/// spilled into the `origin` bits would silently reorder events.
+fn next_dispatch_seq(counter: &mut u64) -> u64 {
+    let seq = *counter;
+    assert!(
+        seq < 1 << SEQ_BITS,
+        "node dispatch sequence exhausted the event key's 56-bit seq field"
+    );
+    *counter = seq + 1;
+    seq
+}
+
 impl Tag {
+    /// Everything but `time`, packed `epoch:8 | origin:32 | seq:56 |
+    /// emit:32` so one integer compare orders two same-tick events
+    /// exactly as the derived `Ord` orders their tags.
+    #[allow(dead_code)]
+    fn sub_key(self) -> u128 {
+        debug_assert!(self.seq < 1 << SEQ_BITS, "seq outruns the packed key");
+        (self.epoch as u128) << 120
+            | (self.origin as u128) << 88
+            | (self.seq as u128) << 32
+            | self.emit as u128
+    }
+
+    /// Inverse of [`Tag::sub_key`] (only tests need the fields back; the
+    /// event loop reads just the time of a popped event).
+    #[cfg(test)]
+    fn from_sub_key(time: SimTime, key: u128) -> Tag {
+        Tag {
+            time,
+            epoch: (key >> 120) as u8,
+            origin: (key >> 88) as u32,
+            seq: (key >> 32) as u64 & ((1 << SEQ_BITS) - 1),
+            emit: key as u32,
+        }
+    }
+
     /// The dispatch-identity part of the tag as a public
     /// [`telemetry::EventId`]. The `emit` component is dropped: causal
     /// provenance identifies *dispatches* (always `emit == 0`), and the
@@ -361,6 +404,101 @@ struct EventSlot {
     /// event's causal parent, threaded into the handling dispatch so
     /// every consequence links back to its cause.
     cause: Tag,
+}
+
+/// One queued event: `(Tag::sub_key, arena slot, slot generation)`. The
+/// tick is the bucket the entry sits in.
+type QueueEntry = (u128, u32, u32);
+
+/// A region's pending events, popped in canonical `(Tag, slot, gen)`
+/// order. A calendar queue: simulated time is a small dense integer
+/// (link delays are a few ticks, hundreds of events share each tick), so
+/// events are bucketed by tick and only the tick being drained is kept
+/// in order — a push is one `Vec::push` and a pop one `Vec::pop`, where a
+/// binary heap paid `log n` five-field tag comparisons for both.
+#[derive(Default)]
+#[allow(dead_code)] // Region switches to it in the next commit
+struct EventQueue {
+    /// Every tick but the open one: unsorted buckets.
+    future: BTreeMap<u64, Vec<QueueEntry>>,
+    /// The tick being drained. `None` before the first pop and after a
+    /// push earlier than the open tick folded it back into `future`.
+    open: Option<u64>,
+    /// The open tick's entries as of when it was opened, sorted
+    /// descending: the next event is at the back.
+    current: Vec<QueueEntry>,
+    /// Events created *at* the open tick after it was sorted (zero-delay
+    /// links, timers clamped to now): few, so a small min-heap.
+    side: BinaryHeap<Reverse<QueueEntry>>,
+    /// Emptied bucket `Vec`s, reused so a steady run allocates none.
+    spare: Vec<Vec<QueueEntry>>,
+}
+
+#[allow(dead_code)]
+impl EventQueue {
+    fn bucket(&mut self, tick: u64) -> &mut Vec<QueueEntry> {
+        self.future
+            .entry(tick)
+            .or_insert_with(|| self.spare.pop().unwrap_or_default())
+    }
+
+    fn push(&mut self, tag: Tag, slot: usize, gen: u32) {
+        let slot = u32::try_from(slot).expect("event arena outgrew 2^32 slots");
+        let (tick, entry) = (tag.time.ticks(), (tag.sub_key(), slot, gen));
+        match self.open {
+            Some(open) if tick == open => self.side.push(Reverse(entry)),
+            Some(open) if tick < open => {
+                // Earlier than the tick being drained (a budget-cut
+                // window resumed after barrier work): close the open
+                // tick again so `future` alone says what is next.
+                if !self.current.is_empty() || !self.side.is_empty() {
+                    let mut rest = std::mem::take(&mut self.current);
+                    rest.extend(self.side.drain().map(|Reverse(e)| e));
+                    let displaced = self.future.insert(open, rest);
+                    debug_assert!(displaced.is_none(), "open-tick pushes go to `side`");
+                }
+                self.open = None;
+                self.bucket(tick).push(entry);
+            }
+            _ => self.bucket(tick).push(entry),
+        }
+    }
+
+    /// The time of the event [`EventQueue::pop`] would return.
+    fn peek_time(&self) -> Option<SimTime> {
+        match self.open {
+            Some(open) if !self.current.is_empty() || !self.side.is_empty() => Some(SimTime(open)),
+            _ => self.future.keys().next().map(|&t| SimTime(t)),
+        }
+    }
+
+    /// Remove and return the least `(time, slot, gen)`.
+    fn pop(&mut self) -> Option<(SimTime, usize, u32)> {
+        loop {
+            if let Some(open) = self.open {
+                let from_side = match (self.current.last(), self.side.peek()) {
+                    (Some(c), Some(Reverse(s))) => s < c,
+                    (None, Some(_)) => true,
+                    (Some(_), None) => false,
+                    (None, None) => {
+                        self.open = None;
+                        continue;
+                    }
+                };
+                let (_, slot, gen) = if from_side {
+                    self.side.pop().expect("peeked").0
+                } else {
+                    self.current.pop().expect("peeked")
+                };
+                return Some((SimTime(open), slot as usize, gen));
+            }
+            let (tick, mut bucket) = self.future.pop_first()?;
+            bucket.sort_unstable_by(|a, b| b.cmp(a));
+            std::mem::swap(&mut self.current, &mut bucket);
+            self.spare.push(bucket);
+            self.open = Some(tick);
+        }
+    }
 }
 
 /// One captured transmission (see [`World::enable_capture`]).
@@ -601,8 +739,7 @@ impl Region {
         f: impl FnOnce(&mut dyn Node, &mut Ctx<'_>),
     ) {
         let slot = shared.slot_of[node.0] as usize;
-        let seq = self.dispatch_seq[slot];
-        self.dispatch_seq[slot] = seq + 1;
+        let seq = next_dispatch_seq(&mut self.dispatch_seq[slot]);
         let tag = Tag {
             time: self.now,
             epoch,
@@ -2856,5 +2993,102 @@ mod tests {
         let split = run(Some(&[0, 1]));
         assert!(!single.is_empty());
         assert_eq!(single, split);
+    }
+
+    /// A tag with every field drawn from its edges as often as from the
+    /// middle, so ties on the leading fields are common.
+    fn arb_tag() -> impl proptest::prelude::Strategy<Value = Tag> {
+        use proptest::prelude::*;
+        let edge64 = |max: u64| prop_oneof![Just(0u64), Just(1u64), Just(max), 0..=max];
+        (
+            0u64..4,
+            prop_oneof![Just(EPOCH_START), Just(EPOCH_EVENT), any::<u8>()],
+            edge64(u32::MAX as u64),
+            edge64((1 << SEQ_BITS) - 1),
+            edge64(u32::MAX as u64),
+        )
+            .prop_map(|(time, epoch, origin, seq, emit)| Tag {
+                time: SimTime(time),
+                epoch,
+                origin: origin as u32,
+                seq,
+                emit: emit as u32,
+            })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The packed within-tick key orders exactly like the derived
+        /// `Ord` on the tag, and loses nothing.
+        #[test]
+        fn sub_key_orders_like_the_tag_and_round_trips(a in arb_tag(), b in arb_tag()) {
+            assert_eq!(Tag::from_sub_key(a.time, a.sub_key()), a);
+            let (a0, b0) = (Tag { time: SimTime(0), ..a }, Tag { time: SimTime(0), ..b });
+            assert_eq!(a.sub_key().cmp(&b.sub_key()), a0.cmp(&b0));
+            assert_eq!((a.time, a.sub_key()).cmp(&(b.time, b.sub_key())), a.cmp(&b));
+        }
+
+        /// The pinned order: whatever the interleaving of pushes and
+        /// pops, the queue pops exactly what the binary heap it replaced
+        /// pops. Pushes land at the tick being drained, earlier than it
+        /// after a partial drain, at `u64::MAX - 1`, on crowded ticks and
+        /// on ticks of their own; tags repeat, `(slot, gen)` break ties.
+        #[test]
+        fn event_queue_pops_in_binary_heap_order(
+            ops in proptest::prop::collection::vec((0u8..10, 0u64..6, arb_tag()), 1..300),
+        ) {
+            let mut queue = EventQueue::default();
+            let mut reference: BinaryHeap<Reverse<(Tag, usize, u32)>> = BinaryHeap::new();
+            let mut draining = 0u64;
+            for (slot, (op, delta, tag)) in ops.into_iter().enumerate() {
+                let time = match op {
+                    0..=3 => {
+                        let want = reference.pop().map(|Reverse(e)| e);
+                        let got = queue.pop();
+                        assert_eq!(got, want.map(|(tag, slot, gen)| (tag.time, slot, gen)));
+                        if let Some((t, _, _)) = got {
+                            draining = t.ticks();
+                        }
+                        None
+                    }
+                    4 => Some(draining),
+                    5 => Some(draining.saturating_sub(1 + delta)),
+                    6 => Some(u64::MAX - 1),
+                    7 => Some(draining.saturating_add(delta)),
+                    _ => Some(delta * 1000 + tag.time.ticks()),
+                };
+                if let Some(time) = time {
+                    let (tag, gen) = (Tag { time: SimTime(time), ..tag }, tag.emit % 3);
+                    queue.push(tag, slot, gen);
+                    reference.push(Reverse((tag, slot, gen)));
+                    // A repeated tag, apart only in (slot, gen).
+                    if delta == 0 {
+                        queue.push(tag, slot, gen + 1);
+                        reference.push(Reverse((tag, slot, gen + 1)));
+                    }
+                }
+                let want = reference.peek().map(|Reverse((tag, _, _))| tag.time);
+                assert_eq!(queue.peek_time(), want);
+            }
+            while let Some(Reverse((tag, slot, gen))) = reference.pop() {
+                assert_eq!(queue.pop(), Some((tag.time, slot, gen)));
+            }
+            assert_eq!(queue.pop(), None);
+            assert_eq!(queue.peek_time(), None);
+        }
+    }
+
+    #[test]
+    fn the_last_dispatch_seq_the_key_can_hold_is_handed_out() {
+        let mut counter = (1u64 << SEQ_BITS) - 1;
+        assert_eq!(next_dispatch_seq(&mut counter), (1 << SEQ_BITS) - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "56-bit seq field")]
+    fn a_dispatch_seq_of_two_to_the_56_is_refused() {
+        let mut counter = 1u64 << SEQ_BITS;
+        next_dispatch_seq(&mut counter);
     }
 }
