@@ -1,6 +1,7 @@
 //! The sans-IO CBT engine.
 
 use netsim::{Duration, IfaceId, SimTime};
+use node::DeadlineMemo;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 use telemetry::{flags, EntryKey, Event, StateDump, Telem};
@@ -46,7 +47,9 @@ pub enum Output {
         /// The message.
         msg: Message,
     },
-    /// Forward a data packet out of each listed interface.
+    /// Forward the data packet being handled ([`CbtEngine::on_data`],
+    /// [`CbtEngine::on_local_data`]) out of each listed interface. The
+    /// caller holds the payload; the engine never copies it.
     Forward {
         /// Interfaces to copy the packet to.
         ifaces: Vec<IfaceId>,
@@ -54,7 +57,18 @@ pub enum Output {
         source: Addr,
         /// Destination group.
         group: Group,
-        /// Payload bytes.
+    },
+    /// Forward the data packet a sender's first hop encapsulated toward
+    /// the core ([`CbtEngine::on_encapsulated`]) out of each listed
+    /// interface: a payload the caller does not hold.
+    ForwardDecapsulated {
+        /// Interfaces to copy the packet to.
+        ifaces: Vec<IfaceId>,
+        /// Original source.
+        source: Addr,
+        /// Destination group.
+        group: Group,
+        /// The decapsulated payload.
         payload: Vec<u8>,
     },
 }
@@ -120,6 +134,11 @@ pub struct CbtEngine {
     /// Directly attached hosts → interface.
     local_hosts: HashMap<Addr, IfaceId>,
     next_echo: SimTime,
+    /// [`CbtEngine::scan_deadline`]'s last result. The three data-path
+    /// entry points (`on_data`, `on_local_data`, `on_encapsulated`) only
+    /// read tree state, so the per-packet [`CbtEngine::next_deadline`]
+    /// is a read; every other `&mut` entry point clears it first thing.
+    deadline: DeadlineMemo,
     /// Join-Acks sent (explicit-reliability message overhead metric).
     pub acks_sent: u64,
     /// Structured-event emitter (disabled by default; pure observer).
@@ -146,6 +165,7 @@ impl CbtEngine {
             trees: BTreeMap::new(),
             local_hosts: HashMap::new(),
             next_echo: SimTime::ZERO,
+            deadline: DeadlineMemo::default(),
             acks_sent: 0,
             telem: Telem::disabled(),
         }
@@ -164,11 +184,13 @@ impl CbtEngine {
 
     /// Configure the core for `group`.
     pub fn set_core(&mut self, group: Group, core: Addr) {
+        self.deadline.clear();
         self.cores.insert(group, core);
     }
 
     /// Register a directly attached host.
     pub fn register_local_host(&mut self, host: Addr, iface: IfaceId) {
+        self.deadline.clear();
         self.local_hosts.insert(host, iface);
     }
 
@@ -201,6 +223,7 @@ impl CbtEngine {
     /// Crash with total state loss: all tree state is erased; the
     /// configured group→core mappings and attached hosts survive.
     pub fn reset(&mut self) {
+        self.deadline.clear();
         self.trees.clear();
         self.next_echo = SimTime::ZERO;
     }
@@ -262,6 +285,7 @@ impl CbtEngine {
         iface: IfaceId,
         rib: &dyn Rib,
     ) -> Vec<Output> {
+        self.deadline.clear();
         if self.ensure_tree(now, group).is_none() {
             return Vec::new(); // no core configured
         }
@@ -278,6 +302,7 @@ impl CbtEngine {
         group: Group,
         iface: IfaceId,
     ) -> Vec<Output> {
+        self.deadline.clear();
         let Some(tree) = self.trees.get_mut(&group) else {
             return Vec::new();
         };
@@ -320,6 +345,7 @@ impl CbtEngine {
         jr: &JoinRequest,
         rib: &dyn Rib,
     ) -> Vec<Output> {
+        self.deadline.clear();
         // Adopt the core carried in the join if unconfigured.
         self.cores.entry(jr.group).or_insert(jr.core);
         if self.ensure_tree(now, jr.group).is_none() {
@@ -373,6 +399,7 @@ impl CbtEngine {
         src: Addr,
         ja: &JoinAck,
     ) -> Vec<Output> {
+        self.deadline.clear();
         let cfg = self.cfg;
         let Some(tree) = self.trees.get_mut(&ja.group) else {
             return Vec::new();
@@ -417,6 +444,7 @@ impl CbtEngine {
 
     /// A Quit arrived from child `src` on `iface`.
     pub fn on_quit(&mut self, _now: SimTime, iface: IfaceId, src: Addr, q: &Quit) -> Vec<Output> {
+        self.deadline.clear();
         if let Some(tree) = self.trees.get_mut(&q.group) {
             tree.children.remove(&(iface, src));
         }
@@ -426,6 +454,7 @@ impl CbtEngine {
     /// An Echo keepalive arrived from child `src`: refresh its edges and
     /// reply with the groups still alive here.
     pub fn on_echo(&mut self, now: SimTime, iface: IfaceId, src: Addr, e: &Echo) -> Vec<Output> {
+        self.deadline.clear();
         let mut alive = Vec::new();
         for &group in &e.groups {
             if let Some(tree) = self.trees.get_mut(&group) {
@@ -453,6 +482,7 @@ impl CbtEngine {
         er: &EchoReply,
         rib: &dyn Rib,
     ) -> Vec<Output> {
+        self.deadline.clear();
         let mut rejoin = Vec::new();
         for (&group, tree) in self.trees.iter_mut() {
             if tree.parent != Some((iface, src)) {
@@ -491,6 +521,7 @@ impl CbtEngine {
         f: &FlushTree,
         rib: &dyn Rib,
     ) -> Vec<Output> {
+        self.deadline.clear();
         let mut out = Vec::new();
         let Some(tree) = self.trees.get_mut(&f.group) else {
             return out;
@@ -548,7 +579,6 @@ impl CbtEngine {
                     ifaces,
                     source,
                     group,
-                    payload: payload.to_vec(),
                 }];
             }
         }
@@ -582,7 +612,7 @@ impl CbtEngine {
         if ifaces.is_empty() {
             return Vec::new();
         }
-        vec![Output::Forward {
+        vec![Output::ForwardDecapsulated {
             ifaces,
             source: reg.source,
             group: reg.group,
@@ -599,7 +629,6 @@ impl CbtEngine {
         iface: IfaceId,
         source: Addr,
         group: Group,
-        payload: &[u8],
     ) -> Vec<Output> {
         let Some(tree) = self.trees.get(&group) else {
             return Vec::new();
@@ -615,7 +644,6 @@ impl CbtEngine {
             ifaces,
             source,
             group,
-            payload: payload.to_vec(),
         }]
     }
 
@@ -623,7 +651,17 @@ impl CbtEngine {
     /// schedule, join retransmits, child echo expiries, and parent-silence
     /// detection (which matures `echo_timeout` after the last sign of
     /// parent life).
+    ///
+    /// Memoized: the answer is `scan_deadline`'s (the full walk), rescanned
+    /// only after an entry point that can move a timer. Debug builds check
+    /// the memo against a fresh scan on every call.
     pub fn next_deadline(&self) -> Option<SimTime> {
+        self.deadline.get_or(|| self.scan_deadline())
+    }
+
+    /// The earliest pending timer, found by walking all of them: the one
+    /// definition of "next deadline".
+    pub(crate) fn scan_deadline(&self) -> Option<SimTime> {
         let mut best = Some(self.next_echo);
         for tree in self.trees.values() {
             if let Some((_, _, retx)) = tree.pending_join {
@@ -640,6 +678,7 @@ impl CbtEngine {
     /// Periodic maintenance: join retransmits, echoes, child/parent
     /// timeouts.
     pub fn tick(&mut self, now: SimTime, rib: &dyn Rib) -> Vec<Output> {
+        self.deadline.clear();
         let mut out = Vec::new();
         let me = self.my_addr;
         let cfg = self.cfg;
@@ -1046,19 +1085,19 @@ mod tests {
         );
 
         // From the parent side: to child + members.
-        let out = e.on_data(t(10), IfaceId(0), Addr::new(10, 9, 9, 9), g(), b"d");
+        let out = e.on_data(t(10), IfaceId(0), Addr::new(10, 9, 9, 9), g());
         assert!(matches!(
             &out[0],
             Output::Forward { ifaces, .. } if ifaces == &vec![IfaceId(1), IfaceId(2)]
         ));
         // From the child side: up to the parent + members (bidirectional).
-        let out = e.on_data(t(11), IfaceId(1), Addr::new(10, 9, 9, 9), g(), b"d");
+        let out = e.on_data(t(11), IfaceId(1), Addr::new(10, 9, 9, 9), g());
         assert!(matches!(
             &out[0],
             Output::Forward { ifaces, .. } if ifaces == &vec![IfaceId(0), IfaceId(2)]
         ));
         // Off-tree arrival is dropped.
-        let out = e.on_data(t(12), IfaceId(3), Addr::new(10, 9, 9, 9), g(), b"d");
+        let out = e.on_data(t(12), IfaceId(3), Addr::new(10, 9, 9, 9), g());
         assert!(out.is_empty());
     }
 
@@ -1100,7 +1139,8 @@ mod tests {
         );
         assert!(matches!(
             &out[0],
-            Output::Forward { ifaces, .. } if ifaces == &vec![IfaceId(0)]
+            Output::ForwardDecapsulated { ifaces, payload, .. }
+                if ifaces == &vec![IfaceId(0)] && payload == b"d"
         ));
     }
 
@@ -1292,5 +1332,90 @@ mod tests {
         );
         e.on_quit(t(10), IfaceId(1), child(), &Quit { group: g() });
         assert!(e.tree(g()).unwrap().children.is_empty());
+    }
+
+    /// One random call into the engine's public `&mut` surface. `a` and
+    /// `b` pick among two groups (one cored here, one cored remotely), a
+    /// few interfaces and a few neighbours, so calls collide on state.
+    fn memo_step(e: &mut CbtEngine, now: SimTime, op: u8, a: u8, b: u8) {
+        let rib = rib();
+        let groups = [g(), Group::test(5)];
+        let group = groups[(a % 2) as usize];
+        let tree_core = if group == g() { core() } else { me() };
+        let nbr = [core(), child(), Addr::new(10, 0, 3, 1)][(b % 3) as usize];
+        let iface = IfaceId((b % 3) as u32);
+        let remote_src = Addr::new(10, 9, 9, 9);
+        match op {
+            0 => drop(e.local_member_joined(now, group, IfaceId(2), &rib)),
+            1 => drop(e.local_member_left(now, group, IfaceId(2))),
+            2 => {
+                let jr = JoinRequest {
+                    group,
+                    core: tree_core,
+                    originator: nbr,
+                };
+                drop(e.on_join_request(now, iface, nbr, &jr, &rib));
+            }
+            3 => {
+                let ja = JoinAck {
+                    group,
+                    core: tree_core,
+                    originator: [me(), child()][(a / 2 % 2) as usize],
+                };
+                drop(e.on_join_ack(now, iface, nbr, &ja));
+            }
+            4 => drop(e.on_quit(now, iface, nbr, &Quit { group })),
+            5 => drop(e.on_echo(
+                now,
+                iface,
+                nbr,
+                &Echo {
+                    groups: vec![group],
+                },
+            )),
+            6 => {
+                let live = [vec![group], groups.to_vec(), vec![]][(a / 2 % 3) as usize].clone();
+                drop(e.on_echo_reply(now, iface, nbr, &EchoReply { groups: live }, &rib));
+            }
+            7 => drop(e.on_flush(now, iface, &FlushTree { group }, &rib)),
+            8 => drop(e.on_data(now, iface, remote_src, group)),
+            9 => drop(e.on_local_data(now, IfaceId(2), remote_src, group, b"d", &rib)),
+            10 => {
+                let reg = Register {
+                    group,
+                    source: remote_src,
+                    payload: vec![a, b],
+                };
+                drop(e.on_encapsulated(now, &reg));
+            }
+            11 if a == 0 => e.reset(),
+            11 if a == 1 => e.set_core(group, tree_core),
+            11 if a == 2 => e.register_local_host(remote_src, IfaceId(2)),
+            _ => drop(e.tick(now, &rib)),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1024))]
+
+        /// Whatever is called, in whatever order, the memoized deadline
+        /// is the scanned one. `next_deadline` is read after every step,
+        /// so each call starts from a filled memo it has to invalidate —
+        /// and the comparison is spelled out here because
+        /// `next_deadline`'s own `debug_assert` is compiled out of
+        /// release-profile test runs.
+        #[test]
+        fn memoized_deadline_is_the_scanned_deadline(
+            steps in proptest::prop::collection::vec((0u8..14, 0u8..12, 0u8..6, 0usize..6), 1..100),
+        ) {
+            let mut e = engine();
+            e.set_core(Group::test(5), me());
+            let mut now = 0;
+            for (op, a, b, dt) in steps {
+                now += [0, 1, 4, 15, 40, 150][dt];
+                memo_step(&mut e, t(now), op, a, b);
+                assert_eq!(e.next_deadline(), e.scan_deadline(), "after op {op} at {now}");
+            }
+        }
     }
 }

@@ -35,8 +35,18 @@ fn actions(outs: Vec<Output>, data_ttl: u8) -> Vec<Action> {
                 ifaces,
                 source,
                 group,
-                payload,
             } => Action::Forward {
+                ifaces,
+                source,
+                group,
+                ttl: data_ttl,
+            },
+            Output::ForwardDecapsulated {
+                ifaces,
+                source,
+                group,
+                payload,
+            } => Action::ForwardDecapsulated {
                 ifaces,
                 source,
                 group,
@@ -103,7 +113,7 @@ impl ProtocolEngine for CbtEngine {
         let outs = if from_host_lan {
             self.on_local_data(now, iface, source, group, payload, rib)
         } else {
-            self.on_data(now, iface, source, group, payload)
+            self.on_data(now, iface, source, group)
         };
         actions(outs, ttl)
     }

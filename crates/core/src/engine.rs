@@ -22,6 +22,7 @@
 use crate::config::{PimConfig, SptPolicy};
 use crate::entry::{Entry, GroupState, OifKind};
 use netsim::{Duration, IfaceId, SimTime};
+use node::DeadlineMemo;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt::Write as _;
 use telemetry::{flags, EntryKey, Event, StateDump, Telem};
@@ -44,7 +45,9 @@ pub enum Output {
         /// The message.
         msg: Message,
     },
-    /// Forward a multicast data packet out of each listed interface.
+    /// Forward the multicast data packet being handled ([`Engine::on_data`],
+    /// [`Engine::on_local_data`]) out of each listed interface. The caller
+    /// holds the payload; the engine never copies it.
     Forward {
         /// Interfaces to copy the packet to.
         ifaces: Vec<IfaceId>,
@@ -52,7 +55,17 @@ pub enum Output {
         source: Addr,
         /// Destination group.
         group: Group,
-        /// Payload bytes.
+    },
+    /// Forward the data packet a Register carried ([`Engine::on_register`])
+    /// out of each listed interface: a payload the caller does not hold.
+    ForwardDecapsulated {
+        /// Interfaces to copy the packet to.
+        ifaces: Vec<IfaceId>,
+        /// Original source.
+        source: Addr,
+        /// Destination group.
+        group: Group,
+        /// The decapsulated payload.
         payload: Vec<u8>,
     },
 }
@@ -95,6 +108,11 @@ pub struct Engine {
     next_refresh: SimTime,
     next_query: SimTime,
     next_reach: SimTime,
+    /// [`Engine::scan_deadline`]'s last result. A data packet forwarded
+    /// on existing state moves no timer, so the per-packet
+    /// [`Engine::next_deadline`] is a read, not a walk over every entry;
+    /// every other `&mut` entry point clears it first thing.
+    deadline: DeadlineMemo,
     /// Registers sent (sender-side overhead metric).
     pub registers_sent: u64,
     /// Registers received and decapsulated (RP-side metric).
@@ -133,6 +151,7 @@ impl Engine {
             next_refresh: SimTime::ZERO,
             next_query: SimTime::ZERO,
             next_reach: SimTime::ZERO,
+            deadline: DeadlineMemo::default(),
             registers_sent: 0,
             registers_received: 0,
             telem: Telem::disabled(),
@@ -163,6 +182,7 @@ impl Engine {
 
     /// Grow the interface table (host LANs attached after construction).
     pub fn add_iface(&mut self) -> IfaceId {
+        self.deadline.clear();
         self.ifaces.push(IfaceState::default());
         IfaceId(self.ifaces.len() as u32 - 1)
     }
@@ -170,16 +190,19 @@ impl Engine {
     /// Mark `iface` as a multi-access subnetwork with other PIM routers:
     /// §3.7 prune-override and join-suppression rules apply there.
     pub fn set_lan(&mut self, iface: IfaceId) {
+        self.deadline.clear();
         self.ifaces[iface.index()].is_lan = true;
     }
 
     /// Mark `iface` as a host-facing leaf subnetwork.
     pub fn set_host_lan(&mut self, iface: IfaceId) {
+        self.deadline.clear();
         self.ifaces[iface.index()].is_host_lan = true;
     }
 
     /// Register a directly attached host (potential source) on `iface`.
     pub fn register_local_host(&mut self, host: Addr, iface: IfaceId) {
+        self.deadline.clear();
         self.local_hosts.insert(host, iface);
     }
 
@@ -187,6 +210,7 @@ impl Engine {
     /// for `group` (§3.1: "a sparse mode group is identified by the
     /// presence of RP address(es) associated with the group").
     pub fn set_rp_mapping(&mut self, group: Group, rps: Vec<Addr>) {
+        self.deadline.clear();
         let gs = self.groups.entry(group).or_default();
         if gs.rps != rps {
             gs.rps = rps;
@@ -238,6 +262,7 @@ impl Engine {
     /// mappings (§3.1 footnote 9) — survives, as do the overhead counters
     /// (they are observability, not protocol state).
     pub fn reset(&mut self) {
+        self.deadline.clear();
         self.groups.retain(|_, gs| {
             if gs.rps.is_empty() {
                 return false; // purely dynamic state: forget the group
@@ -274,6 +299,7 @@ impl Engine {
         iface: IfaceId,
         rib: &dyn Rib,
     ) -> Vec<Output> {
+        self.deadline.clear();
         let Some(gs) = self.groups.get(&group) else {
             return Vec::new(); // no RP mapping → not sparse mode (§3.1)
         };
@@ -304,6 +330,7 @@ impl Engine {
 
     /// The last IGMP member of `group` on `iface` expired.
     pub fn local_member_left(&mut self, now: SimTime, group: Group, iface: IfaceId) -> Vec<Output> {
+        self.deadline.clear();
         let Some(gs) = self.groups.get_mut(&group) else {
             return Vec::new();
         };
@@ -365,6 +392,7 @@ impl Engine {
         msg: &JoinPrune,
         rib: &dyn Rib,
     ) -> Vec<Output> {
+        self.deadline.clear();
         let mut out = Vec::new();
         let addressed_to_me = msg.upstream_neighbor == self.my_addr;
         let holdtime = Duration(msg.holdtime as u64);
@@ -959,6 +987,7 @@ impl Engine {
                         // Data is arriving over its own first hop.
                         let from = entry_flags(e);
                         e.spt_bit = true;
+                        self.deadline.clear(); // entry state touched
                         self.telem.emit(now.ticks(), || Event::EntryModified {
                             group,
                             key: EntryKey::Source(source),
@@ -981,7 +1010,6 @@ impl Engine {
                             ifaces,
                             source,
                             group,
-                            payload: payload.to_vec(),
                         });
                     }
                 }
@@ -1000,19 +1028,28 @@ impl Engine {
                         ifaces,
                         source,
                         group,
-                        payload: payload.to_vec(),
                     });
                 }
             }
         }
         if !native || probe {
+            self.deadline.clear();
             // Register (data encapsulated) to every RP (§3.9: "each source
             // registers and sends data packets toward each of the RPs").
             let rps: Vec<Addr> = self.rp_mapping(group).to_vec();
             for rp in rps {
                 if rp == self.my_addr {
-                    // We are an RP ourselves: process as if received.
-                    out.extend(self.accept_register(now, source, group, payload, rib));
+                    // We are an RP ourselves: process as if received. The
+                    // "decapsulated" packet is the one in hand.
+                    let (joins, ifaces) = self.accept_register(now, source, group, rib);
+                    out.extend(joins);
+                    if !ifaces.is_empty() {
+                        out.push(Output::Forward {
+                            ifaces,
+                            source,
+                            group,
+                        });
+                    }
                     continue;
                 }
                 if let Some(r) = rib.route(rp) {
@@ -1035,21 +1072,34 @@ impl Engine {
 
     /// A PIM Register arrived (unicast, at an RP).
     pub fn on_register(&mut self, now: SimTime, reg: &Register, rib: &dyn Rib) -> Vec<Output> {
+        self.deadline.clear();
         if !self.is_rp_for(reg.group) {
             return Vec::new();
         }
         self.registers_received += 1;
-        self.accept_register(now, reg.source, reg.group, &reg.payload, rib)
+        let (mut out, ifaces) = self.accept_register(now, reg.source, reg.group, rib);
+        if !ifaces.is_empty() {
+            out.push(Output::ForwardDecapsulated {
+                ifaces,
+                source: reg.source,
+                group: reg.group,
+                payload: reg.payload.clone(),
+            });
+        }
+        out
     }
 
+    /// RP-side register processing, for a Register off the wire or our
+    /// own first-hop data when we are the RP. Returns the triggered
+    /// joins and the interfaces the registered packet goes out of (none:
+    /// drop it); the caller knows where that packet's payload is.
     fn accept_register(
         &mut self,
         now: SimTime,
         source: Addr,
         group: Group,
-        payload: &[u8],
         rib: &dyn Rib,
-    ) -> Vec<Output> {
+    ) -> (Vec<Output>, Vec<IfaceId>) {
         let mut out = Vec::new();
         let has_receivers = self
             .groups
@@ -1057,7 +1107,7 @@ impl Engine {
             .and_then(|gs| gs.star.as_ref())
             .is_some_and(|s| !s.oifs_empty());
         if !has_receivers {
-            return out; // no shared tree: drop until a receiver joins
+            return (out, Vec::new()); // no shared tree: drop until a receiver joins
         }
         // "The RP responds by sending a join toward the source" (§3) —
         // once, when the (S,G) entry is created.
@@ -1073,7 +1123,7 @@ impl Engine {
             // Already receiving this source natively over its shortest-path
             // tree: the register copy is redundant (the role Register-Stop
             // plays in later PIM-SM). Keep the state, drop the payload.
-            return out;
+            return (out, Vec::new());
         }
         // Forward the decapsulated packet down the shared tree. The
         // register tunnel is the logical incoming interface, so the full
@@ -1082,7 +1132,7 @@ impl Engine {
         // active negative-cache prune for this source.
         let gs = self.groups.get(&group).expect("has_receivers");
         let star = gs.star.as_ref().expect("has_receivers");
-        let ifaces: Vec<_> = star
+        let ifaces = star
             .oifs
             .keys()
             .copied()
@@ -1092,27 +1142,20 @@ impl Engine {
                     .is_none_or(|e| !e.pruned_oifs.contains_key(i))
             })
             .collect();
-        if !ifaces.is_empty() {
-            out.push(Output::Forward {
-                ifaces,
-                source,
-                group,
-                payload: payload.to_vec(),
-            });
-        }
-        out
+        (out, ifaces)
     }
 
     /// A multicast data packet arrived on router-router interface `iface`
     /// (§3.5). Implements the incoming-interface check, the longest-match
-    /// rule, and the two shared→shortest-path transition exceptions.
+    /// rule, and the two shared→shortest-path transition exceptions. The
+    /// payload stays with the caller: forwarding never reads it.
     pub fn on_data(
         &mut self,
         now: SimTime,
         iface: IfaceId,
         source: Addr,
         group: Group,
-        payload: &[u8],
+        _payload: &[u8],
         rib: &dyn Rib,
     ) -> Vec<Output> {
         let mut out = Vec::new();
@@ -1173,11 +1216,11 @@ impl Engine {
                         ifaces,
                         source,
                         group,
-                        payload: payload.to_vec(),
                     });
                 }
             }
             Action::ForwardAndSetSpt(ifaces) => {
+                self.deadline.clear(); // entry state touched
                 let e = gs.sources.get_mut(&source).expect("matched above");
                 if !e.spt_bit {
                     let from = entry_flags(e);
@@ -1206,7 +1249,6 @@ impl Engine {
                         ifaces,
                         source,
                         group,
-                        payload: payload.to_vec(),
                     });
                 }
             }
@@ -1219,7 +1261,6 @@ impl Engine {
                         ifaces,
                         source,
                         group,
-                        payload: payload.to_vec(),
                     });
                 }
                 // §3.3 switchover decision: a router with directly
@@ -1233,6 +1274,7 @@ impl Engine {
                         .is_some_and(|g| g.sources.contains_key(&source))
                     && self.spt_switch_due(now, group, source)
                 {
+                    self.deadline.clear();
                     out.extend(self.start_spt_switch(now, group, source, rib));
                 }
             }
@@ -1288,6 +1330,7 @@ impl Engine {
         iface: IfaceId,
         msg: &RpReachability,
     ) -> Vec<Output> {
+        self.deadline.clear();
         let Some(gs) = self.groups.get_mut(&msg.group) else {
             return Vec::new();
         };
@@ -1388,6 +1431,7 @@ impl Engine {
 
     /// A PIM Query (hello) arrived on `iface` from `src`.
     pub fn on_query(&mut self, now: SimTime, iface: IfaceId, src: Addr, q: &Query) -> Vec<Output> {
+        self.deadline.clear();
         let was_dr = self.is_dr(iface);
         self.ifaces[iface.index()]
             .neighbors
@@ -1409,6 +1453,7 @@ impl Engine {
     /// The unicast route toward `dst` changed. Re-derive the iif/upstream
     /// of every entry keyed by `dst`, prune the old path, join the new.
     pub fn on_route_change(&mut self, now: SimTime, dst: Addr, rib: &dyn Rib) -> Vec<Output> {
+        self.deadline.clear();
         let mut out = Vec::new();
         let new_route = rib.route(dst);
         let groups: Vec<Group> = self.groups.keys().copied().collect();
@@ -1497,6 +1542,7 @@ impl Engine {
     /// simulation tick batch (at least once per
     /// [`PimConfig::prune_override_delay`]).
     pub fn tick(&mut self, now: SimTime, rib: &dyn Rib) -> Vec<Output> {
+        self.deadline.clear();
         let mut out = Vec::new();
 
         // Execute matured pending LAN prunes. `tick` runs on every wakeup
@@ -1657,7 +1703,17 @@ impl Engine {
     /// refreshes are the protocol's heartbeat — so this always returns
     /// `Some`, but the deadlines are whole protocol periods apart, not poll
     /// granules.
+    ///
+    /// Memoized: the answer is `scan_deadline`'s (the full walk), rescanned only
+    /// after an entry point that can move a timer. Debug builds check the
+    /// memo against a fresh scan on every call.
     pub fn next_deadline(&self) -> Option<SimTime> {
+        self.deadline.get_or(|| self.scan_deadline())
+    }
+
+    /// The earliest pending timer, found by walking all of them: the one
+    /// definition of "next deadline".
+    pub(crate) fn scan_deadline(&self) -> Option<SimTime> {
         let mut best = Some(self.next_query.min(self.next_reach).min(self.next_refresh));
         for p in &self.pending_prunes {
             best = netsim::earliest(best, Some(p.execute_at));

@@ -382,7 +382,7 @@ fn rp_with_receivers_decapsulates_and_joins_source() {
     // Decapsulated data goes down the shared tree...
     assert!(out.iter().any(|o| matches!(
         o,
-        Output::Forward { ifaces, source, group, payload }
+        Output::ForwardDecapsulated { ifaces, source, group, payload }
             if ifaces == &vec![IfaceId(0)] && *source == src() && *group == g() && payload == b"pkt0"
     )));
     // ...and the RP joins toward the source (fig 3 step 3).

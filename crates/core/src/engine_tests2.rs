@@ -5,9 +5,9 @@
 use crate::config::PimConfig;
 use crate::engine::{Engine, Output};
 use crate::entry::OifKind;
-use netsim::{IfaceId, SimTime};
+use netsim::{Duration, IfaceId, SimTime};
 use unicast::{OracleRib, RouteEntry};
-use wire::pim::{GroupEntry, JoinPrune, Query, Register, SourceEntry};
+use wire::pim::{GroupEntry, JoinPrune, Query, Register, RpReachability, SourceEntry};
 use wire::{Addr, Group, Message};
 
 fn g() -> Group {
@@ -348,7 +348,7 @@ fn register_payload_is_forwarded_verbatim() {
     );
     assert!(out.iter().any(|o| matches!(
         o,
-        Output::Forward { payload: p, source, .. } if *p == payload && *source == src_host()
+        Output::ForwardDecapsulated { payload: p, source, .. } if *p == payload && *source == src_host()
     )));
 }
 
@@ -576,4 +576,162 @@ fn wildcard_join_reroots_shared_tree_toward_new_rp() {
             if *iface == IfaceId(2)
                 && jp.groups[0].joins == vec![SourceEntry::shared_tree(rp2())]
     )));
+}
+
+// ---------------------------------------------------------------------
+// The memoized wakeup deadline
+// ---------------------------------------------------------------------
+
+/// One random call into the engine's public `&mut` surface. `a` and `b`
+/// pick among a few interfaces, groups, sources and neighbours so calls
+/// collide on the same state; the rib can be flipped between two routes
+/// to the remote source so `on_route_change` has something to repair.
+fn memo_step(e: &mut Engine, rib: &mut OracleRib, now: SimTime, op: u8, a: u8, b: u8) {
+    let groups = [g(), Group::test(2)];
+    let group = groups[(a % 2) as usize];
+    // Group 1 is rooted at a remote RP, group 2 at this router.
+    let rp = if group == g() { rp1() } else { me() };
+    let remote_src = Addr::new(10, 0, 9, 10);
+    let neighbours = [rp1(), rp2(), Addr::new(10, 0, 7, 1)];
+    let nbr = neighbours[(b % 3) as usize];
+    let iface = IfaceId(1 + (b % 3) as u32);
+    let entries = [
+        SourceEntry::shared_tree(rp),
+        SourceEntry::source(remote_src),
+        SourceEntry::source_on_rp_tree(remote_src),
+        SourceEntry::source(src_host()),
+        SourceEntry::source_on_rp_tree(src_host()),
+    ];
+    let entry = entries[(a / 2 % 5) as usize];
+    let jp = |upstream, ge| JoinPrune {
+        upstream_neighbor: upstream,
+        holdtime: [3, 40, 180][(a % 3) as usize],
+        groups: vec![ge],
+    };
+    match op {
+        0 => drop(e.local_member_joined(now, group, IfaceId(0), rib)),
+        1 => drop(e.local_member_left(now, group, IfaceId(0))),
+        2 => drop(e.on_join_prune(
+            now,
+            iface,
+            nbr,
+            &jp(me(), GroupEntry::join(group, entry)),
+            rib,
+        )),
+        3 => drop(e.on_join_prune(
+            now,
+            iface,
+            nbr,
+            &jp(me(), GroupEntry::prune(group, entry)),
+            rib,
+        )),
+        4 => drop(e.on_join_prune(
+            now,
+            iface,
+            nbr,
+            &jp(rp2(), GroupEntry::join(group, entry)),
+            rib,
+        )),
+        5 => drop(e.on_join_prune(
+            now,
+            iface,
+            nbr,
+            &jp(rp2(), GroupEntry::prune(group, entry)),
+            rib,
+        )),
+        6 => drop(e.on_query(
+            now,
+            iface,
+            nbr,
+            &Query {
+                holdtime: 7 + 20 * a as u16,
+            },
+        )),
+        7 => {
+            let reg = Register {
+                group,
+                source: remote_src,
+                payload: vec![a, b],
+            };
+            drop(e.on_register(now, &reg, rib));
+        }
+        // Data on and off the incoming interface, known and unknown sources.
+        8 | 9 => drop(e.on_data(
+            now,
+            iface,
+            [remote_src, src_host()][(a / 2 % 2) as usize],
+            group,
+            b"d",
+            rib,
+        )),
+        10 => drop(e.on_local_data(now, IfaceId(0), src_host(), group, b"d", rib)),
+        11 => {
+            let via = [IfaceId(2), IfaceId(1)][(b % 2) as usize];
+            rib.insert(
+                remote_src,
+                RouteEntry {
+                    iface: via,
+                    next_hop: neighbours[via.index() - 1],
+                    metric: 2,
+                },
+            );
+            drop(e.on_route_change(now, remote_src, rib));
+        }
+        12 | 15 => drop(e.tick(now, rib)),
+        13 if a == 0 => e.reset(),
+        13 if a == 1 => drop(e.add_iface()),
+        13 => {
+            let reach = RpReachability {
+                group,
+                rp,
+                holdtime: 40,
+            };
+            drop(e.on_rp_reachability(now, iface, &reach));
+        }
+        14 => e.set_rp_mapping(
+            group,
+            [vec![rp], vec![rp, rp2()], vec![rp2()]][(b % 3) as usize].clone(),
+        ),
+        _ => unreachable!("op is drawn from 0..16"),
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+    /// Whatever is called, in whatever order, the memoized deadline is
+    /// the scanned one. `next_deadline` is read after every step, so
+    /// each call starts from a filled memo it has to invalidate — and
+    /// the comparison is spelled out here because `next_deadline`'s own
+    /// `debug_assert` is compiled out of release-profile test runs.
+    #[test]
+    fn memoized_deadline_is_the_scanned_deadline(
+        steps in proptest::prop::collection::vec((0u8..16, 0u8..20, 0u8..6, 0usize..6), 1..120),
+    ) {
+        // The periodic schedule is pushed far out and the per-entry
+        // timers pulled in, so the earliest deadline — all the memo
+        // holds — is usually one a join, prune, hello or packet just
+        // moved, not the next query.
+        let cfg = PimConfig {
+            query_interval: Duration(5000),
+            refresh_period: Duration(5000),
+            rp_reach_period: Duration(5000),
+            rp_timeout: Duration(40),
+            entry_linger: Duration(25),
+            ..PimConfig::default()
+        };
+        let (_, mut rib) = sender_dr();
+        let mut e = Engine::new(me(), 4, cfg);
+        e.set_host_lan(IfaceId(0));
+        e.set_lan(IfaceId(3));
+        e.register_local_host(src_host(), IfaceId(0));
+        e.set_rp_mapping(g(), vec![rp1(), rp2()]);
+        e.set_rp_mapping(Group::test(2), vec![me()]);
+        let mut now = 0;
+        for (op, a, b, dt) in steps {
+            now += [0, 1, 4, 30, 100, 400][dt];
+            memo_step(&mut e, &mut rib, t(now), op, a, b);
+            assert_eq!(e.next_deadline(), e.scan_deadline(), "after op {op} at {now}");
+        }
+    }
 }

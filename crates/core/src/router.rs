@@ -39,8 +39,18 @@ fn actions(outs: Vec<Output>, data_ttl: u8) -> Vec<Action> {
                 ifaces,
                 source,
                 group,
-                payload,
             } => Action::Forward {
+                ifaces,
+                source,
+                group,
+                ttl: data_ttl,
+            },
+            Output::ForwardDecapsulated {
+                ifaces,
+                source,
+                group,
+                payload,
+            } => Action::ForwardDecapsulated {
                 ifaces,
                 source,
                 group,

@@ -52,7 +52,9 @@ pub enum Output {
         /// The message.
         msg: Message,
     },
-    /// Forward a data packet out of each listed interface.
+    /// Forward the data packet being handled ([`DvmrpEngine::on_data`])
+    /// out of each listed interface. The caller holds the payload; the
+    /// engine never copies it.
     Forward {
         /// Interfaces to copy the packet to.
         ifaces: Vec<IfaceId>,
@@ -60,8 +62,6 @@ pub enum Output {
         source: Addr,
         /// Destination group.
         group: Group,
-        /// Payload bytes.
-        payload: Vec<u8>,
     },
 }
 
@@ -311,7 +311,6 @@ impl DvmrpEngine {
         iface: IfaceId,
         source: Addr,
         group: Group,
-        payload: &[u8],
         rib: &dyn Rib,
     ) -> Vec<Output> {
         let mut out = Vec::new();
@@ -388,7 +387,6 @@ impl DvmrpEngine {
                 ifaces,
                 source,
                 group,
-                payload: payload.to_vec(),
             });
         }
         out
@@ -647,7 +645,7 @@ mod tests {
     #[test]
     fn floods_to_router_links_truncates_memberless_leaves() {
         let (mut e, rib) = engine_with_neighbors();
-        let out = e.on_data(t(1), IfaceId(0), src(), g(), b"d", &rib);
+        let out = e.on_data(t(1), IfaceId(0), src(), g(), &rib);
         // Host LAN (3) has no members: truncated. Routers on 1,2 get it.
         assert_eq!(out.len(), 1);
         assert!(matches!(
@@ -661,7 +659,7 @@ mod tests {
     fn member_leaf_receives() {
         let (mut e, rib) = engine_with_neighbors();
         e.local_member_joined(t(0), g(), IfaceId(3), &rib);
-        let out = e.on_data(t(1), IfaceId(0), src(), g(), b"d", &rib);
+        let out = e.on_data(t(1), IfaceId(0), src(), g(), &rib);
         assert!(matches!(
             &out[0],
             Output::Forward { ifaces, .. }
@@ -672,7 +670,7 @@ mod tests {
     #[test]
     fn rpf_check_drops_wrong_interface() {
         let (mut e, rib) = engine_with_neighbors();
-        let out = e.on_data(t(1), IfaceId(1), src(), g(), b"d", &rib);
+        let out = e.on_data(t(1), IfaceId(1), src(), g(), &rib);
         assert!(out.is_empty(), "non-RPF arrival must be dropped");
         assert_eq!(e.entry_count(), 0);
     }
@@ -680,7 +678,7 @@ mod tests {
     #[test]
     fn prune_removes_branch_until_growback() {
         let (mut e, rib) = engine_with_neighbors();
-        e.on_data(t(1), IfaceId(0), src(), g(), b"d", &rib);
+        e.on_data(t(1), IfaceId(0), src(), g(), &rib);
         e.on_prune(
             t(2),
             IfaceId(1),
@@ -691,13 +689,13 @@ mod tests {
             },
         );
         assert!(e.is_pruned(src(), g(), IfaceId(1)));
-        let out = e.on_data(t(3), IfaceId(0), src(), g(), b"d", &rib);
+        let out = e.on_data(t(3), IfaceId(0), src(), g(), &rib);
         assert!(matches!(
             &out[0],
             Output::Forward { ifaces, .. } if ifaces == &vec![IfaceId(2)]
         ));
         // After the lifetime, the branch grows back (§1.1).
-        let out = e.on_data(t(103), IfaceId(0), src(), g(), b"d", &rib);
+        let out = e.on_data(t(103), IfaceId(0), src(), g(), &rib);
         assert!(matches!(
             &out[0],
             Output::Forward { ifaces, .. } if ifaces == &vec![IfaceId(1), IfaceId(2)]
@@ -720,7 +718,7 @@ mod tests {
             },
         );
 
-        let out = e.on_data(t(1), IfaceId(0), src(), g(), b"d", &rib);
+        let out = e.on_data(t(1), IfaceId(0), src(), g(), &rib);
         assert!(matches!(
             &out[0],
             Output::Send { iface, dst, msg: Message::DvmrpPrune(p) }
@@ -728,10 +726,10 @@ mod tests {
         ));
         assert!(e.pruned_upstream(src(), g()));
         // Damping: an immediate second packet does not re-prune.
-        let out = e.on_data(t(2), IfaceId(0), src(), g(), b"d", &rib);
+        let out = e.on_data(t(2), IfaceId(0), src(), g(), &rib);
         assert!(out.is_empty());
         // After the damping interval it may re-prune (upstream grow-back).
-        let out = e.on_data(t(60), IfaceId(0), src(), g(), b"d", &rib);
+        let out = e.on_data(t(60), IfaceId(0), src(), g(), &rib);
         assert_eq!(out.len(), 1);
     }
 
@@ -749,7 +747,7 @@ mod tests {
                 metric: 1,
             },
         );
-        e.on_data(t(1), IfaceId(0), src(), g(), b"d", &rib); // prunes upstream
+        e.on_data(t(1), IfaceId(0), src(), g(), &rib); // prunes upstream
 
         let out = e.local_member_joined(t(10), g(), IfaceId(1), &rib);
         assert!(matches!(
@@ -788,7 +786,7 @@ mod tests {
     #[test]
     fn graft_from_downstream_unprunes_and_acks() {
         let (mut e, rib) = engine_with_neighbors();
-        e.on_data(t(1), IfaceId(0), src(), g(), b"d", &rib);
+        e.on_data(t(1), IfaceId(0), src(), g(), &rib);
         e.on_prune(
             t(2),
             IfaceId(1),
@@ -834,7 +832,7 @@ mod tests {
             },
         );
         // Downstream pruned, so we pruned upstream too.
-        e.on_data(t(1), IfaceId(0), src(), g(), b"d", &rib);
+        e.on_data(t(1), IfaceId(0), src(), g(), &rib);
         e.on_prune(
             t(2),
             IfaceId(1),
@@ -844,7 +842,7 @@ mod tests {
                 lifetime: 100,
             },
         );
-        e.on_data(t(60), IfaceId(0), src(), g(), b"d", &rib);
+        e.on_data(t(60), IfaceId(0), src(), g(), &rib);
         assert!(e.pruned_upstream(src(), g()));
         // Downstream grafts: we must cascade.
         let out = e.on_graft(
@@ -865,7 +863,7 @@ mod tests {
     #[test]
     fn entries_gc_without_data() {
         let (mut e, rib) = engine_with_neighbors();
-        e.on_data(t(1), IfaceId(0), src(), g(), b"d", &rib);
+        e.on_data(t(1), IfaceId(0), src(), g(), &rib);
         assert_eq!(e.entry_count(), 1);
         e.tick(t(500), &rib);
         assert_eq!(e.entry_count(), 0, "entries must lapse without traffic");
@@ -876,7 +874,7 @@ mod tests {
         let (mut e, rib) = engine_with_neighbors();
         let local_src = Addr::new(10, 0, 1, 10);
         e.register_local_host(local_src, IfaceId(3));
-        let out = e.on_data(t(1), IfaceId(3), local_src, g(), b"d", &rib);
+        let out = e.on_data(t(1), IfaceId(3), local_src, g(), &rib);
         assert!(matches!(
             &out[0],
             Output::Forward { ifaces, .. }

@@ -31,13 +31,11 @@ fn actions(outs: Vec<Output>, data_ttl: u8) -> Vec<Action> {
                 ifaces,
                 source,
                 group,
-                payload,
             } => Action::Forward {
                 ifaces,
                 source,
                 group,
                 ttl: data_ttl,
-                payload,
             },
         })
         .collect()
@@ -83,13 +81,13 @@ impl ProtocolEngine for DvmrpEngine {
         source: Addr,
         group: Group,
         ttl: u8,
-        payload: &[u8],
+        _payload: &[u8],
         _from_host_lan: bool,
         rib: &dyn Rib,
     ) -> Vec<Action> {
         // Dense mode treats host and router arrivals alike: RPF-check and
         // broadcast-and-prune.
-        actions(self.on_data(now, iface, source, group, payload, rib), ttl)
+        actions(self.on_data(now, iface, source, group, rib), ttl)
     }
 
     fn relays_unicast(&self) -> bool {

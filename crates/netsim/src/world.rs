@@ -1,5 +1,5 @@
 //! The discrete-event simulation world: nodes, links, region-partitioned
-//! event heaps, and the conservative parallel driver loop.
+//! event queues, and the conservative parallel driver loop.
 //!
 //! The simulator is deliberately simple (smoltcp-style "simplicity and
 //! robustness"): links have a fixed propagation delay and optional random
@@ -26,7 +26,7 @@
 //!
 //! Nodes are assigned to **regions** (one by default; see
 //! [`World::set_partition`] and [`World::parallelize`]). Each region owns
-//! its own event heap, event arena, RNG streams, `Counters` shard, and
+//! its own event queue, event arena, RNG streams, `Counters` shard, and
 //! telemetry buffer, so regions can advance concurrently with no locks on
 //! the hot path. Regions advance in lock-step **windows** bounded by the
 //! conservative lookahead `L = min cross-region link delay`: no event a
@@ -39,7 +39,7 @@
 //!
 //! Every event carries a partition-independent **canonical key**
 //! `(time, epoch, origin node, origin dispatch seq, emission index)`; each
-//! region's heap orders by that key, per-node RNG streams are a pure
+//! region's queue orders by that key, per-node RNG streams are a pure
 //! function of the world seed and the node index, and telemetry is
 //! buffered per region and merged in canonical-key order at each barrier.
 //! The result: receptions, merged counters, captures, and the telemetry
@@ -65,7 +65,7 @@ const NODE_RNG_STREAM: u64 = 0x6E6F_6465; // "node"
 /// sort before any runtime event at the same tick.
 const EPOCH_START: u8 = 0;
 /// Canonical-key epoch for scripts. Scripts live in a separate
-/// world-level queue and never enter a region heap; the epoch exists so
+/// world-level queue and never enter a region queue; the epoch exists so
 /// a script dispatch has a canonical identity of its own — the causal
 /// root every fault injection's consequences hang off — that sorts
 /// before the node events it triggers at the same tick.
@@ -326,7 +326,6 @@ impl Tag {
     /// Everything but `time`, packed `epoch:8 | origin:32 | seq:56 |
     /// emit:32` so one integer compare orders two same-tick events
     /// exactly as the derived `Ord` orders their tags.
-    #[allow(dead_code)]
     fn sub_key(self) -> u128 {
         debug_assert!(self.seq < 1 << SEQ_BITS, "seq outruns the packed key");
         (self.epoch as u128) << 120
@@ -394,7 +393,7 @@ pub struct TimerId {
     gen: u32,
 }
 
-/// One event-arena slot. The heap stores `(tag, slot, gen)`; a popped
+/// One event-arena slot. The queue stores `(tag, slot, gen)`; a popped
 /// entry whose generation no longer matches (or whose slot is empty) is a
 /// cancelled timer and is skipped without dispatch.
 struct EventSlot {
@@ -417,7 +416,6 @@ type QueueEntry = (u128, u32, u32);
 /// in order — a push is one `Vec::push` and a pop one `Vec::pop`, where a
 /// binary heap paid `log n` five-field tag comparisons for both.
 #[derive(Default)]
-#[allow(dead_code)] // Region switches to it in the next commit
 struct EventQueue {
     /// Every tick but the open one: unsorted buckets.
     future: BTreeMap<u64, Vec<QueueEntry>>,
@@ -434,7 +432,6 @@ struct EventQueue {
     spare: Vec<Vec<QueueEntry>>,
 }
 
-#[allow(dead_code)]
 impl EventQueue {
     fn bucket(&mut self, tick: u64) -> &mut Vec<QueueEntry> {
         self.future
@@ -579,7 +576,7 @@ impl telemetry::Sink for RegionBuf {
 }
 
 /// A cross-region delivery waiting at the window barrier to be routed
-/// into its destination region's heap. The heap orders by canonical tag,
+/// into its destination region's queue. The queue orders by canonical tag,
 /// so routing order is irrelevant to the result.
 struct Outgoing {
     dst: u32,
@@ -610,12 +607,12 @@ struct Shared {
     capture_limit: Option<usize>,
 }
 
-/// Per-direction transmit-queue state for the capacity model: one entry
-/// per `(link, sending node)` pair that has ever transmitted on a
-/// capacity-limited link. Lives in the sender's region — every transmit
-/// by a node runs inside its own region's dispatches, so the state is
-/// touched by exactly one region and the partition cannot observe it
-/// (the PR 6 byte-identity invariant).
+/// Per-direction transmit-queue state for the capacity model: one per
+/// sending interface (an interface is one direction of one link). Lives
+/// in the sender's region — every transmit by a node runs inside its own
+/// region's dispatches, so the state is touched by exactly one region
+/// and the partition cannot observe it (the PR 6 byte-identity
+/// invariant).
 #[derive(Clone, Copy, Default)]
 struct TxDir {
     /// Last time the backlog was drained (sender-region clock).
@@ -629,7 +626,7 @@ struct TxDir {
 }
 
 /// One region of the partitioned world: its nodes, their RNG streams and
-/// dispatch counters, an event heap + arena, a `Counters` shard, capture
+/// dispatch counters, an event queue + arena, a `Counters` shard, capture
 /// shard, telemetry buffer, and the cross-region outbox.
 struct Region {
     id: u32,
@@ -638,8 +635,8 @@ struct Region {
     rngs: Vec<StdRng>,
     /// Per-slot dispatch counter: the `seq` component of canonical tags.
     dispatch_seq: Vec<u64>,
-    heap: BinaryHeap<Reverse<(Tag, usize, u32)>>,
-    /// Event arena, indexed by the slot carried in the heap. Slots are
+    queue: EventQueue,
+    /// Event arena, indexed by the slot carried in the queue. Slots are
     /// vacated (and recycled via `free`) as events fire or are cancelled,
     /// so memory is bounded by *outstanding* events, not events ever
     /// scheduled.
@@ -652,10 +649,11 @@ struct Region {
     cap_seq: u64,
     buf: Option<Arc<Mutex<RegionBuf>>>,
     outbox: Vec<Outgoing>,
-    /// Capacity-model queue state, keyed `(link, sending node)`. Only
-    /// populated for links with a [`LinkCapacity`] configured; an
-    /// unlimited link never touches it.
-    tx_queues: std::collections::HashMap<(usize, usize), TxDir>,
+    /// Capacity-model queue state, `tx_dirs[node slot][iface]`. A node's
+    /// column grows to cover an interface the first time it transmits on
+    /// a link with a [`LinkCapacity`] configured; an unlimited link never
+    /// touches it.
+    tx_dirs: Vec<Vec<TxDir>>,
     /// Wall-clock/event-count attribution shard, `Some` when profiling
     /// (see [`World::enable_profile`]). Only the profiler reads
     /// wall-clock; nothing inside the simulation ever does.
@@ -670,7 +668,7 @@ impl Region {
             nodes: Vec::new(),
             rngs: Vec::new(),
             dispatch_seq: Vec::new(),
-            heap: BinaryHeap::new(),
+            queue: EventQueue::default(),
             events: Vec::new(),
             free: Vec::new(),
             counters: Counters::default(),
@@ -678,7 +676,7 @@ impl Region {
             cap_seq: 0,
             buf: None,
             outbox: Vec::new(),
-            tx_queues: std::collections::HashMap::new(),
+            tx_dirs: Vec::new(),
             prof: None,
         }
     }
@@ -700,12 +698,12 @@ impl Region {
             }
         };
         let gen = self.events[slot].gen;
-        self.heap.push(Reverse((tag, slot, gen)));
+        self.queue.push(tag, slot, gen);
         TimerId { slot, gen }
     }
 
     /// Vacate a slot after its event fired or was cancelled: bump the
-    /// generation (so outstanding handles and heap entries for this tenant
+    /// generation (so outstanding handles and queue entries for this tenant
     /// go stale) and recycle the index. The generation must strictly
     /// increase across a recycle — if it ever wrapped, a 2^32-events-old
     /// stale handle (or a future cross-region cancel) could ABA the
@@ -766,7 +764,7 @@ impl Region {
     }
 
     /// Process every event in this region due strictly before `bound`
-    /// (up to `budget` heap pops), advancing the region clock event by
+    /// (up to `budget` queue pops), advancing the region clock event by
     /// event. Newly created same-region events inside the window are
     /// picked up in the same pass; cross-region events land in the
     /// outbox (the lookahead guarantees they are due at or after
@@ -774,18 +772,14 @@ impl Region {
     fn run_window(&mut self, shared: &Shared, bound: SimTime, budget: usize) -> usize {
         let mut n = 0;
         while n < budget {
-            let due = match self.heap.peek() {
-                Some(Reverse((tag, _, _))) => tag.time,
-                None => break,
-            };
-            if due >= bound {
+            if self.queue.peek_time().is_none_or(|due| due >= bound) {
                 break;
             }
-            let Some(Reverse((tag, slot, gen))) = self.heap.pop() else {
+            let Some((time, slot, gen)) = self.queue.pop() else {
                 break;
             };
-            debug_assert!(tag.time >= self.now, "region time went backwards");
-            self.now = tag.time;
+            debug_assert!(time >= self.now, "region time went backwards");
+            self.now = time;
             n += 1;
             // A generation mismatch or empty slot means the event was
             // cancelled (or the slot recycled after cancellation): skip
@@ -939,7 +933,7 @@ impl<'a> Ctx<'a> {
     /// All rolls come from the *sender's* RNG stream, during the
     /// sender's own dispatch — which is what keeps impairments a pure
     /// function of the seed regardless of how receivers are partitioned.
-    fn transmit(&mut self, iface: IfaceId, packet: Vec<u8>) {
+    fn transmit(&mut self, iface: IfaceId, packet: Arc<[u8]>) {
         let from = self.node;
         let link_id = self.shared.ifaces[from.0][iface.index()];
         let link = &self.shared.links[link_id.0];
@@ -965,11 +959,11 @@ impl<'a> Ctx<'a> {
             let rate = cap.bytes_per_tick;
             let now = self.region.now;
             let (dropped, backlog, marked, new_peak) = {
-                let q = self
-                    .region
-                    .tx_queues
-                    .entry((link_id.0, from.0))
-                    .or_default();
+                let dirs = &mut self.region.tx_dirs[self.slot];
+                if dirs.len() <= iface.index() {
+                    dirs.resize(iface.index() + 1, TxDir::default());
+                }
+                let q = &mut dirs[iface.index()];
                 let elapsed = now.ticks().saturating_sub(q.last.ticks());
                 q.backlog = q.backlog.saturating_sub(elapsed.saturating_mul(rate));
                 q.last = now;
@@ -1035,7 +1029,7 @@ impl<'a> Ctx<'a> {
                 let cap = &mut self.region.capture;
                 // Keep the canonically-*smallest* `limit` records, not the
                 // first-inserted: same-tick dispatch tags are keyed by the
-                // receiving node and can invert relative to heap (event-tag)
+                // receiving node and can invert relative to queue (event-tag)
                 // order, so insertion order is not canonical order even
                 // within one region. Bounded replacement preserves the
                 // invariant `captured()` relies on.
@@ -1076,9 +1070,8 @@ impl<'a> Ctx<'a> {
         // One shared buffer for the whole fan-out; each delivery below is
         // a refcount bump, not a copy of the packet bytes. Attachments are
         // walked by index (re-reading the shared link each step) so the
-        // fan-out allocates nothing beyond the Arc itself — collecting the
-        // destination list first cost a Vec per transmit on the hot path.
-        let packet: Arc<[u8]> = packet.into();
+        // fan-out allocates nothing — collecting the destination list
+        // first cost a Vec per transmit on the hot path.
         for ai in 0..n_att {
             let (n, i) = self.shared.links[link_id.0].attachments[ai];
             if (n, i) == (from, iface) {
@@ -1147,13 +1140,16 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// Transmit a serialized packet out of `iface`.
-    pub fn send(&mut self, iface: IfaceId, packet: Vec<u8>) {
+    /// Transmit a serialized packet out of `iface`. The buffer is shared,
+    /// never copied or mutated, from here to every receiver: a caller
+    /// sending one packet out of several interfaces builds the `Arc` once
+    /// and passes clones; a `Vec<u8>` is converted (one copy) on entry.
+    pub fn send(&mut self, iface: IfaceId, packet: impl Into<Arc<[u8]>>) {
         debug_assert!(
             iface.index() < self.iface_count(),
             "send on nonexistent interface {iface:?}"
         );
-        self.transmit(iface, packet);
+        self.transmit(iface, packet.into());
     }
 
     /// Arrange for [`Node::on_timer`] to be called with `token` after `d`.
@@ -1179,7 +1175,7 @@ impl<'a> Ctx<'a> {
     /// Cancel a pending timer. Returns `true` if the timer was still
     /// pending and belonged to this node; stale handles (the timer already
     /// fired, was cancelled, or the slot was recycled) are a no-op. The
-    /// heap entry stays behind and is skipped — and counted as stale — when
+    /// queue entry stays behind and is skipped — and counted as stale — when
     /// popped.
     pub fn cancel_timer(&mut self, id: TimerId) -> bool {
         let Some(s) = self.region.events.get(id.slot) else {
@@ -1355,6 +1351,7 @@ impl World {
             idx as u64,
         )));
         r.dispatch_seq.push(0);
+        r.tx_dirs.push(Vec::new());
         self.shared.ifaces.push(Vec::new());
         self.shared.node_up.push(true);
         NodeIdx(idx)
@@ -1438,6 +1435,7 @@ impl World {
             r.nodes.push(Some(node));
             r.rngs.push(rng);
             r.dispatch_seq.push(0);
+            r.tx_dirs.push(Vec::new());
         }
         self.lookahead = self.cross_region_lookahead();
     }
@@ -1519,7 +1517,7 @@ impl World {
         }
         self.shared.node_up[idx.0] = false;
         // Eagerly vacate every armed timer owned by the node (timers
-        // always live in the node's own region). The heap entries stay
+        // always live in the node's own region). The queue entries stay
         // behind and are skipped as stale when popped; what matters is
         // that no Timer event can reach a dead node.
         let r = &mut self.regions[self.shared.region_of[idx.0] as usize];
@@ -1864,28 +1862,30 @@ impl World {
     fn min_event_time(&self) -> Option<SimTime> {
         self.regions
             .iter()
-            .filter_map(|r| r.heap.peek().map(|Reverse((tag, _, _))| tag.time))
+            .filter_map(|r| r.queue.peek_time())
             .min()
     }
 
-    /// Drain every region's outbox into the destination regions' heaps.
-    /// Order is irrelevant: heaps order by the canonical tag.
+    /// Drain every region's outbox into the destination regions' queues.
+    /// Order is irrelevant: queues order by the canonical tag.
     fn route_mail(&mut self) {
-        let mut mail: Vec<Outgoing> = Vec::new();
-        for r in &mut self.regions {
-            mail.append(&mut r.outbox);
-        }
-        for m in mail {
-            let _ = self.regions[m.dst as usize].push_event(
-                m.tag,
-                m.cause,
-                Event::Deliver {
-                    node: m.node,
-                    iface: m.iface,
-                    packet: m.packet,
-                    link: m.link,
-                },
-            );
+        for src in 0..self.regions.len() {
+            // Emptied in place and handed back, so each outbox keeps its
+            // capacity from barrier to barrier.
+            let mut outbox = std::mem::take(&mut self.regions[src].outbox);
+            for m in outbox.drain(..) {
+                let _ = self.regions[m.dst as usize].push_event(
+                    m.tag,
+                    m.cause,
+                    Event::Deliver {
+                        node: m.node,
+                        iface: m.iface,
+                        packet: m.packet,
+                        link: m.link,
+                    },
+                );
+            }
+            self.regions[src].outbox = outbox;
         }
     }
 
@@ -1933,7 +1933,7 @@ impl World {
     /// Run one lock-step window: every region processes its events due
     /// before `bound` (in parallel when `threads > 1`), then cross-region
     /// mail is routed and telemetry merged at the barrier. Returns the
-    /// number of heap pops across all regions.
+    /// number of queue pops across all regions.
     fn run_window_all(&mut self, bound: SimTime, budget: usize) -> usize {
         let n: usize = {
             let shared = &self.shared;
@@ -1982,7 +1982,7 @@ impl World {
 
     /// Run until the event queue is empty or simulated time would exceed
     /// `until`. Returns the number of events processed (scripts plus
-    /// region heap pops, stale skips included).
+    /// region queue pops, stale skips included).
     pub fn run_until(&mut self, until: SimTime) -> usize {
         self.start();
         let mut n = 0;
@@ -2235,6 +2235,41 @@ mod tests {
         let es: &Echo = w.node(sender);
         assert_eq!(es.received.len(), 3, "one echo per receiver");
         assert!(es.received.iter().all(|r| r.2 == [0, 0xAB, 0xCD, 0xEF]));
+    }
+
+    /// A packet built once and sent out of three interfaces is queued as
+    /// three deliveries of that one buffer: `send` takes the `Arc` as it
+    /// is, and nothing between there and the event arena copies it.
+    #[test]
+    fn one_buffer_sent_out_of_three_interfaces_is_never_copied() {
+        let mut w = World::new(1);
+        let hub = w.add_node(Box::<Quiet>::default());
+        for _ in 0..3 {
+            let leaf = w.add_node(Box::<Quiet>::default());
+            w.add_p2p(hub, leaf, Duration(5));
+        }
+        let packet: Arc<[u8]> = vec![7u8; 1024].into();
+        let sent = Arc::clone(&packet);
+        w.at(SimTime(0), move |w| {
+            w.call_node(hub, |_n, ctx| {
+                for i in 0..3 {
+                    ctx.send(IfaceId(i), Arc::clone(&sent));
+                }
+            });
+        });
+        w.run_until(SimTime(0));
+        let queued: Vec<&Arc<[u8]>> = w.regions[0]
+            .events
+            .iter()
+            .filter_map(|s| match &s.ev {
+                Some(Event::Deliver { packet, .. }) => Some(packet),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(queued.len(), 3);
+        assert!(queued.iter().all(|q| Arc::ptr_eq(q, &packet)));
+        w.run_until(SimTime(5));
+        assert_eq!(w.counters().rx_pkts(), 3);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use igmp::{Querier, QuerierOutput};
 use netsim::{earliest, Ctx, Duration, IfaceId, Node, SimTime, TimerId};
 use std::any::Any;
-use std::collections::HashMap;
+use std::cell::Cell;
 use telemetry::{message_kind, Event, StateDump, Telem};
 use unicast::Rib;
 use wire::ip::{Header, Protocol};
@@ -46,7 +46,9 @@ pub enum Action {
         /// The message.
         msg: Message,
     },
-    /// Forward multicast data out a set of interfaces.
+    /// Forward the multicast data packet being handled out a set of
+    /// interfaces. The node already holds its payload; only valid in
+    /// answer to [`ProtocolEngine::on_multicast_data`].
     Forward {
         /// Interfaces to transmit on.
         ifaces: Vec<IfaceId>,
@@ -55,10 +57,22 @@ pub enum Action {
         /// Destination group.
         group: Group,
         /// TTL to stamp on the forwarded copies (the decremented arrival
-        /// TTL on the data path; a fresh origination TTL for decapsulated
-        /// registers).
+        /// TTL).
         ttl: u8,
-        /// The data payload.
+    },
+    /// Forward multicast data the engine unwrapped itself (a Register
+    /// decapsulated at the RP or core): the one case where the payload
+    /// is not the packet in hand and has to travel with the action.
+    ForwardDecapsulated {
+        /// Interfaces to transmit on.
+        ifaces: Vec<IfaceId>,
+        /// Original source host (network-header source).
+        source: Addr,
+        /// Destination group.
+        group: Group,
+        /// Fresh origination TTL.
+        ttl: u8,
+        /// The decapsulated data payload.
         payload: Vec<u8>,
     },
     /// The packet under consideration is unicast traffic in transit (e.g. a
@@ -172,13 +186,44 @@ pub trait ProtocolEngine: StateDump + Send {
     fn set_telemetry(&mut self, _telem: Telem) {}
 }
 
+/// An engine's memoized [`ProtocolEngine::next_deadline`]. The adapter
+/// asks for the deadline after every packet; an engine whose data path
+/// moves no timer keeps the answer here and rescans only after
+/// [`DeadlineMemo::clear`], which every `&mut` entry point that can arm,
+/// move or clear a timer must call first thing. The scan stays the one
+/// definition of the deadline: debug builds re-run it on every read and
+/// compare.
+#[derive(Debug, Default)]
+pub struct DeadlineMemo(Cell<Option<Option<SimTime>>>);
+
+impl DeadlineMemo {
+    /// The memoized deadline, running `scan` if it was cleared.
+    pub fn get_or(&self, scan: impl Fn() -> Option<SimTime>) -> Option<SimTime> {
+        let memo = self.0.get().unwrap_or_else(|| {
+            let scanned = scan();
+            self.0.set(Some(scanned));
+            scanned
+        });
+        debug_assert_eq!(memo, scan(), "a timer moved and nothing cleared the memo");
+        memo
+    }
+
+    /// Forget the deadline: a timer may be about to move.
+    pub fn clear(&self) {
+        self.0.set(None);
+    }
+}
+
 /// A router node: one [`ProtocolEngine`] + one interchangeable unicast
 /// engine + one IGMP [`Querier`] per host-facing interface, glued to the
 /// simulator with deadline-driven scheduling.
 pub struct ProtocolNode<P: ProtocolEngine> {
     engine: P,
     unicast: Box<dyn unicast::Engine>,
-    queriers: HashMap<IfaceId, Querier>,
+    /// `queriers[iface]` is `Some` on host-facing interfaces. Indexed, so
+    /// ticking them walks interfaces in ascending order — the order their
+    /// queries reach the wire must not depend on a hasher.
+    queriers: Vec<Option<Querier>>,
     /// Count of multicast data packets this router forwarded (processing
     /// overhead metric).
     pub data_forwards: u64,
@@ -201,7 +246,7 @@ impl<P: ProtocolEngine> ProtocolNode<P> {
         ProtocolNode {
             engine,
             unicast,
-            queriers: HashMap::new(),
+            queriers: Vec::new(),
             data_forwards: 0,
             control_msgs: 0,
             malformed_drops: 0,
@@ -233,10 +278,11 @@ impl<P: ProtocolEngine> ProtocolNode<P> {
         for _ in 0..grow {
             self.unicast.grow_iface(1);
         }
-        self.queriers.insert(
-            iface,
-            Querier::new(self.engine.addr(), igmp::Config::default()),
-        );
+        if self.queriers.len() <= iface.index() {
+            self.queriers.resize_with(iface.index() + 1, || None);
+        }
+        self.queriers[iface.index()] =
+            Some(Querier::new(self.engine.addr(), igmp::Config::default()));
         for &h in hosts {
             self.engine.register_local_host(h, iface);
             self.unicast.attach_local(h, 1);
@@ -282,12 +328,54 @@ impl<P: ProtocolEngine> ProtocolNode<P> {
             src: self.engine.addr(),
             dst,
         };
-        ctx.send(iface, header.encap(&msg.encode()));
+        ctx.send(iface, header.encap_shared(&msg.encode()));
+    }
+
+    fn is_host_lan(&self, iface: IfaceId) -> bool {
+        matches!(self.queriers.get(iface.index()), Some(Some(_)))
+    }
+
+    /// Send one data packet out of `ifaces`. The packet is built once;
+    /// each interface (and, inside the world, each receiver) gets a
+    /// reference to the same buffer.
+    fn fan_out(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        ifaces: &[IfaceId],
+        source: Addr,
+        group: Group,
+        ttl: u8,
+        payload: &[u8],
+    ) {
+        let header = Header {
+            proto: Protocol::Data,
+            ttl,
+            src: source,
+            dst: group.addr(),
+        };
+        let pkt = header.encap_shared(payload);
+        for &i in ifaces {
+            self.data_forwards += 1;
+            if self.is_host_lan(i) {
+                // Any forward onto a host LAN is a delivery edge for the
+                // experiment counters.
+                ctx.count_local_delivery();
+                self.telem
+                    .emit(ctx.now().ticks(), || Event::DataDelivered { group, source });
+            }
+            ctx.send(i, pkt.clone());
+        }
     }
 
     /// Carry out engine actions; returns true if the engine asked for the
-    /// current packet to be relayed as unicast.
-    fn handle_actions(&mut self, ctx: &mut Ctx<'_>, actions: Vec<Action>) -> bool {
+    /// current packet to be relayed as unicast. `data` is the payload of
+    /// the multicast data packet being handled, when there is one.
+    fn handle_actions(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        actions: Vec<Action>,
+        data: Option<&[u8]>,
+    ) -> bool {
         let mut relay = false;
         for a in actions {
             match a {
@@ -304,26 +392,18 @@ impl<P: ProtocolEngine> ProtocolNode<P> {
                     source,
                     group,
                     ttl,
+                } => {
+                    let payload = data.expect("Forward answers on_multicast_data only");
+                    self.fan_out(ctx, &ifaces, source, group, ttl, payload);
+                }
+                Action::ForwardDecapsulated {
+                    ifaces,
+                    source,
+                    group,
+                    ttl,
                     payload,
                 } => {
-                    let header = Header {
-                        proto: Protocol::Data,
-                        ttl,
-                        src: source,
-                        dst: group.addr(),
-                    };
-                    let pkt = header.encap(&payload);
-                    for i in ifaces {
-                        self.data_forwards += 1;
-                        if self.queriers.contains_key(&i) {
-                            // Any forward onto a host LAN is a delivery edge
-                            // for the experiment counters.
-                            ctx.count_local_delivery();
-                            self.telem
-                                .emit(ctx.now().ticks(), || Event::DataDelivered { group, source });
-                        }
-                        ctx.send(i, pkt.clone());
-                    }
+                    self.fan_out(ctx, &ifaces, source, group, ttl, &payload);
                 }
                 Action::RelayUnicast => relay = true,
             }
@@ -341,7 +421,7 @@ impl<P: ProtocolEngine> ProtocolNode<P> {
                 unicast::Output::RouteChanged { dst } => {
                     self.telem.emit(now.ticks(), || Event::RouteChanged { dst });
                     let acts = self.engine.on_route_change(now, dst, self.unicast.as_ref());
-                    self.handle_actions(ctx, acts);
+                    self.handle_actions(ctx, acts, None);
                 }
             }
         }
@@ -365,13 +445,13 @@ impl<P: ProtocolEngine> ProtocolNode<P> {
                     let acts =
                         self.engine
                             .local_member_joined(now, group, iface, self.unicast.as_ref());
-                    self.handle_actions(ctx, acts);
+                    self.handle_actions(ctx, acts, None);
                 }
                 QuerierOutput::MemberExpired(group) => {
                     self.telem
                         .emit(now.ticks(), || Event::LocalMemberLeft { group });
                     let acts = self.engine.local_member_left(now, group, iface);
-                    self.handle_actions(ctx, acts);
+                    self.handle_actions(ctx, acts, None);
                 }
                 QuerierOutput::RpMappingLearned(group, rps) => {
                     self.engine.rp_mapping_learned(group, &rps);
@@ -386,7 +466,7 @@ impl<P: ProtocolEngine> ProtocolNode<P> {
             return; // TTL exhausted
         };
         if let Some(r) = self.unicast.route(header.dst) {
-            ctx.send(r.iface, next.encap(payload));
+            ctx.send(r.iface, next.encap_shared(payload));
         }
     }
 
@@ -395,7 +475,7 @@ impl<P: ProtocolEngine> ProtocolNode<P> {
     fn next_deadline(&self) -> Option<SimTime> {
         let mut best = self.engine.next_deadline();
         best = earliest(best, self.unicast.next_deadline());
-        for q in self.queriers.values() {
+        for q in self.queriers.iter().flatten() {
             best = earliest(best, q.next_deadline());
         }
         best
@@ -451,7 +531,7 @@ impl<P: ProtocolEngine> ProtocolNode<P> {
         });
         match &msg {
             Message::HostQuery(_) | Message::HostReport(_) | Message::RpMapping(_) => {
-                if let Some(q) = self.queriers.get_mut(&iface) {
+                if let Some(Some(q)) = self.queriers.get_mut(iface.index()) {
                     let was_querier = q.is_querier();
                     let outs = q.on_message(now, header.src, &msg);
                     let is_querier = q.is_querier();
@@ -477,7 +557,7 @@ impl<P: ProtocolEngine> ProtocolNode<P> {
                     &msg,
                     self.unicast.as_ref(),
                 );
-                if self.handle_actions(ctx, acts) {
+                if self.handle_actions(ctx, acts, None) {
                     self.forward_unicast(ctx, header, payload);
                 }
             }
@@ -499,7 +579,7 @@ impl<P: ProtocolEngine> ProtocolNode<P> {
             let Some(fwd) = header.decrement_ttl() else {
                 return;
             };
-            let from_host_lan = self.queriers.contains_key(&iface);
+            let from_host_lan = self.is_host_lan(iface);
             let acts = self.engine.on_multicast_data(
                 now,
                 iface,
@@ -510,7 +590,7 @@ impl<P: ProtocolEngine> ProtocolNode<P> {
                 from_host_lan,
                 self.unicast.as_ref(),
             );
-            self.handle_actions(ctx, acts);
+            self.handle_actions(ctx, acts, Some(payload));
         } else if header.dst != self.engine.addr() && self.engine.relays_unicast() {
             self.forward_unicast(ctx, header, payload);
         }
@@ -553,7 +633,7 @@ impl<P: ProtocolEngine + 'static> Node for ProtocolNode<P> {
         self.engine.reset();
         self.unicast.reset();
         let addr = self.engine.addr();
-        for q in self.queriers.values_mut() {
+        for q in self.queriers.iter_mut().flatten() {
             *q = Querier::new(addr, igmp::Config::default());
         }
         self.wakeup = None;
@@ -575,32 +655,23 @@ impl<P: ProtocolEngine + 'static> Node for ProtocolNode<P> {
             let outs = self.unicast.tick(now);
             self.handle_unicast_outputs(ctx, outs);
         }
-        // Most routers in a large topology have no host LANs, and their
-        // wakeups fire on every engine deadline — don't pay a key-snapshot
-        // allocation for an empty querier map.
-        if !self.queriers.is_empty() {
-            let ifaces: Vec<IfaceId> = self.queriers.keys().copied().collect();
-            for i in ifaces {
-                // Keys are a snapshot; if a concurrent fault path ever
-                // removed a querier mid-iteration, skip it rather than
-                // aborting the sim.
-                let Some(q) = self.queriers.get_mut(&i) else {
-                    continue;
-                };
-                let was_querier = q.is_querier();
-                let outs = q.tick(now);
-                let is_querier = q.is_querier();
-                if was_querier != is_querier {
-                    self.telem.emit(now.ticks(), || Event::QuerierChanged {
-                        iface: i.0,
-                        is_querier,
-                    });
-                }
-                self.handle_querier_outputs(ctx, i, outs);
+        for i in 0..self.queriers.len() {
+            let Some(q) = &mut self.queriers[i] else {
+                continue; // not a host LAN
+            };
+            let was_querier = q.is_querier();
+            let outs = q.tick(now);
+            let is_querier = q.is_querier();
+            if was_querier != is_querier {
+                self.telem.emit(now.ticks(), || Event::QuerierChanged {
+                    iface: i as u32,
+                    is_querier,
+                });
             }
+            self.handle_querier_outputs(ctx, IfaceId(i as u32), outs);
         }
         let acts = self.engine.tick(now, self.unicast.as_ref());
-        self.handle_actions(ctx, acts);
+        self.handle_actions(ctx, acts, None);
         self.reschedule(ctx, now + Duration(1));
     }
 
@@ -610,5 +681,152 @@ impl<P: ProtocolEngine + 'static> Node for ProtocolNode<P> {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use netsim::{NodeIdx, World};
+    use unicast::OracleRib;
+
+    /// Forwards every multicast data packet out of every interface but
+    /// the one it arrived on; no control plane, no timers.
+    struct Flood {
+        addr: Addr,
+        ifaces: u32,
+    }
+
+    impl StateDump for Flood {
+        fn state_dump(&self, _now: u64) -> String {
+            String::new()
+        }
+    }
+
+    impl ProtocolEngine for Flood {
+        fn addr(&self) -> Addr {
+            self.addr
+        }
+        fn on_control(
+            &mut self,
+            _: SimTime,
+            _: IfaceId,
+            _: Addr,
+            _: Addr,
+            _: &Message,
+            _: &dyn Rib,
+        ) -> Vec<Action> {
+            Vec::new()
+        }
+        fn on_multicast_data(
+            &mut self,
+            _now: SimTime,
+            iface: IfaceId,
+            source: Addr,
+            group: Group,
+            ttl: u8,
+            _payload: &[u8],
+            _from_host_lan: bool,
+            _rib: &dyn Rib,
+        ) -> Vec<Action> {
+            vec![Action::Forward {
+                ifaces: (0..self.ifaces)
+                    .map(IfaceId)
+                    .filter(|&i| i != iface)
+                    .collect(),
+                source,
+                group,
+                ttl,
+            }]
+        }
+        fn local_member_joined(
+            &mut self,
+            _: SimTime,
+            _: Group,
+            _: IfaceId,
+            _: &dyn Rib,
+        ) -> Vec<Action> {
+            Vec::new()
+        }
+        fn local_member_left(&mut self, _: SimTime, _: Group, _: IfaceId) -> Vec<Action> {
+            Vec::new()
+        }
+        fn host_lan_attached(&mut self, _: IfaceId) -> u32 {
+            0
+        }
+        fn register_local_host(&mut self, _: Addr, _: IfaceId) {}
+        fn reset(&mut self) {}
+        fn tick(&mut self, _: SimTime, _: &dyn Rib) -> Vec<Action> {
+            Vec::new()
+        }
+        fn next_deadline(&self) -> Option<SimTime> {
+            None
+        }
+    }
+
+    /// Logs the address each received packet's bytes live at, and the
+    /// bytes.
+    #[derive(Default)]
+    struct Tap {
+        seen: Vec<(usize, Vec<u8>)>,
+    }
+
+    impl Node for Tap {
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _iface: IfaceId, packet: &[u8]) {
+            self.seen.push((packet.as_ptr() as usize, packet.to_vec()));
+        }
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _token: u64) {}
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// A hop that forwards 1 KiB to three interfaces builds the outgoing
+    /// packet once: the three receivers are handed the same buffer.
+    #[test]
+    fn a_forwarding_hop_builds_one_packet_whatever_its_fan_out() {
+        let addr = Addr::new(10, 0, 0, 1);
+        let mut world = World::new(3);
+        let router = world.add_node(Box::new(ProtocolNode::new(
+            Flood { addr, ifaces: 4 },
+            Box::new(OracleRib::empty(addr)),
+        )));
+        let taps: Vec<NodeIdx> = (0..4)
+            .map(|_| {
+                let tap = world.add_node(Box::<Tap>::default());
+                world.add_p2p(router, tap, Duration(2));
+                tap
+            })
+            .collect();
+        let header = Header {
+            proto: Protocol::Data,
+            ttl: 9,
+            src: Addr::new(10, 0, 9, 9),
+            dst: Group::test(1).addr(),
+        };
+        let payload = vec![0x5A; 1024];
+        let sent = header.encap(&payload);
+        let upstream = taps[0];
+        world.at(SimTime(1), move |w| {
+            w.call_node(upstream, |_, ctx| ctx.send(IfaceId(0), sent));
+        });
+        world.run_until(SimTime(10));
+
+        assert!(world.node::<Tap>(upstream).seen.is_empty());
+        let copies: Vec<&(usize, Vec<u8>)> = taps[1..]
+            .iter()
+            .map(|&t| {
+                let seen = &world.node::<Tap>(t).seen;
+                assert_eq!(seen.len(), 1);
+                &seen[0]
+            })
+            .collect();
+        let forwarded = header.decrement_ttl().expect("ttl 9").encap(&payload);
+        assert!(copies.iter().all(|(_, bytes)| *bytes == forwarded));
+        assert!(copies.iter().all(|(at, _)| *at == copies[0].0));
+        assert_eq!(world.node::<ProtocolNode<Flood>>(router).data_forwards, 3);
     }
 }

@@ -17,11 +17,17 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo test -q"
 cargo test -q --offline
 
+echo "== memoized deadlines, release profile (next_deadline's debug_assert is compiled out there)"
+cargo test -q --offline --release -p pim -p cbt --lib memoized_deadline
+
 echo "== cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --quiet
 
 echo "== cargo check benchmark/ (the frozen consumer of the public API)"
 (cd benchmark && cargo check --offline --all-targets)
+
+echo "== benchmark sim_stats vs benchmark/baseline.json (same work, whatever the speed)"
+./scripts/sim_stats.sh
 
 # gate NAME PATTERN CMD...: the parallel-core contract, checked end to
 # end on a real binary. CMD runs at --threads 1 and --threads 4; its

@@ -128,3 +128,53 @@ fn joined_member_still_refreshes() {
         "even with a member, wakeups ({timers}) stay far below the heartbeat ({heartbeat})"
     );
 }
+
+/// A 1 KiB stream through a three-router chain (sender — r0 — r1 = RP —
+/// r2 — member) arms exactly the wakeups it armed before the engines
+/// memoized `next_deadline`: a forwarded data packet moves no timer, so
+/// nothing may be armed, fired or cancelled that was not before. The
+/// literals were read off the parent commit, where every packet
+/// rescanned every timer.
+#[test]
+fn a_1k_stream_down_a_chain_arms_the_wakeups_it_always_did() {
+    let mut g = graph::Graph::with_nodes(3);
+    let r = [NodeId(0), NodeId(1), NodeId(2)];
+    g.add_edge(r[0], r[1], 2);
+    g.add_edge(r[1], r[2], 3);
+    let group = Group::test(1);
+    let mut net = NetSpec {
+        groups: &[(group, vec![r[1]])],
+        host_routers: &[r[0], r[2]],
+        seed: 14,
+        ..NetSpec::default()
+    }
+    .build(&g);
+    net.join_at(1, 100);
+    let (sender, sender_addr) = net.hosts[0];
+    let header = wire::ip::Header {
+        proto: wire::ip::Protocol::Data,
+        ttl: 32,
+        src: sender_addr,
+        dst: group.addr(),
+    };
+    for seq in 0..400u64 {
+        net.world.at(SimTime(300 + 2 * seq), move |w| {
+            let mut payload = vec![0xA5; 1024];
+            payload[..8].copy_from_slice(&seq.to_be_bytes());
+            w.call_node(sender, |_, ctx| {
+                ctx.send(netsim::IfaceId(0), header.encap(&payload))
+            });
+        });
+    }
+    net.world.run_until(SimTime(1500));
+
+    assert_eq!(net.seqs(1, sender_addr), (0..400).collect::<Vec<_>>());
+    let c = net.world.counters();
+    let timers = (
+        c.timers_fired(),
+        c.timers_skipped_stale(),
+        c.events_dispatched(),
+    );
+    assert_eq!(timers, (184, 0, 2596));
+    assert_eq!((c.rx_data_pkts(), c.rx_control_pkts()), (1598, 413));
+}
