@@ -66,6 +66,192 @@ impl ShortestPaths {
     }
 }
 
+/// Largest distance the kernel can settle: its heap key packs
+/// `(distance, node)` into one `u64`, 32 bits each.
+const MAX_DIST: Weight = u32::MAX as Weight;
+
+/// `dist` value of a node no path has reached (also [`AllPairs`]'s
+/// matrix sentinel, so a kernel row copies straight into the matrix).
+const UNREACHED: Weight = Weight::MAX;
+
+/// One direction of an edge in the kernel's CSR adjacency.
+#[derive(Clone, Copy, Debug)]
+struct Arc {
+    to: u32,
+    edge: u32,
+    weight: Weight,
+}
+
+/// A node of the shortest-path tree, as [`SpKernel::settled`] yields it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Settled {
+    /// The node.
+    pub node: NodeId,
+    /// Its distance from the source.
+    pub dist: u32,
+    /// The node before it on the shortest path from the source.
+    pub parent: NodeId,
+    /// The edge from `parent` to `node`.
+    pub edge: EdgeId,
+}
+
+/// The shortest-path kernel: a graph's adjacency flattened once, and a
+/// workspace that every [`SpKernel::run`] reuses, so computing one tree
+/// per node of a large graph allocates nothing per source.
+///
+/// The tree is the one [`dijkstra`] documents: among the *tight*
+/// predecessors of `v` (neighbours `p` with `dist[p] + w(p, v) ==
+/// dist[v]`) the parent is the one with the smallest `(node id, edge id)`.
+/// With weights ≥ 1 every tight predecessor is settled before `v`, so the
+/// minimum is taken over all of them; with zero-weight edges it is taken
+/// over those settled before `v` (order: distance, then node id), which
+/// still yields a shortest-path tree and never a parent cycle.
+#[derive(Clone, Debug)]
+pub struct SpKernel {
+    /// Arcs of node `v` are `arcs[first[v]..first[v + 1]]`, in
+    /// [`Graph::incident`] order.
+    first: Vec<u32>,
+    arcs: Vec<Arc>,
+    source: NodeId,
+    /// Tentative, then final, distance per node; [`UNREACHED`] if none.
+    dist: Vec<Weight>,
+    /// `parent node << 32 | edge` per reached node other than the source:
+    /// the tie-break order is the integer order.
+    parent: Vec<u64>,
+    /// `dist << 32 | node` of every settled node, in settle order.
+    order: Vec<u64>,
+    heap: BinaryHeap<Reverse<u64>>,
+}
+
+impl SpKernel {
+    /// Flatten `g`'s adjacency. The kernel does not borrow `g`; it must
+    /// not be reused after `g` changes.
+    pub fn new(g: &Graph) -> Self {
+        let n = g.node_count();
+        let mut first = Vec::with_capacity(n + 1);
+        let mut arcs = Vec::with_capacity(2 * g.edge_count());
+        for v in g.nodes() {
+            first.push(arcs.len() as u32);
+            arcs.extend(g.incident(v).iter().map(|&e| {
+                let edge = g.edge(e);
+                Arc {
+                    to: edge.other(v).0,
+                    edge: e.0,
+                    weight: edge.weight,
+                }
+            }));
+        }
+        first.push(arcs.len() as u32);
+        SpKernel {
+            first,
+            arcs,
+            source: NodeId(0),
+            dist: vec![UNREACHED; n],
+            parent: vec![0; n],
+            order: Vec::with_capacity(n),
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    /// Compute the shortest-path tree rooted at `source`, replacing the
+    /// previous run's.
+    ///
+    /// # Panics
+    /// Panics, naming the source, the destination and the distance, if a
+    /// shortest path is longer than `u32::MAX`.
+    pub fn run(&mut self, source: NodeId) {
+        self.source = source;
+        self.dist.fill(UNREACHED);
+        self.order.clear();
+        self.heap.clear();
+        self.dist[source.index()] = 0;
+        self.heap.push(Reverse(u64::from(source.0)));
+        let mut too_far = false;
+        while let Some(Reverse(key)) = self.heap.pop() {
+            let (d, v) = (key >> 32, key as u32 as usize);
+            if d > self.dist[v] {
+                continue; // superseded by a shorter path pushed later
+            }
+            self.order.push(key);
+            let via = (v as u64) << 32;
+            for a in &self.arcs[self.first[v] as usize..self.first[v + 1] as usize] {
+                let u = a.to as usize;
+                let nd = d.saturating_add(a.weight);
+                let old = self.dist[u];
+                if nd > MAX_DIST {
+                    // Cannot be keyed. Left unsettled; if no shorter path
+                    // turns up, reported after the run.
+                    self.dist[u] = old.min(nd.min(UNREACHED - 1));
+                    too_far = true;
+                } else if nd < old {
+                    self.dist[u] = nd;
+                    self.parent[u] = via | u64::from(a.edge);
+                    self.heap.push(Reverse(nd << 32 | u64::from(a.to)));
+                } else if nd == old
+                    && via | u64::from(a.edge) < self.parent[u]
+                    // `u` is still unsettled iff its key sorts after the
+                    // one just popped (always, unless the edge weighs 0).
+                    && (nd << 32 | u64::from(a.to)) > key
+                {
+                    self.parent[u] = via | u64::from(a.edge);
+                }
+            }
+        }
+        if too_far {
+            // The nearest such node's tentative distance is exact: every
+            // node before it on its shortest path was settled.
+            let nearest = (0..self.dist.len())
+                .filter(|&v| self.dist[v] > MAX_DIST && self.dist[v] != UNREACHED)
+                .min_by_key(|&v| self.dist[v]);
+            if let Some(v) = nearest {
+                panic!(
+                    "shortest path from {source} to n{v} has metric {}, beyond u32::MAX",
+                    self.dist[v],
+                );
+            }
+        }
+    }
+
+    /// Distance from the last run's source to every node, indexed by node
+    /// id; [`Weight::MAX`] marks unreachable nodes.
+    #[inline]
+    pub fn dist(&self) -> &[Weight] {
+        &self.dist
+    }
+
+    /// The last run's tree in settle order (by distance, then node id),
+    /// the source itself left out: every node's parent comes before it.
+    pub fn settled(&self) -> impl Iterator<Item = Settled> + '_ {
+        self.order.iter().skip(1).map(|&key| {
+            let v = key as u32;
+            let p = self.parent[v as usize];
+            Settled {
+                node: NodeId(v),
+                dist: (key >> 32) as u32,
+                parent: NodeId((p >> 32) as u32),
+                edge: EdgeId(p as u32),
+            }
+        })
+    }
+
+    /// The last run as an owned [`ShortestPaths`].
+    pub fn shortest_paths(&self) -> ShortestPaths {
+        let mut parent = vec![None; self.dist.len()];
+        for s in self.settled() {
+            parent[s.node.index()] = Some(s.edge);
+        }
+        ShortestPaths {
+            source: self.source,
+            dist: self
+                .dist
+                .iter()
+                .map(|&d| (d != UNREACHED).then_some(d))
+                .collect(),
+            parent,
+        }
+    }
+}
+
 /// Dijkstra's algorithm from `source`.
 ///
 /// Ties between equal-length paths are broken deterministically by preferring

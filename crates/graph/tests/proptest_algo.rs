@@ -1,13 +1,155 @@
 //! Property tests for the graph algorithms: Dijkstra is validated against
-//! an independent Bellman-Ford implementation, and the generators'
-//! contracts are pinned.
+//! an independent Bellman-Ford implementation, the shortest-path kernel
+//! against the heap-of-tuples Dijkstra it replaced (kept here verbatim as
+//! the reference: equal distances *and* equal parent edges), and the
+//! generators' contracts are pinned.
 
-use graph::algo::{bfs_hops, dijkstra, is_connected, AllPairs};
-use graph::gen::{random_connected, RandomGraphParams};
-use graph::{Graph, NodeId, Weight};
+use graph::algo::{bfs_hops, dijkstra, is_connected, AllPairs, ShortestPaths, SpKernel};
+use graph::gen::{
+    hierarchical, random_connected, waxman, HierParams, RandomGraphParams, WaxmanParams,
+};
+use graph::{EdgeId, Graph, NodeId, Weight};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// `graph::algo::dijkstra` as it was before the kernel, verbatim: the
+/// reference for the tie-break (smaller parent node id, then smaller edge
+/// id) that every fingerprint in the workspace depends on.
+fn reference_dijkstra(g: &Graph, source: NodeId) -> ShortestPaths {
+    let n = g.node_count();
+    let mut dist: Vec<Option<Weight>> = vec![None; n];
+    let mut parent: Vec<Option<EdgeId>> = vec![None; n];
+    // Heap entries: Reverse((dist, parent_node, edge, node)) so that pops are
+    // ordered by distance, then by the deterministic tie-break key.
+    let mut heap: BinaryHeap<Reverse<(Weight, u32, u32, NodeId)>> = BinaryHeap::new();
+    dist[source.index()] = Some(0);
+    heap.push(Reverse((0, u32::MAX, u32::MAX, source)));
+
+    while let Some(Reverse((d, _pn, pe, v))) = heap.pop() {
+        match dist[v.index()] {
+            Some(best) if d > best => continue, // stale entry
+            Some(best)
+                if d == best
+                // First settlement of v decides the parent; later equal
+                // entries are duplicates of the winning tie-break only if the
+                // recorded parent matches.
+                && parent[v.index()].map(|e| e.0) != (pe != u32::MAX).then_some(pe) =>
+            {
+                continue;
+            }
+            _ => {}
+        }
+        for &eid in g.incident(v) {
+            let edge = g.edge(eid);
+            let u = edge.other(v);
+            let nd = d + edge.weight;
+            let better = match dist[u.index()] {
+                None => true,
+                Some(old) if nd < old => true,
+                Some(old) if nd == old => {
+                    // Equal-cost tie-break: smaller parent node id, then
+                    // smaller edge id.
+                    match parent[u.index()] {
+                        Some(old_e) => {
+                            let old_parent = g.edge(old_e).other(u);
+                            (v.0, eid.0) < (old_parent.0, old_e.0)
+                        }
+                        None => false,
+                    }
+                }
+                _ => false,
+            };
+            if better {
+                dist[u.index()] = Some(nd);
+                parent[u.index()] = Some(eid);
+                heap.push(Reverse((nd, v.0, eid.0, u)));
+            }
+        }
+    }
+
+    ShortestPaths {
+        source,
+        dist,
+        parent,
+    }
+}
+
+/// One kernel, reused across every source of `g` (a stale workspace would
+/// show as a mismatch on the second source), against the reference and
+/// against the public entry points built on it.
+fn assert_kernel_matches_reference(g: &Graph) {
+    let mut kernel = SpKernel::new(g);
+    let ap = AllPairs::new(g);
+    for src in g.nodes() {
+        let want = reference_dijkstra(g, src);
+        kernel.run(src);
+        let got = kernel.shortest_paths();
+        prop_assert_eq!(&got.dist, &want.dist, "dist from {:?}", src);
+        prop_assert_eq!(&got.parent, &want.parent, "parent edges from {:?}", src);
+        for v in g.nodes() {
+            let d = want.dist_to(v).unwrap_or(Weight::MAX);
+            prop_assert_eq!(kernel.dist()[v.index()], d);
+            prop_assert_eq!(ap.dist_row(src)[v.index()], d);
+        }
+        // Settle order: every reached node but the source exactly once,
+        // never before its parent.
+        let mut seen = vec![false; g.node_count()];
+        seen[src.index()] = true;
+        for s in kernel.settled() {
+            prop_assert!(
+                seen[s.parent.index()],
+                "{:?} settled before its parent",
+                s.node
+            );
+            prop_assert!(!seen[s.node.index()], "{:?} settled twice", s.node);
+            seen[s.node.index()] = true;
+            prop_assert_eq!(Some(Weight::from(s.dist)), want.dist_to(s.node));
+            prop_assert_eq!(Some((s.parent, s.edge)), want.parent_of(g, s.node));
+        }
+        for v in g.nodes() {
+            prop_assert_eq!(seen[v.index()], want.dist_to(v).is_some());
+        }
+        let via_dijkstra = dijkstra(g, src);
+        prop_assert_eq!(&via_dijkstra.dist, &want.dist);
+        prop_assert_eq!(&via_dijkstra.parent, &want.parent);
+        prop_assert_eq!(&ap.from(src).dist, &want.dist);
+        prop_assert_eq!(&ap.from(src).parent, &want.parent);
+    }
+}
+
+/// Tie-heavy multigraphs: delays in 1..=2, average degree up to 6,
+/// `parallel` duplicated edges (half of them at the same weight), and a
+/// second component of `island` nodes unreachable from the first.
+fn arb_tie_graph() -> impl Strategy<Value = Graph> {
+    (2usize..24, 2u32..=6, 0usize..6, 0usize..5, any::<u64>()).prop_map(
+        |(n, deg, parallel, island, seed)| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut g = random_connected(
+                &RandomGraphParams {
+                    nodes: n,
+                    avg_degree: f64::from(deg).min(n as f64 - 1.0),
+                    delay_range: (1, 2),
+                },
+                &mut rng,
+            );
+            for k in 0..parallel {
+                let e = *g.edge(EdgeId(rng.gen_range(0..g.edge_count() as u32)));
+                g.add_edge(e.a, e.b, if k % 2 == 0 { e.weight } else { 3 - e.weight });
+            }
+            let first = g.node_count() as u32;
+            for k in 0..island as u32 {
+                g.add_node();
+                if k > 0 {
+                    g.add_edge(NodeId(first + k), NodeId(first + rng.gen_range(0..k)), 1);
+                }
+            }
+            g
+        },
+    )
+}
 
 /// Reference shortest-path: Bellman-Ford (edge-list relaxations).
 fn bellman_ford(g: &Graph, src: NodeId) -> Vec<Option<Weight>> {
@@ -53,6 +195,32 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn kernel_matches_reference_dijkstra_on_tie_heavy_graphs(g in arb_tie_graph()) {
+        assert_kernel_matches_reference(&g);
+    }
+
+    #[test]
+    fn kernel_matches_reference_dijkstra_on_generated_internets(
+        nodes in 2usize..30,
+        domains in 0usize..5,
+        domain_size in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // A small delay scale makes Waxman's rounded distances collide.
+        let backbone = WaxmanParams { nodes, delay_scale: 4.0, ..WaxmanParams::default() };
+        assert_kernel_matches_reference(&waxman(&backbone, &mut rng));
+        let hier = HierParams {
+            backbone,
+            domains,
+            domain_size,
+            domain_extra_edges: 2,
+            gateway_delay: (1, 3),
+        };
+        assert_kernel_matches_reference(&hierarchical(&hier, &mut rng).graph);
+    }
 
     #[test]
     fn dijkstra_matches_bellman_ford(g in arb_graph(), src_pick in any::<prop::sample::Index>()) {
