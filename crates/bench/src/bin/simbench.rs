@@ -373,7 +373,7 @@ struct HierRow {
 
 impl HierRow {
     /// Event-loop cost per event: `run_until` wall time over dispatched
-    /// events. Excludes topology generation, the all-pairs oracle, and
+    /// events. Excludes topology generation, the oracle RIB build, and
     /// world build (the `wall ms` column includes them).
     fn us_per_event(&self) -> f64 {
         self.run_ms * 1e3 / self.events as f64

@@ -1,9 +1,10 @@
 //! Shortest-path and connectivity algorithms.
 //!
-//! [`dijkstra`] is used by the oracle unicast RIB, by the link-state routing
-//! engine, and (via [`AllPairs`]) by the Figure-2 Monte-Carlo study, where a
-//! 50-node all-pairs table is computed once per topology and then shared by
-//! hundreds of group computations.
+//! One implementation, [`SpKernel`], computes every shortest-path tree over a
+//! [`Graph`]: the oracle unicast RIB runs it once per router, [`dijkstra`]
+//! wraps one run, and [`AllPairs`] keeps every run for the Figure-2
+//! Monte-Carlo study, where a 50-node all-pairs table is computed once per
+//! topology and then shared by hundreds of group computations.
 
 use crate::{EdgeId, Graph, NodeId, Weight};
 use std::cmp::Reverse;
@@ -102,10 +103,12 @@ pub struct Settled {
 /// The tree is the one [`dijkstra`] documents: among the *tight*
 /// predecessors of `v` (neighbours `p` with `dist[p] + w(p, v) ==
 /// dist[v]`) the parent is the one with the smallest `(node id, edge id)`.
-/// With weights ≥ 1 every tight predecessor is settled before `v`, so the
-/// minimum is taken over all of them; with zero-weight edges it is taken
-/// over those settled before `v` (order: distance, then node id), which
-/// still yields a shortest-path tree and never a parent cycle.
+/// With weights ≥ 1 every tight predecessor is settled before `v` and
+/// the minimum is taken over all of them. A zero-weight edge becomes a
+/// parent edge only by being first to reach its far end, never by winning
+/// a tie: the result is still a shortest-path tree (every parent is
+/// settled before its child, so there is no parent cycle), the choice
+/// among equal-cost parents is just narrower.
 #[derive(Clone, Debug)]
 pub struct SpKernel {
     /// Arcs of node `v` are `arcs[first[v]..first[v + 1]]`, in
@@ -189,9 +192,9 @@ impl SpKernel {
                     self.heap.push(Reverse(nd << 32 | u64::from(a.to)));
                 } else if nd == old
                     && via | u64::from(a.edge) < self.parent[u]
-                    // `u` is still unsettled iff its key sorts after the
-                    // one just popped (always, unless the edge weighs 0).
-                    && (nd << 32 | u64::from(a.to)) > key
+                    // Across a free edge `u` may already be settled, and
+                    // re-parenting it could close a cycle.
+                    && a.weight != 0
                 {
                     self.parent[u] = via | u64::from(a.edge);
                 }
@@ -252,7 +255,7 @@ impl SpKernel {
     }
 }
 
-/// Dijkstra's algorithm from `source`.
+/// Dijkstra's algorithm from `source`: one [`SpKernel`] run.
 ///
 /// Ties between equal-length paths are broken deterministically by preferring
 /// the path whose final hop has the smaller parent node id, then the smaller
@@ -260,69 +263,25 @@ impl SpKernel {
 /// all routers agree on reverse paths, and the simulator's oracle RIB and the
 /// distance-vector/link-state engines must converge to the same trees for the
 /// protocol-independence tests to be meaningful.
+///
+/// Every generator in this workspace draws weights ≥ 1, and the rule above
+/// is exact for them. A zero-weight edge is legal and yields a valid
+/// shortest-path tree; only the choice among its equal-cost parents is
+/// narrower (see [`SpKernel`]).
+///
+/// # Panics
+/// Panics if a shortest path is longer than `u32::MAX` (see
+/// [`SpKernel::run`]).
 pub fn dijkstra(g: &Graph, source: NodeId) -> ShortestPaths {
-    let n = g.node_count();
-    let mut dist: Vec<Option<Weight>> = vec![None; n];
-    let mut parent: Vec<Option<EdgeId>> = vec![None; n];
-    // Heap entries: Reverse((dist, parent_node, edge, node)) so that pops are
-    // ordered by distance, then by the deterministic tie-break key.
-    let mut heap: BinaryHeap<Reverse<(Weight, u32, u32, NodeId)>> = BinaryHeap::new();
-    dist[source.index()] = Some(0);
-    heap.push(Reverse((0, u32::MAX, u32::MAX, source)));
-
-    while let Some(Reverse((d, _pn, pe, v))) = heap.pop() {
-        match dist[v.index()] {
-            Some(best) if d > best => continue, // stale entry
-            Some(best)
-                if d == best
-                // First settlement of v decides the parent; later equal
-                // entries are duplicates of the winning tie-break only if the
-                // recorded parent matches.
-                && parent[v.index()].map(|e| e.0) != (pe != u32::MAX).then_some(pe) =>
-            {
-                continue;
-            }
-            _ => {}
-        }
-        for &eid in g.incident(v) {
-            let edge = g.edge(eid);
-            let u = edge.other(v);
-            let nd = d + edge.weight;
-            let better = match dist[u.index()] {
-                None => true,
-                Some(old) if nd < old => true,
-                Some(old) if nd == old => {
-                    // Equal-cost tie-break: smaller parent node id, then
-                    // smaller edge id.
-                    match parent[u.index()] {
-                        Some(old_e) => {
-                            let old_parent = g.edge(old_e).other(u);
-                            (v.0, eid.0) < (old_parent.0, old_e.0)
-                        }
-                        None => false,
-                    }
-                }
-                _ => false,
-            };
-            if better {
-                dist[u.index()] = Some(nd);
-                parent[u.index()] = Some(eid);
-                heap.push(Reverse((nd, v.0, eid.0, u)));
-            }
-        }
-    }
-
-    ShortestPaths {
-        source,
-        dist,
-        parent,
-    }
+    let mut kernel = SpKernel::new(g);
+    kernel.run(source);
+    kernel.shortest_paths()
 }
 
-/// All-pairs shortest paths, computed as one Dijkstra per node.
+/// All-pairs shortest paths, computed as one [`SpKernel`] run per node.
 ///
-/// For the 50-node graphs of the Figure-2 study this costs ~50 heap-based
-/// Dijkstras and is then reused across all 300 groups of the topology.
+/// For the 50-node graphs of the Figure-2 study this costs ~50 kernel
+/// runs and is then reused across all 300 groups of the topology.
 ///
 /// Distances additionally live in one flat `n × n` [`Weight`] matrix
 /// ([`Weight::MAX`] = unreachable): the Monte-Carlo hot paths
@@ -344,17 +303,17 @@ pub struct AllPairs {
 impl AllPairs {
     /// Compute all-pairs shortest paths for `g`.
     pub fn new(g: &Graph) -> Self {
-        let per_source: Vec<ShortestPaths> = g.nodes().map(|s| dijkstra(g, s)).collect();
         let n = g.node_count();
-        let mut dist = vec![Weight::MAX; n * n];
-        for (s, sp) in per_source.iter().enumerate() {
-            let row = &mut dist[s * n..(s + 1) * n];
-            for (v, d) in sp.dist.iter().enumerate() {
-                if let Some(d) = d {
-                    row[v] = *d;
-                }
-            }
-        }
+        let mut kernel = SpKernel::new(g);
+        let mut dist = Vec::with_capacity(n * n);
+        let per_source = g
+            .nodes()
+            .map(|s| {
+                kernel.run(s);
+                dist.extend_from_slice(kernel.dist());
+                kernel.shortest_paths()
+            })
+            .collect();
         AllPairs {
             per_source,
             dist,
@@ -497,6 +456,49 @@ mod tests {
             sp.path_to(&g, NodeId(3)).unwrap(),
             vec![NodeId(0), NodeId(1), NodeId(3)]
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "shortest path from n0 to n2 has metric 8589934590, beyond u32::MAX")]
+    fn path_metric_beyond_u32_is_refused() {
+        let mut g = Graph::with_nodes(3);
+        g.add_edge(NodeId(0), NodeId(1), u32::MAX as Weight);
+        g.add_edge(NodeId(1), NodeId(2), u32::MAX as Weight);
+        dijkstra(&g, NodeId(0));
+    }
+
+    #[test]
+    fn an_overlong_edge_beside_a_short_path_is_not_refused() {
+        // The direct edge is relaxed first and cannot be keyed; the
+        // two-hop path found later must win without a refusal, and a
+        // distance of exactly u32::MAX is still representable.
+        let mut g = Graph::with_nodes(3);
+        g.add_edge(NodeId(0), NodeId(2), Weight::MAX);
+        g.add_edge(NodeId(0), NodeId(1), 1);
+        g.add_edge(NodeId(1), NodeId(2), u32::MAX as Weight - 1);
+        let sp = dijkstra(&g, NodeId(0));
+        assert_eq!(sp.dist_to(NodeId(2)), Some(u32::MAX as Weight));
+        assert_eq!(sp.path_to(&g, NodeId(2)).unwrap().len(), 3);
+    }
+
+    #[test]
+    fn zero_weight_edges_give_a_tree_not_a_cycle() {
+        // 1, 2 and 0 are all at distance 5 over free edges, each a tight
+        // predecessor of its neighbour: were settled nodes re-parented on
+        // a tie, 0 (reached last, smallest id) would adopt 2 and 2 adopt 0.
+        let mut g = Graph::with_nodes(4);
+        g.add_edge(NodeId(3), NodeId(1), 5);
+        g.add_edge(NodeId(3), NodeId(2), 5);
+        g.add_edge(NodeId(1), NodeId(2), 0);
+        g.add_edge(NodeId(2), NodeId(0), 0);
+        let sp = dijkstra(&g, NodeId(3));
+        for v in g.nodes() {
+            let edges = sp.path_edges_to(&g, v).expect("connected");
+            let total: Weight = edges.iter().map(|&e| g.edge(e).weight).sum();
+            assert_eq!(Some(total), sp.dist_to(v));
+        }
+        assert_eq!(sp.dist_to(NodeId(0)), Some(5));
+        assert_eq!(sp.path_to(&g, NodeId(1)).unwrap(), [NodeId(3), NodeId(1)]);
     }
 
     #[test]

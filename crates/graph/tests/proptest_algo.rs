@@ -222,6 +222,32 @@ proptest! {
         assert_kernel_matches_reference(&hierarchical(&hier, &mut rng).graph);
     }
 
+    /// Weights ≥ 1 are the contract of the tie-break, not of correctness:
+    /// with free edges (the tie-heavy graphs, every delay one lower) the
+    /// distances are still Bellman-Ford's and the parents still a tree.
+    #[test]
+    fn free_edges_still_give_a_shortest_path_tree(g in arb_tie_graph()) {
+        let mut free = Graph::with_nodes(g.node_count());
+        for (_, e) in g.edges() {
+            free.add_edge(e.a, e.b, e.weight - 1);
+        }
+        let mut kernel = SpKernel::new(&free);
+        for src in free.nodes() {
+            kernel.run(src);
+            let want = bellman_ford(&free, src);
+            let mut dist = vec![None; free.node_count()];
+            dist[src.index()] = Some(0);
+            for s in kernel.settled() {
+                let via = dist[s.parent.index()].expect("parent settled before its child");
+                prop_assert!(free.edge(s.edge).touches(s.parent) && free.edge(s.edge).touches(s.node));
+                prop_assert_eq!(via + free.edge(s.edge).weight, Weight::from(s.dist));
+                prop_assert!(dist[s.node.index()].is_none(), "{:?} settled twice", s.node);
+                dist[s.node.index()] = Some(Weight::from(s.dist));
+            }
+            prop_assert_eq!(dist, want, "from {:?}", src);
+        }
+    }
+
     #[test]
     fn dijkstra_matches_bellman_ford(g in arb_graph(), src_pick in any::<prop::sample::Index>()) {
         let src = NodeId(src_pick.index(g.node_count()) as u32);

@@ -92,7 +92,8 @@ impl Topology {
                     neighbor: other,
                     neighbor_addr: router_addr(other),
                     delay: Duration(edge.weight),
-                    metric: edge.weight as u32,
+                    metric: u32::try_from(edge.weight)
+                        .expect("link weight exceeds the u32 routing metric"),
                 });
             }
         }
@@ -130,13 +131,28 @@ impl Topology {
         &self,
         g: &Graph,
         seed: u64,
-        mut make: impl FnMut(&NodePlan) -> Box<dyn Node>,
+        make: impl FnMut(&NodePlan) -> Box<dyn Node>,
+    ) -> (World, Vec<LinkId>) {
+        self.build_world_from(g, seed, self.plans.iter().map(make))
+    }
+
+    /// [`Topology::build_world`] from routers already constructed, one per
+    /// plan in plan order — for callers that prepare a per-router part (a
+    /// routing table) as a batch and zip it with [`Topology::plans`].
+    ///
+    /// # Panics
+    /// Panics unless `routers` yields exactly one node per plan.
+    pub fn build_world_from(
+        &self,
+        g: &Graph,
+        seed: u64,
+        routers: impl IntoIterator<Item = Box<dyn Node>>,
     ) -> (World, Vec<LinkId>) {
         let mut w = World::new(seed);
-        for plan in &self.plans {
-            let idx = w.add_node(make(plan));
-            debug_assert_eq!(idx.0, plan.node.index());
+        for router in routers {
+            w.add_node(router);
         }
+        assert_eq!(w.node_count(), self.plans.len(), "one router per plan");
         let mut links = Vec::with_capacity(g.edge_count());
         for (_eid, edge) in g.edges() {
             let (l, ia, ib) = w.add_p2p(

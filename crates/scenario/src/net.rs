@@ -9,7 +9,8 @@ use cbt::{CbtConfig, CbtEngine, CbtRouter};
 use dvmrp::{DvmrpConfig, DvmrpEngine, DvmrpRouter};
 use graph::{Graph, NodeId};
 use igmp::{Endpoint, HostNode, PopulationNode};
-use netsim::{host_addr, router_addr, Duration, IfaceId, NodeIdx, SimTime, Topology, World};
+use netsim::build::NodePlan;
+use netsim::{host_addr, router_addr, Duration, IfaceId, Node, NodeIdx, SimTime, Topology, World};
 use pim::{Engine, PimConfig, PimRouter};
 use telemetry::SharedSink;
 use unicast::dv::{DvConfig, DvEngine};
@@ -216,19 +217,23 @@ impl NetSpec<'_> {
         let rendezvous = rdv[0];
         let topo = Topology::from_graph(g);
 
-        // The all-pairs oracle is the expensive part of set-up; only the
-        // substrate that serves routes from it pays for it.
-        let mut ribs = match substrate {
-            Substrate::Oracle => OracleRib::for_all_with_hosts(g, &topo, host_routers),
-            Substrate::DistanceVector | Substrate::LinkState => Vec::new(),
-        }
-        .into_iter();
-        let (mut world, _links) = topo.build_world(g, seed, |plan| {
-            let unicast: Box<dyn unicast::Engine> = match substrate {
-                Substrate::Oracle => Box::new(ribs.next().expect("for_all: one RIB per plan")),
-                Substrate::DistanceVector => Box::new(DvEngine::new(plan, DvConfig::default())),
-                Substrate::LinkState => Box::new(LsEngine::new(plan, LsConfig::default())),
-            };
+        // One unicast engine per plan, in plan order. The oracle's tables
+        // (one shortest-path run per router) are the expensive part of
+        // set-up; only the substrate that serves routes from them pays.
+        let plans = topo.plans().iter();
+        let unicasts: Vec<Box<dyn unicast::Engine>> = match substrate {
+            Substrate::Oracle => OracleRib::for_all_with_hosts(g, &topo, host_routers)
+                .into_iter()
+                .map(|rib| Box::new(rib) as _)
+                .collect(),
+            Substrate::DistanceVector => plans
+                .map(|plan| Box::new(DvEngine::new(plan, DvConfig::default())) as _)
+                .collect(),
+            Substrate::LinkState => plans
+                .map(|plan| Box::new(LsEngine::new(plan, LsConfig::default())) as _)
+                .collect(),
+        };
+        let make = |(plan, unicast): (&NodePlan, Box<dyn unicast::Engine>)| -> Box<dyn Node> {
             match protocol {
                 Protocol::Pim => {
                     let mut r =
@@ -250,7 +255,9 @@ impl NetSpec<'_> {
                     Box::new(CbtRouter::new(e, unicast))
                 }
             }
-        });
+        };
+        let routers = topo.plans().iter().zip(unicasts).map(make);
+        let (mut world, _links) = topo.build_world_from(g, seed, routers);
 
         let mut hosts = Vec::new();
         for (&n, &population) in host_routers.iter().zip(&populations) {

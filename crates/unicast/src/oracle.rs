@@ -9,118 +9,103 @@
 //! generic over "real protocol vs oracle".
 
 use crate::{Engine, Output, Rib, RouteEntry};
-use graph::algo::AllPairs;
+use graph::algo::SpKernel;
 use graph::{Graph, NodeId};
 use netsim::build::Topology;
-use netsim::{host_addr, router_addr, Duration, IfaceId, SimTime};
+use netsim::{host_addr, node_of_addr, router_addr, Duration, IfaceId, SimTime};
 use std::collections::HashMap;
+use std::sync::Arc;
 use wire::{Addr, Message};
+
+/// The route to one router, `(interface, metric)` in 8 bytes. The next hop
+/// is the neighbour on that interface; [`NO_IFACE`] has none: no route.
+type Slot = (u32, u32);
+
+const NO_IFACE: u32 = u32::MAX;
 
 /// A routing table computed from global knowledge. One per router.
 #[derive(Clone, Debug)]
 pub struct OracleRib {
     local: Addr,
-    table: HashMap<Addr, RouteEntry>,
+    /// The neighbour's address on each router-router interface.
+    neighbors: Vec<Addr>,
+    /// `slots[d]` routes to `router_addr(NodeId(d))`.
+    slots: Vec<Slot>,
+    /// Hosts routed like the router they sit behind; one map shared by
+    /// every table of a network.
+    aliases: Arc<HashMap<Addr, NodeId>>,
+    /// Destinations registered by hand; they shadow everything above.
+    extra: HashMap<Addr, RouteEntry>,
 }
 
 impl OracleRib {
-    /// Build the oracle table for router `me` from all-pairs shortest
-    /// paths.
+    /// Build oracle RIBs for every router of `g` in node order: every
+    /// other router's address is routed via the first hop of the shortest
+    /// path to it (ties broken as [`graph::algo::dijkstra`] documents),
+    /// out of the interface the topology plan gives that hop's edge.
     ///
-    /// Every other router's address is routed via the first hop of the
-    /// shortest `me → dst` path; the outgoing interface comes from the
-    /// topology plan.
-    pub fn for_node(g: &Graph, topo: &Topology, ap: &AllPairs, me: NodeId) -> OracleRib {
-        let plan = topo.plan(me);
-        // Map each incident edge to its interface.
-        let iface_of_edge: HashMap<usize, IfaceId> = plan
-            .ifaces
-            .iter()
-            .map(|p| (p.edge.index(), p.iface))
-            .collect();
-        let sp = ap.from(me);
-        let n = g.node_count();
-        // First hop from `me` toward each destination, memoized over the
-        // shortest-path tree: every node on a root-to-dst branch shares
-        // the branch's first hop, so each tree node is walked once and
-        // the whole table costs O(n) parent steps instead of
-        // O(n · diameter).
-        let mut first_hop: Vec<Option<(NodeId, graph::EdgeId)>> = vec![None; n];
-        let mut chain: Vec<NodeId> = Vec::new();
-        let mut table = HashMap::with_capacity(n.saturating_sub(1));
-        for dst in g.nodes() {
-            if dst == me {
-                continue;
-            }
-            let Some(metric) = sp.dist_to(dst) else {
-                continue;
-            };
-            if first_hop[dst.index()].is_none() {
-                let mut cur = dst;
-                let resolved = loop {
-                    if let Some(hop) = first_hop[cur.index()] {
-                        break hop;
-                    }
-                    let (parent, edge) = sp.parent_of(g, cur).expect("path must pass through me");
-                    if parent == me {
-                        break (cur, edge);
-                    }
-                    chain.push(cur);
-                    cur = parent;
-                };
-                first_hop[cur.index()] = Some(resolved);
-                for &v in &chain {
-                    first_hop[v.index()] = Some(resolved);
-                }
-                chain.clear();
-            }
-            let (next_hop_node, edge) = first_hop[dst.index()].expect("resolved above");
-            let iface = iface_of_edge[&edge.index()];
-            table.insert(
-                router_addr(dst),
-                RouteEntry {
-                    iface,
-                    next_hop: router_addr(next_hop_node),
-                    metric: metric as u32,
-                },
-            );
-        }
-        OracleRib {
-            local: plan.addr,
-            table,
-        }
-    }
-
-    /// Build oracle RIBs for every router of `g` in node order.
+    /// # Panics
+    /// Panics if a path metric exceeds `u32::MAX` (see [`SpKernel::run`]).
     pub fn for_all(g: &Graph, topo: &Topology) -> Vec<OracleRib> {
-        let ap = AllPairs::new(g);
-        g.nodes().map(|n| Self::for_node(g, topo, &ap, n)).collect()
+        Self::for_all_with_hosts(g, topo, &[])
     }
 
     /// [`OracleRib::for_all`] for a network with one host (address
     /// `host_addr(n, 0)`) behind each router `n` of `host_routers`: every
     /// *other* router reaches that host the way it reaches `n` (`n` has
     /// no route to itself, so the alias is a no-op on its own table).
+    ///
+    /// One kernel run per router, streamed into its slots: nothing
+    /// quadratic but the tables themselves is ever held.
     pub fn for_all_with_hosts(
         g: &Graph,
         topo: &Topology,
         host_routers: &[NodeId],
     ) -> Vec<OracleRib> {
-        let mut ribs = Self::for_all(g, topo);
-        for &n in host_routers {
-            let (host, router) = (host_addr(n, 0), router_addr(n));
-            for rib in &mut ribs {
-                rib.alias_host(host, router);
-            }
-        }
-        ribs
+        let aliases: HashMap<_, _> = host_routers.iter().map(|&n| (host_addr(n, 0), n)).collect();
+        let aliases = Arc::new(aliases);
+        let mut kernel = SpKernel::new(g);
+        // Edge → this router's interface on it. Only this router's own
+        // edges are read, and its plan has just rewritten exactly those.
+        let mut iface_on = vec![NO_IFACE; g.edge_count()];
+        topo.plans()
+            .iter()
+            .map(|plan| {
+                for p in &plan.ifaces {
+                    iface_on[p.edge.index()] = p.iface.0;
+                }
+                kernel.run(plan.node);
+                let mut slots: Vec<Slot> = vec![(NO_IFACE, 0); g.node_count()];
+                // A node leaves by its parent's interface, or by the
+                // parent edge itself right below the root; parents settle
+                // first, so one pass in settle order fills every slot.
+                for s in kernel.settled() {
+                    let iface = if s.parent == plan.node {
+                        iface_on[s.edge.index()]
+                    } else {
+                        slots[s.parent.index()].0
+                    };
+                    slots[s.node.index()] = (iface, s.dist);
+                }
+                OracleRib {
+                    local: plan.addr,
+                    neighbors: plan.ifaces.iter().map(|p| p.neighbor_addr).collect(),
+                    slots,
+                    aliases: Arc::clone(&aliases),
+                    extra: HashMap::new(),
+                }
+            })
+            .collect()
     }
 
     /// Create an empty RIB with just a local address (unit-test helper).
     pub fn empty(local: Addr) -> OracleRib {
         OracleRib {
             local,
-            table: HashMap::new(),
+            neighbors: Vec::new(),
+            slots: Vec::new(),
+            aliases: Arc::default(),
+            extra: HashMap::new(),
         }
     }
 
@@ -128,15 +113,27 @@ impl OracleRib {
     /// a *different* router, or a host behind this router registered on
     /// other routers' oracles).
     pub fn insert(&mut self, dst: Addr, entry: RouteEntry) {
-        self.table.insert(dst, entry);
+        self.extra.insert(dst, entry);
     }
 
     /// Register `host` as reachable via the same route as `router` (hosts
     /// inherit their attachment router's path). No-op on the router itself.
     pub fn alias_host(&mut self, host: Addr, router: Addr) {
-        if let Some(&e) = self.table.get(&router) {
-            self.table.insert(host, e);
+        if let Some(e) = self.route(router) {
+            self.extra.insert(host, e);
         }
+    }
+
+    /// The computed route to `dst`: a router's own slot, a host's router's.
+    fn computed(&self, dst: Addr) -> Option<RouteEntry> {
+        let node = node_of_addr(dst).or_else(|| self.aliases.get(&dst).copied())?;
+        let &(iface, metric) = self.slots.get(node.index())?;
+        let next_hop = *self.neighbors.get(iface as usize)?;
+        Some(RouteEntry {
+            iface: IfaceId(iface),
+            next_hop,
+            metric,
+        })
     }
 }
 
@@ -146,7 +143,7 @@ impl Rib for OracleRib {
     }
 
     fn route(&self, dst: Addr) -> Option<RouteEntry> {
-        self.table.get(&dst).copied()
+        (self.extra.get(&dst).copied()).or_else(|| self.computed(dst))
     }
 }
 
@@ -179,14 +176,18 @@ impl Engine for OracleRib {
     }
 
     fn table_size(&self) -> usize {
-        self.table.len()
+        // Computed destinations that resolve, by-hand ones that shadow none.
+        let routers = (0..self.slots.len() as u32).map(|d| router_addr(NodeId(d)));
+        let computed = routers.chain(self.aliases.keys().copied());
+        let by_hand = self.extra.keys().copied();
+        computed.filter(|&d| self.computed(d).is_some()).count()
+            + by_hand.filter(|&d| self.computed(d).is_none()).count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graph::algo::AllPairs;
 
     /// 0 --1-- 1 --1-- 2, plus a slow direct 0--2 edge of weight 5.
     fn line() -> Graph {
@@ -250,11 +251,25 @@ mod tests {
     }
 
     #[test]
+    fn a_route_slot_is_eight_bytes() {
+        // n² of these is the whole footprint of a network's tables.
+        assert!(std::mem::size_of::<Slot>() <= 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "from n0 to n2 has metric 8589934590")]
+    fn a_metric_beyond_u32_is_refused_not_truncated() {
+        let mut g = Graph::with_nodes(3);
+        g.add_edge(NodeId(0), NodeId(1), u32::MAX as u64);
+        g.add_edge(NodeId(1), NodeId(2), u32::MAX as u64);
+        OracleRib::for_all(&g, &Topology::from_graph(&g));
+    }
+
+    #[test]
     fn engine_impl_is_silent() {
         let g = line();
         let topo = Topology::from_graph(&g);
-        let ap = AllPairs::new(&g);
-        let mut rib = OracleRib::for_node(&g, &topo, &ap, NodeId(0));
+        let mut rib = OracleRib::for_all(&g, &topo).swap_remove(0);
         assert!(rib.on_start(SimTime(0)).is_empty());
         assert!(rib.tick(SimTime(0)).is_empty());
         assert_eq!(rib.table_size(), 2);

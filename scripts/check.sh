@@ -20,6 +20,10 @@ cargo test -q --offline
 echo "== memoized deadlines, release profile (next_deadline's debug_assert is compiled out there)"
 cargo test -q --offline --release -p pim -p cbt --lib memoized_deadline
 
+echo "== shortest-path kernel and oracle tables vs their references, release profile (the kernel's hot loop is where debug and release differ)"
+cargo test -q --offline --release -p graph --test proptest_algo
+cargo test -q --offline --release -p unicast --test proptest_oracle
+
 echo "== cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --quiet
 

@@ -159,6 +159,71 @@ fn link_state_reconverges_after_failure() {
     );
 }
 
+/// `random_graph`'s topology with every delay replaced by a distinct
+/// prime, then checked to be tie-free: from every source, every other
+/// node has exactly one neighbour on a shortest path to it.
+fn tie_free_graph(seed: u64, nodes: usize) -> Graph {
+    const PRIMES: [u64; 24] = [
+        5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
+        101,
+    ];
+    let shape = random_graph(seed, nodes);
+    let mut g = Graph::with_nodes(nodes);
+    for (eid, e) in shape.edges() {
+        // A stride coprime to the table length visits each prime once.
+        g.add_edge(
+            e.a,
+            e.b,
+            PRIMES[(seed as usize + 7 * eid.index()) % PRIMES.len()],
+        );
+    }
+    assert!(g.edge_count() <= PRIMES.len(), "weights must stay distinct");
+    let ap = AllPairs::new(&g);
+    for src in g.nodes() {
+        for dst in g.nodes().filter(|&d| d != src) {
+            let tight = g.incident(dst).iter().filter(|&&e| {
+                let via = ap.dist(src, g.edge(e).other(dst)).expect("connected");
+                Some(via + g.edge(e).weight) == ap.dist(src, dst)
+            });
+            assert_eq!(tight.count(), 1, "seed {seed}: {src:?}→{dst:?} is tied");
+        }
+    }
+    g
+}
+
+/// "Protocol independent" checked on the route itself: where every
+/// shortest path is unique there is no tie for the substrates to break
+/// differently, so distance vector, link state and the oracle must hand
+/// PIM the same interface, the same next hop and the same metric for
+/// every pair of routers.
+#[test]
+fn tie_free_routes_are_identical_across_substrates() {
+    for seed in [2u64, 13] {
+        let g = tie_free_graph(seed, 12);
+        let oracles = OracleRib::for_all(&g, &Topology::from_graph(&g));
+        for substrate in [Substrate::DistanceVector, Substrate::LinkState] {
+            let mut net = NetSpec {
+                substrate,
+                groups: &[(Group::test(1), vec![NodeId(0)])],
+                seed,
+                ..NetSpec::default()
+            }
+            .build(&g);
+            net.world.run_until(SimTime(6000));
+            for (i, oracle) in oracles.iter().enumerate() {
+                let live: &PimRouter = net.world.node(NodeIdx(i));
+                for dst in g.nodes().filter(|d| d.index() != i) {
+                    assert_eq!(
+                        live.rib().route(router_addr(dst)),
+                        oracle.route(router_addr(dst)),
+                        "seed {seed}, {substrate:?}: router {i} → {dst:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Cross-validate the oracle itself: its metrics equal all-pairs
 /// shortest-path distances on random graphs.
 #[test]
