@@ -1,8 +1,8 @@
 //! The sans-IO CBT engine.
 
-use netsim::{Duration, IfaceId, SimTime};
-use node::DeadlineMemo;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use netsim::{Deadlines, Duration, IfaceId, SimTime};
+use node::Action;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 use telemetry::{flags, EntryKey, Event, StateDump, Telem};
 use unicast::Rib;
@@ -33,68 +33,112 @@ impl Default for CbtConfig {
     }
 }
 
-/// An action requested by the engine.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Output {
-    /// Transmit a control message (TTL 1 except core-bound encapsulation).
-    Send {
-        /// Interface to transmit on.
-        iface: IfaceId,
-        /// Header destination.
-        dst: Addr,
-        /// Header TTL.
-        ttl: u8,
-        /// The message.
-        msg: Message,
-    },
-    /// Forward the data packet being handled ([`CbtEngine::on_data`],
-    /// [`CbtEngine::on_local_data`]) out of each listed interface. The
-    /// caller holds the payload; the engine never copies it.
-    Forward {
-        /// Interfaces to copy the packet to.
-        ifaces: Vec<IfaceId>,
-        /// Original source.
-        source: Addr,
-        /// Destination group.
-        group: Group,
-    },
-    /// Forward the data packet a sender's first hop encapsulated toward
-    /// the core ([`CbtEngine::on_encapsulated`]) out of each listed
-    /// interface: a payload the caller does not hold.
-    ForwardDecapsulated {
-        /// Interfaces to copy the packet to.
-        ifaces: Vec<IfaceId>,
-        /// Original source.
-        source: Addr,
-        /// Destination group.
-        group: Group,
-        /// The decapsulated payload.
-        payload: Vec<u8>,
-    },
-}
-
 /// Per-group tree state at one router.
+///
+/// The fields that hold or gate a timer — the child edges' echo
+/// expiries, the pending join's retransmit time, and the three that
+/// together say when a silent parent is given up on — are private: every
+/// method that writes one takes the engine's [`Deadlines`] and keeps it
+/// equal to what a walk of the tree finds (`TreeState::deadlines`).
 #[derive(Clone, Debug)]
 pub struct TreeState {
     /// The group's core router.
     pub core: Addr,
     /// Confirmed on-tree (a Join-Ack arrived, or we are the core).
-    pub on_tree: bool,
+    on_tree: bool,
     /// Parent edge: (interface, parent address). `None` at the core.
-    pub parent: Option<(IfaceId, Addr)>,
+    parent: Option<(IfaceId, Addr)>,
     /// Confirmed children: (interface, child address) → echo expiry.
-    pub children: BTreeMap<(IfaceId, Addr), SimTime>,
+    children: BTreeMap<(IfaceId, Addr), SimTime>,
     /// Our own outstanding join: (iface, next hop, next retransmit).
     pending_join: Option<(IfaceId, Addr, SimTime)>,
     /// Downstream joins waiting for our ack: (iface, requester).
     pending_downstream: Vec<(IfaceId, Addr)>,
-    /// Host subnetworks with local members.
-    pub member_ifaces: HashSet<IfaceId>,
+    /// Host subnetworks with local members, ascending: data fans out to
+    /// them in this order.
+    pub member_ifaces: BTreeSet<IfaceId>,
     /// Last proof of parent liveness (echo reply naming this group).
     parent_alive_at: SimTime,
 }
 
 impl TreeState {
+    /// Confirmed on-tree (a Join-Ack arrived, or we are the core)?
+    pub fn on_tree(&self) -> bool {
+        self.on_tree
+    }
+
+    /// Parent edge: (interface, parent address). `None` at the core.
+    pub fn parent(&self) -> Option<(IfaceId, Addr)> {
+        self.parent
+    }
+
+    /// Confirmed children: (interface, child address) → echo expiry.
+    pub fn children(&self) -> &BTreeMap<(IfaceId, Addr), SimTime> {
+        &self.children
+    }
+
+    /// When a parent that stays silent is given up on: `echo_timeout`
+    /// after its last sign of life, while we hang off one.
+    fn parent_deadline(&self, echo_timeout: Duration) -> Option<SimTime> {
+        (self.on_tree && self.parent.is_some()).then(|| self.parent_alive_at + echo_timeout)
+    }
+
+    /// Every armed timer of this tree, found by walking it: the join
+    /// retransmit, each child's echo expiry, the parent-silence deadline.
+    fn deadlines(&self, echo_timeout: Duration) -> impl Iterator<Item = SimTime> + '_ {
+        (self.pending_join.map(|(_, _, retx)| retx).into_iter())
+            .chain(self.children.values().copied())
+            .chain(self.parent_deadline(echo_timeout))
+    }
+
+    /// Disarm every timer of this tree: it is about to be dropped.
+    fn disarm(&self, timers: &mut Deadlines, echo_timeout: Duration) {
+        timers.disarm_all(self.deadlines(echo_timeout));
+    }
+
+    /// Start, restart or clear our own outstanding join.
+    fn set_pending_join(&mut self, timers: &mut Deadlines, join: Option<(IfaceId, Addr, SimTime)>) {
+        timers.rearm(
+            self.pending_join.map(|(_, _, retx)| retx),
+            join.map(|(_, _, retx)| retx),
+        );
+        self.pending_join = join;
+    }
+
+    /// Add a child edge or push its echo expiry out.
+    fn refresh_child(&mut self, timers: &mut Deadlines, child: (IfaceId, Addr), expires: SimTime) {
+        let before = self.children.insert(child, expires);
+        timers.rearm(before, Some(expires));
+    }
+
+    /// Drop every child edge.
+    fn clear_children(&mut self, timers: &mut Deadlines) {
+        timers.disarm_all(self.children.values().copied());
+        self.children.clear();
+    }
+
+    /// Change what the parent-silence deadline hangs on (`on_tree`,
+    /// `parent`, `parent_alive_at`) through `f`.
+    fn update_parent(
+        &mut self,
+        timers: &mut Deadlines,
+        echo_timeout: Duration,
+        f: impl FnOnce(&mut TreeState),
+    ) {
+        let before = self.parent_deadline(echo_timeout);
+        f(self);
+        timers.rearm(before, self.parent_deadline(echo_timeout));
+    }
+
+    /// Detach from the tree: no parent, no outstanding join.
+    fn detach(&mut self, timers: &mut Deadlines, echo_timeout: Duration) {
+        self.update_parent(timers, echo_timeout, |t| {
+            t.on_tree = false;
+            t.parent = None;
+        });
+        self.set_pending_join(timers, None);
+    }
+
     /// The interfaces data for this group fans out to, excluding
     /// `arrival`: parent edge + child edges + member subnetworks.
     pub fn forward_set(&self, arrival: Option<IfaceId>) -> Vec<IfaceId> {
@@ -134,11 +178,10 @@ pub struct CbtEngine {
     /// Directly attached hosts → interface.
     local_hosts: HashMap<Addr, IfaceId>,
     next_echo: SimTime,
-    /// [`CbtEngine::scan_deadline`]'s last result. The three data-path
-    /// entry points (`on_data`, `on_local_data`, `on_encapsulated`) only
-    /// read tree state, so the per-packet [`CbtEngine::next_deadline`]
-    /// is a read; every other `&mut` entry point clears it first thing.
-    deadline: DeadlineMemo,
+    /// Every tree's armed deadlines ([`TreeState::deadlines`]), kept
+    /// current by the `TreeState` methods that write a timer; with
+    /// `next_echo`, its front is the next wakeup.
+    timers: Deadlines,
     /// Join-Acks sent (explicit-reliability message overhead metric).
     pub acks_sent: u64,
     /// Structured-event emitter (disabled by default; pure observer).
@@ -165,7 +208,7 @@ impl CbtEngine {
             trees: BTreeMap::new(),
             local_hosts: HashMap::new(),
             next_echo: SimTime::ZERO,
-            deadline: DeadlineMemo::default(),
+            timers: Deadlines::new(),
             acks_sent: 0,
             telem: Telem::disabled(),
         }
@@ -184,13 +227,11 @@ impl CbtEngine {
 
     /// Configure the core for `group`.
     pub fn set_core(&mut self, group: Group, core: Addr) {
-        self.deadline.clear();
         self.cores.insert(group, core);
     }
 
     /// Register a directly attached host.
     pub fn register_local_host(&mut self, host: Addr, iface: IfaceId) {
-        self.deadline.clear();
         self.local_hosts.insert(host, iface);
     }
 
@@ -223,8 +264,8 @@ impl CbtEngine {
     /// Crash with total state loss: all tree state is erased; the
     /// configured group→core mappings and attached hosts survive.
     pub fn reset(&mut self) {
-        self.deadline.clear();
         self.trees.clear();
+        self.timers.clear();
         self.next_echo = SimTime::ZERO;
     }
 
@@ -245,13 +286,13 @@ impl CbtEngine {
             children: BTreeMap::new(),
             pending_join: None,
             pending_downstream: Vec::new(),
-            member_ifaces: HashSet::new(),
+            member_ifaces: BTreeSet::new(),
             parent_alive_at: SimTime::ZERO,
         }))
     }
 
     /// Begin (or re-begin) our own join toward the core.
-    fn initiate_join(&mut self, now: SimTime, group: Group, rib: &dyn Rib) -> Vec<Output> {
+    fn initiate_join(&mut self, now: SimTime, group: Group, rib: &dyn Rib) -> Vec<Action> {
         let me = self.my_addr;
         let cfg = self.cfg;
         let Some(tree) = self.trees.get_mut(&group) else {
@@ -264,17 +305,20 @@ impl CbtEngine {
         let Some(r) = rib.route(core) else {
             return Vec::new(); // core unreachable; retried on tick
         };
-        tree.pending_join = Some((r.iface, r.next_hop, now + cfg.join_retransmit));
-        vec![Output::Send {
-            iface: r.iface,
-            dst: Addr::ALL_PIM_ROUTERS,
-            ttl: 1,
-            msg: Message::CbtJoinRequest(JoinRequest {
+        tree.set_pending_join(
+            &mut self.timers,
+            Some((r.iface, r.next_hop, now + cfg.join_retransmit)),
+        );
+        vec![Action::control(
+            r.iface,
+            Addr::ALL_PIM_ROUTERS,
+            1,
+            Message::CbtJoinRequest(JoinRequest {
                 group,
                 core,
                 originator: me,
             }),
-        }]
+        )]
     }
 
     /// IGMP reported a member of `group` on `iface`.
@@ -284,14 +328,15 @@ impl CbtEngine {
         group: Group,
         iface: IfaceId,
         rib: &dyn Rib,
-    ) -> Vec<Output> {
-        self.deadline.clear();
+    ) -> Vec<Action> {
         if self.ensure_tree(now, group).is_none() {
             return Vec::new(); // no core configured
         }
         let tree = self.trees.get_mut(&group).expect("ensured");
         tree.member_ifaces.insert(iface);
-        tree.parent_alive_at = now;
+        tree.update_parent(&mut self.timers, self.cfg.echo_timeout, |t| {
+            t.parent_alive_at = now
+        });
         self.initiate_join(now, group, rib)
     }
 
@@ -301,8 +346,7 @@ impl CbtEngine {
         _now: SimTime,
         group: Group,
         iface: IfaceId,
-    ) -> Vec<Output> {
-        self.deadline.clear();
+    ) -> Vec<Action> {
         let Some(tree) = self.trees.get_mut(&group) else {
             return Vec::new();
         };
@@ -311,7 +355,7 @@ impl CbtEngine {
     }
 
     /// Leave the tree if we have neither members nor children.
-    fn maybe_quit(&mut self, now: SimTime, group: Group) -> Vec<Output> {
+    fn maybe_quit(&mut self, now: SimTime, group: Group) -> Vec<Action> {
         let Some(tree) = self.trees.get(&group) else {
             return Vec::new();
         };
@@ -321,13 +365,14 @@ impl CbtEngine {
         }
         let mut out = Vec::new();
         if let Some((iface, parent)) = tree.parent {
-            out.push(Output::Send {
+            out.push(Action::control(
                 iface,
-                dst: parent,
-                ttl: 1,
-                msg: Message::CbtQuit(Quit { group }),
-            });
+                parent,
+                1,
+                Message::CbtQuit(Quit { group }),
+            ));
         }
+        tree.disarm(&mut self.timers, self.cfg.echo_timeout);
         self.trees.remove(&group);
         self.telem.emit(now.ticks(), || Event::EntryExpired {
             group,
@@ -344,14 +389,12 @@ impl CbtEngine {
         src: Addr,
         jr: &JoinRequest,
         rib: &dyn Rib,
-    ) -> Vec<Output> {
-        self.deadline.clear();
+    ) -> Vec<Action> {
         // Adopt the core carried in the join if unconfigured.
         self.cores.entry(jr.group).or_insert(jr.core);
         if self.ensure_tree(now, jr.group).is_none() {
             return Vec::new();
         }
-        let me = self.my_addr;
         let on_tree = {
             let tree = self.trees.get_mut(&jr.group).expect("ensured");
             // A join from our own parent edge would loop.
@@ -363,19 +406,18 @@ impl CbtEngine {
         if on_tree {
             // Confirm immediately: child edge + ack (explicit reliability).
             let tree = self.trees.get_mut(&jr.group).expect("ensured");
-            tree.children
-                .insert((iface, src), now + self.cfg.echo_timeout);
+            tree.refresh_child(&mut self.timers, (iface, src), now + self.cfg.echo_timeout);
             self.acks_sent += 1;
-            vec![Output::Send {
+            vec![Action::control(
                 iface,
-                dst: src,
-                ttl: 1,
-                msg: Message::CbtJoinAck(JoinAck {
+                src,
+                1,
+                Message::CbtJoinAck(JoinAck {
                     group: jr.group,
                     core: jr.core,
                     originator: jr.originator,
                 }),
-            }]
+            )]
         } else {
             // Hold the downstream join; forward our own toward the core.
             {
@@ -384,10 +426,7 @@ impl CbtEngine {
                     tree.pending_downstream.push((iface, src));
                 }
             }
-            let mut out = self.initiate_join(now, jr.group, rib);
-            let _ = me;
-            out.retain(|o| !matches!(o, Output::Forward { .. }));
-            out
+            self.initiate_join(now, jr.group, rib)
         }
     }
 
@@ -398,8 +437,7 @@ impl CbtEngine {
         iface: IfaceId,
         src: Addr,
         ja: &JoinAck,
-    ) -> Vec<Output> {
-        self.deadline.clear();
+    ) -> Vec<Action> {
         let cfg = self.cfg;
         let Some(tree) = self.trees.get_mut(&ja.group) else {
             return Vec::new();
@@ -410,11 +448,14 @@ impl CbtEngine {
         if !matches {
             return Vec::new();
         }
-        tree.pending_join = None;
+        let timers = &mut self.timers;
+        tree.set_pending_join(timers, None);
         let from = tree_flags(tree);
-        tree.on_tree = true;
-        tree.parent = Some((iface, src));
-        tree.parent_alive_at = now;
+        tree.update_parent(timers, cfg.echo_timeout, |t| {
+            t.on_tree = true;
+            t.parent = Some((iface, src));
+            t.parent_alive_at = now;
+        });
         self.telem.emit(now.ticks(), || Event::EntryModified {
             group: ja.group,
             key: EntryKey::Star,
@@ -426,50 +467,48 @@ impl CbtEngine {
         let core = tree.core;
         let mut out = Vec::new();
         for (ci, child) in waiting {
-            tree.children.insert((ci, child), now + cfg.echo_timeout);
+            tree.refresh_child(timers, (ci, child), now + cfg.echo_timeout);
             self.acks_sent += 1;
-            out.push(Output::Send {
-                iface: ci,
-                dst: child,
-                ttl: 1,
-                msg: Message::CbtJoinAck(JoinAck {
+            out.push(Action::control(
+                ci,
+                child,
+                1,
+                Message::CbtJoinAck(JoinAck {
                     group: ja.group,
                     core,
                     originator: child,
                 }),
-            });
+            ));
         }
         out
     }
 
     /// A Quit arrived from child `src` on `iface`.
-    pub fn on_quit(&mut self, _now: SimTime, iface: IfaceId, src: Addr, q: &Quit) -> Vec<Output> {
-        self.deadline.clear();
+    pub fn on_quit(&mut self, _now: SimTime, iface: IfaceId, src: Addr, q: &Quit) -> Vec<Action> {
         if let Some(tree) = self.trees.get_mut(&q.group) {
-            tree.children.remove(&(iface, src));
+            self.timers.rearm(tree.children.remove(&(iface, src)), None);
         }
         self.maybe_quit(_now, q.group)
     }
 
     /// An Echo keepalive arrived from child `src`: refresh its edges and
     /// reply with the groups still alive here.
-    pub fn on_echo(&mut self, now: SimTime, iface: IfaceId, src: Addr, e: &Echo) -> Vec<Output> {
-        self.deadline.clear();
+    pub fn on_echo(&mut self, now: SimTime, iface: IfaceId, src: Addr, e: &Echo) -> Vec<Action> {
         let mut alive = Vec::new();
         for &group in &e.groups {
             if let Some(tree) = self.trees.get_mut(&group) {
-                if let Some(exp) = tree.children.get_mut(&(iface, src)) {
-                    *exp = now + self.cfg.echo_timeout;
+                if tree.children.contains_key(&(iface, src)) {
+                    tree.refresh_child(&mut self.timers, (iface, src), now + self.cfg.echo_timeout);
                     alive.push(group);
                 }
             }
         }
-        vec![Output::Send {
+        vec![Action::control(
             iface,
-            dst: src,
-            ttl: 1,
-            msg: Message::CbtEchoReply(EchoReply { groups: alive }),
-        }]
+            src,
+            1,
+            Message::CbtEchoReply(EchoReply { groups: alive }),
+        )]
     }
 
     /// An Echo-Reply arrived from our parent on `iface`: groups missing
@@ -481,21 +520,20 @@ impl CbtEngine {
         src: Addr,
         er: &EchoReply,
         rib: &dyn Rib,
-    ) -> Vec<Output> {
-        self.deadline.clear();
+    ) -> Vec<Action> {
         let mut rejoin = Vec::new();
         for (&group, tree) in self.trees.iter_mut() {
             if tree.parent != Some((iface, src)) {
                 continue;
             }
             if er.groups.contains(&group) {
-                tree.parent_alive_at = now;
+                tree.update_parent(&mut self.timers, self.cfg.echo_timeout, |t| {
+                    t.parent_alive_at = now
+                });
             } else if tree.on_tree {
                 // Parent lost the tree: detach and rejoin.
                 let from = tree_flags(tree);
-                tree.on_tree = false;
-                tree.parent = None;
-                tree.pending_join = None;
+                tree.detach(&mut self.timers, self.cfg.echo_timeout);
                 self.telem.emit(now.ticks(), || Event::EntryModified {
                     group,
                     key: EntryKey::Star,
@@ -520,8 +558,7 @@ impl CbtEngine {
         iface: IfaceId,
         f: &FlushTree,
         rib: &dyn Rib,
-    ) -> Vec<Output> {
-        self.deadline.clear();
+    ) -> Vec<Action> {
         let mut out = Vec::new();
         let Some(tree) = self.trees.get_mut(&f.group) else {
             return out;
@@ -530,18 +567,11 @@ impl CbtEngine {
             return out;
         }
         for &(ci, child) in tree.children.keys() {
-            out.push(Output::Send {
-                iface: ci,
-                dst: child,
-                ttl: 1,
-                msg: Message::CbtFlushTree(*f),
-            });
+            out.push(Action::control(ci, child, 1, Message::CbtFlushTree(*f)));
         }
-        tree.children.clear();
+        tree.clear_children(&mut self.timers);
         let from = tree_flags(tree);
-        tree.on_tree = false;
-        tree.parent = None;
-        tree.pending_join = None;
+        tree.detach(&mut self.timers, self.cfg.echo_timeout);
         if from & flags::ON_TREE != 0 {
             self.telem.emit(now.ticks(), || Event::EntryModified {
                 group: f.group,
@@ -565,7 +595,7 @@ impl CbtEngine {
         group: Group,
         payload: &[u8],
         rib: &dyn Rib,
-    ) -> Vec<Output> {
+    ) -> Vec<Action> {
         let Some(&core) = self.cores.get(&group) else {
             return Vec::new();
         };
@@ -575,7 +605,7 @@ impl CbtEngine {
                 if ifaces.is_empty() {
                     return Vec::new();
                 }
-                return vec![Output::Forward {
+                return vec![Action::Forward {
                     ifaces,
                     source,
                     group,
@@ -588,20 +618,20 @@ impl CbtEngine {
         let Some(r) = rib.route(core) else {
             return Vec::new();
         };
-        vec![Output::Send {
-            iface: r.iface,
-            dst: core,
-            ttl: 64,
-            msg: Message::PimRegister(Register {
+        vec![Action::control(
+            r.iface,
+            core,
+            64,
+            Message::PimRegister(Register {
                 group,
                 source,
                 payload: payload.to_vec(),
             }),
-        }]
+        )]
     }
 
     /// Encapsulated sender data arrived at the core: inject onto the tree.
-    pub fn on_encapsulated(&mut self, _now: SimTime, reg: &Register) -> Vec<Output> {
+    pub fn on_encapsulated(&mut self, _now: SimTime, reg: &Register) -> Vec<Action> {
         let Some(tree) = self.trees.get(&reg.group) else {
             return Vec::new();
         };
@@ -612,7 +642,7 @@ impl CbtEngine {
         if ifaces.is_empty() {
             return Vec::new();
         }
-        vec![Output::ForwardDecapsulated {
+        vec![Action::ForwardDecapsulated {
             ifaces,
             source: reg.source,
             group: reg.group,
@@ -629,7 +659,7 @@ impl CbtEngine {
         iface: IfaceId,
         source: Addr,
         group: Group,
-    ) -> Vec<Output> {
+    ) -> Vec<Action> {
         let Some(tree) = self.trees.get(&group) else {
             return Vec::new();
         };
@@ -640,7 +670,7 @@ impl CbtEngine {
         if ifaces.is_empty() {
             return Vec::new();
         }
-        vec![Output::Forward {
+        vec![Action::Forward {
             ifaces,
             source,
             group,
@@ -652,62 +682,93 @@ impl CbtEngine {
     /// detection (which matures `echo_timeout` after the last sign of
     /// parent life).
     ///
-    /// Memoized: the answer is `scan_deadline`'s (the full walk), rescanned
-    /// only after an entry point that can move a timer. Debug builds check
-    /// the memo against a fresh scan on every call.
+    /// A read of the deadline index, whatever was just mutated. Debug
+    /// builds check it against the full walk on every call.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.deadline.get_or(|| self.scan_deadline())
+        let next = netsim::earliest(Some(self.next_echo), self.timers.first());
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            next,
+            self.scan_deadline(),
+            "a timer was written past the deadline index"
+        );
+        next
     }
 
-    /// The earliest pending timer, found by walking all of them: the one
-    /// definition of "next deadline".
-    pub(crate) fn scan_deadline(&self) -> Option<SimTime> {
-        let mut best = Some(self.next_echo);
-        for tree in self.trees.values() {
-            if let Some((_, _, retx)) = tree.pending_join {
-                best = netsim::earliest(best, Some(retx));
-            }
-            best = netsim::earliest(best, tree.children.values().copied().min());
-            if tree.on_tree && tree.parent.is_some() {
-                best = netsim::earliest(best, Some(tree.parent_alive_at + self.cfg.echo_timeout));
-            }
-        }
-        best
+    /// The earliest pending timer, found by walking all of them: the
+    /// reference the index is checked against.
+    #[cfg(any(test, debug_assertions))]
+    fn scan_deadline(&self) -> Option<SimTime> {
+        let walked = self
+            .trees
+            .values()
+            .flat_map(|tree| tree.deadlines(self.cfg.echo_timeout));
+        walked.chain([self.next_echo]).min()
     }
 
     /// Periodic maintenance: join retransmits, echoes, child/parent
     /// timeouts.
-    pub fn tick(&mut self, now: SimTime, rib: &dyn Rib) -> Vec<Output> {
-        self.deadline.clear();
+    pub fn tick(&mut self, now: SimTime, rib: &dyn Rib) -> Vec<Action> {
         let mut out = Vec::new();
+        // The three sweeps over the trees run only when the index holds a
+        // matured deadline; an echo-only wakeup skips them.
+        if self.timers.due(now) {
+            self.expire(now, rib, &mut out);
+        }
+
+        // Echo keepalives to surviving parents, batched per (iface, parent).
+        if now >= self.next_echo {
+            self.next_echo = now + self.cfg.echo_interval;
+            let mut per_parent: BTreeMap<(IfaceId, Addr), Vec<Group>> = BTreeMap::new();
+            for (&group, tree) in &self.trees {
+                if let Some(p) = tree.parent {
+                    per_parent.entry(p).or_default().push(group);
+                }
+            }
+            for ((iface, parent), groups) in per_parent {
+                out.push(Action::control(
+                    iface,
+                    parent,
+                    1,
+                    Message::CbtEcho(Echo { groups }),
+                ));
+            }
+        }
+        out
+    }
+
+    /// Act on every matured tree timer: retransmit joins, drop silent
+    /// children, give up on silent parents.
+    fn expire(&mut self, now: SimTime, rib: &dyn Rib, out: &mut Vec<Action>) {
         let me = self.my_addr;
         let cfg = self.cfg;
+        let timers = &mut self.timers;
 
         // Join retransmission (explicit reliability).
-        let groups: Vec<Group> = self.trees.keys().copied().collect();
-        for group in groups.clone() {
-            let tree = self.trees.get_mut(&group).expect("listed");
-            if let Some((iface, _nh, retx)) = tree.pending_join {
-                if now >= retx {
-                    let core = tree.core;
-                    // Recompute the route — it may have changed.
-                    if let Some(r) = rib.route(core) {
-                        tree.pending_join = Some((r.iface, r.next_hop, now + cfg.join_retransmit));
-                        out.push(Output::Send {
-                            iface: r.iface,
-                            dst: Addr::ALL_PIM_ROUTERS,
-                            ttl: 1,
-                            msg: Message::CbtJoinRequest(JoinRequest {
-                                group,
-                                core,
-                                originator: me,
-                            }),
-                        });
-                    } else {
-                        tree.pending_join =
-                            Some((iface, Addr::UNSPECIFIED, now + cfg.join_retransmit));
-                    }
-                }
+        for (&group, tree) in self.trees.iter_mut() {
+            let Some((iface, _nh, retx)) = tree.pending_join else {
+                continue;
+            };
+            if now < retx {
+                continue;
+            }
+            let core = tree.core;
+            let retx = now + cfg.join_retransmit;
+            // Recompute the route — it may have changed.
+            if let Some(r) = rib.route(core) {
+                tree.set_pending_join(timers, Some((r.iface, r.next_hop, retx)));
+                out.push(Action::control(
+                    r.iface,
+                    Addr::ALL_PIM_ROUTERS,
+                    1,
+                    Message::CbtJoinRequest(JoinRequest {
+                        group,
+                        core,
+                        originator: me,
+                    }),
+                ));
+            } else {
+                tree.set_pending_join(timers, Some((iface, Addr::UNSPECIFIED, retx)));
             }
         }
 
@@ -716,7 +777,13 @@ impl CbtEngine {
         let mut quit_checks = Vec::new();
         for (&group, tree) in self.trees.iter_mut() {
             let before = tree.children.len();
-            tree.children.retain(|_, &mut exp| now < exp);
+            tree.children.retain(|_, &mut exp| {
+                let live = now < exp;
+                if !live {
+                    timers.disarm(exp);
+                }
+                live
+            });
             if tree.children.len() != before {
                 quit_checks.push(group);
             }
@@ -727,16 +794,15 @@ impl CbtEngine {
 
         // Parent liveness: a silent parent means our whole subtree must
         // reattach through a live path — flush children and rejoin.
+        let timers = &mut self.timers;
         let mut to_rejoin = Vec::new();
         for (&group, tree) in self.trees.iter_mut() {
-            if tree.on_tree
-                && tree.parent.is_some()
-                && now.since(tree.parent_alive_at) >= cfg.echo_timeout
+            if tree
+                .parent_deadline(cfg.echo_timeout)
+                .is_some_and(|at| now >= at)
             {
                 let from = tree_flags(tree);
-                tree.on_tree = false;
-                tree.parent = None;
-                tree.pending_join = None;
+                tree.detach(timers, cfg.echo_timeout);
                 self.telem.emit(now.ticks(), || Event::EntryModified {
                     group,
                     key: EntryKey::Star,
@@ -747,31 +813,25 @@ impl CbtEngine {
             }
         }
         for group in to_rejoin {
-            let children: Vec<(IfaceId, Addr)> = self
-                .trees
-                .get(&group)
-                .map(|t| t.children.keys().copied().collect())
-                .unwrap_or_default();
-            for (ci, child) in &children {
-                out.push(Output::Send {
-                    iface: *ci,
-                    dst: *child,
-                    ttl: 1,
-                    msg: Message::CbtFlushTree(FlushTree { group }),
-                });
+            let tree = self.trees.get_mut(&group).expect("listed above");
+            for &(ci, child) in tree.children.keys() {
+                out.push(Action::control(
+                    ci,
+                    child,
+                    1,
+                    Message::CbtFlushTree(FlushTree { group }),
+                ));
             }
-            let has_members = self
-                .trees
-                .get(&group)
-                .is_some_and(|t| !t.member_ifaces.is_empty());
-            if let Some(t) = self.trees.get_mut(&group) {
-                t.children.clear();
-                t.parent_alive_at = now; // restart the clock for the rejoin
-            }
-            if has_members {
+            tree.clear_children(&mut self.timers);
+            // Restart the clock for the rejoin.
+            tree.update_parent(&mut self.timers, cfg.echo_timeout, |t| {
+                t.parent_alive_at = now
+            });
+            if !tree.member_ifaces.is_empty() {
                 out.extend(self.initiate_join(now, group, rib));
             } else {
                 // Nothing left to serve: drop the state entirely.
+                tree.disarm(&mut self.timers, cfg.echo_timeout);
                 self.trees.remove(&group);
                 self.telem.emit(now.ticks(), || Event::EntryExpired {
                     group,
@@ -779,26 +839,6 @@ impl CbtEngine {
                 });
             }
         }
-
-        // Echo keepalives to surviving parents, batched per (iface, parent).
-        if now >= self.next_echo {
-            self.next_echo = now + cfg.echo_interval;
-            let mut per_parent: BTreeMap<(IfaceId, Addr), Vec<Group>> = BTreeMap::new();
-            for (&group, tree) in &self.trees {
-                if let Some(p) = tree.parent {
-                    per_parent.entry(p).or_default().push(group);
-                }
-            }
-            for ((iface, parent), groups) in per_parent {
-                out.push(Output::Send {
-                    iface,
-                    dst: parent,
-                    ttl: 1,
-                    msg: Message::CbtEcho(Echo { groups }),
-                });
-            }
-        }
-        out
     }
 }
 
@@ -842,14 +882,8 @@ impl StateDump for CbtEngine {
                     exp.ticks()
                 );
             }
-            let mut members: Vec<u32> = tree
-                .member_ifaces
-                .iter()
-                .map(|i| i.index() as u32)
-                .collect();
-            members.sort_unstable();
-            for i in members {
-                let _ = writeln!(s, "    members on if{i}");
+            for i in &tree.member_ifaces {
+                let _ = writeln!(s, "    members on if{}", i.index());
             }
             for &(i, req) in &tree.pending_downstream {
                 let _ = writeln!(s, "    awaiting-ack {req}@if{}", i.index());
@@ -905,8 +939,8 @@ mod tests {
         let out = e.local_member_joined(t(0), g(), IfaceId(2), &rib());
         assert!(matches!(
             &out[0],
-            Output::Send { iface, msg: Message::CbtJoinRequest(jr), .. }
-                if *iface == IfaceId(0) && jr.core == core() && jr.originator == me()
+            Action::Control { ifaces, msg: Message::CbtJoinRequest(jr), .. }
+                if *ifaces == IfaceId(0).into() && jr.core == core() && jr.originator == me()
         ));
         assert!(!e.tree(g()).unwrap().on_tree, "not on tree until acked");
     }
@@ -937,7 +971,7 @@ mod tests {
         let out = e.tick(t(20), &rib());
         assert!(out.iter().any(|o| matches!(
             o,
-            Output::Send {
+            Action::Control {
                 msg: Message::CbtJoinRequest(_),
                 ..
             }
@@ -971,8 +1005,8 @@ mod tests {
         );
         assert!(matches!(
             &out[0],
-            Output::Send { iface, dst, msg: Message::CbtJoinAck(_), .. }
-                if *iface == IfaceId(1) && *dst == child()
+            Action::Control { ifaces, dst, msg: Message::CbtJoinAck(_), .. }
+                if *ifaces == IfaceId(1).into() && *dst == child()
         ));
         assert!(e
             .tree(g())
@@ -1000,14 +1034,14 @@ mod tests {
         // Our own join goes toward the core; no ack yet.
         assert!(out.iter().any(|o| matches!(
             o,
-            Output::Send {
+            Action::Control {
                 msg: Message::CbtJoinRequest(_),
                 ..
             }
         )));
         assert!(!out.iter().any(|o| matches!(
             o,
-            Output::Send {
+            Action::Control {
                 msg: Message::CbtJoinAck(_),
                 ..
             }
@@ -1025,7 +1059,7 @@ mod tests {
         );
         assert!(matches!(
             &out[0],
-            Output::Send { dst, msg: Message::CbtJoinAck(_), .. } if *dst == child()
+            Action::Control { dst, msg: Message::CbtJoinAck(_), .. } if *dst == child()
         ));
         assert!(e
             .tree(g())
@@ -1051,7 +1085,7 @@ mod tests {
         );
         assert!(matches!(
             &out[0],
-            Output::Send {
+            Action::Control {
                 msg: Message::CbtJoinAck(_),
                 ..
             }
@@ -1088,13 +1122,13 @@ mod tests {
         let out = e.on_data(t(10), IfaceId(0), Addr::new(10, 9, 9, 9), g());
         assert!(matches!(
             &out[0],
-            Output::Forward { ifaces, .. } if ifaces == &vec![IfaceId(1), IfaceId(2)]
+            Action::Forward { ifaces, .. } if ifaces == &vec![IfaceId(1), IfaceId(2)]
         ));
         // From the child side: up to the parent + members (bidirectional).
         let out = e.on_data(t(11), IfaceId(1), Addr::new(10, 9, 9, 9), g());
         assert!(matches!(
             &out[0],
-            Output::Forward { ifaces, .. } if ifaces == &vec![IfaceId(0), IfaceId(2)]
+            Action::Forward { ifaces, .. } if ifaces == &vec![IfaceId(0), IfaceId(2)]
         ));
         // Off-tree arrival is dropped.
         let out = e.on_data(t(12), IfaceId(3), Addr::new(10, 9, 9, 9), g());
@@ -1109,7 +1143,7 @@ mod tests {
         let out = e.on_local_data(t(0), IfaceId(2), s, g(), b"d", &rib());
         assert!(matches!(
             &out[0],
-            Output::Send { dst, msg: Message::PimRegister(r), .. }
+            Action::Control { dst, msg: Message::PimRegister(r), .. }
                 if *dst == core() && r.source == s
         ));
     }
@@ -1139,7 +1173,7 @@ mod tests {
         );
         assert!(matches!(
             &out[0],
-            Output::ForwardDecapsulated { ifaces, payload, .. }
+            Action::ForwardDecapsulated { ifaces, payload, .. }
                 if ifaces == &vec![IfaceId(0)] && payload == b"d"
         ));
     }
@@ -1172,7 +1206,7 @@ mod tests {
         let out = e.on_echo(t(50), IfaceId(1), child(), &Echo { groups: vec![g()] });
         assert!(matches!(
             &out[0],
-            Output::Send { msg: Message::CbtEchoReply(er), .. } if er.groups == vec![g()]
+            Action::Control { msg: Message::CbtEchoReply(er), .. } if er.groups == vec![g()]
         ));
         // Keep our parent alive too, then cross the child's original
         // timeout: the echoed child must survive.
@@ -1223,7 +1257,7 @@ mod tests {
         assert!(
             out.iter().any(|o| matches!(
                 o,
-                Output::Send { dst, msg: Message::CbtQuit(_), .. } if *dst == core()
+                Action::Control { dst, msg: Message::CbtQuit(_), .. } if *dst == core()
             )),
             "{out:?}"
         );
@@ -1253,7 +1287,7 @@ mod tests {
         );
         assert!(out.iter().any(|o| matches!(
             o,
-            Output::Send {
+            Action::Control {
                 msg: Message::CbtJoinRequest(_),
                 ..
             }
@@ -1292,13 +1326,13 @@ mod tests {
         assert!(
             out.iter().any(|o| matches!(
                 o,
-                Output::Send { dst, msg: Message::CbtFlushTree(_), .. } if *dst == child()
+                Action::Control { dst, msg: Message::CbtFlushTree(_), .. } if *dst == child()
             )),
             "{out:?}"
         );
         assert!(out.iter().any(|o| matches!(
             o,
-            Output::Send {
+            Action::Control {
                 msg: Message::CbtJoinRequest(_),
                 ..
             }
@@ -1337,7 +1371,7 @@ mod tests {
     /// One random call into the engine's public `&mut` surface. `a` and
     /// `b` pick among two groups (one cored here, one cored remotely), a
     /// few interfaces and a few neighbours, so calls collide on state.
-    fn memo_step(e: &mut CbtEngine, now: SimTime, op: u8, a: u8, b: u8) {
+    fn engine_step(e: &mut CbtEngine, now: SimTime, op: u8, a: u8, b: u8) {
         let rib = rib();
         let groups = [g(), Group::test(5)];
         let group = groups[(a % 2) as usize];
@@ -1398,14 +1432,14 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(1024))]
 
-        /// Whatever is called, in whatever order, the memoized deadline
-        /// is the scanned one. `next_deadline` is read after every step,
-        /// so each call starts from a filled memo it has to invalidate —
-        /// and the comparison is spelled out here because
-        /// `next_deadline`'s own `debug_assert` is compiled out of
-        /// release-profile test runs.
+        /// Whatever is called, in whatever order, the deadline read off
+        /// the index is the one a walk of every tree finds — and the
+        /// index holds exactly the walked deadlines, so nothing a
+        /// removed tree, a flushed child or a reset owned is left behind.
+        /// Spelled out here because `next_deadline`'s own `debug_assert`
+        /// is compiled out of release-profile test runs.
         #[test]
-        fn memoized_deadline_is_the_scanned_deadline(
+        fn indexed_deadline_is_the_scanned_deadline(
             steps in proptest::prop::collection::vec((0u8..14, 0u8..12, 0u8..6, 0usize..6), 1..100),
         ) {
             let mut e = engine();
@@ -1413,8 +1447,15 @@ mod tests {
             let mut now = 0;
             for (op, a, b, dt) in steps {
                 now += [0, 1, 4, 15, 40, 150][dt];
-                memo_step(&mut e, t(now), op, a, b);
+                engine_step(&mut e, t(now), op, a, b);
                 assert_eq!(e.next_deadline(), e.scan_deadline(), "after op {op} at {now}");
+                let mut walked: Vec<SimTime> = e
+                    .trees
+                    .values()
+                    .flat_map(|tree| tree.deadlines(e.cfg.echo_timeout))
+                    .collect();
+                walked.sort();
+                assert_eq!(e.timers.as_slice(), walked, "after op {op} at {now}");
             }
         }
     }

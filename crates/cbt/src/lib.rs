@@ -27,5 +27,6 @@
 pub mod engine;
 pub mod router;
 
-pub use engine::{CbtConfig, CbtEngine, Output};
+pub use engine::{CbtConfig, CbtEngine};
+pub use node::Action;
 pub use router::CbtRouter;

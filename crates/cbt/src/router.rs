@@ -1,61 +1,17 @@
 //! The [`netsim`] adapter for the CBT baseline.
 //!
 //! [`CbtRouter`] is the generic [`node::ProtocolNode`] instantiated with
-//! [`CbtEngine`] — the same adapter PIM and DVMRP use.
+//! [`CbtEngine`] — the same adapter PIM and DVMRP use. The engine already
+//! speaks the node's [`Action`]s; this module is message dispatch.
 
-use crate::engine::{CbtEngine, Output};
+use crate::engine::CbtEngine;
 use netsim::{IfaceId, SimTime};
 use node::{Action, ProtocolEngine};
 use unicast::Rib;
 use wire::{Addr, Group, Message};
 
-/// Data TTL used when (re)originating packets (decapsulated registers).
-const DATA_TTL: u8 = 32;
-
 /// A CBT router node.
 pub type CbtRouter = node::ProtocolNode<CbtEngine>;
-
-/// Convert engine outputs into node actions, stamping `data_ttl` on data
-/// forwards.
-fn actions(outs: Vec<Output>, data_ttl: u8) -> Vec<Action> {
-    outs.into_iter()
-        .map(|o| match o {
-            Output::Send {
-                iface,
-                dst,
-                ttl,
-                msg,
-            } => Action::Control {
-                iface,
-                dst,
-                ttl,
-                msg,
-            },
-            Output::Forward {
-                ifaces,
-                source,
-                group,
-            } => Action::Forward {
-                ifaces,
-                source,
-                group,
-                ttl: data_ttl,
-            },
-            Output::ForwardDecapsulated {
-                ifaces,
-                source,
-                group,
-                payload,
-            } => Action::ForwardDecapsulated {
-                ifaces,
-                source,
-                group,
-                ttl: data_ttl,
-                payload,
-            },
-        })
-        .collect()
-}
 
 impl ProtocolEngine for CbtEngine {
     fn addr(&self) -> Addr {
@@ -76,21 +32,17 @@ impl ProtocolEngine for CbtEngine {
         rib: &dyn Rib,
     ) -> Vec<Action> {
         match msg {
-            Message::CbtJoinRequest(jr) => {
-                actions(self.on_join_request(now, iface, src, jr, rib), DATA_TTL)
-            }
-            Message::CbtJoinAck(ja) => actions(self.on_join_ack(now, iface, src, ja), DATA_TTL),
-            Message::CbtEcho(e) => actions(self.on_echo(now, iface, src, e), DATA_TTL),
-            Message::CbtEchoReply(er) => {
-                actions(self.on_echo_reply(now, iface, src, er, rib), DATA_TTL)
-            }
-            Message::CbtQuit(q) => actions(self.on_quit(now, iface, src, q), DATA_TTL),
-            Message::CbtFlushTree(f) => actions(self.on_flush(now, iface, f, rib), DATA_TTL),
+            Message::CbtJoinRequest(jr) => self.on_join_request(now, iface, src, jr, rib),
+            Message::CbtJoinAck(ja) => self.on_join_ack(now, iface, src, ja),
+            Message::CbtEcho(e) => self.on_echo(now, iface, src, e),
+            Message::CbtEchoReply(er) => self.on_echo_reply(now, iface, src, er, rib),
+            Message::CbtQuit(q) => self.on_quit(now, iface, src, q),
+            Message::CbtFlushTree(f) => self.on_flush(now, iface, f, rib),
             Message::PimRegister(reg) => {
                 // Senders unicast-encapsulate toward the core; decapsulate
                 // when it is ours, relay when in transit.
                 if dst == CbtEngine::addr(self) {
-                    actions(self.on_encapsulated(now, reg), DATA_TTL)
+                    self.on_encapsulated(now, reg)
                 } else {
                     vec![Action::RelayUnicast]
                 }
@@ -105,17 +57,15 @@ impl ProtocolEngine for CbtEngine {
         iface: IfaceId,
         source: Addr,
         group: Group,
-        ttl: u8,
         payload: &[u8],
         from_host_lan: bool,
         rib: &dyn Rib,
     ) -> Vec<Action> {
-        let outs = if from_host_lan {
+        if from_host_lan {
             self.on_local_data(now, iface, source, group, payload, rib)
         } else {
             self.on_data(now, iface, source, group)
-        };
-        actions(outs, ttl)
+        }
     }
 
     fn local_member_joined(
@@ -125,17 +75,11 @@ impl ProtocolEngine for CbtEngine {
         iface: IfaceId,
         rib: &dyn Rib,
     ) -> Vec<Action> {
-        actions(
-            CbtEngine::local_member_joined(self, now, group, iface, rib),
-            DATA_TTL,
-        )
+        CbtEngine::local_member_joined(self, now, group, iface, rib)
     }
 
     fn local_member_left(&mut self, now: SimTime, group: Group, iface: IfaceId) -> Vec<Action> {
-        actions(
-            CbtEngine::local_member_left(self, now, group, iface),
-            DATA_TTL,
-        )
+        CbtEngine::local_member_left(self, now, group, iface)
     }
 
     fn host_lan_attached(&mut self, _iface: IfaceId) -> u32 {
@@ -156,7 +100,7 @@ impl ProtocolEngine for CbtEngine {
     }
 
     fn tick(&mut self, now: SimTime, rib: &dyn Rib) -> Vec<Action> {
-        actions(CbtEngine::tick(self, now, rib), DATA_TTL)
+        CbtEngine::tick(self, now, rib)
     }
 
     fn next_deadline(&self) -> Option<SimTime> {

@@ -93,17 +93,17 @@ proptest! {
                 .engine()
                 .tree(group)
                 .unwrap_or_else(|| panic!("r{k} must hold tree state"));
-            prop_assert!(tree.on_tree, "r{k} must be on the tree");
+            prop_assert!(tree.on_tree(), "r{k} must be on the tree");
             prop_assert!(
                 !r.engine().join_pending(group),
                 "r{k} must have no join outstanding after convergence"
             );
             if k == 0 {
-                prop_assert!(tree.parent.is_none(), "the core has no parent");
+                prop_assert!(tree.parent().is_none(), "the core has no parent");
             } else {
                 let want = router_addr(NodeId(k as u32 - 1));
                 prop_assert_eq!(
-                    tree.parent.map(|(_, a)| a),
+                    tree.parent().map(|(_, a)| a),
                     Some(want),
                     "r{}'s parent must be the next hop toward the core",
                     k
@@ -112,7 +112,7 @@ proptest! {
             if k < ROUTERS - 1 {
                 let child = router_addr(NodeId(k as u32 + 1));
                 prop_assert!(
-                    tree.children.keys().any(|&(_, a)| a == child),
+                    tree.children().keys().any(|&(_, a)| a == child),
                     "r{}'s ack ledger must carry its downstream child",
                     k
                 );

@@ -3,7 +3,7 @@
 //! The engine is sans-IO: every handler takes the current time, the parsed
 //! input, and a read-only view of the unicast routing table ([`Rib`] — the
 //! *only* thing PIM may know about unicast routing, which is what makes it
-//! protocol independent), and returns a list of [`Output`] actions for the
+//! protocol independent), and returns a list of [`Action`]s for the
 //! surrounding router to carry out.
 //!
 //! Handler ↔ paper map:
@@ -21,54 +21,14 @@
 
 use crate::config::{PimConfig, SptPolicy};
 use crate::entry::{Entry, GroupState, OifKind};
-use netsim::{Duration, IfaceId, SimTime};
-use node::DeadlineMemo;
+use netsim::{Deadlines, Duration, IfaceId, IfaceSet, SimTime};
+use node::Action;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt::Write as _;
 use telemetry::{flags, EntryKey, Event, StateDump, Telem};
 use unicast::Rib;
 use wire::pim::{GroupEntry, JoinPrune, Query, Register, RpReachability, SourceEntry};
 use wire::{Addr, Group, Message};
-
-/// An action requested by the engine.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Output {
-    /// Transmit a control message out of `iface`.
-    Send {
-        /// Interface to transmit on.
-        iface: IfaceId,
-        /// Network-header destination: `224.0.0.2` for hop-by-hop PIM
-        /// messages, the RP's unicast address for Registers.
-        dst: Addr,
-        /// Network-header TTL (1 for link-local control).
-        ttl: u8,
-        /// The message.
-        msg: Message,
-    },
-    /// Forward the multicast data packet being handled ([`Engine::on_data`],
-    /// [`Engine::on_local_data`]) out of each listed interface. The caller
-    /// holds the payload; the engine never copies it.
-    Forward {
-        /// Interfaces to copy the packet to.
-        ifaces: Vec<IfaceId>,
-        /// Original source.
-        source: Addr,
-        /// Destination group.
-        group: Group,
-    },
-    /// Forward the data packet a Register carried ([`Engine::on_register`])
-    /// out of each listed interface: a payload the caller does not hold.
-    ForwardDecapsulated {
-        /// Interfaces to copy the packet to.
-        ifaces: Vec<IfaceId>,
-        /// Original source.
-        source: Addr,
-        /// Destination group.
-        group: Group,
-        /// The decapsulated payload.
-        payload: Vec<u8>,
-    },
-}
 
 /// A prune received on a multi-access subnetwork, held for the §3.7
 /// override window before taking effect.
@@ -79,6 +39,15 @@ struct PendingPrune {
     iface: IfaceId,
     holdtime: Duration,
     execute_at: SimTime,
+}
+
+/// Which deadline index a soft-state timer belongs to.
+#[cfg(any(test, debug_assertions))]
+#[derive(Clone, Copy, Debug)]
+enum TimerClass {
+    Neighbor,
+    Entry,
+    Prune,
 }
 
 /// Per-interface PIM neighbor and DR-election state (§3.7).
@@ -108,11 +77,18 @@ pub struct Engine {
     next_refresh: SimTime,
     next_query: SimTime,
     next_reach: SimTime,
-    /// [`Engine::scan_deadline`]'s last result. A data packet forwarded
-    /// on existing state moves no timer, so the per-packet
-    /// [`Engine::next_deadline`] is a read, not a walk over every entry;
-    /// every other `&mut` entry point clears it first thing.
-    deadline: DeadlineMemo,
+    /// The armed soft-state deadlines by class, each kept equal to what a
+    /// walk of its class finds ([`Engine::for_each_deadline`], checked by
+    /// `debug_assert` on every read and by the `indexed_deadline_*`
+    /// proptests): every neighbor's holdtime expiry…
+    neighbor_timers: Deadlines,
+    /// …every entry's oif expiries, pruned-oif leases, RP-timer and
+    /// deletion deadline ([`Entry::deadlines`])…
+    entry_timers: Deadlines,
+    /// …and every pending LAN prune's execution time. With the three
+    /// periodic schedules above, their fronts are the next wakeup, and a
+    /// class whose front has not matured is not swept.
+    prune_timers: Deadlines,
     /// Registers sent (sender-side overhead metric).
     pub registers_sent: u64,
     /// Registers received and decapsulated (RP-side metric).
@@ -140,6 +116,7 @@ impl Engine {
     /// New engine for a router with address `my_addr` and `iface_count`
     /// interfaces.
     pub fn new(my_addr: Addr, iface_count: usize, cfg: PimConfig) -> Engine {
+        IfaceSet::check_width(iface_count).unwrap_or_else(|e| panic!("router {my_addr}: {e}"));
         Engine {
             cfg,
             my_addr,
@@ -151,7 +128,9 @@ impl Engine {
             next_refresh: SimTime::ZERO,
             next_query: SimTime::ZERO,
             next_reach: SimTime::ZERO,
-            deadline: DeadlineMemo::default(),
+            neighbor_timers: Deadlines::new(),
+            entry_timers: Deadlines::new(),
+            prune_timers: Deadlines::new(),
             registers_sent: 0,
             registers_received: 0,
             telem: Telem::disabled(),
@@ -182,7 +161,6 @@ impl Engine {
 
     /// Grow the interface table (host LANs attached after construction).
     pub fn add_iface(&mut self) -> IfaceId {
-        self.deadline.clear();
         self.ifaces.push(IfaceState::default());
         IfaceId(self.ifaces.len() as u32 - 1)
     }
@@ -190,19 +168,16 @@ impl Engine {
     /// Mark `iface` as a multi-access subnetwork with other PIM routers:
     /// §3.7 prune-override and join-suppression rules apply there.
     pub fn set_lan(&mut self, iface: IfaceId) {
-        self.deadline.clear();
         self.ifaces[iface.index()].is_lan = true;
     }
 
     /// Mark `iface` as a host-facing leaf subnetwork.
     pub fn set_host_lan(&mut self, iface: IfaceId) {
-        self.deadline.clear();
         self.ifaces[iface.index()].is_host_lan = true;
     }
 
     /// Register a directly attached host (potential source) on `iface`.
     pub fn register_local_host(&mut self, host: Addr, iface: IfaceId) {
-        self.deadline.clear();
         self.local_hosts.insert(host, iface);
     }
 
@@ -210,7 +185,6 @@ impl Engine {
     /// for `group` (§3.1: "a sparse mode group is identified by the
     /// presence of RP address(es) associated with the group").
     pub fn set_rp_mapping(&mut self, group: Group, rps: Vec<Addr>) {
-        self.deadline.clear();
         let gs = self.groups.entry(group).or_default();
         if gs.rps != rps {
             gs.rps = rps;
@@ -237,8 +211,8 @@ impl Engine {
     pub fn is_dr(&self, iface: IfaceId) -> bool {
         self.ifaces[iface.index()]
             .neighbors
-            .keys()
-            .all(|&n| n < self.my_addr)
+            .last_key_value()
+            .is_none_or(|(&highest, _)| highest < self.my_addr)
     }
 
     /// Read-only view of the state for `group` (tests and experiments).
@@ -262,7 +236,9 @@ impl Engine {
     /// mappings (§3.1 footnote 9) — survives, as do the overhead counters
     /// (they are observability, not protocol state).
     pub fn reset(&mut self) {
-        self.deadline.clear();
+        self.neighbor_timers.clear();
+        self.entry_timers.clear();
+        self.prune_timers.clear();
         self.groups.retain(|_, gs| {
             if gs.rps.is_empty() {
                 return false; // purely dynamic state: forget the group
@@ -298,8 +274,7 @@ impl Engine {
         group: Group,
         iface: IfaceId,
         rib: &dyn Rib,
-    ) -> Vec<Output> {
-        self.deadline.clear();
+    ) -> Vec<Action> {
         let Some(gs) = self.groups.get(&group) else {
             return Vec::new(); // no RP mapping → not sparse mode (§3.1)
         };
@@ -308,18 +283,19 @@ impl Engine {
         };
         let mut out = Vec::new();
         let created = self.ensure_star(now, group, rp, rib);
+        let timers = &mut self.entry_timers;
         let gs = self.groups.get_mut(&group).expect("ensured above");
         let star = gs.star.as_mut().expect("ensured above");
-        star.add_oif(iface, OifKind::LocalMembers, SimTime(u64::MAX));
+        star.add_oif(timers, iface, OifKind::LocalMembers, SimTime(u64::MAX));
         // "The DR sets an RP-timer for this entry" (§3.1).
-        if star.rp_timer.is_none() {
-            star.rp_timer = Some(now + self.cfg.rp_timeout);
+        if star.rp_timer().is_none() {
+            star.set_rp_timer(timers, Some(now + self.cfg.rp_timeout));
         }
         // Local members receive from every source: mirror into existing
         // (S,G) entries, per the §3.3 copy semantics.
         for e in gs.sources.values_mut() {
-            if !e.pruned_oifs.contains_key(&iface) {
-                e.add_oif(iface, OifKind::LocalMembers, SimTime(u64::MAX));
+            if !e.pruned_oifs().contains_key(&iface) {
+                e.add_oif(timers, iface, OifKind::LocalMembers, SimTime(u64::MAX));
             }
         }
         if created {
@@ -329,22 +305,22 @@ impl Engine {
     }
 
     /// The last IGMP member of `group` on `iface` expired.
-    pub fn local_member_left(&mut self, now: SimTime, group: Group, iface: IfaceId) -> Vec<Output> {
-        self.deadline.clear();
+    pub fn local_member_left(&mut self, now: SimTime, group: Group, iface: IfaceId) -> Vec<Action> {
         let Some(gs) = self.groups.get_mut(&group) else {
             return Vec::new();
         };
+        let timers = &mut self.entry_timers;
         let mut affected = false;
         if let Some(star) = gs.star.as_mut() {
-            if star.remove_oif(iface) {
+            if star.remove_oif(timers, iface) {
                 affected = true;
             }
             if !star.has_local_members() {
-                star.rp_timer = None;
+                star.set_rp_timer(timers, None);
             }
         }
         for e in gs.sources.values_mut() {
-            e.remove_oif(iface);
+            e.remove_oif(timers, iface);
         }
         if affected {
             self.after_oif_removal(now, group)
@@ -391,8 +367,7 @@ impl Engine {
         src: Addr,
         msg: &JoinPrune,
         rib: &dyn Rib,
-    ) -> Vec<Output> {
-        self.deadline.clear();
+    ) -> Vec<Action> {
         let mut out = Vec::new();
         let addressed_to_me = msg.upstream_neighbor == self.my_addr;
         let holdtime = Duration(msg.holdtime as u64);
@@ -426,7 +401,7 @@ impl Engine {
         j: &SourceEntry,
         holdtime: Duration,
         rib: &dyn Rib,
-    ) -> Vec<Output> {
+    ) -> Vec<Action> {
         let mut out = Vec::new();
         let expires = now + holdtime;
         self.cancel_pending_prune(group, j, iface);
@@ -444,6 +419,7 @@ impl Engine {
             }
             let mut created = self.ensure_star(now, group, rp, rib);
             let my_addr = self.my_addr;
+            let timers = &mut self.entry_timers;
             let gs = self.groups.get_mut(&group).expect("ensured");
             {
                 let star = gs.star.as_mut().expect("ensured");
@@ -465,7 +441,7 @@ impl Engine {
                     };
                     star.key = rp;
                     if let Some(i) = iif {
-                        star.remove_oif(i);
+                        star.remove_oif(timers, i);
                     }
                     star.iif = iif;
                     star.upstream = upstream;
@@ -492,16 +468,16 @@ impl Engine {
             if star.iif == Some(iface) {
                 return out;
             }
-            star.add_oif(iface, OifKind::Joined, expires);
+            star.add_oif(timers, iface, OifKind::Joined, expires);
             // Footnote 12: resetting a (*,G) oif also resets the copied
             // (S,G) oifs; and a new shared-tree branch must receive
             // existing sources' SPT traffic too.
             for e in gs.sources.values_mut() {
-                if e.pruned_oifs.contains_key(&iface) {
+                if e.pruned_oifs().contains_key(&iface) {
                     continue; // an active negative-cache prune wins
                 }
                 if e.is_negative() || e.iif != Some(iface) {
-                    e.add_oif(iface, OifKind::CopiedFromStar, expires);
+                    e.add_oif(timers, iface, OifKind::CopiedFromStar, expires);
                 }
             }
             if created {
@@ -516,7 +492,7 @@ impl Engine {
             if e.iif == Some(iface) {
                 return out;
             }
-            e.add_oif(iface, OifKind::Joined, expires);
+            e.add_oif(&mut self.entry_timers, iface, OifKind::Joined, expires);
             if created && !e.local_source {
                 out.extend(self.triggered_source_join(now, group, source));
             }
@@ -526,26 +502,29 @@ impl Engine {
             // §3.7, and unicast-change repair, §3.8).
             let source = j.addr;
             if let Some(gs) = self.groups.get_mut(&group) {
+                let timers = &mut self.entry_timers;
                 let mut drop_neg = false;
                 if let Some(e) = gs.sources.get_mut(&source) {
                     if e.iif == Some(iface) {
                         // A join arriving on the entry's own upstream
                         // interface would loop; ignore it.
                     } else if e.is_negative() {
-                        e.pruned_oifs.remove(&iface);
-                        e.add_oif(iface, OifKind::CopiedFromStar, expires);
+                        e.unprune_oif(timers, iface);
+                        e.add_oif(timers, iface, OifKind::CopiedFromStar, expires);
                         // With nothing pruned anywhere the negative cache
                         // is pure overhead; drop it and fall back to (*,G).
-                        drop_neg = e.pruned_oifs.is_empty();
+                        drop_neg = e.pruned_oifs().is_empty();
                     } else if e.iif != Some(iface) {
                         // A real (S,G) whose shared-tree oif was pruned
                         // earlier (footnote 11): restore the branch.
-                        e.pruned_oifs.remove(&iface);
-                        e.add_oif(iface, OifKind::CopiedFromStar, expires);
+                        e.unprune_oif(timers, iface);
+                        e.add_oif(timers, iface, OifKind::CopiedFromStar, expires);
                     }
                 }
                 if drop_neg {
-                    gs.sources.remove(&source);
+                    if let Some(e) = gs.sources.remove(&source) {
+                        e.disarm(timers);
+                    }
                 }
             }
         }
@@ -556,12 +535,14 @@ impl Engine {
     /// (§3.3). Returns true if created.
     fn ensure_source(&mut self, now: SimTime, group: Group, source: Addr, rib: &dyn Rib) -> bool {
         let local = self.local_hosts.get(&source).copied();
+        let timers = &mut self.entry_timers;
         let gs = self.groups.entry(group).or_default();
         if let Some(e) = gs.sources.get(&source) {
             if !e.is_negative() {
                 return false;
             }
             // A real SPT join supersedes a negative cache.
+            e.disarm(timers);
             gs.sources.remove(&source);
         }
         let (iif, upstream, local_source) = match local {
@@ -576,14 +557,14 @@ impl Engine {
         // "When the (Sn,G) entry is created, the outgoing interface list is
         // copied from (*,G)" (§3.3).
         if let Some(star) = &gs.star {
-            for (&i, oif) in &star.oifs {
+            for (&i, oif) in star.oifs() {
                 if Some(i) != iif {
                     let kind = if oif.kind == OifKind::LocalMembers {
                         OifKind::LocalMembers
                     } else {
                         OifKind::CopiedFromStar
                     };
-                    e.add_oif(i, kind, oif.expires_at);
+                    e.add_oif(timers, i, kind, oif.expires_at);
                 }
             }
         }
@@ -604,16 +585,18 @@ impl Engine {
         p: &SourceEntry,
         holdtime: Duration,
         rib: &dyn Rib,
-    ) -> Vec<Output> {
+    ) -> Vec<Action> {
         if self.ifaces[iface.index()].is_lan {
             // §3.7: hold the prune so another router on the subnetwork can
             // override it with a join.
+            let execute_at = now + self.cfg.prune_override_delay;
+            self.prune_timers.arm(execute_at);
             self.pending_prunes.push(PendingPrune {
                 group,
                 entry: *p,
                 iface,
                 holdtime,
-                execute_at: now + self.cfg.prune_override_delay,
+                execute_at,
             });
             Vec::new()
         } else {
@@ -629,22 +612,23 @@ impl Engine {
         p: &SourceEntry,
         holdtime: Duration,
         rib: &dyn Rib,
-    ) -> Vec<Output> {
+    ) -> Vec<Action> {
         let mut out = Vec::new();
         let Some(gs) = self.groups.get_mut(&group) else {
             return out;
         };
+        let timers = &mut self.entry_timers;
         if p.wildcard {
             // Leave the shared tree entirely on this interface.
             let mut removed = false;
             if let Some(star) = gs.star.as_mut() {
-                removed |= star.remove_oif(iface);
+                removed |= star.remove_oif(timers, iface);
             }
             for e in gs.sources.values_mut() {
                 // Copied oifs followed the shared tree; explicit SPT joins
                 // (Joined) survive a shared-tree prune.
-                if e.oifs.get(&iface).map(|o| o.kind) == Some(OifKind::CopiedFromStar) {
-                    e.remove_oif(iface);
+                if e.oifs().get(&iface).map(|o| o.kind) == Some(OifKind::CopiedFromStar) {
+                    e.remove_oif(timers, iface);
                 }
             }
             if removed {
@@ -655,7 +639,7 @@ impl Engine {
             let mut removed = false;
             if let Some(e) = gs.sources.get_mut(&p.addr) {
                 if !e.is_negative() {
-                    removed = e.remove_oif(iface);
+                    removed = e.remove_oif(timers, iface);
                 }
             }
             if removed {
@@ -669,7 +653,7 @@ impl Engine {
             };
             let (star_iif, star_upstream) = (star.iif, star.upstream);
             let star_oifs: Vec<(IfaceId, OifKind, SimTime)> = star
-                .oifs
+                .oifs()
                 .iter()
                 .map(|(&i, o)| (i, o.kind, o.expires_at))
                 .collect();
@@ -688,16 +672,16 @@ impl Engine {
                     } else {
                         OifKind::CopiedFromStar
                     };
-                    neg.add_oif(i, k, exp);
+                    neg.add_oif(timers, i, k, exp);
                 }
                 neg
             });
             if e.is_negative() {
-                e.remove_oif(iface);
-                e.pruned_oifs.insert(iface, now + holdtime);
+                e.remove_oif(timers, iface);
+                e.prune_oif(timers, iface, now + holdtime);
                 // "Negative cache entries on the RP tree must be kept alive
                 // by receipt of prunes" (footnote 13).
-                e.delete_at = Some(now + holdtime);
+                e.set_delete_at(timers, Some(now + holdtime));
                 if e.oifs_empty() {
                     // Every shared-tree branch below us has pruned S:
                     // propagate toward the RP.
@@ -709,8 +693,8 @@ impl Engine {
                 // receives a PIM prune message with (S,G) and the RP bit
                 // in the prune list, is deleted from the outgoing
                 // interface list."
-                let removed = e.remove_oif(iface);
-                e.pruned_oifs.insert(iface, now + holdtime);
+                let removed = e.remove_oif(timers, iface);
+                e.prune_oif(timers, iface, now + holdtime);
                 if removed {
                     out.extend(self.after_oif_removal(now, group));
                 }
@@ -722,18 +706,17 @@ impl Engine {
 
     /// §3.6: a prune (or expiry) may have emptied an oif list — prune
     /// upstream and schedule deletion.
-    fn after_oif_removal(&mut self, now: SimTime, group: Group) -> Vec<Output> {
+    fn after_oif_removal(&mut self, now: SimTime, group: Group) -> Vec<Action> {
         let mut out = Vec::new();
         let linger = self.cfg.entry_linger;
-        let holdtime = self.cfg.holdtime;
-        let my = self.my_addr;
         let Some(gs) = self.groups.get_mut(&group) else {
             return out;
         };
+        let timers = &mut self.entry_timers;
         let mut sends: Vec<(IfaceId, Addr, GroupEntry)> = Vec::new();
         if let Some(star) = gs.star.as_mut() {
-            if star.oifs_empty() && star.delete_at.is_none() {
-                star.delete_at = Some(now + linger);
+            if star.oifs_empty() && star.delete_at().is_none() {
+                star.set_delete_at(timers, Some(now + linger));
                 if let (Some(iif), Some(up)) = (star.iif, star.upstream) {
                     sends.push((
                         iif,
@@ -747,8 +730,8 @@ impl Engine {
             if e.is_negative() || e.local_source {
                 continue;
             }
-            if e.oifs_empty() && e.delete_at.is_none() {
-                e.delete_at = Some(now + linger);
+            if e.oifs_empty() && e.delete_at().is_none() {
+                e.set_delete_at(timers, Some(now + linger));
                 if let (Some(iif), Some(up)) = (e.iif, e.upstream) {
                     sends.push((
                         iif,
@@ -759,18 +742,8 @@ impl Engine {
             }
         }
         for (iface, upstream, ge) in sends {
-            out.push(Output::Send {
-                iface,
-                dst: Addr::ALL_PIM_ROUTERS,
-                ttl: 1,
-                msg: Message::PimJoinPrune(JoinPrune {
-                    upstream_neighbor: upstream,
-                    holdtime: holdtime.ticks().min(u16::MAX as u64) as u16,
-                    groups: vec![ge],
-                }),
-            });
+            out.push(self.join_prune_to(iface, upstream, vec![ge]));
         }
-        let _ = my;
         out
     }
 
@@ -816,7 +789,7 @@ impl Engine {
         group: Group,
         p: &SourceEntry,
         upstream: Addr,
-    ) -> Vec<Output> {
+    ) -> Vec<Action> {
         // "If there is any router that has the LAN as its incoming
         // interface for the same (S,G) and has non-null outgoing interface
         // list, then the router sends a join message onto the LAN to
@@ -851,25 +824,20 @@ impl Engine {
             return Vec::new();
         }
         let _ = now;
-        vec![Output::Send {
-            iface,
-            dst: Addr::ALL_PIM_ROUTERS,
-            ttl: 1,
-            msg: Message::PimJoinPrune(JoinPrune {
-                upstream_neighbor: upstream,
-                holdtime: self.cfg.holdtime.ticks().min(u16::MAX as u64) as u16,
-                groups: vec![GroupEntry::join(group, *p)],
-            }),
-        }]
+        vec![self.join_prune_to(iface, upstream, vec![GroupEntry::join(group, *p)])]
     }
 
     fn cancel_pending_prune(&mut self, group: Group, e: &SourceEntry, iface: IfaceId) {
         self.pending_prunes.retain(|pp| {
-            !(pp.group == group
+            let cancelled = pp.group == group
                 && pp.iface == iface
                 && pp.entry.addr == e.addr
                 && pp.entry.wildcard == e.wildcard
-                && pp.entry.rp_bit == e.rp_bit)
+                && pp.entry.rp_bit == e.rp_bit;
+            if cancelled {
+                self.prune_timers.disarm(pp.execute_at);
+            }
+            !cancelled
         });
     }
 
@@ -879,20 +847,20 @@ impl Engine {
     // established")
     // ------------------------------------------------------------------
 
-    fn join_prune_to(&self, iface: IfaceId, upstream: Addr, groups: Vec<GroupEntry>) -> Output {
-        Output::Send {
+    fn join_prune_to(&self, iface: IfaceId, upstream: Addr, groups: Vec<GroupEntry>) -> Action {
+        Action::control(
             iface,
-            dst: Addr::ALL_PIM_ROUTERS,
-            ttl: 1,
-            msg: Message::PimJoinPrune(JoinPrune {
+            Addr::ALL_PIM_ROUTERS,
+            1,
+            Message::PimJoinPrune(JoinPrune {
                 upstream_neighbor: upstream,
                 holdtime: self.cfg.holdtime.ticks().min(u16::MAX as u64) as u16,
                 groups,
             }),
-        }
+        )
     }
 
-    fn triggered_star_join(&mut self, _now: SimTime, group: Group) -> Vec<Output> {
+    fn triggered_star_join(&mut self, _now: SimTime, group: Group) -> Vec<Action> {
         let Some(gs) = self.groups.get(&group) else {
             return Vec::new();
         };
@@ -909,7 +877,7 @@ impl Engine {
         )]
     }
 
-    fn triggered_source_join(&mut self, _now: SimTime, group: Group, source: Addr) -> Vec<Output> {
+    fn triggered_source_join(&mut self, _now: SimTime, group: Group, source: Addr) -> Vec<Action> {
         let Some(gs) = self.groups.get(&group) else {
             return Vec::new();
         };
@@ -934,7 +902,7 @@ impl Engine {
         _now: SimTime,
         group: Group,
         source: Addr,
-    ) -> Vec<Output> {
+    ) -> Vec<Action> {
         let Some(gs) = self.groups.get(&group) else {
             return Vec::new();
         };
@@ -971,7 +939,7 @@ impl Engine {
         group: Group,
         payload: &[u8],
         rib: &dyn Rib,
-    ) -> Vec<Output> {
+    ) -> Vec<Action> {
         let mut out = Vec::new();
         if !self.is_dr(iface) {
             return out; // only the DR serves this subnetwork (§3.7)
@@ -987,7 +955,6 @@ impl Engine {
                         // Data is arriving over its own first hop.
                         let from = entry_flags(e);
                         e.spt_bit = true;
-                        self.deadline.clear(); // entry state touched
                         self.telem.emit(now.ticks(), || Event::EntryModified {
                             group,
                             key: EntryKey::Source(source),
@@ -1006,7 +973,7 @@ impl Engine {
                     }
                     let ifaces = e.forward_set(Some(iface));
                     if !ifaces.is_empty() {
-                        out.push(Output::Forward {
+                        out.push(Action::Forward {
                             ifaces,
                             source,
                             group,
@@ -1018,13 +985,13 @@ impl Engine {
                 // through the shared tree once the RP reflects it; but
                 // members on *this* router can be served directly.
                 let ifaces: Vec<IfaceId> = star
-                    .oifs
+                    .oifs()
                     .iter()
                     .filter(|(&i, o)| o.kind == OifKind::LocalMembers && i != iface)
                     .map(|(&i, _)| i)
                     .collect();
                 if !ifaces.is_empty() {
-                    out.push(Output::Forward {
+                    out.push(Action::Forward {
                         ifaces,
                         source,
                         group,
@@ -1033,7 +1000,6 @@ impl Engine {
             }
         }
         if !native || probe {
-            self.deadline.clear();
             // Register (data encapsulated) to every RP (§3.9: "each source
             // registers and sends data packets toward each of the RPs").
             let rps: Vec<Addr> = self.rp_mapping(group).to_vec();
@@ -1044,7 +1010,7 @@ impl Engine {
                     let (joins, ifaces) = self.accept_register(now, source, group, rib);
                     out.extend(joins);
                     if !ifaces.is_empty() {
-                        out.push(Output::Forward {
+                        out.push(Action::Forward {
                             ifaces,
                             source,
                             group,
@@ -1054,16 +1020,16 @@ impl Engine {
                 }
                 if let Some(r) = rib.route(rp) {
                     self.registers_sent += 1;
-                    out.push(Output::Send {
-                        iface: r.iface,
-                        dst: rp,
-                        ttl: self.cfg.unicast_ttl,
-                        msg: Message::PimRegister(Register {
+                    out.push(Action::control(
+                        r.iface,
+                        rp,
+                        self.cfg.unicast_ttl,
+                        Message::PimRegister(Register {
                             group,
                             source,
                             payload: payload.to_vec(),
                         }),
-                    });
+                    ));
                 }
             }
         }
@@ -1071,15 +1037,14 @@ impl Engine {
     }
 
     /// A PIM Register arrived (unicast, at an RP).
-    pub fn on_register(&mut self, now: SimTime, reg: &Register, rib: &dyn Rib) -> Vec<Output> {
-        self.deadline.clear();
+    pub fn on_register(&mut self, now: SimTime, reg: &Register, rib: &dyn Rib) -> Vec<Action> {
         if !self.is_rp_for(reg.group) {
             return Vec::new();
         }
         self.registers_received += 1;
         let (mut out, ifaces) = self.accept_register(now, reg.source, reg.group, rib);
         if !ifaces.is_empty() {
-            out.push(Output::ForwardDecapsulated {
+            out.push(Action::ForwardDecapsulated {
                 ifaces,
                 source: reg.source,
                 group: reg.group,
@@ -1099,7 +1064,7 @@ impl Engine {
         source: Addr,
         group: Group,
         rib: &dyn Rib,
-    ) -> (Vec<Output>, Vec<IfaceId>) {
+    ) -> (Vec<Action>, Vec<IfaceId>) {
         let mut out = Vec::new();
         let has_receivers = self
             .groups
@@ -1133,13 +1098,13 @@ impl Engine {
         let gs = self.groups.get(&group).expect("has_receivers");
         let star = gs.star.as_ref().expect("has_receivers");
         let ifaces = star
-            .oifs
+            .oifs()
             .keys()
             .copied()
             .filter(|i| {
                 gs.sources
                     .get(&source)
-                    .is_none_or(|e| !e.pruned_oifs.contains_key(i))
+                    .is_none_or(|e| !e.pruned_oifs().contains_key(i))
             })
             .collect();
         (out, ifaces)
@@ -1157,70 +1122,69 @@ impl Engine {
         group: Group,
         _payload: &[u8],
         rib: &dyn Rib,
-    ) -> Vec<Output> {
+    ) -> Vec<Action> {
         let mut out = Vec::new();
         let Some(gs) = self.groups.get_mut(&group) else {
             return out; // sparse mode: no state, no forwarding
         };
 
-        enum Action {
+        enum Verdict {
             Drop,
             Forward(Vec<IfaceId>),
             ForwardAndSetSpt(Vec<IfaceId>),
             ForwardViaStar,
         }
 
-        let action = match gs.sources.get(&source) {
+        let verdict = match gs.sources.get(&source) {
             Some(e) if e.is_negative() => {
                 if e.iif == Some(iface) {
-                    Action::Forward(e.forward_set(Some(iface)))
+                    Verdict::Forward(e.forward_set(Some(iface)))
                 } else {
-                    Action::Drop
+                    Verdict::Drop
                 }
             }
             Some(e) => {
                 // (S,G) SPT entry.
                 if e.spt_bit {
                     if e.iif == Some(iface) {
-                        Action::Forward(e.forward_set(Some(iface)))
+                        Verdict::Forward(e.forward_set(Some(iface)))
                     } else {
-                        Action::Drop
+                        Verdict::Drop
                     }
                 } else if e.iif == Some(iface) {
                     // "When a data packet matches on an (S,G) entry with a
                     // cleared SPT bit, and the incoming interface of the
                     // packet matches that of the (S,G) entry, then the
                     // packet is forwarded and the SPT bit is set" (§3.5).
-                    Action::ForwardAndSetSpt(e.forward_set(Some(iface)))
+                    Verdict::ForwardAndSetSpt(e.forward_set(Some(iface)))
                 } else if gs.star.as_ref().is_some_and(|s| s.iif == Some(iface)) {
                     // Transition exception 1: still arriving via the
                     // shared tree — forward according to (*,G).
-                    Action::ForwardViaStar
+                    Verdict::ForwardViaStar
                 } else {
-                    Action::Drop
+                    Verdict::Drop
                 }
             }
             None => match gs.star.as_ref() {
                 Some(star) if star.iif == Some(iface) || star.iif.is_none() => {
-                    Action::ForwardViaStar
+                    Verdict::ForwardViaStar
                 }
-                _ => Action::Drop,
+                _ => Verdict::Drop,
             },
         };
 
-        match action {
-            Action::Drop => {}
-            Action::Forward(ifaces) => {
+        match verdict {
+            Verdict::Drop => {}
+            Verdict::Forward(ifaces) => {
                 if !ifaces.is_empty() {
-                    out.push(Output::Forward {
+                    out.push(Action::Forward {
                         ifaces,
                         source,
                         group,
                     });
                 }
             }
-            Action::ForwardAndSetSpt(ifaces) => {
-                self.deadline.clear(); // entry state touched
+            Verdict::ForwardAndSetSpt(ifaces) => {
                 let e = gs.sources.get_mut(&source).expect("matched above");
                 if !e.spt_bit {
                     let from = entry_flags(e);
@@ -1245,19 +1209,19 @@ impl Engine {
                     }
                 }
                 if !ifaces.is_empty() {
-                    out.push(Output::Forward {
+                    out.push(Action::Forward {
                         ifaces,
                         source,
                         group,
                     });
                 }
             }
-            Action::ForwardViaStar => {
+            Verdict::ForwardViaStar => {
                 let star = gs.star.as_ref().expect("matched above");
                 let ifaces = star.forward_set(Some(iface));
                 let has_local = star.has_local_members();
                 if !ifaces.is_empty() {
-                    out.push(Output::Forward {
+                    out.push(Action::Forward {
                         ifaces,
                         source,
                         group,
@@ -1274,7 +1238,6 @@ impl Engine {
                         .is_some_and(|g| g.sources.contains_key(&source))
                     && self.spt_switch_due(now, group, source)
                 {
-                    self.deadline.clear();
                     out.extend(self.start_spt_switch(now, group, source, rib));
                 }
             }
@@ -1307,7 +1270,7 @@ impl Engine {
         group: Group,
         source: Addr,
         rib: &dyn Rib,
-    ) -> Vec<Output> {
+    ) -> Vec<Action> {
         self.telem
             .emit(now.ticks(), || Event::SptSwitchStart { group, source });
         let created = self.ensure_source(now, group, source, rib);
@@ -1329,8 +1292,7 @@ impl Engine {
         now: SimTime,
         iface: IfaceId,
         msg: &RpReachability,
-    ) -> Vec<Output> {
-        self.deadline.clear();
+    ) -> Vec<Action> {
         let Some(gs) = self.groups.get_mut(&msg.group) else {
             return Vec::new();
         };
@@ -1340,36 +1302,36 @@ impl Engine {
         if star.iif != Some(iface) || star.key != msg.rp {
             return Vec::new();
         }
-        if star.rp_timer.is_some() {
-            star.rp_timer = Some(now + self.cfg.rp_timeout);
+        if star.rp_timer().is_some() {
+            star.set_rp_timer(&mut self.entry_timers, Some(now + self.cfg.rp_timeout));
         }
         // Distribute on down the (*,G) tree (§3.2), except to host LANs.
-        let ifaces: Vec<IfaceId> = star
+        let ifaces: IfaceSet = star
             .forward_set(Some(iface))
             .into_iter()
             .filter(|i| !self.ifaces[i.index()].is_host_lan)
             .collect();
-        ifaces
-            .into_iter()
-            .map(|i| Output::Send {
-                iface: i,
-                dst: Addr::ALL_PIM_ROUTERS,
-                ttl: 1,
-                msg: Message::PimRpReachability(*msg),
-            })
-            .collect()
+        if ifaces.is_empty() {
+            return Vec::new();
+        }
+        vec![Action::Control {
+            ifaces,
+            dst: Addr::ALL_PIM_ROUTERS,
+            ttl: 1,
+            msg: Message::PimRpReachability(*msg),
+        }]
     }
 
     /// §3.9: the RP-timer lapsed — "the router looks up an alternate RP for
     /// the group, sends a join toward the new RP."
-    fn rp_failover(&mut self, now: SimTime, group: Group, rib: &dyn Rib) -> Vec<Output> {
+    fn rp_failover(&mut self, now: SimTime, group: Group, rib: &dyn Rib) -> Vec<Action> {
         let Some(gs) = self.groups.get_mut(&group) else {
             return Vec::new();
         };
         if gs.rps.len() < 2 {
             // Nowhere to fail over to; keep waiting and retry the join.
             if let Some(star) = gs.star.as_mut() {
-                star.rp_timer = Some(now + self.cfg.rp_timeout);
+                star.set_rp_timer(&mut self.entry_timers, Some(now + self.cfg.rp_timeout));
             }
             return self.triggered_star_join(now, group);
         }
@@ -1388,7 +1350,7 @@ impl Engine {
             .star
             .as_ref()
             .map(|s| {
-                s.oifs
+                s.oifs()
                     .iter()
                     .filter(|(_, o)| o.kind == OifKind::LocalMembers)
                     .map(|(&i, _)| i)
@@ -1403,13 +1365,16 @@ impl Engine {
                 None => (None, None),
             }
         };
+        let timers = &mut self.entry_timers;
         let mut star = Entry::new_star(group, new_rp, iif, upstream);
         for i in local_oifs {
-            star.add_oif(i, OifKind::LocalMembers, SimTime(u64::MAX));
+            star.add_oif(timers, i, OifKind::LocalMembers, SimTime(u64::MAX));
         }
-        star.rp_timer = Some(now + self.cfg.rp_timeout);
+        star.set_rp_timer(timers, Some(now + self.cfg.rp_timeout));
         let gs = self.groups.get_mut(&group).expect("exists");
-        gs.star = Some(star);
+        if let Some(old) = gs.star.replace(star) {
+            old.disarm(timers);
+        }
         // Negative caches pointed at the old tree are meaningless now.
         if self.telem.is_enabled() {
             for (&s, e) in gs.sources.iter() {
@@ -1421,7 +1386,12 @@ impl Engine {
                 }
             }
         }
-        gs.sources.retain(|_, e| !e.is_negative());
+        gs.sources.retain(|_, e| {
+            if e.is_negative() {
+                e.disarm(timers);
+            }
+            !e.is_negative()
+        });
         self.triggered_star_join(now, group)
     }
 
@@ -1430,12 +1400,11 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// A PIM Query (hello) arrived on `iface` from `src`.
-    pub fn on_query(&mut self, now: SimTime, iface: IfaceId, src: Addr, q: &Query) -> Vec<Output> {
-        self.deadline.clear();
+    pub fn on_query(&mut self, now: SimTime, iface: IfaceId, src: Addr, q: &Query) -> Vec<Action> {
         let was_dr = self.is_dr(iface);
-        self.ifaces[iface.index()]
-            .neighbors
-            .insert(src, now + Duration(q.holdtime as u64));
+        let expires = now + Duration(q.holdtime as u64);
+        let before = self.ifaces[iface.index()].neighbors.insert(src, expires);
+        self.neighbor_timers.rearm(before, Some(expires));
         let is_dr = self.is_dr(iface);
         if was_dr != is_dr {
             self.telem.emit(now.ticks(), || Event::DrChanged {
@@ -1452,8 +1421,7 @@ impl Engine {
 
     /// The unicast route toward `dst` changed. Re-derive the iif/upstream
     /// of every entry keyed by `dst`, prune the old path, join the new.
-    pub fn on_route_change(&mut self, now: SimTime, dst: Addr, rib: &dyn Rib) -> Vec<Output> {
-        self.deadline.clear();
+    pub fn on_route_change(&mut self, now: SimTime, dst: Addr, rib: &dyn Rib) -> Vec<Action> {
         let mut out = Vec::new();
         let new_route = rib.route(dst);
         let groups: Vec<Group> = self.groups.keys().copied().collect();
@@ -1480,7 +1448,7 @@ impl Engine {
                             // "If the new incoming interface appears in the
                             // outgoing interface list, it is deleted" (§3.8).
                             if let Some(i) = new_iif {
-                                star.remove_oif(i);
+                                star.remove_oif(&mut self.entry_timers, i);
                             }
                             star.iif = new_iif;
                             star.upstream = new_up;
@@ -1511,7 +1479,7 @@ impl Engine {
                                 ));
                             }
                             if let Some(i) = new_iif {
-                                e.remove_oif(i);
+                                e.remove_oif(&mut self.entry_timers, i);
                             }
                             e.iif = new_iif;
                             e.upstream = new_up;
@@ -1538,46 +1506,54 @@ impl Engine {
     // §3.4/§3.6 — timers and periodic refresh
     // ------------------------------------------------------------------
 
-    /// Periodic maintenance. The router adapter calls this once per
-    /// simulation tick batch (at least once per
-    /// [`PimConfig::prune_override_delay`]).
-    pub fn tick(&mut self, now: SimTime, rib: &dyn Rib) -> Vec<Output> {
-        self.deadline.clear();
+    /// Soft-state maintenance: whatever has matured at `now` — pending LAN
+    /// prunes, neighbor holdtimes, entry timers, the RP-timer, and the
+    /// periodic query / RP-reachability / refresh schedule. The router
+    /// adapter calls this at [`Engine::next_deadline`]; an early call
+    /// finds nothing due and does nothing.
+    pub fn tick(&mut self, now: SimTime, rib: &dyn Rib) -> Vec<Action> {
         let mut out = Vec::new();
 
-        // Execute matured pending LAN prunes. `tick` runs on every wakeup
-        // of the adapter's single timer, so each sweep below first checks
-        // whether anything is actually due — the common idle tick must not
-        // allocate.
-        if self.pending_prunes.iter().any(|p| now >= p.execute_at) {
-            let due: Vec<PendingPrune> = {
-                let (due, rest) = self
-                    .pending_prunes
-                    .drain(..)
-                    .partition(|p| now >= p.execute_at);
-                self.pending_prunes = rest;
-                due
-            };
+        // Each sweep below runs only when its class of the deadline index
+        // holds a matured deadline, so the common tick — a Query and
+        // nothing else — walks no neighbor table and collects no keys.
+
+        // Execute matured pending LAN prunes.
+        if self.prune_timers.due(now) {
+            let (due, rest): (Vec<PendingPrune>, Vec<PendingPrune>) = self
+                .pending_prunes
+                .drain(..)
+                .partition(|p| now >= p.execute_at);
+            self.pending_prunes = rest;
             for p in due {
+                self.prune_timers.disarm(p.execute_at);
                 out.extend(self.execute_prune(now, p.iface, p.group, &p.entry, p.holdtime, rib));
             }
         }
 
         // Expire neighbors (DR election input). The DR re-election scans
         // run only on interfaces where a holdtime actually lapsed.
-        for idx in 0..self.ifaces.len() {
-            if !self.ifaces[idx].neighbors.values().any(|&exp| now >= exp) {
-                continue;
-            }
-            let iface = IfaceId(idx as u32);
-            let was_dr = self.is_dr(iface);
-            self.ifaces[idx].neighbors.retain(|_, &mut exp| now < exp);
-            let is_dr = self.is_dr(iface);
-            if was_dr != is_dr {
-                self.telem.emit(now.ticks(), || Event::DrChanged {
-                    iface: idx as u32,
-                    is_dr,
+        if self.neighbor_timers.due(now) {
+            for idx in 0..self.ifaces.len() {
+                if !self.ifaces[idx].neighbors.values().any(|&exp| now >= exp) {
+                    continue;
+                }
+                let iface = IfaceId(idx as u32);
+                let was_dr = self.is_dr(iface);
+                self.ifaces[idx].neighbors.retain(|_, &mut exp| {
+                    let live = now < exp;
+                    if !live {
+                        self.neighbor_timers.disarm(exp);
+                    }
+                    live
                 });
+                let is_dr = self.is_dr(iface);
+                if was_dr != is_dr {
+                    self.telem.emit(now.ticks(), || Event::DrChanged {
+                        iface: idx as u32,
+                        is_dr,
+                    });
+                }
             }
         }
 
@@ -1615,15 +1591,15 @@ impl Engine {
             }
         }
 
-        // PIM queries.
+        // PIM queries: one message, every interface. DR election matters
+        // on member LANs with multiple routers too (§3.7); hosts ignore
+        // them.
         if now >= self.next_query {
             self.next_query = now + self.cfg.query_interval;
             let holdtime = self.cfg.neighbor_holdtime.ticks().min(u16::MAX as u64) as u16;
-            // Queries go on every interface: DR election matters on member
-            // LANs with multiple routers too (§3.7); hosts ignore them.
-            for i in 0..self.ifaces.len() {
-                out.push(Output::Send {
-                    iface: IfaceId(i as u32),
+            if !self.ifaces.is_empty() {
+                out.push(Action::Control {
+                    ifaces: IfaceSet::first_n(self.ifaces.len()),
                     dst: Addr::ALL_PIM_ROUTERS,
                     ttl: 1,
                     msg: Message::PimQuery(Query { holdtime }),
@@ -1631,17 +1607,22 @@ impl Engine {
             }
         }
 
-        // Entry timer maintenance.
-        out.extend(self.expire_entries(now));
+        // Entry timer maintenance: when an entry timer matured, or an
+        // entry was left without oifs and without a deletion deadline (a
+        // degenerate join on its own iif, a prune nobody followed up) and
+        // has to be given one.
+        if self.entry_timers.due(now) || self.groups.values().any(GroupState::needs_linger) {
+            out.extend(self.expire_entries(now));
+        }
 
         // RP failover checks.
         let rp_lapsed = |gs: &GroupState| {
             gs.star
                 .as_ref()
-                .and_then(|s| s.rp_timer)
+                .and_then(|s| s.rp_timer())
                 .is_some_and(|t| now >= t)
         };
-        if self.groups.values().any(rp_lapsed) {
+        if self.entry_timers.due(now) && self.groups.values().any(rp_lapsed) {
             let lapsed: Vec<Group> = self
                 .groups
                 .iter()
@@ -1653,11 +1634,11 @@ impl Engine {
             }
         }
 
-        // RP-reachability generation (§3.2).
+        // RP-reachability generation (§3.2): one message per group, down
+        // every (*,G) branch that is not a host LAN.
         if now >= self.next_reach {
             self.next_reach = now + self.cfg.rp_reach_period;
             let holdtime = self.cfg.rp_timeout.ticks().min(u16::MAX as u64) as u16;
-            let mut sends = Vec::new();
             for (&group, gs) in &self.groups {
                 if gs.rp() != Some(self.my_addr) && !gs.rps.contains(&self.my_addr) {
                     continue;
@@ -1665,23 +1646,25 @@ impl Engine {
                 let Some(star) = gs.star.as_ref() else {
                     continue;
                 };
-                for i in star.forward_set(None) {
-                    if self.ifaces[i.index()].is_host_lan {
-                        continue;
-                    }
-                    sends.push(Output::Send {
-                        iface: i,
-                        dst: Addr::ALL_PIM_ROUTERS,
-                        ttl: 1,
-                        msg: Message::PimRpReachability(RpReachability {
-                            group,
-                            rp: self.my_addr,
-                            holdtime,
-                        }),
-                    });
+                let ifaces: IfaceSet = star
+                    .forward_set(None)
+                    .into_iter()
+                    .filter(|i| !self.ifaces[i.index()].is_host_lan)
+                    .collect();
+                if ifaces.is_empty() {
+                    continue;
                 }
+                out.push(Action::Control {
+                    ifaces,
+                    dst: Addr::ALL_PIM_ROUTERS,
+                    ttl: 1,
+                    msg: Message::PimRpReachability(RpReachability {
+                        group,
+                        rp: self.my_addr,
+                        holdtime,
+                    }),
+                });
             }
-            out.extend(sends);
         }
 
         // Periodic join/prune refresh (§3.4), aggregated per upstream
@@ -1704,130 +1687,158 @@ impl Engine {
     /// `Some`, but the deadlines are whole protocol periods apart, not poll
     /// granules.
     ///
-    /// Memoized: the answer is `scan_deadline`'s (the full walk), rescanned only
-    /// after an entry point that can move a timer. Debug builds check the
-    /// memo against a fresh scan on every call.
+    /// A read of the deadline index, whatever was just mutated. Debug
+    /// builds check it against the full walk on every call.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.deadline.get_or(|| self.scan_deadline())
+        let periodic = self.next_query.min(self.next_reach).min(self.next_refresh);
+        let next = [
+            &self.neighbor_timers,
+            &self.entry_timers,
+            &self.prune_timers,
+        ]
+        .into_iter()
+        .filter_map(Deadlines::first)
+        .fold(periodic, SimTime::min);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            Some(next),
+            self.scan_deadline(),
+            "a timer was written past the deadline index"
+        );
+        Some(next)
     }
 
-    /// The earliest pending timer, found by walking all of them: the one
-    /// definition of "next deadline".
-    pub(crate) fn scan_deadline(&self) -> Option<SimTime> {
-        let mut best = Some(self.next_query.min(self.next_reach).min(self.next_refresh));
+    /// Every armed soft-state deadline, found by walking all state: the
+    /// reference the three indexes are checked against.
+    #[cfg(any(test, debug_assertions))]
+    fn for_each_deadline(&self, mut f: impl FnMut(TimerClass, SimTime)) {
         for p in &self.pending_prunes {
-            best = netsim::earliest(best, Some(p.execute_at));
+            f(TimerClass::Prune, p.execute_at);
         }
         for st in &self.ifaces {
-            best = netsim::earliest(best, st.neighbors.values().copied().min());
+            for &exp in st.neighbors.values() {
+                f(TimerClass::Neighbor, exp);
+            }
         }
         for gs in self.groups.values() {
-            if let Some(star) = gs.star.as_ref() {
-                best = netsim::earliest(best, star.next_deadline());
-            }
-            for e in gs.sources.values() {
-                best = netsim::earliest(best, e.next_deadline());
+            for e in gs.star.iter().chain(gs.sources.values()) {
+                for t in e.deadlines() {
+                    f(TimerClass::Entry, t);
+                }
             }
         }
-        best
     }
 
-    fn expire_entries(&mut self, now: SimTime) -> Vec<Output> {
+    /// The earliest pending timer, found by walking all of them.
+    #[cfg(any(test, debug_assertions))]
+    fn scan_deadline(&self) -> Option<SimTime> {
+        let mut best = self.next_query.min(self.next_reach).min(self.next_refresh);
+        self.for_each_deadline(|_, t| best = best.min(t));
+        Some(best)
+    }
+
+    /// Panics unless each index holds exactly the deadlines the walk finds
+    /// for its class — none missing, none left behind by a dropped entry,
+    /// an expired neighbor or a reset.
+    #[cfg(test)]
+    pub(crate) fn assert_deadlines_indexed(&self) {
+        let mut walked: [Vec<SimTime>; 3] = Default::default();
+        self.for_each_deadline(|class, t| walked[class as usize].push(t));
+        for (class, index) in [
+            (TimerClass::Neighbor, &self.neighbor_timers),
+            (TimerClass::Entry, &self.entry_timers),
+            (TimerClass::Prune, &self.prune_timers),
+        ] {
+            walked[class as usize].sort();
+            assert_eq!(index.as_slice(), walked[class as usize], "{class:?} timers");
+        }
+        assert_eq!(self.next_deadline(), self.scan_deadline());
+    }
+
+    fn expire_entries(&mut self, now: SimTime) -> Vec<Action> {
         let mut out = Vec::new();
         let groups: Vec<Group> = self.groups.keys().copied().collect();
         for group in groups {
             let mut emptied = false;
             {
+                let timers = &mut self.entry_timers;
                 let gs = self.groups.get_mut(&group).expect("iterating keys");
                 if let Some(star) = gs.star.as_mut() {
-                    let removed = star.expire_oifs(now);
+                    let removed = star.expire_oifs(timers, now);
                     if !removed.is_empty() {
                         emptied = true;
                         // Copied (S,G) oifs follow the shared tree's lapses.
                         for i in removed {
                             for e in gs.sources.values_mut() {
-                                if e.oifs.get(&i).map(|o| o.kind) == Some(OifKind::CopiedFromStar) {
-                                    e.remove_oif(i);
+                                if e.oifs().get(&i).map(|o| o.kind) == Some(OifKind::CopiedFromStar)
+                                {
+                                    e.remove_oif(timers, i);
                                 }
                             }
                         }
                     }
                 }
                 for e in gs.sources.values_mut() {
-                    if !e.expire_oifs(now).is_empty() {
+                    if !e.expire_oifs(timers, now).is_empty() {
                         emptied = true;
                     }
-                    // Negative-cache pruned-oif leases lapse back to
-                    // forwarding (footnote 13: kept alive by prunes only).
-                    e.pruned_oifs.retain(|_, &mut t| now < t);
+                    e.expire_pruned_oifs(timers, now);
                 }
                 // Entries that ended up with no oifs by any path (including
                 // degenerate joins that arrived on the entry's own iif and
                 // never contributed an oif) must get a deletion deadline.
-                if gs
-                    .star
-                    .as_ref()
-                    .is_some_and(|e| e.oifs_empty() && e.delete_at.is_none())
-                {
-                    emptied = true;
-                }
-                if gs.sources.values().any(|e| {
-                    !e.is_negative() && !e.local_source && e.oifs_empty() && e.delete_at.is_none()
-                }) {
-                    emptied = true;
-                }
+                emptied |= gs.needs_linger();
                 // Deletion of lapsed entries.
                 let star_dead = gs
                     .star
                     .as_ref()
-                    .and_then(|s| s.delete_at)
+                    .and_then(|s| s.delete_at())
                     .is_some_and(|t| now >= t);
                 if star_dead {
-                    gs.star = None;
+                    if let Some(star) = gs.star.take() {
+                        star.disarm(timers);
+                    }
                     self.telem.emit(now.ticks(), || Event::EntryExpired {
                         group,
                         key: EntryKey::Star,
                     });
                     // Footnote 13: negative caches must not outlive (*,G).
-                    if self.telem.is_enabled() {
-                        for (&s, e) in gs.sources.iter() {
-                            if e.is_negative() {
-                                self.telem.emit(now.ticks(), || Event::EntryExpired {
-                                    group,
-                                    key: EntryKey::Source(s),
-                                });
-                            }
-                        }
-                    }
-                    gs.sources.retain(|_, e| !e.is_negative());
-                }
-                for e in gs.sources.values_mut() {
-                    // A local-source entry with no remaining oifs carries no
-                    // forwarding value; the DR will re-register on the next
-                    // packet, so let it linger out like everything else.
-                    if e.local_source && e.oifs_empty() && e.delete_at.is_none() {
-                        e.delete_at = Some(now + self.cfg.entry_linger);
-                    }
-                }
-                if self.telem.is_enabled() {
-                    for (&s, e) in gs.sources.iter() {
-                        if e.delete_at.is_some_and(|t| now >= t) {
+                    gs.sources.retain(|&s, e| {
+                        if e.is_negative() {
+                            e.disarm(timers);
                             self.telem.emit(now.ticks(), || Event::EntryExpired {
                                 group,
                                 key: EntryKey::Source(s),
                             });
                         }
+                        !e.is_negative()
+                    });
+                }
+                for e in gs.sources.values_mut() {
+                    // A local-source entry with no remaining oifs carries no
+                    // forwarding value; the DR will re-register on the next
+                    // packet, so let it linger out like everything else.
+                    if e.local_source && e.oifs_empty() && e.delete_at().is_none() {
+                        e.set_delete_at(timers, Some(now + self.cfg.entry_linger));
                     }
                 }
-                gs.sources
-                    .retain(|_, e| e.delete_at.is_none_or(|t| now < t));
+                gs.sources.retain(|&s, e| {
+                    let dead = e.delete_at().is_some_and(|t| now >= t);
+                    if dead {
+                        e.disarm(timers);
+                        self.telem.emit(now.ticks(), || Event::EntryExpired {
+                            group,
+                            key: EntryKey::Source(s),
+                        });
+                    }
+                    !dead
+                });
             }
             if emptied {
                 out.extend(self.after_oif_removal(now, group));
             }
             // Drop group states with nothing left but a mapping.
-            let gs = self.groups.get(&group).expect("exists");
-            if gs.star.is_none() && gs.sources.is_empty() && gs.rps.is_empty() {
+            if self.groups.get(&group).is_some_and(GroupState::is_vacant) {
                 self.groups.remove(&group);
             }
         }
@@ -1837,7 +1848,7 @@ impl Engine {
     /// "In the steady state each router sends periodic refreshes of PIM
     /// messages upstream to each of the next hop routers that is en route
     /// to each source ... as well as for the RP" (§3.4).
-    fn periodic_refresh(&mut self, now: SimTime) -> Vec<Output> {
+    fn periodic_refresh(&mut self, now: SimTime) -> Vec<Action> {
         // Aggregate entries per (iface, upstream neighbor).
         let mut batches: HashMap<(IfaceId, Addr), Vec<GroupEntry>> = HashMap::new();
         let mut push = |iface: IfaceId,
@@ -2010,14 +2021,14 @@ fn dump_entry(s: &mut String, e: &Entry) {
     if let Some(up) = e.upstream {
         let _ = write!(s, " up={up}");
     }
-    if let Some(t) = e.rp_timer {
+    if let Some(t) = e.rp_timer() {
         let _ = write!(s, " rp-timer={}", fmt_deadline(t));
     }
-    if let Some(t) = e.delete_at {
+    if let Some(t) = e.delete_at() {
         let _ = write!(s, " delete-at={}", fmt_deadline(t));
     }
     let _ = writeln!(s);
-    for (&i, o) in &e.oifs {
+    for (&i, o) in e.oifs() {
         let kind = match o.kind {
             OifKind::Joined => "joined",
             OifKind::CopiedFromStar => "copied",
@@ -2030,7 +2041,7 @@ fn dump_entry(s: &mut String, e: &Entry) {
             fmt_deadline(o.expires_at)
         );
     }
-    for (&i, &t) in &e.pruned_oifs {
+    for (&i, &t) in e.pruned_oifs() {
         let _ = writeln!(s, "      pruned {} until={}", i.index(), fmt_deadline(t));
     }
 }

@@ -12,9 +12,10 @@
 //! the RP (A iface 2), so the SPT divergence logic is exercised.
 
 use crate::config::{PimConfig, SptPolicy};
-use crate::engine::{Engine, Output};
+use crate::engine::Engine;
 use crate::entry::OifKind;
 use netsim::{Duration, IfaceId, SimTime};
+use node::Action;
 use unicast::{OracleRib, RouteEntry};
 use wire::pim::{GroupEntry, JoinPrune, Query, Register, RpReachability, SourceEntry};
 use wire::{Addr, Group, Message};
@@ -185,10 +186,10 @@ fn dr_with_member() -> (Engine, OracleRib) {
     (e, rib)
 }
 
-fn sent_join_prunes(out: &[Output]) -> Vec<&JoinPrune> {
+fn sent_join_prunes(out: &[Action]) -> Vec<&JoinPrune> {
     out.iter()
         .filter_map(|o| match o {
-            Output::Send {
+            Action::Control {
                 msg: Message::PimJoinPrune(jp),
                 ..
             } => Some(jp),
@@ -214,8 +215,8 @@ fn member_join_creates_star_and_sends_shared_tree_join() {
     assert_eq!(star.key, rp());
     assert_eq!(star.iif, Some(IfaceId(1)));
     assert_eq!(star.upstream, Some(b()));
-    assert!(star.rp_timer.is_some(), "§3.1: DR sets an RP-timer");
-    assert_eq!(star.oifs[&IfaceId(0)].kind, OifKind::LocalMembers);
+    assert!(star.rp_timer().is_some(), "§3.1: DR sets an RP-timer");
+    assert_eq!(star.oifs()[&IfaceId(0)].kind, OifKind::LocalMembers);
 
     // The triggered §3.2 join payload: join={RP, RPbit, WCbit}, prune=NULL.
     let jps = sent_join_prunes(&out);
@@ -226,10 +227,10 @@ fn member_join_creates_star_and_sends_shared_tree_join() {
     assert_eq!(ge.joins, vec![SourceEntry::shared_tree(rp())]);
     assert!(ge.prunes.is_empty());
     match &out[0] {
-        Output::Send {
-            iface, dst, ttl, ..
+        Action::Control {
+            ifaces, dst, ttl, ..
         } => {
-            assert_eq!(*iface, IfaceId(1));
+            assert_eq!(*ifaces, IfaceId(1).into());
             assert_eq!(*dst, Addr::ALL_PIM_ROUTERS);
             assert_eq!(*ttl, 1);
         }
@@ -261,7 +262,7 @@ fn intermediate_router_propagates_join_upstream() {
     let star = e.group_state(g()).unwrap().star.as_ref().unwrap();
     assert_eq!(star.iif, Some(IfaceId(1)));
     assert_eq!(star.upstream, Some(rp()));
-    assert_eq!(star.oifs[&IfaceId(0)].kind, OifKind::Joined);
+    assert_eq!(star.oifs()[&IfaceId(0)].kind, OifKind::Joined);
 
     // "Each upstream router between the receiver and the RP sends a PIM
     // join message in which the join list includes the RP" (§3.2).
@@ -301,7 +302,7 @@ fn join_arriving_on_iif_is_ignored() {
     e.on_join_prune(t(1), IfaceId(1), b(), &jp, &rib); // iface 1 is the iif
     let star = e.group_state(g()).unwrap().star.as_ref().unwrap();
     assert!(
-        !star.oifs.contains_key(&IfaceId(1)),
+        !star.oifs().contains_key(&IfaceId(1)),
         "oif on iif would loop"
     );
 }
@@ -323,7 +324,7 @@ fn duplicate_join_refreshes_not_duplicates() {
         "refresh is not re-triggered"
     );
     let star = e.group_state(g()).unwrap().star.as_ref().unwrap();
-    assert_eq!(star.oifs[&IfaceId(0)].expires_at, t(50 + 180));
+    assert_eq!(star.oifs()[&IfaceId(0)].expires_at, t(50 + 180));
 }
 
 // ---------------------------------------------------------------------
@@ -340,13 +341,13 @@ fn source_dr_registers_to_rp() {
     let out = e.on_local_data(t(5), IfaceId(0), src(), g(), b"pkt0", &rib);
     assert_eq!(out.len(), 1);
     match &out[0] {
-        Output::Send {
-            iface,
+        Action::Control {
+            ifaces,
             dst,
             msg: Message::PimRegister(r),
             ..
         } => {
-            assert_eq!(*iface, IfaceId(1));
+            assert_eq!(*ifaces, IfaceId(1).into());
             assert_eq!(*dst, rp());
             assert_eq!(r.group, g());
             assert_eq!(r.source, src());
@@ -382,7 +383,7 @@ fn rp_with_receivers_decapsulates_and_joins_source() {
     // Decapsulated data goes down the shared tree...
     assert!(out.iter().any(|o| matches!(
         o,
-        Output::ForwardDecapsulated { ifaces, source, group, payload }
+        Action::ForwardDecapsulated { ifaces, source, group, payload }
             if ifaces == &vec![IfaceId(0)] && *source == src() && *group == g() && payload == b"pkt0"
     )));
     // ...and the RP joins toward the source (fig 3 step 3).
@@ -393,7 +394,7 @@ fn rp_with_receivers_decapsulates_and_joins_source() {
     // (S,G) at the RP: iif toward the source, oifs copied from (*,G).
     let e_sg = &e.group_state(g()).unwrap().sources[&src()];
     assert_eq!(e_sg.iif, Some(IfaceId(1)));
-    assert!(e_sg.oifs.contains_key(&IfaceId(0)));
+    assert!(e_sg.oifs().contains_key(&IfaceId(0)));
     assert_eq!(e.registers_received, 1);
 }
 
@@ -451,10 +452,10 @@ fn source_dr_suppresses_registers_between_probes() {
     assert!(sg.local_source);
     assert_eq!(sg.iif, Some(IfaceId(0)), "iif is the host subnetwork");
 
-    let is_register = |o: &Output| {
+    let is_register = |o: &Action| {
         matches!(
             o,
-            Output::Send {
+            Action::Control {
                 msg: Message::PimRegister(_),
                 ..
             }
@@ -467,7 +468,7 @@ fn source_dr_suppresses_registers_between_probes() {
     assert!(out.iter().any(is_register), "probe register");
     assert!(out.iter().any(|o| matches!(
         o,
-        Output::Forward { ifaces, .. } if ifaces == &vec![IfaceId(1)]
+        Action::Forward { ifaces, .. } if ifaces == &vec![IfaceId(1)]
     )));
     assert_eq!(e.registers_sent, 1);
 
@@ -479,7 +480,7 @@ fn source_dr_suppresses_registers_between_probes() {
             !out.iter().any(is_register),
             "native path exists: no registers between probes"
         );
-        assert!(out.iter().any(|o| matches!(o, Output::Forward { .. })));
+        assert!(out.iter().any(|o| matches!(o, Action::Forward { .. })));
     }
     assert_eq!(e.registers_sent, 1);
 
@@ -523,7 +524,7 @@ fn spt_switchover_full_sequence() {
     // Forwarded to the member subnetwork.
     assert!(out.iter().any(|o| matches!(
         o,
-        Output::Forward { ifaces, .. } if ifaces == &vec![IfaceId(0)]
+        Action::Forward { ifaces, .. } if ifaces == &vec![IfaceId(0)]
     )));
     // (Sn,G) created with SPT bit cleared and a join sent toward Sn (§3.3).
     let sg = &e.group_state(g()).unwrap().sources[&src()];
@@ -533,7 +534,10 @@ fn spt_switchover_full_sequence() {
         Some(IfaceId(2)),
         "iif toward the source, not the RP"
     );
-    assert!(sg.oifs.contains_key(&IfaceId(0)), "oifs copied from (*,G)");
+    assert!(
+        sg.oifs().contains_key(&IfaceId(0)),
+        "oifs copied from (*,G)"
+    );
     let jps = sent_join_prunes(&out);
     assert_eq!(jps.len(), 1);
     assert_eq!(jps[0].upstream_neighbor, d());
@@ -544,7 +548,7 @@ fn spt_switchover_full_sequence() {
     let out = e.on_data(t(12), IfaceId(1), src(), g(), b"d1", &rib);
     assert!(out
         .iter()
-        .any(|o| matches!(o, Output::Forward { ifaces, .. } if ifaces == &vec![IfaceId(0)])));
+        .any(|o| matches!(o, Action::Forward { ifaces, .. } if ifaces == &vec![IfaceId(0)])));
     assert!(!e.group_state(g()).unwrap().sources[&src()].spt_bit);
 
     // First packet over the SPT interface: SPT bit set, prune {S,RPbit}
@@ -553,7 +557,7 @@ fn spt_switchover_full_sequence() {
     assert!(e.group_state(g()).unwrap().sources[&src()].spt_bit);
     assert!(out
         .iter()
-        .any(|o| matches!(o, Output::Forward { ifaces, .. } if ifaces == &vec![IfaceId(0)])));
+        .any(|o| matches!(o, Action::Forward { ifaces, .. } if ifaces == &vec![IfaceId(0)])));
     let jps = sent_join_prunes(&out);
     assert_eq!(jps.len(), 1);
     assert_eq!(jps[0].upstream_neighbor, b(), "prune goes toward the RP");
@@ -686,8 +690,8 @@ fn negative_cache_created_and_propagated() {
         Some(IfaceId(1)),
         "negative cache shares the RP-tree iif"
     );
-    assert!(!neg.oifs.contains_key(&IfaceId(0)), "pruned oif removed");
-    assert!(neg.pruned_oifs.contains_key(&IfaceId(0)));
+    assert!(!neg.oifs().contains_key(&IfaceId(0)), "pruned oif removed");
+    assert!(neg.pruned_oifs().contains_key(&IfaceId(0)));
 
     // All downstream branches pruned → propagate toward the RP.
     let jps = sent_join_prunes(&out);
@@ -730,14 +734,14 @@ fn negative_cache_drops_matching_data_to_pruned_oifs_only() {
     let out = e.on_data(t(3), IfaceId(1), src(), g(), b"d", &rib);
     assert!(out.iter().any(|o| matches!(
         o,
-        Output::Forward { ifaces, .. } if ifaces == &vec![IfaceId(2)]
+        Action::Forward { ifaces, .. } if ifaces == &vec![IfaceId(2)]
     )));
     // Another source's data still reaches both branches via (*,G).
     let other_src = Addr::new(10, 0, 5, 10);
     let out = e.on_data(t(4), IfaceId(1), other_src, g(), b"d", &rib);
     assert!(out.iter().any(|o| matches!(
         o,
-        Output::Forward { ifaces, .. } if ifaces == &vec![IfaceId(0), IfaceId(2)]
+        Action::Forward { ifaces, .. } if ifaces == &vec![IfaceId(0), IfaceId(2)]
     )));
 }
 
@@ -831,7 +835,7 @@ fn oif_expiry_prunes_upstream_and_deletes_entry() {
     );
     let star = e.group_state(g()).unwrap().star.as_ref().unwrap();
     assert!(star.oifs_empty());
-    assert!(star.delete_at.is_some());
+    assert!(star.delete_at().is_some());
     // "The entry is deleted after 3 times the refresh period."
     e.tick(t(101 + 181), &rib);
     assert!(e.group_state(g()).is_none_or(|gs| gs.star.is_none()));
@@ -890,7 +894,7 @@ fn refresh_keeps_oifs_alive() {
         e.tick(t(tt + 40), &rib);
     }
     let star = e.group_state(g()).unwrap().star.as_ref().unwrap();
-    assert!(star.oifs.contains_key(&IfaceId(0)));
+    assert!(star.oifs().contains_key(&IfaceId(0)));
 }
 
 // ---------------------------------------------------------------------
@@ -941,11 +945,11 @@ fn lan_prune_held_for_override_window() {
     e.on_join_prune(t(10), IfaceId(0), a(), &prune, &rib);
     // Within the override window the oif survives.
     let star = e.group_state(g()).unwrap().star.as_ref().unwrap();
-    assert!(star.oifs.contains_key(&IfaceId(0)));
+    assert!(star.oifs().contains_key(&IfaceId(0)));
     // After the window (default 4 ticks) it goes.
     e.tick(t(15), &rib);
     let star = e.group_state(g()).unwrap().star.as_ref().unwrap();
-    assert!(!star.oifs.contains_key(&IfaceId(0)));
+    assert!(!star.oifs().contains_key(&IfaceId(0)));
 }
 
 #[test]
@@ -970,7 +974,7 @@ fn join_within_window_cancels_lan_prune() {
     e.tick(t(20), &rib);
     let star = e.group_state(g()).unwrap().star.as_ref().unwrap();
     assert!(
-        star.oifs.contains_key(&IfaceId(0)),
+        star.oifs().contains_key(&IfaceId(0)),
         "overriding join must cancel the pending prune"
     );
 }
@@ -1061,8 +1065,8 @@ fn rp_generates_reachability_messages() {
     assert!(
         out.iter().any(|o| matches!(
             o,
-            Output::Send { iface, msg: Message::PimRpReachability(r), .. }
-                if *iface == IfaceId(0) && r.rp == rp() && r.group == g()
+            Action::Control { ifaces, msg: Message::PimRpReachability(r), .. }
+                if *ifaces == IfaceId(0).into() && r.rp == rp() && r.group == g()
         )),
         "{out:?}"
     );
@@ -1071,14 +1075,26 @@ fn rp_generates_reachability_messages() {
 #[test]
 fn reachability_resets_timer_and_propagates_down_tree() {
     let (mut e, _rib) = dr_with_member();
-    let before = e.group_state(g()).unwrap().star.as_ref().unwrap().rp_timer;
+    let before = e
+        .group_state(g())
+        .unwrap()
+        .star
+        .as_ref()
+        .unwrap()
+        .rp_timer();
     let msg = RpReachability {
         group: g(),
         rp: rp(),
         holdtime: 180,
     };
     let out = e.on_rp_reachability(t(50), IfaceId(1), &msg);
-    let after = e.group_state(g()).unwrap().star.as_ref().unwrap().rp_timer;
+    let after = e
+        .group_state(g())
+        .unwrap()
+        .star
+        .as_ref()
+        .unwrap()
+        .rp_timer();
     assert!(after > before, "RP-timer must be pushed out");
     // Host-facing oif (iface 0) is skipped, so nothing to propagate here.
     assert!(out.is_empty());
@@ -1088,14 +1104,26 @@ fn reachability_resets_timer_and_propagates_down_tree() {
 fn reachability_on_wrong_iface_ignored() {
     let (mut e, rib) = dr_with_member();
     let _ = rib;
-    let before = e.group_state(g()).unwrap().star.as_ref().unwrap().rp_timer;
+    let before = e
+        .group_state(g())
+        .unwrap()
+        .star
+        .as_ref()
+        .unwrap()
+        .rp_timer();
     let msg = RpReachability {
         group: g(),
         rp: rp(),
         holdtime: 180,
     };
     e.on_rp_reachability(t(50), IfaceId(2), &msg);
-    let after = e.group_state(g()).unwrap().star.as_ref().unwrap().rp_timer;
+    let after = e
+        .group_state(g())
+        .unwrap()
+        .star
+        .as_ref()
+        .unwrap()
+        .rp_timer();
     assert_eq!(before, after);
 }
 
@@ -1113,7 +1141,7 @@ fn rp_failover_joins_alternate() {
     let star = gs.star.as_ref().unwrap();
     assert_eq!(star.key, rp2());
     assert_eq!(
-        star.oifs.keys().copied().collect::<Vec<_>>(),
+        star.oifs().keys().copied().collect::<Vec<_>>(),
         vec![IfaceId(0)],
         "§3.9: only IGMP-report interfaces survive failover"
     );
@@ -1188,7 +1216,7 @@ fn route_change_removes_new_iif_from_oifs() {
     let star = e.group_state(g()).unwrap().star.as_ref().unwrap();
     assert_eq!(star.iif, Some(IfaceId(0)));
     assert!(
-        !star.oifs.contains_key(&IfaceId(0)),
+        !star.oifs().contains_key(&IfaceId(0)),
         "§3.8: new iif must be deleted from the oif list"
     );
 }
@@ -1240,20 +1268,21 @@ fn route_change_for_unrelated_destination_is_noop() {
 fn tick_emits_periodic_queries_on_all_ifaces() {
     let (mut e, rib) = dr_with_member();
     let out = e.tick(t(0), &rib);
+    // One Query, named once for the whole interface set.
     let queries: Vec<_> = out
         .iter()
         .filter_map(|o| match o {
-            Output::Send {
-                iface,
+            Action::Control {
+                ifaces,
                 msg: Message::PimQuery(_),
                 ..
-            } => Some(*iface),
+            } => Some(ifaces.iter().collect::<Vec<_>>()),
             _ => None,
         })
         .collect();
     assert_eq!(
         queries,
-        vec![IfaceId(0), IfaceId(1), IfaceId(2)],
+        vec![vec![IfaceId(0), IfaceId(1), IfaceId(2)]],
         "queries on every interface (DR election on member LANs too)"
     );
 }

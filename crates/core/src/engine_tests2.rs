@@ -3,9 +3,10 @@
 //! details not covered by the first batch.
 
 use crate::config::PimConfig;
-use crate::engine::{Engine, Output};
+use crate::engine::Engine;
 use crate::entry::OifKind;
 use netsim::{Duration, IfaceId, SimTime};
+use node::Action;
 use unicast::{OracleRib, RouteEntry};
 use wire::pim::{GroupEntry, JoinPrune, Query, Register, RpReachability, SourceEntry};
 use wire::{Addr, Group, Message};
@@ -29,15 +30,18 @@ fn src_host() -> Addr {
     Addr::new(10, 0, 4, 10)
 }
 
-fn sent_registers(out: &[Output]) -> Vec<(IfaceId, Addr)> {
+fn sent_registers(out: &[Action]) -> Vec<(IfaceId, Addr)> {
     out.iter()
         .filter_map(|o| match o {
-            Output::Send {
-                iface,
+            Action::Control {
+                ifaces,
                 dst,
                 msg: Message::PimRegister(_),
                 ..
-            } => Some((*iface, *dst)),
+            } => Some((
+                ifaces.iter().next().expect("a Register goes somewhere"),
+                *dst,
+            )),
             _ => None,
         })
         .collect()
@@ -160,7 +164,7 @@ fn spt_entry_deleted_after_linger_when_downstream_leaves() {
     let out = e.tick(t(101), &rib);
     assert!(out.iter().any(|o| matches!(
         o,
-        Output::Send { msg: Message::PimJoinPrune(jp), .. }
+        Action::Control { msg: Message::PimJoinPrune(jp), .. }
             if jp.groups.iter().any(|ge| ge.prunes.contains(&SourceEntry::source(src_host())))
     )));
     e.tick(t(282), &rib);
@@ -195,10 +199,10 @@ fn rejoin_during_linger_cancels_deletion() {
     e.tick(t(240), &rib);
     let entry = &e.group_state(g()).unwrap().sources[&src_host()];
     assert!(
-        entry.oifs.contains_key(&IfaceId(2)),
+        entry.oifs().contains_key(&IfaceId(2)),
         "rejoin must revive the entry"
     );
-    assert_eq!(entry.delete_at, None);
+    assert_eq!(entry.delete_at(), None);
 }
 
 #[test]
@@ -236,21 +240,21 @@ fn local_member_left_removes_oifs_everywhere() {
     );
     e.on_data(t(10), IfaceId(1), remote_src, g(), b"d", &rib);
     assert!(e.group_state(g()).unwrap().sources[&remote_src]
-        .oifs
+        .oifs()
         .contains_key(&IfaceId(0)));
 
     let out = e.local_member_left(t(50), g(), IfaceId(0));
     let gs = e.group_state(g()).unwrap();
-    assert!(!gs.star.as_ref().unwrap().oifs.contains_key(&IfaceId(0)));
-    assert!(!gs.sources[&remote_src].oifs.contains_key(&IfaceId(0)));
+    assert!(!gs.star.as_ref().unwrap().oifs().contains_key(&IfaceId(0)));
+    assert!(!gs.sources[&remote_src].oifs().contains_key(&IfaceId(0)));
     assert!(
-        gs.star.as_ref().unwrap().rp_timer.is_none(),
+        gs.star.as_ref().unwrap().rp_timer().is_none(),
         "no members → no RP-timer"
     );
     // With everything empty, prunes go upstream.
     assert!(out.iter().any(|o| matches!(
         o,
-        Output::Send {
+        Action::Control {
             msg: Message::PimJoinPrune(_),
             ..
         }
@@ -296,7 +300,7 @@ fn star_oif_expiry_cascades_to_copied_spt_oifs() {
     e.on_join_prune(t(1), IfaceId(1), Addr::new(10, 0, 6, 1), &src_join, &rib);
     {
         let sg = &e.group_state(g()).unwrap().sources[&src_host()];
-        assert_eq!(sg.oifs[&IfaceId(0)].kind, OifKind::CopiedFromStar);
+        assert_eq!(sg.oifs()[&IfaceId(0)].kind, OifKind::CopiedFromStar);
     }
     // The (*,G) oif lapses (no refresh): the copied oif must go with it.
     e.tick(t(150), &rib);
@@ -304,13 +308,13 @@ fn star_oif_expiry_cascades_to_copied_spt_oifs() {
     assert!(gs
         .star
         .as_ref()
-        .is_none_or(|s| !s.oifs.contains_key(&IfaceId(0))));
+        .is_none_or(|s| !s.oifs().contains_key(&IfaceId(0))));
     assert!(
-        !gs.sources[&src_host()].oifs.contains_key(&IfaceId(0)),
+        !gs.sources[&src_host()].oifs().contains_key(&IfaceId(0)),
         "copied oifs follow the shared tree's lapses"
     );
     // The explicitly-joined oif survives.
-    assert!(gs.sources[&src_host()].oifs.contains_key(&IfaceId(1)));
+    assert!(gs.sources[&src_host()].oifs().contains_key(&IfaceId(1)));
 }
 
 // ---------------------------------------------------------------------
@@ -348,7 +352,7 @@ fn register_payload_is_forwarded_verbatim() {
     );
     assert!(out.iter().any(|o| matches!(
         o,
-        Output::ForwardDecapsulated { payload: p, source, .. } if *p == payload && *source == src_host()
+        Action::ForwardDecapsulated { payload: p, source, .. } if *p == payload && *source == src_host()
     )));
 }
 
@@ -382,7 +386,7 @@ fn second_register_does_not_rejoin() {
         .filter(|o| {
             matches!(
                 o,
-                Output::Send {
+                Action::Control {
                     msg: Message::PimJoinPrune(_),
                     ..
                 }
@@ -396,7 +400,7 @@ fn second_register_does_not_rejoin() {
         .filter(|o| {
             matches!(
                 o,
-                Output::Send {
+                Action::Control {
                     msg: Message::PimJoinPrune(_),
                     ..
                 }
@@ -444,7 +448,7 @@ fn pending_prune_executes_via_tick_not_immediately() {
         .star
         .as_ref()
         .unwrap()
-        .oifs
+        .oifs()
         .contains_key(&IfaceId(0)));
     // After it closes, the prune lands.
     e.tick(t(15), &rib);
@@ -454,7 +458,7 @@ fn pending_prune_executes_via_tick_not_immediately() {
         .star
         .as_ref()
         .unwrap()
-        .oifs
+        .oifs()
         .contains_key(&IfaceId(0)));
 }
 
@@ -490,7 +494,7 @@ fn p2p_prune_is_immediate() {
             .star
             .as_ref()
             .unwrap()
-            .oifs
+            .oifs()
             .contains_key(&IfaceId(0)),
         "point-to-point prunes take effect immediately (no override possible)"
     );
@@ -572,21 +576,21 @@ fn wildcard_join_reroots_shared_tree_toward_new_rp() {
     // And a triggered join flows toward the new RP.
     assert!(out.iter().any(|o| matches!(
         o,
-        Output::Send { iface, msg: Message::PimJoinPrune(jp), .. }
-            if *iface == IfaceId(2)
+        Action::Control { ifaces, msg: Message::PimJoinPrune(jp), .. }
+            if *ifaces == IfaceId(2).into()
                 && jp.groups[0].joins == vec![SourceEntry::shared_tree(rp2())]
     )));
 }
 
 // ---------------------------------------------------------------------
-// The memoized wakeup deadline
+// The indexed wakeup deadline
 // ---------------------------------------------------------------------
 
 /// One random call into the engine's public `&mut` surface. `a` and `b`
 /// pick among a few interfaces, groups, sources and neighbours so calls
 /// collide on the same state; the rib can be flipped between two routes
 /// to the remote source so `on_route_change` has something to repair.
-fn memo_step(e: &mut Engine, rib: &mut OracleRib, now: SimTime, op: u8, a: u8, b: u8) {
+fn engine_step(e: &mut Engine, rib: &mut OracleRib, now: SimTime, op: u8, a: u8, b: u8) {
     let groups = [g(), Group::test(2)];
     let group = groups[(a % 2) as usize];
     // Group 1 is rooted at a remote RP, group 2 at this router.
@@ -699,19 +703,20 @@ fn memo_step(e: &mut Engine, rib: &mut OracleRib, now: SimTime, op: u8, a: u8, b
 proptest::proptest! {
     #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
 
-    /// Whatever is called, in whatever order, the memoized deadline is
-    /// the scanned one. `next_deadline` is read after every step, so
-    /// each call starts from a filled memo it has to invalidate — and
-    /// the comparison is spelled out here because `next_deadline`'s own
-    /// `debug_assert` is compiled out of release-profile test runs.
+    /// Whatever is called, in whatever order, the deadline read off the
+    /// index is the one a walk of all state finds — and each index holds
+    /// exactly its class's deadlines, so nothing a deleted entry, an
+    /// expired neighbour, a cancelled prune or a reset owned is left
+    /// behind to wake the router for nothing. Spelled out here because
+    /// `next_deadline`'s own `debug_assert` is compiled out of
+    /// release-profile test runs.
     #[test]
-    fn memoized_deadline_is_the_scanned_deadline(
+    fn indexed_deadline_is_the_scanned_deadline(
         steps in proptest::prop::collection::vec((0u8..16, 0u8..20, 0u8..6, 0usize..6), 1..120),
     ) {
         // The periodic schedule is pushed far out and the per-entry
-        // timers pulled in, so the earliest deadline — all the memo
-        // holds — is usually one a join, prune, hello or packet just
-        // moved, not the next query.
+        // timers pulled in, so the earliest deadline is usually one a
+        // join, prune, hello or packet just moved, not the next query.
         let cfg = PimConfig {
             query_interval: Duration(5000),
             refresh_period: Duration(5000),
@@ -730,8 +735,8 @@ proptest::proptest! {
         let mut now = 0;
         for (op, a, b, dt) in steps {
             now += [0, 1, 4, 30, 100, 400][dt];
-            memo_step(&mut e, &mut rib, t(now), op, a, b);
-            assert_eq!(e.next_deadline(), e.scan_deadline(), "after op {op} at {now}");
+            engine_step(&mut e, &mut rib, t(now), op, a, b);
+            e.assert_deadlines_indexed();
         }
     }
 }

@@ -17,8 +17,8 @@
 //! | (S,G) shortest path| false    | false    | the source        |
 //! | (S,G) negative cache (on RP tree) | false | true | the RP    |
 
-use netsim::{IfaceId, SimTime};
-use std::collections::BTreeMap;
+use netsim::{Deadlines, IfaceId, SimTime};
+use std::collections::btree_map::{self, BTreeMap};
 use wire::{Addr, Group};
 
 /// Why an outgoing interface is in the oif list.
@@ -46,7 +46,22 @@ pub struct Oif {
     pub expires_at: SimTime,
 }
 
+impl Oif {
+    /// When this oif's timer fires: never for a local-member oif (IGMP
+    /// expiry removes those) or one pinned at the end of time.
+    fn deadline(&self) -> Option<SimTime> {
+        (self.kind != OifKind::LocalMembers && self.expires_at != SimTime(u64::MAX))
+            .then_some(self.expires_at)
+    }
+}
+
 /// A multicast forwarding entry.
+///
+/// The four fields that hold soft-state timers — the oif list, the
+/// pruned-oif leases, the RP-timer and the deletion deadline — are private:
+/// every method that writes one takes the owning engine's
+/// [`Deadlines`] and keeps it equal to [`Entry::deadlines`], so the
+/// engine's next wakeup is a read of that index.
 #[derive(Clone, Debug)]
 pub struct Entry {
     /// The group.
@@ -71,22 +86,22 @@ pub struct Entry {
     /// The upstream neighbor joins/prunes for this entry are sent to.
     pub upstream: Option<Addr>,
     /// Outgoing interfaces, ordered for deterministic iteration.
-    pub oifs: BTreeMap<IfaceId, Oif>,
+    oifs: BTreeMap<IfaceId, Oif>,
     /// LAN-pruned interfaces of a negative-cache entry: present in the
     /// parallel (\*,G) oif list but excluded here. Only used when
     /// `rp_bit && !wildcard` (footnote 11).
-    pub pruned_oifs: BTreeMap<IfaceId, SimTime>,
+    pruned_oifs: BTreeMap<IfaceId, SimTime>,
     /// (\*,G) only: RP-reachability timer (§3.1/§3.9). `Some(t)` = declare
     /// the RP unreachable at `t`. Tracked when this router has local
     /// members.
-    pub rp_timer: Option<SimTime>,
+    rp_timer: Option<SimTime>,
     /// (S,G) SPT entries: we have pruned this source off the shared tree,
     /// so periodic prunes {S, RPbit} toward the RP keep the negative
     /// caches upstream alive (footnotes 10/13).
     pub pruned_from_shared: bool,
     /// Set when the oif list went null: the entry is deleted at this time
     /// ("the entry is deleted after 3 times the refresh period", §3.6).
-    pub delete_at: Option<SimTime>,
+    delete_at: Option<SimTime>,
     /// LAN join suppression (§3.7): skip our periodic upstream join until
     /// this time because we overheard an equivalent join.
     pub suppressed_until: Option<SimTime>,
@@ -180,11 +195,43 @@ impl Entry {
         self.rp_bit && !self.wildcard
     }
 
+    /// Outgoing interfaces, in ascending order.
+    pub fn oifs(&self) -> &BTreeMap<IfaceId, Oif> {
+        &self.oifs
+    }
+
+    /// LAN-pruned interfaces and when each lease lapses.
+    pub fn pruned_oifs(&self) -> &BTreeMap<IfaceId, SimTime> {
+        &self.pruned_oifs
+    }
+
+    /// When the RP is declared unreachable, if the timer runs.
+    pub fn rp_timer(&self) -> Option<SimTime> {
+        self.rp_timer
+    }
+
+    /// When the entry is deleted, once its oif list went null.
+    pub fn delete_at(&self) -> Option<SimTime> {
+        self.delete_at
+    }
+
     /// Add or refresh an outgoing interface. A [`OifKind::Joined`] add
     /// upgrades a copied oif (an explicit join now backs it) and clears a
     /// pending deletion.
-    pub fn add_oif(&mut self, iface: IfaceId, kind: OifKind, expires_at: SimTime) {
-        let oif = self.oifs.entry(iface).or_insert(Oif { kind, expires_at });
+    pub fn add_oif(
+        &mut self,
+        timers: &mut Deadlines,
+        iface: IfaceId,
+        kind: OifKind,
+        expires_at: SimTime,
+    ) {
+        let (before, oif) = match self.oifs.entry(iface) {
+            btree_map::Entry::Vacant(v) => (None, v.insert(Oif { kind, expires_at })),
+            btree_map::Entry::Occupied(o) => {
+                let oif = o.into_mut();
+                (oif.deadline(), oif)
+            }
+        };
         // Refresh, and upgrade Copied → Joined / Local.
         if oif.expires_at < expires_at {
             oif.expires_at = expires_at;
@@ -196,12 +243,57 @@ impl Entry {
             oif.kind = OifKind::LocalMembers;
             oif.expires_at = SimTime(u64::MAX);
         }
-        self.delete_at = None;
+        timers.rearm(before, oif.deadline());
+        self.set_delete_at(timers, None);
     }
 
     /// Remove an outgoing interface; returns true if it was present.
-    pub fn remove_oif(&mut self, iface: IfaceId) -> bool {
-        self.oifs.remove(&iface).is_some()
+    pub fn remove_oif(&mut self, timers: &mut Deadlines, iface: IfaceId) -> bool {
+        let Some(oif) = self.oifs.remove(&iface) else {
+            return false;
+        };
+        timers.rearm(oif.deadline(), None);
+        true
+    }
+
+    /// Start, move or stop the RP-reachability timer.
+    pub fn set_rp_timer(&mut self, timers: &mut Deadlines, at: Option<SimTime>) {
+        timers.rearm(self.rp_timer, at);
+        self.rp_timer = at;
+    }
+
+    /// Schedule, move or cancel the entry's deletion.
+    pub fn set_delete_at(&mut self, timers: &mut Deadlines, at: Option<SimTime>) {
+        timers.rearm(self.delete_at, at);
+        self.delete_at = at;
+    }
+
+    /// Record a negative-cache prune on `iface`, leased until `until`.
+    pub fn prune_oif(&mut self, timers: &mut Deadlines, iface: IfaceId, until: SimTime) {
+        let before = self.pruned_oifs.insert(iface, until);
+        timers.rearm(before, Some(until));
+    }
+
+    /// Drop the negative-cache prune on `iface`, if any.
+    pub fn unprune_oif(&mut self, timers: &mut Deadlines, iface: IfaceId) {
+        timers.rearm(self.pruned_oifs.remove(&iface), None);
+    }
+
+    /// Lapse the pruned-oif leases that have run out at `now` (footnote
+    /// 13: kept alive by prunes only).
+    pub fn expire_pruned_oifs(&mut self, timers: &mut Deadlines, now: SimTime) {
+        self.pruned_oifs.retain(|_, &mut t| {
+            let live = now < t;
+            if !live {
+                timers.disarm(t);
+            }
+            live
+        });
+    }
+
+    /// Disarm every timer of this entry: it is about to be dropped.
+    pub fn disarm(&self, timers: &mut Deadlines) {
+        timers.disarm_all(self.deadlines());
     }
 
     /// The interfaces a matching data packet is forwarded to, excluding
@@ -229,7 +321,7 @@ impl Entry {
     /// Expire lapsed oifs at `now`; returns the removed interfaces (§3.6:
     /// "when a timer expires, the corresponding outgoing interface is
     /// deleted from the outgoing interface list").
-    pub fn expire_oifs(&mut self, now: SimTime) -> Vec<IfaceId> {
+    pub fn expire_oifs(&mut self, timers: &mut Deadlines, now: SimTime) -> Vec<IfaceId> {
         let lapsed: Vec<IfaceId> = self
             .oifs
             .iter()
@@ -237,25 +329,22 @@ impl Entry {
             .map(|(&i, _)| i)
             .collect();
         for &i in &lapsed {
-            self.oifs.remove(&i);
+            self.remove_oif(timers, i);
         }
         lapsed
     }
 
-    /// The earliest pending timer of this entry: oif expiries (excluding
-    /// IGMP-pinned local-member oifs), pruned-oif lease lapses, the RP
-    /// liveness timer, and the deletion deadline. `suppressed_until` is
-    /// deliberately excluded — it is only consulted when the periodic
+    /// Every armed timer of this entry, found by walking it: oif expiries
+    /// (excluding IGMP-pinned local-member oifs), pruned-oif lease
+    /// lapses, the RP liveness timer, and the deletion deadline — what the
+    /// engine's [`Deadlines`] holds for this entry. `suppressed_until` is
+    /// deliberately excluded: it is only consulted when the periodic
     /// refresh fires, so it never needs a wakeup of its own.
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        let mut best = netsim::earliest(self.rp_timer, self.delete_at);
-        for o in self.oifs.values() {
-            if o.kind != OifKind::LocalMembers && o.expires_at != SimTime(u64::MAX) {
-                best = netsim::earliest(best, Some(o.expires_at));
-            }
-        }
-        best = netsim::earliest(best, self.pruned_oifs.values().copied().min());
-        best
+    pub fn deadlines(&self) -> impl Iterator<Item = SimTime> + '_ {
+        (self.rp_timer.into_iter())
+            .chain(self.delete_at)
+            .chain(self.oifs.values().filter_map(Oif::deadline))
+            .chain(self.pruned_oifs.values().copied())
     }
 }
 
@@ -301,6 +390,22 @@ impl GroupState {
     pub fn entry_count(&self) -> usize {
         self.sources.len() + usize::from(self.star.is_some())
     }
+
+    /// Does an entry sit here with a null oif list and no deletion
+    /// deadline yet (§3.6)? Negative caches are exempt: prunes keep those
+    /// alive (footnote 13). No timer marks this state, so the engine's
+    /// tick looks for it.
+    pub(crate) fn needs_linger(&self) -> bool {
+        let idle = |e: &Entry| e.oifs_empty() && e.delete_at().is_none();
+        self.star.as_ref().is_some_and(idle)
+            || self.sources.values().any(|e| !e.is_negative() && idle(e))
+    }
+
+    /// Nothing left but (at most) the group's name: no entry, no RP
+    /// mapping.
+    pub(crate) fn is_vacant(&self) -> bool {
+        self.star.is_none() && self.sources.is_empty() && self.rps.is_empty()
+    }
 }
 
 #[cfg(test)]
@@ -332,34 +437,38 @@ mod tests {
     #[test]
     fn add_refresh_upgrade_oif() {
         let mut e = Entry::new_star(g(), rp(), Some(IfaceId(0)), None);
-        e.add_oif(IfaceId(2), OifKind::CopiedFromStar, SimTime(100));
-        assert_eq!(e.oifs[&IfaceId(2)].kind, OifKind::CopiedFromStar);
+        let mut t = Deadlines::new();
+        e.add_oif(&mut t, IfaceId(2), OifKind::CopiedFromStar, SimTime(100));
+        assert_eq!(e.oifs()[&IfaceId(2)].kind, OifKind::CopiedFromStar);
         // Refresh extends, never shortens.
-        e.add_oif(IfaceId(2), OifKind::CopiedFromStar, SimTime(50));
-        assert_eq!(e.oifs[&IfaceId(2)].expires_at, SimTime(100));
-        e.add_oif(IfaceId(2), OifKind::Joined, SimTime(200));
-        assert_eq!(e.oifs[&IfaceId(2)].kind, OifKind::Joined);
-        assert_eq!(e.oifs[&IfaceId(2)].expires_at, SimTime(200));
+        e.add_oif(&mut t, IfaceId(2), OifKind::CopiedFromStar, SimTime(50));
+        assert_eq!(e.oifs()[&IfaceId(2)].expires_at, SimTime(100));
+        e.add_oif(&mut t, IfaceId(2), OifKind::Joined, SimTime(200));
+        assert_eq!(e.oifs()[&IfaceId(2)].kind, OifKind::Joined);
+        assert_eq!(e.oifs()[&IfaceId(2)].expires_at, SimTime(200));
         // Local members pin the oif open.
-        e.add_oif(IfaceId(2), OifKind::LocalMembers, SimTime(0));
-        assert_eq!(e.oifs[&IfaceId(2)].kind, OifKind::LocalMembers);
-        assert_eq!(e.oifs[&IfaceId(2)].expires_at, SimTime(u64::MAX));
+        e.add_oif(&mut t, IfaceId(2), OifKind::LocalMembers, SimTime(0));
+        assert_eq!(e.oifs()[&IfaceId(2)].kind, OifKind::LocalMembers);
+        assert_eq!(e.oifs()[&IfaceId(2)].expires_at, SimTime(u64::MAX));
     }
 
     #[test]
     fn add_oif_clears_pending_delete() {
         let mut e = Entry::new_star(g(), rp(), Some(IfaceId(0)), None);
-        e.delete_at = Some(SimTime(500));
-        e.add_oif(IfaceId(1), OifKind::Joined, SimTime(100));
-        assert_eq!(e.delete_at, None);
+        let mut t = Deadlines::new();
+        e.set_delete_at(&mut t, Some(SimTime(500)));
+        e.add_oif(&mut t, IfaceId(1), OifKind::Joined, SimTime(100));
+        assert_eq!(e.delete_at(), None);
+        assert_eq!(t.as_slice(), [SimTime(100)]);
     }
 
     #[test]
     fn forward_set_excludes_iif_and_arrival() {
         let mut e = Entry::new_star(g(), rp(), Some(IfaceId(0)), None);
-        e.add_oif(IfaceId(1), OifKind::Joined, SimTime(100));
-        e.add_oif(IfaceId(2), OifKind::Joined, SimTime(100));
-        e.add_oif(IfaceId(0), OifKind::Joined, SimTime(100)); // pathological: iif in oifs
+        let mut t = Deadlines::new();
+        e.add_oif(&mut t, IfaceId(1), OifKind::Joined, SimTime(100));
+        e.add_oif(&mut t, IfaceId(2), OifKind::Joined, SimTime(100));
+        e.add_oif(&mut t, IfaceId(0), OifKind::Joined, SimTime(100)); // pathological: iif in oifs
         assert_eq!(e.forward_set(None), vec![IfaceId(1), IfaceId(2)]);
         assert_eq!(e.forward_set(Some(IfaceId(1))), vec![IfaceId(2)]);
     }
@@ -367,12 +476,17 @@ mod tests {
     #[test]
     fn oif_expiry() {
         let mut e = Entry::new_star(g(), rp(), Some(IfaceId(0)), None);
-        e.add_oif(IfaceId(1), OifKind::Joined, SimTime(100));
-        e.add_oif(IfaceId(2), OifKind::Joined, SimTime(200));
-        e.add_oif(IfaceId(3), OifKind::LocalMembers, SimTime(0));
-        assert!(e.expire_oifs(SimTime(50)).is_empty());
-        assert_eq!(e.expire_oifs(SimTime(150)), vec![IfaceId(1)]);
-        assert_eq!(e.expire_oifs(SimTime(10_000)), vec![IfaceId(2)]);
+        let mut t = Deadlines::new();
+        e.add_oif(&mut t, IfaceId(1), OifKind::Joined, SimTime(100));
+        e.add_oif(&mut t, IfaceId(2), OifKind::Joined, SimTime(200));
+        e.add_oif(&mut t, IfaceId(3), OifKind::LocalMembers, SimTime(0));
+        // The pinned local-member oif arms nothing.
+        assert_eq!(t.as_slice(), [SimTime(100), SimTime(200)]);
+        assert!(e.expire_oifs(&mut t, SimTime(50)).is_empty());
+        assert_eq!(e.expire_oifs(&mut t, SimTime(150)), vec![IfaceId(1)]);
+        assert_eq!(t.as_slice(), [SimTime(200)]);
+        assert_eq!(e.expire_oifs(&mut t, SimTime(10_000)), vec![IfaceId(2)]);
+        assert_eq!(t.first(), None);
         // Local-member oifs never expire via PIM timers.
         assert!(e.has_local_members());
         assert!(!e.oifs_empty());

@@ -56,9 +56,10 @@ pub mod entry;
 pub mod router;
 
 pub use config::{PimConfig, SptPolicy};
-pub use engine::{Engine, Output};
+pub use engine::Engine;
 pub use entry::{Entry, GroupState, Oif, OifKind};
 pub use igmp::HostNode;
+pub use node::Action;
 pub use router::PimRouter;
 
 #[cfg(test)]

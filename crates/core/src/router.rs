@@ -2,64 +2,19 @@
 //!
 //! [`PimRouter`] is the generic [`node::ProtocolNode`] instantiated with
 //! the PIM [`Engine`]; this module only supplies the [`ProtocolEngine`]
-//! glue — message dispatch and output conversion. The node itself owns all
-//! IO, the per-LAN IGMP queriers, the interchangeable unicast engine
-//! (protocol independence, paper §2), and the deadline-driven wakeup
-//! scheduling.
+//! glue — message dispatch. The engine already speaks the node's
+//! [`Action`]s. The node itself owns all IO, the per-LAN IGMP queriers,
+//! the interchangeable unicast engine (protocol independence, paper §2),
+//! and the deadline-driven wakeup scheduling.
 
-use crate::engine::{Engine, Output};
+use crate::engine::Engine;
 use netsim::{IfaceId, SimTime};
 use node::{Action, ProtocolEngine};
 use unicast::Rib;
 use wire::{Addr, Group, Message};
 
-/// Data TTL used when (re)originating packets (decapsulated registers).
-const DATA_TTL: u8 = 32;
-
 /// A PIM-speaking router node for the simulator.
 pub type PimRouter = node::ProtocolNode<Engine>;
-
-/// Convert engine outputs into node actions, stamping `data_ttl` on data
-/// forwards.
-fn actions(outs: Vec<Output>, data_ttl: u8) -> Vec<Action> {
-    outs.into_iter()
-        .map(|o| match o {
-            Output::Send {
-                iface,
-                dst,
-                ttl,
-                msg,
-            } => Action::Control {
-                iface,
-                dst,
-                ttl,
-                msg,
-            },
-            Output::Forward {
-                ifaces,
-                source,
-                group,
-            } => Action::Forward {
-                ifaces,
-                source,
-                group,
-                ttl: data_ttl,
-            },
-            Output::ForwardDecapsulated {
-                ifaces,
-                source,
-                group,
-                payload,
-            } => Action::ForwardDecapsulated {
-                ifaces,
-                source,
-                group,
-                ttl: data_ttl,
-                payload,
-            },
-        })
-        .collect()
-}
 
 impl ProtocolEngine for Engine {
     fn addr(&self) -> Addr {
@@ -80,16 +35,12 @@ impl ProtocolEngine for Engine {
         rib: &dyn Rib,
     ) -> Vec<Action> {
         match msg {
-            Message::PimQuery(q) => actions(self.on_query(now, iface, src, q), DATA_TTL),
-            Message::PimJoinPrune(jp) => {
-                actions(self.on_join_prune(now, iface, src, jp, rib), DATA_TTL)
-            }
-            Message::PimRpReachability(r) => {
-                actions(self.on_rp_reachability(now, iface, r), DATA_TTL)
-            }
+            Message::PimQuery(q) => self.on_query(now, iface, src, q),
+            Message::PimJoinPrune(jp) => self.on_join_prune(now, iface, src, jp, rib),
+            Message::PimRpReachability(r) => self.on_rp_reachability(now, iface, r),
             Message::PimRegister(reg) => {
                 if dst == Engine::addr(self) {
-                    actions(self.on_register(now, reg, rib), DATA_TTL)
+                    self.on_register(now, reg, rib)
                 } else {
                     // In transit toward the RP: ordinary unicast forwarding.
                     vec![Action::RelayUnicast]
@@ -107,17 +58,15 @@ impl ProtocolEngine for Engine {
         iface: IfaceId,
         source: Addr,
         group: Group,
-        ttl: u8,
         payload: &[u8],
         from_host_lan: bool,
         rib: &dyn Rib,
     ) -> Vec<Action> {
-        let outs = if from_host_lan {
+        if from_host_lan {
             self.on_local_data(now, iface, source, group, payload, rib)
         } else {
             self.on_data(now, iface, source, group, payload, rib)
-        };
-        actions(outs, ttl)
+        }
     }
 
     fn local_member_joined(
@@ -127,14 +76,11 @@ impl ProtocolEngine for Engine {
         iface: IfaceId,
         rib: &dyn Rib,
     ) -> Vec<Action> {
-        actions(
-            Engine::local_member_joined(self, now, group, iface, rib),
-            DATA_TTL,
-        )
+        Engine::local_member_joined(self, now, group, iface, rib)
     }
 
     fn local_member_left(&mut self, now: SimTime, group: Group, iface: IfaceId) -> Vec<Action> {
-        actions(Engine::local_member_left(self, now, group, iface), DATA_TTL)
+        Engine::local_member_left(self, now, group, iface)
     }
 
     fn rp_mapping_learned(&mut self, group: Group, rps: &[Addr]) {
@@ -161,7 +107,7 @@ impl ProtocolEngine for Engine {
     }
 
     fn on_route_change(&mut self, now: SimTime, dst: Addr, rib: &dyn Rib) -> Vec<Action> {
-        actions(Engine::on_route_change(self, now, dst, rib), DATA_TTL)
+        Engine::on_route_change(self, now, dst, rib)
     }
 
     fn reset(&mut self) {
@@ -169,7 +115,7 @@ impl ProtocolEngine for Engine {
     }
 
     fn tick(&mut self, now: SimTime, rib: &dyn Rib) -> Vec<Action> {
-        actions(Engine::tick(self, now, rib), DATA_TTL)
+        Engine::tick(self, now, rib)
     }
 
     fn next_deadline(&self) -> Option<SimTime> {

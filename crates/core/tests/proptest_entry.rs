@@ -1,7 +1,7 @@
 //! Property tests over the forwarding-entry state machine and the engine's
 //! public invariants under random event sequences.
 
-use netsim::{Duration, IfaceId, SimTime};
+use netsim::{Deadlines, Duration, IfaceId, SimTime};
 use pim::{Engine, Entry, OifKind, PimConfig};
 use proptest::prelude::*;
 use unicast::{OracleRib, RouteEntry};
@@ -35,14 +35,15 @@ proptest! {
             Some(IfaceId(7)),
             Some(Addr::new(10, 0, 0, 9)),
         );
+        let mut timers = Deadlines::new();
         let mut locals = std::collections::BTreeSet::new();
         for (iface, kind, at, remove) in ops {
             let iface = IfaceId(iface);
             if remove {
-                e.remove_oif(iface);
+                e.remove_oif(&mut timers, iface);
                 locals.remove(&iface);
             } else {
-                e.add_oif(iface, kind, SimTime(at));
+                e.add_oif(&mut timers, iface, kind, SimTime(at));
                 if kind == OifKind::LocalMembers {
                     locals.insert(iface);
                 }
@@ -51,13 +52,18 @@ proptest! {
             let fwd = e.forward_set(None);
             prop_assert!(!fwd.contains(&IfaceId(7)), "iif must never be forwarded to");
             prop_assert_eq!(e.has_local_members(), !locals.is_empty()
-                || e.oifs.values().any(|o| o.kind == OifKind::LocalMembers));
+                || e.oifs().values().any(|o| o.kind == OifKind::LocalMembers));
+            // The index holds exactly the timers a walk of the entry finds.
+            let mut walked: Vec<SimTime> = e.deadlines().collect();
+            walked.sort();
+            prop_assert_eq!(timers.as_slice(), &walked[..]);
         }
         // Expiry removes everything except local members.
-        e.expire_oifs(SimTime(10_000));
-        for (i, o) in &e.oifs {
+        e.expire_oifs(&mut timers, SimTime(10_000));
+        for (i, o) in e.oifs() {
             prop_assert_eq!(o.kind, OifKind::LocalMembers, "{:?} survived expiry", i);
         }
+        prop_assert_eq!(timers.first(), None);
     }
 
     /// Feeding the engine arbitrary join/prune sequences never panics and
@@ -108,12 +114,12 @@ proptest! {
             if let Some(gs) = engine.group_state(Group::test(1)) {
                 if let Some(star) = &gs.star {
                     if let Some(iif) = star.iif {
-                        prop_assert!(!star.oifs.contains_key(&iif), "(*,G) iif in oifs");
+                        prop_assert!(!star.oifs().contains_key(&iif), "(*,G) iif in oifs");
                     }
                 }
                 for (s, e) in &gs.sources {
                     if let (Some(iif), false) = (e.iif, e.local_source) {
-                        prop_assert!(!e.oifs.contains_key(&iif), "({s},G) iif in oifs");
+                        prop_assert!(!e.oifs().contains_key(&iif), "({s},G) iif in oifs");
                     }
                     if e.is_negative() {
                         prop_assert!(gs.star.is_some(), "negative cache without (*,G)");

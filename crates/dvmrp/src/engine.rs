@@ -1,6 +1,7 @@
 //! The sans-IO dense-mode engine.
 
-use netsim::{Duration, IfaceId, SimTime};
+use netsim::{Deadlines, Duration, IfaceId, SimTime};
+use node::Action;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 use telemetry::{flags, EntryKey, Event, StateDump, Telem};
@@ -40,31 +41,6 @@ impl Default for DvmrpConfig {
     }
 }
 
-/// An action requested by the engine.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Output {
-    /// Transmit a control message.
-    Send {
-        /// Interface to transmit on.
-        iface: IfaceId,
-        /// Header destination address.
-        dst: Addr,
-        /// The message.
-        msg: Message,
-    },
-    /// Forward the data packet being handled ([`DvmrpEngine::on_data`])
-    /// out of each listed interface. The caller holds the payload; the
-    /// engine never copies it.
-    Forward {
-        /// Interfaces to copy the packet to.
-        ifaces: Vec<IfaceId>,
-        /// Original source.
-        source: Addr,
-        /// Destination group.
-        group: Group,
-    },
-}
-
 /// Per-(S,G) dense-mode state.
 #[derive(Clone, Debug)]
 struct SgEntry {
@@ -82,7 +58,11 @@ struct SgEntry {
 }
 
 impl SgEntry {
-    fn new(expires_at: SimTime) -> SgEntry {
+    /// A new entry, its GC deadline armed in `timers`. The two timer
+    /// fields are written only through the methods below, which keep
+    /// `timers` equal to every entry's [`SgEntry::deadlines`].
+    fn new(timers: &mut Deadlines, expires_at: SimTime) -> SgEntry {
+        timers.arm(expires_at);
         SgEntry {
             pruned: BTreeMap::new(),
             pruned_upstream: false,
@@ -90,6 +70,28 @@ impl SgEntry {
             pending_graft: None,
             expires_at,
         }
+    }
+
+    /// Both armed timers of this entry: GC and, if one is outstanding,
+    /// the graft retransmit. Prune-lifetime lapses are deliberately not
+    /// timers — grow-back is evaluated lazily on the next data packet, so
+    /// no wakeup is needed.
+    fn deadlines(&self) -> impl Iterator<Item = SimTime> {
+        [Some(self.expires_at), self.pending_graft]
+            .into_iter()
+            .flatten()
+    }
+
+    /// Push the GC deadline out (data refreshes it).
+    fn set_expires_at(&mut self, timers: &mut Deadlines, at: SimTime) {
+        timers.rearm(Some(self.expires_at), Some(at));
+        self.expires_at = at;
+    }
+
+    /// Start, restart or stop the graft retransmit timer.
+    fn set_pending_graft(&mut self, timers: &mut Deadlines, at: Option<SimTime>) {
+        timers.rearm(self.pending_graft, at);
+        self.pending_graft = at;
     }
 }
 
@@ -108,6 +110,13 @@ pub struct DvmrpEngine {
     local_hosts: HashMap<Addr, IfaceId>,
     entries: BTreeMap<(Addr, Group), SgEntry>,
     next_probe: SimTime,
+    /// Every neighbor's timeout…
+    neighbor_timers: Deadlines,
+    /// …and every entry's GC and graft-retransmit deadline
+    /// ([`SgEntry::deadlines`]), each kept current where the timer is
+    /// written. With `next_probe`, their fronts are the next wakeup, and
+    /// a class whose front has not matured is not swept.
+    entry_timers: Deadlines,
     /// Structured-event emitter (disabled by default; pure observer).
     telem: Telem,
 }
@@ -135,6 +144,8 @@ impl DvmrpEngine {
             local_hosts: HashMap::new(),
             entries: BTreeMap::new(),
             next_probe: SimTime::ZERO,
+            neighbor_timers: Deadlines::new(),
+            entry_timers: Deadlines::new(),
             telem: Telem::disabled(),
         }
     }
@@ -216,6 +227,8 @@ impl DvmrpEngine {
         }
         self.members.clear();
         self.entries.clear();
+        self.neighbor_timers.clear();
+        self.entry_timers.clear();
         self.next_probe = SimTime::ZERO;
     }
 
@@ -236,7 +249,7 @@ impl DvmrpEngine {
         group: Group,
         iface: IfaceId,
         rib: &dyn Rib,
-    ) -> Vec<Output> {
+    ) -> Vec<Action> {
         self.members.entry(group).or_default().insert(iface);
         let mut out = Vec::new();
         let keys: Vec<(Addr, Group)> = self
@@ -256,13 +269,17 @@ impl DvmrpEngine {
                     from,
                     to: from & !flags::PRUNED,
                 });
-                e.pending_graft = Some(now + self.cfg.graft_retransmit);
+                e.set_pending_graft(
+                    &mut self.entry_timers,
+                    Some(now + self.cfg.graft_retransmit),
+                );
                 if let Some(r) = rib.route(source) {
-                    out.push(Output::Send {
-                        iface: r.iface,
-                        dst: r.next_hop,
-                        msg: Message::DvmrpGraft(Graft { source, group }),
-                    });
+                    out.push(Action::control(
+                        r.iface,
+                        r.next_hop,
+                        1,
+                        Message::DvmrpGraft(Graft { source, group }),
+                    ));
                 }
             }
         }
@@ -312,7 +329,7 @@ impl DvmrpEngine {
         source: Addr,
         group: Group,
         rib: &dyn Rib,
-    ) -> Vec<Output> {
+    ) -> Vec<Action> {
         let mut out = Vec::new();
         // RPF check: accept only on the interface we'd use to reach S
         // (or the host LAN the source lives on).
@@ -331,11 +348,12 @@ impl DvmrpEngine {
                 flags: 0,
             });
         }
+        let timers = &mut self.entry_timers;
         let entry = self
             .entries
             .entry((source, group))
-            .or_insert_with(|| SgEntry::new(expires));
-        entry.expires_at = expires;
+            .or_insert_with(|| SgEntry::new(timers, expires));
+        entry.set_expires_at(timers, expires);
         // Grow back lapsed prunes.
         let lapsed: Vec<IfaceId> = entry
             .pruned
@@ -369,21 +387,22 @@ impl DvmrpEngine {
                     });
                 }
                 if let Some(r) = rib.route(source) {
-                    out.push(Output::Send {
-                        iface: r.iface,
-                        dst: r.next_hop,
-                        msg: Message::DvmrpPrune(Prune {
+                    out.push(Action::control(
+                        r.iface,
+                        r.next_hop,
+                        1,
+                        Message::DvmrpPrune(Prune {
                             source,
                             group,
                             lifetime: self.cfg.prune_lifetime.ticks().min(u32::MAX as u64) as u32,
                         }),
-                    });
+                    ));
                 }
             }
             return out;
         }
         if !ifaces.is_empty() {
-            out.push(Output::Forward {
+            out.push(Action::Forward {
                 ifaces,
                 source,
                 group,
@@ -393,7 +412,7 @@ impl DvmrpEngine {
     }
 
     /// A prune arrived from a downstream router on `iface`.
-    pub fn on_prune(&mut self, now: SimTime, iface: IfaceId, p: &Prune) -> Vec<Output> {
+    pub fn on_prune(&mut self, now: SimTime, iface: IfaceId, p: &Prune) -> Vec<Action> {
         let expires = now + self.cfg.entry_timeout;
         if !self.entries.contains_key(&(p.source, p.group)) {
             self.telem.emit(now.ticks(), || Event::EntryCreated {
@@ -402,10 +421,11 @@ impl DvmrpEngine {
                 flags: 0,
             });
         }
+        let timers = &mut self.entry_timers;
         let entry = self
             .entries
             .entry((p.source, p.group))
-            .or_insert_with(|| SgEntry::new(expires));
+            .or_insert_with(|| SgEntry::new(timers, expires));
         entry
             .pruned
             .insert(iface, now + Duration(p.lifetime as u64));
@@ -420,15 +440,16 @@ impl DvmrpEngine {
         iface: IfaceId,
         gr: &Graft,
         rib: &dyn Rib,
-    ) -> Vec<Output> {
-        let mut out = vec![Output::Send {
+    ) -> Vec<Action> {
+        let mut out = vec![Action::control(
             iface,
-            dst: Addr::ALL_PIM_ROUTERS, // link-local; the grafting router hears it
-            msg: Message::DvmrpGraftAck(GraftAck {
+            Addr::ALL_PIM_ROUTERS, // link-local; the grafting router hears it
+            1,
+            Message::DvmrpGraftAck(GraftAck {
                 source: gr.source,
                 group: gr.group,
             }),
-        }];
+        )];
         if let Some(e) = self.entries.get_mut(&(gr.source, gr.group)) {
             e.pruned.remove(&iface);
             if e.pruned_upstream {
@@ -440,16 +461,20 @@ impl DvmrpEngine {
                     from,
                     to: from & !flags::PRUNED,
                 });
-                e.pending_graft = Some(now + self.cfg.graft_retransmit);
+                e.set_pending_graft(
+                    &mut self.entry_timers,
+                    Some(now + self.cfg.graft_retransmit),
+                );
                 if let Some(r) = rib.route(gr.source) {
-                    out.push(Output::Send {
-                        iface: r.iface,
-                        dst: r.next_hop,
-                        msg: Message::DvmrpGraft(Graft {
+                    out.push(Action::control(
+                        r.iface,
+                        r.next_hop,
+                        1,
+                        Message::DvmrpGraft(Graft {
                             source: gr.source,
                             group: gr.group,
                         }),
-                    });
+                    ));
                 }
             }
         }
@@ -459,34 +484,48 @@ impl DvmrpEngine {
     /// A graft ack arrived: stop retransmitting.
     pub fn on_graft_ack(&mut self, _now: SimTime, ack: &GraftAck) {
         if let Some(e) = self.entries.get_mut(&(ack.source, ack.group)) {
-            e.pending_graft = None;
+            e.set_pending_graft(&mut self.entry_timers, None);
         }
     }
 
     /// A neighbor probe arrived on `iface`.
     pub fn on_probe(&mut self, now: SimTime, iface: IfaceId, src: Addr, _p: &Probe) {
-        self.neighbors[iface.index()].insert(src, now + self.cfg.neighbor_timeout);
+        let expires = now + self.cfg.neighbor_timeout;
+        let before = self.neighbors[iface.index()].insert(src, expires);
+        self.neighbor_timers.rearm(before, Some(expires));
     }
 
     /// The absolute time of this engine's next pending timer: the probe
     /// schedule, neighbor timeouts, graft retransmits, and entry GC.
-    /// Prune-lifetime lapses are deliberately excluded — grow-back is
-    /// evaluated lazily on the next data packet, so no wakeup is needed.
+    ///
+    /// A read of the deadline index, whatever was just mutated. Debug
+    /// builds check it against the full walk on every call.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        let mut best = Some(self.next_probe);
-        for nb in &self.neighbors {
-            best = netsim::earliest(best, nb.values().copied().min());
-        }
-        for e in self.entries.values() {
-            best = netsim::earliest(best, Some(e.expires_at));
-            best = netsim::earliest(best, e.pending_graft);
-        }
-        best
+        let next = [&self.neighbor_timers, &self.entry_timers]
+            .into_iter()
+            .filter_map(Deadlines::first)
+            .fold(self.next_probe, SimTime::min);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            Some(next),
+            self.scan_deadline(),
+            "a timer was written past the deadline index"
+        );
+        Some(next)
+    }
+
+    /// The earliest pending timer, found by walking all of them: the
+    /// reference the indexes are checked against.
+    #[cfg(any(test, debug_assertions))]
+    fn scan_deadline(&self) -> Option<SimTime> {
+        let neighbors = self.neighbors.iter().flat_map(|nb| nb.values().copied());
+        let entries = self.entries.values().flat_map(SgEntry::deadlines);
+        neighbors.chain(entries).chain([self.next_probe]).min()
     }
 
     /// Periodic maintenance: probes, neighbor expiry, graft retransmits,
     /// entry GC.
-    pub fn tick(&mut self, now: SimTime, rib: &dyn Rib) -> Vec<Output> {
+    pub fn tick(&mut self, now: SimTime, rib: &dyn Rib) -> Vec<Action> {
         let mut out = Vec::new();
         if now >= self.next_probe {
             self.next_probe = now + self.cfg.probe_interval;
@@ -496,47 +535,55 @@ impl DvmrpEngine {
                     continue;
                 }
                 let neighbors: Vec<Addr> = self.neighbors[i].keys().copied().collect();
-                out.push(Output::Send {
+                out.push(Action::control(
                     iface,
-                    dst: Addr::ALL_PIM_ROUTERS,
-                    msg: Message::DvmrpProbe(Probe { neighbors }),
+                    Addr::ALL_PIM_ROUTERS,
+                    1,
+                    Message::DvmrpProbe(Probe { neighbors }),
+                ));
+            }
+        }
+        // Each sweep runs only when its index holds a matured deadline: a
+        // probe-only wakeup walks no neighbor table and no entry.
+        if self.neighbor_timers.due(now) {
+            for nb in &mut self.neighbors {
+                nb.retain(|_, &mut t| {
+                    let live = now < t;
+                    if !live {
+                        self.neighbor_timers.disarm(t);
+                    }
+                    live
                 });
             }
         }
-        for nb in &mut self.neighbors {
-            nb.retain(|_, &mut t| now < t);
-        }
-        // Graft retransmission (the one acked DVMRP exchange).
-        let keys: Vec<(Addr, Group)> = self.entries.keys().copied().collect();
-        for key in keys {
-            let e = self.entries.get_mut(&key).expect("key listed");
-            if let Some(at) = e.pending_graft {
-                if now >= at {
-                    e.pending_graft = Some(now + self.cfg.graft_retransmit);
-                    if let Some(r) = rib.route(key.0) {
-                        out.push(Output::Send {
-                            iface: r.iface,
-                            dst: r.next_hop,
-                            msg: Message::DvmrpGraft(Graft {
-                                source: key.0,
-                                group: key.1,
-                            }),
-                        });
+        if self.entry_timers.due(now) {
+            let timers = &mut self.entry_timers;
+            // Graft retransmission (the one acked DVMRP exchange).
+            for (&(source, group), e) in self.entries.iter_mut() {
+                if e.pending_graft.is_some_and(|at| now >= at) {
+                    e.set_pending_graft(timers, Some(now + self.cfg.graft_retransmit));
+                    if let Some(r) = rib.route(source) {
+                        out.push(Action::control(
+                            r.iface,
+                            r.next_hop,
+                            1,
+                            Message::DvmrpGraft(Graft { source, group }),
+                        ));
                     }
                 }
             }
-        }
-        if self.telem.is_enabled() {
-            for (&(source, group), e) in self.entries.iter() {
-                if now >= e.expires_at {
+            self.entries.retain(|&(source, group), e| {
+                let dead = now >= e.expires_at;
+                if dead {
+                    timers.disarm_all(e.deadlines());
                     self.telem.emit(now.ticks(), || Event::EntryExpired {
                         group,
                         key: EntryKey::Source(source),
                     });
                 }
-            }
+                !dead
+            });
         }
-        self.entries.retain(|_, e| now < e.expires_at);
         out
     }
 }
@@ -650,7 +697,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert!(matches!(
             &out[0],
-            Output::Forward { ifaces, .. } if ifaces == &vec![IfaceId(1), IfaceId(2)]
+            Action::Forward { ifaces, .. } if ifaces == &vec![IfaceId(1), IfaceId(2)]
         ));
         assert_eq!(e.entry_count(), 1);
     }
@@ -662,7 +709,7 @@ mod tests {
         let out = e.on_data(t(1), IfaceId(0), src(), g(), &rib);
         assert!(matches!(
             &out[0],
-            Output::Forward { ifaces, .. }
+            Action::Forward { ifaces, .. }
                 if ifaces == &vec![IfaceId(1), IfaceId(2), IfaceId(3)]
         ));
     }
@@ -692,13 +739,13 @@ mod tests {
         let out = e.on_data(t(3), IfaceId(0), src(), g(), &rib);
         assert!(matches!(
             &out[0],
-            Output::Forward { ifaces, .. } if ifaces == &vec![IfaceId(2)]
+            Action::Forward { ifaces, .. } if ifaces == &vec![IfaceId(2)]
         ));
         // After the lifetime, the branch grows back (§1.1).
         let out = e.on_data(t(103), IfaceId(0), src(), g(), &rib);
         assert!(matches!(
             &out[0],
-            Output::Forward { ifaces, .. } if ifaces == &vec![IfaceId(1), IfaceId(2)]
+            Action::Forward { ifaces, .. } if ifaces == &vec![IfaceId(1), IfaceId(2)]
         ));
     }
 
@@ -721,8 +768,8 @@ mod tests {
         let out = e.on_data(t(1), IfaceId(0), src(), g(), &rib);
         assert!(matches!(
             &out[0],
-            Output::Send { iface, dst, msg: Message::DvmrpPrune(p) }
-                if *iface == IfaceId(0) && *dst == up() && p.source == src()
+            Action::Control { ifaces, dst, msg: Message::DvmrpPrune(p), .. }
+                if *ifaces == IfaceId(0).into() && *dst == up() && p.source == src()
         ));
         assert!(e.pruned_upstream(src(), g()));
         // Damping: an immediate second packet does not re-prune.
@@ -752,7 +799,7 @@ mod tests {
         let out = e.local_member_joined(t(10), g(), IfaceId(1), &rib);
         assert!(matches!(
             &out[0],
-            Output::Send { msg: Message::DvmrpGraft(gr), .. }
+            Action::Control { msg: Message::DvmrpGraft(gr), .. }
                 if gr.source == src() && gr.group == g()
         ));
         assert!(!e.pruned_upstream(src(), g()));
@@ -760,7 +807,7 @@ mod tests {
         let out = e.tick(t(25), &rib);
         assert!(out.iter().any(|o| matches!(
             o,
-            Output::Send {
+            Action::Control {
                 msg: Message::DvmrpGraft(_),
                 ..
             }
@@ -776,7 +823,7 @@ mod tests {
         let out = e.tick(t(50), &rib);
         assert!(!out.iter().any(|o| matches!(
             o,
-            Output::Send {
+            Action::Control {
                 msg: Message::DvmrpGraft(_),
                 ..
             }
@@ -807,7 +854,7 @@ mod tests {
         );
         assert!(matches!(
             &out[0],
-            Output::Send { iface, msg: Message::DvmrpGraftAck(_), .. } if *iface == IfaceId(1)
+            Action::Control { ifaces, msg: Message::DvmrpGraftAck(_), .. } if *ifaces == IfaceId(1).into()
         ));
         assert!(!e.is_pruned(src(), g(), IfaceId(1)));
     }
@@ -856,7 +903,7 @@ mod tests {
         );
         assert!(out.iter().any(|o| matches!(
             o,
-            Output::Send { iface, msg: Message::DvmrpGraft(_), .. } if *iface == IfaceId(0)
+            Action::Control { ifaces, msg: Message::DvmrpGraft(_), .. } if *ifaces == IfaceId(0).into()
         )));
     }
 
@@ -877,8 +924,82 @@ mod tests {
         let out = e.on_data(t(1), IfaceId(3), local_src, g(), &rib);
         assert!(matches!(
             &out[0],
-            Output::Forward { ifaces, .. }
+            Action::Forward { ifaces, .. }
                 if ifaces == &vec![IfaceId(0), IfaceId(1), IfaceId(2)]
         ));
+    }
+
+    /// One random call into the engine's public `&mut` surface. `a` and
+    /// `b` pick among two groups, two sources (one behind the upstream,
+    /// one on the host LAN) and a few interfaces and neighbours, so calls
+    /// collide on state.
+    fn engine_step(e: &mut DvmrpEngine, rib: &OracleRib, now: SimTime, op: u8, a: u8, b: u8) {
+        let group = [g(), Group::test(9)][(a % 2) as usize];
+        let local_src = Addr::new(10, 0, 1, 10);
+        let source = [src(), local_src][(a / 2 % 2) as usize];
+        let iface = IfaceId((b % 4) as u32);
+        let nbr = [up(), Addr::new(10, 0, 2, 1), Addr::new(10, 0, 3, 1)][(b % 3) as usize];
+        match op {
+            0 => drop(e.local_member_joined(now, group, IfaceId(3), rib)),
+            1 => e.local_member_left(now, group, IfaceId(3)),
+            // Data on and off the RPF interface.
+            2 | 3 => drop(e.on_data(now, iface, source, group, rib)),
+            4 => {
+                let lifetime = [3, 40, 200][(a % 3) as usize];
+                let p = Prune {
+                    source,
+                    group,
+                    lifetime,
+                };
+                drop(e.on_prune(now, iface, &p));
+            }
+            5 => drop(e.on_graft(now, iface, &Graft { source, group }, rib)),
+            6 => e.on_graft_ack(now, &GraftAck { source, group }),
+            7 | 8 => e.on_probe(now, iface, nbr, &Probe { neighbors: vec![] }),
+            9 if a == 0 => e.reset(),
+            9 if a == 1 => drop(e.add_iface()),
+            _ => drop(e.tick(now, rib)),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(1024))]
+
+        /// Whatever is called, in whatever order, the deadline read off
+        /// the indexes is the one a walk of every neighbor and entry
+        /// finds — and each index holds exactly the walked deadlines, so
+        /// nothing a collected entry, a timed-out neighbor or a reset
+        /// owned is left behind. Spelled out here because
+        /// `next_deadline`'s own check is compiled out of release-profile
+        /// test runs.
+        #[test]
+        fn indexed_deadline_is_the_scanned_deadline(
+            steps in proptest::prop::collection::vec((0u8..12, 0u8..12, 0u8..12, 0usize..6), 1..100),
+        ) {
+            let (mut e, mut rib) = engine_with_neighbors();
+            e.register_local_host(Addr::new(10, 0, 1, 10), IfaceId(3));
+            rib.insert(
+                Addr::new(10, 0, 1, 10),
+                RouteEntry {
+                    iface: IfaceId(3),
+                    next_hop: Addr::new(10, 0, 1, 10),
+                    metric: 1,
+                },
+            );
+            let mut now = 0;
+            for (op, a, b, dt) in steps {
+                now += [0, 1, 4, 12, 40, 150][dt];
+                engine_step(&mut e, &rib, t(now), op, a, b);
+                assert_eq!(e.next_deadline(), e.scan_deadline(), "after op {op} at {now}");
+                let mut neighbors: Vec<SimTime> =
+                    e.neighbors.iter().flat_map(|nb| nb.values().copied()).collect();
+                neighbors.sort();
+                assert_eq!(e.neighbor_timers.as_slice(), neighbors, "after op {op} at {now}");
+                let mut entries: Vec<SimTime> =
+                    e.entries.values().flat_map(SgEntry::deadlines).collect();
+                entries.sort();
+                assert_eq!(e.entry_timers.as_slice(), entries, "after op {op} at {now}");
+            }
+        }
     }
 }

@@ -32,5 +32,6 @@
 pub mod engine;
 pub mod router;
 
-pub use engine::{DvmrpConfig, DvmrpEngine, Output};
+pub use engine::{DvmrpConfig, DvmrpEngine};
+pub use node::Action;
 pub use router::DvmrpRouter;

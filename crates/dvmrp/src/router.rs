@@ -4,42 +4,14 @@
 //! [`DvmrpEngine`] — the same adapter PIM and CBT use, so the overhead
 //! experiments compare protocols, not adapters.
 
-use crate::engine::{DvmrpEngine, Output};
+use crate::engine::DvmrpEngine;
 use netsim::{IfaceId, SimTime};
 use node::{Action, ProtocolEngine};
 use unicast::Rib;
 use wire::{Addr, Group, Message};
 
-/// Data TTL used when (re)originating packets.
-const DATA_TTL: u8 = 32;
-
 /// A dense-mode (DVMRP-style) router node.
 pub type DvmrpRouter = node::ProtocolNode<DvmrpEngine>;
-
-/// Convert engine outputs into node actions, stamping `data_ttl` on data
-/// forwards. DVMRP control chatter is always link-local (TTL 1).
-fn actions(outs: Vec<Output>, data_ttl: u8) -> Vec<Action> {
-    outs.into_iter()
-        .map(|o| match o {
-            Output::Send { iface, dst, msg } => Action::Control {
-                iface,
-                dst,
-                ttl: 1,
-                msg,
-            },
-            Output::Forward {
-                ifaces,
-                source,
-                group,
-            } => Action::Forward {
-                ifaces,
-                source,
-                group,
-                ttl: data_ttl,
-            },
-        })
-        .collect()
-}
 
 impl ProtocolEngine for DvmrpEngine {
     fn addr(&self) -> Addr {
@@ -64,8 +36,8 @@ impl ProtocolEngine for DvmrpEngine {
                 self.on_probe(now, iface, src, p);
                 Vec::new()
             }
-            Message::DvmrpPrune(p) => actions(self.on_prune(now, iface, p), DATA_TTL),
-            Message::DvmrpGraft(gr) => actions(self.on_graft(now, iface, gr, rib), DATA_TTL),
+            Message::DvmrpPrune(p) => self.on_prune(now, iface, p),
+            Message::DvmrpGraft(gr) => self.on_graft(now, iface, gr, rib),
             Message::DvmrpGraftAck(a) => {
                 self.on_graft_ack(now, a);
                 Vec::new()
@@ -80,14 +52,13 @@ impl ProtocolEngine for DvmrpEngine {
         iface: IfaceId,
         source: Addr,
         group: Group,
-        ttl: u8,
         _payload: &[u8],
         _from_host_lan: bool,
         rib: &dyn Rib,
     ) -> Vec<Action> {
         // Dense mode treats host and router arrivals alike: RPF-check and
         // broadcast-and-prune.
-        actions(self.on_data(now, iface, source, group, rib), ttl)
+        self.on_data(now, iface, source, group, rib)
     }
 
     fn relays_unicast(&self) -> bool {
@@ -101,10 +72,7 @@ impl ProtocolEngine for DvmrpEngine {
         iface: IfaceId,
         rib: &dyn Rib,
     ) -> Vec<Action> {
-        actions(
-            DvmrpEngine::local_member_joined(self, now, group, iface, rib),
-            DATA_TTL,
-        )
+        DvmrpEngine::local_member_joined(self, now, group, iface, rib)
     }
 
     fn local_member_left(&mut self, now: SimTime, group: Group, iface: IfaceId) -> Vec<Action> {
@@ -134,7 +102,7 @@ impl ProtocolEngine for DvmrpEngine {
     }
 
     fn tick(&mut self, now: SimTime, rib: &dyn Rib) -> Vec<Action> {
-        actions(DvmrpEngine::tick(self, now, rib), DATA_TTL)
+        DvmrpEngine::tick(self, now, rib)
     }
 
     fn next_deadline(&self) -> Option<SimTime> {

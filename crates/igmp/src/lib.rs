@@ -25,9 +25,9 @@ pub use endpoint::{host, host_mut, with_host, Endpoint};
 pub use host::{HostNode, Received};
 pub use population::{Churn, PopulationNode};
 
-use netsim::{Duration, SimTime};
+use netsim::{Deadlines, Duration, SimTime};
 use rand::Rng;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use wire::igmp::{HostQuery, HostReport, RpMapping};
 use wire::{Addr, Group, Message};
 
@@ -74,8 +74,10 @@ pub enum HostOutput {
 #[derive(Debug)]
 pub struct Host {
     /// Joined groups → pending randomized report time, if a query is
-    /// outstanding.
-    joined: HashMap<Group, Option<SimTime>>,
+    /// outstanding. Ordered: a query draws one random delay per group and
+    /// a tick sends the matured reports in this map's order, so the order
+    /// reaches the wire.
+    joined: BTreeMap<Group, Option<SimTime>>,
     /// G → RPs mappings this host advertises (the paper's host RP-mapping
     /// message).
     rp_mappings: HashMap<Group, Vec<Addr>>,
@@ -86,7 +88,7 @@ impl Host {
     /// the querier's messages; `_cfg` is accepted for symmetry.)
     pub fn new(_cfg: Config) -> Host {
         Host {
-            joined: HashMap::new(),
+            joined: BTreeMap::new(),
             rp_mappings: HashMap::new(),
         }
     }
@@ -225,8 +227,12 @@ pub struct Querier {
     /// When the current other-querier claim lapses.
     other_querier_until: Option<SimTime>,
     next_query: SimTime,
-    /// Live groups → membership expiry.
-    members: HashMap<Group, SimTime>,
+    /// Live groups → membership expiry. Ordered: simultaneous expiries
+    /// are surfaced, and acted on by the routing protocol, in this order.
+    members: BTreeMap<Group, SimTime>,
+    /// Every membership expiry in `members`, kept current where one is
+    /// written; with the role deadline, its front is the next wakeup.
+    member_timers: Deadlines,
 }
 
 impl Querier {
@@ -239,7 +245,8 @@ impl Querier {
             is_querier: true,
             other_querier_until: None,
             next_query: SimTime::ZERO,
-            members: HashMap::new(),
+            members: BTreeMap::new(),
+            member_timers: Deadlines::new(),
         }
     }
 
@@ -274,10 +281,9 @@ impl Querier {
                 // A lapsed entry that merely hasn't been swept by tick()
                 // yet counts as a fresh join, so the routing protocol is
                 // re-notified.
-                let was_live = self
-                    .members
-                    .insert(*group, expiry)
-                    .is_some_and(|old| now < old);
+                let before = self.members.insert(*group, expiry);
+                self.member_timers.rearm(before, Some(expiry));
+                let was_live = before.is_some_and(|old| now < old);
                 if was_live {
                     Vec::new()
                 } else {
@@ -291,16 +297,35 @@ impl Querier {
         }
     }
 
-    /// When this querier next needs a `tick` call: the next scheduled query
-    /// (or querier-role reclaim when standing down), or the earliest
-    /// membership expiry.
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        let role = if self.is_querier {
+    /// The next scheduled query, or the querier-role reclaim when standing
+    /// down.
+    fn role_deadline(&self) -> Option<SimTime> {
+        if self.is_querier {
             Some(self.next_query)
         } else {
             self.other_querier_until
-        };
-        netsim::earliest(role, self.members.values().copied().min())
+        }
+    }
+
+    /// When this querier next needs a `tick` call: the role deadline or
+    /// the earliest membership expiry — a read of the expiry index,
+    /// checked against the walk over `members` in debug builds.
+    pub fn next_deadline(&self) -> Option<SimTime> {
+        let next = netsim::earliest(self.role_deadline(), self.member_timers.first());
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            next,
+            self.scan_deadline(),
+            "a membership expiry was written past the deadline index"
+        );
+        next
+    }
+
+    /// The earliest pending timer, found by walking all of them: the
+    /// reference the index is checked against.
+    #[cfg(any(test, debug_assertions))]
+    fn scan_deadline(&self) -> Option<SimTime> {
+        netsim::earliest(self.role_deadline(), self.members.values().copied().min())
     }
 
     /// Periodic maintenance: query on schedule (if querier), reclaim the
@@ -322,15 +347,15 @@ impl Querier {
             });
             self.next_query = now + self.cfg.query_interval;
         }
-        let expired: Vec<Group> = self
-            .members
-            .iter()
-            .filter(|(_, &at)| now >= at)
-            .map(|(&g, _)| g)
-            .collect();
-        for g in expired {
-            self.members.remove(&g);
-            out.push(QuerierOutput::MemberExpired(g));
+        if self.member_timers.due(now) {
+            self.members.retain(|&g, &mut at| {
+                let live = now < at;
+                if !live {
+                    self.member_timers.disarm(at);
+                    out.push(QuerierOutput::MemberExpired(g));
+                }
+                live
+            });
         }
         out
     }
@@ -577,5 +602,53 @@ mod tests {
             assert!(!out.contains(&QuerierOutput::MemberExpired(g(3))));
         }
         assert!(q.has_member(g(3)));
+    }
+
+    proptest::proptest! {
+        /// Whatever arrives, in whatever order, the querier's deadline
+        /// read off the expiry index is the one a walk over its members
+        /// finds — and the index holds exactly the live expiries, so an
+        /// expired member leaves nothing behind — and simultaneous
+        /// expiries surface in group order. Spelled out here because
+        /// `next_deadline`'s own check is compiled out of release-profile
+        /// test runs.
+        #[test]
+        fn indexed_deadline_is_the_scanned_deadline(
+            steps in proptest::prop::collection::vec((0u8..6, 0u32..4, 0usize..6), 1..80),
+        ) {
+            let mut q = Querier::new(Addr::new(10, 0, 0, 5), Config::default());
+            let mut now = 0;
+            for (op, k, dt) in steps {
+                now += [0, 1, 10, 125, 280, 300][dt];
+                let at = SimTime(now);
+                match op {
+                    0 | 1 => {
+                        let report = Message::HostReport(HostReport { group: g(k) });
+                        q.on_message(at, Addr::new(10, 0, 0, 20), &report);
+                    }
+                    2 => {
+                        // A query from a lower (k = 0) or a higher address.
+                        let from = Addr::new(10, 0, 0, [1, 9, 9, 9][k as usize]);
+                        let query = Message::HostQuery(HostQuery { max_resp_time: 10 });
+                        q.on_message(at, from, &query);
+                    }
+                    _ => {
+                        let expired: Vec<Group> = q
+                            .tick(at)
+                            .into_iter()
+                            .filter_map(|o| match o {
+                                QuerierOutput::MemberExpired(g) => Some(g),
+                                _ => None,
+                            })
+                            .collect();
+                        assert!(expired.windows(2).all(|w| w[0] < w[1]), "{expired:?}");
+                    }
+                }
+                assert_eq!(q.next_deadline(), q.scan_deadline(), "after op {op} at {now}");
+                let mut walked: Vec<SimTime> = q.members.values().copied().collect();
+                walked.sort();
+                assert_eq!(q.member_timers.as_slice(), walked, "after op {op} at {now}");
+            }
+        }
     }
 }

@@ -23,6 +23,7 @@
 
 pub mod build;
 pub mod counters;
+pub mod iface_set;
 pub mod partition;
 pub mod profile;
 pub mod time;
@@ -31,8 +32,9 @@ pub mod world;
 
 pub use build::{host_addr, node_of_addr, router_addr, Topology};
 pub use counters::{Counters, CtrlProto, LinkStats, PacketClass};
+pub use iface_set::{IfaceSet, TooWide};
 pub use profile::{RegionProfile, SimProfile};
-pub use time::{earliest, Duration, SimTime};
+pub use time::{earliest, Deadlines, Duration, SimTime};
 pub use world::{
     CaptureRecord, ChannelModel, Ctx, IfaceId, Link, LinkCapacity, LinkId, LinkKind, Node, NodeIdx,
     TimerId, World,

@@ -66,6 +66,104 @@ pub fn earliest(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
     }
 }
 
+/// An ordered multiset of armed deadlines: what a protocol engine keeps so
+/// that "when is my next timer?" is a read, not a walk over its state.
+///
+/// The engine [`arm`](Deadlines::arm)s a deadline where it writes a timer
+/// field, [`disarm`](Deadlines::disarm)s it where the field is cleared or
+/// its owner dropped, and [`rearm`](Deadlines::rearm)s it where the field
+/// moves; [`first`](Deadlines::first) is then the earliest armed timer
+/// after any mutation. The set is keyless — it knows instants, not owners —
+/// so two timers at one instant are two elements, and a sweep still finds
+/// the matured owners itself once [`due`](Deadlines::due) says one exists.
+///
+/// A sorted `Vec`: a router arms tens of deadlines, not thousands, a
+/// refresh moves one a few places, and nothing allocates once the vector
+/// has reached its working size.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Deadlines {
+    /// Ascending.
+    armed: Vec<SimTime>,
+}
+
+impl Deadlines {
+    /// No deadline armed.
+    pub const fn new() -> Deadlines {
+        Deadlines { armed: Vec::new() }
+    }
+
+    /// Arm a deadline at `at`.
+    pub fn arm(&mut self, at: SimTime) {
+        let i = self.armed.partition_point(|&t| t <= at);
+        self.armed.insert(i, at);
+    }
+
+    /// Disarm one deadline armed at `at`.
+    pub fn disarm(&mut self, at: SimTime) {
+        match self.armed.binary_search(&at) {
+            Ok(i) => {
+                self.armed.remove(i);
+            }
+            Err(_) => debug_assert!(false, "disarming {at}, which was never armed"),
+        }
+    }
+
+    /// Disarm one deadline at each of `at`: their owner is being dropped.
+    pub fn disarm_all(&mut self, at: impl IntoIterator<Item = SimTime>) {
+        for t in at {
+            self.disarm(t);
+        }
+    }
+
+    /// A timer field changed from `old` to `new` (`None`: not armed).
+    pub fn rearm(&mut self, old: Option<SimTime>, new: Option<SimTime>) {
+        match (old, new) {
+            (Some(old), Some(new)) if old == new => {}
+            (Some(old), Some(new)) => {
+                let Ok(from) = self.armed.binary_search(&old) else {
+                    debug_assert!(false, "rearming {old}, which was never armed");
+                    return self.arm(new);
+                };
+                // One rotation over the span between the two positions —
+                // found by searching only the side `new` lies on — instead
+                // of a remove and an insert over the whole tail.
+                if new > old {
+                    let to = from + 1 + self.armed[from + 1..].partition_point(|&t| t <= new);
+                    self.armed[from..to].rotate_left(1);
+                    self.armed[to - 1] = new;
+                } else {
+                    let to = self.armed[..from].partition_point(|&t| t <= new);
+                    self.armed[to..=from].rotate_right(1);
+                    self.armed[to] = new;
+                }
+            }
+            (Some(old), None) => self.disarm(old),
+            (None, Some(new)) => self.arm(new),
+            (None, None) => {}
+        }
+    }
+
+    /// The earliest armed deadline.
+    pub fn first(&self) -> Option<SimTime> {
+        self.armed.first().copied()
+    }
+
+    /// Has an armed deadline matured at `now`?
+    pub fn due(&self, now: SimTime) -> bool {
+        self.armed.first().is_some_and(|&t| now >= t)
+    }
+
+    /// Disarm everything.
+    pub fn clear(&mut self) {
+        self.armed.clear();
+    }
+
+    /// Every armed deadline, ascending.
+    pub fn as_slice(&self) -> &[SimTime] {
+        &self.armed
+    }
+}
+
 impl Add<Duration> for SimTime {
     type Output = SimTime;
     fn add(self, d: Duration) -> SimTime {
@@ -135,6 +233,54 @@ mod tests {
             earliest(Some(SimTime(9)), Some(SimTime(4))),
             Some(SimTime(4))
         );
+    }
+
+    #[test]
+    fn deadlines_are_an_ordered_multiset() {
+        let mut d = Deadlines::new();
+        assert_eq!(d.first(), None);
+        assert!(!d.due(SimTime(u64::MAX)));
+        for t in [30, 10, 20, 10] {
+            d.arm(SimTime(t));
+        }
+        assert_eq!(d.as_slice(), [10, 10, 20, 30].map(SimTime));
+        assert_eq!(d.first(), Some(SimTime(10)));
+        assert!(d.due(SimTime(10)) && !d.due(SimTime(9)));
+        // One of two equal deadlines goes; the other still holds the front.
+        d.disarm(SimTime(10));
+        assert_eq!(d.as_slice(), [10, 20, 30].map(SimTime));
+        d.rearm(Some(SimTime(10)), Some(SimTime(25)));
+        assert_eq!(d.as_slice(), [20, 25, 30].map(SimTime));
+        d.rearm(Some(SimTime(30)), Some(SimTime(5)));
+        assert_eq!(d.as_slice(), [5, 20, 25].map(SimTime));
+        d.rearm(Some(SimTime(20)), Some(SimTime(20)));
+        d.rearm(None, Some(SimTime(40)));
+        d.rearm(Some(SimTime(5)), None);
+        d.rearm(None, None);
+        assert_eq!(d.as_slice(), [20, 25, 40].map(SimTime));
+        d.clear();
+        assert_eq!(d.first(), None);
+    }
+
+    /// `rearm`'s rotation against the remove-then-insert it stands for,
+    /// over every pair of positions in a set with repeated instants.
+    #[test]
+    fn rearm_is_disarm_then_arm() {
+        let base = [3, 3, 5, 8, 8, 8, 13].map(SimTime);
+        for &old in &base {
+            for new in (0..16).map(SimTime) {
+                let mut rotated = Deadlines::new();
+                let mut plain = Deadlines::new();
+                for &t in &base {
+                    rotated.arm(t);
+                    plain.arm(t);
+                }
+                rotated.rearm(Some(old), Some(new));
+                plain.disarm(old);
+                plain.arm(new);
+                assert_eq!(rotated, plain, "{old} -> {new}");
+            }
+        }
     }
 
     #[test]

@@ -19,9 +19,8 @@
 #![warn(missing_docs)]
 
 use igmp::{Querier, QuerierOutput};
-use netsim::{earliest, Ctx, Duration, IfaceId, Node, SimTime, TimerId};
+use netsim::{earliest, Ctx, Duration, IfaceId, IfaceSet, Node, SimTime, TimerId};
 use std::any::Any;
-use std::cell::Cell;
 use telemetry::{message_kind, Event, StateDump, Telem};
 use unicast::Rib;
 use wire::ip::{Header, Protocol};
@@ -30,14 +29,20 @@ use wire::{Addr, Group, Message};
 /// Timer token for the single deadline wakeup.
 const TOKEN_WAKE: u64 = 1;
 
+/// TTL stamped on multicast data a router originates itself (a payload it
+/// decapsulated from a Register). Hosts originate with the same value.
+const DATA_TTL: u8 = 32;
+
 /// An IO action requested by a [`ProtocolEngine`]. The node owns all
 /// serialization and transmission.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Action {
-    /// Send a control message out `iface`.
+    /// Send one control message out of every interface in `ifaces`, in
+    /// ascending order. The node encodes it once and hands each interface
+    /// the same packet.
     Control {
-        /// Interface to transmit on.
-        iface: IfaceId,
+        /// Interfaces to transmit on.
+        ifaces: IfaceSet,
         /// Destination address for the network header.
         dst: Addr,
         /// Network TTL (1 for link-local chatter, larger for unicast
@@ -46,9 +51,12 @@ pub enum Action {
         /// The message.
         msg: Message,
     },
-    /// Forward the multicast data packet being handled out a set of
-    /// interfaces. The node already holds its payload; only valid in
-    /// answer to [`ProtocolEngine::on_multicast_data`].
+    /// Forward the multicast data packet being handled out of each
+    /// listed interface, in list order. The node already holds its
+    /// payload and stamps the decremented arrival TTL; only meaningful in
+    /// answer to [`ProtocolEngine::on_multicast_data`] (anywhere else
+    /// there is no packet to forward: the node drops the action and
+    /// counts it in [`ProtocolNode::stray_forwards`]).
     Forward {
         /// Interfaces to transmit on.
         ifaces: Vec<IfaceId>,
@@ -56,13 +64,11 @@ pub enum Action {
         source: Addr,
         /// Destination group.
         group: Group,
-        /// TTL to stamp on the forwarded copies (the decremented arrival
-        /// TTL).
-        ttl: u8,
     },
     /// Forward multicast data the engine unwrapped itself (a Register
-    /// decapsulated at the RP or core): the one case where the payload
-    /// is not the packet in hand and has to travel with the action.
+    /// decapsulated at the RP or core), with a fresh origination TTL:
+    /// the one case where the payload is not the packet in hand and has
+    /// to travel with the action.
     ForwardDecapsulated {
         /// Interfaces to transmit on.
         ifaces: Vec<IfaceId>,
@@ -70,8 +76,6 @@ pub enum Action {
         source: Addr,
         /// Destination group.
         group: Group,
-        /// Fresh origination TTL.
-        ttl: u8,
         /// The decapsulated data payload.
         payload: Vec<u8>,
     },
@@ -79,6 +83,18 @@ pub enum Action {
     /// Register addressed to some other router): forward the original
     /// packet by the unicast routing table.
     RelayUnicast,
+}
+
+impl Action {
+    /// [`Action::Control`] out of the one interface `iface`.
+    pub fn control(iface: IfaceId, dst: Addr, ttl: u8, msg: Message) -> Action {
+        Action::Control {
+            ifaces: iface.into(),
+            dst,
+            ttl,
+            msg,
+        }
+    }
 }
 
 /// What a multicast routing protocol must expose for [`ProtocolNode`] to
@@ -108,8 +124,7 @@ pub trait ProtocolEngine: StateDump + Send {
         rib: &dyn Rib,
     ) -> Vec<Action>;
 
-    /// A multicast data packet arrived on `iface`. `ttl` is the already
-    /// decremented TTL to stamp on forwarded copies; `from_host_lan` is
+    /// A multicast data packet arrived on `iface`. `from_host_lan` is
     /// true when the arrival interface is a directly attached host
     /// subnetwork (the DR origination path for protocols that distinguish
     /// it).
@@ -120,7 +135,6 @@ pub trait ProtocolEngine: StateDump + Send {
         iface: IfaceId,
         source: Addr,
         group: Group,
-        ttl: u8,
         payload: &[u8],
         from_host_lan: bool,
         rib: &dyn Rib,
@@ -177,41 +191,15 @@ pub trait ProtocolEngine: StateDump + Send {
     fn tick(&mut self, now: SimTime, rib: &dyn Rib) -> Vec<Action>;
 
     /// The absolute time of the engine's next pending timer; `None` when
-    /// fully quiescent.
+    /// fully quiescent. The node asks after every packet and every
+    /// wakeup, so engines answer from a [`netsim::Deadlines`] index they
+    /// keep current where they write a timer — a read, never a walk.
     fn next_deadline(&self) -> Option<SimTime>;
 
     /// Attach a structured-event handle ([`telemetry::Telem`]). Engines
     /// emit entry-lifecycle and election events through it; the default
     /// no-op suits engines with nothing protocol-specific to report.
     fn set_telemetry(&mut self, _telem: Telem) {}
-}
-
-/// An engine's memoized [`ProtocolEngine::next_deadline`]. The adapter
-/// asks for the deadline after every packet; an engine whose data path
-/// moves no timer keeps the answer here and rescans only after
-/// [`DeadlineMemo::clear`], which every `&mut` entry point that can arm,
-/// move or clear a timer must call first thing. The scan stays the one
-/// definition of the deadline: debug builds re-run it on every read and
-/// compare.
-#[derive(Debug, Default)]
-pub struct DeadlineMemo(Cell<Option<Option<SimTime>>>);
-
-impl DeadlineMemo {
-    /// The memoized deadline, running `scan` if it was cleared.
-    pub fn get_or(&self, scan: impl Fn() -> Option<SimTime>) -> Option<SimTime> {
-        let memo = self.0.get().unwrap_or_else(|| {
-            let scanned = scan();
-            self.0.set(Some(scanned));
-            scanned
-        });
-        debug_assert_eq!(memo, scan(), "a timer moved and nothing cleared the memo");
-        memo
-    }
-
-    /// Forget the deadline: a timer may be about to move.
-    pub fn clear(&self) {
-        self.0.set(None);
-    }
 }
 
 /// A router node: one [`ProtocolEngine`] + one interchangeable unicast
@@ -233,8 +221,16 @@ pub struct ProtocolNode<P: ProtocolEngine> {
     /// (truncated frames, checksum mismatches, unknown types…). Zero on a
     /// clean channel; nonzero only under channel corruption.
     pub malformed_drops: u64,
+    /// Count of [`Action::Forward`]s the engine issued with no data
+    /// packet in hand. An engine bug, not a channel effect: zero in every
+    /// run, and each one is dropped and reported on stderr with this
+    /// router's address and the tick rather than panicking the run.
+    pub stray_forwards: u64,
     /// The single armed wakeup, if any: (fire time, timer handle).
     wakeup: Option<(SimTime, TimerId)>,
+    /// Where outgoing control packets are written before they move to
+    /// their shared buffer; kept for its capacity.
+    image: Vec<u8>,
     /// Structured-event handle (disabled unless a sink is attached).
     telem: Telem,
 }
@@ -250,7 +246,9 @@ impl<P: ProtocolEngine> ProtocolNode<P> {
             data_forwards: 0,
             control_msgs: 0,
             malformed_drops: 0,
+            stray_forwards: 0,
             wakeup: None,
+            image: Vec::new(),
             telem: Telem::disabled(),
         }
     }
@@ -274,6 +272,8 @@ impl<P: ProtocolEngine> ProtocolNode<P> {
     /// there, attached `hosts` are registered as potential sources, and
     /// the unicast engine originates reachability for them.
     pub fn attach_host_lan(&mut self, iface: IfaceId, hosts: &[Addr]) {
+        IfaceSet::check_width(iface.index() + 1)
+            .unwrap_or_else(|e| panic!("router {}: {e}", self.engine.addr()));
         let grow = self.engine.host_lan_attached(iface);
         for _ in 0..grow {
             self.unicast.grow_iface(1);
@@ -310,25 +310,31 @@ impl<P: ProtocolEngine> ProtocolNode<P> {
         self.engine.addr()
     }
 
+    /// Send one control message out of `ifaces`, ascending. The packet is
+    /// built once; each interface gets a reference to the same buffer and
+    /// its own `CtrlSend` mark.
     fn send_control(
         &mut self,
         ctx: &mut Ctx<'_>,
-        iface: IfaceId,
+        ifaces: IfaceSet,
         dst: Addr,
         ttl: u8,
         msg: &Message,
     ) {
-        self.telem.emit(ctx.now().ticks(), || Event::CtrlSend {
-            kind: message_kind(msg),
-            dst,
-        });
         let header = Header {
             proto: Protocol::Igmp,
             ttl,
             src: self.engine.addr(),
             dst,
         };
-        ctx.send(iface, header.encap_shared(&msg.encode()));
+        let pkt = header.encap_message_shared(msg, &mut self.image);
+        for i in ifaces.iter() {
+            self.telem.emit(ctx.now().ticks(), || Event::CtrlSend {
+                kind: message_kind(msg),
+                dst,
+            });
+            ctx.send(i, pkt.clone());
+        }
     }
 
     fn is_host_lan(&self, iface: IfaceId) -> bool {
@@ -369,41 +375,48 @@ impl<P: ProtocolEngine> ProtocolNode<P> {
 
     /// Carry out engine actions; returns true if the engine asked for the
     /// current packet to be relayed as unicast. `data` is the payload of
-    /// the multicast data packet being handled, when there is one.
+    /// the multicast data packet being handled and the TTL its forwarded
+    /// copies carry, when there is one.
     fn handle_actions(
         &mut self,
         ctx: &mut Ctx<'_>,
         actions: Vec<Action>,
-        data: Option<&[u8]>,
+        data: Option<(&[u8], u8)>,
     ) -> bool {
         let mut relay = false;
         for a in actions {
             match a {
                 Action::Control {
-                    iface,
+                    ifaces,
                     dst,
                     ttl,
                     msg,
                 } => {
-                    self.send_control(ctx, iface, dst, ttl, &msg);
+                    self.send_control(ctx, ifaces, dst, ttl, &msg);
                 }
                 Action::Forward {
                     ifaces,
                     source,
                     group,
-                    ttl,
-                } => {
-                    let payload = data.expect("Forward answers on_multicast_data only");
-                    self.fan_out(ctx, &ifaces, source, group, ttl, payload);
-                }
+                } => match data {
+                    Some((payload, ttl)) => self.fan_out(ctx, &ifaces, source, group, ttl, payload),
+                    None => {
+                        self.stray_forwards += 1;
+                        eprintln!(
+                            "router {} at {}: engine asked to forward ({source}, {group}) \
+                             with no data packet in hand; dropped",
+                            self.engine.addr(),
+                            ctx.now()
+                        );
+                    }
+                },
                 Action::ForwardDecapsulated {
                     ifaces,
                     source,
                     group,
-                    ttl,
                     payload,
                 } => {
-                    self.fan_out(ctx, &ifaces, source, group, ttl, &payload);
+                    self.fan_out(ctx, &ifaces, source, group, DATA_TTL, &payload);
                 }
                 Action::RelayUnicast => relay = true,
             }
@@ -416,7 +429,7 @@ impl<P: ProtocolEngine> ProtocolNode<P> {
         for o in outputs {
             match o {
                 unicast::Output::Send { iface, dst, msg } => {
-                    self.send_control(ctx, iface, dst, 1, &msg);
+                    self.send_control(ctx, iface.into(), dst, 1, &msg);
                 }
                 unicast::Output::RouteChanged { dst } => {
                     self.telem.emit(now.ticks(), || Event::RouteChanged { dst });
@@ -437,7 +450,7 @@ impl<P: ProtocolEngine> ProtocolNode<P> {
         for o in outputs {
             match o {
                 QuerierOutput::Send { dst, msg } => {
-                    self.send_control(ctx, iface, dst, 1, &msg);
+                    self.send_control(ctx, iface.into(), dst, 1, &msg);
                 }
                 QuerierOutput::MemberJoined(group) => {
                     self.telem
@@ -585,12 +598,11 @@ impl<P: ProtocolEngine> ProtocolNode<P> {
                 iface,
                 header.src,
                 group,
-                fwd.ttl,
                 payload,
                 from_host_lan,
                 self.unicast.as_ref(),
             );
-            self.handle_actions(ctx, acts, Some(payload));
+            self.handle_actions(ctx, acts, Some((payload, fwd.ttl)));
         } else if header.dst != self.engine.addr() && self.engine.relays_unicast() {
             self.forward_unicast(ctx, header, payload);
         }
@@ -691,7 +703,9 @@ mod tests {
     use unicast::OracleRib;
 
     /// Forwards every multicast data packet out of every interface but
-    /// the one it arrived on; no control plane, no timers.
+    /// the one it arrived on; no timers, and a control plane with a bug:
+    /// it answers every control message with a `Forward`, though there
+    /// is no data packet in hand to forward.
     struct Flood {
         addr: Addr,
         ifaces: u32,
@@ -710,13 +724,17 @@ mod tests {
         fn on_control(
             &mut self,
             _: SimTime,
-            _: IfaceId,
-            _: Addr,
+            iface: IfaceId,
+            src: Addr,
             _: Addr,
             _: &Message,
             _: &dyn Rib,
         ) -> Vec<Action> {
-            Vec::new()
+            vec![Action::Forward {
+                ifaces: vec![iface],
+                source: src,
+                group: Group::test(1),
+            }]
         }
         fn on_multicast_data(
             &mut self,
@@ -724,7 +742,6 @@ mod tests {
             iface: IfaceId,
             source: Addr,
             group: Group,
-            ttl: u8,
             _payload: &[u8],
             _from_host_lan: bool,
             _rib: &dyn Rib,
@@ -736,7 +753,6 @@ mod tests {
                     .collect(),
                 source,
                 group,
-                ttl,
             }]
         }
         fn local_member_joined(
@@ -828,5 +844,36 @@ mod tests {
         assert!(copies.iter().all(|(_, bytes)| *bytes == forwarded));
         assert!(copies.iter().all(|(at, _)| *at == copies[0].0));
         assert_eq!(world.node::<ProtocolNode<Flood>>(router).data_forwards, 3);
+    }
+
+    /// An engine that asks to forward when no data packet is being
+    /// handled costs the run one counted drop, not a panic.
+    #[test]
+    fn a_forward_with_no_packet_in_hand_is_counted_and_dropped() {
+        let addr = Addr::new(10, 0, 0, 1);
+        let mut world = World::new(3);
+        let router = world.add_node(Box::new(ProtocolNode::new(
+            Flood { addr, ifaces: 1 },
+            Box::new(OracleRib::empty(addr)),
+        )));
+        let tap = world.add_node(Box::<Tap>::default());
+        world.add_p2p(router, tap, Duration(2));
+        let header = Header {
+            proto: Protocol::Igmp,
+            ttl: 1,
+            src: Addr::new(10, 0, 9, 1),
+            dst: Addr::ALL_PIM_ROUTERS,
+        };
+        let query = Message::PimQuery(wire::pim::Query { holdtime: 105 });
+        let sent = header.encap(&query.encode());
+        world.at(SimTime(1), move |w| {
+            w.call_node(tap, |_, ctx| ctx.send(IfaceId(0), sent));
+        });
+        world.run_until(SimTime(10));
+
+        let node = world.node::<ProtocolNode<Flood>>(router);
+        assert_eq!((node.control_msgs, node.stray_forwards), (1, 1));
+        assert_eq!(node.data_forwards, 0);
+        assert!(world.node::<Tap>(tap).seen.is_empty());
     }
 }

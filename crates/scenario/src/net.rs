@@ -10,7 +10,9 @@ use dvmrp::{DvmrpConfig, DvmrpEngine, DvmrpRouter};
 use graph::{Graph, NodeId};
 use igmp::{Endpoint, HostNode, PopulationNode};
 use netsim::build::NodePlan;
-use netsim::{host_addr, router_addr, Duration, IfaceId, Node, NodeIdx, SimTime, Topology, World};
+use netsim::{
+    host_addr, router_addr, Duration, IfaceId, IfaceSet, Node, NodeIdx, SimTime, Topology, World,
+};
 use pim::{Engine, PimConfig, PimRouter};
 use telemetry::SharedSink;
 use unicast::dv::{DvConfig, DvEngine};
@@ -216,6 +218,15 @@ impl NetSpec<'_> {
         let &(group, ref rdv) = self.groups.first().expect("a network needs a group");
         let rendezvous = rdv[0];
         let topo = Topology::from_graph(g);
+        // A control message names its egress as an `IfaceSet`: refuse a
+        // router too wide for one here, by name, not at its first send.
+        let mut widths: Vec<usize> = topo.plans().iter().map(|p| p.ifaces.len()).collect();
+        for n in host_routers {
+            widths[n.index()] += 1;
+        }
+        for (plan, &width) in topo.plans().iter().zip(&widths) {
+            IfaceSet::check_width(width).unwrap_or_else(|e| panic!("router {}: {e}", plan.addr));
+        }
 
         // One unicast engine per plan, in plan order. The oracle's tables
         // (one shortest-path run per router) are the expensive part of
@@ -441,5 +452,44 @@ impl ScenarioNet {
             Protocol::Dvmrp => self.world.node::<DvmrpRouter>(idx).state_dump(now),
             Protocol::Cbt => self.world.node::<CbtRouter>(idx).state_dump(now),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A star whose hub has `spokes` router links.
+    fn star(spokes: usize) -> Graph {
+        let mut g = Graph::with_nodes(spokes + 1);
+        for k in 1..=spokes {
+            g.add_edge(NodeId(0), NodeId(k as u32), 1);
+        }
+        g
+    }
+
+    fn build(g: &Graph, host_routers: &[NodeId]) -> ScenarioNet {
+        NetSpec {
+            protocol: Protocol::Cbt,
+            groups: &[(Group::test(1), vec![NodeId(1)])],
+            host_routers,
+            ..NetSpec::default()
+        }
+        .build(g)
+    }
+
+    /// 63 links and a host LAN fill the interface mask exactly.
+    #[test]
+    fn a_64_interface_router_builds() {
+        build(&star(63), &[NodeId(0)]);
+    }
+
+    /// One more is refused while the network is built, naming the router
+    /// — for every protocol, not only the one whose engine counts its
+    /// interfaces.
+    #[test]
+    #[should_panic(expected = "router 10.0.0.1: 65 interfaces do not fit an IfaceSet (64 at most)")]
+    fn a_wider_router_is_refused_by_name_at_build_time() {
+        build(&star(64), &[NodeId(0)]);
     }
 }

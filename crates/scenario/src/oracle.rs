@@ -237,7 +237,7 @@ pub fn check_loop_freedom(net: &ScenarioNet) -> Vec<Violation> {
                     return None;
                 }
                 let e = net.world.node::<CbtRouter>(NodeIdx(n)).engine();
-                e.tree(net.group)?.parent.map(|(_, a)| a)
+                e.tree(net.group)?.parent().map(|(_, a)| a)
             };
             for &n in &up {
                 walk_chain(
@@ -314,7 +314,7 @@ pub fn check_no_orphans(net: &ScenarioNet) -> Vec<Violation> {
                         out.push(violation(
                             "no-orphans",
                             n,
-                            format!("(*,{group:?}) survives teardown: {:?}", star.oifs.keys()),
+                            format!("(*,{group:?}) survives teardown: {:?}", star.oifs().keys()),
                         ));
                     }
                     for &s in gs.sources.keys() {
@@ -341,8 +341,8 @@ pub fn check_no_orphans(net: &ScenarioNet) -> Vec<Violation> {
                 let e = net.world.node::<CbtRouter>(NodeIdx(n)).engine();
                 for (g, t) in e.trees() {
                     let bare_core_anchor = t.core == my_addr
-                        && t.parent.is_none()
-                        && t.children.is_empty()
+                        && t.parent().is_none()
+                        && t.children().is_empty()
                         && t.member_ifaces.is_empty();
                     if !bare_core_anchor {
                         out.push(violation(
@@ -351,8 +351,8 @@ pub fn check_no_orphans(net: &ScenarioNet) -> Vec<Violation> {
                             format!(
                                 "tree for {g:?} survives teardown (parent {:?}, \
                                  {} children, {} member ifaces)",
-                                t.parent,
-                                t.children.len(),
+                                t.parent(),
+                                t.children().len(),
                                 t.member_ifaces.len()
                             ),
                         ));
@@ -383,10 +383,10 @@ pub fn check_cbt_ack_ledger(net: &ScenarioNet) -> Vec<Violation> {
         let e = net.world.node::<CbtRouter>(NodeIdx(n)).engine();
         let my_addr = e.addr();
         for (group, tree) in e.trees() {
-            if !tree.on_tree || e.join_pending(group) {
+            if !tree.on_tree() || e.join_pending(group) {
                 continue;
             }
-            let Some((p_iface, p_addr)) = tree.parent else {
+            let Some((p_iface, p_addr)) = tree.parent() else {
                 continue; // the core: no parent by definition
             };
             let Some(peer) = net.peers[n].iter().find(|p| p.iface == p_iface) else {
@@ -419,7 +419,7 @@ pub fn check_cbt_ack_ledger(net: &ScenarioNet) -> Vec<Violation> {
             let pe = net.world.node::<CbtRouter>(NodeIdx(pn)).engine();
             let ledger_ok = pe
                 .tree(group)
-                .is_some_and(|pt| pt.children.contains_key(&(back.iface, my_addr)));
+                .is_some_and(|pt| pt.children().contains_key(&(back.iface, my_addr)));
             if !ledger_ok {
                 out.push(violation(
                     "cbt-ack-ledger",

@@ -282,6 +282,9 @@ impl Engine for DvEngine {
         for dst in to_delete {
             self.table.remove(&dst);
         }
+        // `table` is hashed; the notifications below reach telemetry and
+        // trigger joins, so they go out in address order.
+        changed.sort_unstable();
         let mut out: Vec<Output> = changed
             .iter()
             .map(|&dst| Output::RouteChanged { dst })

@@ -278,6 +278,9 @@ impl LsEngine {
             }
         }
         self.table = new_table;
+        // Both tables are hashed; the notifications reach telemetry and
+        // trigger joins, so they go out in address order.
+        changed.sort_unstable();
         changed
             .into_iter()
             .map(|dst| Output::RouteChanged { dst })

@@ -20,7 +20,7 @@
 //! well-formed packet is detected. The checksum covers the header only
 //! (like real IPv4); IGMP-family payloads carry their own checksum.
 
-use crate::{checksum, Addr, DecodeError, Result};
+use crate::{checksum, Addr, DecodeError, Message, Result};
 use std::sync::Arc;
 
 /// Protocol numbers carried in the header's `proto` field.
@@ -115,6 +115,21 @@ impl Header {
         buf
     }
 
+    /// [`Header::encap_shared`] of a control message that has not been
+    /// encoded yet: the packet is written once into `image` — header
+    /// space, then the message encoded straight after it — and copied to
+    /// its shared buffer, the hop's one allocation. `image` is the
+    /// caller's scratch space; it is overwritten and keeps its capacity
+    /// from one message to the next.
+    pub fn encap_message_shared(&self, msg: &Message, image: &mut Vec<u8>) -> Arc<[u8]> {
+        image.clear();
+        image.resize(HEADER_LEN, 0);
+        msg.encode_into(image);
+        let header = self.encode(image.len());
+        image[..HEADER_LEN].copy_from_slice(&header);
+        Arc::from(&image[..])
+    }
+
     /// Decode a packet buffer into its header and payload slice.
     ///
     /// Verifies the version, the header checksum, and that the declared
@@ -190,6 +205,19 @@ mod tests {
             &h.encap_shared(b"hello group")[..],
             &h.encap(b"hello group")[..]
         );
+    }
+
+    #[test]
+    fn a_message_encoded_in_place_is_the_same_packet() {
+        let h = Header {
+            proto: Protocol::Igmp,
+            ..sample()
+        };
+        let msg = Message::PimQuery(crate::pim::Query { holdtime: 105 });
+        // Scratch space with an earlier, longer packet still in it.
+        let mut image = vec![0xEE; 64];
+        let pkt = h.encap_message_shared(&msg, &mut image);
+        assert_eq!(&pkt[..], &h.encap(&msg.encode())[..]);
     }
 
     #[test]

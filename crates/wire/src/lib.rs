@@ -254,8 +254,14 @@ pub(crate) struct Writer {
 }
 
 impl Writer {
+    #[cfg(test)]
     pub(crate) fn new() -> Self {
-        Writer { buf: Vec::new() }
+        Writer::appending_to(Vec::new())
+    }
+
+    /// A writer that appends to `buf` ([`Writer::finish`] hands it back).
+    pub(crate) fn appending_to(buf: Vec<u8>) -> Self {
+        Writer { buf }
     }
 
     pub(crate) fn u8(&mut self, v: u8) {

@@ -93,7 +93,17 @@ impl Message {
 
     /// Serialize this message, including the frame header and checksum.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// [`Message::encode`] appended to `buf`: the frame starts where
+    /// `buf` ended, so a packet image is written once, header space
+    /// first and the message straight after it.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        let start = buf.len();
+        let mut w = Writer::appending_to(std::mem::take(buf));
         w.u8(self.type_byte());
         w.u8(0); // reserved
         w.u16(0); // checksum placeholder
@@ -119,9 +129,8 @@ impl Message {
             Message::Lsa(m) => m.encode_body(&mut w),
             Message::Hello(m) => m.encode_body(&mut w),
         }
-        let mut buf = w.finish();
-        checksum::fill(&mut buf, 2);
-        buf
+        *buf = w.finish();
+        checksum::fill(&mut buf[start..], 2);
     }
 
     /// Parse a framed message, verifying its checksum.
@@ -277,6 +286,10 @@ mod tests {
             let buf = m.encode();
             assert!(checksum::verify(&buf), "{m:?}");
             assert_eq!(Message::decode(&buf).unwrap(), m);
+            // Appended after other bytes, the frame is the same frame.
+            let mut after = vec![0xA5; 3];
+            m.encode_into(&mut after);
+            assert_eq!(after[3..], buf[..], "{m:?}");
         }
     }
 }

@@ -170,7 +170,7 @@ fn main() {
             .expect("(*,G) at the upstream");
         println!(
             "t=600   r_up's (*,G) oifs: {:?} — ONE oif covers the whole LAN, however",
-            star.oifs.keys().collect::<Vec<_>>()
+            star.oifs().keys().collect::<Vec<_>>()
         );
         println!("        many routers joined through it.");
         let ra: &PimRouter = world.node(r_a);

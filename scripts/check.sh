@@ -17,8 +17,11 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo test -q"
 cargo test -q --offline
 
-echo "== memoized deadlines, release profile (next_deadline's debug_assert is compiled out there)"
-cargo test -q --offline --release -p pim -p cbt --lib memoized_deadline
+echo "== indexed deadlines vs the full scan, release profile (next_deadline's own check is compiled out there)"
+cargo test -q --offline --release -p pim -p cbt -p dvmrp -p igmp --lib indexed_deadline
+
+echo "== control-plane allocation budget, release profile (exact counts: 0 per Query delivery, constant per Query tick)"
+cargo test -q --offline --release -p node --test alloc_budget
 
 echo "== shortest-path kernel and oracle tables vs their references, release profile (the kernel's hot loop is where debug and release differ)"
 cargo test -q --offline --release -p graph --test proptest_algo

@@ -198,7 +198,7 @@ fn cbt_subtree_recovers_after_parent_failure() {
     let early: Vec<u64> = got.iter().copied().filter(|&s| s < 15).collect();
     assert_eq!(early, (0..15).collect::<Vec<u64>>(), "pre-failure stream");
     let r0: &CbtRouter = net.world.node(NodeIdx(0));
-    let on_tree = r0.engine().tree(group()).is_some_and(|t| t.on_tree);
+    let on_tree = r0.engine().tree(group()).is_some_and(|t| t.on_tree());
     assert!(
         !on_tree,
         "after losing its parent, the child must have detected the failure"

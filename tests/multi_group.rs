@@ -158,7 +158,7 @@ fn state_invariants_after_random_scenario() {
             if let Some(star) = &gs.star {
                 if let Some(iif) = star.iif {
                     assert!(
-                        !star.oifs.contains_key(&iif),
+                        !star.oifs().contains_key(&iif),
                         "router {i}: (*,G) iif in oifs"
                     );
                 }
@@ -169,9 +169,9 @@ fn state_invariants_after_random_scenario() {
                     // host-side iif only for local sources.
                     if !e.local_source {
                         assert!(
-                            !e.oifs.contains_key(&iif),
+                            !e.oifs().contains_key(&iif),
                             "router {i}: ({s},G) iif {iif:?} in oifs {:?}",
-                            e.oifs
+                            e.oifs()
                         );
                     }
                 }
@@ -181,7 +181,7 @@ fn state_invariants_after_random_scenario() {
                         "router {i}: negative cache without (*,G) (footnote 13)"
                     );
                 }
-                for (&oif, o) in &e.oifs {
+                for (&oif, o) in e.oifs() {
                     assert!(
                         (oif.index()) < r.engine().iface_count(),
                         "router {i}: oif {oif:?} out of range"
@@ -230,7 +230,7 @@ fn oif_kinds_behave() {
         .group_state(grp)
         .and_then(|gs| gs.star.as_ref())
         .expect("star survives under IGMP refresh");
-    let kinds: Vec<OifKind> = star.oifs.values().map(|o| o.kind).collect();
+    let kinds: Vec<OifKind> = star.oifs().values().map(|o| o.kind).collect();
     assert!(
         kinds.contains(&OifKind::LocalMembers),
         "the member subnetwork must be a LocalMembers oif"

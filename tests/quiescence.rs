@@ -130,11 +130,11 @@ fn joined_member_still_refreshes() {
 }
 
 /// A 1 KiB stream through a three-router chain (sender — r0 — r1 = RP —
-/// r2 — member) arms exactly the wakeups it armed before the engines
-/// memoized `next_deadline`: a forwarded data packet moves no timer, so
-/// nothing may be armed, fired or cancelled that was not before. The
-/// literals were read off the parent commit, where every packet
-/// rescanned every timer.
+/// r2 — member) arms exactly the wakeups it armed when every packet
+/// rescanned every timer (the literals were read off that commit): a
+/// forwarded data packet moves no timer, so reading `next_deadline` off
+/// the engines' deadline index may arm, fire or cancel nothing that the
+/// full walk did not.
 #[test]
 fn a_1k_stream_down_a_chain_arms_the_wakeups_it_always_did() {
     let mut g = graph::Graph::with_nodes(3);
