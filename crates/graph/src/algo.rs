@@ -10,60 +10,73 @@ use crate::{EdgeId, Graph, NodeId, Weight};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Result of a single-source shortest-path computation.
-#[derive(Clone, Debug)]
-pub struct ShortestPaths {
-    /// The source node.
-    pub source: NodeId,
-    /// `dist[v]` = shortest distance from the source to `v`, or `None` if
-    /// `v` is unreachable.
-    pub dist: Vec<Option<Weight>>,
-    /// `parent[v]` = the edge leading to `v` on a shortest path from the
-    /// source (`None` for the source itself and unreachable nodes).
-    pub parent: Vec<Option<EdgeId>>,
+/// One shortest-path tree — the only form one takes in this workspace —
+/// borrowed from the two rows that hold it: of an [`AllPairs`] forest
+/// ([`AllPairs::from`]) or of an owned [`ShortestPaths`].
+#[derive(Clone, Copy, Debug)]
+pub struct SpTree<'a> {
+    /// Distance per node, [`UNREACHED`] if none.
+    dist: &'a [Weight],
+    /// `parent node << 32 | edge` per node ([`SpKernel`]'s packing),
+    /// [`NO_PARENT`] at the source and at unreached nodes.
+    parent: &'a [u64],
 }
 
-impl ShortestPaths {
+impl<'a> SpTree<'a> {
     /// Distance from the source to `v`, if reachable.
     #[inline]
-    pub fn dist_to(&self, v: NodeId) -> Option<Weight> {
-        self.dist[v.index()]
+    pub fn dist_to(self, v: NodeId) -> Option<Weight> {
+        let d = self.dist[v.index()];
+        (d != UNREACHED).then_some(d)
     }
 
     /// The next node walking back from `v` toward the source, together with
     /// the edge used, or `None` at the source / for unreachable nodes.
-    pub fn parent_of(&self, g: &Graph, v: NodeId) -> Option<(NodeId, EdgeId)> {
-        let e = self.parent[v.index()]?;
-        Some((g.edge(e).other(v), e))
+    #[inline]
+    pub fn parent_of(self, v: NodeId) -> Option<(NodeId, EdgeId)> {
+        let p = self.parent[v.index()];
+        (p != NO_PARENT).then_some((NodeId((p >> 32) as u32), EdgeId(p as u32)))
+    }
+
+    /// `v`'s link to its parent, then its parent's, up to the source.
+    fn up(self, v: NodeId) -> impl Iterator<Item = (NodeId, EdgeId)> + 'a {
+        std::iter::successors(self.parent_of(v), move |&(p, _)| self.parent_of(p))
     }
 
     /// The full path (sequence of nodes, source first) from the source to
     /// `v`, or `None` if unreachable.
-    pub fn path_to(&self, g: &Graph, v: NodeId) -> Option<Vec<NodeId>> {
-        self.dist[v.index()]?;
+    pub fn path_to(self, v: NodeId) -> Option<Vec<NodeId>> {
+        self.dist_to(v)?;
         let mut path = vec![v];
-        let mut cur = v;
-        while let Some((p, _)) = self.parent_of(g, cur) {
-            path.push(p);
-            cur = p;
-        }
+        path.extend(self.up(v).map(|(p, _)| p));
         path.reverse();
-        debug_assert_eq!(path[0], self.source);
         Some(path)
     }
 
     /// The edges of the path from the source to `v`, or `None` if
     /// unreachable.
-    pub fn path_edges_to(&self, g: &Graph, v: NodeId) -> Option<Vec<EdgeId>> {
-        self.dist[v.index()]?;
-        let mut edges = Vec::new();
-        let mut cur = v;
-        while let Some((p, e)) = self.parent_of(g, cur) {
-            edges.push(e);
-            cur = p;
-        }
+    pub fn path_edges_to(self, v: NodeId) -> Option<Vec<EdgeId>> {
+        self.dist_to(v)?;
+        let mut edges: Vec<EdgeId> = self.up(v).map(|(_, e)| e).collect();
         edges.reverse();
         Some(edges)
+    }
+}
+
+/// What [`dijkstra`] returns: the owned rows of one [`SpTree`].
+#[derive(Clone, Debug)]
+pub struct ShortestPaths {
+    dist: Vec<Weight>,
+    parent: Vec<u64>,
+}
+
+impl ShortestPaths {
+    /// The tree, to be read through [`SpTree`]'s accessors.
+    pub fn tree(&self) -> SpTree<'_> {
+        SpTree {
+            dist: &self.dist,
+            parent: &self.parent,
+        }
     }
 }
 
@@ -74,6 +87,9 @@ const MAX_DIST: Weight = u32::MAX as Weight;
 /// `dist` value of a node no path has reached (also [`AllPairs`]'s
 /// matrix sentinel, so a kernel row copies straight into the matrix).
 const UNREACHED: Weight = Weight::MAX;
+
+/// Packed parent of a node that has none.
+const NO_PARENT: u64 = u64::MAX;
 
 /// One direction of an edge in the kernel's CSR adjacency.
 #[derive(Clone, Copy, Debug)]
@@ -237,21 +253,18 @@ impl SpKernel {
         })
     }
 
-    /// The last run as an owned [`ShortestPaths`].
-    pub fn shortest_paths(&self) -> ShortestPaths {
-        let mut parent = vec![None; self.dist.len()];
-        for s in self.settled() {
-            parent[s.node.index()] = Some(s.edge);
-        }
-        ShortestPaths {
-            source: self.source,
-            dist: self
-                .dist
-                .iter()
-                .map(|&d| (d != UNREACHED).then_some(d))
-                .collect(),
-            parent,
-        }
+    /// The last run's parent row as [`SpTree`] reads it: the workspace's
+    /// packing, with the slots no run writes marked [`NO_PARENT`].
+    fn parents(&self) -> impl Iterator<Item = u64> + '_ {
+        let source = self.source.index();
+        let row = self.parent.iter().zip(&self.dist).enumerate();
+        row.map(move |(v, (&p, &d))| {
+            if v == source || d == UNREACHED {
+                NO_PARENT
+            } else {
+                p
+            }
+        })
     }
 }
 
@@ -275,29 +288,31 @@ impl SpKernel {
 pub fn dijkstra(g: &Graph, source: NodeId) -> ShortestPaths {
     let mut kernel = SpKernel::new(g);
     kernel.run(source);
-    kernel.shortest_paths()
+    ShortestPaths {
+        parent: kernel.parents().collect(),
+        dist: kernel.dist,
+    }
 }
 
-/// All-pairs shortest paths, computed as one [`SpKernel`] run per node.
+/// All-pairs shortest paths, computed as one [`SpKernel`] run per node
+/// and kept as a flat forest: a tree is one row in each of two arrays.
 ///
 /// For the 50-node graphs of the Figure-2 study this costs ~50 kernel
-/// runs and is then reused across all 300 groups of the topology.
-///
-/// Distances additionally live in one flat `n × n` [`Weight`] matrix
-/// ([`Weight::MAX`] = unreachable): the Monte-Carlo hot paths
-/// (`spt_max_delay`, the optimal-core search) issue millions of distance
-/// queries per topology, and a contiguous row avoids both the
-/// double-indirection through `Vec<ShortestPaths>` and the per-query
-/// `Option` unwrapping of [`ShortestPaths::dist_to`].
+/// runs and is then reused across all 300 groups of the topology, whose
+/// hot paths (`spt_max_delay`, the flow counts, the optimal-core search)
+/// issue millions of distance and parent queries per topology: a row is
+/// contiguous, a query is one array read, and nothing is an `Option`.
 #[derive(Clone, Debug)]
 pub struct AllPairs {
-    /// `per_source[s]` = shortest paths from `s` (parent pointers for
-    /// tree construction; its `dist` field duplicates a matrix row).
-    pub per_source: Vec<ShortestPaths>,
-    /// Flat row-major distance matrix; `dist[a * n + b]`, `MAX` =
-    /// unreachable.
-    dist: Vec<Weight>,
     n: usize,
+    /// Row-major `n × n`; `dist[a * n + b]`, [`Weight::MAX`] = unreachable.
+    dist: Vec<Weight>,
+    /// Row-major `n × n`, as [`SpTree`] packs a parent.
+    parent: Vec<u64>,
+    /// Source `s`'s settle order is `order[order_start[s]..order_start[s + 1]]`
+    /// (a source that cannot reach every node has a shorter one).
+    order: Vec<u32>,
+    order_start: Vec<u32>,
 }
 
 impl AllPairs {
@@ -305,20 +320,21 @@ impl AllPairs {
     pub fn new(g: &Graph) -> Self {
         let n = g.node_count();
         let mut kernel = SpKernel::new(g);
-        let mut dist = Vec::with_capacity(n * n);
-        let per_source = g
-            .nodes()
-            .map(|s| {
-                kernel.run(s);
-                dist.extend_from_slice(kernel.dist());
-                kernel.shortest_paths()
-            })
-            .collect();
-        AllPairs {
-            per_source,
-            dist,
+        let mut ap = AllPairs {
             n,
+            dist: Vec::with_capacity(n * n),
+            parent: Vec::with_capacity(n * n),
+            order: Vec::with_capacity(n * n),
+            order_start: vec![0],
+        };
+        for s in g.nodes() {
+            kernel.run(s);
+            ap.dist.extend_from_slice(kernel.dist());
+            ap.parent.extend(kernel.parents());
+            ap.order.extend(kernel.order.iter().map(|&key| key as u32));
+            ap.order_start.push(ap.order.len() as u32);
         }
+        ap
     }
 
     /// Distance from `a` to `b`, if connected.
@@ -338,8 +354,20 @@ impl AllPairs {
 
     /// The shortest-path tree rooted at `s`.
     #[inline]
-    pub fn from(&self, s: NodeId) -> &ShortestPaths {
-        &self.per_source[s.index()]
+    pub fn from(&self, s: NodeId) -> SpTree<'_> {
+        SpTree {
+            dist: self.dist_row(s),
+            parent: &self.parent[s.index() * self.n..(s.index() + 1) * self.n],
+        }
+    }
+
+    /// The nodes `s` reaches in the order the kernel settled them, `s`
+    /// first: every node's parent comes before it, also across zero-weight
+    /// edges, where distance order would not say so.
+    pub fn settled(&self, s: NodeId) -> impl DoubleEndedIterator<Item = NodeId> + '_ {
+        let (first, end) = (self.order_start[s.index()], self.order_start[s.index() + 1]);
+        let order = &self.order[first as usize..end as usize];
+        order.iter().map(|&v| NodeId(v))
     }
 }
 
@@ -411,6 +439,7 @@ mod tests {
     fn dijkstra_distances() {
         let g = diamond();
         let sp = dijkstra(&g, NodeId(0));
+        let sp = sp.tree();
         assert_eq!(sp.dist_to(NodeId(0)), Some(0));
         assert_eq!(sp.dist_to(NodeId(1)), Some(1));
         assert_eq!(sp.dist_to(NodeId(2)), Some(3)); // via node 1
@@ -421,12 +450,13 @@ mod tests {
     fn dijkstra_paths() {
         let g = diamond();
         let sp = dijkstra(&g, NodeId(0));
+        let sp = sp.tree();
         assert_eq!(
-            sp.path_to(&g, NodeId(3)).unwrap(),
+            sp.path_to(NodeId(3)).unwrap(),
             vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]
         );
-        assert_eq!(sp.path_to(&g, NodeId(0)).unwrap(), vec![NodeId(0)]);
-        let edges = sp.path_edges_to(&g, NodeId(3)).unwrap();
+        assert_eq!(sp.path_to(NodeId(0)).unwrap(), vec![NodeId(0)]);
+        let edges = sp.path_edges_to(NodeId(3)).unwrap();
         assert_eq!(edges.len(), 3);
         let total: Weight = edges.iter().map(|&e| g.edge(e).weight).sum();
         assert_eq!(total, 4);
@@ -437,9 +467,11 @@ mod tests {
         let mut g = Graph::with_nodes(3);
         g.add_edge(NodeId(0), NodeId(1), 1);
         let sp = dijkstra(&g, NodeId(0));
+        let sp = sp.tree();
         assert_eq!(sp.dist_to(NodeId(2)), None);
-        assert!(sp.path_to(&g, NodeId(2)).is_none());
-        assert!(sp.path_edges_to(&g, NodeId(2)).is_none());
+        assert!(sp.path_to(NodeId(2)).is_none());
+        assert!(sp.path_edges_to(NodeId(2)).is_none());
+        assert_eq!(sp.parent_of(NodeId(2)), None);
     }
 
     #[test]
@@ -453,7 +485,7 @@ mod tests {
         g.add_edge(NodeId(2), NodeId(3), 1);
         let sp = dijkstra(&g, NodeId(0));
         assert_eq!(
-            sp.path_to(&g, NodeId(3)).unwrap(),
+            sp.tree().path_to(NodeId(3)).unwrap(),
             vec![NodeId(0), NodeId(1), NodeId(3)]
         );
     }
@@ -477,8 +509,8 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(1), 1);
         g.add_edge(NodeId(1), NodeId(2), u32::MAX as Weight - 1);
         let sp = dijkstra(&g, NodeId(0));
-        assert_eq!(sp.dist_to(NodeId(2)), Some(u32::MAX as Weight));
-        assert_eq!(sp.path_to(&g, NodeId(2)).unwrap().len(), 3);
+        assert_eq!(sp.tree().dist_to(NodeId(2)), Some(u32::MAX as Weight));
+        assert_eq!(sp.tree().path_to(NodeId(2)).unwrap().len(), 3);
     }
 
     #[test]
@@ -492,13 +524,14 @@ mod tests {
         g.add_edge(NodeId(1), NodeId(2), 0);
         g.add_edge(NodeId(2), NodeId(0), 0);
         let sp = dijkstra(&g, NodeId(3));
+        let sp = sp.tree();
         for v in g.nodes() {
-            let edges = sp.path_edges_to(&g, v).expect("connected");
+            let edges = sp.path_edges_to(v).expect("connected");
             let total: Weight = edges.iter().map(|&e| g.edge(e).weight).sum();
             assert_eq!(Some(total), sp.dist_to(v));
         }
         assert_eq!(sp.dist_to(NodeId(0)), Some(5));
-        assert_eq!(sp.path_to(&g, NodeId(1)).unwrap(), [NodeId(3), NodeId(1)]);
+        assert_eq!(sp.path_to(NodeId(1)).unwrap(), [NodeId(3), NodeId(1)]);
     }
 
     #[test]
@@ -523,7 +556,7 @@ mod tests {
             assert_eq!(row.len(), g.node_count());
             let sp = dijkstra(&g, s);
             for v in g.nodes() {
-                match sp.dist_to(v) {
+                match sp.tree().dist_to(v) {
                     Some(d) => assert_eq!(row[v.index()], d),
                     None => assert_eq!(row[v.index()], Weight::MAX),
                 }

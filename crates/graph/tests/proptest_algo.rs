@@ -4,7 +4,7 @@
 //! the reference: equal distances *and* equal parent edges), and the
 //! generators' contracts are pinned.
 
-use graph::algo::{bfs_hops, dijkstra, is_connected, AllPairs, ShortestPaths, SpKernel};
+use graph::algo::{bfs_hops, dijkstra, is_connected, AllPairs, SpKernel, SpTree};
 use graph::gen::{
     hierarchical, random_connected, waxman, HierParams, RandomGraphParams, WaxmanParams,
 };
@@ -15,10 +15,59 @@ use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+/// What `dijkstra` returned before the kernel: an `Option` per node.
+struct Reference {
+    dist: Vec<Option<Weight>>,
+    parent: Vec<Option<EdgeId>>,
+}
+
+impl Reference {
+    fn parent_of(&self, g: &Graph, v: NodeId) -> Option<(NodeId, EdgeId)> {
+        let e = self.parent[v.index()]?;
+        Some((g.edge(e).other(v), e))
+    }
+
+    /// `(nodes, edges)` of the path to `v`, the source first.
+    fn path_to(&self, g: &Graph, v: NodeId) -> Option<(Vec<NodeId>, Vec<EdgeId>)> {
+        self.dist[v.index()]?;
+        let (mut nodes, mut edges) = (vec![v], Vec::new());
+        while let Some((p, e)) = self.parent_of(g, *nodes.last().expect("starts at v")) {
+            nodes.push(p);
+            edges.push(e);
+        }
+        nodes.reverse();
+        edges.reverse();
+        Some((nodes, edges))
+    }
+}
+
+/// One tree through `SpTree`'s whole accessor set against the reference.
+fn assert_tree_matches(g: &Graph, tree: SpTree<'_>, src: NodeId, want: &Reference) {
+    for v in g.nodes() {
+        prop_assert_eq!(tree.dist_to(v), want.dist[v.index()], "{:?}→{:?}", src, v);
+        prop_assert_eq!(tree.parent_of(v), want.parent_of(g, v), "{:?}→{:?}", src, v);
+        let path = want.path_to(g, v);
+        prop_assert_eq!(
+            tree.path_to(v),
+            path.clone().map(|p| p.0),
+            "{:?}→{:?}",
+            src,
+            v
+        );
+        prop_assert_eq!(
+            tree.path_edges_to(v),
+            path.map(|p| p.1),
+            "{:?}→{:?}",
+            src,
+            v
+        );
+    }
+}
+
 /// `graph::algo::dijkstra` as it was before the kernel, verbatim: the
 /// reference for the tie-break (smaller parent node id, then smaller edge
 /// id) that every fingerprint in the workspace depends on.
-fn reference_dijkstra(g: &Graph, source: NodeId) -> ShortestPaths {
+fn reference_dijkstra(g: &Graph, source: NodeId) -> Reference {
     let n = g.node_count();
     let mut dist: Vec<Option<Weight>> = vec![None; n];
     let mut parent: Vec<Option<EdgeId>> = vec![None; n];
@@ -70,11 +119,7 @@ fn reference_dijkstra(g: &Graph, source: NodeId) -> ShortestPaths {
         }
     }
 
-    ShortestPaths {
-        source,
-        dist,
-        parent,
-    }
+    Reference { dist, parent }
 }
 
 /// One kernel, reused across every source of `g` (a stale workspace would
@@ -86,11 +131,8 @@ fn assert_kernel_matches_reference(g: &Graph) {
     for src in g.nodes() {
         let want = reference_dijkstra(g, src);
         kernel.run(src);
-        let got = kernel.shortest_paths();
-        prop_assert_eq!(&got.dist, &want.dist, "dist from {:?}", src);
-        prop_assert_eq!(&got.parent, &want.parent, "parent edges from {:?}", src);
         for v in g.nodes() {
-            let d = want.dist_to(v).unwrap_or(Weight::MAX);
+            let d = want.dist[v.index()].unwrap_or(Weight::MAX);
             prop_assert_eq!(kernel.dist()[v.index()], d);
             prop_assert_eq!(ap.dist_row(src)[v.index()], d);
         }
@@ -106,17 +148,18 @@ fn assert_kernel_matches_reference(g: &Graph) {
             );
             prop_assert!(!seen[s.node.index()], "{:?} settled twice", s.node);
             seen[s.node.index()] = true;
-            prop_assert_eq!(Some(Weight::from(s.dist)), want.dist_to(s.node));
+            prop_assert_eq!(Some(Weight::from(s.dist)), want.dist[s.node.index()]);
             prop_assert_eq!(Some((s.parent, s.edge)), want.parent_of(g, s.node));
         }
         for v in g.nodes() {
-            prop_assert_eq!(seen[v.index()], want.dist_to(v).is_some());
+            prop_assert_eq!(seen[v.index()], want.dist[v.index()].is_some());
         }
-        let via_dijkstra = dijkstra(g, src);
-        prop_assert_eq!(&via_dijkstra.dist, &want.dist);
-        prop_assert_eq!(&via_dijkstra.parent, &want.parent);
-        prop_assert_eq!(&ap.from(src).dist, &want.dist);
-        prop_assert_eq!(&ap.from(src).parent, &want.parent);
+        // The same tree from each of its homes, and the order a
+        // bottom-up fold relies on.
+        assert_tree_matches(g, dijkstra(g, src).tree(), src, &want);
+        assert_tree_matches(g, ap.from(src), src, &want);
+        let order = std::iter::once(src).chain(kernel.settled().map(|s| s.node));
+        prop_assert!(ap.settled(src).eq(order));
     }
 }
 
@@ -232,11 +275,17 @@ proptest! {
             free.add_edge(e.a, e.b, e.weight - 1);
         }
         let mut kernel = SpKernel::new(&free);
+        let ap = AllPairs::new(&free);
         for src in free.nodes() {
             kernel.run(src);
             let want = bellman_ford(&free, src);
             let mut dist = vec![None; free.node_count()];
             dist[src.index()] = Some(0);
+            // The forest hands out this very order: what is shown of it
+            // below is what a bottom-up fold over `AllPairs::settled` gets.
+            prop_assert!(ap.settled(src).eq(
+                std::iter::once(src).chain(kernel.settled().map(|s| s.node))
+            ));
             for s in kernel.settled() {
                 let via = dist[s.parent.index()].expect("parent settled before its child");
                 prop_assert!(free.edge(s.edge).touches(s.parent) && free.edge(s.edge).touches(s.node));
@@ -254,7 +303,7 @@ proptest! {
         let sp = dijkstra(&g, src);
         let reference = bellman_ford(&g, src);
         for v in g.nodes() {
-            prop_assert_eq!(sp.dist_to(v), reference[v.index()], "{:?}→{:?}", src, v);
+            prop_assert_eq!(sp.tree().dist_to(v), reference[v.index()], "{:?}→{:?}", src, v);
         }
     }
 
@@ -262,14 +311,15 @@ proptest! {
     fn dijkstra_paths_are_consistent(g in arb_graph(), src_pick in any::<prop::sample::Index>()) {
         let src = NodeId(src_pick.index(g.node_count()) as u32);
         let sp = dijkstra(&g, src);
+        let sp = sp.tree();
         for v in g.nodes() {
             let Some(d) = sp.dist_to(v) else { continue };
             // The reported path's edge weights must sum to the distance.
-            let edges = sp.path_edges_to(&g, v).expect("reachable");
+            let edges = sp.path_edges_to(v).expect("reachable");
             let total: Weight = edges.iter().map(|&e| g.edge(e).weight).sum();
             prop_assert_eq!(total, d);
             // And the node path must be edge-connected.
-            let path = sp.path_to(&g, v).expect("reachable");
+            let path = sp.path_to(v).expect("reachable");
             prop_assert_eq!(path[0], src);
             prop_assert_eq!(*path.last().expect("nonempty"), v);
             for w in path.windows(2) {
@@ -321,7 +371,7 @@ proptest! {
         let hops = bfs_hops(&g, src);
         let sp = dijkstra(&g, src);
         for v in g.nodes() {
-            match (hops[v.index()], sp.dist_to(v)) {
+            match (hops[v.index()], sp.tree().dist_to(v)) {
                 (Some(h), Some(d)) => prop_assert!(u64::from(h) <= d, "min weight is 1"),
                 (None, None) => {}
                 other => prop_assert!(false, "reachability mismatch {other:?}"),

@@ -2,6 +2,7 @@
 //! search — the "optimal core-based tree algorithm" the paper simulated
 //! for Figure 2(a).
 
+use crate::walk::{Walk, NOT_REACHED_FROM_CORE};
 use graph::algo::AllPairs;
 use graph::{EdgeId, Graph, NodeId, Weight};
 use std::collections::BTreeSet;
@@ -15,12 +16,10 @@ pub struct CenterTree {
     pub core: NodeId,
     /// The tree's links.
     pub edges: BTreeSet<EdgeId>,
-    /// For each member (in input order): the node sequence of its
-    /// core→member path. Used for tree-path delay computations.
-    member_paths: Vec<Vec<NodeId>>,
     /// Distance from the core to each node on some member path (indexed by
     /// node id; `u64::MAX` for off-tree nodes).
     dist_from_core: Vec<Weight>,
+    max_pair_delay: Weight,
 }
 
 impl CenterTree {
@@ -30,69 +29,32 @@ impl CenterTree {
         (d != Weight::MAX).then_some(d)
     }
 
-    /// Tree-path delay between member `i` and member `j` (indices into the
-    /// member list the tree was built with).
-    ///
-    /// The packet travels member-i → LCA → member-j, so the delay is
-    /// `d(core,i) + d(core,j) − 2·d(core,lca)`.
-    pub fn member_pair_delay(&self, i: usize, j: usize) -> Weight {
-        let pi = &self.member_paths[i];
-        let pj = &self.member_paths[j];
-        // Find the last common node of the two core-rooted paths.
-        let mut lca = pi[0];
-        for (a, b) in pi.iter().zip(pj.iter()) {
-            if a == b {
-                lca = *a;
-            } else {
-                break;
-            }
-        }
-        let di = self.dist_from_core[pi.last().expect("nonempty path").index()];
-        let dj = self.dist_from_core[pj.last().expect("nonempty path").index()];
-        let dl = self.dist_from_core[lca.index()];
-        di + dj - 2 * dl
-    }
-
     /// The maximum delay between any two members through the tree — the
     /// quantity Figure 2(a) reports for core-based trees.
-    pub fn max_pair_delay(&self, members_len: usize) -> Weight {
-        let mut max = 0;
-        for i in 0..members_len {
-            for j in (i + 1)..members_len {
-                max = max.max(self.member_pair_delay(i, j));
-            }
-        }
-        max
+    pub fn max_pair_delay(&self) -> Weight {
+        self.max_pair_delay
     }
 }
 
 /// Build the shared tree for `members` rooted at `core`.
 ///
 /// # Panics
-/// Panics if any member is unreachable from the core.
+/// Panics with `member must be reachable from core` if no path leads
+/// from `core` to some member.
 pub fn center_tree(g: &Graph, ap: &AllPairs, core: NodeId, members: &[NodeId]) -> CenterTree {
-    let sp = ap.from(core);
+    let row = ap.dist_row(core);
     let mut edges = BTreeSet::new();
     let mut dist_from_core = vec![Weight::MAX; g.node_count()];
     dist_from_core[core.index()] = 0;
-    let mut member_paths = Vec::with_capacity(members.len());
-    for &m in members {
-        let path = sp
-            .path_to(g, m)
-            .expect("member must be reachable from core");
-        for &n in &path {
-            dist_from_core[n.index()] = sp.dist_to(n).expect("node on path");
-        }
-        for e in sp.path_edges_to(g, m).expect("member reachable") {
-            edges.insert(e);
-        }
-        member_paths.push(path);
-    }
+    Walk::new(g.node_count()).tree(ap, core, members, NOT_REACHED_FROM_CORE, |v, e| {
+        edges.insert(e);
+        dist_from_core[v.index()] = row[v.index()];
+    });
     CenterTree {
         core,
         edges,
-        member_paths,
         dist_from_core,
+        max_pair_delay: member_diameter(ap, core, members, &mut vec![0; g.node_count()]),
     }
 }
 
@@ -128,7 +90,7 @@ pub fn optimal_center_tree_exhaustive(
             continue;
         }
         let tree = center_tree(g, ap, core, members);
-        let d = tree.max_pair_delay(members.len());
+        let d = tree.max_pair_delay();
         if best.as_ref().is_none_or(|(_, bd)| d < *bd) {
             best = Some((tree, d));
         }
@@ -144,10 +106,10 @@ pub fn optimal_center_tree_exhaustive(
 ///
 /// Why this is the hot-path form: the Figure-2(a) study evaluates all 50
 /// candidate cores of every one of 3 000 topologies, and the exhaustive
-/// search pays for an edge set, per-member path vectors, and a
-/// distance array per *candidate* just to read one scalar. Here each
-/// candidate is scored with reused scratch buffers (zero steady-state
-/// allocation), and two sound prunes cut work further:
+/// search pays for an edge set and a distance array per *candidate* just
+/// to read one scalar. Here each candidate is scored by
+/// `member_diameter` alone over one reused scratch row, and two sound
+/// prunes cut work further:
 ///
 /// * **spread prune** — any member pair's tree delay is at least
 ///   `|d(core,i) − d(core,j)|` (the LCA is no nearer the core than the
@@ -161,6 +123,10 @@ pub fn optimal_center_tree_exhaustive(
 ///   shortest path, so no core scores below the members' pairwise
 ///   shortest-path diameter; once a candidate achieves exactly that,
 ///   later candidates can at best tie and the scan stops.
+///
+/// # Panics
+/// Panics with `need at least two members` for a smaller group, and with
+/// `at least one core can reach all members` if no node does.
 pub fn optimal_center_delay(g: &Graph, ap: &AllPairs, members: &[NodeId]) -> (NodeId, Weight) {
     assert!(members.len() >= 2, "need at least two members");
 
@@ -176,9 +142,7 @@ pub fn optimal_center_delay(g: &Graph, ap: &AllPairs, members: &[NodeId]) -> (No
         }
     }
 
-    // Reused scratch: one core→member node path per member, oldest core's
-    // contents overwritten in place.
-    let mut paths: Vec<Vec<NodeId>> = vec![Vec::new(); members.len()];
+    let mut deep = vec![0; g.node_count()];
 
     let mut best: Option<(Weight, NodeId)> = None;
     for core in g.nodes() {
@@ -206,7 +170,7 @@ pub fn optimal_center_delay(g: &Graph, ap: &AllPairs, members: &[NodeId]) -> (No
                 continue;
             }
         }
-        let d = score_core(g, ap, core, members, &mut paths);
+        let d = member_diameter(ap, core, members, &mut deep);
         if best.is_none_or(|(bd, _)| d < bd) {
             best = Some((d, core));
             if d == diameter {
@@ -220,50 +184,42 @@ pub fn optimal_center_delay(g: &Graph, ap: &AllPairs, members: &[NodeId]) -> (No
     (core, d)
 }
 
-/// Exact max member-pair tree delay for one candidate core, computed
-/// from the core's shortest-path parent array. Identical arithmetic to
-/// [`CenterTree::member_pair_delay`] over [`center_tree`]'s paths —
-/// just without the edge set, the per-call path allocations, or the
-/// per-node distance array.
-fn score_core(
-    g: &Graph,
-    ap: &AllPairs,
-    core: NodeId,
-    members: &[NodeId],
-    paths: &mut [Vec<NodeId>],
-) -> Weight {
-    let sp = ap.from(core);
+/// The maximum member-pair delay through `core`'s tree — the tree's
+/// member-diameter — in one bottom-up pass: each on-tree node hands its
+/// deepest member to its parent, and where two branches (or a branch and
+/// a member sitting at the parent itself) meet at `p`, the pair delay is
+/// `deep[p] + deep[child] − 2·d(core, p)`. Children must be folded before
+/// their parents: the reverse of the kernel's settle order guarantees it,
+/// also across zero-weight edges, where distance order would not.
+/// `deep` is scratch, one slot per node; every member must be reachable.
+fn member_diameter(ap: &AllPairs, core: NodeId, members: &[NodeId], deep: &mut [Weight]) -> Weight {
+    /// `deep` of a node with no member at or below it: not on the tree.
+    const OFF_TREE: Weight = Weight::MAX;
+    let tree = ap.from(core);
     let row = ap.dist_row(core);
-    for (&m, path) in members.iter().zip(paths.iter_mut()) {
-        path.clear();
-        let mut cur = m;
-        path.push(cur);
-        while let Some((p, _)) = sp.parent_of(g, cur) {
-            path.push(p);
-            cur = p;
-        }
-        debug_assert_eq!(*path.last().expect("nonempty"), core);
-        path.reverse();
+    deep.fill(OFF_TREE);
+    for &m in members {
+        deep[m.index()] = row[m.index()];
     }
-    let mut max = 0;
-    for i in 0..members.len() {
-        let pi = &paths[i];
-        let di = row[members[i].index()];
-        for (j, pj) in paths.iter().enumerate().skip(i + 1) {
-            // Deepest common node of the two core-rooted paths.
-            let mut lca = pi[0];
-            for (a, b) in pi.iter().zip(pj.iter()) {
-                if a == b {
-                    lca = *a;
-                } else {
-                    break;
-                }
-            }
-            let dj = row[members[j].index()];
-            max = max.max(di + dj - 2 * row[lca.index()]);
+    let mut best = 0;
+    for child in ap.settled(core).rev() {
+        let below = deep[child.index()];
+        if below == OFF_TREE {
+            continue;
+        }
+        // Settled first, so folded last: only the core has no parent.
+        let Some((p, _)) = tree.parent_of(child) else {
+            break;
+        };
+        let at = &mut deep[p.index()];
+        if *at == OFF_TREE {
+            *at = below;
+        } else {
+            best = best.max(*at + below - 2 * row[p.index()]);
+            *at = (*at).max(below);
         }
     }
-    max
+    best
 }
 
 #[cfg(test)]
@@ -299,7 +255,7 @@ mod tests {
         g.add_edge(NodeId(2), NodeId(3), 5);
         let ap = AllPairs::new(&g);
         let tree = center_tree(&g, &ap, NodeId(1), &[NodeId(0), NodeId(3)]);
-        assert_eq!(tree.member_pair_delay(0, 1), 9, "0→1→2→3");
+        assert_eq!(tree.max_pair_delay(), 9, "0→1→2→3");
         assert_eq!(tree.dist_from_core(NodeId(3)), Some(8));
         assert_eq!(tree.dist_from_core(NodeId(0)), Some(1));
     }
@@ -314,7 +270,7 @@ mod tests {
         let ap = AllPairs::new(&g);
         let tree = center_tree(&g, &ap, NodeId(0), &[NodeId(2), NodeId(3)]);
         // 2 and 3 meet at node 1, not at the core: delay 2, not 22.
-        assert_eq!(tree.member_pair_delay(0, 1), 2);
+        assert_eq!(tree.max_pair_delay(), 2);
         assert_eq!(tree.edges.len(), 3);
     }
 
@@ -323,7 +279,7 @@ mod tests {
         let g = star();
         let ap = AllPairs::new(&g);
         let tree = center_tree(&g, &ap, NodeId(0), &[NodeId(0), NodeId(1)]);
-        assert_eq!(tree.member_pair_delay(0, 1), 2);
+        assert_eq!(tree.max_pair_delay(), 2);
     }
 
     #[test]
@@ -334,7 +290,7 @@ mod tests {
         let (_, opt) = optimal_center_tree(&g, &ap, &members);
         for core in g.nodes() {
             let tree = center_tree(&g, &ap, core, &members);
-            assert!(tree.max_pair_delay(members.len()) >= opt);
+            assert!(tree.max_pair_delay() >= opt);
         }
     }
 }

@@ -15,21 +15,25 @@
 //!   spared) — every link of the group's tree carries every sender's
 //!   flow. This is the traffic-concentration effect of Figure 1(c).
 
-use crate::center::center_tree;
-use crate::spt::spt_tree_edges;
+use crate::walk::{Walk, NOT_CONNECTED, NOT_REACHED_FROM_CORE};
 use crate::GroupSpec;
 use graph::algo::AllPairs;
 use graph::{Graph, NodeId, Weight};
 
 /// Per-link flow counts when every sender uses its own SPT.
 /// `result[e]` = number of (group, sender) flows crossing edge `e`.
+///
+/// # Panics
+/// Panics with `members must be connected` if a group has a sender and a
+/// member with no path between them.
 pub fn spt_link_flows(g: &Graph, ap: &AllPairs, groups: &[GroupSpec]) -> Vec<u32> {
     let mut flows = vec![0u32; g.edge_count()];
+    let mut walk = Walk::new(g.node_count());
     for spec in groups {
         for &s in &spec.senders {
-            for e in spt_tree_edges(g, ap, s, &spec.members) {
+            walk.tree(ap, s, &spec.members, NOT_CONNECTED, |_, e| {
                 flows[e.index()] += 1;
-            }
+            });
         }
     }
     flows
@@ -37,6 +41,10 @@ pub fn spt_link_flows(g: &Graph, ap: &AllPairs, groups: &[GroupSpec]) -> Vec<u32
 
 /// Per-link flow counts when each group uses one shared core-based tree.
 /// `core_of` selects the core for each group (e.g. the optimal placement).
+///
+/// # Panics
+/// Panics with `member must be reachable from core` if no path leads
+/// from a group's core to one of its members.
 pub fn cbt_link_flows(
     g: &Graph,
     ap: &AllPairs,
@@ -44,31 +52,38 @@ pub fn cbt_link_flows(
     mut core_of: impl FnMut(&GroupSpec) -> NodeId,
 ) -> Vec<u32> {
     let mut flows = vec![0u32; g.edge_count()];
+    let mut walk = Walk::new(g.node_count());
     for spec in groups {
-        let core = core_of(spec);
-        let tree = center_tree(g, ap, core, &spec.members);
         let senders = spec.senders.len() as u32;
-        for e in &tree.edges {
+        let core = core_of(spec);
+        walk.tree(ap, core, &spec.members, NOT_REACHED_FROM_CORE, |_, e| {
             flows[e.index()] += senders;
-        }
+        });
     }
     flows
 }
 
 /// The core placement used for the Figure 2(b) experiment: the member-set
 /// 1-center — the node minimizing the maximum shortest-path distance to
-/// any member (cheap, and near-optimal for delay).
+/// any member (cheap, and near-optimal for delay; smallest id on a tie).
+///
+/// # Panics
+/// Panics with `graph must be nonempty and connected` if no node reaches
+/// every member: on an empty graph, or with members in two components.
 pub fn one_center(g: &Graph, ap: &AllPairs, members: &[NodeId]) -> NodeId {
-    g.nodes()
-        .filter_map(|c| {
-            let ecc: Option<Weight> = members
-                .iter()
-                .map(|&m| ap.dist(c, m))
-                .try_fold(0, |acc, d| d.map(|d| std::cmp::max(acc, d)));
-            ecc.map(|e| (e, c))
-        })
-        .min_by_key(|&(e, c)| (e, c.0))
-        .map(|(_, c)| c)
+    // Distances are symmetric: a member's row is every candidate's
+    // distance to it, and the rows fold into one row of eccentricities.
+    let mut ecc: Vec<Weight> = vec![0; g.node_count()];
+    for &m in members {
+        for (e, &d) in ecc.iter_mut().zip(ap.dist_row(m)) {
+            *e = (*e).max(d);
+        }
+    }
+    (0u32..)
+        .zip(ecc)
+        .filter(|&(_, e)| e != Weight::MAX)
+        .min_by_key(|&(c, e)| (e, c))
+        .map(|(c, _)| NodeId(c))
         .expect("graph must be nonempty and connected")
 }
 

@@ -28,6 +28,7 @@
 pub mod center;
 pub mod flows;
 pub mod spt;
+mod walk;
 
 pub use center::{
     center_tree, optimal_center_delay, optimal_center_tree, optimal_center_tree_exhaustive,

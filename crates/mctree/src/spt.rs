@@ -1,5 +1,6 @@
 //! Shortest-path-tree construction and metrics.
 
+use crate::walk::{Walk, NOT_CONNECTED};
 use graph::algo::AllPairs;
 use graph::{EdgeId, Graph, NodeId, Weight};
 use std::collections::BTreeSet;
@@ -32,22 +33,20 @@ pub fn spt_max_delay(ap: &AllPairs, members: &[NodeId]) -> Weight {
 /// The edges of the shortest-path tree rooted at `source`, pruned to the
 /// paths that reach `members` — i.e. the links that carry `source`'s data
 /// once PIM's prunes have stabilized (or DVMRP's, post-prune).
+///
+/// # Panics
+/// Panics with `members must be connected` if no path leads from
+/// `source` to some member.
 pub fn spt_tree_edges(
     g: &Graph,
     ap: &AllPairs,
     source: NodeId,
     members: &[NodeId],
 ) -> BTreeSet<EdgeId> {
-    let sp = ap.from(source);
     let mut edges = BTreeSet::new();
-    for &m in members {
-        if m == source {
-            continue;
-        }
-        for e in sp.path_edges_to(g, m).expect("members must be connected") {
-            edges.insert(e);
-        }
-    }
+    Walk::new(g.node_count()).tree(ap, source, members, NOT_CONNECTED, |_, e| {
+        edges.insert(e);
+    });
     edges
 }
 

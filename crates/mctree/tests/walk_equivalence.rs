@@ -20,19 +20,14 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 
 /// `mctree::spt_tree_edges` before the walk.
-fn reference_spt_tree_edges(
-    g: &Graph,
-    ap: &AllPairs,
-    source: NodeId,
-    members: &[NodeId],
-) -> BTreeSet<EdgeId> {
+fn reference_spt_tree_edges(ap: &AllPairs, source: NodeId, members: &[NodeId]) -> BTreeSet<EdgeId> {
     let sp = ap.from(source);
     let mut edges = BTreeSet::new();
     for &m in members {
         if m == source {
             continue;
         }
-        for e in sp.path_edges_to(g, m).expect("members must be connected") {
+        for e in sp.path_edges_to(m).expect("members must be connected") {
             edges.insert(e);
         }
     }
@@ -89,13 +84,11 @@ fn reference_center_tree(
     dist_from_core[core.index()] = 0;
     let mut member_paths = Vec::with_capacity(members.len());
     for &m in members {
-        let path = sp
-            .path_to(g, m)
-            .expect("member must be reachable from core");
+        let path = sp.path_to(m).expect("member must be reachable from core");
         for &n in &path {
             dist_from_core[n.index()] = sp.dist_to(n).expect("node on path");
         }
-        for e in sp.path_edges_to(g, m).expect("member reachable") {
+        for e in sp.path_edges_to(m).expect("member reachable") {
             edges.insert(e);
         }
         member_paths.push(path);
@@ -128,7 +121,7 @@ fn reference_flows(g: &Graph, ap: &AllPairs, groups: &[GroupSpec]) -> (Vec<u32>,
     let mut cbt = vec![0u32; g.edge_count()];
     for spec in groups {
         for &s in &spec.senders {
-            for e in reference_spt_tree_edges(g, ap, s, &spec.members) {
+            for e in reference_spt_tree_edges(ap, s, &spec.members) {
                 spt[e.index()] += 1;
             }
         }
@@ -187,7 +180,7 @@ fn graph(nodes: usize, degree: u32, delays: Delays, rng: &mut StdRng) -> Graph {
 fn assert_trees_match(g: &Graph, ap: &AllPairs, root: NodeId, members: &[NodeId]) {
     prop_assert_eq!(
         spt_tree_edges(g, ap, root, members),
-        reference_spt_tree_edges(g, ap, root, members),
+        reference_spt_tree_edges(ap, root, members),
         "source tree of {:?} over {:?}",
         root,
         members
@@ -207,7 +200,7 @@ fn assert_trees_match(g: &Graph, ap: &AllPairs, root: NodeId, members: &[NodeId]
         );
     }
     prop_assert_eq!(
-        got.max_pair_delay(members.len()),
+        got.max_pair_delay(),
         want.max_pair_delay(members.len()),
         "max pair delay through core {:?} over {:?}",
         root,
@@ -306,17 +299,17 @@ fn a_two_node_graph_has_one_tree() {
         assert_eq!(spt_tree_edges(&g, &ap, root, &both), BTreeSet::from([e]));
         let tree = center_tree(&g, &ap, root, &both);
         assert_eq!(tree.edges, BTreeSet::from([e]));
-        assert_eq!(tree.max_pair_delay(both.len()), 7);
+        assert_eq!(tree.max_pair_delay(), 7);
         // The root alone, once or twice over, needs no link at all.
         assert!(spt_tree_edges(&g, &ap, root, &[root, root]).is_empty());
         assert_eq!(
-            center_tree(&g, &ap, root, &[root, root]).max_pair_delay(2),
+            center_tree(&g, &ap, root, &[root, root]).max_pair_delay(),
             0
         );
     }
-    let spec = GroupSpec::all_send(both.to_vec());
-    assert_eq!(spt_link_flows(&g, &ap, &[spec.clone()]), [2]);
-    assert_eq!(cbt_link_flows(&g, &ap, &[spec], |_| NodeId(1)), [2]);
+    let group = [GroupSpec::all_send(both.to_vec())];
+    assert_eq!(spt_link_flows(&g, &ap, &group), [2]);
+    assert_eq!(cbt_link_flows(&g, &ap, &group, |_| NodeId(1)), [2]);
     assert_eq!(one_center(&g, &ap, &both), NodeId(0));
     assert_eq!(optimal_center_delay(&g, &ap, &both), (NodeId(0), 7));
 }

@@ -1,6 +1,6 @@
 //! The oracle RIB against a reference built the slow, obvious way — one
 //! `HashMap<Addr, RouteEntry>` per router, first hops read off
-//! `ShortestPaths::path_to` — for every class of address a lookup can
+//! `SpTree::path_to` — for every class of address a lookup can
 //! carry, and through the by-hand API (`empty`/`insert`/`alias_host`) the
 //! engine unit tests of `core`, `cbt` and `dvmrp` build their tables with.
 
@@ -26,8 +26,8 @@ fn reference_tables(g: &Graph, topo: &Topology, host_routers: &[NodeId]) -> Vec<
             g.nodes()
                 .filter(|&dst| dst != me)
                 .filter_map(|dst| {
-                    let path = sp.path_to(g, dst)?;
-                    let first_edge = sp.path_edges_to(g, dst)?[0];
+                    let path = sp.path_to(dst)?;
+                    let first_edge = sp.path_edges_to(dst)?[0];
                     let iface = topo
                         .plan(me)
                         .ifaces

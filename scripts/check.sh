@@ -23,9 +23,10 @@ cargo test -q --offline --release -p pim -p cbt -p dvmrp -p igmp --lib indexed_d
 echo "== control-plane allocation budget, release profile (exact counts: 0 per Query delivery, constant per Query tick)"
 cargo test -q --offline --release -p node --test alloc_budget
 
-echo "== shortest-path kernel and oracle tables vs their references, release profile (the kernel's hot loop is where debug and release differ)"
+echo "== shortest-path kernel, oracle tables and the Fig. 2 tree walk vs their references, release profile (the hot loops are where debug and release differ)"
 cargo test -q --offline --release -p graph --test proptest_algo
 cargo test -q --offline --release -p unicast --test proptest_oracle
+cargo test -q --offline --release -p mctree
 
 echo "== cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --quiet
@@ -58,6 +59,13 @@ gate() {
 echo "== determinism: --threads 1 vs --threads 4"
 mkdir -p target/check
 gate fig2a '' ./target/release/fig2a --trials 4
+gate fig2b '' ./target/release/fig2b --smoke
+# The figure's own rows, as recorded before the tree walk replaced the
+# path unions: 50 networks per degree, byte for byte.
+for fig in fig2a fig2b; do
+    "./target/release/$fig" --quick | cmp - "crates/bench/pins/${fig}_quick.txt" ||
+        { echo "$fig --quick differs from crates/bench/pins/${fig}_quick.txt"; exit 1; }
+done
 # --congestion folds the bounded-capacity sweep's reception fingerprints
 # in: congestion must not cost determinism.
 gate simbench fingerprint ./target/release/simbench --smoke --congestion

@@ -7,6 +7,7 @@
 use graph::algo::AllPairs;
 use graph::gen::{random_connected, RandomGraphParams};
 use graph::{Graph, NodeId};
+use integration_tests::tie_free_graph;
 use netsim::{router_addr, NodeIdx, SimTime, Topology};
 use pim::PimRouter;
 use rand::rngs::StdRng;
@@ -157,38 +158,6 @@ fn link_state_reconverges_after_failure() {
             .metric,
         4
     );
-}
-
-/// `random_graph`'s topology with every delay replaced by a distinct
-/// prime, then checked to be tie-free: from every source, every other
-/// node has exactly one neighbour on a shortest path to it.
-fn tie_free_graph(seed: u64, nodes: usize) -> Graph {
-    const PRIMES: [u64; 24] = [
-        5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
-        101,
-    ];
-    let shape = random_graph(seed, nodes);
-    let mut g = Graph::with_nodes(nodes);
-    for (eid, e) in shape.edges() {
-        // A stride coprime to the table length visits each prime once.
-        g.add_edge(
-            e.a,
-            e.b,
-            PRIMES[(seed as usize + 7 * eid.index()) % PRIMES.len()],
-        );
-    }
-    assert!(g.edge_count() <= PRIMES.len(), "weights must stay distinct");
-    let ap = AllPairs::new(&g);
-    for src in g.nodes() {
-        for dst in g.nodes().filter(|&d| d != src) {
-            let tight = g.incident(dst).iter().filter(|&&e| {
-                let via = ap.dist(src, g.edge(e).other(dst)).expect("connected");
-                Some(via + g.edge(e).weight) == ap.dist(src, dst)
-            });
-            assert_eq!(tight.count(), 1, "seed {seed}: {src:?}→{dst:?} is tied");
-        }
-    }
-    g
 }
 
 /// "Protocol independent" checked on the route itself: where every
