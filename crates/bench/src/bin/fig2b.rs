@@ -11,9 +11,9 @@
 //!
 //! Run: `cargo run -p bench --release --bin fig2b [--trials N] [--seed N]
 //! [--threads N] [--groups N] [--smoke] [--json PATH]`
-//! (The full 500×6 sweep takes 12 s on one thread of the reference host —
-//! 29 million source trees at 0.3 µs each; `--quick` runs 50×6 and
-//! `--smoke` runs 3×6 with 60 groups.)
+//! (The full 500×6 sweep takes 10 s on one thread of the reference host —
+//! 29 million source trees at 0.3 µs each, `BENCH_fig2.json`; `--quick`
+//! runs 50×6 and `--smoke` runs 3×6 with 60 groups.)
 //!
 //! Trials fan out over a deterministic scoped-thread pool: trial `t` of
 //! degree `d` draws from `StdRng::seed_from_u64(par::mix(seed, d, t))`,

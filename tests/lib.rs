@@ -7,28 +7,32 @@ pub fn diamond() -> graph::Graph {
     scenario::topology("diamond").expect("diamond").graph
 }
 
-/// A sparse random topology (average degree 3) whose delays are distinct
-/// primes, checked to be tie-free: from every source, every other node
-/// has exactly one neighbour on a shortest path to it. With nothing for
-/// a tie-break to decide, every correct computation of a route or a tree
-/// — oracle, distance vector, link state, `mctree` — must give the same
-/// one.
-pub fn tie_free_graph(seed: u64, nodes: usize) -> graph::Graph {
-    use graph::algo::AllPairs;
+/// A sparse random topology: average degree 3, delays 1..=6.
+pub fn random_graph(seed: u64, nodes: usize) -> graph::Graph {
     use graph::gen::{random_connected, RandomGraphParams};
     use rand::SeedableRng;
-    const PRIMES: [u64; 24] = [
-        5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
-        101,
-    ];
-    let shape = random_connected(
+    random_connected(
         &RandomGraphParams {
             nodes,
             avg_degree: 3.0,
             delay_range: (1, 6),
         },
         &mut rand::rngs::StdRng::seed_from_u64(seed),
-    );
+    )
+}
+
+/// [`random_graph`]'s topology with every delay replaced by a distinct
+/// prime, then checked to be tie-free: from every source, every other
+/// node has exactly one neighbour on a shortest path to it. With nothing
+/// for a tie-break to decide, every correct computation of a route or a
+/// tree — oracle, distance vector, link state, `mctree` — must give the
+/// same one.
+pub fn tie_free_graph(seed: u64, nodes: usize) -> graph::Graph {
+    const PRIMES: [u64; 24] = [
+        5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
+        101,
+    ];
+    let shape = random_graph(seed, nodes);
     let mut g = graph::Graph::with_nodes(nodes);
     for (eid, e) in shape.edges() {
         // A stride coprime to the table length visits each prime once.
@@ -39,7 +43,7 @@ pub fn tie_free_graph(seed: u64, nodes: usize) -> graph::Graph {
         );
     }
     assert!(g.edge_count() <= PRIMES.len(), "weights must stay distinct");
-    let ap = AllPairs::new(&g);
+    let ap = graph::algo::AllPairs::new(&g);
     for src in g.nodes() {
         for dst in g.nodes().filter(|&d| d != src) {
             let tight = g.incident(dst).iter().filter(|&&e| {

@@ -5,13 +5,10 @@
 //! view once converged.
 
 use graph::algo::AllPairs;
-use graph::gen::{random_connected, RandomGraphParams};
 use graph::{Graph, NodeId};
-use integration_tests::tie_free_graph;
+use integration_tests::{random_graph, tie_free_graph};
 use netsim::{router_addr, NodeIdx, SimTime, Topology};
 use pim::PimRouter;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use scenario::{NetSpec, Substrate};
 use unicast::{OracleRib, Rib};
 use wire::Group;
@@ -40,18 +37,6 @@ fn assert_converged_to_oracle(g: &Graph, world: &netsim::World) {
             }
         }
     }
-}
-
-fn random_graph(seed: u64, nodes: usize) -> Graph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    random_connected(
-        &RandomGraphParams {
-            nodes,
-            avg_degree: 3.0,
-            delay_range: (1, 6),
-        },
-        &mut rng,
-    )
 }
 
 #[test]
