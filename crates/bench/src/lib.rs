@@ -215,10 +215,11 @@ pub fn run_protocol_sim_opts(
 }
 
 /// [`run_protocol_sim_opts`] over a hierarchical topology: the world is
-/// partitioned along the generator's domain boundaries (backbone =
-/// region 0, domains folded into the remaining regions) instead of the
-/// generic auto-partitioner, so every cross-region link is an expensive
-/// gateway hop and the conservative lookahead stays large. With
+/// partitioned along the generator's domain boundaries (regions of equal
+/// weight, the backbone whole in region 0 — see
+/// [`HierTopology::region_hints`]) instead of the generic
+/// auto-partitioner, so every cross-region link is an expensive gateway
+/// hop and the conservative lookahead stays large. With
 /// `opts.threads == 1` the partition is skipped entirely; results are
 /// byte-identical either way.
 pub fn run_protocol_sim_hier(

@@ -321,26 +321,67 @@ impl HierTopology {
         self.backbone + self.domains * self.domain_size
     }
 
+    /// What `routers` weigh together in [`HierTopology::region_hints`]:
+    /// each its interface count plus two. Deliveries scale with
+    /// interfaces and periodic timers with routers, and on `hier_ctrl` a
+    /// router's own timers cost about what two interfaces' deliveries do.
+    /// (Interfaces
+    /// alone call the 2 000-router benchmark shape's backbone half of the
+    /// internet — 50.5 % of the interfaces — where it does 36 % of the
+    /// work; with the constant, the two regions of `simbench --hier 2000`
+    /// got 51 | 49 % of the events and 47 | 53 % of the busy time.)
+    fn weight(&self, routers: impl Iterator<Item = usize>) -> usize {
+        routers
+            .map(|v| self.graph.degree(NodeId(v as u32)) + 2)
+            .sum()
+    }
+
     /// Region hints for the parallel event core, compatible with
-    /// `Topology::regions_by`: the whole backbone is region 0 and the
-    /// domains are folded into the remaining `target - 1` regions in
-    /// contiguous runs. Every cross-region link is a gateway link, so the
-    /// conservative lookahead is the minimum gateway delay — partitioning
-    /// along domain boundaries is exactly what makes the windows long.
+    /// `Topology::regions_by`: `target` regions of near-equal **weight**,
+    /// cut along domain boundaries only.
     ///
-    /// `target <= 1` (or a single domain) collapses to one region.
+    /// The blocks are the whole backbone, then each domain in index order;
+    /// a block's weight is the sum of its routers' weights — a pure
+    /// function of the topology (interfaces + 2 per router; no profiling
+    /// run, no parameter). Regions are contiguous runs of blocks, cut
+    /// where the running weight reaches each region's share of the total,
+    /// so a region is within one domain's weight of its share. The
+    /// backbone is indivisible and always in region 0: where it alone
+    /// reaches `total / target` it is region 0 by itself, and the domains
+    /// are shared evenly among the other regions.
+    ///
+    /// Every cross-region link is a gateway link, so the conservative
+    /// lookahead is the minimum gateway delay — partitioning along domain
+    /// boundaries is exactly what makes the windows long. Every id below
+    /// `target` is used when there are domains enough (`target - 1`);
+    /// `target <= 1` (or no domain) collapses to one region.
     pub fn region_hints(&self, target: usize) -> Vec<u32> {
-        let n = self.node_count();
-        if target <= 1 || self.domains == 0 {
-            return vec![0; n];
+        let mut hints = vec![0u32; self.node_count()];
+        let regions = target.min(1 + self.domains);
+        if regions <= 1 {
+            return hints;
         }
-        let buckets = (target - 1).min(self.domains);
-        let mut hints = vec![0u32; n];
+        let backbone = self.weight(0..self.backbone);
+        let total = self.weight(0..self.node_count());
+        // The run of regions the domains are cut into, the weight they
+        // share, and how much of it is placed before the first domain.
+        let (first, parts, pool, mut placed) = if backbone * regions >= total {
+            (1, regions - 1, total - backbone, 0)
+        } else {
+            (0, regions, total, backbone)
+        };
+        let last = first + parts - 1;
+        let mut region = first;
         for d in 0..self.domains {
-            let region = 1 + (d * buckets / self.domains) as u32;
-            for v in self.domain_nodes(d) {
-                hints[v] = region;
+            // Move on once the running weight has reached this region's
+            // boundary, or when every domain left is needed to give each
+            // region left one.
+            let reached = placed * parts >= (region - first + 1) * pool;
+            if region < last && (reached || self.domains - d <= last - region) {
+                region += 1;
             }
+            hints[self.domain_nodes(d)].fill(region as u32);
+            placed += self.weight(self.domain_nodes(d));
         }
         hints
     }
@@ -566,29 +607,91 @@ mod tests {
 
     #[test]
     fn hierarchical_region_hints_cut_only_gateway_links() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let h = hierarchical(
-            &HierParams {
-                domains: 12,
+        // (backbone, domains, domain size): the campus default, the
+        // 500-router smoke shape, the 2 000-router benchmark shape.
+        for (backbone, domains, domain_size) in [(10, 12, 5), (50, 50, 9), (200, 200, 9)] {
+            let params = HierParams {
+                backbone: WaxmanParams {
+                    nodes: backbone,
+                    ..WaxmanParams::default()
+                },
+                domains,
+                domain_size,
                 ..HierParams::default()
-            },
-            &mut rng,
-        );
-        let hints = h.region_hints(4);
-        assert_eq!(hints.len(), h.node_count());
-        // Backbone is region 0; domains use 1..4.
-        assert!(hints[..h.backbone].iter().all(|&r| r == 0));
-        assert!(hints.iter().all(|&r| r < 4));
-        assert!((1..4).all(|r| hints.contains(&r)));
-        // Every edge that crosses regions is a gateway link, whose delay
-        // (>= 1) is what the parallel core's lookahead will be.
-        for (_, e) in h.graph.edges() {
-            if hints[e.a.index()] != hints[e.b.index()] {
-                assert!(e.weight >= 5, "cross-region edge with delay {}", e.weight);
+            };
+            let h = hierarchical(&params, &mut StdRng::seed_from_u64(13));
+            let total = h.weight(0..h.node_count());
+            let widest_domain = (0..domains).map(|d| h.weight(h.domain_nodes(d))).max();
+            let slack = widest_domain.expect("domains") as f64;
+            for target in [2usize, 4] {
+                let hints = h.region_hints(target);
+                assert_eq!(hints.len(), h.node_count());
+                // The backbone is whole, in region 0; every id is used.
+                assert!(hints[..h.backbone].iter().all(|&r| r == 0));
+                assert!(hints.iter().all(|&r| (r as usize) < target));
+                assert!((0..target as u32).all(|r| hints.contains(&r)));
+                // Domains are whole and regions are contiguous runs.
+                for d in 0..domains {
+                    let nodes = h.domain_nodes(d);
+                    assert!(hints[nodes.clone()]
+                        .iter()
+                        .all(|&r| r == hints[nodes.start]));
+                }
+                assert!(hints[h.backbone..].is_sorted());
+                // Every edge that crosses regions is a gateway link, whose
+                // delay (>= 1) is what the parallel core's lookahead will be.
+                for (_, e) in h.graph.edges() {
+                    if hints[e.a.index()] != hints[e.b.index()] {
+                        assert!(e.weight >= 5, "cross-region edge with delay {}", e.weight);
+                    }
+                }
+                // Each region is within one domain of its share: an equal
+                // share of everything, unless the backbone alone is more
+                // than that — then it is region 0 by itself and the others
+                // share the domains.
+                let of = |r| h.weight((0..h.node_count()).filter(|&v| hints[v] as usize == r));
+                let bb = h.weight(0..h.backbone);
+                let heavy = bb * target >= total;
+                let shape = format!("{backbone}+{domains}x{domain_size} target {target}");
+                for r in 0..target {
+                    let share = match (heavy, r) {
+                        (true, 0) => bb as f64,
+                        (true, _) => (total - bb) as f64 / (target - 1) as f64,
+                        (false, _) => total as f64 / target as f64,
+                    };
+                    let off = (of(r) as f64 - share).abs();
+                    assert!(off <= slack, "{shape}: region {r} is {off} off {share}");
+                }
+                if heavy {
+                    assert!(hints[h.backbone..].iter().all(|&r| r > 0), "{shape}");
+                }
             }
+            // The benchmark shape is the heavy-backbone case at 4 and the
+            // shared case at 2.
+            if backbone == 200 {
+                assert!(h.region_hints(2)[h.backbone] == 0);
+                assert!(h.region_hints(4)[h.backbone] == 1);
+            }
+            // target <= 1 collapses to a single region.
+            assert!(h.region_hints(1).iter().all(|&r| r == 0));
+            assert!(h.region_hints(0).iter().all(|&r| r == 0));
         }
-        // target <= 1 collapses to a single region.
-        assert!(h.region_hints(1).iter().all(|&r| r == 0));
+    }
+
+    /// Unequal or scarce domains: no region id is skipped.
+    #[test]
+    fn region_hints_use_every_id_when_domains_are_scarce() {
+        let params = HierParams {
+            domains: 3,
+            ..HierParams::default()
+        };
+        let h = hierarchical(&params, &mut StdRng::seed_from_u64(5));
+        for target in 2..=6usize {
+            let hints = h.region_hints(target);
+            let used = target.min(4) as u32;
+            assert!((0..used).all(|r| hints.contains(&r)), "target {target}");
+            assert!(hints.iter().all(|&r| r < used), "target {target}");
+        }
     }
 
     #[test]

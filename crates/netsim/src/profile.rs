@@ -8,7 +8,11 @@
 //! windows and the time spent in the serial barrier (mail routing +
 //! telemetry flush). Comparing a region's dispatch time against the
 //! barrier time tells you whether a bigger `--threads` can help or the
-//! serial fraction already dominates.
+//! serial fraction already dominates. Lock-step itself has a bound too:
+//! a window lasts as long as its slowest region, so `critical_nanos`
+//! sums that maximum over the windows, `Σ busy / critical` is the most
+//! any number of threads can gain on this partition, and `handoff_nanos`
+//! is what the run paid on top of it.
 //!
 //! Profiling is opt-in ([`crate::World::enable_profile`]) and purely
 //! observational: wall-clock readings never feed back into the
@@ -33,6 +37,10 @@ pub struct RegionProfile {
     pub timer_nanos: u64,
     /// Cancelled heap entries popped and skipped without dispatch.
     pub stale_events: u64,
+    /// Wall-clock nanoseconds inside this region's window loop, handlers
+    /// and queue work together (two clock reads per window, not per
+    /// event).
+    pub busy_nanos: u64,
 }
 
 impl RegionProfile {
@@ -65,6 +73,14 @@ pub struct SimProfile {
     /// Wall-clock nanoseconds in the serial barrier (mail routing and
     /// telemetry flush between windows).
     pub barrier_nanos: u64,
+    /// Σ over windows of the slowest region's `busy_nanos`: what the
+    /// windows would take with a thread per region and a free hand-off —
+    /// the lock-step bound.
+    pub critical_nanos: u64,
+    /// Σ over windows of (the window's wall-clock − its slowest region's
+    /// `busy_nanos`): handing regions to threads and waiting for them, or,
+    /// where regions share a thread, the other regions' turns.
+    pub handoff_nanos: u64,
     /// Barrier-context dispatches (scripted events, restarts) that run
     /// outside any region's window loop.
     pub script_dispatches: u64,
@@ -91,20 +107,35 @@ impl SimProfile {
         self.barrier_nanos as f64 * 100.0 / total as f64
     }
 
+    /// Total nanoseconds across all regions' window loops.
+    pub fn busy_nanos(&self) -> u64 {
+        self.regions.iter().map(|r| r.busy_nanos).sum()
+    }
+
+    /// The lock-step bound on speed-up over one thread: Σ busy over
+    /// `critical_nanos` (1 before any window has run).
+    pub fn speedup_bound(&self) -> f64 {
+        if self.critical_nanos == 0 {
+            return 1.0;
+        }
+        self.busy_nanos() as f64 / self.critical_nanos as f64
+    }
+
     /// Human-readable table. Nanosecond columns are wall-clock and vary
     /// run to run; event counts are deterministic.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        out.push_str("region  deliver-ev  deliver-us  timer-ev  timer-us  stale\n");
+        out.push_str("region  deliver-ev  deliver-us  timer-ev  timer-us  stale   busy-us\n");
         for r in &self.regions {
             out.push_str(&format!(
-                "r{:<6} {:>10} {:>11} {:>9} {:>9} {:>6}\n",
+                "r{:<6} {:>10} {:>11} {:>9} {:>9} {:>6} {:>9}\n",
                 r.region,
                 r.deliver_events,
                 r.deliver_nanos / 1_000,
                 r.timer_events,
                 r.timer_nanos / 1_000,
                 r.stale_events,
+                r.busy_nanos / 1_000,
             ));
         }
         out.push_str(&format!(
@@ -113,6 +144,13 @@ impl SimProfile {
             self.barrier_nanos / 1_000,
             self.script_dispatches,
             self.serial_pct(),
+        ));
+        out.push_str(&format!(
+            "busy-us={} critical-us={} handoff-us={} speed-up<={:.2} (busy/critical)\n",
+            self.busy_nanos() / 1_000,
+            self.critical_nanos / 1_000,
+            self.handoff_nanos / 1_000,
+            self.speedup_bound(),
         ));
         out
     }
@@ -133,11 +171,17 @@ mod tests {
                     timer_events: 4,
                     timer_nanos: 10_000,
                     stale_events: 1,
+                    busy_nanos: 45_000,
                 },
-                RegionProfile::new(1),
+                RegionProfile {
+                    busy_nanos: 15_000,
+                    ..RegionProfile::new(1)
+                },
             ],
             windows: 7,
             barrier_nanos: 40_000,
+            critical_nanos: 48_000,
+            handoff_nanos: 9_000,
             script_dispatches: 3,
         };
         assert_eq!(prof.events(), 14);
@@ -147,12 +191,18 @@ mod tests {
         assert!(text.contains("r0"));
         assert!(text.contains("windows=7"));
         assert!(text.contains("serial=50.0%"));
+        // The lock-step bound: 60 µs of region work, 48 µs of it on the
+        // critical path, so no thread count buys more than 1.25×.
+        assert_eq!(prof.busy_nanos(), 60_000);
+        assert!((prof.speedup_bound() - 1.25).abs() < 1e-9);
+        assert!(text.contains("busy-us=60 critical-us=48 handoff-us=9 speed-up<=1.25"));
     }
 
     #[test]
     fn empty_profile_renders_without_dividing_by_zero() {
         let prof = SimProfile::default();
         assert_eq!(prof.serial_pct(), 0.0);
+        assert_eq!(prof.speedup_bound(), 1.0);
         assert!(prof.render().contains("windows=0"));
     }
 }

@@ -35,6 +35,14 @@
 //! window is due at or after that bound. Cross-region deliveries travel
 //! through per-region outboxes drained at the window barrier.
 //!
+//! This module owns no threads. With `threads > 1` and more than one
+//! region, a window is run by a [`par::Crew`] that lives as long as the
+//! world: each worker is handed its stripe of regions **by value** (plus
+//! an `Arc` of the read-only shared state), the calling thread runs
+//! stripe 0, and the regions are back in place before the barrier.
+//! `Region::run_window` is a pure function of the region, the shared
+//! state and the bound.
+//!
 //! # Determinism contract
 //!
 //! Every event carries a partition-independent **canonical key**
@@ -247,8 +255,9 @@ pub struct Link {
 /// translate their outputs into [`Ctx`] calls.
 ///
 /// `Send` is required because the partitioned world hands whole regions
-/// (which own their nodes) across scoped threads at window boundaries;
-/// a node is only ever touched by the one thread running its region.
+/// (which own their nodes) to its worker threads, by value, for the length
+/// of a window; a node is only ever touched by the one thread running its
+/// region.
 pub trait Node: Send {
     /// Called once when the simulation starts, before any packets flow.
     fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}
@@ -591,7 +600,7 @@ struct Outgoing {
 
 /// State shared read-only across regions during a window: topology and
 /// node liveness. Mutated only at barriers (scripts, fault injection) on
-/// the main thread.
+/// the main thread, through [`World::shared_mut`].
 struct Shared {
     links: Vec<Link>,
     /// ifaces[node.0][iface.0] = link the interface attaches to.
@@ -840,6 +849,31 @@ impl Region {
         }
         n
     }
+
+    /// [`Region::run_window`] for the crew and the inline loop alike:
+    /// returns the pops and, when profiling, the wall-clock nanoseconds
+    /// the window took here (two clock reads per region per window, added
+    /// to the shard's `busy_nanos`).
+    fn run_window_timed(&mut self, w: &Window) -> (usize, u64) {
+        let t0 = self.prof.as_ref().map(|_| std::time::Instant::now());
+        let n = self.run_window(&w.shared, w.bound, w.budget);
+        let busy = t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
+        if let Some(p) = &mut self.prof {
+            p.busy_nanos += busy;
+        }
+        (n, busy)
+    }
+}
+
+/// One lock-step window's orders, as every thread running a stripe of
+/// regions gets them: a handle on the shared state and the bound. Workers
+/// drop their clone before they hand their regions back, so the world's
+/// `Arc<Shared>` is unique again at every barrier.
+#[derive(Clone)]
+struct Window {
+    shared: Arc<Shared>,
+    bound: SimTime,
+    budget: usize,
 }
 
 /// The per-callback view of the world handed to [`Node`] implementations.
@@ -1264,8 +1298,15 @@ impl Ord for ScriptEntry {
 
 /// The simulation world.
 pub struct World {
-    regions: Vec<Region>,
-    shared: Shared,
+    /// From [`World::start`] on, striped `threads` wide (at most one
+    /// stripe per region), so that a worker's share of a window changes
+    /// hands as one `Vec`.
+    regions: par::Striped<Region>,
+    /// The workers for stripes 1.., spawned by the first window that has
+    /// more than one stripe and joined when the world is dropped. A world
+    /// on one thread or with one region never has one.
+    crew: Option<par::Crew<Region, Window, (usize, u64)>>,
+    shared: Arc<Shared>,
     scripts: BinaryHeap<ScriptEntry>,
     script_seq: u64,
     /// Counter shard for world-level dispatches (scripts).
@@ -1292,6 +1333,8 @@ pub struct World {
     profile: bool,
     prof_windows: u64,
     prof_barrier_nanos: u64,
+    prof_critical_nanos: u64,
+    prof_handoff_nanos: u64,
 }
 
 impl Default for World {
@@ -1304,15 +1347,16 @@ impl World {
     /// Create an empty world whose RNG streams derive from `seed`.
     pub fn new(seed: u64) -> World {
         World {
-            regions: vec![Region::new(0)],
-            shared: Shared {
+            regions: par::Striped::new(vec![Region::new(0)], 1),
+            crew: None,
+            shared: Arc::new(Shared {
                 links: Vec::new(),
                 ifaces: Vec::new(),
                 node_up: Vec::new(),
                 region_of: Vec::new(),
                 slot_of: Vec::new(),
                 capture_limit: None,
-            },
+            }),
             scripts: BinaryHeap::new(),
             script_seq: 0,
             world_counters: Counters::default(),
@@ -1328,7 +1372,17 @@ impl World {
             profile: false,
             prof_windows: 0,
             prof_barrier_nanos: 0,
+            prof_critical_nanos: 0,
+            prof_handoff_nanos: 0,
         }
+    }
+
+    /// The shared state, for the barrier-time mutators. Safe code's proof
+    /// that no window is running: the workers hold a clone only while
+    /// they hold regions, and [`par::Crew::run`] returns after both are
+    /// back.
+    fn shared_mut(&mut self) -> &mut Shared {
+        Arc::get_mut(&mut self.shared).expect("no window is running at a barrier")
     }
 
     /// Current simulated time.
@@ -1342,8 +1396,7 @@ impl World {
         assert!(!self.started, "cannot add nodes after start");
         let idx = self.shared.region_of.len();
         let r = &mut self.regions[0];
-        self.shared.region_of.push(0);
-        self.shared.slot_of.push(r.nodes.len() as u32);
+        let slot = r.nodes.len() as u32;
         r.nodes.push(Some(node));
         r.rngs.push(StdRng::seed_from_u64(par::mix(
             self.seed,
@@ -1352,8 +1405,11 @@ impl World {
         )));
         r.dispatch_seq.push(0);
         r.tx_dirs.push(Vec::new());
-        self.shared.ifaces.push(Vec::new());
-        self.shared.node_up.push(true);
+        let shared = self.shared_mut();
+        shared.region_of.push(0);
+        shared.slot_of.push(slot);
+        shared.ifaces.push(Vec::new());
+        shared.node_up.push(true);
         NodeIdx(idx)
     }
 
@@ -1427,16 +1483,20 @@ impl World {
             moved.push((node, rng));
         }
         // Rebuild the regions.
-        self.regions = (0..next.max(1)).map(Region::new).collect();
-        self.shared.region_of = dense.clone();
-        for (i, (node, rng)) in moved.into_iter().enumerate() {
-            let r = &mut self.regions[dense[i] as usize];
-            self.shared.slot_of[i] = r.nodes.len() as u32;
+        let mut regions: Vec<Region> = (0..next.max(1)).map(Region::new).collect();
+        let mut slot_of = Vec::with_capacity(assign.len());
+        for (&rid, (node, rng)) in dense.iter().zip(moved) {
+            let r = &mut regions[rid as usize];
+            slot_of.push(r.nodes.len() as u32);
             r.nodes.push(Some(node));
             r.rngs.push(rng);
             r.dispatch_seq.push(0);
             r.tx_dirs.push(Vec::new());
         }
+        self.regions = par::Striped::new(regions, 1);
+        let shared = self.shared_mut();
+        shared.region_of = dense;
+        shared.slot_of = slot_of;
         self.lookahead = self.cross_region_lookahead();
     }
 
@@ -1457,10 +1517,11 @@ impl World {
     }
 
     fn attach(&mut self, node: NodeIdx, link: LinkId) -> IfaceId {
-        let ifaces = &mut self.shared.ifaces[node.0];
+        let shared = self.shared_mut();
+        let ifaces = &mut shared.ifaces[node.0];
         ifaces.push(link);
         let iface = IfaceId(ifaces.len() as u32 - 1);
-        self.shared.links[link.0].attachments.push((node, iface));
+        shared.links[link.0].attachments.push((node, iface));
         iface
     }
 
@@ -1473,7 +1534,7 @@ impl World {
     ) -> (LinkId, IfaceId, IfaceId) {
         assert_ne!(a, b, "p2p link endpoints must differ");
         let id = LinkId(self.shared.links.len());
-        self.shared.links.push(Link {
+        self.shared_mut().links.push(Link {
             kind: LinkKind::PointToPoint,
             delay,
             up: true,
@@ -1492,7 +1553,7 @@ impl World {
     pub fn add_lan(&mut self, nodes: &[NodeIdx], delay: Duration) -> (LinkId, Vec<IfaceId>) {
         assert!(nodes.len() >= 2, "a LAN needs at least two attachments");
         let id = LinkId(self.shared.links.len());
-        self.shared.links.push(Link {
+        self.shared_mut().links.push(Link {
             kind: LinkKind::Lan,
             delay,
             up: true,
@@ -1515,7 +1576,7 @@ impl World {
         if !self.shared.node_up[idx.0] {
             return;
         }
-        self.shared.node_up[idx.0] = false;
+        self.shared_mut().node_up[idx.0] = false;
         // Eagerly vacate every armed timer owned by the node (timers
         // always live in the node's own region). The queue entries stay
         // behind and are skipped as stale when popped; what matters is
@@ -1547,7 +1608,7 @@ impl World {
         if self.shared.node_up[idx.0] {
             return;
         }
-        self.shared.node_up[idx.0] = true;
+        self.shared_mut().node_up[idx.0] = true;
         let cause = self.cur_script;
         self.dispatch_at_barrier(idx, EPOCH_EVENT, cause, |n, ctx| n.on_restart(ctx));
     }
@@ -1559,7 +1620,7 @@ impl World {
 
     /// Take a link up or down (topology-change injection).
     pub fn set_link_up(&mut self, link: LinkId, up: bool) {
-        self.shared.links[link.0].up = up;
+        self.shared_mut().links[link.0].up = up;
     }
 
     /// Set a link's independent per-receiver drop probability — a
@@ -1573,7 +1634,7 @@ impl World {
         } else {
             loss.clamp(0.0, 1.0)
         };
-        self.shared.links[link.0].loss = loss;
+        self.shared_mut().links[link.0].loss = loss;
     }
 
     /// Install (or, with [`LinkCapacity::UNLIMITED`], remove) the
@@ -1584,7 +1645,7 @@ impl World {
     /// already accumulated on the link survives a reconfiguration; an
     /// unlimited link simply stops consulting it.
     pub fn set_link_capacity(&mut self, link: LinkId, cap: LinkCapacity) {
-        self.shared.links[link.0].capacity = cap;
+        self.shared_mut().links[link.0].capacity = cap;
     }
 
     /// Install an adversarial [`ChannelModel`] on a link (corruption,
@@ -1594,7 +1655,7 @@ impl World {
         assert!(channel.corrupt_pm <= 1000, "corrupt_pm is per-mille");
         assert!(channel.duplicate_pm <= 1000, "duplicate_pm is per-mille");
         assert!(channel.reorder_pm <= 1000, "reorder_pm is per-mille");
-        self.shared.links[link.0].channel = channel;
+        self.shared_mut().links[link.0].channel = channel;
     }
 
     /// Link metadata.
@@ -1613,7 +1674,7 @@ impl World {
     /// totals are identical for any partition.
     pub fn counters(&self) -> Counters {
         let mut total = self.world_counters.clone();
-        for r in &self.regions {
+        for r in self.regions.iter() {
             total.merge(&r.counters);
         }
         total
@@ -1623,7 +1684,7 @@ impl World {
     /// experiment measures steady state only).
     pub fn reset_counters(&mut self) {
         self.world_counters = Counters::default();
-        for r in &mut self.regions {
+        for r in self.regions.iter_mut() {
             r.counters = Counters::default();
         }
     }
@@ -1662,6 +1723,8 @@ impl World {
             regions: self.regions.iter().filter_map(|r| r.prof.clone()).collect(),
             windows: self.prof_windows,
             barrier_nanos: self.prof_barrier_nanos,
+            critical_nanos: self.prof_critical_nanos,
+            handoff_nanos: self.prof_handoff_nanos,
             script_dispatches: self.world_counters.events_dispatched(),
         })
     }
@@ -1702,8 +1765,8 @@ impl World {
     /// Records up to `limit` packets (time, link, sender, human-readable
     /// decode) from now on; calling again clears the buffer.
     pub fn enable_capture(&mut self, limit: usize) {
-        self.shared.capture_limit = Some(limit);
-        for r in &mut self.regions {
+        self.shared_mut().capture_limit = Some(limit);
+        for r in self.regions.iter_mut() {
             r.capture.clear();
             r.cap_seq = 0;
         }
@@ -1823,6 +1886,9 @@ impl World {
             return;
         }
         self.started = true;
+        // Partition and thread count are final: deal the regions over the
+        // threads that will run them.
+        self.regions.restripe(self.threads.min(self.regions.len()));
         self.lookahead = self.cross_region_lookahead();
         if self.regions.len() > 1 {
             if let Some(l) = self.lookahead {
@@ -1833,9 +1899,8 @@ impl World {
             }
         }
         if self.telem.is_some() {
-            for r in &mut self.regions {
-                let buf = Arc::new(Mutex::new(RegionBuf::default()));
-                r.buf = Some(Arc::clone(&buf));
+            for r in self.regions.iter_mut() {
+                r.buf = Some(Arc::new(Mutex::new(RegionBuf::default())));
             }
             for i in 0..self.node_count() {
                 let rid = self.shared.region_of[i] as usize;
@@ -1849,7 +1914,7 @@ impl World {
             }
         }
         if self.profile {
-            for r in &mut self.regions {
+            for r in self.regions.iter_mut() {
                 r.prof = Some(crate::profile::RegionProfile::new(r.id));
             }
         }
@@ -1905,7 +1970,7 @@ impl World {
         links.clear();
         events.clear();
         let mut sources = 0;
-        for r in &self.regions {
+        for r in self.regions.iter() {
             if let Some(buf) = &r.buf {
                 let mut guard = telemetry::lock(buf);
                 if guard.links.is_empty() && guard.events.is_empty() {
@@ -1931,24 +1996,60 @@ impl World {
     }
 
     /// Run one lock-step window: every region processes its events due
-    /// before `bound` (in parallel when `threads > 1`), then cross-region
-    /// mail is routed and telemetry merged at the barrier. Returns the
-    /// number of queue pops across all regions.
+    /// before `bound` — stripe by stripe on the crew when the regions are
+    /// striped over more than one thread, inline otherwise — then
+    /// cross-region mail is routed and telemetry merged at the barrier.
+    /// Returns the number of queue pops across all regions.
     fn run_window_all(&mut self, bound: SimTime, budget: usize) -> usize {
-        let n: usize = {
-            let shared = &self.shared;
-            par::run_regions(self.threads, &mut self.regions, |_, r| {
-                r.run_window(shared, bound, budget)
-            })
-            .into_iter()
-            .sum()
-        };
         let t0 = self.profile.then(std::time::Instant::now);
+        let window = Window {
+            shared: Arc::clone(&self.shared),
+            bound,
+            budget,
+        };
+        let width = self.regions.width();
+        let (mut n, mut slowest) = (0, 0);
+        let mut tally = |(pops, busy): (usize, u64)| {
+            n += pops;
+            slowest = slowest.max(busy);
+        };
+        if width == 1 {
+            // By index: `iter_mut` allocates, and this loop is inside
+            // `node`'s exact allocation budget.
+            for i in 0..self.regions.len() {
+                tally(self.regions[i].run_window_timed(&window));
+            }
+        } else {
+            let crew = self.crew.get_or_insert_with(|| {
+                par::Crew::new(
+                    width - 1,
+                    Arc::new(|_, r: &mut Region, w: &Window| r.run_window_timed(w)),
+                )
+            });
+            match crew.run(&mut self.regions, &window) {
+                Ok(done) => done.into_iter().for_each(tally),
+                Err(p) => {
+                    // The regions are all back and the crew is idle: the
+                    // run fails with the node's own panic, nothing hangs
+                    // and nothing is poisoned.
+                    eprintln!(
+                        "netsim: region {} panicked in the window ending before tick {}",
+                        p.item,
+                        bound.ticks()
+                    );
+                    std::panic::resume_unwind(p.payload)
+                }
+            }
+        }
+        let t1 = self.profile.then(std::time::Instant::now);
         self.route_mail();
         self.flush_telemetry();
-        if let Some(t0) = t0 {
+        if let (Some(t0), Some(t1)) = (t0, t1) {
             self.prof_windows += 1;
-            self.prof_barrier_nanos += t0.elapsed().as_nanos() as u64;
+            self.prof_critical_nanos += slowest;
+            let wall = t1.duration_since(t0).as_nanos() as u64;
+            self.prof_handoff_nanos += wall.saturating_sub(slowest);
+            self.prof_barrier_nanos += t1.elapsed().as_nanos() as u64;
         }
         n
     }
@@ -2980,7 +3081,7 @@ mod tests {
         assert_eq!(telemetry::lock(&sibling).0, reference);
     }
 
-    /// `parallelize(n)` (auto-partition + scoped threads) is also
+    /// `parallelize(n)` (auto-partition + the worker crew) is also
     /// byte-identical, and the auto-partitioner cuts at the delay-5 link.
     #[test]
     fn parallelize_auto_partitions_and_matches_single_region() {

@@ -2,7 +2,9 @@
 //! seed, loss rate, adversarial channel model, and fault script, a run on
 //! one global region, a run on the auto-partitioned world, and a run on
 //! an adversarial one-node-per-region split produce byte-identical
-//! receive logs, telemetry streams, counters, and packet captures.
+//! receive logs, telemetry streams, counters, and packet captures — also
+//! when the run is cut into many short `run_until` slices, and a region
+//! that panics on a worker thread fails its own run and nothing else.
 //!
 //! This is the load-bearing guarantee of the region-partitioned event
 //! core (DESIGN.md §9): partitioning and thread count are pure
@@ -89,9 +91,7 @@ struct Observed {
     counter_totals: (u64, u64, u64, u64, u64),
 }
 
-/// A 6-node world: a line 0-1-2-3 with proptest-chosen delays, a LAN
-/// {1, 4, 5}, loss and an adversarial channel model on the middle link,
-/// and an optional crash/restart of node 2 mid-run.
+/// [`run_sliced`] in one `run_until` call.
 fn run(
     seed: u64,
     delays: &[u64; 3],
@@ -99,6 +99,22 @@ fn run(
     chan: ChannelModel,
     faults: bool,
     split: &Split,
+) -> (Observed, usize) {
+    run_sliced(seed, delays, loss, chan, faults, split, 1)
+}
+
+/// A 6-node world: a line 0-1-2-3 with proptest-chosen delays, a LAN
+/// {1, 4, 5}, loss and an adversarial channel model on the middle link,
+/// and an optional crash/restart of node 2 mid-run; advanced to tick 400
+/// in `slices` equal `run_until` steps.
+fn run_sliced(
+    seed: u64,
+    delays: &[u64; 3],
+    loss: f64,
+    chan: ChannelModel,
+    faults: bool,
+    split: &Split,
+    slices: u64,
 ) -> (Observed, usize) {
     let mut w = World::new(seed);
     let nodes: Vec<NodeIdx> = (0..6)
@@ -128,7 +144,9 @@ fn run(
         Split::Auto(threads) => w.parallelize(*threads),
         Split::Explicit(assign) => w.set_partition(assign),
     }
-    w.run_until(SimTime(400));
+    for i in 1..=slices {
+        w.run_until(SimTime(400 * i / slices));
+    }
     let c = w.counters();
     let telemetry = std::mem::take(&mut telem.lock().unwrap().0);
     let observed = Observed {
@@ -208,4 +226,96 @@ fn auto_partition_engages_on_slow_cut() {
         &Split::Auto(4),
     );
     assert!(regions > 1, "expected a cut, got {regions} region");
+}
+
+/// The benchmark's run shape: one world advanced through 128 short
+/// `run_until` slices, so the crew is handed work, left idle between
+/// calls (spinning, yielding, then parked) and handed work again.
+#[test]
+fn sliced_runs_match_the_single_region_reference() {
+    let chan = ChannelModel {
+        corrupt_pm: 100,
+        duplicate_pm: 200,
+        reorder_pm: 150,
+        jitter: 5,
+    };
+    let (single, _) = run(11, &[1, 5, 1], 0.25, chan, true, &Split::Single);
+    for threads in [2, 4] {
+        let split = Split::Auto(threads);
+        let (sliced, regions) = run_sliced(11, &[1, 5, 1], 0.25, chan, true, &split, 128);
+        assert!(regions > 1, "threads={threads}: expected a cut");
+        assert_eq!(single, sliced, "threads={threads}");
+    }
+}
+
+/// Panics with its own message when its timer fires.
+struct Bomb;
+
+impl Node for Bomb {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.set_timer(Duration(57), 1);
+    }
+    fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _iface: IfaceId, _packet: &[u8]) {}
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+        panic!("node {} gives up at tick {}", ctx.me().0, ctx.now().ticks());
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// A node that panics mid-window in region 1 — on a worker thread, while
+/// the caller runs region 0 — fails `run_until` with the node's own
+/// message instead of hanging the caller, and poisons nothing: another
+/// world in the same process still matches its single-region reference.
+#[test]
+fn a_panicking_region_fails_the_run_with_its_own_message() {
+    // The world is built and run on a thread of its own so that a lost
+    // hand-off fails this test with a timeout instead of stalling it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut w = World::new(3);
+        let mut nodes: Vec<NodeIdx> = (0..3)
+            .map(|_| w.add_node(Box::new(Chatter::new())))
+            .collect();
+        nodes.push(w.add_node(Box::new(Bomb)));
+        for pair in nodes.windows(2) {
+            w.add_p2p(pair[0], pair[1], Duration(2));
+        }
+        w.parallelize(2);
+        w.set_partition(&[0, 0, 1, 1]);
+        assert_eq!(w.region_count(), 2);
+        let run = std::panic::AssertUnwindSafe(|| w.run_until(SimTime(400)));
+        let payload = std::panic::catch_unwind(run).expect_err("the bomb goes off");
+        let msg = payload.downcast_ref::<String>().cloned();
+        // Dropping the failed world joins its workers.
+        drop(w);
+        tx.send(msg).expect("the test is waiting");
+    });
+    let msg = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("run_until neither returned nor panicked: a region was lost");
+    assert_eq!(msg.as_deref(), Some("node 3 gives up at tick 57"));
+
+    let (single, _) = run(
+        7,
+        &[1, 5, 1],
+        0.0,
+        ChannelModel::CLEAN,
+        true,
+        &Split::Single,
+    );
+    let (auto, regions) = run(
+        7,
+        &[1, 5, 1],
+        0.0,
+        ChannelModel::CLEAN,
+        true,
+        &Split::Auto(2),
+    );
+    assert_eq!(regions, 2);
+    assert_eq!(single, auto);
 }

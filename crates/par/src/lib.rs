@@ -1,4 +1,5 @@
-//! Deterministic trial-level parallelism for the Monte-Carlo experiments.
+//! Deterministic parallelism: trial-level for the Monte-Carlo experiments,
+//! region-level for the partitioned simulator.
 //!
 //! The Figure-2 study and the schedule explorer run hundreds of
 //! independent trials per configuration point. Parallelism must not
@@ -15,11 +16,20 @@
 //!   **bit-identical for any `--threads N`** (asserted by
 //!   `crates/bench/tests/thread_determinism.rs`).
 //!
-//! Threads come from [`std::thread::scope`] — no work-stealing runtime,
-//! no extra dependencies; trials are striped across workers so a slow
-//! region of the trial space (e.g. high-degree graphs) spreads evenly.
+//! Two executors, no work-stealing runtime, no extra dependencies:
+//!
+//! * [`run_trials`] spawns once per sweep, so its threads come from
+//!   [`std::thread::scope`]; trials are striped across workers so a slow
+//!   region of the trial space (e.g. high-degree graphs) spreads evenly.
+//! * [`Crew`] is called once per lock-step window, thousands of times a
+//!   run, so its threads are spawned once, live as long as the crew, and
+//!   are handed their stripe of a [`Striped`] by value (see [`crew`]).
 
 #![warn(missing_docs)]
+
+pub mod crew;
+
+pub use crew::{Crew, Panicked, Striped, Work};
 
 /// Derive a per-trial seed from the experiment seed, a stream id (sweep
 /// point: node degree, loss level, ...), and the trial index.
@@ -82,64 +92,6 @@ where
         .collect()
 }
 
-/// Run `f` once over every item of `items` (mutably, in place) across
-/// `threads` scoped threads and return the per-item results **in item
-/// order** — the region executor behind `netsim`'s partitioned world.
-///
-/// Item `i` is processed by worker `i % threads` (striping, like
-/// [`run_trials`]); `threads == 1` runs inline with no thread machinery.
-/// Each item is visited by exactly one worker per call, so `f` gets an
-/// exclusive `&mut` without locks. Determinism is the *caller's* half of
-/// the contract: `f(i, item)` must depend only on `i` and `item` (the
-/// partitioned world guarantees this by giving every region its own
-/// event heap, RNG streams, and counter shard).
-///
-/// # Panics
-/// Propagates a panic from any item.
-pub fn run_regions<T, R, F>(threads: usize, items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let n = items.len();
-    let threads = threads.max(1).min(n.max(1));
-    if threads == 1 {
-        return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    // Stripe the exclusive borrows across workers up front; each worker
-    // owns its stripe of `&mut T` for the whole call.
-    let mut stripes: Vec<Vec<(usize, &mut T)>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, item) in items.iter_mut().enumerate() {
-        stripes[i % threads].push((i, item));
-    }
-    let f = &f;
-    let done: Vec<Vec<(usize, R)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = stripes
-            .into_iter()
-            .map(|stripe| {
-                s.spawn(move || {
-                    stripe
-                        .into_iter()
-                        .map(|(i, item)| (i, f(i, item)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("region worker panicked"))
-            .collect()
-    });
-    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for (i, r) in done.into_iter().flatten() {
-        out[i] = Some(r);
-    }
-    out.into_iter()
-        .map(|r| r.expect("stripe underrun"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,26 +118,6 @@ mod tests {
             let got = run_trials(threads, 97, |i| mix(1, 0, i as u64));
             assert_eq!(got, reference, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn run_regions_mutates_in_place_and_orders_results() {
-        for threads in [1, 2, 3, 8] {
-            let mut items: Vec<u64> = (0..13).collect();
-            let got = run_regions(threads, &mut items, |i, item| {
-                *item += 100;
-                (i as u64) * 2
-            });
-            assert_eq!(
-                items,
-                (100..113u64).collect::<Vec<_>>(),
-                "threads={threads}"
-            );
-            assert_eq!(got, (0..13).map(|i| i * 2).collect::<Vec<u64>>());
-        }
-        let mut empty: Vec<u8> = Vec::new();
-        let got: Vec<u8> = run_regions(4, &mut empty, |_, _| unreachable!());
-        assert!(got.is_empty());
     }
 
     #[test]
