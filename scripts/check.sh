@@ -66,11 +66,13 @@ echo "== determinism: --threads 1 vs --threads 2 vs --threads 4"
 mkdir -p target/check
 gate fig2a '' ./target/release/fig2a --trials 4
 gate fig2b '' ./target/release/fig2b --smoke
-# The figure's own rows, as recorded before the tree walk replaced the
-# path unions: 50 networks per degree, byte for byte.
-for fig in fig2a fig2b; do
-    "./target/release/$fig" --quick | cmp - "crates/bench/pins/${fig}_quick.txt" ||
-        { echo "$fig --quick differs from crates/bench/pins/${fig}_quick.txt"; exit 1; }
+# Figure stdout, byte for byte against crates/bench/pins/ (a pin is named
+# after its command): Fig. 2's rows as recorded before the tree walk, and
+# every protocol configuration and the capped-link path of `run_protocol_sim_opts`.
+for cmd in 'fig2a --quick' 'fig2b --quick' fig1 'overhead --trials 2 --congestion' \
+    'spt_switch --seed 7' 'ablation --trials 2'; do
+    pin=crates/bench/pins/$(echo "$cmd" | sed 's/ -*/_/g').txt
+    ./target/release/$cmd | cmp - "$pin" || { echo "$cmd differs from $pin"; exit 1; }
 done
 # --congestion folds the bounded-capacity sweep's reception fingerprints
 # in: congestion must not cost determinism.
