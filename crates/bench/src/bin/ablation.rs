@@ -50,7 +50,6 @@ fn scenario(seed: u64, trial: u64) -> (graph::Graph, Workload) {
         members: spec.members.clone(),
         senders: spec.senders.clone(),
         rendezvous: NodeId(rng.gen_range(0..NODES as u32)),
-        population: 1,
     };
     (g, w)
 }
@@ -82,8 +81,6 @@ fn run_point(
                 seed: par::mix(args.seed, 1, trial),
                 link_loss: loss,
                 pim,
-                threads: 1,
-                profile: false,
                 ..SimOptions::default()
             },
         );

@@ -45,7 +45,6 @@ fn main() {
         members: members.to_vec(),
         senders: members.to_vec(),
         rendezvous: backbone_rp,
-        population: 1,
     };
 
     println!(

@@ -138,7 +138,6 @@ fn main() {
                     members: spec.members.clone(),
                     senders: spec.senders.clone(),
                     rendezvous: NodeId(rng.gen_range(0..NODES as u32)),
-                    population: 1,
                 };
                 let r = run_protocol_sim_opts(
                     &g,

@@ -13,7 +13,6 @@
 
 use cbt::CbtRouter;
 use dvmrp::DvmrpRouter;
-use graph::gen::HierTopology;
 use graph::{Graph, NodeId};
 use netsim::{CtrlProto, LinkCapacity, LinkId, LinkKind, NodeIdx, SimTime};
 use pim::{PimConfig, PimRouter};
@@ -54,13 +53,6 @@ pub struct Workload {
     pub senders: Vec<NodeId>,
     /// The RP (PIM) / core (CBT) router for the group. Ignored by DVMRP.
     pub rendezvous: NodeId,
-    /// Aggregate group members behind each member router. `1` attaches
-    /// one explicit [`igmp::HostNode`] per site (the classic workloads,
-    /// byte-identical to before this knob existed); `> 1` attaches one
-    /// [`igmp::PopulationNode`] holding that many members, and deliveries are
-    /// accounted member-weighted (each unique reception at the site
-    /// counts `population` deliveries).
-    pub population: u64,
 }
 
 /// Overhead metrics from one protocol run — the paper's §1 efficiency
@@ -94,31 +86,10 @@ pub struct SimResult {
     /// Stale timer-heap entries skipped (lazy-deletion cost of
     /// reschedulable timers).
     pub timers_skipped_stale: u64,
-    /// Packets delivered to nodes (receive side of the event loop).
-    pub rx_pkts: u64,
     /// Control packets by sub-protocol ([`CtrlProto::ALL`] order) —
     /// attributes `control_pkts` to PIM vs IGMP vs DVMRP vs CBT vs the
     /// unicast substrate, classified once at tx time.
     pub control_breakdown: [(CtrlProto, u64); 6],
-    /// Regions the world was partitioned into for the run (1 = the
-    /// sequential core; >1 only when [`SimOptions::threads`] > 1 and the
-    /// auto-partitioner found a cut).
-    pub regions: usize,
-    /// Per-region × event-kind attribution ([`netsim::SimProfile`]),
-    /// collected only when [`SimOptions::profile`] is set. Event counts
-    /// are deterministic; nanosecond columns are wall-clock.
-    pub profile: Option<netsim::SimProfile>,
-    /// FNV-1a fold of every member site's reception log (site, arrival
-    /// tick, source, group, sequence, member weight) in site order — a
-    /// deterministic digest of *when and what every member received*.
-    /// Byte-identical across thread counts; the scale sweeps diff it
-    /// between `--threads 1` and `--threads N`.
-    pub reception_fingerprint: u64,
-    /// Wall-clock milliseconds spent inside `World::run_until` alone —
-    /// the event-loop cost, excluding topology generation, the all-pairs
-    /// oracle, world construction, and metric collection. Per-event cost
-    /// is `run_ms / events_dispatched`; wall-clock, varies run to run.
-    pub run_ms: f64,
     /// Data packets tail-dropped by bounded transmit queues (zero unless
     /// [`SimOptions::capacity`] caps the links).
     pub queue_drops_data: u64,
@@ -149,13 +120,6 @@ pub struct SimOptions {
     /// PIM configuration. "PIM-shared" is [`Protocol::Pim`] with
     /// [`PimConfig::shared_tree_only`] here.
     pub pim: PimConfig,
-    /// Worker threads for the region-partitioned world (1 = the classic
-    /// sequential core). Results are byte-identical for any value.
-    pub threads: usize,
-    /// Collect a [`netsim::SimProfile`] (per-region wall-clock and
-    /// event-count attribution) into [`SimResult::profile`]. Purely
-    /// observational: every deterministic output is unchanged.
-    pub profile: bool,
     /// Transmit capacity applied to every router-router link
     /// ([`LinkCapacity::UNLIMITED`] — the default — leaves the capacity
     /// model disabled and the trace byte-identical to before the model
@@ -171,8 +135,6 @@ impl Default for SimOptions {
             seed: 1,
             link_loss: 0.0,
             pim: PimConfig::default(),
-            threads: 1,
-            profile: false,
             capacity: LinkCapacity::UNLIMITED,
         }
     }
@@ -211,41 +173,9 @@ pub fn run_protocol_sim_opts(
     workloads: &[Workload],
     opts: &SimOptions,
 ) -> SimResult {
-    run_protocol_sim_core(g, protocol, workloads, opts, None)
-}
-
-/// [`run_protocol_sim_opts`] over a hierarchical topology: the world is
-/// partitioned along the generator's domain boundaries (regions of equal
-/// weight, the backbone whole in region 0 — see
-/// [`HierTopology::region_hints`]) instead of the generic
-/// auto-partitioner, so every cross-region link is an expensive gateway
-/// hop and the conservative lookahead stays large. With
-/// `opts.threads == 1` the partition is skipped entirely; results are
-/// byte-identical either way.
-pub fn run_protocol_sim_hier(
-    h: &HierTopology,
-    protocol: Protocol,
-    workloads: &[Workload],
-    opts: &SimOptions,
-) -> SimResult {
-    let hints = h.region_hints(opts.threads);
-    run_protocol_sim_core(&h.graph, protocol, workloads, opts, Some(&hints))
-}
-
-/// The shared simulation core behind [`run_protocol_sim_opts`] and
-/// [`run_protocol_sim_hier`]. `region_hints`, when given, assigns a
-/// region to every *router* (see [`scenario::ScenarioNet::parallelize`]).
-fn run_protocol_sim_core(
-    g: &Graph,
-    protocol: Protocol,
-    workloads: &[Workload],
-    opts: &SimOptions,
-    region_hints: Option<&[u32]>,
-) -> SimResult {
     let packets_per_sender = opts.packets_per_sender;
 
-    // One host slot per involved router, in router order; a slot is
-    // aggregate when any workload puts a population > 1 behind it.
+    // One host slot per involved router, in router order.
     let involved: BTreeSet<NodeId> = workloads
         .iter()
         .flat_map(|w| w.members.iter().chain(&w.senders).copied())
@@ -256,17 +186,6 @@ fn run_protocol_sim_core(
             .binary_search(&n)
             .expect("every member and sender router has a host slot")
     };
-    // Member weight of site `n` for group `g` (1 for a non-member).
-    let weight_of = |n: NodeId, g: Option<Group>| -> u64 {
-        workloads
-            .iter()
-            .filter(|w| g.is_none_or(|g| w.group == g) && w.members.contains(&n))
-            .map(|w| w.population)
-            .max()
-            .unwrap_or(1)
-            .max(1)
-    };
-    let populations: Vec<u64> = host_routers.iter().map(|&n| weight_of(n, None)).collect();
     let groups: Vec<(Group, Vec<NodeId>)> = workloads
         .iter()
         .map(|w| (w.group, vec![w.rendezvous]))
@@ -275,7 +194,6 @@ fn run_protocol_sim_core(
         protocol,
         groups: &groups,
         host_routers: &host_routers,
-        populations: &populations,
         pim: opts.pim,
         seed: opts.seed,
         ..NetSpec::default()
@@ -326,21 +244,12 @@ fn run_protocol_sim_core(
     }
 
     let end = SEND_START + packets_per_sender * SEND_GAP + COOLDOWN;
-    net.parallelize(opts.threads, region_hints);
-    if opts.profile {
-        net.world.enable_profile();
-    }
-    let run_started = std::time::Instant::now();
     net.world.run_until(SimTime(end));
-    let run_ms = run_started.elapsed().as_secs_f64() * 1e3;
     let world = &net.world;
 
     // Collect metrics.
     let mut result = SimResult {
         state_entries: state_sample.get(),
-        run_ms,
-        regions: world.region_count(),
-        profile: world.profile(),
         ..SimResult::default()
     };
     // Link metrics cover router-router links only: the member host LANs
@@ -352,7 +261,6 @@ fn run_protocol_sim_core(
     result.events_dispatched = counters.events_dispatched();
     result.timers_fired = counters.timers_fired();
     result.timers_skipped_stale = counters.timers_skipped_stale();
-    result.rx_pkts = counters.rx_pkts();
     result.queue_drops_data = counters.queue_drops_data();
     result.queue_drops_ctrl = counters.queue_drops_ctrl();
     result.ecn_marks = counters.ecn_marks();
@@ -372,15 +280,7 @@ fn run_protocol_sim_core(
         result.max_link_data = result.max_link_data.max(st.data_pkts);
     }
     // Host-side delivery accounting: unique (source, seq) receptions per
-    // member site, with duplicates tallied separately. Aggregate sites
-    // weight each reception by the member population behind the LAN, so
-    // `deliveries` counts *member* receptions in both representations
-    // (population 1 degenerates to the explicit accounting exactly).
-    let mut fp: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fold = |v: u64| {
-        fp ^= v;
-        fp = fp.wrapping_mul(0x100_0000_01b3);
-    };
+    // member site, with duplicates tallied separately.
     for (slot, &n) in host_routers.iter().enumerate() {
         let member_of: BTreeSet<Group> = workloads
             .iter()
@@ -392,26 +292,17 @@ fn run_protocol_sim_core(
             if !member_of.contains(&r.group) {
                 continue;
             }
-            let weight = weight_of(n, Some(r.group));
             if seen.insert((r.group, r.source, r.seq)) {
-                result.deliveries += weight;
+                result.deliveries += 1;
             } else {
                 result.duplicates += 1;
             }
-            fold(n.index() as u64);
-            fold(r.at.ticks());
-            fold(u64::from(r.source.0));
-            fold(u64::from(r.group.addr().0));
-            fold(r.seq);
-            fold(weight);
         }
     }
-    result.reception_fingerprint = fp;
     for w in workloads {
-        let site_weight = w.population.max(1);
         for &s in &w.senders {
             let other_sites = w.members.iter().filter(|&&m| m != s).count() as u64;
-            result.expected_deliveries += other_sites * site_weight * packets_per_sender;
+            result.expected_deliveries += other_sites * packets_per_sender;
         }
     }
     result
@@ -420,11 +311,9 @@ fn run_protocol_sim_core(
 /// Minimal CLI parsing for the experiment binaries: `--seed N`,
 /// `--trials N`, `--quick` (divides trials by 10), `--smoke` (tiny
 /// bin-chosen trial count for the CI gate), `--threads N` (trial
-/// fan-out and world-partition width; output is bit-identical for every
-/// value), `--nodes N,N,...` (simbench: Waxman scaling sweep sizes),
-/// `--hier N,N,...` / `--members N,N,...` (simbench: hierarchical router
-/// counts and aggregate-member totals), `--congestion` (bounded-capacity
-/// sweeps), and `--json PATH` (machine-readable timing record).
+/// fan-out width; output is bit-identical for every value), `--groups N`
+/// (fig2b: groups per network), `--congestion` (overhead: cap every
+/// link), and `--json PATH` (machine-readable timing record).
 pub mod cli {
     /// Parsed common flags.
     #[derive(Clone, Debug)]
@@ -440,19 +329,10 @@ pub mod cli {
         /// Override for a bin-specific size knob (fig2b: groups per
         /// network).
         pub groups: Option<usize>,
-        /// Node-count sweep override (simbench: comma-separated router
-        /// counts for the Waxman scaling table).
-        pub nodes: Option<Vec<usize>>,
-        /// Hierarchical sweep override (simbench: comma-separated router
-        /// counts for the backbone+domains scaling table).
-        pub hier: Option<Vec<usize>>,
-        /// Aggregate-membership sweep override (simbench: comma-separated
-        /// total member counts at the fixed hierarchical size).
-        pub members: Option<Vec<u64>>,
         /// `--smoke` was given (bins may also shrink non-trial knobs).
         pub smoke: bool,
-        /// `--congestion` was given (simbench: run the bounded-capacity
-        /// sweep; overhead: cap every link and report shed load).
+        /// `--congestion` was given (overhead: cap every link and
+        /// report shed load).
         pub congestion: bool,
     }
 
@@ -465,24 +345,9 @@ pub mod cli {
             threads: par::default_threads(),
             json: None,
             groups: None,
-            nodes: None,
-            hier: None,
-            members: None,
             smoke: false,
             congestion: false,
         };
-        fn csv<T: std::str::FromStr>(flag: &str, arg: Option<&String>) -> Vec<T> {
-            arg.map(|s| {
-                s.split(',')
-                    .map(|p| {
-                        p.trim()
-                            .parse()
-                            .unwrap_or_else(|_| panic!("{flag} needs comma-separated counts"))
-                    })
-                    .collect()
-            })
-            .unwrap_or_else(|| panic!("{flag} needs comma-separated counts"))
-        }
         let mut explicit_trials = false;
         let argv: Vec<String> = std::env::args().collect();
         let mut i = 1;
@@ -527,18 +392,6 @@ pub mod cli {
                     );
                     i += 2;
                 }
-                "--nodes" => {
-                    args.nodes = Some(csv("--nodes", argv.get(i + 1)));
-                    i += 2;
-                }
-                "--hier" => {
-                    args.hier = Some(csv("--hier", argv.get(i + 1)));
-                    i += 2;
-                }
-                "--members" => {
-                    args.members = Some(csv("--members", argv.get(i + 1)));
-                    i += 2;
-                }
                 "--quick" => {
                     args.trials = (args.trials / 10).max(1);
                     i += 1;
@@ -553,8 +406,7 @@ pub mod cli {
                 }
                 other => panic!(
                     "unknown flag {other}; supported: --seed N --trials N --quick --smoke \
-                     --threads N --json PATH --groups N --nodes N,N,... --hier N,N,... \
-                     --members N,N,... --congestion"
+                     --threads N --json PATH --groups N --congestion"
                 ),
             }
         }
@@ -571,9 +423,9 @@ pub mod cli {
     }
 }
 
-/// Wall-clock timing and the hand-rolled JSON records the bench binaries
-/// emit (`BENCH_fig2.json`, `BENCH_sim.json`) so future PRs have a
-/// recorded perf trajectory to regress against.
+/// Wall-clock timing and the hand-rolled JSON record `fig2a` / `fig2b`
+/// emit (`BENCH_fig2.json`), so the Fig. 2 sweeps keep a recorded
+/// trajectory.
 pub mod perf {
     use std::time::Instant;
 
@@ -640,7 +492,6 @@ mod tests {
             members: vec![NodeId(2), NodeId(7), NodeId(11)],
             senders: vec![NodeId(7)],
             rendezvous: NodeId(0),
-            population: 1,
         };
         let contenders = [
             (Protocol::Pim, PimConfig::default()),
@@ -684,7 +535,6 @@ mod tests {
             members: vec![NodeId(3), NodeId(17)],
             senders: vec![NodeId(17)],
             rendezvous: NodeId(5),
-            population: 1,
         };
         let pim = run_protocol_sim(&g, Protocol::Pim, std::slice::from_ref(&w), 8, 2);
         let dvm = run_protocol_sim(&g, Protocol::Dvmrp, &[w], 8, 2);

@@ -60,66 +60,6 @@ fn ablation_output_is_thread_count_invariant() {
     assert_thread_invariant(env!("CARGO_BIN_EXE_ablation"), &["--trials", "2"]);
 }
 
-/// simbench prints wall-clock timings, which legitimately vary run to
-/// run, and region counts, which vary with `--threads` by design (the
-/// partition is a performance knob). Strip both — plus the profile
-/// block, whose per-region attribution follows the partition — leaving
-/// the deterministic content: fingerprints and delivery/event counts.
-fn simbench_deterministic_view(out: &str) -> String {
-    out.lines()
-        .filter_map(|l| {
-            // "...: N deliveries in X ms (Y/ms)" → cut at the timing.
-            if let Some(i) = l.find(" in ") {
-                return Some(l[..i].to_string());
-            }
-            // The echoed thread count and the partition shape it implies,
-            // including the per-region profile table (indented block).
-            if l.contains(" threads:")
-                || l.starts_with("auto_partition")
-                || l.starts_with("node_profile")
-                || l.starts_with("hier_profile")
-                || l.starts_with("  ")
-            {
-                return None;
-            }
-            let toks: Vec<&str> = l.split_whitespace().collect();
-            // Sweep rows "nodes deliveries events regions wall_ms run_ms
-            // us/ev serial%" → keep only the simulation results (serial%
-            // may be "-").
-            if toks.len() == 8 && toks[..7].iter().all(|t| t.parse::<f64>().is_ok()) {
-                return Some(toks[..3].join(" "));
-            }
-            // Hierarchical sweep rows "routers domains members deliveries
-            // del% events state/rtr ctrl/rtr regions wall_ms run_ms us/ev"
-            // → drop the partition shape and the wall-clock tail.
-            if toks.len() == 12 && toks.iter().all(|t| t.parse::<f64>().is_ok()) {
-                return Some(toks[..8].join(" "));
-            }
-            Some(l.to_string())
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-/// The simulator microbench — LAN fan-out fingerprint, protocol-run
-/// deliveries, and the node-count sweep (deliveries, events, regions) —
-/// must agree at 1, 2, and 4 threads.
-#[test]
-fn simbench_results_are_thread_count_invariant() {
-    let bin = env!("CARGO_BIN_EXE_simbench");
-    let views: Vec<String> = ["1", "2", "4"]
-        .iter()
-        .map(|t| simbench_deterministic_view(&run(bin, &["--smoke", "--threads", t])))
-        .collect();
-    assert!(
-        views[0].contains("fingerprint"),
-        "missing fingerprint line:\n{}",
-        views[0]
-    );
-    assert_eq!(views[0], views[1], "simbench: 1 vs 2 threads diverged");
-    assert_eq!(views[0], views[2], "simbench: 1 vs 4 threads diverged");
-}
-
 /// `--seed` still changes the numbers (the invariance above isn't a
 /// constant-output bug).
 #[test]

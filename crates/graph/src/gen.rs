@@ -328,8 +328,8 @@ impl HierTopology {
     /// (Interfaces
     /// alone call the 2 000-router benchmark shape's backbone half of the
     /// internet — 50.5 % of the interfaces — where it does 36 % of the
-    /// work; with the constant, the two regions of `simbench --hier 2000`
-    /// got 51 | 49 % of the events and 47 | 53 % of the busy time.)
+    /// work; with the constant, that shape's two regions got 51 | 49 % of
+    /// the events and 47 | 53 % of the busy time.)
     fn weight(&self, routers: impl Iterator<Item = usize>) -> usize {
         routers
             .map(|v| self.graph.degree(NodeId(v as u32)) + 2)

@@ -14,7 +14,8 @@
 //! shared-tree → SPT switchover, every probe must reach every other site
 //! and the battery must hold — including the site-scaled state bound,
 //! which fails if any router's table grows with *members* rather than
-//! *sites*. The scenario-layer counterpart of `simbench --hier`.
+//! *sites*. `--domains 200` is the 2 000-router shape of the benchmark's
+//! `hier_ctrl` workloads.
 //!
 //! **overload** — congestion. Two workloads on the diamond, each with the
 //! r1-r2 link (link 1, the RP-side edge) capped to a few bytes per tick
@@ -26,9 +27,13 @@
 //! too weak to bite is itself a failure — and the probes must still
 //! arrive (`congestion-recovery`).
 //!
-//! Every printed counter is part of the deterministic contract:
-//! `scripts/check.sh` diffs the output at `--threads 1` vs `4`. Exits
-//! nonzero on any violation.
+//! Every counter on a `PASS`/`FAIL` row is part of the deterministic
+//! contract: `scripts/check.sh` diffs those rows at `--threads` 1, 2 and
+//! 4. Indented under each row is the run's [`netsim::SimProfile`] — where
+//! the wall-clock went, region by region, and the lock-step bound on
+//! speed-up (`busy-us / critical-us / handoff-us / speed-up<=`); it only
+//! observes, and its microsecond columns vary run to run. Exits nonzero
+//! on any violation.
 
 use graph::gen::{hierarchical, HierParams, WaxmanParams};
 use graph::NodeId;
@@ -186,6 +191,7 @@ fn run(table: &str, w: &Workload, proto: Protocol, threads: usize, seed: u64) ->
     let metrics = Arc::new(Mutex::new(MetricsAggregator::new()));
     net.attach_telemetry(metrics.clone());
     net.parallelize(threads, w.regions.as_deref());
+    net.world.enable_profile();
     net.world.run_until(SimTime(w.check_at));
 
     let members: Vec<u32> = (1..w.topo.host_routers.len() as u32).collect();
@@ -230,6 +236,10 @@ fn run(table: &str, w: &Workload, proto: Protocol, threads: usize, seed: u64) ->
     );
     for v in violations.iter().take(10) {
         println!("  {} node {}: {}", v.oracle, v.node, v.detail);
+    }
+    let profile = net.world.profile().expect("enabled before the run");
+    for line in profile.render().lines() {
+        println!("  {line}");
     }
     violations.is_empty()
 }

@@ -74,9 +74,6 @@ for cmd in 'fig2a --quick' 'fig2b --quick' fig1 'overhead --trials 2 --congestio
     pin=crates/bench/pins/$(echo "$cmd" | sed 's/ -*/_/g').txt
     ./target/release/$cmd | cmp - "$pin" || { echo "$cmd differs from $pin"; exit 1; }
 done
-# --congestion folds the bounded-capacity sweep's reception fingerprints
-# in: congestion must not cost determinism.
-gate simbench fingerprint ./target/release/simbench --smoke --congestion
 # Causal provenance too: the full `trace why` report (backward slices,
 # critical paths, blast radii, causal-index fingerprint) on every pin.
 for pin in corpus/*.replay; do
@@ -96,9 +93,6 @@ gate smoke-overload 'PASS\|FAIL' ./target/release/smoke overload
 # the metrics sink) must not depend on the width.
 gate explore '' ./target/release/explore 6 0 --corpus corpus
 echo "determinism + smokes: OK"
-
-echo "== bench smoke"
-./scripts/bench.sh smoke
 
 echo "== fuzz smoke"
 ./scripts/fuzz.sh smoke
