@@ -23,7 +23,7 @@ use crate::config::{PimConfig, SptPolicy};
 use crate::entry::{Entry, GroupState, OifKind};
 use netsim::{Deadlines, Duration, IfaceId, IfaceSet, SimTime};
 use node::Action;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 use telemetry::{flags, EntryKey, Event, StateDump, Telem};
 use unicast::Rib;
@@ -2054,14 +2054,4 @@ fn fmt_deadline(t: SimTime) -> String {
     } else {
         format!("t{}", t.ticks())
     }
-}
-
-/// Set-like helper used by the router adapter: which groups have local
-/// members according to the engine's oif state.
-pub fn groups_with_local_members(engine: &Engine) -> HashSet<Group> {
-    engine
-        .groups()
-        .filter(|(_, gs)| gs.star.as_ref().is_some_and(|s| s.has_local_members()))
-        .map(|(g, _)| g)
-        .collect()
 }

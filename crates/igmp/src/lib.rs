@@ -23,7 +23,7 @@ pub mod population;
 
 pub use endpoint::{host, host_mut, with_host, Endpoint};
 pub use host::{HostNode, Received};
-pub use population::{Churn, PopulationNode};
+pub use population::PopulationNode;
 
 use netsim::{Deadlines, Duration, SimTime};
 use rand::Rng;

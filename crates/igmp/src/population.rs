@@ -21,11 +21,6 @@
 //! * **Leaves are silent** (IGMPv1), so leave latency is the router's
 //!   membership timeout from the last refresh — identical to explicit
 //!   hosts.
-//! * **Membership churn is a deterministic rate process**: once per
-//!   configured interval the population sheds `leave_per_mille`/1000 of
-//!   its members and admits a fixed number of arrivals, O(1) work however
-//!   large the population. Determinism keeps the parallel core's
-//!   byte-identity contract intact.
 //!
 //! Delivery is accounted per population: each data packet received while
 //! the group has M members counts as M member-receptions (one log entry,
@@ -43,26 +38,12 @@ use wire::{Addr, Group, Message};
 const TOKEN_WAKE: u64 = 1;
 const DATA_TTL: u8 = 32;
 
-/// Deterministic membership churn for one group of a population,
-/// evaluated once per `interval` as an expected-value rate process.
-#[derive(Clone, Copy, Debug)]
-pub struct Churn {
-    /// How often the rate process is evaluated.
-    pub interval: Duration,
-    /// Per-interval departure rate, in members per thousand (applied as
-    /// `members * leave_per_mille / 1000`, integer arithmetic).
-    pub leave_per_mille: u32,
-    /// New members admitted per interval.
-    pub joins_per_interval: u64,
-}
-
 /// Per-group aggregate membership state.
 #[derive(Debug)]
 struct Membership {
     members: u64,
     /// Sampled min-of-N report delay for an outstanding query, if any.
     pending_report: Option<SimTime>,
-    churn: Option<(Churn, SimTime)>,
 }
 
 /// Sample `min(d_1..d_n)` where each `d_i` is uniform on `0..max`,
@@ -166,7 +147,6 @@ impl PopulationNode {
         let m = self.memberships.entry(group).or_insert(Membership {
             members: 0,
             pending_report: None,
-            churn: None,
         });
         m.members += n;
         self.send_report(ctx, group);
@@ -181,20 +161,6 @@ impl PopulationNode {
                 m.pending_report = None;
             }
         }
-    }
-
-    /// Install a churn rate process for `group`, first evaluated one
-    /// interval from now.
-    pub fn set_churn(&mut self, ctx: &mut Ctx<'_>, group: Group, churn: Churn) {
-        assert!(churn.interval.ticks() >= 1, "churn interval must advance");
-        let now = ctx.now();
-        let m = self.memberships.entry(group).or_insert(Membership {
-            members: 0,
-            pending_report: None,
-            churn: None,
-        });
-        m.churn = Some((churn, now + churn.interval));
-        self.reschedule(ctx, now);
     }
 
     /// Send one data packet to `group` from the population's address;
@@ -243,16 +209,12 @@ impl PopulationNode {
         }
     }
 
-    /// Arm one wakeup at the earliest pending report or churn evaluation.
+    /// Arm one wakeup at the earliest pending report.
     fn reschedule(&mut self, ctx: &mut Ctx<'_>, floor: SimTime) {
         let next = self
             .memberships
             .values()
-            .flat_map(|m| {
-                m.pending_report
-                    .into_iter()
-                    .chain(m.churn.map(|(_, at)| at))
-            })
+            .filter_map(|m| m.pending_report)
             .min();
         let Some(d) = next else {
             if let Some((_, id)) = self.wakeup.take() {
@@ -349,32 +311,6 @@ impl Node for PopulationNode {
                 m.pending_report = None;
             }
             self.send_report(ctx, g);
-        }
-        // Due churn evaluations: leaves scale with the population, joins
-        // arrive at a fixed rate; a group resurrected from zero announces
-        // itself with one unsolicited report.
-        let due_churn: Vec<Group> = self
-            .memberships
-            .iter()
-            .filter(|(_, m)| m.churn.is_some_and(|(_, at)| now >= at))
-            .map(|(&g, _)| g)
-            .collect();
-        for g in due_churn {
-            let mut announce = false;
-            if let Some(m) = self.memberships.get_mut(&g) {
-                let (churn, at) = m.churn.expect("filtered on is_some");
-                let was = m.members;
-                let leaves = m.members * churn.leave_per_mille as u64 / 1000;
-                m.members = m.members.saturating_sub(leaves) + churn.joins_per_interval;
-                if m.members == 0 {
-                    m.pending_report = None;
-                }
-                announce = was == 0 && m.members > 0;
-                m.churn = Some((churn, at + churn.interval));
-            }
-            if announce {
-                self.send_report(ctx, g);
-            }
         }
         self.reschedule(ctx, now + Duration(1));
     }

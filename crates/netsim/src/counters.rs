@@ -435,11 +435,6 @@ impl Counters {
         self.local_deliveries.iter().sum()
     }
 
-    /// Number of distinct links that carried at least one data packet.
-    pub fn links_carrying_data(&self) -> usize {
-        self.per_link.iter().filter(|s| s.data_pkts > 0).count()
-    }
-
     /// Events the world actually dispatched (deliveries + timers + scripts).
     /// The paper's scaling argument is that this should track state churn,
     /// not wall-clock: an idle network should dispatch almost nothing.
@@ -628,7 +623,6 @@ mod tests {
         assert_eq!(c.local_deliveries(NodeIdx(3)), 2);
         assert_eq!(c.local_deliveries(NodeIdx(0)), 0);
         assert_eq!(c.total_local_deliveries(), 2);
-        assert_eq!(c.links_carrying_data(), 2);
     }
 
     /// Sharded recording + merge must reproduce single-heap totals, and

@@ -161,12 +161,6 @@ impl ChannelModel {
         reorder_pm: 0,
         jitter: 0,
     };
-
-    /// True when every impairment probability is zero (the transmit path
-    /// then consumes no randomness for this model).
-    pub fn is_clean(&self) -> bool {
-        self.corrupt_pm == 0 && self.duplicate_pm == 0 && self.reorder_pm == 0
-    }
 }
 
 /// Deterministic per-direction link capacity: bandwidth in bytes/tick
@@ -1237,12 +1231,6 @@ impl<'a> Ctx<'a> {
         &mut self.region.rngs[self.slot]
     }
 
-    /// Is the link behind `iface` currently up?
-    pub fn iface_up(&self, iface: IfaceId) -> bool {
-        let link = self.shared.ifaces[self.node.0][iface.index()];
-        self.shared.links[link.0].up
-    }
-
     /// Record that a data packet was delivered to a locally attached group
     /// member (for the experiment counters).
     pub fn count_local_delivery(&mut self) {
@@ -1663,11 +1651,6 @@ impl World {
         &self.shared.links[link.0]
     }
 
-    /// Number of links.
-    pub fn link_count(&self) -> usize {
-        self.shared.links.len()
-    }
-
     /// Overhead counters collected so far: the world shard (script
     /// dispatches) merged with every region shard. The merge is
     /// associative and order-independent (see `Counters::merge`), so the
@@ -1678,15 +1661,6 @@ impl World {
             total.merge(&r.counters);
         }
         total
-    }
-
-    /// Reset the overhead counters (e.g. after protocol warm-up, so an
-    /// experiment measures steady state only).
-    pub fn reset_counters(&mut self) {
-        self.world_counters = Counters::default();
-        for r in self.regions.iter_mut() {
-            r.counters = Counters::default();
-        }
     }
 
     /// Attach a structured-event sink for all telemetry: the world's own

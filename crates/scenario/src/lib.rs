@@ -65,4 +65,4 @@ pub use schedule::{FaultEvent, FaultSchedule};
 pub use search::{
     coverage_search, evaluate_schedule, random_search, Evaluation, SearchConfig, SearchReport,
 };
-pub use shrink::{shrink_artifact, shrink_violation, shrink_with, ShrinkResult, ShrinkStats};
+pub use shrink::{shrink_violation, shrink_with, ShrinkResult, ShrinkStats};

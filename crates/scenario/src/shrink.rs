@@ -37,7 +37,7 @@
 //!
 //! [`FaultSchedule::normalize`]: crate::schedule::FaultSchedule::normalize
 
-use crate::explore::{run_case, verify_replay, Artifact, CaseOutcome, TopoSpec};
+use crate::explore::{run_case, CaseOutcome, TopoSpec};
 use crate::net::Protocol;
 use crate::schedule::{FaultEvent, FaultSchedule};
 use std::collections::BTreeSet;
@@ -222,24 +222,4 @@ pub fn shrink_violation(
         let got: BTreeSet<&'static str> = o.violations.iter().map(|v| v.oracle).collect();
         oracles.iter().all(|x| got.contains(x))
     })
-}
-
-/// Minimize a violating artifact: shrink its schedule, capture a fresh
-/// artifact from the minimized run, and **re-verify byte-identical
-/// replay** before returning it — a minimized artifact that does not
-/// reproduce exactly is a bug, not a deliverable.
-pub fn shrink_artifact(artifact: &Artifact) -> Result<(Artifact, ShrinkStats), String> {
-    let topo = crate::explore::topology(&artifact.topology)
-        .ok_or_else(|| format!("unknown topology {:?}", artifact.topology))?;
-    let result = shrink_violation(&topo, artifact.protocol, artifact.seed, &artifact.schedule)
-        .ok_or_else(|| "artifact's schedule does not violate any oracle".to_string())?;
-    let minimized = Artifact::capture(
-        &topo,
-        artifact.protocol,
-        &result.schedule,
-        artifact.seed,
-        &result.outcome,
-    );
-    verify_replay(&minimized).map_err(|e| format!("minimized artifact failed replay: {e}"))?;
-    Ok((minimized, result.stats))
 }

@@ -1365,11 +1365,6 @@ impl CoverageSink {
     pub fn map(&self) -> &CoverageMap {
         &self.map
     }
-
-    /// Consume the sink, returning the accumulated map.
-    pub fn into_map(self) -> CoverageMap {
-        self.map
-    }
 }
 
 impl Sink for CoverageSink {
