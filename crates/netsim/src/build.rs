@@ -8,7 +8,7 @@
 //! builds the world from it.
 
 use crate::time::Duration;
-use crate::world::{IfaceId, LinkId, Node, NodeIdx, World};
+use crate::{IfaceId, LinkId, Node, NodeIdx, World};
 use graph::{EdgeId, Graph, NodeId};
 use wire::Addr;
 
@@ -188,7 +188,7 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world::Ctx;
+    use crate::Ctx;
     use std::any::Any;
 
     struct Sink;

@@ -7,7 +7,7 @@
 //! protocol adapters themselves (they know their table sizes).
 
 use crate::time::SimTime;
-use crate::world::{LinkId, NodeIdx};
+use crate::{LinkId, NodeIdx};
 use wire::ip::{Header, Protocol};
 
 /// Whether a packet is protocol control traffic or application data.

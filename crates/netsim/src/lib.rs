@@ -23,19 +23,26 @@
 
 pub mod build;
 pub mod counters;
+mod ctx;
+mod ids;
 pub mod iface_set;
+mod link;
 pub mod partition;
 pub mod profile;
+mod queue;
+mod region;
 pub mod time;
 pub mod trace;
 pub mod world;
 
 pub use build::{host_addr, node_of_addr, router_addr, Topology};
 pub use counters::{Counters, CtrlProto, LinkStats, PacketClass};
+pub use ctx::{Ctx, Node};
+pub use ids::{IfaceId, LinkId, NodeIdx};
 pub use iface_set::{IfaceSet, TooWide};
+pub use link::{ChannelModel, Link, LinkCapacity, LinkKind};
 pub use profile::{RegionProfile, SimProfile};
+pub use queue::TimerId;
+pub use region::CaptureRecord;
 pub use time::{earliest, Deadlines, Duration, SimTime};
-pub use world::{
-    CaptureRecord, ChannelModel, Ctx, IfaceId, Link, LinkCapacity, LinkId, LinkKind, Node, NodeIdx,
-    TimerId, World,
-};
+pub use world::World;

@@ -20,7 +20,7 @@
 //! explicit overrides (e.g. [`crate::build::Topology::regions_by`]) can
 //! encode domain knowledge without risking correctness.
 
-use crate::world::Link;
+use crate::Link;
 
 /// Plain union-find with path halving and union by size.
 struct Dsu {
@@ -128,7 +128,7 @@ pub fn auto_partition(nodes: usize, links: &[Link], target: usize) -> Vec<u32> {
 mod tests {
     use super::*;
     use crate::time::Duration;
-    use crate::world::{ChannelModel, IfaceId, LinkCapacity, LinkKind, NodeIdx};
+    use crate::{ChannelModel, IfaceId, LinkCapacity, LinkKind, NodeIdx};
 
     fn link(delay: u64, ends: &[usize]) -> Link {
         Link {
