@@ -181,9 +181,12 @@ impl EventQueue {
         match self.open {
             Some(open) if tick == open => self.side.push(Reverse(entry)),
             Some(open) if tick < open => {
-                // Earlier than the tick being drained (a budget-cut
-                // window resumed after barrier work): close the open
-                // tick again so `future` alone says what is next.
+                // Earlier than the tick being drained: close the open
+                // tick again so `future` alone says what is next. No
+                // caller does this today — a window drains every tick it
+                // opens, and barrier work pushes at or after the world
+                // clock — but the queue stays total, and its proptest
+                // pins this branch.
                 if !self.current.is_empty() || !self.side.is_empty() {
                     let mut rest = std::mem::take(&mut self.current);
                     rest.extend(self.side.drain().map(|Reverse(e)| e));

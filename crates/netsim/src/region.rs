@@ -203,18 +203,14 @@ impl Region {
         self.nodes[slot] = Some(node_box);
     }
 
-    /// Process every event in this region due strictly before `bound`
-    /// (up to `budget` queue pops), advancing the region clock event by
-    /// event. Newly created same-region events inside the window are
+    /// Process every event in this region due strictly before `bound`,
+    /// advancing the region clock event by event. Newly created same-region events inside the window are
     /// picked up in the same pass; cross-region events land in the
     /// outbox (the lookahead guarantees they are due at or after
     /// `bound`, so routing them at the barrier is conservative-safe).
-    fn run_window(&mut self, shared: &Shared, bound: SimTime, budget: usize) -> usize {
+    fn run_window(&mut self, shared: &Shared, bound: SimTime) -> usize {
         let mut n = 0;
-        while n < budget {
-            if self.queue.peek_time().is_none_or(|due| due >= bound) {
-                break;
-            }
+        while self.queue.peek_time().is_some_and(|due| due < bound) {
             let Some((time, slot, gen)) = self.queue.pop() else {
                 break;
             };
@@ -287,7 +283,7 @@ impl Region {
     /// to the shard's `busy_nanos`).
     pub(crate) fn run_window_timed(&mut self, w: &Window) -> (usize, u64) {
         let t0 = self.prof.as_ref().map(|_| std::time::Instant::now());
-        let n = self.run_window(&w.shared, w.bound, w.budget);
+        let n = self.run_window(&w.shared, w.bound);
         let busy = t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
         if let Some(p) = &mut self.prof {
             p.busy_nanos += busy;
@@ -304,7 +300,6 @@ impl Region {
 pub(crate) struct Window {
     pub(crate) shared: Arc<Shared>,
     pub(crate) bound: SimTime,
-    pub(crate) budget: usize,
 }
 
 /// One captured transmission (see [`crate::World::enable_capture`]).

@@ -785,12 +785,11 @@ impl World {
     /// striped over more than one thread, inline otherwise — then
     /// cross-region mail is routed and telemetry merged at the barrier.
     /// Returns the number of queue pops across all regions.
-    fn run_window_all(&mut self, bound: SimTime, budget: usize) -> usize {
+    fn run_window_all(&mut self, bound: SimTime) -> usize {
         let t0 = self.profile.then(std::time::Instant::now);
         let window = Window {
             shared: Arc::clone(&self.shared),
             bound,
-            budget,
         };
         let width = self.regions.width();
         let (mut n, mut slowest) = (0, 0);
@@ -895,59 +894,12 @@ impl World {
             if let Some(l) = self.lookahead {
                 bound = bound.min(SimTime(t.ticks().saturating_add(l.ticks())));
             }
-            n += self.run_window_all(bound, usize::MAX);
+            n += self.run_window_all(bound);
             self.now = self.now.max(SimTime(bound.ticks().saturating_sub(1)));
         }
         // Advance the clock to the requested horizon even if idle.
         if self.now < until {
             self.now = until;
-        }
-        n
-    }
-
-    /// Run until the queue drains completely (only sensible when no node
-    /// sets periodic timers), or until `max_events` as a runaway guard
-    /// (per region within a window, exact in the default single-region
-    /// world).
-    pub fn run_to_idle(&mut self, max_events: usize) -> usize {
-        self.start();
-        let mut n = 0;
-        while n < max_events {
-            let t_ev = self.min_event_time();
-            let t_sc = self.scripts.peek().map(|s| s.at);
-            let t = match t_ev.into_iter().chain(t_sc).min() {
-                Some(t) => t,
-                None => break,
-            };
-            self.now = t;
-            if t_sc == Some(t) {
-                let entry = self.scripts.pop().expect("peeked script vanished");
-                self.world_counters.record_dispatch();
-                self.cur_script = Some(Tag {
-                    time: t,
-                    epoch: EPOCH_SCRIPT,
-                    origin: 0,
-                    seq: entry.seq,
-                    emit: 0,
-                });
-                (entry.f)(self);
-                self.cur_script = None;
-                n += 1;
-                self.flush_telemetry();
-            } else {
-                let mut bound = SimTime(u64::MAX);
-                if let Some(ts) = t_sc {
-                    bound = ts;
-                }
-                if let Some(l) = self.lookahead {
-                    bound = bound.min(SimTime(t.ticks().saturating_add(l.ticks())));
-                }
-                let c = self.run_window_all(bound, max_events - n);
-                n += c;
-                if c == 0 {
-                    break;
-                }
-            }
         }
         n
     }
