@@ -115,26 +115,20 @@ impl<'a> Ctx<'a> {
     ) {
         let tag = self.next_tag(due);
         let dst = self.shared.region_of[node.0];
+        let ev = Event::Deliver {
+            node,
+            iface,
+            packet,
+            link,
+        };
         if dst == self.region.id {
-            let _ = self.region.push_event(
-                tag,
-                self.tag,
-                Event::Deliver {
-                    node,
-                    iface,
-                    packet,
-                    link,
-                },
-            );
+            let _ = self.region.push_event(tag, self.tag, ev);
         } else {
             self.region.outbox.push(Outgoing {
                 dst,
                 tag,
                 cause: self.tag,
-                node,
-                iface,
-                packet,
-                link,
+                ev,
             });
         }
     }

@@ -3,7 +3,7 @@
 
 use crate::counters::{Counters, PacketClass};
 use crate::ctx::{Ctx, Node};
-use crate::ids::{IfaceId, LinkId, NodeIdx};
+use crate::ids::{LinkId, NodeIdx};
 use crate::link::{Link, TxDir};
 use crate::queue::{next_dispatch_seq, Event, EventQueue, EventSlot, Tag, EPOCH_EVENT};
 use crate::time::SimTime;
@@ -82,10 +82,7 @@ pub(crate) struct Outgoing {
     pub(crate) tag: Tag,
     /// Identity tag of the creating dispatch (causal parent).
     pub(crate) cause: Tag,
-    pub(crate) node: NodeIdx,
-    pub(crate) iface: IfaceId,
-    pub(crate) packet: Arc<[u8]>,
-    pub(crate) link: LinkId,
+    pub(crate) ev: Event,
 }
 
 /// State shared read-only across regions during a window: topology and

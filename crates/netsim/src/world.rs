@@ -724,16 +724,7 @@ impl World {
             // capacity from barrier to barrier.
             let mut outbox = std::mem::take(&mut self.regions[src].outbox);
             for m in outbox.drain(..) {
-                let _ = self.regions[m.dst as usize].push_event(
-                    m.tag,
-                    m.cause,
-                    Event::Deliver {
-                        node: m.node,
-                        iface: m.iface,
-                        packet: m.packet,
-                        link: m.link,
-                    },
-                );
+                let _ = self.regions[m.dst as usize].push_event(m.tag, m.cause, m.ev);
             }
             self.regions[src].outbox = outbox;
         }
