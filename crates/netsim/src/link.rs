@@ -140,6 +140,23 @@ pub struct Link {
     pub attachments: Vec<(NodeIdx, IfaceId)>,
 }
 
+impl Link {
+    /// A new link as [`crate::World::add_p2p`] and
+    /// [`crate::World::add_lan`] create it: up, lossless, clean,
+    /// unlimited, nothing attached yet.
+    pub(crate) fn new(kind: LinkKind, delay: Duration) -> Link {
+        Link {
+            kind,
+            delay,
+            up: true,
+            loss: 0.0,
+            channel: ChannelModel::CLEAN,
+            capacity: LinkCapacity::UNLIMITED,
+            attachments: Vec::new(),
+        }
+    }
+}
+
 /// Per-direction transmit-queue state for the capacity model: one per
 /// sending interface (an interface is one direction of one link). Lives
 /// in the sender's region — every transmit by a node runs inside its own

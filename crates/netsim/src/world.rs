@@ -333,15 +333,9 @@ impl World {
     ) -> (LinkId, IfaceId, IfaceId) {
         assert_ne!(a, b, "p2p link endpoints must differ");
         let id = LinkId(self.shared.links.len());
-        self.shared_mut().links.push(Link {
-            kind: LinkKind::PointToPoint,
-            delay,
-            up: true,
-            loss: 0.0,
-            channel: ChannelModel::CLEAN,
-            capacity: LinkCapacity::UNLIMITED,
-            attachments: Vec::new(),
-        });
+        self.shared_mut()
+            .links
+            .push(Link::new(LinkKind::PointToPoint, delay));
         let ia = self.attach(a, id);
         let ib = self.attach(b, id);
         (id, ia, ib)
@@ -352,15 +346,9 @@ impl World {
     pub fn add_lan(&mut self, nodes: &[NodeIdx], delay: Duration) -> (LinkId, Vec<IfaceId>) {
         assert!(nodes.len() >= 2, "a LAN needs at least two attachments");
         let id = LinkId(self.shared.links.len());
-        self.shared_mut().links.push(Link {
-            kind: LinkKind::Lan,
-            delay,
-            up: true,
-            loss: 0.0,
-            channel: ChannelModel::CLEAN,
-            capacity: LinkCapacity::UNLIMITED,
-            attachments: Vec::new(),
-        });
+        self.shared_mut()
+            .links
+            .push(Link::new(LinkKind::Lan, delay));
         let ifaces = nodes.iter().map(|&n| self.attach(n, id)).collect();
         (id, ifaces)
     }
