@@ -48,6 +48,7 @@ use crate::counters::Counters;
 use crate::ctx::{Ctx, Node};
 use crate::ids::{IfaceId, LinkId, NodeIdx};
 use crate::link::{ChannelModel, Link, LinkCapacity, LinkKind};
+use crate::profile::{RegionProfile, SimProfile};
 use crate::queue::{Event, Tag, EPOCH_EVENT, EPOCH_SCRIPT, EPOCH_START};
 use crate::region::{CaptureRecord, Region, RegionBuf, Shared, Window};
 use crate::time::{Duration, SimTime};
@@ -127,13 +128,11 @@ pub struct World {
     /// causal root for fault marks and for every barrier dispatch the
     /// script performs.
     cur_script: Option<Tag>,
-    /// Whether per-region wall-clock/event attribution is collected
-    /// (see [`World::enable_profile`]).
-    profile: bool,
-    prof_windows: u64,
-    prof_barrier_nanos: u64,
-    prof_critical_nanos: u64,
-    prof_handoff_nanos: u64,
+    /// `Some` when wall-clock/event attribution is collected (see
+    /// [`World::enable_profile`]): the world's own half — windows and
+    /// barrier, critical-path and hand-off time. The region shards and
+    /// the script count join it in [`World::profile`].
+    profile: Option<SimProfile>,
 }
 
 impl Default for World {
@@ -168,11 +167,7 @@ impl World {
             started: false,
             now: SimTime::ZERO,
             cur_script: None,
-            profile: false,
-            prof_windows: 0,
-            prof_barrier_nanos: 0,
-            prof_critical_nanos: 0,
-            prof_handoff_nanos: 0,
+            profile: None,
         }
     }
 
@@ -481,24 +476,19 @@ impl World {
     /// Must be called before [`World::start`].
     pub fn enable_profile(&mut self) {
         assert!(!self.started, "enable profiling before start");
-        self.profile = true;
+        self.profile = Some(SimProfile::default());
     }
 
     /// The attribution profile collected so far, `None` unless
     /// [`World::enable_profile`] was called. Event counts are
     /// deterministic; nanosecond attributions are wall-clock and vary
     /// run to run (never put them in a fingerprint).
-    pub fn profile(&self) -> Option<crate::profile::SimProfile> {
-        if !self.profile {
-            return None;
-        }
-        Some(crate::profile::SimProfile {
+    pub fn profile(&self) -> Option<SimProfile> {
+        let world = self.profile.as_ref()?;
+        Some(SimProfile {
             regions: self.regions.iter().filter_map(|r| r.prof.clone()).collect(),
-            windows: self.prof_windows,
-            barrier_nanos: self.prof_barrier_nanos,
-            critical_nanos: self.prof_critical_nanos,
-            handoff_nanos: self.prof_handoff_nanos,
             script_dispatches: self.world_counters.events_dispatched(),
+            ..world.clone()
         })
     }
 
@@ -686,9 +676,9 @@ impl World {
                     .set_telemetry(telemetry::Telem::attached(sink, i as u32));
             }
         }
-        if self.profile {
+        if self.profile.is_some() {
             for r in self.regions.iter_mut() {
-                r.prof = Some(crate::profile::RegionProfile::new(r.id));
+                r.prof = Some(RegionProfile::new(r.id));
             }
         }
         for i in 0..self.node_count() {
@@ -765,7 +755,7 @@ impl World {
     /// cross-region mail is routed and telemetry merged at the barrier.
     /// Returns the number of queue pops across all regions.
     fn run_window_all(&mut self, bound: SimTime) -> usize {
-        let t0 = self.profile.then(std::time::Instant::now);
+        let t0 = self.profile.as_ref().map(|_| std::time::Instant::now());
         let window = Window {
             shared: Arc::clone(&self.shared),
             bound,
@@ -804,15 +794,15 @@ impl World {
                 }
             }
         }
-        let t1 = self.profile.then(std::time::Instant::now);
+        let t1 = self.profile.as_ref().map(|_| std::time::Instant::now());
         self.route_mail();
         self.flush_telemetry();
-        if let (Some(t0), Some(t1)) = (t0, t1) {
-            self.prof_windows += 1;
-            self.prof_critical_nanos += slowest;
+        if let (Some(p), Some(t0), Some(t1)) = (&mut self.profile, t0, t1) {
+            p.windows += 1;
+            p.critical_nanos += slowest;
             let wall = t1.duration_since(t0).as_nanos() as u64;
-            self.prof_handoff_nanos += wall.saturating_sub(slowest);
-            self.prof_barrier_nanos += t1.elapsed().as_nanos() as u64;
+            p.handoff_nanos += wall.saturating_sub(slowest);
+            p.barrier_nanos += t1.elapsed().as_nanos() as u64;
         }
         n
     }
