@@ -3,9 +3,9 @@
 
 use crate::counters::PacketClass;
 use crate::ids::{IfaceId, LinkId, NodeIdx};
-use crate::link::TxDir;
+use crate::link::{ChannelModel, LinkCapacity, TxDir};
 use crate::queue::{Event, Tag, TimerId, EPOCH_EVENT};
-use crate::region::{CaptureRecord, Outgoing, Region, Shared};
+use crate::region::{Outgoing, Region, Shared};
 use crate::time::{Duration, SimTime};
 use rand::Rng;
 use std::any::Any;
@@ -133,12 +133,115 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// Transmit `packet` out of `(node, iface)`: schedule deliveries to
-    /// all other attachments of the link after its propagation delay,
-    /// applying the link's loss probability independently per receiver.
-    /// All rolls come from the *sender's* RNG stream, during the
-    /// sender's own dispatch — which is what keeps impairments a pure
-    /// function of the seed regardless of how receivers are partitioned.
+    /// The **admit** stage of a transmit, with its accounting: `None` if
+    /// the link's capacity model `cap` tail-drops the packet at the
+    /// sender, otherwise the serialization + queueing delay it pays (zero
+    /// on an unlimited link). Control-class packets bypass the
+    /// queue when the link grants them priority: the structural guarantee
+    /// behind the no-starvation oracle.
+    fn admit(
+        &mut self,
+        iface: IfaceId,
+        link_id: LinkId,
+        cap: LinkCapacity,
+        class: PacketClass,
+        len: u64,
+    ) -> Option<Duration> {
+        if cap.is_unlimited() || (cap.ctrl_priority && class == PacketClass::Control) {
+            return Some(Duration(0));
+        }
+        let from = self.node;
+        let dirs = &mut self.region.tx_dirs[self.slot];
+        if dirs.len() <= iface.index() {
+            dirs.resize(iface.index() + 1, TxDir::default());
+        }
+        let Some((backlog, marked, new_peak)) =
+            dirs[iface.index()].admit(&cap, self.region.now, len)
+        else {
+            // Tail drop at the sender: the packet never reaches the
+            // wire — no tx accounting, no capture, no deliveries.
+            self.region.counters.record_queue_drop(link_id, class);
+            let what = match class {
+                PacketClass::Control => "ctrl",
+                PacketClass::Data => "data",
+            };
+            self.emit(from, || telemetry::Event::QueueDrop {
+                what,
+                link: link_id.0 as u32,
+            });
+            return None;
+        };
+        self.region
+            .counters
+            .record_queue_depth(link_id, backlog, cap.queue_bytes);
+        if marked {
+            self.region.counters.record_ecn_mark(link_id);
+            self.emit(from, || telemetry::Event::EcnMark {
+                link: link_id.0 as u32,
+            });
+        }
+        if new_peak {
+            self.emit(from, || telemetry::Event::QueueDepth {
+                link: link_id.0 as u32,
+                bytes: backlog,
+            });
+        }
+        // Ceil division: a partially serialized packet occupies the
+        // wire for the whole remaining tick. The delay is strictly
+        // positive (backlog now includes this packet), so capacity
+        // can only push deliveries later — the conservative
+        // cross-region lookahead bound still holds.
+        Some(Duration(backlog.div_ceil(cap.bytes_per_tick)))
+    }
+
+    /// The **impair** and **schedule** stages of a transmit, for one
+    /// receiver: the link's channel model `chan` duplicates, corrupts and
+    /// reorders (each counted and marked in telemetry on the receiver's
+    /// behalf), and every resulting copy is scheduled.
+    fn impair(
+        &mut self,
+        chan: ChannelModel,
+        link_id: LinkId,
+        to: (NodeIdx, IfaceId),
+        packet: &Arc<[u8]>,
+        at: SimTime,
+    ) {
+        let link = link_id.0 as u32;
+        let copies = if chan.duplicate(&mut self.region.rngs[self.slot]) {
+            self.region.counters.record_duplicated(link_id);
+            let what = "duplicate";
+            self.emit(to.0, || telemetry::Event::ChannelImpaired { what, link });
+            2
+        } else {
+            1
+        };
+        for _ in 0..copies {
+            let mut copy = Arc::clone(packet);
+            let mut due = at;
+            if let Some(bytes) = chan.corrupt(&mut self.region.rngs[self.slot], &copy) {
+                copy = bytes;
+                self.region.counters.record_corrupted(link_id);
+                let what = "corrupt";
+                self.emit(to.0, || telemetry::Event::ChannelImpaired { what, link });
+            }
+            if let Some(extra) = chan.reorder(&mut self.region.rngs[self.slot]) {
+                due += extra;
+                self.region.counters.record_reordered(link_id);
+                let what = "reorder";
+                self.emit(to.0, || telemetry::Event::ChannelImpaired { what, link });
+            }
+            self.schedule_deliver(due, to.0, to.1, copy, link_id);
+        }
+    }
+
+    /// Transmit `packet` out of `(node, iface)` — up? → admit → account →
+    /// capture → per receiver: alive? → lose? → impair → schedule — so
+    /// that every other attachment of the link gets it after the
+    /// propagation delay, the loss probability applying independently
+    /// per receiver. All rolls come from the *sender's* RNG stream,
+    /// during the sender's own dispatch, in this order — which is what
+    /// keeps impairments a pure function of the seed regardless of how
+    /// receivers are partitioned.
     fn transmit(&mut self, iface: IfaceId, packet: Arc<[u8]>) {
         let from = self.node;
         let link_id = self.shared.ifaces[from.0][iface.index()];
@@ -147,139 +250,20 @@ impl<'a> Ctx<'a> {
             return;
         }
         let (class, proto) = PacketClass::classify_full(&packet);
-        // Deterministic capacity model (see [`LinkCapacity`]): drain the
-        // sender's per-direction backlog by elapsed time, tail-drop on
-        // overflow, otherwise enqueue and pay serialization + queueing
-        // delay. Everything here is pure integer arithmetic on queue
-        // state — no RNG draw ever happens on this path, so a world with
-        // capacity disabled (or only *other* links capped) keeps its
-        // random streams, and therefore its traces, byte-identical.
-        // Control-class packets bypass the queue when the link grants
-        // them priority: the structural guarantee behind the
-        // no-starvation oracle.
-        let cap = link.capacity;
-        let mut qdelay = Duration(0);
-        let priority_bypass = cap.ctrl_priority && class == PacketClass::Control;
-        if !cap.is_unlimited() && !priority_bypass {
-            let len = packet.len() as u64;
-            let rate = cap.bytes_per_tick;
-            let now = self.region.now;
-            let (dropped, backlog, marked, new_peak) = {
-                let dirs = &mut self.region.tx_dirs[self.slot];
-                if dirs.len() <= iface.index() {
-                    dirs.resize(iface.index() + 1, TxDir::default());
-                }
-                let q = &mut dirs[iface.index()];
-                let elapsed = now.ticks().saturating_sub(q.last.ticks());
-                q.backlog = q.backlog.saturating_sub(elapsed.saturating_mul(rate));
-                q.last = now;
-                if q.backlog.saturating_add(len) > cap.queue_bytes {
-                    (true, q.backlog, false, false)
-                } else {
-                    let marked = cap.ecn_bytes > 0 && q.backlog + len > cap.ecn_bytes;
-                    q.backlog += len;
-                    // Rate-limit queue-depth telemetry to new power-of-2
-                    // peak buckets so the stream stays bounded however
-                    // long the overload lasts.
-                    let bucket = 64 - q.backlog.leading_zeros();
-                    let new_peak = bucket > q.peak_bucket;
-                    if new_peak {
-                        q.peak_bucket = bucket;
-                    }
-                    (false, q.backlog, marked, new_peak)
-                }
-            };
-            if dropped {
-                // Tail drop at the sender: the packet never reaches the
-                // wire — no tx accounting, no capture, no deliveries.
-                self.region.counters.record_queue_drop(link_id, class);
-                let what = match class {
-                    PacketClass::Control => "ctrl",
-                    PacketClass::Data => "data",
-                };
-                self.emit(from, || telemetry::Event::QueueDrop {
-                    what,
-                    link: link_id.0 as u32,
-                });
-                return;
-            }
-            self.region
-                .counters
-                .record_queue_depth(link_id, backlog, cap.queue_bytes);
-            if marked {
-                self.region.counters.record_ecn_mark(link_id);
-                self.emit(from, || telemetry::Event::EcnMark {
-                    link: link_id.0 as u32,
-                });
-            }
-            if new_peak {
-                self.emit(from, || telemetry::Event::QueueDepth {
-                    link: link_id.0 as u32,
-                    bytes: backlog,
-                });
-            }
-            // Ceil division: a partially serialized packet occupies the
-            // wire for the whole remaining tick. The delay is strictly
-            // positive (backlog now includes this packet), so capacity
-            // can only push deliveries later — the conservative
-            // cross-region lookahead bound still holds.
-            qdelay = Duration(backlog.div_ceil(rate));
-        }
+        let len = packet.len() as u64;
+        let Some(qdelay) = self.admit(iface, link_id, link.capacity, class, len) else {
+            return;
+        };
         self.region
             .counters
             .record_tx(link_id, class, proto, packet.len(), self.region.now);
         if let Some(limit) = self.shared.capture_limit {
-            if limit > 0 {
-                let cs = self.region.cap_seq;
-                self.region.cap_seq += 1;
-                let cap = &mut self.region.capture;
-                // Keep the canonically-*smallest* `limit` records, not the
-                // first-inserted: same-tick dispatch tags are keyed by the
-                // receiving node and can invert relative to queue (event-tag)
-                // order, so insertion order is not canonical order even
-                // within one region. Bounded replacement preserves the
-                // invariant `captured()` relies on.
-                let full = cap.len() >= limit;
-                let evict = if full {
-                    let (i, (t, c, _)) = cap
-                        .iter()
-                        .enumerate()
-                        .max_by_key(|(_, (t, c, _))| (*t, *c))
-                        .expect("non-empty capture shard");
-                    if (self.tag, cs) < (*t, *c) {
-                        Some(i)
-                    } else {
-                        None
-                    }
-                } else {
-                    None
-                };
-                if !full || evict.is_some() {
-                    let rec = CaptureRecord {
-                        at: self.region.now,
-                        link: link_id,
-                        from,
-                        summary: crate::trace::describe_packet(&packet),
-                    };
-                    match evict {
-                        Some(i) => cap[i] = (self.tag, cs, rec),
-                        None => cap.push((self.tag, cs, rec)),
-                    }
-                }
-            }
+            self.region.capture(limit, self.tag, link_id, from, &packet);
         }
-        let delay = link.delay;
-        let loss = link.loss;
-        let chan = link.channel;
-        let n_att = link.attachments.len();
-        let at = self.region.now + delay + qdelay;
-        // One shared buffer for the whole fan-out; each delivery below is
-        // a refcount bump, not a copy of the packet bytes. Attachments are
-        // walked by index (re-reading the shared link each step) so the
-        // fan-out allocates nothing — collecting the destination list
-        // first cost a Vec per transmit on the hot path.
-        for ai in 0..n_att {
-            let (n, i) = self.shared.links[link_id.0].attachments[ai];
+        let at = self.region.now + link.delay + qdelay;
+        // One shared buffer for the whole fan-out; each delivery is a
+        // refcount bump, not a copy of the packet bytes.
+        for &(n, i) in &link.attachments {
             if (n, i) == (from, iface) {
                 continue;
             }
@@ -287,62 +271,11 @@ impl<'a> Ctx<'a> {
                 self.region.counters.record_pkt_dropped_node_down();
                 continue;
             }
-            if loss > 0.0 && self.region.rngs[self.slot].gen::<f64>() < loss {
+            if link.loss > 0.0 && self.region.rngs[self.slot].gen::<f64>() < link.loss {
                 self.region.counters.record_loss(link_id);
                 continue;
             }
-            // Adversarial channel: per-receiver rolls in a fixed order
-            // (duplicate, then corrupt and reorder per copy) so traces are
-            // a pure function of the seed. Each roll happens only when its
-            // probability is nonzero — a clean channel consumes no
-            // randomness and pre-existing traces stay byte-identical.
-            let copies = if chan.duplicate_pm > 0
-                && self.region.rngs[self.slot].gen_range(0..1000) < chan.duplicate_pm
-            {
-                self.region.counters.record_duplicated(link_id);
-                self.emit(n, || telemetry::Event::ChannelImpaired {
-                    what: "duplicate",
-                    link: link_id.0 as u32,
-                });
-                2
-            } else {
-                1
-            };
-            for _ in 0..copies {
-                let mut copy = packet.clone();
-                let mut due = at;
-                if chan.corrupt_pm > 0
-                    && self.region.rngs[self.slot].gen_range(0..1000) < chan.corrupt_pm
-                {
-                    // Flip one random bit of one random byte. The shared
-                    // Arc must never be mutated (other receivers see the
-                    // same buffer), so the corrupted copy gets its own
-                    // private allocation.
-                    let mut bytes = copy.to_vec();
-                    if !bytes.is_empty() {
-                        let idx = self.region.rngs[self.slot].gen_range(0..bytes.len());
-                        let bit = 1u8 << self.region.rngs[self.slot].gen_range(0..8u32);
-                        bytes[idx] ^= bit;
-                    }
-                    copy = bytes.into();
-                    self.region.counters.record_corrupted(link_id);
-                    self.emit(n, || telemetry::Event::ChannelImpaired {
-                        what: "corrupt",
-                        link: link_id.0 as u32,
-                    });
-                }
-                if chan.reorder_pm > 0
-                    && self.region.rngs[self.slot].gen_range(0..1000) < chan.reorder_pm
-                {
-                    due += Duration(self.region.rngs[self.slot].gen_range(1..=chan.jitter.max(1)));
-                    self.region.counters.record_reordered(link_id);
-                    self.emit(n, || telemetry::Event::ChannelImpaired {
-                        what: "reorder",
-                        link: link_id.0 as u32,
-                    });
-                }
-                self.schedule_deliver(due, n, i, copy, link_id);
-            }
+            self.impair(link.channel, link_id, (n, i), &packet, at);
         }
     }
 

@@ -13,6 +13,8 @@
 
 use crate::ids::{IfaceId, NodeIdx};
 use crate::time::{Duration, SimTime};
+use rand::Rng;
+use std::sync::Arc;
 
 /// Whether a link is a point-to-point wire or a multi-access LAN.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,6 +58,44 @@ impl ChannelModel {
         reorder_pm: 0,
         jitter: 0,
     };
+
+    // The **impair** stage of a transmit, one roll each, made per
+    // receiver in a fixed order — duplicate, then corrupt and reorder per
+    // copy — so traces are a pure function of the seed. A roll happens
+    // only when its probability is nonzero: a clean channel consumes no
+    // randomness and pre-existing traces stay byte-identical.
+
+    /// Does the receiver get the packet twice?
+    #[inline]
+    pub(crate) fn duplicate(&self, rng: &mut impl Rng) -> bool {
+        self.duplicate_pm > 0 && rng.gen_range(0..1000) < self.duplicate_pm
+    }
+
+    /// A copy of `packet` with one random bit of one random byte flipped,
+    /// if this copy is corrupted. The shared buffer must never be mutated
+    /// (other receivers see it), so the corrupted copy gets its own
+    /// private allocation.
+    #[inline]
+    pub(crate) fn corrupt(&self, rng: &mut impl Rng, packet: &[u8]) -> Option<Arc<[u8]>> {
+        if self.corrupt_pm == 0 || rng.gen_range(0..1000) >= self.corrupt_pm {
+            return None;
+        }
+        let mut bytes = packet.to_vec();
+        if !bytes.is_empty() {
+            let idx = rng.gen_range(0..bytes.len());
+            let bit = 1u8 << rng.gen_range(0..8u32);
+            bytes[idx] ^= bit;
+        }
+        Some(bytes.into())
+    }
+
+    /// The extra delay of this copy, if it is reordered past later
+    /// traffic.
+    #[inline]
+    pub(crate) fn reorder(&self, rng: &mut impl Rng) -> Option<Duration> {
+        (self.reorder_pm > 0 && rng.gen_range(0..1000) < self.reorder_pm)
+            .then(|| Duration(rng.gen_range(1..=self.jitter.max(1))))
+    }
 }
 
 /// Deterministic per-direction link capacity: bandwidth in bytes/tick
@@ -166,11 +206,49 @@ impl Link {
 #[derive(Clone, Copy, Default)]
 pub(crate) struct TxDir {
     /// Last time the backlog was drained (sender-region clock).
-    pub(crate) last: SimTime,
+    last: SimTime,
     /// Queued bytes not yet serialized onto the wire.
-    pub(crate) backlog: u64,
+    backlog: u64,
     /// Highest power-of-2 backlog bucket seen, for rate-limited
     /// queue-depth telemetry: one event per new peak bucket, not one
     /// per packet, keeps the stream bounded and deterministic.
-    pub(crate) peak_bucket: u32,
+    peak_bucket: u32,
+}
+
+impl TxDir {
+    /// The **admit** stage of a transmit: drain the backlog by the time
+    /// elapsed, then tail-drop the `len`-byte packet (`None`) or enqueue
+    /// it and return `(backlog, marked, new_peak)` — the backlog with
+    /// this packet in it, whether the enqueue crossed `cap.ecn_bytes`,
+    /// and whether the backlog reached a new power-of-2 peak bucket.
+    /// Pure integer arithmetic on queue state: no RNG draw ever happens
+    /// here, so a world with capacity disabled (or only *other* links
+    /// capped) keeps its random streams, and therefore its traces,
+    /// byte-identical.
+    pub(crate) fn admit(
+        &mut self,
+        cap: &LinkCapacity,
+        now: SimTime,
+        len: u64,
+    ) -> Option<(u64, bool, bool)> {
+        let elapsed = now.ticks().saturating_sub(self.last.ticks());
+        self.backlog = self
+            .backlog
+            .saturating_sub(elapsed.saturating_mul(cap.bytes_per_tick));
+        self.last = now;
+        if self.backlog.saturating_add(len) > cap.queue_bytes {
+            return None;
+        }
+        let marked = cap.ecn_bytes > 0 && self.backlog + len > cap.ecn_bytes;
+        self.backlog += len;
+        // Rate-limit queue-depth telemetry to new power-of-2 peak
+        // buckets so the stream stays bounded however long the overload
+        // lasts.
+        let bucket = 64 - self.backlog.leading_zeros();
+        let new_peak = bucket > self.peak_bucket;
+        if new_peak {
+            self.peak_bucket = bucket;
+        }
+        Some((self.backlog, marked, new_peak))
+    }
 }

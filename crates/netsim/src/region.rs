@@ -274,6 +274,58 @@ impl Region {
         n
     }
 
+    /// The **capture** stage of a transmit: record `packet`, sent by
+    /// `from` on `link` under dispatch `tag`, if it is among the `limit`
+    /// canonically smallest this region has seen.
+    pub(crate) fn capture(
+        &mut self,
+        limit: usize,
+        tag: Tag,
+        link: LinkId,
+        from: NodeIdx,
+        packet: &[u8],
+    ) {
+        if limit == 0 {
+            return;
+        }
+        let cs = self.cap_seq;
+        self.cap_seq += 1;
+        let cap = &mut self.capture;
+        // Keep the canonically-*smallest* `limit` records, not the
+        // first-inserted: same-tick dispatch tags are keyed by the
+        // receiving node and can invert relative to queue (event-tag)
+        // order, so insertion order is not canonical order even
+        // within one region. Bounded replacement preserves the
+        // invariant `captured()` relies on.
+        let full = cap.len() >= limit;
+        let evict = if full {
+            let (i, (t, c, _)) = cap
+                .iter()
+                .enumerate()
+                .max_by_key(|(_, (t, c, _))| (*t, *c))
+                .expect("non-empty capture shard");
+            if (tag, cs) < (*t, *c) {
+                Some(i)
+            } else {
+                None
+            }
+        } else {
+            None
+        };
+        if !full || evict.is_some() {
+            let rec = CaptureRecord {
+                at: self.now,
+                link,
+                from,
+                summary: crate::trace::describe_packet(packet),
+            };
+            match evict {
+                Some(i) => cap[i] = (tag, cs, rec),
+                None => cap.push((tag, cs, rec)),
+            }
+        }
+    }
+
     /// [`Region::run_window`] for the crew and the inline loop alike:
     /// returns the pops and, when profiling, the wall-clock nanoseconds
     /// the window took here (two clock reads per region per window, added
