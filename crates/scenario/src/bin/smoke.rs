@@ -185,8 +185,7 @@ fn run(table: &str, w: &Workload, proto: Protocol, threads: usize, seed: u64) ->
         &vec![w.population; w.topo.host_routers.len()],
         par::mix(seed, w.stream, proto as u64),
     );
-    let host_nodes: Vec<_> = net.hosts.iter().map(|&(n, _)| n).collect();
-    w.schedule.install(&mut net.world, &host_nodes, net.group);
+    net.install(&w.schedule);
     (w.traffic)(&mut net);
     let metrics = Arc::new(Mutex::new(MetricsAggregator::new()));
     net.attach_telemetry(metrics.clone());

@@ -25,7 +25,7 @@
 //! fingerprint. The output contains no thread count: it is byte-
 //! identical at any `--threads`, which check.sh asserts on the corpus.
 
-use netsim::{NodeIdx, SimTime};
+use netsim::SimTime;
 use scenario::{
     build_net, random_schedule, run_case_threads, slice_lines, topologies, topology, Artifact,
     Protocol, Substrate,
@@ -211,8 +211,7 @@ fn main() {
     net.attach_telemetry(Arc::new(Mutex::new(fan)));
 
     let schedule = random_schedule(&topo, seed, false);
-    let host_nodes: Vec<NodeIdx> = net.hosts.iter().map(|&(n, _)| n).collect();
-    schedule.install(&mut net.world, &host_nodes, group);
+    net.install(&schedule);
     net.send_at(0, 100, TRAIN, 40);
     net.send_at(0, PROBE_START, PROBES, PROBE_GAP);
     net.world.run_until(SimTime(CHECK_AT));

@@ -34,7 +34,7 @@ use crate::net::{build_net, Protocol, ScenarioNet, Substrate};
 use crate::oracle::{check_battery, Violation};
 use crate::schedule::{FaultEvent, FaultSchedule};
 use graph::{Graph, NodeId};
-use netsim::{host_addr, NodeIdx, SimTime};
+use netsim::{host_addr, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::hash_map::DefaultHasher;
@@ -475,8 +475,7 @@ fn run_case_inner(
     fan.push(coverage);
     net.attach_telemetry(Arc::new(Mutex::new(fan)));
 
-    let host_nodes: Vec<NodeIdx> = net.hosts.iter().map(|&(n, _)| n).collect();
-    schedule.install(&mut net.world, &host_nodes, group);
+    net.install(schedule);
 
     // Pre-fault train then post-heal probes, both from slot 0.
     net.send_at(0, 100, TRAIN, 40);
@@ -917,8 +916,7 @@ mod tests {
                 fan.push(Arc::new(Mutex::new(MetricsAggregator::new())));
                 net.attach_telemetry(Arc::new(Mutex::new(fan)));
             }
-            let host_nodes: Vec<NodeIdx> = net.hosts.iter().map(|&(n, _)| n).collect();
-            schedule.install(&mut net.world, &host_nodes, group);
+            net.install(&schedule);
             net.send_at(0, 100, TRAIN, 40);
             net.world.run_until(SimTime(CHECK_AT));
             trace_lines(&net)
@@ -986,8 +984,7 @@ mod tests {
             3,
         );
         net.attach_telemetry(Arc::new(Mutex::new(fan)));
-        let host_nodes: Vec<NodeIdx> = net.hosts.iter().map(|&(n, _)| n).collect();
-        schedule.install(&mut net.world, &host_nodes, group);
+        net.install(&schedule);
         net.send_at(0, 100, TRAIN, 40);
         net.send_at(0, PROBE_START, PROBES, PROBE_GAP);
         net.world.run_until(SimTime(CHECK_AT));

@@ -313,11 +313,10 @@ pub fn fuzz_engine(protocol: Protocol, seed: u64, frames: u64) -> EngineFuzzOutc
             &topo.host_routers,
             seed,
         );
-        let host_nodes: Vec<NodeIdx> = net.hosts.iter().map(|&(n, _)| n).collect();
         let mut schedule = FaultSchedule::default();
         schedule.push(30, FaultEvent::Join(1));
         schedule.push(60, FaultEvent::Join(2));
-        schedule.install(&mut net.world, &host_nodes, group);
+        net.install(&schedule);
         net.send_at(0, 100, TRAIN, 40);
         net.send_at(0, 4500, PROBES, 30);
 

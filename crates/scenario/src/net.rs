@@ -5,6 +5,7 @@
 //! so the explorer can hold the schedule fixed and vary only the protocol
 //! under test.
 
+use crate::schedule::FaultSchedule;
 use cbt::{CbtConfig, CbtEngine, CbtRouter};
 use dvmrp::{DvmrpConfig, DvmrpEngine, DvmrpRouter};
 use graph::{Graph, NodeId};
@@ -431,6 +432,14 @@ impl ScenarioNet {
     /// the first group.
     pub fn seqs(&self, slot: usize, source: Addr) -> Vec<u64> {
         self.host(slot).seqs_from(source, self.group)
+    }
+
+    /// Compile `schedule` onto this network's world (see
+    /// [`FaultSchedule::install`]): its host slots are this net's, its
+    /// membership events target this net's group.
+    pub fn install(&mut self, schedule: &FaultSchedule) {
+        let host_nodes: Vec<NodeIdx> = self.hosts.iter().map(|&(n, _)| n).collect();
+        schedule.install(&mut self.world, &host_nodes, self.group);
     }
 
     /// Attach one structured-event sink to the whole network: the world's

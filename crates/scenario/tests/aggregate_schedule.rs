@@ -29,8 +29,7 @@ fn run(protocol: Protocol, threads: usize) -> Vec<String> {
     schedule.push(40, FaultEvent::Join(2));
     schedule.push(600, FaultEvent::Burst(1, 8, 5));
     schedule.push(1000, FaultEvent::Leave(1));
-    let hosts: Vec<_> = net.hosts.iter().map(|&(n, _)| n).collect();
-    schedule.install(&mut net.world, &hosts, net.group);
+    net.install(&schedule);
     net.send_at(0, 100, 10, 40); // while the population is joined
     net.send_at(0, 1600, 5, 40); // long after it left (IGMP timeout 280)
     net.world.enable_capture(100_000);

@@ -189,11 +189,10 @@ fn run(protocol: Protocol, copies: usize) -> Vec<String> {
         &topo.host_routers,
         7,
     );
-    let host_nodes: Vec<NodeIdx> = net.hosts.iter().map(|&(n, _)| n).collect();
     let mut schedule = FaultSchedule::default();
     schedule.push(30, FaultEvent::Join(1));
     schedule.push(60, FaultEvent::Join(2));
-    schedule.install(&mut net.world, &host_nodes, group);
+    net.install(&schedule);
     net.send_at(0, 100, 10, 40);
     if protocol == Protocol::Pim {
         // Native data from the register's source, after the register: the
