@@ -1,6 +1,6 @@
 //! The parallel core's determinism contract, property-tested: for any
-//! seed, loss rate, adversarial channel model, and fault script, a run on
-//! one global region, a run on the auto-partitioned world, and a run on
+//! seed, loss rate, adversarial channel model, link capacity, and fault
+//! script, a run on one global region, a run on the auto-partitioned world, and a run on
 //! an adversarial one-node-per-region split produce byte-identical
 //! receive logs, telemetry streams, counters, and packet captures — also
 //! when the run is cut into many short `run_until` slices, and a region
@@ -11,23 +11,27 @@
 //! performance knobs, invisible to every observable the experiments
 //! record.
 
-use netsim::{ChannelModel, Ctx, Duration, IfaceId, Node, NodeIdx, SimTime, World};
+use netsim::{ChannelModel, Ctx, Duration, IfaceId, LinkCapacity, Node, NodeIdx, SimTime, World};
 use proptest::prelude::*;
 use std::any::Any;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use telemetry::{Event, Sink, Ticks};
 
-/// Floods a counter to all interfaces on a timer and logs all receptions.
+/// Floods a counter to all interfaces on a timer, `burst` frames at a
+/// time, and logs all receptions.
 struct Chatter {
     log: Vec<(u64, u32, Vec<u8>)>,
     counter: u8,
+    burst: usize,
 }
 
 impl Chatter {
-    fn new() -> Self {
+    fn new(burst: usize) -> Self {
         Chatter {
             log: Vec::new(),
             counter: 0,
+            burst,
         }
     }
 }
@@ -44,7 +48,9 @@ impl Node for Chatter {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
         self.counter = self.counter.wrapping_add(1);
         for i in 0..ctx.iface_count() {
-            ctx.send(IfaceId(i as u32), vec![self.counter, 0xA5]);
+            for _ in 0..self.burst {
+                ctx.send(IfaceId(i as u32), vec![self.counter, 0xA5]);
+            }
         }
         if ctx.now() < SimTime(260) {
             ctx.set_timer(Duration(5), 1);
@@ -89,6 +95,8 @@ struct Observed {
     telemetry: Vec<String>,
     captures: Vec<String>,
     counter_totals: (u64, u64, u64, u64, u64),
+    /// Queue drops, ECN marks, peak backlog in bytes.
+    congestion: (u64, u64, u64),
 }
 
 /// [`run_sliced`] in one `run_until` call.
@@ -97,28 +105,34 @@ fn run(
     delays: &[u64; 3],
     loss: f64,
     chan: ChannelModel,
+    cap: LinkCapacity,
     faults: bool,
     split: &Split,
 ) -> (Observed, usize) {
-    run_sliced(seed, delays, loss, chan, faults, split, 1)
+    run_sliced(seed, delays, loss, chan, cap, faults, split, 1)
 }
 
 /// A 6-node world: a line 0-1-2-3 with proptest-chosen delays, a LAN
-/// {1, 4, 5}, loss and an adversarial channel model on the middle link,
-/// and an optional crash/restart of node 2 mid-run; advanced to tick 400
-/// in `slices` equal `run_until` steps.
+/// {1, 4, 5}, loss, an adversarial channel model and a capacity on the
+/// middle link, and an optional crash/restart of node 2 mid-run; advanced
+/// to tick 400 in `slices` equal `run_until` steps. Under a capacity the
+/// nodes send bursts of eight, or a frame every five ticks would never
+/// queue.
+#[allow(clippy::too_many_arguments)]
 fn run_sliced(
     seed: u64,
     delays: &[u64; 3],
     loss: f64,
     chan: ChannelModel,
+    cap: LinkCapacity,
     faults: bool,
     split: &Split,
     slices: u64,
 ) -> (Observed, usize) {
     let mut w = World::new(seed);
+    let burst = if cap.is_unlimited() { 1 } else { 8 };
     let nodes: Vec<NodeIdx> = (0..6)
-        .map(|_| w.add_node(Box::new(Chatter::new())))
+        .map(|_| w.add_node(Box::new(Chatter::new(burst))))
         .collect();
     let mut links = Vec::new();
     for (i, &d) in delays.iter().enumerate() {
@@ -131,6 +145,7 @@ fn run_sliced(
         w.set_link_loss(lan, loss / 2.0);
     }
     w.set_channel_model(links[1], chan);
+    w.set_link_capacity(links[1], cap);
     if faults {
         let n2 = nodes[2];
         w.at(SimTime(70), move |w| w.crash_node(n2));
@@ -167,49 +182,94 @@ fn run_sliced(
             c.timers_fired(),
             c.total_control_pkts(),
         ),
+        congestion: (
+            c.queue_drops_data() + c.queue_drops_ctrl(),
+            c.ecn_marks(),
+            c.peak_queue_bytes(),
+        ),
     };
     (observed, w.region_count())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+/// Unlimited half the time; otherwise 1–8 B/tick into a queue of 8–64 B
+/// that marks at half, with and without control priority. `Chatter`'s
+/// two-byte frames classify as control, so only `ctrl_priority: false`
+/// makes the queue bite.
+fn arb_capacity() -> impl Strategy<Value = LinkCapacity> {
+    let capped =
+        (1u64..=8, 8u64..=64, any::<bool>()).prop_map(|(rate, queue, prio)| LinkCapacity {
+            bytes_per_tick: rate,
+            queue_bytes: queue,
+            ecn_bytes: queue / 2,
+            ctrl_priority: prio,
+        });
+    prop_oneof![Just(LinkCapacity::UNLIMITED), capped]
+}
 
-    /// Single region vs auto-partition vs one-node-per-region: identical
-    /// observables under loss, channel impairments, and crash/restart.
-    #[test]
-    fn any_partition_matches_single_region(
-        seed in any::<u64>(),
-        (d0, d1, d2) in (1u64..6, 1u64..6, 1u64..6),
-        lossy in any::<bool>(),
-        (dup, reorder, corrupt) in (0u32..300, 0u32..300, 0u32..300),
-        faults in any::<bool>(),
-    ) {
-        let delays = [d0, d1, d2];
-        let loss = if lossy { 0.25 } else { 0.0 };
-        let chan = ChannelModel {
-            corrupt_pm: corrupt,
-            duplicate_pm: dup,
-            reorder_pm: reorder,
-            jitter: 5,
-        };
-        let (single, single_regions) = run(seed, &delays, loss, chan, faults, &Split::Single);
-        prop_assert_eq!(single_regions, 1);
-        let (auto, _) = run(seed, &delays, loss, chan, faults, &Split::Auto(4));
-        let (shredded, shredded_regions) = run(
-            seed,
-            &delays,
-            loss,
-            chan,
-            faults,
-            // Nodes 1, 4, 5 share a delay-1 LAN and must stay together
-            // (lookahead >= 1 still holds since the LAN delay is 1);
-            // everything else gets its own region.
-            &Split::Explicit(vec![0, 1, 2, 3, 1, 1]),
-        );
-        prop_assert_eq!(shredded_regions, 4);
-        prop_assert_eq!(&single, &auto);
-        prop_assert_eq!(&single, &shredded);
+/// Single region vs auto-partition vs one-node-per-region: identical
+/// observables under loss, channel impairments, congestion, and
+/// crash/restart — and the capacity arm is not vacuous: over the cases,
+/// queues dropped, marked, and reported a new depth.
+#[test]
+fn any_partition_matches_single_region() {
+    static DROPS: AtomicU64 = AtomicU64::new(0);
+    static MARKS: AtomicU64 = AtomicU64::new(0);
+    static DEPTHS: AtomicU64 = AtomicU64::new(0);
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        // Named like the test around it: the name seeds the cases.
+        fn any_partition_matches_single_region(
+            seed in any::<u64>(),
+            (d0, d1, d2) in (1u64..6, 1u64..6, 1u64..6),
+            lossy in any::<bool>(),
+            (dup, reorder, corrupt) in (0u32..300, 0u32..300, 0u32..300),
+            faults in any::<bool>(),
+            cap in arb_capacity(),
+        ) {
+            let delays = [d0, d1, d2];
+            let loss = if lossy { 0.25 } else { 0.0 };
+            let chan = ChannelModel {
+                corrupt_pm: corrupt,
+                duplicate_pm: dup,
+                reorder_pm: reorder,
+                jitter: 5,
+            };
+            let (single, single_regions) =
+                run(seed, &delays, loss, chan, cap, faults, &Split::Single);
+            prop_assert_eq!(single_regions, 1);
+            let (auto, _) = run(seed, &delays, loss, chan, cap, faults, &Split::Auto(4));
+            let (shredded, shredded_regions) = run(
+                seed,
+                &delays,
+                loss,
+                chan,
+                cap,
+                faults,
+                // Nodes 1, 4, 5 share a delay-1 LAN and must stay together
+                // (lookahead >= 1 still holds since the LAN delay is 1);
+                // everything else gets its own region.
+                &Split::Explicit(vec![0, 1, 2, 3, 1, 1]),
+            );
+            prop_assert_eq!(shredded_regions, 4);
+            prop_assert_eq!(&single, &auto);
+            prop_assert_eq!(&single, &shredded);
+            DROPS.fetch_add(single.congestion.0, Relaxed);
+            MARKS.fetch_add(single.congestion.1, Relaxed);
+            let depths = single.telemetry.iter().filter(|l| l.contains("queue_depth"));
+            DEPTHS.fetch_add(depths.count() as u64, Relaxed);
+        }
     }
+    any_partition_matches_single_region();
+    let seen = (
+        DROPS.load(Relaxed),
+        MARKS.load(Relaxed),
+        DEPTHS.load(Relaxed),
+    );
+    assert!(
+        seen.0 > 0 && seen.1 > 0 && seen.2 > 0,
+        "no case congested its link: (drops, marks, depth events) = {seen:?}"
+    );
 }
 
 /// The auto-partitioner actually engages on this fixture when the middle
@@ -222,6 +282,7 @@ fn auto_partition_engages_on_slow_cut() {
         &[1, 5, 1],
         0.0,
         ChannelModel::CLEAN,
+        LinkCapacity::UNLIMITED,
         false,
         &Split::Auto(4),
     );
@@ -239,10 +300,11 @@ fn sliced_runs_match_the_single_region_reference() {
         reorder_pm: 150,
         jitter: 5,
     };
-    let (single, _) = run(11, &[1, 5, 1], 0.25, chan, true, &Split::Single);
+    let cap = LinkCapacity::UNLIMITED;
+    let (single, _) = run(11, &[1, 5, 1], 0.25, chan, cap, true, &Split::Single);
     for threads in [2, 4] {
         let split = Split::Auto(threads);
-        let (sliced, regions) = run_sliced(11, &[1, 5, 1], 0.25, chan, true, &split, 128);
+        let (sliced, regions) = run_sliced(11, &[1, 5, 1], 0.25, chan, cap, true, &split, 128);
         assert!(regions > 1, "threads={threads}: expected a cut");
         assert_eq!(single, sliced, "threads={threads}");
     }
@@ -279,7 +341,7 @@ fn a_panicking_region_fails_the_run_with_its_own_message() {
     std::thread::spawn(move || {
         let mut w = World::new(3);
         let mut nodes: Vec<NodeIdx> = (0..3)
-            .map(|_| w.add_node(Box::new(Chatter::new())))
+            .map(|_| w.add_node(Box::new(Chatter::new(1))))
             .collect();
         nodes.push(w.add_node(Box::new(Bomb)));
         for pair in nodes.windows(2) {
@@ -305,6 +367,7 @@ fn a_panicking_region_fails_the_run_with_its_own_message() {
         &[1, 5, 1],
         0.0,
         ChannelModel::CLEAN,
+        LinkCapacity::UNLIMITED,
         true,
         &Split::Single,
     );
@@ -313,6 +376,7 @@ fn a_panicking_region_fails_the_run_with_its_own_message() {
         &[1, 5, 1],
         0.0,
         ChannelModel::CLEAN,
+        LinkCapacity::UNLIMITED,
         true,
         &Split::Auto(2),
     );
