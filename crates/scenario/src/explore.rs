@@ -30,11 +30,11 @@
 //! ramp to zero), so a schedule is self-contained: replaying it never
 //! depends on generator internals.
 
-use crate::net::{build_net, Protocol, ScenarioNet, Substrate};
+use crate::net::{build_net, Protocol, Substrate};
 use crate::oracle::{check_battery, Violation};
 use crate::schedule::{FaultEvent, FaultSchedule};
 use graph::{Graph, NodeId};
-use netsim::{host_addr, SimTime};
+use netsim::{host_addr, SimTime, World};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::hash_map::DefaultHasher;
@@ -305,9 +305,10 @@ pub struct NodeDump {
     pub cause: Vec<String>,
 }
 
-/// Format the captured trace, one stable line per transmission.
-fn trace_lines(net: &ScenarioNet) -> Vec<String> {
-    net.world
+/// Format `world`'s captured trace, one stable line per transmission:
+/// `"<ticks> link<l> r<node> <packet summary>"`.
+pub fn trace_lines(world: &World) -> Vec<String> {
+    world
         .captured()
         .iter()
         .map(|r| {
@@ -542,7 +543,7 @@ fn run_case_inner(
     }
     let telemetry = String::from_utf8(jsonl.into_inner()).expect("JSONL telemetry is always UTF-8");
 
-    let trace = trace_lines(&net);
+    let trace = trace_lines(&net.world);
     CaseOutcome {
         violations,
         fingerprint: fingerprint(&trace),
@@ -919,7 +920,7 @@ mod tests {
             net.install(&schedule);
             net.send_at(0, 100, TRAIN, 40);
             net.world.run_until(SimTime(CHECK_AT));
-            trace_lines(&net)
+            trace_lines(&net.world)
         };
         for protocol in Protocol::ALL {
             assert_eq!(

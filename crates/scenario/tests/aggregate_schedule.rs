@@ -53,19 +53,7 @@ fn run(protocol: Protocol, threads: usize) -> Vec<String> {
     let burst: BTreeSet<u64> = net.seqs(2, aggregate.1).into_iter().collect();
     assert_eq!(burst, (0..8).collect(), "{name}: burst from the slot");
 
-    net.world
-        .captured()
-        .iter()
-        .map(|r| {
-            format!(
-                "{} link{} r{} {}",
-                r.at.ticks(),
-                r.link.0,
-                r.from.0,
-                r.summary
-            )
-        })
-        .collect()
+    scenario::explore::trace_lines(&net.world)
 }
 
 #[test]
