@@ -393,7 +393,7 @@ impl Event {
     pub fn write_json(&self, node: u32, at: Ticks, out: &mut impl fmt::Write) -> fmt::Result {
         let mut j = JsonFields(out);
         j.0.write_str("{\"t\":")?;
-        j.dec(at)?;
+        wire::write_dec(j.0, at)?;
         j.num("node", u64::from(node))?;
         j.text("ev", self.kind())?;
         match self {
@@ -498,24 +498,9 @@ impl<W: fmt::Write> JsonFields<'_, W> {
         self.0.write_str("\":")
     }
 
-    fn dec(&mut self, mut n: u64) -> fmt::Result {
-        let mut buf = [0u8; 20];
-        let mut i = buf.len();
-        loop {
-            i -= 1;
-            buf[i] = b'0' + (n % 10) as u8;
-            n /= 10;
-            if n == 0 {
-                break;
-            }
-        }
-        self.0
-            .write_str(std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII"))
-    }
-
     fn num(&mut self, name: &str, n: u64) -> fmt::Result {
         self.name(name)?;
-        self.dec(n)
+        wire::write_dec(self.0, n)
     }
 
     fn flag(&mut self, name: &str, b: bool) -> fmt::Result {
@@ -532,20 +517,10 @@ impl<W: fmt::Write> JsonFields<'_, W> {
         self.0.write_char('"')
     }
 
-    fn quad(&mut self, a: Addr) -> fmt::Result {
-        let [b0, b1, b2, b3] = a.to_bytes();
-        self.dec(u64::from(b0))?;
-        for b in [b1, b2, b3] {
-            self.0.write_char('.')?;
-            self.dec(u64::from(b))?;
-        }
-        Ok(())
-    }
-
     fn addr(&mut self, name: &str, a: Addr) -> fmt::Result {
         self.name(name)?;
         self.0.write_char('"')?;
-        self.quad(a)?;
+        a.write_to(self.0)?;
         self.0.write_char('"')
     }
 

@@ -93,11 +93,53 @@ impl fmt::Debug for Addr {
     }
 }
 
+impl Addr {
+    /// The dotted quad, at most 15 bytes, appended to `out` with one
+    /// `write_str` — every trace line and telemetry record prints a few
+    /// of these, so text writers call this and skip the `Formatter`.
+    pub fn write_to<W: fmt::Write>(self, out: &mut W) -> fmt::Result {
+        let mut buf = [b'.'; 15];
+        let mut n = 0;
+        for (i, octet) in self.to_bytes().into_iter().enumerate() {
+            n += usize::from(i > 0);
+            if octet >= 100 {
+                buf[n] = b'0' + octet / 100;
+                n += 1;
+            }
+            if octet >= 10 {
+                buf[n] = b'0' + octet / 10 % 10;
+                n += 1;
+            }
+            buf[n] = b'0' + octet % 10;
+            n += 1;
+        }
+        out.write_str(std::str::from_utf8(&buf[..n]).expect("digits and dots are ASCII"))
+    }
+}
+
+/// Width, fill and alignment are ignored (no `f.pad`): they always were,
+/// and pinned output depends on it.
 impl fmt::Display for Addr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let [a, b, c, d] = self.to_bytes();
-        write!(f, "{a}.{b}.{c}.{d}")
+        self.write_to(f)
     }
+}
+
+/// What `{}` prints for `n`, appended to `out` with one `write_str`: the
+/// decimal writer of the text paths hot enough to skip `format_args!`
+/// (the JSONL stream, trace lines).
+pub fn write_dec<W: fmt::Write>(out: &mut W, mut n: u64) -> fmt::Result {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.write_str(std::str::from_utf8(&buf[i..]).expect("decimal digits are ASCII"))
 }
 
 /// A multicast group address — an [`Addr`] guaranteed to be class-D.
@@ -126,13 +168,13 @@ impl Group {
 
 impl fmt::Debug for Group {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+        fmt::Display::fmt(&self.0, f)
     }
 }
 
 impl fmt::Display for Group {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+        fmt::Display::fmt(&self.0, f)
     }
 }
 
