@@ -8,6 +8,7 @@ use crate::link::{Link, TxDir};
 use crate::queue::{next_dispatch_seq, Event, EventQueue, EventSlot, Tag, EPOCH_EVENT};
 use crate::time::SimTime;
 use rand::rngs::StdRng;
+use std::cmp::Reverse;
 use std::sync::{Arc, Mutex};
 
 /// Per-region telemetry buffer. Node adapters and the world's own
@@ -122,8 +123,10 @@ pub(crate) struct Region {
     /// Vacated arena slots available for reuse.
     pub(crate) free: Vec<usize>,
     pub(crate) counters: Counters,
-    /// Capture shard: `(dispatch tag, per-region seq, record)`.
-    pub(crate) capture: Vec<(Tag, u64, CaptureRecord)>,
+    /// Capture shard: the canonically smallest records this region has
+    /// seen. In transmit order until it fills; from then on a max-heap,
+    /// so the one to evict is at hand (see [`Region::capture`]).
+    pub(crate) capture: Vec<Captured>,
     pub(crate) cap_seq: u64,
     pub(crate) buf: Option<Arc<Mutex<RegionBuf>>>,
     pub(crate) outbox: Vec<Outgoing>,
@@ -276,53 +279,50 @@ impl Region {
 
     /// The **capture** stage of a transmit: record `packet`, sent by
     /// `from` on `link` under dispatch `tag`, if it is among the `limit`
-    /// canonically smallest this region has seen.
+    /// canonically smallest this region has seen. Recording is a refcount
+    /// bump on the buffer every receiver shares; text is the reader's job.
     pub(crate) fn capture(
         &mut self,
         limit: usize,
         tag: Tag,
         link: LinkId,
         from: NodeIdx,
-        packet: &[u8],
+        packet: &Arc<[u8]>,
     ) {
         if limit == 0 {
             return;
         }
         let cs = self.cap_seq;
         self.cap_seq += 1;
-        let cap = &mut self.capture;
+        let key = (tag, cs);
+        let entry = || Captured {
+            key,
+            rec: CaptureRecord {
+                at: self.now,
+                link,
+                from,
+                packet: Arc::clone(packet),
+            },
+        };
         // Keep the canonically-*smallest* `limit` records, not the
         // first-inserted: same-tick dispatch tags are keyed by the
         // receiving node and can invert relative to queue (event-tag)
         // order, so insertion order is not canonical order even
         // within one region. Bounded replacement preserves the
         // invariant `captured()` relies on.
-        let full = cap.len() >= limit;
-        let evict = if full {
-            let (i, (t, c, _)) = cap
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, (t, c, _))| (*t, *c))
-                .expect("non-empty capture shard");
-            if (tag, cs) < (*t, *c) {
-                Some(i)
-            } else {
-                None
-            }
-        } else {
-            None
-        };
-        if !full || evict.is_some() {
-            let rec = CaptureRecord {
-                at: self.now,
-                link,
-                from,
-                summary: crate::trace::describe_packet(packet),
-            };
-            match evict {
-                Some(i) => cap[i] = (tag, cs, rec),
-                None => cap.push((tag, cs, rec)),
-            }
+        let cap = &mut self.capture;
+        if cap.len() < limit {
+            cap.push(entry());
+            return;
+        }
+        if cs == limit as u64 {
+            // The first transmit to find the shard full. From here on it
+            // is a max-heap, and a descending sort is one.
+            cap.sort_unstable_by_key(|c| Reverse(c.key));
+        }
+        if key < cap[0].key {
+            cap[0] = entry();
+            sift_down(cap);
         }
     }
 
@@ -351,7 +351,9 @@ pub(crate) struct Window {
     pub(crate) bound: SimTime,
 }
 
-/// One captured transmission (see [`crate::World::enable_capture`]).
+/// One captured transmission (see [`crate::World::enable_capture`]): when,
+/// where, who, and the bytes put on the wire — the buffer the receivers
+/// got, shared, not a copy. [`CaptureRecord::summary`] decodes it.
 #[derive(Clone, Debug)]
 pub struct CaptureRecord {
     /// Transmission time.
@@ -360,6 +362,42 @@ pub struct CaptureRecord {
     pub link: LinkId,
     /// The transmitting node.
     pub from: NodeIdx,
-    /// Human-readable decode of the packet (see [`crate::trace`]).
-    pub summary: String,
+    /// The serialized packet, network header included.
+    pub packet: Arc<[u8]>,
+}
+
+impl CaptureRecord {
+    /// Human-readable decode of the packet, rendered now (see
+    /// [`crate::trace::describe_packet`]; a caller building a longer line
+    /// appends with [`crate::trace::write_packet`] instead).
+    pub fn summary(&self) -> String {
+        crate::trace::describe_packet(&self.packet)
+    }
+}
+
+/// A capture shard's entry: a record under its canonical key, `(dispatch
+/// tag, per-region transmit seq)`.
+pub(crate) struct Captured {
+    pub(crate) key: (Tag, u64),
+    pub(crate) rec: CaptureRecord,
+}
+
+/// Restore a max-heap on `key` after its root was replaced.
+fn sift_down(heap: &mut [Captured]) {
+    let mut at = 0;
+    loop {
+        let left = 2 * at + 1;
+        let Some(l) = heap.get(left) else {
+            return;
+        };
+        let larger = match heap.get(left + 1) {
+            Some(r) if r.key > l.key => left + 1,
+            _ => left,
+        };
+        if heap[larger].key <= heap[at].key {
+            return;
+        }
+        heap.swap(at, larger);
+        at = larger;
+    }
 }

@@ -31,146 +31,178 @@
 //! assert!(line.contains("join={*,239.1.0.1}"));
 //! ```
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write};
 use wire::ip::{Header, Protocol};
-use wire::pim::SourceEntry;
-use wire::Message;
+use wire::pim::{GroupEntry, SourceEntry};
+use wire::{Addr, Group, Message};
 
-fn entry_str(group: wire::Group, e: &SourceEntry) -> String {
-    if e.wildcard {
-        format!("{{*,{group}}}")
-    } else if e.rp_bit {
-        format!("{{{},{group}}}rpt", e.addr)
-    } else {
-        format!("{{{},{group}}}", e.addr)
+/// One piece of a summary line. A trace is a line per transmission, so
+/// the pieces go into the output directly — a literal, a dotted quad, a
+/// decimal — and not through `format_args!`.
+trait Piece {
+    fn put<W: Write>(&self, out: &mut W) -> fmt::Result;
+}
+
+impl Piece for &str {
+    fn put<W: Write>(&self, out: &mut W) -> fmt::Result {
+        out.write_str(self)
     }
+}
+
+impl Piece for Addr {
+    fn put<W: Write>(&self, out: &mut W) -> fmt::Result {
+        self.write_to(out)
+    }
+}
+
+impl Piece for Group {
+    fn put<W: Write>(&self, out: &mut W) -> fmt::Result {
+        self.addr().write_to(out)
+    }
+}
+
+macro_rules! decimal_piece {
+    ($($int:ty),+) => {$(
+        impl Piece for $int {
+            fn put<W: Write>(&self, out: &mut W) -> fmt::Result {
+                wire::write_dec(out, *self as u64)
+            }
+        }
+    )+};
+}
+decimal_piece!(u8, u16, u32, usize);
+
+/// Append each piece to `$out`; evaluates to the `fmt::Result`.
+macro_rules! put {
+    ($out:expr, $($piece:expr),+ $(,)?) => {{
+        $(Piece::put(&$piece, $out)?;)+
+        Ok(())
+    }};
+}
+
+/// `join=` / `prune=` value: the picked entries of every group, comma
+/// separated, `-` when there are none.
+fn put_entries<W: Write>(
+    out: &mut W,
+    groups: &[GroupEntry],
+    pick: impl Fn(&GroupEntry) -> &[SourceEntry],
+) -> fmt::Result {
+    let mut sep = "";
+    for ge in groups {
+        for e in pick(ge) {
+            out.write_str(sep)?;
+            sep = ",";
+            if e.wildcard {
+                put!(out, "{*,", ge.group, "}")?;
+            } else if e.rp_bit {
+                put!(out, "{", e.addr, ",", ge.group, "}rpt")?;
+            } else {
+                put!(out, "{", e.addr, ",", ge.group, "}")?;
+            }
+        }
+    }
+    if sep.is_empty() {
+        out.write_str("-")?;
+    }
+    Ok(())
 }
 
 /// Render a serialized packet as a one-line human-readable summary.
 /// Never panics: malformed packets render as `corrupt(...)`.
 pub fn describe_packet(packet: &[u8]) -> String {
-    let Ok((h, payload)) = Header::decap(packet) else {
-        return format!("corrupt({} bytes)", packet.len());
-    };
-    let mut s = format!("{} > {} ttl={} ", h.src, h.dst, h.ttl);
-    match h.proto {
-        Protocol::Data => {
-            let _ = write!(s, "DATA {} bytes", payload.len());
-        }
-        Protocol::Igmp => match Message::decode(payload) {
-            Err(e) => {
-                let _ = write!(s, "IGMP-family corrupt: {e}");
-            }
-            Ok(msg) => match msg {
-                Message::HostQuery(q) => {
-                    let _ = write!(s, "IGMP Query max_resp={}", q.max_resp_time);
-                }
-                Message::HostReport(r) => {
-                    let _ = write!(s, "IGMP Report group={}", r.group);
-                }
-                Message::RpMapping(m) => {
-                    let _ = write!(s, "IGMP RP-Mapping group={} rps={:?}", m.group, m.rps);
-                }
-                Message::PimQuery(q) => {
-                    let _ = write!(s, "PIM Query holdtime={}", q.holdtime);
-                }
-                Message::PimRegister(r) => {
-                    let _ = write!(
-                        s,
-                        "PIM Register group={} source={} ({} data bytes)",
-                        r.group,
-                        r.source,
-                        r.payload.len()
-                    );
-                }
-                Message::PimJoinPrune(jp) => {
-                    let _ = write!(s, "PIM Join/Prune to={} ", jp.upstream_neighbor);
-                    let mut joins = Vec::new();
-                    let mut prunes = Vec::new();
-                    for ge in &jp.groups {
-                        joins.extend(ge.joins.iter().map(|e| entry_str(ge.group, e)));
-                        prunes.extend(ge.prunes.iter().map(|e| entry_str(ge.group, e)));
-                    }
-                    let _ = write!(
-                        s,
-                        "join={} prune={} holdtime={}",
-                        if joins.is_empty() {
-                            "-".into()
-                        } else {
-                            joins.join(",")
-                        },
-                        if prunes.is_empty() {
-                            "-".into()
-                        } else {
-                            prunes.join(",")
-                        },
-                        jp.holdtime
-                    );
-                }
-                Message::PimRpReachability(r) => {
-                    let _ = write!(
-                        s,
-                        "PIM RP-Reachability group={} rp={} holdtime={}",
-                        r.group, r.rp, r.holdtime
-                    );
-                }
-                Message::DvmrpProbe(p) => {
-                    let _ = write!(s, "DVMRP Probe neighbors={}", p.neighbors.len());
-                }
-                Message::DvmrpPrune(p) => {
-                    let _ = write!(
-                        s,
-                        "DVMRP Prune ({},{}) lifetime={}",
-                        p.source, p.group, p.lifetime
-                    );
-                }
-                Message::DvmrpGraft(g) => {
-                    let _ = write!(s, "DVMRP Graft ({},{})", g.source, g.group);
-                }
-                Message::DvmrpGraftAck(g) => {
-                    let _ = write!(s, "DVMRP Graft-Ack ({},{})", g.source, g.group);
-                }
-                Message::CbtJoinRequest(j) => {
-                    let _ = write!(
-                        s,
-                        "CBT Join-Request group={} core={} origin={}",
-                        j.group, j.core, j.originator
-                    );
-                }
-                Message::CbtJoinAck(j) => {
-                    let _ = write!(s, "CBT Join-Ack group={} core={}", j.group, j.core);
-                }
-                Message::CbtEcho(e) => {
-                    let _ = write!(s, "CBT Echo groups={}", e.groups.len());
-                }
-                Message::CbtEchoReply(e) => {
-                    let _ = write!(s, "CBT Echo-Reply groups={}", e.groups.len());
-                }
-                Message::CbtQuit(q) => {
-                    let _ = write!(s, "CBT Quit group={}", q.group);
-                }
-                Message::CbtFlushTree(f) => {
-                    let _ = write!(s, "CBT Flush-Tree group={}", f.group);
-                }
-                Message::DvUpdate(u) => {
-                    let _ = write!(s, "DV Update routes={}", u.routes.len());
-                }
-                Message::Lsa(l) => {
-                    let _ = write!(
-                        s,
-                        "LSA origin={} seq={} links={}",
-                        l.origin,
-                        l.seq,
-                        l.links.len()
-                    );
-                }
-                Message::Hello(hh) => {
-                    let _ = write!(s, "Hello holdtime={}", hh.holdtime);
-                }
-            },
-        },
-    }
+    let mut s = String::new();
+    let _ = write_packet(&mut s, packet);
     s
+}
+
+/// [`describe_packet`], appended to `out`: the caller's line prefix and
+/// the summary share one buffer. Fails only if `out` does.
+pub fn write_packet<W: Write>(out: &mut W, packet: &[u8]) -> fmt::Result {
+    let Ok((h, payload)) = Header::decap(packet) else {
+        return put!(out, "corrupt(", packet.len(), " bytes)");
+    };
+    put!(out, h.src, " > ", h.dst, " ttl=", h.ttl, " ")?;
+    let msg = match h.proto {
+        Protocol::Data => return put!(out, "DATA ", payload.len(), " bytes"),
+        Protocol::Igmp => match Message::decode(payload) {
+            Err(e) => return write!(out, "IGMP-family corrupt: {e}"),
+            Ok(msg) => msg,
+        },
+    };
+    match msg {
+        Message::HostQuery(q) => put!(out, "IGMP Query max_resp=", q.max_resp_time),
+        Message::HostReport(r) => put!(out, "IGMP Report group=", r.group),
+        Message::RpMapping(m) => {
+            put!(out, "IGMP RP-Mapping group=", m.group)?;
+            write!(out, " rps={:?}", m.rps)
+        }
+        Message::PimQuery(q) => put!(out, "PIM Query holdtime=", q.holdtime),
+        Message::PimRegister(r) => put!(
+            out,
+            "PIM Register group=",
+            r.group,
+            " source=",
+            r.source,
+            " (",
+            r.payload.len(),
+            " data bytes)"
+        ),
+        Message::PimJoinPrune(jp) => {
+            put!(out, "PIM Join/Prune to=", jp.upstream_neighbor, " join=")?;
+            put_entries(out, &jp.groups, |ge| &ge.joins)?;
+            out.write_str(" prune=")?;
+            put_entries(out, &jp.groups, |ge| &ge.prunes)?;
+            put!(out, " holdtime=", jp.holdtime)
+        }
+        Message::PimRpReachability(r) => put!(
+            out,
+            "PIM RP-Reachability group=",
+            r.group,
+            " rp=",
+            r.rp,
+            " holdtime=",
+            r.holdtime
+        ),
+        Message::DvmrpProbe(p) => put!(out, "DVMRP Probe neighbors=", p.neighbors.len()),
+        Message::DvmrpPrune(p) => put!(
+            out,
+            "DVMRP Prune (",
+            p.source,
+            ",",
+            p.group,
+            ") lifetime=",
+            p.lifetime
+        ),
+        Message::DvmrpGraft(g) => put!(out, "DVMRP Graft (", g.source, ",", g.group, ")"),
+        Message::DvmrpGraftAck(g) => {
+            put!(out, "DVMRP Graft-Ack (", g.source, ",", g.group, ")")
+        }
+        Message::CbtJoinRequest(j) => put!(
+            out,
+            "CBT Join-Request group=",
+            j.group,
+            " core=",
+            j.core,
+            " origin=",
+            j.originator
+        ),
+        Message::CbtJoinAck(j) => put!(out, "CBT Join-Ack group=", j.group, " core=", j.core),
+        Message::CbtEcho(e) => put!(out, "CBT Echo groups=", e.groups.len()),
+        Message::CbtEchoReply(e) => put!(out, "CBT Echo-Reply groups=", e.groups.len()),
+        Message::CbtQuit(q) => put!(out, "CBT Quit group=", q.group),
+        Message::CbtFlushTree(f) => put!(out, "CBT Flush-Tree group=", f.group),
+        Message::DvUpdate(u) => put!(out, "DV Update routes=", u.routes.len()),
+        Message::Lsa(l) => put!(
+            out,
+            "LSA origin=",
+            l.origin,
+            " seq=",
+            l.seq,
+            " links=",
+            l.links.len()
+        ),
+        Message::Hello(hh) => put!(out, "Hello holdtime=", hh.holdtime),
+    }
 }
 
 #[cfg(test)]

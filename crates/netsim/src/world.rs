@@ -50,7 +50,7 @@ use crate::ids::{IfaceId, LinkId, NodeIdx};
 use crate::link::{ChannelModel, Link, LinkCapacity, LinkKind};
 use crate::profile::{RegionProfile, SimProfile};
 use crate::queue::{Event, Tag, EPOCH_EVENT, EPOCH_SCRIPT, EPOCH_START};
-use crate::region::{CaptureRecord, Region, RegionBuf, Shared, Window};
+use crate::region::{CaptureRecord, Captured, Region, RegionBuf, Shared, Window};
 use crate::time::{Duration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -525,8 +525,11 @@ impl World {
     }
 
     /// Start capturing packet transmissions — the simulator's `tcpdump`.
-    /// Records up to `limit` packets (time, link, sender, human-readable
-    /// decode) from now on; calling again clears the buffer.
+    /// Records up to `limit` packets (time, link, sender, and the packet
+    /// itself, decoded when read) from now on; calling again clears the
+    /// buffer. The ring keeps each recorded packet's buffer alive, so it
+    /// pins up to `limit` × packet length bytes, where it once held
+    /// `limit` one-line summaries.
     pub fn enable_capture(&mut self, limit: usize) {
         self.shared_mut().capture_limit = Some(limit);
         for r in self.regions.iter_mut() {
@@ -547,13 +550,9 @@ impl World {
             Some(l) => l,
             None => return Vec::new(),
         };
-        let mut all: Vec<&(Tag, u64, CaptureRecord)> =
-            self.regions.iter().flat_map(|r| r.capture.iter()).collect();
-        all.sort_by_key(|(tag, cs, _)| (*tag, *cs));
-        all.into_iter()
-            .take(limit)
-            .map(|(_, _, r)| r.clone())
-            .collect()
+        let mut all: Vec<&Captured> = self.regions.iter().flat_map(|r| r.capture.iter()).collect();
+        all.sort_by_key(|c| c.key);
+        all.into_iter().take(limit).map(|c| c.rec.clone()).collect()
     }
 
     /// Schedule an arbitrary scripted action (host joins a group, link

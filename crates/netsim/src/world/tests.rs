@@ -957,7 +957,7 @@ fn capture_is_partition_independent() {
         w.run_until(SimTime(100));
         w.captured()
             .iter()
-            .map(|r| format!("{} {:?} {:?} {}", r.at.ticks(), r.link, r.from, r.summary))
+            .map(|r| format!("{} {:?} {:?} {}", r.at.ticks(), r.link, r.from, r.summary()))
             .collect::<Vec<_>>()
     };
     let single = run(None);
@@ -1047,6 +1047,29 @@ proptest::proptest! {
         }
         assert_eq!(queue.pop(), None);
         assert_eq!(queue.peek_time(), None);
+    }
+
+    /// Whatever order transmits arrive in — a region only ever sees
+    /// them nearly sorted, this does not assume it — a shard ends up
+    /// holding exactly the `limit` smallest `(tag, arrival)` keys.
+    #[test]
+    fn a_capture_shard_keeps_the_smallest_keys(
+        tags in proptest::prop::collection::vec(arb_tag(), 0..120),
+        limit in 0usize..20,
+    ) {
+        let mut region = Region::new(0);
+        let packet: Arc<[u8]> = Arc::from(vec![7u8]);
+        for (i, &tag) in tags.iter().enumerate() {
+            region.capture(limit, tag, LinkId(i), NodeIdx(0), &packet);
+        }
+        let mut held: Vec<(Tag, u64)> = region.capture.iter().map(|c| c.key).collect();
+        held.sort_unstable();
+        let mut want: Vec<(Tag, u64)> = tags.iter().copied().zip(0u64..).collect();
+        want.sort_unstable();
+        want.truncate(limit);
+        assert_eq!(held, want);
+        // A record stayed with its key: the link was numbered by arrival.
+        assert!(region.capture.iter().all(|c| c.rec.link.0 as u64 == c.key.1));
     }
 }
 

@@ -50,3 +50,46 @@ fn capture_truncation_partition_independence() {
     let split = run(Some(&[0, 0, 0, 1]));
     assert_eq!(single, split, "captured() diverged across partitions");
 }
+
+/// Three pairs ping-ponging in lock step: three transmits a tick, every
+/// other tick, so a ring of 8 fills in the middle of a tick's batch and
+/// then turns away a hundred times what it holds.
+fn overflow(partition: Option<&[u32]>) -> Vec<(u64, usize, usize, Vec<u8>)> {
+    let mut w = World::new(1);
+    let n: Vec<NodeIdx> = (0..6).map(|_| w.add_node(Box::new(Echo))).collect();
+    // Crossed on purpose: the nodes receiving in a tick are not in the
+    // order their senders were.
+    for (a, b) in [(0, 5), (4, 1), (2, 3)] {
+        w.add_p2p(n[a], n[b], Duration(2));
+    }
+    if let Some(p) = partition {
+        w.set_partition(p);
+    }
+    w.enable_capture(8);
+    let first = [n[0], n[4], n[2]];
+    w.at(SimTime(0), move |w| {
+        for (i, a) in first.into_iter().enumerate() {
+            w.call_node(a, |_n, ctx| ctx.send(IfaceId(0), vec![i as u8]));
+        }
+    });
+    w.run_until(SimTime(600));
+    assert!(w.counters().rx_pkts() >= 800, "overflowed a hundredfold");
+    w.captured()
+        .iter()
+        .map(|r| (r.at.ticks(), r.link.0, r.from.0, r.packet.to_vec()))
+        .collect()
+}
+
+#[test]
+fn an_overflowed_ring_holds_the_same_records_on_any_partition() {
+    let single = overflow(None);
+    assert_eq!(single.len(), 8);
+    assert!(single.is_sorted_by_key(|r| r.0), "records in time order");
+    assert_eq!(single[7].0, 4, "the first 8 of 3 a tick end at t4");
+    assert_eq!(single, overflow(Some(&[0, 1, 0, 1, 0, 1])), "two regions");
+    assert_eq!(
+        single,
+        overflow(Some(&[0, 1, 2, 3, 4, 5])),
+        "a region per node"
+    );
+}

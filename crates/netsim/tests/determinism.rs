@@ -162,7 +162,7 @@ fn capture_records_transmissions() {
     assert!(cap[0].at <= cap[1].at, "records in time order");
     // The chatter payloads aren't valid packets: decoded as corrupt,
     // never panicking.
-    assert!(cap[0].summary.starts_with("corrupt"));
+    assert!(cap[0].summary().starts_with("corrupt"));
 }
 
 #[test]

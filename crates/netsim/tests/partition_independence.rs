@@ -173,7 +173,7 @@ fn run_sliced(
         captures: w
             .captured()
             .iter()
-            .map(|r| format!("{} {} {} {}", r.at.ticks(), r.link.0, r.from.0, r.summary))
+            .map(|r| format!("{} {} {} {}", r.at.ticks(), r.link.0, r.from.0, r.summary()))
             .collect(),
         counter_totals: (
             c.total_bytes(),

@@ -229,8 +229,9 @@ fn main() {
         println!("#   {l}");
     }
 
-    // Merge packet transmissions (already decoded by describe_packet in
-    // the capture layer) with telemetry events, stable by sim time.
+    // Merge packet transmissions (the capture layer kept the packets;
+    // `summary` decodes each one here) with telemetry events, stable by
+    // sim time.
     let mut merged: Vec<(u64, String)> = net
         .world
         .captured()
@@ -243,7 +244,7 @@ fn main() {
                     r.at.ticks(),
                     r.link.0,
                     r.from.0,
-                    r.summary
+                    r.summary()
                 ),
             )
         })

@@ -34,6 +34,7 @@ use crate::net::{build_net, Protocol, Substrate};
 use crate::oracle::{check_battery, Violation};
 use crate::schedule::{FaultEvent, FaultSchedule};
 use graph::{Graph, NodeId};
+use netsim::trace::write_packet;
 use netsim::{host_addr, SimTime, World};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -44,7 +45,7 @@ use telemetry::{
     CausalIndex, CoverageMap, CoverageSink, Fanout, FlightRecorder, JsonlSink, MetricsAggregator,
     FLIGHT_RECORDER_CAP,
 };
-use wire::Group;
+use wire::{write_dec, Group};
 
 /// Number of packets in the pre-fault data train (sequence numbers
 /// `0..TRAIN`).
@@ -312,13 +313,16 @@ pub fn trace_lines(world: &World) -> Vec<String> {
         .captured()
         .iter()
         .map(|r| {
-            format!(
-                "{} link{} r{} {}",
-                r.at.ticks(),
-                r.link.0,
-                r.from.0,
-                r.summary
-            )
+            // Prefix and packet summary go into the one buffer.
+            let mut line = String::with_capacity(96);
+            let _ = write_dec(&mut line, r.at.ticks());
+            line.push_str(" link");
+            let _ = write_dec(&mut line, r.link.0 as u64);
+            line.push_str(" r");
+            let _ = write_dec(&mut line, r.from.0 as u64);
+            line.push(' ');
+            let _ = write_packet(&mut line, &r.packet);
+            line
         })
         .collect()
 }

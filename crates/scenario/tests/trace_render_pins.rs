@@ -6,7 +6,7 @@
 //! that `World::captured()` → `trace_lines` is held end to end. `Addr`'s
 //! dotted quad is pinned here too: every corpus fingerprint contains it.
 
-use netsim::trace::describe_packet;
+use netsim::trace::{describe_packet, write_packet};
 use netsim::{host_addr, router_addr, Ctx, Duration, IfaceId, Node, SimTime, World};
 use scenario::explore::trace_lines;
 use scenario::fuzz::{corpus, SeedStream};
@@ -186,12 +186,14 @@ fn frames() -> Vec<Vec<u8>> {
     out
 }
 
+/// Both forms: the `String` one, and the writer appending after a prefix
+/// (which it must leave alone).
 fn assert_pinned(bytes: &[u8]) {
-    assert_eq!(
-        describe_packet(bytes),
-        reference_describe(bytes),
-        "{bytes:02x?}"
-    );
+    let want = reference_describe(bytes);
+    assert_eq!(describe_packet(bytes), want, "{bytes:02x?}");
+    let mut line = String::from("12 link3 r4 ");
+    write_packet(&mut line, bytes).expect("a String takes any write");
+    assert_eq!(line, format!("12 link3 r4 {want}"), "{bytes:02x?}");
 }
 
 #[test]

@@ -41,14 +41,15 @@ fn main() {
     net.join_at(0, 10);
     net.world.run_until(SimTime(100));
     println!("packet capture of the join sequence (tcpdump-style):");
-    for rec in net
+    for (at, line) in net
         .world
         .captured()
         .iter()
-        .filter(|r| r.summary.contains("Report") || r.summary.contains("Join/Prune"))
+        .map(|r| (r.at, r.summary()))
+        .filter(|(_, s)| s.contains("Report") || s.contains("Join/Prune"))
         .take(5)
     {
-        println!("  {:<5} {}", rec.at.to_string(), rec.summary);
+        println!("  {:<5} {}", at.to_string(), line);
     }
     println!();
     {

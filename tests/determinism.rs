@@ -32,7 +32,7 @@ fn render_capture(world: &World) -> String {
                 rec.at.ticks(),
                 rec.link.0,
                 rec.from.0,
-                rec.summary
+                rec.summary()
             )
         })
         .collect()

@@ -107,7 +107,10 @@ fn count_lan_joins(world: &World) -> usize {
     world
         .captured()
         .iter()
-        .filter(|r| r.summary.contains("Join/Prune") && r.summary.contains("join={*,"))
+        .filter(|r| {
+            let s = r.summary();
+            s.contains("Join/Prune") && s.contains("join={*,")
+        })
         .count()
 }
 
