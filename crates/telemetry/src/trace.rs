@@ -79,7 +79,15 @@ pub struct CausalIndex {
     /// inserts are appends; out-of-order delivery through the public
     /// [`Sink`] API is still placed correctly.
     dispatches: Vec<(EventId, Dispatch)>,
+    /// The slot [`CausalIndex::slot`] last returned, where it looks first.
+    finger: usize,
 }
+
+/// Slots from the finger on that [`CausalIndex::slot`] looks at before it
+/// searches: enough to step over a run of silent dispatches, few enough
+/// that a miss costs less than the search it failed to save. The explorer
+/// campaign reads the same from 2 to 32 (EXPERIMENTS.md PERF "PR 21").
+const FINGER_REACH: usize = 8;
 
 impl CausalIndex {
     /// An empty index.
@@ -108,24 +116,38 @@ impl CausalIndex {
     }
 
     /// The slot of dispatch `id`, created with `cause` if unseen.
+    ///
+    /// The simulator hands over a window's links, then its events, both in
+    /// id order: a link is an append, and an event's dispatch sits at the
+    /// slot the previous event used or a few (silent) dispatches after it
+    /// (the window's first event: at or before the last link). So look at
+    /// the slot last returned, and on from it, before searching. Any other arrival order — a
+    /// dispatch of an earlier window, a window in reverse — falls through
+    /// to the search and lands where it would have.
     fn slot(&mut self, id: EventId, cause: Option<EventId>) -> &mut Dispatch {
-        let fresh = Dispatch {
-            cause,
-            records: Vec::new(),
-        };
-        let i = match self.dispatches.last() {
-            Some((last, _)) if *last >= id => match self.position(id) {
-                Ok(i) => i,
-                Err(i) => {
-                    self.dispatches.insert(i, (id, fresh));
-                    i
+        let found = match self.dispatches.last() {
+            Some((last, _)) if *last >= id => {
+                let near = self.dispatches[self.finger..]
+                    .iter()
+                    .take(FINGER_REACH)
+                    .position(|(d, _)| *d >= id)
+                    .map(|off| self.finger + off);
+                match near {
+                    Some(i) if self.dispatches[i].0 == id => Ok(i),
+                    // Walked past something smaller: `id` belongs here.
+                    Some(i) if i > self.finger => Err(i),
+                    // `id` is before the finger, or out of its reach.
+                    _ => self.position(id),
                 }
-            },
-            _ => {
-                self.dispatches.push((id, fresh));
-                self.dispatches.len() - 1
             }
+            _ => Err(self.dispatches.len()),
         };
+        let i = found.unwrap_or_else(|i| {
+            let records = Vec::new();
+            self.dispatches.insert(i, (id, Dispatch { cause, records }));
+            i
+        });
+        self.finger = i;
         &mut self.dispatches[i].1
     }
 
