@@ -23,10 +23,12 @@ cargo test -q --offline --release -p pim -p cbt -p dvmrp -p igmp --lib indexed_d
 echo "== control-plane allocation budget, release profile (exact counts: 0 per Query delivery, constant per Query tick)"
 cargo test -q --offline --release -p node --test alloc_budget
 
-echo "== shortest-path kernel, oracle tables and the Fig. 2 tree walk vs their references, release profile (the hot loops are where debug and release differ)"
+echo "== shortest-path kernel, oracle tables, the Fig. 2 tree walk, trace-line text and the causal index's finger vs their references, release profile (the hot loops are where debug and release differ)"
 cargo test -q --offline --release -p graph --test proptest_algo
 cargo test -q --offline --release -p unicast --test proptest_oracle
 cargo test -q --offline --release -p mctree
+cargo test -q --offline --release -p scenario --test trace_render_pins
+cargo test -q --offline --release -p telemetry --test causal_finger
 
 echo "== cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --quiet
