@@ -316,8 +316,9 @@ impl Region {
             return;
         }
         if cs == limit as u64 {
-            // The first transmit to find the shard full. From here on it
-            // is a max-heap, and a descending sort is one.
+            // The first transmit to find the shard full (`cap_seq` counts
+            // them since `enable_capture`). From here on the shard is a
+            // max-heap, and a descending sort is one.
             cap.sort_unstable_by_key(|c| Reverse(c.key));
         }
         if key < cap[0].key {

@@ -3,7 +3,8 @@
 //! [`describe_packet`] renders any serialized packet (network header +
 //! IGMP-family payload) as a one-line summary, decoding PIM/IGMP/DVMRP/CBT
 //! semantics. Example scenarios and debugging sessions use it to narrate
-//! what crossed a link:
+//! what crossed a link ([`write_packet`] is the same renderer appending to
+//! a line the caller has already started):
 //!
 //! ```
 //! use netsim::trace::describe_packet;

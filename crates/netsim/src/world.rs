@@ -527,9 +527,8 @@ impl World {
     /// Start capturing packet transmissions — the simulator's `tcpdump`.
     /// Records up to `limit` packets (time, link, sender, and the packet
     /// itself, decoded when read) from now on; calling again clears the
-    /// buffer. The ring keeps each recorded packet's buffer alive, so it
-    /// pins up to `limit` × packet length bytes, where it once held
-    /// `limit` one-line summaries.
+    /// buffer. The ring keeps each recorded packet's buffer alive: it
+    /// pins up to `limit` × packet length bytes.
     pub fn enable_capture(&mut self, limit: usize) {
         self.shared_mut().capture_limit = Some(limit);
         for r in self.regions.iter_mut() {
