@@ -121,9 +121,9 @@ impl CausalIndex {
     /// id order: a link is an append, and an event's dispatch sits at the
     /// slot the previous event used or a few (silent) dispatches after it
     /// (the window's first event: at or before the last link). So look at
-    /// the slot last returned, and on from it, before searching. Any other arrival order — a
-    /// dispatch of an earlier window, a window in reverse — falls through
-    /// to the search and lands where it would have.
+    /// the slot last returned, and on from it, before searching. Any other
+    /// arrival order — a dispatch of an earlier window, a window in
+    /// reverse — falls through to the search and lands where it would have.
     fn slot(&mut self, id: EventId, cause: Option<EventId>) -> &mut Dispatch {
         let found = match self.dispatches.last() {
             Some((last, _)) if *last >= id => {
