@@ -18,8 +18,8 @@ impl ProtocolEngine for CbtEngine {
         CbtEngine::addr(self)
     }
 
-    fn set_telemetry(&mut self, telem: telemetry::Telem) {
-        CbtEngine::set_telemetry(self, telem);
+    fn telem(&mut self) -> &mut telemetry::Telem {
+        &mut self.telem
     }
 
     fn on_control(

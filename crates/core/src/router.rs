@@ -21,8 +21,8 @@ impl ProtocolEngine for Engine {
         Engine::addr(self)
     }
 
-    fn set_telemetry(&mut self, telem: telemetry::Telem) {
-        Engine::set_telemetry(self, telem);
+    fn telem(&mut self) -> &mut telemetry::Telem {
+        &mut self.telem
     }
 
     fn on_control(

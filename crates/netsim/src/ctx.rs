@@ -42,11 +42,6 @@ pub trait Node: Send {
         self.on_start(ctx);
     }
 
-    /// The world attached a telemetry sink ([`crate::World::set_telemetry`]):
-    /// adopt the per-node handle for protocol-level emissions. Default:
-    /// ignore (nodes that emit nothing need no handle).
-    fn set_telemetry(&mut self, _telem: telemetry::Telem) {}
-
     /// Downcast support for post-run inspection.
     fn as_any(&self) -> &dyn Any;
 
@@ -82,13 +77,26 @@ impl<'a> Ctx<'a> {
         self.shared.ifaces[self.node.0].len()
     }
 
-    /// Emit a structured telemetry event on behalf of `node` into the
-    /// region buffer. The closure runs only when a sink is attached, so
-    /// the disabled path never constructs (or allocates for) the event.
+    /// Whether a telemetry sink is attached ([`crate::World::set_telemetry`]).
+    pub fn telemetry_on(&self) -> bool {
+        self.region.buf.is_some()
+    }
+
+    /// Emit a structured telemetry event from the running node, stamped
+    /// with the current time and this dispatch's provenance. The closure
+    /// runs only when a sink is attached, so the disabled path never
+    /// constructs (or allocates for) the event.
     #[inline]
-    pub(crate) fn emit(&mut self, node: NodeIdx, f: impl FnOnce() -> telemetry::Event) {
-        if let Some(buf) = &self.region.buf {
-            telemetry::lock(buf).push(node.0 as u32, self.region.now.ticks(), f());
+    pub fn emit(&mut self, f: impl FnOnce() -> telemetry::Event) {
+        self.emit_for(self.node, f);
+    }
+
+    /// [`Ctx::emit`] on behalf of another node: the channel marks a
+    /// receiver's impairments during the sender's dispatch.
+    #[inline]
+    pub(crate) fn emit_for(&mut self, node: NodeIdx, f: impl FnOnce() -> telemetry::Event) {
+        if let Some(buf) = &mut self.region.buf {
+            buf.push(node.0 as u32, self.region.now.ticks(), f());
         }
     }
 
@@ -150,7 +158,6 @@ impl<'a> Ctx<'a> {
         if cap.is_unlimited() || (cap.ctrl_priority && class == PacketClass::Control) {
             return Some(Duration(0));
         }
-        let from = self.node;
         let dirs = &mut self.region.tx_dirs[self.slot];
         if dirs.len() <= iface.index() {
             dirs.resize(iface.index() + 1, TxDir::default());
@@ -165,7 +172,7 @@ impl<'a> Ctx<'a> {
                 PacketClass::Control => "ctrl",
                 PacketClass::Data => "data",
             };
-            self.emit(from, || telemetry::Event::QueueDrop {
+            self.emit(|| telemetry::Event::QueueDrop {
                 what,
                 link: link_id.0 as u32,
             });
@@ -176,12 +183,12 @@ impl<'a> Ctx<'a> {
             .record_queue_depth(link_id, backlog, cap.queue_bytes);
         if marked {
             self.region.counters.record_ecn_mark(link_id);
-            self.emit(from, || telemetry::Event::EcnMark {
+            self.emit(|| telemetry::Event::EcnMark {
                 link: link_id.0 as u32,
             });
         }
         if new_peak {
-            self.emit(from, || telemetry::Event::QueueDepth {
+            self.emit(|| telemetry::Event::QueueDepth {
                 link: link_id.0 as u32,
                 bytes: backlog,
             });
@@ -210,7 +217,7 @@ impl<'a> Ctx<'a> {
         let copies = if chan.duplicate(&mut self.region.rngs[self.slot]) {
             self.region.counters.record_duplicated(link_id);
             let what = "duplicate";
-            self.emit(to.0, || telemetry::Event::ChannelImpaired { what, link });
+            self.emit_for(to.0, || telemetry::Event::ChannelImpaired { what, link });
             2
         } else {
             1
@@ -222,13 +229,13 @@ impl<'a> Ctx<'a> {
                 copy = bytes;
                 self.region.counters.record_corrupted(link_id);
                 let what = "corrupt";
-                self.emit(to.0, || telemetry::Event::ChannelImpaired { what, link });
+                self.emit_for(to.0, || telemetry::Event::ChannelImpaired { what, link });
             }
             if let Some(extra) = chan.reorder(&mut self.region.rngs[self.slot]) {
                 due += extra;
                 self.region.counters.record_reordered(link_id);
                 let what = "reorder";
-                self.emit(to.0, || telemetry::Event::ChannelImpaired { what, link });
+                self.emit_for(to.0, || telemetry::Event::ChannelImpaired { what, link });
             }
             self.schedule_deliver(due, to.0, to.1, copy, link_id);
         }
@@ -302,7 +309,7 @@ impl<'a> Ctx<'a> {
     pub fn set_timer_at(&mut self, at: SimTime, token: u64) -> TimerId {
         let at = at.max(self.region.now);
         let me = self.node;
-        self.emit(me, || telemetry::Event::TimerArmed {
+        self.emit(|| telemetry::Event::TimerArmed {
             token,
             deadline: at.ticks(),
         });
@@ -326,8 +333,7 @@ impl<'a> Ctx<'a> {
         match s.ev {
             Some(Event::Timer { node, token }) if node == self.node => {
                 self.region.vacate(id.slot);
-                let me = self.node;
-                self.emit(me, || telemetry::Event::TimerCancelled { token });
+                self.emit(|| telemetry::Event::TimerCancelled { token });
                 true
             }
             _ => false,
@@ -353,8 +359,7 @@ impl<'a> Ctx<'a> {
     /// telemetry [`telemetry::Event::DecodeFailed`] mark.
     pub fn count_decode_failure(&mut self, iface: IfaceId, kind: &'static str) {
         self.region.counters.record_decode_failure(self.node);
-        let me = self.node;
-        self.emit(me, || telemetry::Event::DecodeFailed {
+        self.emit(|| telemetry::Event::DecodeFailed {
             kind,
             iface: iface.0,
         });

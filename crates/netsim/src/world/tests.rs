@@ -6,6 +6,7 @@ use super::*;
 use crate::queue::{next_dispatch_seq, EventQueue, SEQ_BITS};
 use std::any::Any;
 use std::cmp::Reverse;
+use std::sync::Mutex;
 
 /// A test node that echoes every packet back out the interface it came
 /// in on, decrementing the first byte as a TTL; records deliveries.

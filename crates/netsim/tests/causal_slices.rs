@@ -10,7 +10,7 @@ use netsim::{Ctx, Duration, IfaceId, Node, NodeIdx, SimTime, World};
 use proptest::prelude::*;
 use std::any::Any;
 use std::sync::{Arc, Mutex};
-use telemetry::{CausalIndex, Event, Telem};
+use telemetry::{CausalIndex, Event};
 use wire::{Addr, Group};
 
 /// A node that narrates its own activity through telemetry: membership
@@ -18,16 +18,12 @@ use wire::{Addr, Group};
 /// data deliveries on every reception. Gives the causal index real
 /// records to slice, not just silent dispatch edges.
 struct Narrator {
-    telem: Telem,
     flags: u8,
 }
 
 impl Narrator {
     fn new() -> Self {
-        Narrator {
-            telem: Telem::disabled(),
-            flags: 0,
-        }
+        Narrator { flags: 0 }
     }
 
     fn group(ctx: &Ctx<'_>) -> Group {
@@ -38,22 +34,21 @@ impl Narrator {
 impl Node for Narrator {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         let g = Self::group(ctx);
-        self.telem
-            .emit(ctx.now().ticks(), || Event::LocalMemberJoined { group: g });
+        ctx.emit(|| Event::LocalMemberJoined { group: g });
         ctx.set_timer(Duration(3), 1);
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, packet: &[u8]) {
         let g = Self::group(ctx);
         let src = Addr(u32::from(packet[0]));
-        self.telem.emit(ctx.now().ticks(), || Event::DataDelivered {
+        ctx.emit(|| Event::DataDelivered {
             group: g,
             source: src,
         });
         let from = self.flags;
         self.flags = self.flags.wrapping_add(1) & 0x7;
         let to = self.flags;
-        self.telem.emit(ctx.now().ticks(), || Event::EntryModified {
+        ctx.emit(|| Event::EntryModified {
             group: g,
             key: telemetry::EntryKey::Star,
             from,
@@ -63,8 +58,7 @@ impl Node for Narrator {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        self.telem
-            .emit(ctx.now().ticks(), || Event::TimerFired { token });
+        ctx.emit(|| Event::TimerFired { token });
         let me = ctx.me().0 as u8;
         for i in 0..ctx.iface_count() {
             ctx.send(IfaceId(i as u32), vec![me, 0x5A]);
@@ -72,10 +66,6 @@ impl Node for Narrator {
         if ctx.now() < SimTime(180) {
             ctx.set_timer(Duration(7), token);
         }
-    }
-
-    fn set_telemetry(&mut self, telem: Telem) {
-        self.telem = telem;
     }
 
     fn as_any(&self) -> &dyn Any {

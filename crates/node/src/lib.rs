@@ -196,10 +196,11 @@ pub trait ProtocolEngine: StateDump + Send {
     /// keep current where they write a timer — a read, never a walk.
     fn next_deadline(&self) -> Option<SimTime>;
 
-    /// Attach a structured-event handle ([`telemetry::Telem`]). Engines
-    /// emit entry-lifecycle and election events through it; the default
-    /// no-op suits engines with nothing protocol-specific to report.
-    fn set_telemetry(&mut self, _telem: Telem) {}
+    /// The engine's telemetry outbox: it queues entry-lifecycle and
+    /// election events there; the node switches it on when the world has
+    /// a sink and moves what it holds into the running dispatch before
+    /// acting on the engine's [`Action`]s.
+    fn telem(&mut self) -> &mut Telem;
 }
 
 /// A router node: one [`ProtocolEngine`] + one interchangeable unicast
@@ -231,8 +232,6 @@ pub struct ProtocolNode<P: ProtocolEngine> {
     /// Where outgoing control packets are written before they move to
     /// their shared buffer; kept for its capacity.
     image: Vec<u8>,
-    /// Structured-event handle (disabled unless a sink is attached).
-    telem: Telem,
 }
 
 impl<P: ProtocolEngine> ProtocolNode<P> {
@@ -249,18 +248,7 @@ impl<P: ProtocolEngine> ProtocolNode<P> {
             stray_forwards: 0,
             wakeup: None,
             image: Vec::new(),
-            telem: Telem::disabled(),
         }
-    }
-
-    /// Attach a structured-event handle; it is forwarded to the engine
-    /// so protocol transitions and adapter-level events (control
-    /// send/receive, deliveries, membership, querier elections) share
-    /// one sink. Telemetry only observes — attaching never changes
-    /// protocol behavior or packet traces.
-    pub fn set_telemetry(&mut self, telem: Telem) {
-        self.telem = telem.clone();
-        self.engine.set_telemetry(telem);
     }
 
     /// The engine's `show mroute`-style state snapshot at `now`.
@@ -329,7 +317,7 @@ impl<P: ProtocolEngine> ProtocolNode<P> {
         };
         let pkt = header.encap_message_shared(msg, &mut self.image);
         for i in ifaces.iter() {
-            self.telem.emit(ctx.now().ticks(), || Event::CtrlSend {
+            ctx.emit(|| Event::CtrlSend {
                 kind: message_kind(msg),
                 dst,
             });
@@ -366,8 +354,7 @@ impl<P: ProtocolEngine> ProtocolNode<P> {
                 // Any forward onto a host LAN is a delivery edge for the
                 // experiment counters.
                 ctx.count_local_delivery();
-                self.telem
-                    .emit(ctx.now().ticks(), || Event::DataDelivered { group, source });
+                ctx.emit(|| Event::DataDelivered { group, source });
             }
             ctx.send(i, pkt.clone());
         }
@@ -376,13 +363,19 @@ impl<P: ProtocolEngine> ProtocolNode<P> {
     /// Carry out engine actions; returns true if the engine asked for the
     /// current packet to be relayed as unicast. `data` is the payload of
     /// the multicast data packet being handled and the TTL its forwarded
-    /// copies carry, when there is one.
+    /// copies carry, when there is one. Every engine call's output passes
+    /// here first, so this is where the events the call queued enter the
+    /// dispatch: after what the node emitted before the call, before the
+    /// marks of the actions it returned.
     fn handle_actions(
         &mut self,
         ctx: &mut Ctx<'_>,
         actions: Vec<Action>,
         data: Option<(&[u8], u8)>,
     ) -> bool {
+        for ev in self.engine.telem().drain() {
+            ctx.emit(|| ev);
+        }
         let mut relay = false;
         for a in actions {
             match a {
@@ -432,7 +425,7 @@ impl<P: ProtocolEngine> ProtocolNode<P> {
                     self.send_control(ctx, iface.into(), dst, 1, &msg);
                 }
                 unicast::Output::RouteChanged { dst } => {
-                    self.telem.emit(now.ticks(), || Event::RouteChanged { dst });
+                    ctx.emit(|| Event::RouteChanged { dst });
                     let acts = self.engine.on_route_change(now, dst, self.unicast.as_ref());
                     self.handle_actions(ctx, acts, None);
                 }
@@ -453,16 +446,14 @@ impl<P: ProtocolEngine> ProtocolNode<P> {
                     self.send_control(ctx, iface.into(), dst, 1, &msg);
                 }
                 QuerierOutput::MemberJoined(group) => {
-                    self.telem
-                        .emit(now.ticks(), || Event::LocalMemberJoined { group });
+                    ctx.emit(|| Event::LocalMemberJoined { group });
                     let acts =
                         self.engine
                             .local_member_joined(now, group, iface, self.unicast.as_ref());
                     self.handle_actions(ctx, acts, None);
                 }
                 QuerierOutput::MemberExpired(group) => {
-                    self.telem
-                        .emit(now.ticks(), || Event::LocalMemberLeft { group });
+                    ctx.emit(|| Event::LocalMemberLeft { group });
                     let acts = self.engine.local_member_left(now, group, iface);
                     self.handle_actions(ctx, acts, None);
                 }
@@ -538,7 +529,7 @@ impl<P: ProtocolEngine> ProtocolNode<P> {
         };
         self.control_msgs += 1;
         let now = ctx.now();
-        self.telem.emit(now.ticks(), || Event::CtrlRecv {
+        ctx.emit(|| Event::CtrlRecv {
             kind: message_kind(&msg),
             src: header.src,
         });
@@ -549,7 +540,7 @@ impl<P: ProtocolEngine> ProtocolNode<P> {
                     let outs = q.on_message(now, header.src, &msg);
                     let is_querier = q.is_querier();
                     if was_querier != is_querier {
-                        self.telem.emit(now.ticks(), || Event::QuerierChanged {
+                        ctx.emit(|| Event::QuerierChanged {
                             iface: iface.0,
                             is_querier,
                         });
@@ -610,11 +601,10 @@ impl<P: ProtocolEngine> ProtocolNode<P> {
 }
 
 impl<P: ProtocolEngine + 'static> Node for ProtocolNode<P> {
-    fn set_telemetry(&mut self, telem: Telem) {
-        ProtocolNode::set_telemetry(self, telem);
-    }
-
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        // Before the first engine call; idempotent on restart, where
+        // `reset` has kept the bit.
+        self.engine.telem().set_enabled(ctx.telemetry_on());
         let outs = self.unicast.on_start(ctx.now());
         self.handle_unicast_outputs(ctx, outs);
         self.reschedule(ctx, ctx.now());
@@ -675,7 +665,7 @@ impl<P: ProtocolEngine + 'static> Node for ProtocolNode<P> {
             let outs = q.tick(now);
             let is_querier = q.is_querier();
             if was_querier != is_querier {
-                self.telem.emit(now.ticks(), || Event::QuerierChanged {
+                ctx.emit(|| Event::QuerierChanged {
                     iface: i as u32,
                     is_querier,
                 });
@@ -709,6 +699,7 @@ mod tests {
     struct Flood {
         addr: Addr,
         ifaces: u32,
+        telem: Telem,
     }
 
     impl StateDump for Flood {
@@ -778,6 +769,9 @@ mod tests {
         fn next_deadline(&self) -> Option<SimTime> {
             None
         }
+        fn telem(&mut self) -> &mut Telem {
+            &mut self.telem
+        }
     }
 
     /// Logs the address each received packet's bytes live at, and the
@@ -807,7 +801,11 @@ mod tests {
         let addr = Addr::new(10, 0, 0, 1);
         let mut world = World::new(3);
         let router = world.add_node(Box::new(ProtocolNode::new(
-            Flood { addr, ifaces: 4 },
+            Flood {
+                addr,
+                ifaces: 4,
+                telem: Telem::default(),
+            },
             Box::new(OracleRib::empty(addr)),
         )));
         let taps: Vec<NodeIdx> = (0..4)
@@ -853,7 +851,11 @@ mod tests {
         let addr = Addr::new(10, 0, 0, 1);
         let mut world = World::new(3);
         let router = world.add_node(Box::new(ProtocolNode::new(
-            Flood { addr, ifaces: 1 },
+            Flood {
+                addr,
+                ifaces: 1,
+                telem: Telem::default(),
+            },
             Box::new(OracleRib::empty(addr)),
         )));
         let tap = world.add_node(Box::<Tap>::default());

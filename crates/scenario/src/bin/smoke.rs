@@ -209,7 +209,7 @@ fn run(table: &str, w: &Workload, proto: Protocol, threads: usize, seed: u64) ->
     // Queue-depth distribution over the run's power-of-two peak samples
     // (deterministic, so part of the 1t-vs-4t diff).
     let (qd50, qd99) = {
-        let mut m = metrics.lock().expect("metrics sink poisoned");
+        let mut m = telemetry::lock(&metrics);
         m.finish();
         (
             m.queue_depth.percentile(50.0),

@@ -219,7 +219,7 @@ fn main() {
     if jsonl_mode {
         print!(
             "{}",
-            String::from_utf8(jsonl.lock().unwrap().get_ref().clone()).expect("JSONL is UTF-8")
+            String::from_utf8(telemetry::lock(&jsonl).get_ref().clone()).expect("JSONL is UTF-8")
         );
         return;
     }
@@ -249,7 +249,7 @@ fn main() {
             )
         })
         .collect();
-    merged.extend(lines.lock().unwrap().0.iter().cloned());
+    merged.extend(telemetry::lock(&lines).0.iter().cloned());
     merged.sort_by_key(|&(t, _)| t);
     for (_, l) in &merged {
         println!("{l}");
@@ -262,9 +262,9 @@ fn main() {
         }
     }
 
-    metrics.lock().unwrap().finish();
+    telemetry::lock(&metrics).finish();
     println!("\n# convergence metrics:");
-    for l in metrics.lock().unwrap().render().lines() {
+    for l in telemetry::lock(&metrics).render().lines() {
         println!("{l}");
     }
 }

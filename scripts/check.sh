@@ -14,6 +14,9 @@ cargo build --release --offline
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== the emission path takes no lock (a dispatch owns its region's telemetry buffer)"
+! grep -nE 'Mutex|telemetry::lock' crates/netsim/src/ctx.rs crates/netsim/src/region.rs || exit 1
+
 echo "== cargo test -q"
 cargo test -q --offline
 
