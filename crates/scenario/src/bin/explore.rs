@@ -19,131 +19,41 @@
 //! `DIR` is replayed byte-identically before the seed sweep; any replay
 //! divergence fails the run the same way a violation does.
 
-use scenario::{
-    explore_seed, random_schedule, replay_corpus, topologies, Artifact, CaseOutcome, Protocol,
-};
+use scenario::{explore_seed, random_schedule, replay_corpus, topologies, Artifact, Protocol};
 use std::collections::BTreeMap;
+use telemetry::MetricsAggregator;
 
-/// Per-protocol campaign aggregates for the chaos summary.
-#[derive(Default)]
-struct ChaosAgg {
-    /// Channel impairments inflicted, by kind (`corrupt`/`duplicate`/`reorder`).
-    impairments: BTreeMap<String, u64>,
-    /// Malformed frames dropped, by [`wire::DecodeError::kind`] label.
-    drops: BTreeMap<String, u64>,
-    /// Merged reconvergence histogram: (count, approx sum, max, buckets).
-    reconv: (u64, u128, u64, Vec<u64>),
-    /// Raw join-latency samples pooled across the campaign — exact
-    /// percentiles, not log2-bucket approximations.
-    join_samples: Vec<u64>,
-    /// Raw reconvergence samples pooled across the campaign.
-    reconv_samples: Vec<u64>,
+/// Per-kind counts as `kind=n ...`, or `-` when there are none.
+fn render_counts(m: &BTreeMap<&str, u64>) -> String {
+    if m.is_empty() {
+        return "-".to_string();
+    }
+    m.iter()
+        .map(|(k, v)| format!("{k}={v}"))
+        .collect::<Vec<_>>()
+        .join(" ")
 }
 
-/// Extract `"key":"value"` from a JSONL line.
-fn json_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')?;
-    Some(&line[start..start + end])
-}
-
-impl ChaosAgg {
-    fn absorb(&mut self, outcome: &CaseOutcome) {
-        self.join_samples.extend_from_slice(&outcome.join_samples);
-        self.reconv_samples
-            .extend_from_slice(&outcome.reconv_samples);
-        for line in outcome.telemetry.lines() {
-            match json_str(line, "ev") {
-                Some("channel_impaired") => {
-                    if let Some(what) = json_str(line, "what") {
-                        *self.impairments.entry(what.to_string()).or_default() += 1;
-                    }
-                }
-                Some("decode_failed") => {
-                    if let Some(kind) = json_str(line, "kind") {
-                        *self.drops.entry(kind.to_string()).or_default() += 1;
-                    }
-                }
-                _ => {}
-            }
-        }
-        // Merge the rendered reconvergence histogram: counts and buckets
-        // sum exactly, max is max; the mean is re-derived from the
-        // truncated per-run means (documentation-grade, ±1 tick).
-        let Some(line) = outcome
-            .metrics
-            .lines()
-            .find_map(|l| l.strip_prefix("reconvergence "))
-        else {
-            return;
-        };
-        let field = |key: &str| -> Option<&str> {
-            let pat = format!("{key}=");
-            let start = line.find(&pat)? + pat.len();
-            let end = line[start..].find(' ').unwrap_or(line.len() - start);
-            Some(&line[start..start + end])
-        };
-        let (Some(count), Some(mean), Some(max)) = (field("count"), field("mean"), field("max"))
-        else {
-            return;
-        };
-        let count: u64 = count.parse().unwrap_or(0);
-        let mean: u128 = mean.parse().unwrap_or(0);
-        let max: u64 = max.parse().unwrap_or(0);
-        self.reconv.0 += count;
-        self.reconv.1 += mean * u128::from(count);
-        self.reconv.2 = self.reconv.2.max(max);
-        if let Some(b) = line.find('[').and_then(|i| {
-            line[i + 1..]
-                .strip_suffix(']')
-                .map(|inner| inner.to_string())
-        }) {
-            for (i, tok) in b.split(',').enumerate() {
-                let v: u64 = tok.trim().parse().unwrap_or(0);
-                if self.reconv.3.len() <= i {
-                    self.reconv.3.resize(i + 1, 0);
-                }
-                self.reconv.3[i] += v;
-            }
-        }
-    }
-
-    fn render_counts(m: &BTreeMap<String, u64>) -> String {
-        if m.is_empty() {
-            return "-".to_string();
-        }
-        m.iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect::<Vec<_>>()
-            .join(" ")
-    }
-
-    fn print(&self, name: &str) {
-        let (count, sum, max, buckets) = &self.reconv;
-        let mean = if *count == 0 {
-            0
-        } else {
-            sum / u128::from(*count)
-        };
+/// One protocol's lines of the chaos summary, from its metrics merged
+/// over the campaign.
+fn print_chaos(name: &str, m: &MetricsAggregator) {
+    println!(
+        "  {name:>5}: impaired {}\n         dropped  {}\n         reconvergence {}",
+        render_counts(&m.impairments),
+        render_counts(&m.decode_drops),
+        m.reconvergence.render(),
+    );
+    // Exact percentiles from the pooled raw samples — the log2
+    // buckets above bound these only within a factor of two.
+    for (label, h) in [
+        ("join-latency", &m.join_latency),
+        ("reconvergence", &m.reconvergence),
+    ] {
         println!(
-            "  {name:>5}: impaired {}\n         dropped  {}\n         reconvergence count={count} mean~{mean} max={max} buckets={buckets:?}",
-            ChaosAgg::render_counts(&self.impairments),
-            ChaosAgg::render_counts(&self.drops),
-        );
-        // Exact percentiles from the pooled raw samples — the log2
-        // buckets above bound these only within a factor of two.
-        println!(
-            "         join-latency   count={} p50={} p99={}",
-            self.join_samples.len(),
-            telemetry::percentile_of(&self.join_samples, 50.0),
-            telemetry::percentile_of(&self.join_samples, 99.0),
-        );
-        println!(
-            "         reconvergence  count={} p50={} p99={}",
-            self.reconv_samples.len(),
-            telemetry::percentile_of(&self.reconv_samples, 50.0),
-            telemetry::percentile_of(&self.reconv_samples, 99.0),
+            "         {label:<14} count={} p50={} p99={}",
+            h.count(),
+            h.percentile(50.0),
+            h.percentile(99.0),
         );
     }
 }
@@ -218,14 +128,16 @@ fn main() {
     let mut runs = 0u64;
     let mut violating = 0u64;
     let mut per_protocol = [0u64; 3];
-    let mut chaos: [ChaosAgg; 3] = Default::default();
+    let mut chaos: [MetricsAggregator; 3] = Default::default();
     for (t, results) in outcomes.iter().enumerate() {
         let seed = start + t as u64;
         let topo = &zoo[(seed % zoo.len() as u64) as usize];
         for (protocol, outcome) in results {
             runs += 1;
-            let slot = Protocol::ALL.iter().position(|p| p == protocol).unwrap();
-            chaos[slot].absorb(outcome);
+            let slot = *protocol as usize;
+            if let Some(m) = &outcome.metrics {
+                chaos[slot].merge(m);
+            }
             if outcome.violations.is_empty() {
                 continue;
             }
@@ -271,8 +183,8 @@ fn main() {
         println!("  {:>5}: {} violating runs", p.name(), per_protocol[i]);
     }
     println!("chaos summary (summed over the campaign):");
-    for (i, p) in Protocol::ALL.iter().enumerate() {
-        chaos[i].print(p.name());
+    for (p, m) in Protocol::ALL.iter().zip(&chaos) {
+        print_chaos(p.name(), m);
     }
     if violating > 0 || corpus_failures > 0 {
         std::process::exit(1);

@@ -378,8 +378,9 @@ fn main() {
             let (ctopo, cs) = congestion_fixture();
             let cpred = |s: &FaultSchedule, o: &CaseOutcome| {
                 o.violations.is_empty()
-                    && o.telemetry.contains("\"ev\":\"queue_depth\"")
-                    && o.telemetry.contains("\"ev\":\"queue_drop\"")
+                    && o.metrics
+                        .as_ref()
+                        .is_some_and(|m| m.queue_depth.count() > 0 && m.queue_drops > 0)
                     && s.events
                         .iter()
                         .any(|(_, e)| matches!(e, FaultEvent::Bandwidth(_, r, _, _) if *r > 0))

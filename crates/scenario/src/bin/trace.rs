@@ -25,21 +25,13 @@
 //! fingerprint. The output contains no thread count: it is byte-
 //! identical at any `--threads`, which check.sh asserts on the corpus.
 
-use netsim::SimTime;
 use scenario::{
-    build_net, random_schedule, run_case_threads, slice_lines, topologies, topology, Artifact,
-    Protocol, Substrate,
+    random_schedule, run_case_threads, run_timeline, slice_lines, topologies, topology, Artifact,
+    Protocol,
 };
 use std::sync::{Arc, Mutex};
 use telemetry::{Event, Fanout, JsonlSink, MetricsAggregator, Sink, Ticks};
 use wire::Group;
-
-/// The explorer's standard timeline (see `scenario::explore`).
-const TRAIN: u64 = 20;
-const PROBES: u64 = 8;
-const PROBE_START: u64 = 4500;
-const PROBE_GAP: u64 = 30;
-const CHECK_AT: u64 = 6000;
 
 /// Records every event as a rendered line, unbounded — the pretty
 /// printer's source.
@@ -189,18 +181,6 @@ fn main() {
     let protocol = Protocol::from_name(proto_name)
         .unwrap_or_else(|| panic!("unknown protocol {proto_name:?}; pim, dvmrp, or cbt"));
 
-    let group = Group::test(1);
-    let mut net = build_net(
-        &topo.graph,
-        protocol,
-        Substrate::Oracle,
-        group,
-        topo.rendezvous,
-        &topo.host_routers,
-        seed,
-    );
-    net.world.enable_capture(300_000);
-
     let lines = Arc::new(Mutex::new(Lines::default()));
     let jsonl = Arc::new(Mutex::new(JsonlSink::new(Vec::<u8>::new())));
     let metrics = Arc::new(Mutex::new(MetricsAggregator::new()));
@@ -208,13 +188,16 @@ fn main() {
     fan.push(lines.clone());
     fan.push(jsonl.clone());
     fan.push(metrics.clone());
-    net.attach_telemetry(Arc::new(Mutex::new(fan)));
 
     let schedule = random_schedule(&topo, seed, false);
-    net.install(&schedule);
-    net.send_at(0, 100, TRAIN, 40);
-    net.send_at(0, PROBE_START, PROBES, PROBE_GAP);
-    net.world.run_until(SimTime(CHECK_AT));
+    let net = run_timeline(
+        &topo,
+        protocol,
+        &schedule,
+        seed,
+        1,
+        Some(Arc::new(Mutex::new(fan))),
+    );
 
     if jsonl_mode {
         print!(
@@ -255,9 +238,10 @@ fn main() {
         println!("{l}");
     }
 
-    println!("\n# state snapshots at t{CHECK_AT}:");
+    let check_at = net.world.now();
+    println!("\n# state snapshots at t{}:", check_at.ticks());
     for n in 0..net.router_count {
-        for l in net.state_dump(n, SimTime(CHECK_AT)).lines() {
+        for l in net.state_dump(n, check_at).lines() {
             println!("{l}");
         }
     }

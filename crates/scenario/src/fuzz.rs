@@ -18,7 +18,7 @@
 //!    train still delivered to every member (soft-state refresh heals
 //!    whatever the garbage grazed).
 
-use crate::explore::topologies;
+use crate::explore::{panic_message, topologies};
 use crate::net::{build_net, Protocol, Substrate};
 use crate::oracle::{
     check_bounded_state, check_cbt_ack_ledger, check_delivery, check_loop_freedom, check_rpf,
@@ -393,20 +393,16 @@ pub fn fuzz_engine(protocol: Protocol, seed: u64, frames: u64) -> EngineFuzzOutc
             malformed_drops,
             violations: violations.iter().map(Violation::to_string).collect(),
         },
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            EngineFuzzOutcome {
-                protocol,
-                injected: 0,
-                decode_failures: 0,
-                malformed_drops: 0,
-                violations: vec![format!("no-panic @ r0: engine fuzz panicked: {msg}")],
-            }
-        }
+        Err(payload) => EngineFuzzOutcome {
+            protocol,
+            injected: 0,
+            decode_failures: 0,
+            malformed_drops: 0,
+            violations: vec![format!(
+                "no-panic @ r0: engine fuzz panicked: {}",
+                panic_message(payload.as_ref())
+            )],
+        },
     }
 }
 

@@ -486,6 +486,15 @@ mod tests {
         .build(g)
     }
 
+    /// A protocol's discriminant is its index in `Protocol::ALL`: callers
+    /// index per-protocol tables and tag coverage with `protocol as usize`.
+    #[test]
+    fn protocol_discriminants_are_their_all_index() {
+        for (i, p) in Protocol::ALL.into_iter().enumerate() {
+            assert_eq!(p as usize, i, "{}", p.name());
+        }
+    }
+
     /// 63 links and a host LAN fill the interface mask exactly.
     #[test]
     fn a_64_interface_router_builds() {

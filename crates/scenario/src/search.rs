@@ -110,9 +110,10 @@ pub struct SearchReport {
 }
 
 /// Fold one outcome's *near-miss* signal into `map`: which oracles
-/// fired at which nodes, and the log2-bucketed shape of every rendered
-/// convergence histogram. These put the search gradient on "almost
-/// broke" runs that pure event coverage cannot see.
+/// fired at which nodes, and the log2-bucketed count and max of every
+/// convergence histogram ([`telemetry::MetricsAggregator::histograms`]).
+/// These put the search gradient on "almost broke" runs that pure event
+/// coverage cannot see.
 fn near_miss_features(map: &mut CoverageMap, tag: u64, outcome: &CaseOutcome) {
     for v in &outcome.violations {
         map.record(telemetry::feature(
@@ -120,29 +121,21 @@ fn near_miss_features(map: &mut CoverageMap, tag: u64, outcome: &CaseOutcome) {
             &[tag, telemetry::strpart(v.oracle), v.node as u64],
         ));
     }
-    for line in outcome.metrics.lines() {
-        let Some((name, rest)) = line.split_once(' ') else {
-            continue;
-        };
-        for part in rest.split(' ') {
-            let Some((key, val)) = part.split_once('=') else {
-                continue;
-            };
-            if !matches!(key, "count" | "max") {
-                continue;
-            }
-            if let Ok(v) = val.parse::<u64>() {
-                let bucket = 64 - v.leading_zeros() as u64;
-                map.record(telemetry::feature(
-                    "metric",
-                    &[
-                        tag,
-                        telemetry::strpart(name),
-                        telemetry::strpart(key),
-                        bucket,
-                    ],
-                ));
-            }
+    let Some(metrics) = &outcome.metrics else {
+        return;
+    };
+    for (name, h) in metrics.histograms() {
+        for (key, v) in [("count", h.count()), ("max", h.max())] {
+            let bucket = 64 - v.leading_zeros() as u64;
+            map.record(telemetry::feature(
+                "metric",
+                &[
+                    tag,
+                    telemetry::strpart(name),
+                    telemetry::strpart(key),
+                    bucket,
+                ],
+            ));
         }
     }
 }
@@ -279,6 +272,22 @@ fn derive_candidates(
 
 /// Run a coverage-guided campaign over `topo`.
 pub fn coverage_search(topo: &TopoSpec, cfg: &SearchConfig) -> SearchReport {
+    search(topo, cfg, true)
+}
+
+/// The uniform-random baseline: same budget, same evaluation pipeline,
+/// same instrumentation — but every candidate is a fresh
+/// [`random_schedule`], never a mutant. EXPERIMENTS.md compares its
+/// coverage curve against [`coverage_search`] on identical budgets.
+pub fn random_search(topo: &TopoSpec, cfg: &SearchConfig) -> SearchReport {
+    search(topo, cfg, false)
+}
+
+/// The generation loop behind both strategies. Guided, a schedule that
+/// reaches new coverage enters the pool later candidates are mutated
+/// from. Random, the pool stays empty, so [`derive_candidates`] draws
+/// every candidate fresh from the same stream positions.
+fn search(topo: &TopoSpec, cfg: &SearchConfig, guided: bool) -> SearchReport {
     let mut global = CoverageMap::new();
     let mut seen: BTreeSet<CoverageEntry> = BTreeSet::new();
     let mut pool: Vec<(FaultSchedule, u64)> = Vec::new();
@@ -301,7 +310,7 @@ pub fn coverage_search(topo: &TopoSpec, cfg: &SearchConfig) -> SearchReport {
             if !ev.violations.is_empty() {
                 violating.push(ev.clone());
             }
-            if novel > 0 {
+            if guided && novel > 0 {
                 pool.push((ev.schedule, novel as u64));
                 if pool.len() > cfg.pool_cap {
                     let evict = pool
@@ -312,58 +321,6 @@ pub fn coverage_search(topo: &TopoSpec, cfg: &SearchConfig) -> SearchReport {
                         .unwrap();
                     pool.remove(evict);
                 }
-            }
-        }
-        history.push((evals, seen.len()));
-        generation += 1;
-    }
-
-    SearchReport {
-        evals,
-        coverage: global,
-        entries: seen.len(),
-        violating,
-        history,
-    }
-}
-
-/// The uniform-random baseline: same budget, same evaluation pipeline,
-/// same instrumentation — but every candidate is a fresh
-/// [`random_schedule`], never a mutant. EXPERIMENTS.md compares its
-/// coverage curve against [`coverage_search`] on identical budgets.
-pub fn random_search(topo: &TopoSpec, cfg: &SearchConfig) -> SearchReport {
-    let mut global = CoverageMap::new();
-    let mut seen: BTreeSet<CoverageEntry> = BTreeSet::new();
-    let mut violating = Vec::new();
-    let mut history = Vec::new();
-    let mut evals = 0usize;
-    let mut generation = 0u64;
-
-    while evals < cfg.budget {
-        let batch = cfg.batch.min(cfg.budget - evals).max(1);
-        let candidates: Vec<(FaultSchedule, u64)> = (0..batch)
-            .map(|i| {
-                let mut rng = SeedStream::new(cfg.seed, generation * 0x10_0003 + i as u64);
-                let world_seed = par::mix(cfg.seed, 0xC0FF_EE00 ^ generation, i as u64);
-                let s = random_schedule(topo, rng.next_u64(), rng.below(3) == 2);
-                let s = s.normalize(
-                    topo.graph.edge_count(),
-                    topo.graph.node_count(),
-                    topo.host_routers.len(),
-                );
-                (s, world_seed)
-            })
-            .collect();
-        let results = par::run_trials(cfg.threads, batch, |i| {
-            let (schedule, world_seed) = &candidates[i];
-            evaluate_schedule(topo, schedule, *world_seed)
-        });
-        for ev in results {
-            evals += 1;
-            fold_entries(&mut seen, &ev.coverage);
-            global.merge(&ev.coverage);
-            if !ev.violations.is_empty() {
-                violating.push(ev.clone());
             }
         }
         history.push((evals, seen.len()));

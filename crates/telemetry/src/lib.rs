@@ -845,20 +845,6 @@ impl<W: Write> Sink for JsonlSink<W> {
     }
 }
 
-/// Exact percentile of an unsorted sample set by the nearest-rank
-/// method (`p` in `[0, 100]`); zero when empty. Shared by
-/// [`Histogram::percentile`] and consumers that pool raw samples across
-/// many runs (the explorer's chaos summary).
-pub fn percentile_of(samples: &[Ticks], p: f64) -> Ticks {
-    if samples.is_empty() {
-        return 0;
-    }
-    let mut sorted: Vec<Ticks> = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 /// A power-of-two-bucketed histogram of sim-time durations.
 ///
 /// Bucket `i` counts samples in `[2^i, 2^(i+1))` ticks (bucket 0 also
@@ -916,7 +902,28 @@ impl Histogram {
     /// zero when empty. `percentile(50)` is the median, `percentile(100)`
     /// equals [`Histogram::max`].
     pub fn percentile(&self, p: f64) -> Ticks {
-        percentile_of(&self.samples, p)
+        if self.samples.is_empty() {
+            return 0;
+        }
+        let mut sorted = self.samples.clone();
+        sorted.sort_unstable();
+        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+        sorted[rank.clamp(1, sorted.len()) - 1]
+    }
+
+    /// Fold `other` in, as if its samples had been recorded here after
+    /// this histogram's own.
+    pub fn merge(&mut self, other: &Histogram) {
+        if self.buckets.len() < other.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
+        for (b, n) in self.buckets.iter_mut().zip(&other.buckets) {
+            *b += n;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.max = self.max.max(other.max);
+        self.samples.extend_from_slice(&other.samples);
     }
 
     /// Render as `count=N mean=M max=X buckets=[..]`.
@@ -939,7 +946,10 @@ impl Histogram {
 ///   (S,G) entry gaining the SPT bit on the same node;
 /// * **reconvergence time** — each [`Event::Fault`] to the last
 ///   protocol state change anywhere (closed by [`MetricsAggregator::finish`]).
-#[derive(Debug, Default)]
+///
+/// Finished aggregators of independent runs add up with
+/// [`MetricsAggregator::merge`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsAggregator {
     /// Join-latency histogram (ticks from member-join to first delivery).
     pub join_latency: Histogram,
@@ -956,6 +966,10 @@ pub struct MetricsAggregator {
     pub queue_drops: u64,
     /// ECN-style congestion marks observed.
     pub ecn_marks: u64,
+    /// Channel impairments observed, by [`Event::ChannelImpaired`] kind.
+    pub impairments: BTreeMap<&'static str, u64>,
+    /// Undecodable payloads dropped, by [`Event::DecodeFailed`] kind.
+    pub decode_drops: BTreeMap<&'static str, u64>,
     pending_joins: BTreeMap<(u32, u32), Ticks>,
     pending_spt: BTreeMap<(u32, u32, u32), Ticks>,
     open_fault: Option<Ticks>,
@@ -978,14 +992,41 @@ impl MetricsAggregator {
         }
     }
 
+    /// The three convergence histograms by name, in the order
+    /// [`MetricsAggregator::render`] prints them.
+    pub fn histograms(&self) -> [(&'static str, &Histogram); 3] {
+        [
+            ("join_latency", &self.join_latency),
+            ("spt_switch", &self.spt_switch),
+            ("reconvergence", &self.reconvergence),
+        ]
+    }
+
     /// Render the three histograms as stable text, one per line.
     pub fn render(&self) -> String {
-        format!(
-            "join_latency {}\nspt_switch {}\nreconvergence {}",
-            self.join_latency.render(),
-            self.spt_switch.render(),
-            self.reconvergence.render()
-        )
+        self.histograms()
+            .map(|(name, h)| format!("{name} {}", h.render()))
+            .join("\n")
+    }
+
+    /// Fold another finished run's results in: every histogram, the
+    /// congestion totals and the per-kind counts. The joins, switchovers
+    /// and fault window still pending are run-local and stay this one's.
+    pub fn merge(&mut self, other: &MetricsAggregator) {
+        self.join_latency.merge(&other.join_latency);
+        self.spt_switch.merge(&other.spt_switch);
+        self.reconvergence.merge(&other.reconvergence);
+        self.queue_depth.merge(&other.queue_depth);
+        self.queue_drops += other.queue_drops;
+        self.ecn_marks += other.ecn_marks;
+        for (mine, theirs) in [
+            (&mut self.impairments, &other.impairments),
+            (&mut self.decode_drops, &other.decode_drops),
+        ] {
+            for (kind, n) in theirs {
+                *mine.entry(kind).or_default() += n;
+            }
+        }
     }
 
     fn state_changed(&mut self, at: Ticks) {
@@ -1053,15 +1094,16 @@ impl Sink for MetricsAggregator {
             Event::QueueDrop { .. } => self.queue_drops += 1,
             Event::EcnMark { .. } => self.ecn_marks += 1,
             // Channel impairments and decode-failure drops are per-packet
-            // noise, not protocol state changes: they must neither open
-            // reconvergence windows (only `Fault` does) nor extend one.
+            // noise, not protocol state changes: they are counted, but
+            // must neither open reconvergence windows (only `Fault` does)
+            // nor extend one.
+            Event::ChannelImpaired { what, .. } => *self.impairments.entry(what).or_default() += 1,
+            Event::DecodeFailed { kind, .. } => *self.decode_drops.entry(kind).or_default() += 1,
             Event::TimerArmed { .. }
             | Event::TimerFired { .. }
             | Event::TimerCancelled { .. }
             | Event::CtrlSend { .. }
-            | Event::CtrlRecv { .. }
-            | Event::DecodeFailed { .. }
-            | Event::ChannelImpaired { .. } => {}
+            | Event::CtrlRecv { .. } => {}
         }
     }
 }
