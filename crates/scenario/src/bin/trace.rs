@@ -139,7 +139,7 @@ fn why(args: &[String]) {
             let blast = causal.forward_slice(r).len();
             println!("[{}] blast radius = {blast} dispatches", r.render());
             if let Some(d) = causal.dispatch(r) {
-                for rec in &d.records {
+                for rec in d.records {
                     println!("    t{} r{} {}", rec.at, rec.node, rec.ev);
                 }
             }

@@ -3,8 +3,9 @@
 //! From one seed the explorer derives one random fault schedule per
 //! topology, runs *all three protocols* against the identical schedule,
 //! waits for quiescence, and applies the oracle layer. Every run carries
-//! full structured telemetry — a per-router flight recorder, a JSONL
-//! event stream, and convergence metrics — and on violation the explorer
+//! full structured telemetry — a JSONL event stream, convergence
+//! metrics, coverage, and a causal index from which each router's
+//! flight-recorder tail is read — and on violation the explorer
 //! emits a replay artifact: protocol, topology name, seed, schedule
 //! text, trace and telemetry fingerprints, plus each implicated router's
 //! flight-recorder tail and `show mroute`-style state snapshot.
@@ -44,8 +45,8 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 use telemetry::{
-    CausalIndex, CoverageMap, CoverageSink, Fanout, FlightRecorder, JsonlSink, MetricsAggregator,
-    SharedSink, FLIGHT_RECORDER_CAP,
+    CausalIndex, CoverageMap, CoverageSink, Fanout, JsonlSink, MetricsAggregator, SharedSink,
+    FLIGHT_RECORDER_CAP,
 };
 use wire::{write_dec, Group};
 
@@ -293,7 +294,9 @@ pub struct CaseOutcome {
 pub struct NodeDump {
     /// Graph node index of the router.
     pub node: usize,
-    /// Flight-recorder lines, oldest first (`t<ticks> <event>`).
+    /// Flight-recorder lines, oldest first (`t<ticks> <event>`): the
+    /// router's last [`FLIGHT_RECORDER_CAP`] events, read off the causal
+    /// index ([`telemetry::CausalIndex::tail`]).
     pub flight: Vec<String>,
     /// State-snapshot lines ([`telemetry::StateDump`] output, split).
     pub state: Vec<String>,
@@ -393,10 +396,7 @@ pub fn run_case_coverage(
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         run_case_inner(topo, protocol, schedule, seed, threads, coverage.clone())
     })) {
-        Ok(outcome) => {
-            let map = telemetry::lock(&coverage).map().clone();
-            (outcome, map)
-        }
+        Ok(outcome) => (outcome, telemetry::lock(&coverage).map()),
         Err(payload) => {
             let msg = panic_message(payload.as_ref());
             // A panicking seed is a reproduction seed above all else:
@@ -405,7 +405,7 @@ pub fn run_case_coverage(
             // when only the summary line survives.
             // The panic may have unwound through the sink tree and
             // poisoned it; what coverage the run reached is still there.
-            let mut map = telemetry::lock(&coverage).map().clone();
+            let mut map = telemetry::lock(&coverage).map();
             map.record(telemetry::feature("panic", &[]));
             (
                 CaseOutcome {
@@ -488,15 +488,14 @@ fn run_case_inner(
     threads: usize,
     coverage: Arc<Mutex<CoverageSink>>,
 ) -> CaseOutcome {
-    // Telemetry: flight recorder (post-mortem dumps), JSONL stream (the
-    // byte-identity contract), metrics aggregator (convergence
-    // histograms). Observation only — the packet trace is unchanged.
-    let flight = Arc::new(Mutex::new(FlightRecorder::new(FLIGHT_RECORDER_CAP)));
+    // Telemetry: JSONL stream (the byte-identity contract), metrics
+    // aggregator (convergence histograms), causal index (slices and the
+    // post-mortem flight tails). Observation only — the packet trace is
+    // unchanged.
     let jsonl = Arc::new(Mutex::new(JsonlSink::new(Vec::new())));
     let metrics = Arc::new(Mutex::new(MetricsAggregator::new()));
     let causal = Arc::new(Mutex::new(CausalIndex::new()));
     let mut fan = Fanout::new();
-    fan.push(flight.clone());
     fan.push(jsonl.clone());
     fan.push(metrics.clone());
     fan.push(causal.clone());
@@ -533,7 +532,7 @@ fn run_case_inner(
         .into_iter()
         .map(|n| NodeDump {
             node: n,
-            flight: telemetry::lock(&flight).dump(n as u32),
+            flight: causal.tail(n as u32, FLIGHT_RECORDER_CAP),
             state: net
                 .state_dump(n, SimTime(CHECK_AT))
                 .lines()
@@ -904,6 +903,7 @@ pub fn replay_corpus(dir: &std::path::Path) -> Result<CorpusReplay, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use telemetry::FlightRecorder;
 
     /// The telemetry layer's core contract at full-stack scope: attaching
     /// the complete sink fanout changes nothing about protocol behavior —

@@ -7,14 +7,20 @@
 //! [`Event`] stream emitted by netsim, the node adapter, and all three
 //! protocol engines, consumed through the [`Sink`] trait.
 //!
-//! Three sinks ship with the crate:
+//! Five sinks ship with the crate, and [`Fanout`] feeds one stream to
+//! several of them:
 //!
-//! * [`FlightRecorder`] — a bounded per-node ring buffer of events,
-//!   dumped into replay artifacts when an oracle fires;
+//! * [`FlightRecorder`] — a bounded per-node ring buffer of events, a
+//!   post-mortem tail;
 //! * [`JsonlSink`] — a JSON-lines writer keyed by deterministic sim
 //!   time, whose byte stream doubles as the determinism fingerprint;
 //! * [`MetricsAggregator`] — sim-time histograms of join latency,
-//!   SPT-switchover time, and post-fault reconvergence time.
+//!   SPT-switchover time, and post-fault reconvergence time;
+//! * [`CoverageSink`] — the stream folded into a [`CoverageMap`], the
+//!   feedback signal of coverage-guided schedule search;
+//! * [`CausalIndex`] — the causal DAG over dispatches: backward slices,
+//!   blast radii, critical paths, and each node's last events
+//!   ([`CausalIndex::tail`], the explorer's post-mortem flight dumps).
 //!
 //! # Determinism rules
 //!
@@ -27,12 +33,14 @@
 //! # Record now, render on read
 //!
 //! Sinks store the compact [`Event`] and produce text only when somebody
-//! reads it ([`FlightRecorder::dump`], the [`CausalIndex`] slices): most
-//! runs pass every oracle and nobody ever does. The one sink whose
-//! output *is* text, [`JsonlSink`], writes each line through
-//! [`Event::write_json`] into a reused buffer. The simulator hands the
-//! sink tree one barrier window at a time ([`Sink::batch`]), so a
-//! [`Fanout`] locks each child once per window, not once per event.
+//! reads it ([`FlightRecorder::dump`], the [`CausalIndex`] slices and
+//! tails): most runs pass every oracle and nobody ever does. The one
+//! sink whose output *is* text, [`JsonlSink`], writes each line through
+//! [`Event::write_json`] into a reused byte buffer; [`CoverageSink`]
+//! counts raw feature inputs and hashes them into feature ids only when
+//! its map is read. The simulator hands the sink tree one barrier window
+//! at a time ([`Sink::batch`]), so a [`Fanout`] locks each child once per
+//! window, not once per event.
 //!
 //! # Zero overhead when disabled
 //!
@@ -49,8 +57,9 @@ pub mod trace;
 
 pub use trace::CausalIndex;
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io::Write;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -129,6 +138,15 @@ pub mod flags {
     /// CBT: this router is attached to the group's core-based tree.
     pub const ON_TREE: u8 = 16;
 
+    /// Each flag with its name, in rendering order.
+    pub(crate) const NAMES: [(u8, &str); 5] = [
+        (WC, "WC"),
+        (RP, "RP"),
+        (SPT, "SPT"),
+        (PRUNED, "PRUNED"),
+        (ON_TREE, "ON_TREE"),
+    ];
+
     /// A flag set that displays as a stable short string, e.g. `WC|RP`;
     /// the empty set displays as `-`. Lets the renderers write flags
     /// without an intermediate `String`.
@@ -137,13 +155,6 @@ pub mod flags {
 
     impl std::fmt::Display for Set {
         fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            const NAMES: [(u8, &str); 5] = [
-                (WC, "WC"),
-                (RP, "RP"),
-                (SPT, "SPT"),
-                (PRUNED, "PRUNED"),
-                (ON_TREE, "ON_TREE"),
-            ];
             let mut sep = "";
             for (bit, name) in NAMES {
                 if self.0 & bit != 0 {
@@ -389,25 +400,30 @@ impl Event {
         }
     }
 
-    /// Write the event as one JSON object (no trailing newline) into
+    /// Append the event as one JSON object (no trailing newline) to
     /// `out`. Hand-rolled — the workspace builds offline with no serde —
     /// but every field is either numeric, a dotted-quad, or an escaped
-    /// string, so the output is valid JSON.
-    pub fn write_json(&self, node: u32, at: Ticks, out: &mut impl fmt::Write) -> fmt::Result {
-        let mut j = JsonFields(out);
-        j.0.write_str("{\"t\":")?;
-        wire::write_dec(j.0, at)?;
-        j.num("node", u64::from(node))?;
-        j.text("ev", self.kind())?;
-        match self {
+    /// string, so the output is valid JSON. Each variant's literal text
+    /// between two values is one copy (`,"ev":"ctrl_send","kind":"`), and
+    /// numbers go out two digits at a time: every event of every traced
+    /// run comes through here.
+    pub fn write_json(&self, node: u32, at: Ticks, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"{\"t\":");
+        push_dec(out, at);
+        out.extend_from_slice(b",\"node\":");
+        push_dec(out, u64::from(node));
+        let close: &[u8] = match self {
             Event::EntryCreated {
                 group,
                 key,
                 flags: f,
             } => {
-                j.addr("group", group.addr())?;
-                j.entry_key(*key)?;
-                j.flags("flags", *f)?;
+                out.extend_from_slice(b",\"ev\":\"entry_created\",\"group\":\"");
+                push_addr(out, group.addr());
+                push_key(out, *key);
+                out.extend_from_slice(b"\",\"flags\":\"");
+                push_flags(out, *f);
+                b"\"}"
             }
             Event::EntryModified {
                 group,
@@ -415,144 +431,273 @@ impl Event {
                 from,
                 to,
             } => {
-                j.addr("group", group.addr())?;
-                j.entry_key(*key)?;
-                j.flags("from", *from)?;
-                j.flags("to", *to)?;
+                out.extend_from_slice(b",\"ev\":\"entry_modified\",\"group\":\"");
+                push_addr(out, group.addr());
+                push_key(out, *key);
+                out.extend_from_slice(b"\",\"from\":\"");
+                push_flags(out, *from);
+                out.extend_from_slice(b"\",\"to\":\"");
+                push_flags(out, *to);
+                b"\"}"
             }
             Event::EntryExpired { group, key } => {
-                j.addr("group", group.addr())?;
-                j.entry_key(*key)?;
+                out.extend_from_slice(b",\"ev\":\"entry_expired\",\"group\":\"");
+                push_addr(out, group.addr());
+                push_key(out, *key);
+                b"\"}"
             }
             Event::TimerArmed { token, deadline } => {
-                j.num("token", *token)?;
-                j.num("deadline", *deadline)?;
+                out.extend_from_slice(b",\"ev\":\"timer_armed\",\"token\":");
+                push_dec(out, *token);
+                out.extend_from_slice(b",\"deadline\":");
+                push_dec(out, *deadline);
+                b"}"
             }
-            Event::TimerFired { token } | Event::TimerCancelled { token } => {
-                j.num("token", *token)?
+            Event::TimerFired { token } => {
+                out.extend_from_slice(b",\"ev\":\"timer_fired\",\"token\":");
+                push_dec(out, *token);
+                b"}"
+            }
+            Event::TimerCancelled { token } => {
+                out.extend_from_slice(b",\"ev\":\"timer_cancelled\",\"token\":");
+                push_dec(out, *token);
+                b"}"
             }
             Event::CtrlSend { kind, dst } => {
-                j.text("kind", kind)?;
-                j.addr("dst", *dst)?;
+                out.extend_from_slice(b",\"ev\":\"ctrl_send\",\"kind\":\"");
+                out.extend_from_slice(kind.as_bytes());
+                out.extend_from_slice(b"\",\"dst\":\"");
+                push_addr(out, *dst);
+                b"\"}"
             }
             Event::CtrlRecv { kind, src } => {
-                j.text("kind", kind)?;
-                j.addr("src", *src)?;
+                out.extend_from_slice(b",\"ev\":\"ctrl_recv\",\"kind\":\"");
+                out.extend_from_slice(kind.as_bytes());
+                out.extend_from_slice(b"\",\"src\":\"");
+                push_addr(out, *src);
+                b"\"}"
             }
-            Event::DataDelivered { group, source } | Event::SptSwitchStart { group, source } => {
-                j.addr("group", group.addr())?;
-                j.addr("source", *source)?;
+            Event::DataDelivered { group, source } => {
+                out.extend_from_slice(b",\"ev\":\"data_delivered\",\"group\":\"");
+                push_addr(out, group.addr());
+                out.extend_from_slice(b"\",\"source\":\"");
+                push_addr(out, *source);
+                b"\"}"
             }
-            Event::LocalMemberJoined { group } | Event::LocalMemberLeft { group } => {
-                j.addr("group", group.addr())?
+            Event::LocalMemberJoined { group } => {
+                out.extend_from_slice(b",\"ev\":\"member_joined\",\"group\":\"");
+                push_addr(out, group.addr());
+                b"\"}"
+            }
+            Event::LocalMemberLeft { group } => {
+                out.extend_from_slice(b",\"ev\":\"member_left\",\"group\":\"");
+                push_addr(out, group.addr());
+                b"\"}"
             }
             Event::DrChanged { iface, is_dr } => {
-                j.num("iface", u64::from(*iface))?;
-                j.flag("is_dr", *is_dr)?;
+                out.extend_from_slice(b",\"ev\":\"dr_changed\",\"iface\":");
+                push_dec(out, u64::from(*iface));
+                out.extend_from_slice(b",\"is_dr\":");
+                if *is_dr {
+                    b"true}"
+                } else {
+                    b"false}"
+                }
             }
             Event::QuerierChanged { iface, is_querier } => {
-                j.num("iface", u64::from(*iface))?;
-                j.flag("is_querier", *is_querier)?;
+                out.extend_from_slice(b",\"ev\":\"querier_changed\",\"iface\":");
+                push_dec(out, u64::from(*iface));
+                out.extend_from_slice(b",\"is_querier\":");
+                if *is_querier {
+                    b"true}"
+                } else {
+                    b"false}"
+                }
             }
             Event::RpFailover { group, from, to } => {
-                j.addr("group", group.addr())?;
-                j.addr("from", *from)?;
-                j.addr("to", *to)?;
+                out.extend_from_slice(b",\"ev\":\"rp_failover\",\"group\":\"");
+                push_addr(out, group.addr());
+                out.extend_from_slice(b"\",\"from\":\"");
+                push_addr(out, *from);
+                out.extend_from_slice(b"\",\"to\":\"");
+                push_addr(out, *to);
+                b"\"}"
             }
-            Event::RouteChanged { dst } => j.addr("dst", *dst)?,
-            Event::Fault { desc } => j.escaped("desc", desc)?,
+            Event::SptSwitchStart { group, source } => {
+                out.extend_from_slice(b",\"ev\":\"spt_switch_start\",\"group\":\"");
+                push_addr(out, group.addr());
+                out.extend_from_slice(b"\",\"source\":\"");
+                push_addr(out, *source);
+                b"\"}"
+            }
+            Event::RouteChanged { dst } => {
+                out.extend_from_slice(b",\"ev\":\"route_changed\",\"dst\":\"");
+                push_addr(out, *dst);
+                b"\"}"
+            }
+            Event::Fault { desc } => {
+                out.extend_from_slice(b",\"ev\":\"fault\",\"desc\":\"");
+                push_escaped(out, desc);
+                b"\"}"
+            }
             Event::DecodeFailed { kind, iface } => {
-                j.text("kind", kind)?;
-                j.num("iface", u64::from(*iface))?;
+                out.extend_from_slice(b",\"ev\":\"decode_failed\",\"kind\":\"");
+                out.extend_from_slice(kind.as_bytes());
+                out.extend_from_slice(b"\",\"iface\":");
+                push_dec(out, u64::from(*iface));
+                b"}"
             }
-            Event::ChannelImpaired { what, link } | Event::QueueDrop { what, link } => {
-                j.text("what", what)?;
-                j.num("link", u64::from(*link))?;
+            Event::ChannelImpaired { what, link } => {
+                out.extend_from_slice(b",\"ev\":\"channel_impaired\",\"what\":\"");
+                out.extend_from_slice(what.as_bytes());
+                out.extend_from_slice(b"\",\"link\":");
+                push_dec(out, u64::from(*link));
+                b"}"
             }
-            Event::EcnMark { link } => j.num("link", u64::from(*link))?,
+            Event::QueueDrop { what, link } => {
+                out.extend_from_slice(b",\"ev\":\"queue_drop\",\"what\":\"");
+                out.extend_from_slice(what.as_bytes());
+                out.extend_from_slice(b"\",\"link\":");
+                push_dec(out, u64::from(*link));
+                b"}"
+            }
+            Event::EcnMark { link } => {
+                out.extend_from_slice(b",\"ev\":\"ecn_mark\",\"link\":");
+                push_dec(out, u64::from(*link));
+                b"}"
+            }
             Event::QueueDepth { link, bytes } => {
-                j.num("link", u64::from(*link))?;
-                j.num("bytes", *bytes)?;
+                out.extend_from_slice(b",\"ev\":\"queue_depth\",\"link\":");
+                push_dec(out, u64::from(*link));
+                out.extend_from_slice(b",\"bytes\":");
+                push_dec(out, *bytes);
+                b"}"
             }
-        }
-        j.0.write_char('}')
+        };
+        out.extend_from_slice(close);
     }
 
     /// [`Event::write_json`] into a fresh `String`.
     pub fn to_json(&self, node: u32, at: Ticks) -> String {
-        let mut s = String::new();
-        self.write_json(node, at, &mut s)
-            .expect("writing to a String cannot fail");
-        s
+        let mut out = Vec::new();
+        self.write_json(node, at, &mut out);
+        String::from_utf8(out).expect("the JSON writer copies UTF-8 and writes ASCII")
     }
 }
 
-/// The field writers behind [`Event::write_json`]: each appends one
-/// `,"name":value` member straight into the output. The JSONL stream is
-/// the hottest text path in the crate (every event of every traced run
-/// goes through it), so these push literal pieces and decimal digits
-/// directly instead of going through `format_args!`.
-struct JsonFields<'a, W>(&'a mut W);
-
-impl<W: fmt::Write> JsonFields<'_, W> {
-    fn name(&mut self, name: &str) -> fmt::Result {
-        self.0.write_str(",\"")?;
-        self.0.write_str(name)?;
-        self.0.write_str("\":")
+/// `DIGIT_PAIRS[2 * n..2 * n + 2]` is `n` in two decimal digits, for
+/// `n < 100`.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut t = [0u8; 200];
+    let mut n = 0;
+    while n < 100 {
+        t[2 * n] = b'0' + (n / 10) as u8;
+        t[2 * n + 1] = b'0' + (n % 10) as u8;
+        n += 1;
     }
+    t
+};
 
-    fn num(&mut self, name: &str, n: u64) -> fmt::Result {
-        self.name(name)?;
-        wire::write_dec(self.0, n)
+/// Append what `{}` prints for `n`, two digits per division.
+fn push_dec(out: &mut Vec<u8>, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    while n >= 100 {
+        let d = (n % 100) as usize * 2;
+        n /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
     }
-
-    fn flag(&mut self, name: &str, b: bool) -> fmt::Result {
-        self.name(name)?;
-        self.0.write_str(if b { "true" } else { "false" })
+    if n >= 10 {
+        let d = n as usize * 2;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
+    } else {
+        i -= 1;
+        buf[i] = b'0' + n as u8;
     }
+    out.extend_from_slice(&buf[i..]);
+}
 
-    /// A string member whose value needs no escaping (kind tags, message
-    /// names and the other `&'static str` labels events carry).
-    fn text(&mut self, name: &str, v: &str) -> fmt::Result {
-        self.name(name)?;
-        self.0.write_char('"')?;
-        self.0.write_str(v)?;
-        self.0.write_char('"')
-    }
-
-    fn addr(&mut self, name: &str, a: Addr) -> fmt::Result {
-        self.name(name)?;
-        self.0.write_char('"')?;
-        a.write_to(self.0)?;
-        self.0.write_char('"')
-    }
-
-    fn entry_key(&mut self, key: EntryKey) -> fmt::Result {
-        match key {
-            EntryKey::Star => self.text("key", "*"),
-            EntryKey::Source(s) => self.addr("key", s),
+/// Append `a` as a dotted quad, as [`Addr`]'s `Display` prints it, each
+/// octet's last two digits from one lookup.
+fn push_addr(out: &mut Vec<u8>, a: Addr) {
+    let mut buf = [b'.'; 15];
+    let mut n = 0;
+    for (i, octet) in a.to_bytes().into_iter().enumerate() {
+        n += usize::from(i > 0);
+        let o = usize::from(octet);
+        if o >= 100 {
+            buf[n] = b'0' + (o / 100) as u8;
+            n += 1;
+        }
+        if o >= 10 {
+            let d = o % 100 * 2;
+            buf[n..n + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
+            n += 2;
+        } else {
+            buf[n] = b'0' + octet;
+            n += 1;
         }
     }
+    out.extend_from_slice(&buf[..n]);
+}
 
-    fn flags(&mut self, name: &str, f: u8) -> fmt::Result {
-        self.name(name)?;
-        write!(self.0, "\"{}\"", flags::Set(f))
+/// Close the group's string and append the entry key's member: `*` for
+/// the shared tree, the source's dotted quad otherwise.
+fn push_key(out: &mut Vec<u8>, key: EntryKey) {
+    out.extend_from_slice(b"\",\"key\":\"");
+    match key {
+        EntryKey::Star => out.push(b'*'),
+        EntryKey::Source(s) => push_addr(out, s),
     }
+}
 
-    fn escaped(&mut self, name: &str, v: &str) -> fmt::Result {
-        self.name(name)?;
-        self.0.write_char('"')?;
-        for c in v.chars() {
-            match c {
-                '"' => self.0.write_str("\\\"")?,
-                '\\' => self.0.write_str("\\\\")?,
-                '\n' => self.0.write_str("\\n")?,
-                c if (c as u32) < 0x20 => write!(self.0, "\\u{:04x}", c as u32)?,
-                c => self.0.write_char(c)?,
+/// Append a flag set as [`flags::render`] spells it.
+fn push_flags(out: &mut Vec<u8>, f: u8) {
+    let mut first = true;
+    for (bit, name) in flags::NAMES {
+        if f & bit != 0 {
+            if !first {
+                out.push(b'|');
             }
+            out.extend_from_slice(name.as_bytes());
+            first = false;
         }
-        self.0.write_char('"')
     }
+    if first {
+        out.push(b'-');
+    }
+}
+
+/// Append `s` escaped for a JSON string: quote, backslash and newline by
+/// name, other control characters as `\u00XX`, everything else (UTF-8
+/// sequences included: their bytes are all above 0x7f) as is.
+fn push_escaped(out: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    let mut plain = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.extend_from_slice(&bytes[plain..i]);
+        plain = i + 1;
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            _ => out.extend_from_slice(&[
+                b'\\',
+                b'u',
+                b'0',
+                b'0',
+                HEX[usize::from(b >> 4)],
+                HEX[usize::from(b & 15)],
+            ]),
+        }
+    }
+    out.extend_from_slice(&bytes[plain..]);
 }
 
 /// The stable single-line text form (see [`Event::render`]).
@@ -807,7 +952,7 @@ impl Sink for FlightRecorder {
 pub struct JsonlSink<W: Write> {
     out: W,
     /// The line being assembled; reused so steady state allocates nothing.
-    line: String,
+    line: Vec<u8>,
     /// Write-error count, one per lost line; sinks must never panic
     /// mid-simulation.
     pub errors: u64,
@@ -818,7 +963,7 @@ impl<W: Write> JsonlSink<W> {
     pub fn new(out: W) -> JsonlSink<W> {
         JsonlSink {
             out,
-            line: String::new(),
+            line: Vec::new(),
             errors: 0,
         }
     }
@@ -837,9 +982,9 @@ impl<W: Write> JsonlSink<W> {
 impl<W: Write> Sink for JsonlSink<W> {
     fn event(&mut self, node: u32, at: Ticks, ev: &Event) {
         self.line.clear();
-        let rendered = ev.write_json(node, at, &mut self.line);
-        self.line.push('\n');
-        if rendered.is_err() || self.out.write_all(self.line.as_bytes()).is_err() {
+        ev.write_json(node, at, &mut self.line);
+        self.line.push(b'\n');
+        if self.out.write_all(&self.line).is_err() {
             self.errors += 1;
         }
     }
@@ -1303,41 +1448,151 @@ impl CoverageMap {
 /// different contexts (e.g. different protocols under one search run)
 /// never collide. The sink observes only — attaching it is invisible
 /// to the packet trace, like every other sink.
+///
+/// Per event the sink only counts: a feature's raw inputs — its class,
+/// the full node or link id, the interned index of a name, flag bytes —
+/// pack losslessly into one integer key, and a hash map counts the keys.
+/// [`CoverageSink::map`] hashes each distinct key to its feature id once,
+/// when somebody reads the map.
 #[derive(Clone, Debug)]
 pub struct CoverageSink {
-    map: CoverageMap,
     tag: u64,
-    /// Dense by node: the node's digram-feature prefix (class, tag and
-    /// node already hashed in) and [`strpart`] of its previous event kind.
-    digrams: Vec<(u64, Option<u64>)>,
-    names: StaticStrParts,
+    /// Hits per packed feature key ([`pack`]).
+    counts: HashMap<u128, u64, BuildHasherDefault<WordHasher>>,
+    /// Per node, the interned index of its previous event kind.
+    last_kind: HashMap<u32, u32, BuildHasherDefault<WordHasher>>,
+    names: Names,
 }
 
-/// Memo of [`strpart`] over the `&'static str` names events carry (kind
-/// tags, message kinds, decode-error and impairment labels), so each
-/// name is hashed once per sink rather than once per event. Keyed by
-/// address: a `'static` string's bytes never change, so the same
-/// `(address, length)` is always the same text. Direct-mapped — a slot
-/// collision only costs a re-hash, never a wrong value.
+/// The feature classes, in the order their discriminants take in a
+/// packed key.
+#[derive(Clone, Copy)]
+enum Class {
+    EntryFlags,
+    EntryExpired,
+    CtrlSend,
+    CtrlRecv,
+    Decode,
+    Impair,
+    QueueDrop,
+    Ecn,
+    QueueDepth,
+    Deliver,
+    Kind,
+    Digram,
+}
+
+impl Class {
+    const ALL: [Class; 12] = [
+        Class::EntryFlags,
+        Class::EntryExpired,
+        Class::CtrlSend,
+        Class::CtrlRecv,
+        Class::Decode,
+        Class::Impair,
+        Class::QueueDrop,
+        Class::Ecn,
+        Class::QueueDepth,
+        Class::Deliver,
+        Class::Kind,
+        Class::Digram,
+    ];
+}
+
+/// A feature's raw inputs as one key: the id in bits 0–31, `a` in
+/// 32–63, `b` in 64–95, the class from bit 96. Nothing is truncated, so
+/// two keys are equal exactly when their inputs are.
+fn pack(class: Class, id: u32, a: u32, b: u32) -> u128 {
+    u128::from(id) | u128::from(a) << 32 | u128::from(b) << 64 | (class as u128) << 96
+}
+
+/// The entry-key class of an entry-flag feature: 0 shared, 1 source.
+fn key_class(k: &EntryKey) -> u32 {
+    match k {
+        EntryKey::Star => 0,
+        EntryKey::Source(_) => 1,
+    }
+}
+
+/// An entry-flag transition's `a` part: key class, then the two flag
+/// bytes.
+fn transition(key: &EntryKey, from: u8, to: u8) -> u32 {
+    key_class(key) << 16 | u32::from(from) << 8 | u32::from(to)
+}
+
+/// FxHash's multiply-rotate word hasher, for keys the program makes
+/// itself (never outside input, so a keyed hash would buy nothing).
+/// `finish` rotates the well-mixed high bits of the last product down to
+/// where the table takes its bucket index.
+#[derive(Clone, Copy, Debug, Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u128(&mut self, n: u128) {
+        self.add(n as u64);
+        self.add((n >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// The `&'static str` names events carry (kind tags, message kinds,
+/// decode-error and impairment labels), interned: each distinct text
+/// gets the next index. A direct-mapped cache keyed by address answers
+/// the repeat lookups — a `'static` string's bytes never change, so the
+/// same `(address, length)` is always the same text; a miss scans the
+/// list by text, so a slot collision or a second copy of a text at
+/// another address costs a scan, never a second index.
 #[derive(Clone, Debug)]
-struct StaticStrParts {
-    slots: [Option<(&'static str, u64)>; 64],
+struct Names {
+    list: Vec<&'static str>,
+    slots: [Option<(&'static str, u32)>; 64],
 }
 
-impl StaticStrParts {
-    fn get(&mut self, s: &'static str) -> u64 {
+impl Names {
+    fn index(&mut self, s: &'static str) -> u32 {
         let addr = s.as_ptr() as usize;
         let slot = &mut self.slots
             [addr.wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as usize) >> (usize::BITS - 6)];
         match slot {
             // Fat-pointer equality: same address and same length.
-            Some((seen, h)) if std::ptr::eq(*seen, s) => *h,
+            Some((seen, i)) if std::ptr::eq(*seen, s) => *i,
             _ => {
-                let h = strpart(s);
-                *slot = Some((s, h));
-                h
+                let i = match self.list.iter().position(|n| *n == s) {
+                    Some(i) => i,
+                    None => {
+                        self.list.push(s);
+                        self.list.len() - 1
+                    }
+                };
+                let i = u32::try_from(i).expect("fewer than 2^32 distinct names");
+                *slot = Some((s, i));
+                i
             }
         }
+    }
+
+    /// [`strpart`] of the name interned as `i`.
+    fn part(&self, i: u32) -> u64 {
+        strpart(self.list[i as usize])
     }
 }
 
@@ -1351,21 +1606,19 @@ impl CoverageSink {
     /// A sink whose features are tagged with `tag` (use 0 for none).
     pub fn new(tag: u64) -> CoverageSink {
         CoverageSink {
-            map: CoverageMap::new(),
             tag,
-            digrams: Vec::new(),
-            names: StaticStrParts { slots: [None; 64] },
+            counts: HashMap::default(),
+            last_kind: HashMap::default(),
+            names: Names {
+                list: Vec::new(),
+                slots: [None; 64],
+            },
         }
     }
 
-    /// The accumulated map.
-    pub fn map(&self) -> &CoverageMap {
-        &self.map
-    }
-}
-
-impl Sink for CoverageSink {
-    fn event(&mut self, node: u32, _at: Ticks, ev: &Event) {
+    /// The accumulated map: each distinct key hashed to its feature id,
+    /// with the counts of keys whose ids coincide added up.
+    pub fn map(&self) -> CoverageMap {
         // Class labels hashed at compile time; `feature_from(X, parts)`
         // is `feature("x", parts)` bit for bit.
         const ENTRY_FLAGS: u64 = strpart("entry-flags");
@@ -1382,55 +1635,83 @@ impl Sink for CoverageSink {
         const DIGRAM: u64 = strpart("digram");
 
         let t = self.tag;
-        let n = u64::from(node);
-        let key_class = |k: &EntryKey| -> u64 {
-            match k {
-                EntryKey::Star => 0,
-                EntryKey::Source(_) => 1,
+        let mut map = CoverageMap::new();
+        for (&key, &hits) in &self.counts {
+            let id = u64::from(key as u32);
+            let (a, b) = ((key >> 32) as u32, (key >> 64) as u32);
+            let name = |i| self.names.part(i);
+            let feature = match Class::ALL[(key >> 96) as usize] {
+                Class::EntryFlags => feature_from(
+                    ENTRY_FLAGS,
+                    &[
+                        t,
+                        id,
+                        u64::from(a >> 16),
+                        u64::from(a >> 8 & 0xff),
+                        u64::from(a & 0xff),
+                    ],
+                ),
+                Class::EntryExpired => feature_from(ENTRY_EXPIRED, &[t, id, u64::from(a)]),
+                Class::CtrlSend => feature_from(CTRL_SEND, &[t, id, name(a)]),
+                Class::CtrlRecv => feature_from(CTRL_RECV, &[t, id, name(a)]),
+                Class::Decode => feature_from(DECODE, &[t, id, name(a)]),
+                Class::Impair => feature_from(IMPAIR, &[t, id, name(a)]),
+                Class::QueueDrop => feature_from(QDROP, &[t, id, name(a)]),
+                Class::Ecn => feature_from(ECN, &[t, id]),
+                Class::QueueDepth => feature_from(QDEPTH, &[t, id, u64::from(a)]),
+                Class::Deliver => feature_from(DELIVER, &[t, id]),
+                Class::Kind => feature_from(EV, &[t, id, name(a)]),
+                Class::Digram => feature_from(DIGRAM, &[t, id, name(a), name(b)]),
+            };
+            *map.features.entry(feature).or_default() += hits;
+        }
+        map
+    }
+
+    fn count(&mut self, key: u128) {
+        *self.counts.entry(key).or_default() += 1;
+    }
+}
+
+impl Sink for CoverageSink {
+    fn event(&mut self, node: u32, _at: Ticks, ev: &Event) {
+        let kind = self.names.index(ev.kind());
+        let key = match ev {
+            Event::EntryCreated { key, flags: f, .. } => {
+                pack(Class::EntryFlags, node, transition(key, 0, *f), 0)
             }
-        };
-        let k = self.names.get(ev.kind());
-        let feature = match ev {
-            Event::EntryCreated { key, flags: f2, .. } => {
-                feature_from(ENTRY_FLAGS, &[t, n, key_class(key), 0, u64::from(*f2)])
+            Event::EntryModified { key, from, to, .. } => {
+                pack(Class::EntryFlags, node, transition(key, *from, *to), 0)
             }
-            Event::EntryModified { key, from, to, .. } => feature_from(
-                ENTRY_FLAGS,
-                &[t, n, key_class(key), u64::from(*from), u64::from(*to)],
-            ),
-            Event::EntryExpired { key, .. } => feature_from(ENTRY_EXPIRED, &[t, n, key_class(key)]),
-            Event::CtrlSend { kind, .. } => feature_from(CTRL_SEND, &[t, n, self.names.get(kind)]),
-            Event::CtrlRecv { kind, .. } => feature_from(CTRL_RECV, &[t, n, self.names.get(kind)]),
-            Event::DecodeFailed { kind, .. } => feature_from(DECODE, &[t, n, self.names.get(kind)]),
+            Event::EntryExpired { key, .. } => pack(Class::EntryExpired, node, key_class(key), 0),
+            Event::CtrlSend { kind, .. } => pack(Class::CtrlSend, node, self.names.index(kind), 0),
+            Event::CtrlRecv { kind, .. } => pack(Class::CtrlRecv, node, self.names.index(kind), 0),
+            Event::DecodeFailed { kind, .. } => {
+                pack(Class::Decode, node, self.names.index(kind), 0)
+            }
             Event::ChannelImpaired { what, link } => {
-                feature_from(IMPAIR, &[t, u64::from(*link), self.names.get(what)])
+                pack(Class::Impair, *link, self.names.index(what), 0)
             }
             // Congestion features reward schedules that actually reach
             // queue pressure: drops by class and link, marks by link,
             // and depth by link + log2 backlog bucket.
             Event::QueueDrop { what, link } => {
-                feature_from(QDROP, &[t, u64::from(*link), self.names.get(what)])
+                pack(Class::QueueDrop, *link, self.names.index(what), 0)
             }
-            Event::EcnMark { link } => feature_from(ECN, &[t, u64::from(*link)]),
-            Event::QueueDepth { link, bytes } => feature_from(
-                QDEPTH,
-                &[t, u64::from(*link), u64::from(CoverageMap::bucket(*bytes))],
-            ),
-            Event::DataDelivered { .. } => feature_from(DELIVER, &[t, n]),
+            Event::EcnMark { link } => pack(Class::Ecn, *link, 0, 0),
+            Event::QueueDepth { link, bytes } => {
+                pack(Class::QueueDepth, *link, CoverageMap::bucket(*bytes), 0)
+            }
+            Event::DataDelivered { .. } => pack(Class::Deliver, node, 0, 0),
             // Everything else contributes its kind per node (RP
             // failover, DR/querier flips, SPT switch starts, faults,
             // route changes, membership, timers).
-            _ => feature_from(EV, &[t, n, k]),
+            _ => pack(Class::Kind, node, kind, 0),
         };
-        self.map.record(feature);
+        self.count(key);
         // Event-kind digram per node: the interleaving signal.
-        while self.digrams.len() <= node as usize {
-            let i = self.digrams.len() as u64;
-            self.digrams.push((feature_from(DIGRAM, &[t, i]), None));
-        }
-        let (prefix, last) = &mut self.digrams[node as usize];
-        if let Some(prev) = last.replace(k) {
-            self.map.record(feature_from(*prefix, &[prev, k]));
+        if let Some(prev) = self.last_kind.insert(node, kind) {
+            self.count(pack(Class::Digram, node, prev, kind));
         }
     }
 }
@@ -1916,10 +2197,10 @@ mod tests {
             s2.map().stable_hash(),
             "coverage is time-invariant"
         );
-        assert_eq!(s2.map().novel_vs(s.map()), 0);
+        assert_eq!(s2.map().novel_vs(&s.map()), 0);
         // A different transition on another node is novel.
         s2.event(3, 101, &e1);
-        assert_eq!(s2.map().novel_vs(s.map()), 1);
+        assert_eq!(s2.map().novel_vs(&s.map()), 1);
     }
 
     #[test]
@@ -1964,7 +2245,7 @@ mod tests {
         s.event(1, 5, &drop);
         s.event(1, 6, &mark);
         s.event(1, 7, &depth);
-        let base = s.map().clone();
+        let base = s.map();
         let mut s2 = CoverageSink::new(0);
         s2.event(
             1,

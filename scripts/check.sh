@@ -23,15 +23,16 @@ cargo test -q --offline
 echo "== indexed deadlines vs the full scan, release profile (next_deadline's own check is compiled out there)"
 cargo test -q --offline --release -p pim -p cbt -p dvmrp -p igmp --lib indexed_deadline
 
-echo "== control-plane allocation budget, release profile (exact counts: 0 per Query delivery, constant per Query tick)"
+echo "== allocation budgets, release profile (exact counts: 0 per Query delivery, constant per Query tick; warm sinks 0 per event, the causal index only to grow)"
 cargo test -q --offline --release -p node --test alloc_budget
+cargo test -q --offline --release -p telemetry --test alloc_budget
 
-echo "== shortest-path kernel, oracle tables, the Fig. 2 tree walk, trace-line text and the causal index's finger vs their references, release profile (the hot loops are where debug and release differ)"
+echo "== shortest-path kernel, oracle tables, the Fig. 2 tree walk, trace-line text, the causal index's finger and flight tails, JSONL bytes and coverage vs their references, release profile (the hot loops are where debug and release differ)"
 cargo test -q --offline --release -p graph --test proptest_algo
 cargo test -q --offline --release -p unicast --test proptest_oracle
 cargo test -q --offline --release -p mctree
-cargo test -q --offline --release -p scenario --test trace_render_pins
-cargo test -q --offline --release -p telemetry --test causal_finger
+cargo test -q --offline --release -p scenario --test trace_render_pins --test flight_tail
+cargo test -q --offline --release -p telemetry --test causal_finger --test sink_equivalence
 
 echo "== cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --quiet
