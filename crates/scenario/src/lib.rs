@@ -15,11 +15,11 @@
 //!    starvation, recovery after overload clears).
 //! 3. [`explore`] — a seeded explorer that samples random schedules per
 //!    topology, runs all three protocols against the identical schedule
-//!    with full structured telemetry attached (flight recorder, JSONL
-//!    event stream, convergence metrics), and on violation emits a
-//!    replay artifact (seed + schedule + trace and telemetry
-//!    fingerprints + per-router flight-recorder and state dumps) that
-//!    re-executes byte-identically.
+//!    with full structured telemetry attached (JSONL event stream,
+//!    convergence metrics, coverage, causal index), and on violation
+//!    emits a replay artifact (seed + schedule + trace and telemetry
+//!    fingerprints + per-router flight-recorder tails, read off the
+//!    causal index, and state dumps) that re-executes byte-identically.
 //! 4. [`fuzz`] — a deterministic, dependency-free fuzz harness: seeded
 //!    splitmix mutation of valid wire encodings against the decoders
 //!    (never panic; accepted inputs re-encode idempotently) and live
