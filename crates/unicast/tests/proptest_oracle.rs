@@ -5,12 +5,12 @@
 //! engine unit tests of `core`, `cbt` and `dvmrp` build their tables with.
 
 use graph::algo::AllPairs;
-use graph::gen::{random_connected, RandomGraphParams};
+use graph::gen::{hierarchical, random_connected, HierParams, RandomGraphParams, WaxmanParams};
 use graph::{Graph, NodeId};
 use netsim::{host_addr, router_addr, IfaceId, Topology};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use unicast::{Engine, OracleRib, Rib, RouteEntry};
 use wire::Addr;
@@ -83,8 +83,81 @@ fn assert_same(rib: &OracleRib, want: &Table, probes: &[Addr]) {
     prop_assert_eq!(rib.table_size(), want.len());
 }
 
+/// `g` with every delay folded into 1–2, so that ties are common.
+fn tie_copy(g: &Graph) -> Graph {
+    let mut out = Graph::with_nodes(g.node_count());
+    for (_, e) in g.edges() {
+        out.add_edge(e.a, e.b, 1 + e.weight % 2);
+    }
+    out
+}
+
+/// A random tree of `size` new nodes hung off `at`, delays 1–2: each
+/// node's parent is `at` or an earlier node of the tree, so `at` often
+/// gets several sides of its own.
+fn hang_tree(g: &mut Graph, at: NodeId, size: usize, rng: &mut StdRng) {
+    let first = g.node_count() as u32;
+    for k in 0..size as u32 {
+        let v = g.add_node();
+        let parent = if k == 0 || rng.gen_bool(0.3) {
+            at
+        } else {
+            NodeId(first + rng.gen_range(0..k))
+        };
+        g.add_edge(v, parent, rng.gen_range(1..=2));
+    }
+}
+
+/// A random connected block of `size` nodes (average degree up to 3,
+/// delays 1–2), new but for its node 0, which is `at` if given; returns
+/// that node 0.
+fn add_block(g: &mut Graph, size: usize, at: Option<NodeId>, rng: &mut StdRng) -> NodeId {
+    let block = match size {
+        1 => Graph::with_nodes(1),
+        _ => random_connected(
+            &RandomGraphParams {
+                nodes: size,
+                avg_degree: (size as f64 - 1.0).min(3.0),
+                delay_range: (1, 2),
+            },
+            rng,
+        ),
+    };
+    let first = g.node_count() as u32;
+    let zero = at.unwrap_or(NodeId(first));
+    let new = size - usize::from(at.is_some());
+    for _ in 0..new {
+        g.add_node();
+    }
+    let place = |v: NodeId| match (v.0, at) {
+        (0, _) => zero,
+        (k, Some(_)) => NodeId(first + k - 1),
+        (k, None) => NodeId(first + k),
+    };
+    for (_, e) in block.edges() {
+        g.add_edge(place(e.a), place(e.b), e.weight);
+    }
+    zero
+}
+
+/// A second component: a short chain with pendants, unreachable from the
+/// first (`size` 0 adds nothing).
+fn add_island(g: &mut Graph, size: usize, rng: &mut StdRng) {
+    let first = g.node_count() as u32;
+    for k in 0..size as u32 {
+        let v = g.add_node();
+        if k > 0 {
+            g.add_edge(v, NodeId(first + rng.gen_range(0..k)), 1);
+        }
+    }
+    if size > 0 {
+        let at = NodeId(first + rng.gen_range(0..size as u32));
+        hang_tree(g, at, rng.gen_range(0..3), rng);
+    }
+}
+
 /// A tie-heavy connected graph plus `island` nodes in a second component.
-fn arb_graph() -> impl Strategy<Value = Graph> {
+fn arb_random() -> impl Strategy<Value = Graph> {
     (2usize..16, 2u32..=5, 0usize..4, any::<u64>()).prop_map(|(n, deg, island, seed)| {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut g = random_connected(
@@ -105,8 +178,98 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
+/// A random core with pendant trees: several hung on one vertex, others
+/// spread over the core and over each other.
+fn arb_pendants() -> impl Strategy<Value = Graph> {
+    (1usize..8, 1usize..6, 0usize..4, any::<u64>()).prop_map(|(core, trees, island, seed)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = Graph::with_nodes(0);
+        add_block(&mut g, core, None, &mut rng);
+        let hub = NodeId(rng.gen_range(0..core as u32));
+        for t in 0..trees {
+            let at = if t % 2 == 0 {
+                hub
+            } else {
+                NodeId(rng.gen_range(0..g.node_count() as u32))
+            };
+            hang_tree(&mut g, at, rng.gen_range(1..4), &mut rng);
+        }
+        add_island(&mut g, island, &mut rng);
+        g
+    })
+}
+
+/// Barbells: a chain of blocks, each joined to the last at a shared cut
+/// vertex or by a bridge, with parallel edges into the cut vertices.
+fn arb_barbell() -> impl Strategy<Value = Graph> {
+    (1usize..5, 0usize..4, 0usize..3, any::<u64>()).prop_map(|(blocks, parallel, island, seed)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = Graph::with_nodes(0);
+        let mut cut = add_block(&mut g, rng.gen_range(1..6), None, &mut rng);
+        let mut cuts = vec![cut];
+        for _ in 1..blocks {
+            let size = rng.gen_range(1..6);
+            if rng.gen_bool(0.5) {
+                // The next block shares the cut vertex.
+                add_block(&mut g, size + 1, Some(cut), &mut rng);
+            } else {
+                let first = add_block(&mut g, size, None, &mut rng);
+                g.add_edge(cut, first, rng.gen_range(1..=2));
+            }
+            let start = g.node_count() as u32 - size as u32;
+            cut = NodeId(rng.gen_range(start..g.node_count() as u32));
+            cuts.push(cut);
+        }
+        for _ in 0..parallel {
+            let at = cuts[rng.gen_range(0..cuts.len())];
+            if let Some(&e) = g.incident(at).first() {
+                let e = *g.edge(e);
+                g.add_edge(e.a, e.b, rng.gen_range(1..=2));
+            }
+        }
+        add_island(&mut g, island, &mut rng);
+        g
+    })
+}
+
+/// Small `hierarchical` internets with random parameters, delays folded
+/// into 1–2, plus an island with pendants.
+fn arb_internet() -> impl Strategy<Value = Graph> {
+    (
+        2usize..8,
+        0usize..6,
+        1usize..5,
+        0usize..3,
+        0usize..4,
+        any::<u64>(),
+    )
+        .prop_map(|(backbone, domains, domain_size, extra, island, seed)| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let params = HierParams {
+                backbone: WaxmanParams {
+                    nodes: backbone,
+                    delay_scale: 4.0,
+                    ..WaxmanParams::default()
+                },
+                domains,
+                domain_size,
+                domain_extra_edges: extra,
+                gateway_delay: (1, 2),
+            };
+            let mut g = tie_copy(&hierarchical(&params, &mut rng).graph);
+            add_island(&mut g, island, &mut rng);
+            g
+        })
+}
+
+/// Graphs where cut vertices are the common case — pendant trees,
+/// barbells, small internets — beside tie-heavy random ones.
+fn arb_graph() -> impl Strategy<Value = Graph> {
+    prop_oneof![arb_random(), arb_pendants(), arb_barbell(), arb_internet()]
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn tables_answer_like_the_reference_for_every_address_class(

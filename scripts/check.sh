@@ -27,9 +27,9 @@ echo "== allocation budgets, release profile (exact counts: 0 per Query delivery
 cargo test -q --offline --release -p node --test alloc_budget
 cargo test -q --offline --release -p telemetry --test alloc_budget
 
-echo "== shortest-path kernel, oracle tables, the Fig. 2 tree walk, trace-line text, the causal index's finger and flight tails, JSONL bytes and coverage vs their references, release profile (the hot loops are where debug and release differ)"
+echo "== shortest-path kernel, oracle tables (and every table of a 2000-router internet against the streamed build), the Fig. 2 tree walk, trace-line text, the causal index's finger and flight tails, JSONL bytes and coverage vs their references, release profile (the hot loops are where debug and release differ)"
 cargo test -q --offline --release -p graph --test proptest_algo
-cargo test -q --offline --release -p unicast --test proptest_oracle
+cargo test -q --offline --release -p unicast --test proptest_oracle --test oracle_scale
 cargo test -q --offline --release -p mctree
 cargo test -q --offline --release -p scenario --test trace_render_pins --test flight_tail
 cargo test -q --offline --release -p telemetry --test causal_finger --test sink_equivalence
