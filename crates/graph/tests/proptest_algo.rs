@@ -1,10 +1,12 @@
 //! Property tests for the graph algorithms: Dijkstra is validated against
 //! an independent Bellman-Ford implementation, the shortest-path kernel
 //! against the heap-of-tuples Dijkstra it replaced (kept here verbatim as
-//! the reference: equal distances *and* equal parent edges), and the
-//! generators' contracts are pinned.
+//! the reference: equal distances *and* equal parent edges), also when a
+//! run is confined to one side of a cut vertex, the cut-vertex sides
+//! against brute-force searches of `G − e`, and the generators' contracts
+//! are pinned.
 
-use graph::algo::{bfs_hops, dijkstra, is_connected, AllPairs, SpKernel, SpTree};
+use graph::algo::{bfs_hops, dijkstra, is_connected, AllPairs, Separators, SpKernel, SpTree};
 use graph::gen::{
     hierarchical, random_connected, waxman, HierParams, RandomGraphParams, WaxmanParams,
 };
@@ -194,6 +196,149 @@ fn arb_tie_graph() -> impl Strategy<Value = Graph> {
     )
 }
 
+/// Forests and trees with pendants: several random trees (delays 1–2),
+/// each node hung on a random earlier node of its tree, and a second
+/// family of stars that makes one vertex cut many sides at once.
+fn arb_forest() -> impl Strategy<Value = Graph> {
+    (1usize..5, 1usize..12, 0usize..8, any::<u64>()).prop_map(|(trees, size, star, seed)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = Graph::with_nodes(0);
+        for _ in 0..trees {
+            let first = g.add_node().0;
+            for k in 1..rng.gen_range(1..=size) as u32 {
+                let v = g.add_node();
+                g.add_edge(v, NodeId(first + rng.gen_range(0..k)), rng.gen_range(1..=2));
+            }
+        }
+        let hub = NodeId(rng.gen_range(0..g.node_count() as u32));
+        for _ in 0..star {
+            let v = g.add_node();
+            g.add_edge(hub, v, rng.gen_range(1..=2));
+        }
+        g
+    })
+}
+
+/// Multigraphs (parallel edges, disconnected) and forests.
+fn arb_cut_graph() -> impl Strategy<Value = Graph> {
+    prop_oneof![arb_tie_graph(), arb_forest()]
+}
+
+/// The nodes `x` reaches in `G − cut`, by breadth-first search.
+fn component_without(g: &Graph, cut: NodeId, x: NodeId) -> Vec<NodeId> {
+    let mut seen = vec![false; g.node_count()];
+    seen[cut.index()] = true;
+    seen[x.index()] = true;
+    let mut queue = std::collections::VecDeque::from([x]);
+    let mut out = Vec::new();
+    while let Some(v) = queue.pop_front() {
+        out.push(v);
+        for u in g.neighbors(v) {
+            if !seen[u.index()] {
+                seen[u.index()] = true;
+                queue.push_back(u);
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+/// The subgraph induced by `keep`: node `i` is `keep[i]`, and each kept
+/// edge's id in `g`, by its new id. With `keep` sorted, both renumberings
+/// keep the order the `(parent node, edge)` tie-break reads.
+fn induced(g: &Graph, keep: &[NodeId]) -> (Graph, Vec<EdgeId>) {
+    let mut at = vec![u32::MAX; g.node_count()];
+    for (i, v) in keep.iter().enumerate() {
+        at[v.index()] = i as u32;
+    }
+    let mut sub = Graph::with_nodes(keep.len());
+    let mut edges = Vec::new();
+    for (id, e) in g.edges() {
+        let (a, b) = (at[e.a.index()], at[e.b.index()]);
+        if a != u32::MAX && b != u32::MAX {
+            sub.add_edge(NodeId(a), NodeId(b), e.weight);
+            edges.push(id);
+        }
+    }
+    (sub, edges)
+}
+
+/// Every side against `G − e` searched by brute force, its cut vertex
+/// before it in the order, and a kernel run confined to the side and its
+/// cut vertex against the reference Dijkstra over that induced subgraph.
+fn assert_sides_are_components(g: &Graph) {
+    let seps = Separators::new(g);
+    let n = g.node_count();
+    let mut order: Vec<NodeId> = seps.order().to_vec();
+    let pos: Vec<usize> = {
+        let mut pos = vec![usize::MAX; n];
+        for (i, v) in order.iter().enumerate() {
+            pos[v.index()] = i;
+        }
+        pos
+    };
+    order.sort();
+    prop_assert!(
+        order.into_iter().eq(g.nodes()),
+        "the order is a permutation"
+    );
+    let mut kernel = SpKernel::new(g);
+    for x in g.nodes() {
+        let Some(side) = seps.side(x) else {
+            // A root: the lowest id of its component.
+            let lowest = bfs_hops(g, x).iter().position(Option::is_some);
+            prop_assert_eq!(lowest, Some(x.index()), "{:?} is a root", x);
+            continue;
+        };
+        let e = side.cut;
+        prop_assert!(pos[e.index()] < pos[x.index()], "{:?} before {:?}", e, x);
+        prop_assert!(seps.holds(side, x));
+        prop_assert!(!seps.holds(side, e));
+        let mut nodes = seps.nodes(side).to_vec();
+        prop_assert_eq!(nodes.len(), side.len());
+        nodes.sort();
+        prop_assert_eq!(
+            &nodes,
+            &component_without(g, e, x),
+            "side of {:?} at {:?}",
+            x,
+            e
+        );
+        for v in g.nodes() {
+            prop_assert_eq!(seps.holds(side, v), nodes.binary_search(&v).is_ok());
+        }
+
+        // Confined to S ∪ {e}: the tree over it is the induced subgraph's.
+        let mut keep = vec![e];
+        keep.extend(seps.nodes(side));
+        keep.sort();
+        let (sub, edge_of) = induced(g, &keep);
+        let x_in_sub = NodeId(keep.iter().position(|&v| v == x).expect("kept") as u32);
+        let want = reference_dijkstra(&sub, x_in_sub);
+        prop_assert!(kernel
+            .run_within(x, |v| v == e || seps.holds(side, v))
+            .is_ok());
+        let mut parent = vec![None; n];
+        for s in kernel.settled() {
+            parent[s.node.index()] = Some((s.parent, s.edge));
+        }
+        for (i, &v) in keep.iter().enumerate() {
+            let d = want.dist[i].unwrap_or(Weight::MAX);
+            prop_assert_eq!(kernel.dist()[v.index()], d, "{:?}→{:?}", x, v);
+            let p = want.parent_of(&sub, NodeId(i as u32));
+            let p = p.map(|(p, pe)| (keep[p.index()], edge_of[pe.index()]));
+            prop_assert_eq!(parent[v.index()], p, "{:?}→{:?}", x, v);
+        }
+        // Beyond the cut vertex only its own neighbours are reached.
+        for v in g.nodes() {
+            if v != e && !seps.holds(side, v) && kernel.dist()[v.index()] != Weight::MAX {
+                prop_assert!(g.has_edge(e, v), "{:?} reached past {:?}", v, e);
+            }
+        }
+    }
+}
+
 /// Reference shortest-path: Bellman-Ford (edge-list relaxations).
 fn bellman_ford(g: &Graph, src: NodeId) -> Vec<Option<Weight>> {
     let n = g.node_count();
@@ -263,6 +408,29 @@ proptest! {
             gateway_delay: (1, 3),
         };
         assert_kernel_matches_reference(&hierarchical(&hier, &mut rng).graph);
+    }
+
+    #[test]
+    fn sides_are_the_components_of_g_minus_their_cut_vertex(g in arb_cut_graph()) {
+        assert_sides_are_components(&g);
+    }
+
+    #[test]
+    fn sides_of_generated_internets(
+        backbone in 2usize..12,
+        domains in 0usize..6,
+        domain_size in 1usize..6,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let hier = HierParams {
+            backbone: WaxmanParams { nodes: backbone, delay_scale: 4.0, ..WaxmanParams::default() },
+            domains,
+            domain_size,
+            domain_extra_edges: 1,
+            gateway_delay: (1, 3),
+        };
+        assert_sides_are_components(&hierarchical(&hier, &mut rng).graph);
     }
 
     /// Weights ≥ 1 are the contract of the tie-break, not of correctness:
