@@ -262,10 +262,101 @@ fn arb_internet() -> impl Strategy<Value = Graph> {
         })
 }
 
+/// Node 0 a pendant leaf at the end of a chain hung on a random block,
+/// so that the separator search's root sits in a stub; trees hang on the
+/// block as well.
+fn arb_leaf_root() -> impl Strategy<Value = Graph> {
+    (1usize..8, 0usize..4, 0usize..4, any::<u64>()).prop_map(|(core, depth, trees, seed)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = Graph::with_nodes(1);
+        add_block(&mut g, core, None, &mut rng);
+        let mut at = NodeId(rng.gen_range(1..=core as u32));
+        for _ in 0..depth {
+            let v = g.add_node();
+            g.add_edge(v, at, rng.gen_range(1..=2));
+            at = v;
+        }
+        g.add_edge(NodeId(0), at, rng.gen_range(1..=2));
+        for _ in 0..trees {
+            let at = NodeId(rng.gen_range(1..=core as u32));
+            hang_tree(&mut g, at, rng.gen_range(1..4), &mut rng);
+        }
+        g
+    })
+}
+
+/// Several sides on one vertex of a block: blocks sharing it and trees
+/// hung on it, so that routes run from one side through it into another.
+fn arb_one_anchor() -> impl Strategy<Value = Graph> {
+    (2usize..8, 2usize..6, any::<u64>()).prop_map(|(core, sides, seed)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = Graph::with_nodes(0);
+        add_block(&mut g, core, None, &mut rng);
+        let anchor = NodeId(rng.gen_range(0..core as u32));
+        for _ in 0..sides {
+            if rng.gen_bool(0.5) {
+                add_block(&mut g, rng.gen_range(2..5), Some(anchor), &mut rng);
+            } else {
+                hang_tree(&mut g, anchor, rng.gen_range(1..4), &mut rng);
+            }
+        }
+        g
+    })
+}
+
+/// A block of `core` routers and one side hung on one of them holding
+/// exactly half the graph, or one router under half: a block with a
+/// pendant tree of its own.
+fn arb_half() -> impl Strategy<Value = Graph> {
+    (2usize..8, any::<bool>(), 0usize..3, any::<u64>()).prop_map(|(core, exact, tree, seed)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = Graph::with_nodes(0);
+        add_block(&mut g, core, None, &mut rng);
+        // n = core + side: 2 · side = n exactly, or n − 1.
+        let side = if exact { core } else { core - 1 };
+        let tree = tree.min(side - 1);
+        let cut = NodeId(rng.gen_range(0..core as u32));
+        add_block(&mut g, side - tree + 1, Some(cut), &mut rng);
+        let at = NodeId(rng.gen_range(core as u32..g.node_count() as u32));
+        hang_tree(&mut g, at, tree, &mut rng);
+        assert_eq!(g.node_count(), core + side);
+        g
+    })
+}
+
+/// A main block with pendants and up to three islands beside it, each a
+/// block of 1–3 routers with up to one pendant: every island under half
+/// the graph.
+fn arb_islands() -> impl Strategy<Value = Graph> {
+    (5usize..10, 1usize..4, any::<u64>()).prop_map(|(main, islands, seed)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = Graph::with_nodes(0);
+        add_block(&mut g, main, None, &mut rng);
+        let at = NodeId(rng.gen_range(0..main as u32));
+        hang_tree(&mut g, at, rng.gen_range(1..3), &mut rng);
+        for _ in 0..islands {
+            let zero = add_block(&mut g, rng.gen_range(1..4), None, &mut rng);
+            hang_tree(&mut g, zero, rng.gen_range(0..2), &mut rng);
+        }
+        g
+    })
+}
+
 /// Graphs where cut vertices are the common case — pendant trees,
-/// barbells, small internets — beside tie-heavy random ones.
+/// barbells, small internets, a stub at the search's root, many sides on
+/// one vertex, a side of half the graph, islands — beside tie-heavy
+/// random ones.
 fn arb_graph() -> impl Strategy<Value = Graph> {
-    prop_oneof![arb_random(), arb_pendants(), arb_barbell(), arb_internet()]
+    prop_oneof![
+        arb_random(),
+        arb_pendants(),
+        arb_barbell(),
+        arb_internet(),
+        arb_leaf_root(),
+        arb_one_anchor(),
+        arb_half(),
+        arb_islands(),
+    ]
 }
 
 proptest! {
