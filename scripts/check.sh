@@ -23,9 +23,10 @@ cargo test -q --offline
 echo "== indexed deadlines vs the full scan, release profile (next_deadline's own check is compiled out there)"
 cargo test -q --offline --release -p pim -p cbt -p dvmrp -p igmp --lib indexed_deadline
 
-echo "== allocation budgets, release profile (exact counts: 0 per Query delivery, constant per Query tick; warm sinks 0 per event, the causal index only to grow)"
+echo "== allocation budgets, release profile (exact counts: 0 per Query delivery, constant per Query tick; warm sinks 0 per event, the causal index only to grow; a 2000-router internet's oracle tables keep <= 2 MiB)"
 cargo test -q --offline --release -p node --test alloc_budget
 cargo test -q --offline --release -p telemetry --test alloc_budget
+cargo test -q --offline --release -p unicast --test alloc_budget
 
 echo "== shortest-path kernel, oracle tables (and every table of a 2000-router internet against the streamed build), the Fig. 2 tree walk, trace-line text, the causal index's finger and flight tails, JSONL bytes and coverage vs their references, release profile (the hot loops are where debug and release differ)"
 cargo test -q --offline --release -p graph --test proptest_algo
