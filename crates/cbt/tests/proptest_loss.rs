@@ -12,7 +12,7 @@
 use cbt::{CbtConfig, CbtEngine, CbtRouter};
 use graph::{Graph, NodeId};
 use igmp::HostNode;
-use netsim::{host_addr, router_addr, Duration, LinkId, NodeIdx, SimTime, Topology, World};
+use netsim::{host_addr, router_addr, Duration, LinkId, Node, NodeIdx, SimTime, Topology, World};
 use proptest::prelude::*;
 use unicast::OracleRib;
 use wire::Group;
@@ -32,24 +32,15 @@ fn build_line(seed: u64) -> (World, NodeIdx) {
     let topo = Topology::from_graph(&g);
     let core = router_addr(NodeId(0));
 
-    let mut oracle = OracleRib::for_all(&g, &topo);
     let member_router = NodeId(ROUTERS as u32 - 1);
     let ha = host_addr(member_router, 0);
-    for (i, rib) in oracle.iter_mut().enumerate() {
-        if i != member_router.index() {
-            rib.alias_host(ha, router_addr(member_router));
-        }
-    }
-    let mut oracle_iter = oracle.into_iter();
-
-    let (mut world, _links) = topo.build_world(&g, seed, |plan| {
+    let oracle = OracleRib::for_all_with_hosts(&g, &topo, &[member_router]);
+    let routers = topo.plans().iter().zip(oracle).map(|(plan, rib)| {
         let mut e = CbtEngine::new(plan.addr, CbtConfig::default());
         e.set_core(group, core);
-        Box::new(CbtRouter::new(
-            e,
-            Box::new(oracle_iter.next().expect("rib per plan")),
-        ))
+        Box::new(CbtRouter::new(e, Box::new(rib))) as Box<dyn Node>
     });
+    let (mut world, _links) = topo.build_world_from(&g, seed, routers);
 
     let host = world.add_node(Box::new(HostNode::new(ha)));
     let r_last = NodeIdx(member_router.index());

@@ -24,7 +24,7 @@
 //! a shorter path than the RP tree (S→n3→n2→n1→n0→R, delay 3+hosts).
 
 use graph::{Graph, NodeId};
-use netsim::{Duration, NodeIdx, SimTime, Topology, World};
+use netsim::{Duration, Node, NodeIdx, SimTime, Topology, World};
 use pim::{Engine, HostNode, PimConfig, PimRouter, SptPolicy};
 use unicast::OracleRib;
 use wire::{Addr, Group};
@@ -56,23 +56,14 @@ fn build(cfg: PimConfig) -> Net {
     let r_addr = netsim::host_addr(NodeId(0), 0);
     let s_addr = netsim::host_addr(NodeId(3), 0);
 
-    let mut ribs: Vec<OracleRib> = OracleRib::for_all(&g, &topo);
-    for (i, rib) in ribs.iter_mut().enumerate() {
-        if i != 0 {
-            rib.alias_host(r_addr, netsim::router_addr(NodeId(0)));
-        }
-        if i != 3 {
-            rib.alias_host(s_addr, netsim::router_addr(NodeId(3)));
-        }
-    }
-    let mut rib_iter = ribs.into_iter();
-    let (mut world, _links) = topo.build_world(&g, 42, |plan| {
+    let ribs = OracleRib::for_all_with_hosts(&g, &topo, &[NodeId(0), NodeId(3)]);
+    let routers = topo.plans().iter().zip(ribs).map(|(plan, rib)| {
         let engine = Engine::new(plan.addr, plan.ifaces.len(), cfg);
-        let mut router =
-            PimRouter::new(engine, Box::new(rib_iter.next().expect("one rib per plan")));
+        let mut router = PimRouter::new(engine, Box::new(rib));
         router.engine_mut().set_rp_mapping(group(), vec![rp_addr]);
-        Box::new(router)
+        Box::new(router) as Box<dyn Node>
     });
+    let (mut world, _links) = topo.build_world_from(&g, 42, routers);
 
     // Attach the hosts on LANs.
     let r_host = world.add_node(Box::new(HostNode::new(r_addr)));
