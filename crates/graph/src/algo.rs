@@ -1,9 +1,9 @@
 //! Shortest-path and connectivity algorithms.
 //!
 //! One implementation, [`SpKernel`], computes every shortest-path tree over a
-//! [`Graph`]: the oracle unicast RIB runs it per router (over the whole
-//! graph, or only over one side of a cut vertex that [`Separators`]
-//! finds), [`dijkstra`] wraps one run, and [`AllPairs`] keeps every run
+//! [`Graph`]: the oracle unicast RIB runs it per router, confined to the
+//! graph's core or to one side of a cut vertex that [`Separators`]
+//! finds, [`dijkstra`] wraps one run, and [`AllPairs`] keeps every run
 //! for the Figure-2 Monte-Carlo study, where a 50-node all-pairs table is
 //! computed once per topology and then shared by hundreds of group
 //! computations.
