@@ -96,6 +96,12 @@ gate smoke-hier 'PASS\|FAIL' ./target/release/smoke hier
 # bounded queues, no control starvation, post-heal recovery, and the
 # printed drop/mark/peak counters thread-invariant.
 gate smoke-overload 'PASS\|FAIL' ./target/release/smoke overload
+# Both smokes' rows (event counts, drops, marks, queue depths), byte for
+# byte against crates/bench/pins/: the aggregate host path's record.
+for name in hier overload; do
+    cmp "target/check/smoke-$name-1t.txt" "crates/bench/pins/smoke_$name.txt" ||
+        { echo "smoke $name rows differ from crates/bench/pins/smoke_$name.txt"; exit 1; }
+done
 # The full telemetry fan-out through a real binary: the regression corpus
 # replayed byte for byte, then 18 explorer cases with all five sinks
 # attached; the chaos summary (impairments and decode drops by kind and
