@@ -292,7 +292,7 @@ impl Engine {
             }
         }
         if created {
-            out.extend(self.triggered_star_join(now, group));
+            out.extend(self.triggered_star_join(group));
         }
         out
     }
@@ -370,7 +370,7 @@ impl Engine {
                     out.extend(self.apply_join(now, iface, ge.group, j, holdtime, rib));
                 }
                 for p in &ge.prunes {
-                    out.extend(self.apply_prune(now, iface, ge.group, p, holdtime, rib));
+                    out.extend(self.apply_prune(now, iface, ge.group, p, holdtime));
                 }
             } else if self.ifaces[iface.index()].is_lan {
                 // Overheard on a multi-access subnetwork (§3.7).
@@ -378,7 +378,7 @@ impl Engine {
                     self.overhear_join(now, iface, ge.group, j, &msg.upstream_neighbor);
                 }
                 for p in &ge.prunes {
-                    out.extend(self.overhear_prune(now, iface, ge.group, p, msg.upstream_neighbor));
+                    out.extend(self.overhear_prune(iface, ge.group, p, msg.upstream_neighbor));
                 }
             }
         }
@@ -474,7 +474,7 @@ impl Engine {
                 }
             }
             if created {
-                out.extend(self.triggered_star_join(now, group));
+                out.extend(self.triggered_star_join(group));
             }
         } else if !j.rp_bit {
             // Source-specific join {S}: instantiate/extend (S,G) SPT state.
@@ -487,7 +487,7 @@ impl Engine {
             }
             e.add_oif(&mut self.entry_timers, iface, OifKind::Joined, expires);
             if created && !e.local_source {
-                out.extend(self.triggered_source_join(now, group, source));
+                out.extend(self.triggered_source_join(group, source));
             }
         } else {
             // Join {S, RPbit}: re-join of a source on the shared tree —
@@ -577,7 +577,6 @@ impl Engine {
         group: Group,
         p: &SourceEntry,
         holdtime: Duration,
-        rib: &dyn Rib,
     ) -> Vec<Action> {
         if self.ifaces[iface.index()].is_lan {
             // §3.7: hold the prune so another router on the subnetwork can
@@ -593,7 +592,7 @@ impl Engine {
             });
             Vec::new()
         } else {
-            self.execute_prune(now, iface, group, p, holdtime, rib)
+            self.execute_prune(now, iface, group, p, holdtime)
         }
     }
 
@@ -604,7 +603,6 @@ impl Engine {
         group: Group,
         p: &SourceEntry,
         holdtime: Duration,
-        rib: &dyn Rib,
     ) -> Vec<Action> {
         let mut out = Vec::new();
         let Some(gs) = self.groups.get_mut(&group) else {
@@ -678,7 +676,7 @@ impl Engine {
                 if e.oifs_empty() {
                     // Every shared-tree branch below us has pruned S:
                     // propagate toward the RP.
-                    out.extend(self.triggered_negative_prune(now, group, p.addr));
+                    out.extend(self.triggered_negative_prune(group, p.addr));
                 }
             } else {
                 // A real (S,G) entry (e.g. at the RP itself): footnote 11
@@ -693,7 +691,6 @@ impl Engine {
                 }
             }
         }
-        let _ = rib;
         out
     }
 
@@ -777,7 +774,6 @@ impl Engine {
 
     fn overhear_prune(
         &mut self,
-        now: SimTime,
         iface: IfaceId,
         group: Group,
         p: &SourceEntry,
@@ -816,7 +812,6 @@ impl Engine {
         if !wants {
             return Vec::new();
         }
-        let _ = now;
         vec![self.join_prune_to(iface, upstream, vec![GroupEntry::join(group, *p)])]
     }
 
@@ -853,7 +848,7 @@ impl Engine {
         )
     }
 
-    fn triggered_star_join(&mut self, _now: SimTime, group: Group) -> Vec<Action> {
+    fn triggered_star_join(&mut self, group: Group) -> Vec<Action> {
         let Some(gs) = self.groups.get(&group) else {
             return Vec::new();
         };
@@ -870,7 +865,7 @@ impl Engine {
         )]
     }
 
-    fn triggered_source_join(&mut self, _now: SimTime, group: Group, source: Addr) -> Vec<Action> {
+    fn triggered_source_join(&mut self, group: Group, source: Addr) -> Vec<Action> {
         let Some(gs) = self.groups.get(&group) else {
             return Vec::new();
         };
@@ -890,12 +885,7 @@ impl Engine {
     /// Prune {S, RPbit} toward the RP, from the router that switched to
     /// the SPT (§3.3) or from a negative-cache holder whose downstream all
     /// pruned.
-    fn triggered_negative_prune(
-        &mut self,
-        _now: SimTime,
-        group: Group,
-        source: Addr,
-    ) -> Vec<Action> {
+    fn triggered_negative_prune(&mut self, group: Group, source: Addr) -> Vec<Action> {
         let Some(gs) = self.groups.get(&group) else {
             return Vec::new();
         };
@@ -1000,7 +990,7 @@ impl Engine {
                 if rp == self.my_addr {
                     // We are an RP ourselves: process as if received. The
                     // "decapsulated" packet is the one in hand.
-                    let (joins, ifaces) = self.accept_register(now, source, group, rib);
+                    let (joins, ifaces) = self.accept_register(source, group, rib);
                     out.extend(joins);
                     if !ifaces.is_empty() {
                         out.push(Action::Forward {
@@ -1030,12 +1020,12 @@ impl Engine {
     }
 
     /// A PIM Register arrived (unicast, at an RP).
-    pub fn on_register(&mut self, now: SimTime, reg: &Register, rib: &dyn Rib) -> Vec<Action> {
+    pub fn on_register(&mut self, _now: SimTime, reg: &Register, rib: &dyn Rib) -> Vec<Action> {
         if !self.is_rp_for(reg.group) {
             return Vec::new();
         }
         self.registers_received += 1;
-        let (mut out, ifaces) = self.accept_register(now, reg.source, reg.group, rib);
+        let (mut out, ifaces) = self.accept_register(reg.source, reg.group, rib);
         if !ifaces.is_empty() {
             out.push(Action::ForwardDecapsulated {
                 ifaces,
@@ -1053,7 +1043,6 @@ impl Engine {
     /// drop it); the caller knows where that packet's payload is.
     fn accept_register(
         &mut self,
-        now: SimTime,
         source: Addr,
         group: Group,
         rib: &dyn Rib,
@@ -1071,7 +1060,7 @@ impl Engine {
         // once, when the (S,G) entry is created.
         let created = self.ensure_source(group, source, rib);
         if created {
-            out.extend(self.triggered_source_join(now, group, source));
+            out.extend(self.triggered_source_join(group, source));
         } else if self
             .groups
             .get(&group)
@@ -1198,7 +1187,7 @@ impl Engine {
                     let e = gs.sources.get_mut(&source).expect("matched above");
                     if !e.pruned_from_shared {
                         e.pruned_from_shared = true;
-                        out.extend(self.triggered_negative_prune(now, group, source));
+                        out.extend(self.triggered_negative_prune(group, source));
                     }
                 }
                 if !ifaces.is_empty() {
@@ -1231,7 +1220,7 @@ impl Engine {
                         .is_some_and(|g| g.sources.contains_key(&source))
                     && self.spt_switch_due(now, group, source)
                 {
-                    out.extend(self.start_spt_switch(now, group, source, rib));
+                    out.extend(self.start_spt_switch(group, source, rib));
                 }
             }
         }
@@ -1257,18 +1246,12 @@ impl Engine {
 
     /// §3.3: create the (Sn,G) entry with SPT bit cleared and send a join
     /// toward the source.
-    fn start_spt_switch(
-        &mut self,
-        now: SimTime,
-        group: Group,
-        source: Addr,
-        rib: &dyn Rib,
-    ) -> Vec<Action> {
+    fn start_spt_switch(&mut self, group: Group, source: Addr, rib: &dyn Rib) -> Vec<Action> {
         self.telem.emit(|| Event::SptSwitchStart { group, source });
         let created = self.ensure_source(group, source, rib);
         if created {
             self.spt_counters.remove(&(group, source));
-            self.triggered_source_join(now, group, source)
+            self.triggered_source_join(group, source)
         } else {
             Vec::new()
         }
@@ -1325,7 +1308,7 @@ impl Engine {
             if let Some(star) = gs.star.as_mut() {
                 star.set_rp_timer(&mut self.entry_timers, Some(now + self.cfg.rp_timeout));
             }
-            return self.triggered_star_join(now, group);
+            return self.triggered_star_join(group);
         }
         let old_rp = gs.star.as_ref().map(|s| s.key);
         let new_rp = gs.next_rp().expect("non-empty rps");
@@ -1384,7 +1367,7 @@ impl Engine {
             }
             !e.is_negative()
         });
-        self.triggered_star_join(now, group)
+        self.triggered_star_join(group)
     }
 
     // ------------------------------------------------------------------
@@ -1413,7 +1396,7 @@ impl Engine {
 
     /// The unicast route toward `dst` changed. Re-derive the iif/upstream
     /// of every entry keyed by `dst`, prune the old path, join the new.
-    pub fn on_route_change(&mut self, now: SimTime, dst: Addr, rib: &dyn Rib) -> Vec<Action> {
+    pub fn on_route_change(&mut self, _now: SimTime, dst: Addr, rib: &dyn Rib) -> Vec<Action> {
         let mut out = Vec::new();
         let new_route = rib.route(dst);
         let groups: Vec<Group> = self.groups.keys().copied().collect();
@@ -1485,10 +1468,10 @@ impl Engine {
                 out.push(self.join_prune_to(iface, upstream, vec![ge]));
             }
             if star_join {
-                out.extend(self.triggered_star_join(now, group));
+                out.extend(self.triggered_star_join(group));
             }
             if source_join {
-                out.extend(self.triggered_source_join(now, group, dst));
+                out.extend(self.triggered_source_join(group, dst));
             }
         }
         out
@@ -1519,7 +1502,7 @@ impl Engine {
             self.pending_prunes = rest;
             for p in due {
                 self.prune_timers.disarm(p.execute_at);
-                out.extend(self.execute_prune(now, p.iface, p.group, &p.entry, p.holdtime, rib));
+                out.extend(self.execute_prune(now, p.iface, p.group, &p.entry, p.holdtime));
             }
         }
 
