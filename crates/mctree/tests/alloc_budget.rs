@@ -2,8 +2,9 @@
 //! an exact count, which repeats from run to run and needs no quiet host
 //! (the style of `crates/node/tests/alloc_budget.rs`).
 //!
-//! One `#[test]` only: the counter is process-wide, and a second test
-//! running beside it would be counted too.
+//! Only the measuring thread's allocations count, and only while it runs
+//! the measured code (none of it spawns a thread), so the test harness
+//! allocating beside it cannot move a count.
 
 use graph::algo::AllPairs;
 use graph::gen::{random_connected, RandomGraphParams};
@@ -12,6 +13,7 @@ use mctree::{cbt_link_flows, spt_link_flows, GroupSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The system allocator, counting every block it hands out (a `realloc`
@@ -20,12 +22,24 @@ struct Counting;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Set while this thread runs the code being measured.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if COUNTING.with(Cell::get) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; the counter is a relaxed
-// atomic that publishes no other data.
+// atomic that publishes no other data, and the flag a `const`
+// thread-local with no destructor, which never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc(layout) }
     }
@@ -34,12 +48,12 @@ unsafe impl GlobalAlloc for Counting {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -51,7 +65,10 @@ static GLOBAL: Counting = Counting;
 /// Heap allocations made while `f` runs.
 fn allocations_in<R>(f: impl FnOnce() -> R) -> usize {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    std::hint::black_box(f());
+    COUNTING.set(true);
+    let r = f();
+    COUNTING.set(false);
+    std::hint::black_box(r);
     ALLOCATIONS.load(Ordering::Relaxed) - before
 }
 

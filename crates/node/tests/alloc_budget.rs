@@ -2,13 +2,15 @@
 //! counts: heap allocations repeat exactly from run to run, so this is a
 //! performance regression gate that does not need a quiet host.
 //!
-//! One `#[test]` only: the counter is process-wide, and a second test
-//! running beside it would be counted too.
+//! Only the measuring thread's allocations count, and only while it runs
+//! the measured code (none of it spawns a thread), so the test harness
+//! allocating beside it cannot move a count.
 
 use netsim::{Ctx, Duration, IfaceId, Node, NodeIdx, SimTime, World};
 use pim::{Engine, PimConfig, PimRouter};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::any::Any;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use unicast::OracleRib;
 use wire::ip::{Header, Protocol};
@@ -21,12 +23,24 @@ struct Counting;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Set while this thread runs the code being measured.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if COUNTING.with(Cell::get) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; the counter is a relaxed
-// atomic that publishes no other data.
+// atomic that publishes no other data, and the flag a `const`
+// thread-local with no destructor, which never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc(layout) }
     }
@@ -35,12 +49,12 @@ unsafe impl GlobalAlloc for Counting {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -52,7 +66,9 @@ static GLOBAL: Counting = Counting;
 /// Heap allocations made while `f` runs.
 fn allocations_in<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTING.set(true);
     let r = f();
+    COUNTING.set(false);
     (ALLOCATIONS.load(Ordering::Relaxed) - before, r)
 }
 

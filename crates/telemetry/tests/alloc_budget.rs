@@ -11,10 +11,12 @@
 //!   records, and doublings of its dispatch and block lists — not one
 //!   allocation per emitting dispatch.
 //!
-//! One `#[test]` only: the counter is process-wide, and a second test
-//! running beside it would be counted too.
+//! Only the measuring thread's allocations count, and only while it runs
+//! the measured code (none of it spawns a thread), so the test harness
+//! allocating beside it cannot move a count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use telemetry::{
     flags, CausalIndex, CoverageSink, Emission, EntryKey, Event, EventId, JsonlSink,
@@ -28,12 +30,24 @@ struct Counting;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Set while this thread runs the code being measured.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if COUNTING.with(Cell::get) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; the counter is a relaxed
-// atomic that publishes no other data.
+// atomic that publishes no other data, and the flag a `const`
+// thread-local with no destructor, which never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc(layout) }
     }
@@ -42,12 +56,12 @@ unsafe impl GlobalAlloc for Counting {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -59,7 +73,9 @@ static GLOBAL: Counting = Counting;
 /// Heap allocations made while `f` runs.
 fn allocations_in<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTING.set(true);
     let r = f();
+    COUNTING.set(false);
     (ALLOCATIONS.load(Ordering::Relaxed) - before, r)
 }
 

@@ -11,14 +11,16 @@
 //! plus each stub domain's own slots, it keeps 816 016 bytes and peaks
 //! at 1 128 904 (seed 4242: 56 and 308 bytes more).
 //!
-//! One `#[test]` only: the counters are process-wide, and a second test
-//! running beside it would be counted too.
+//! Only the measuring thread's blocks count, and only while it builds
+//! (the build spawns no thread), so the test harness allocating beside
+//! it cannot move a count.
 
 use graph::gen::{hierarchical, HierParams, WaxmanParams};
 use netsim::Topology;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use unicast::OracleRib;
 
@@ -28,18 +30,28 @@ struct Counting;
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Set while this thread runs the build being measured.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
 fn grew(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(live, Ordering::Relaxed);
+    if COUNTING.with(Cell::get) {
+        let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        PEAK.fetch_max(live, Ordering::Relaxed);
+    }
 }
 
 fn shrank(bytes: usize) {
-    LIVE.fetch_sub(bytes, Ordering::Relaxed);
+    if COUNTING.with(Cell::get) {
+        LIVE.fetch_sub(bytes, Ordering::Relaxed);
+    }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; the counters are relaxed
-// atomics that publish no other data.
+// atomics that publish no other data, and the flag a `const`
+// thread-local with no destructor, which never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         grew(layout.size());
@@ -94,7 +106,9 @@ fn hier_ctrl_tables_fit_in_two_mib() {
 
         let before = LIVE.load(Ordering::Relaxed);
         PEAK.store(before, Ordering::Relaxed);
+        COUNTING.set(true);
         let ribs = OracleRib::for_all_with_hosts(&h.graph, &topo, &leaves);
+        COUNTING.set(false);
         let retained = LIVE.load(Ordering::Relaxed) - before;
         let peak = PEAK.load(Ordering::Relaxed) - before;
         assert_eq!(ribs.len(), 2000);
