@@ -50,7 +50,7 @@ fn run(policy: SptPolicy, seed: u64) -> Vec<(u64, Option<u64>, usize)> {
     (0..PACKETS)
         .map(|seq| {
             let arrivals: Vec<_> = host
-                .received()
+                .received
                 .iter()
                 .filter(|r| r.seq == seq && r.source == s_addr)
                 .collect();

@@ -288,7 +288,7 @@ pub fn run_protocol_sim_opts(
             .map(|w| w.group)
             .collect();
         let mut seen = BTreeSet::new();
-        for r in net.host(slot).received() {
+        for r in &net.host(slot).received {
             if !member_of.contains(&r.group) {
                 continue;
             }

@@ -144,7 +144,7 @@ fn shared_tree_is_built_from_receiver_to_rp() {
 #[test]
 fn data_flows_and_spt_switchover_happens() {
     let net = run_scenario(PimConfig::default(), 30, 20);
-    let host = igmp::host(&net.world, net.r_host);
+    let host = net.world.node::<igmp::HostNode>(net.r_host);
     let seqs = host.seqs_from(net.s_addr, group());
 
     // Continuous delivery: every packet exactly once, in order.
@@ -175,14 +175,14 @@ fn data_flows_and_spt_switchover_happens() {
 #[test]
 fn latency_drops_after_spt_switch() {
     let net = run_scenario(PimConfig::default(), 30, 20);
-    let host = igmp::host(&net.world, net.r_host);
+    let host = net.world.node::<igmp::HostNode>(net.r_host);
     let first = host
-        .received()
+        .received
         .iter()
         .find(|r| r.seq == 0)
         .expect("first packet");
     let last = host
-        .received()
+        .received
         .iter()
         .find(|r| r.seq == 29)
         .expect("last packet");
@@ -200,7 +200,7 @@ fn latency_drops_after_spt_switch() {
 #[test]
 fn shared_tree_only_policy_never_switches() {
     let net = run_scenario(PimConfig::shared_tree_only(), 20, 20);
-    let host = igmp::host(&net.world, net.r_host);
+    let host = net.world.node::<igmp::HostNode>(net.r_host);
     let seqs = host.seqs_from(net.s_addr, group());
     assert_eq!(seqs, (0..20).collect::<Vec<u64>>());
     let r0: &PimRouter = net.world.node(NodeIdx(0));
@@ -210,7 +210,7 @@ fn shared_tree_only_policy_never_switches() {
         "policy Never: no (S,G) state at the DR"
     );
     // Steady-state latency stays on the RP path: 1 + (1+1+1) + 1 = 5.
-    let last = host.received().iter().find(|r| r.seq == 19).expect("last");
+    let last = host.received.iter().find(|r| r.seq == 19).expect("last");
     assert_eq!(last.at.ticks() - (200 + 19 * 20), 5);
 }
 
@@ -224,7 +224,7 @@ fn after_packets_policy_switches_late() {
         ..PimConfig::default()
     };
     let net = run_scenario(cfg, 30, 20);
-    let host = igmp::host(&net.world, net.r_host);
+    let host = net.world.node::<igmp::HostNode>(net.r_host);
     let seqs = host.seqs_from(net.s_addr, group());
     assert_eq!(
         seqs,
@@ -238,12 +238,8 @@ fn after_packets_policy_switches_late() {
         "switch must eventually happen"
     );
     // Early packets ride the RP path (latency 5), late ones the SPT (4).
-    let early = host.received().iter().find(|r| r.seq == 0).expect("seq 0");
-    let late = host
-        .received()
-        .iter()
-        .find(|r| r.seq == 29)
-        .expect("seq 29");
+    let early = host.received.iter().find(|r| r.seq == 0).expect("seq 0");
+    let late = host.received.iter().find(|r| r.seq == 29).expect("seq 29");
     assert_eq!(early.at.ticks() - 200, 5);
     assert_eq!(late.at.ticks() - (200 + 29 * 20), 4);
 }
@@ -277,7 +273,7 @@ fn membership_expires_after_receiver_leaves() {
     });
     // Leave silently at t=400 (IGMPv1): membership times out at the DR.
     net.world.at(SimTime(400), move |w| {
-        igmp::host_mut(w, rh).leave(group());
+        w.node_mut::<igmp::HostNode>(rh).leave(group());
     });
     net.world.run_until(SimTime(1500));
     let r0: &PimRouter = net.world.node(NodeIdx(0));

@@ -1,12 +1,13 @@
-//! A simulated end host: IGMP membership on its attached subnetwork, data
-//! transmission, and reception accounting.
+//! A simulated host site: IGMP membership on its attached subnetwork, data
+//! transmission, and reception accounting, for one member or for a whole
+//! aggregate population behind one LAN.
 //!
 //! Hosts never speak PIM — the paper's receiver/sender separation is
 //! preserved: "the separation of senders and receivers allows any host —
 //! member or non-member — to send to a group" (§1.1).
 
 use crate::{Host, HostOutput};
-use netsim::{Ctx, IfaceId, Node, SimTime, TimerId};
+use netsim::{Ctx, IfaceId, Node, NodeIdx, SimTime, TimerId, World};
 use std::any::Any;
 use wire::ip::{Header, Protocol};
 use wire::{Addr, Group, Message};
@@ -27,30 +28,46 @@ pub struct Received {
     pub seq: u64,
 }
 
-/// A host node. It has exactly one interface (0), attached to its LAN.
+/// A host site of one or more members. It has exactly one interface (0),
+/// attached to its LAN, and answers from one address whatever its size:
+/// the router on the LAN learns only whether a group has members.
 pub struct HostNode {
     addr: Addr,
     igmp: Host,
-    /// Data packets received for groups this host is a member of.
+    /// How many members "the whole slot" is: [`HostNode::join`] and
+    /// [`HostNode::leave`] move this many at once.
+    population: u64,
+    /// Data packets received for joined groups, one entry per packet
+    /// (weight = member count at arrival, summed in
+    /// [`HostNode::member_receptions`]).
     pub received: Vec<Received>,
+    member_receptions: u64,
     next_seq: u64,
     /// The single armed wakeup for a pending randomized report, if any.
     wakeup: Option<(SimTime, TimerId)>,
 }
 
 impl HostNode {
-    /// New host with the given address.
+    /// New single-member host with the given address.
     pub fn new(addr: Addr) -> HostNode {
         HostNode {
             addr,
-            igmp: Host::new(crate::Config::default()),
+            igmp: Host::new(),
+            population: 1,
             received: Vec::new(),
+            member_receptions: 0,
             next_seq: 0,
             wakeup: None,
         }
     }
 
-    /// The host's address.
+    /// Size the slot: an aggregate site of `population` members.
+    pub fn sized(mut self, population: u64) -> HostNode {
+        self.population = population;
+        self
+    }
+
+    /// The host's address (source of its reports and data).
     pub fn addr(&self) -> Addr {
         self.addr
     }
@@ -61,21 +78,55 @@ impl HostNode {
         self.igmp.set_rp_mapping(group, rps);
     }
 
-    /// Join `group` (unsolicited IGMP report goes out immediately). Call
-    /// via `World::call_node` so outputs are transmitted.
+    /// The whole slot joins `group`: its member count becomes the slot's
+    /// population and the unsolicited IGMP report goes out immediately.
+    /// Call via [`with_host`] so outputs are transmitted.
     pub fn join(&mut self, ctx: &mut Ctx<'_>, group: Group) {
-        let outs = self.igmp.join(group);
+        let outs = self.igmp.join(group, self.population);
         self.emit(ctx, outs);
     }
 
-    /// Leave `group` (silent in IGMPv1: the router's timer will lapse).
-    pub fn leave(&mut self, group: Group) {
-        self.igmp.leave(group);
+    /// `n` more members join `group` (partial churn); any nonempty batch
+    /// sends one unsolicited report, the only router-observable part of N
+    /// simultaneous ones.
+    pub fn join_members(&mut self, ctx: &mut Ctx<'_>, group: Group, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let outs = self.igmp.join(group, self.igmp.members(group) + n);
+        self.emit(ctx, outs);
     }
 
-    /// Is this host currently a member of `group`?
-    pub fn is_member(&self, group: Group) -> bool {
-        self.igmp.is_member(group)
+    /// Every member leaves `group` (silent in IGMPv1: the router's timer
+    /// will lapse).
+    pub fn leave(&mut self, group: Group) {
+        self.igmp.leave(group, u64::MAX);
+    }
+
+    /// `n` members leave `group` (saturating), silently.
+    pub fn leave_members(&mut self, group: Group, n: u64) {
+        self.igmp.leave(group, n);
+    }
+
+    /// Current member count for `group`.
+    pub fn members(&self, group: Group) -> u64 {
+        self.igmp.members(group)
+    }
+
+    /// Total member-weighted data receptions (Σ over packets of the member
+    /// count at arrival): every member's reception log length, summed.
+    pub fn member_receptions(&self) -> u64 {
+        self.member_receptions
+    }
+
+    /// Sequence numbers received from `source` for `group`, in arrival
+    /// order.
+    pub fn seqs_from(&self, source: Addr, group: Group) -> Vec<u64> {
+        self.received
+            .iter()
+            .filter(|r| r.source == source && r.group == group)
+            .map(|r| r.seq)
+            .collect()
     }
 
     /// Send one data packet to `group`; returns the sequence number used.
@@ -137,6 +188,23 @@ impl HostNode {
     }
 }
 
+/// Run `f` on the host at `idx` with a live context: the
+/// [`World::call_node`] dispatch every scripted join and send goes
+/// through. `f`'s value (a send's sequence number) is dropped.
+///
+/// # Panics
+/// Panics if the node at `idx` is not a [`HostNode`].
+pub fn with_host<R>(
+    world: &mut World,
+    idx: NodeIdx,
+    f: impl FnOnce(&mut HostNode, &mut Ctx<'_>) -> R,
+) {
+    world.call_node(idx, |n, ctx| {
+        let host = n.as_any_mut().downcast_mut().expect("node is a host");
+        f(host, ctx);
+    });
+}
+
 impl Node for HostNode {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _iface: IfaceId, packet: &[u8]) {
         let Ok((header, payload)) = Header::decap(packet) else {
@@ -160,7 +228,8 @@ impl Node for HostNode {
                 if header.src == self.addr {
                     return; // our own transmission echoed on the LAN
                 }
-                if !self.igmp.is_member(group) {
+                let members = self.igmp.members(group);
+                if members == 0 {
                     return;
                 }
                 let seq = payload
@@ -173,6 +242,7 @@ impl Node for HostNode {
                     group,
                     seq,
                 });
+                self.member_receptions += members;
             }
         }
     }

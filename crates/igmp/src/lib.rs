@@ -2,13 +2,18 @@
 //!
 //! "A group membership protocol is used for routers to learn the existence
 //! of members on their directly attached subnetworks" (paper §1.1). This
-//! crate provides both halves, as sans-IO state machines:
+//! crate provides both halves, as sans-IO state machines, and the one
+//! simulator node that puts hosts on a LAN:
 //!
-//! * [`Host`] — joins/leaves groups, answers membership queries with
-//!   randomized-delay reports, suppresses its report when another member of
-//!   the same group answers first (classic IGMPv1 suppression), and can
-//!   advertise G → RP(s) mappings to its local routers (the paper's
-//!   proposed new host message, §3.1 footnote 9);
+//! * [`Host`] — every member behind one subnetwork attachment, counted
+//!   per group: joins/leaves groups, answers membership queries with one
+//!   randomized-delay report per group (the minimum of its members'
+//!   delays), suppresses it when another member of the same group answers
+//!   first (classic IGMPv1 suppression), and can advertise G → RP(s)
+//!   mappings to its local routers (the paper's proposed new host
+//!   message, §3.1 footnote 9);
+//! * [`HostNode`] — a [`Host`] of one member or of a whole aggregate site
+//!   on its LAN, sending data and logging what it receives;
 //! * [`Querier`] — one per router interface: participates in querier
 //!   election (lowest address queries), sends periodic queries, tracks
 //!   per-group membership with soft-state timers, and surfaces
@@ -17,13 +22,15 @@
 
 #![warn(missing_docs)]
 
-pub mod endpoint;
 pub mod host;
-pub mod population;
 
-pub use endpoint::{host, host_mut, with_host, Endpoint};
-pub use host::{HostNode, Received};
-pub use population::PopulationNode;
+pub use host::{with_host, HostNode, Received};
+
+/// The aggregate site's old name. A [`HostNode`] of N members is the
+/// aggregate site; the name stays only because the frozen `benchmark/`
+/// package still spells it, and goes with the other wrappers that
+/// package keeps alive (ROADMAP item 3(f)).
+pub type PopulationNode = HostNode;
 
 use netsim::{Deadlines, Duration, SimTime};
 use rand::Rng;
@@ -70,27 +77,65 @@ pub enum HostOutput {
     },
 }
 
-/// The host side of IGMP for one subnetwork attachment.
+/// One joined group's members as the host side counts them.
 #[derive(Debug)]
+struct Membership {
+    /// At least one: a group with no members has no entry.
+    members: u64,
+    /// When the members' one answer to an outstanding query goes out.
+    pending_report: Option<SimTime>,
+}
+
+/// The host side of IGMP for one subnetwork attachment: every member
+/// behind it, counted per group. The router on the subnetwork learns only
+/// *whether* a group has members here, so one host and a million are the
+/// same state machine:
+///
+/// * a query draws one report per group, at the minimum of the members'
+///   response delays, sampled in one draw: the first to fire suppresses
+///   the rest, so that is the only report the router would hear;
+/// * a join sends one unsolicited report, however many members join: N
+///   same-tick reports refresh the same router timer;
+/// * a leave is silent (IGMPv1): the router's membership timer lapses.
+#[derive(Debug, Default)]
 pub struct Host {
-    /// Joined groups → pending randomized report time, if a query is
-    /// outstanding. Ordered: a query draws one random delay per group and
-    /// a tick sends the matured reports in this map's order, so the order
-    /// reaches the wire.
-    joined: BTreeMap<Group, Option<SimTime>>,
+    /// Joined groups. Ordered: a query draws one random delay per group
+    /// and a tick sends the matured reports in this map's order, so the
+    /// order reaches the wire.
+    joined: BTreeMap<Group, Membership>,
     /// G → RPs mappings this host advertises (the paper's host RP-mapping
     /// message).
     rp_mappings: HashMap<Group, Vec<Addr>>,
 }
 
+/// Sample `min(d_1..d_n)` where each `d_i` is uniform on `0..max`. One
+/// member's delay is its own draw, `rng.gen_range(0..max)`; more invert
+/// the survival function `P(min >= k) = ((max-k)/max)^n` with a single
+/// uniform draw. `max` is a handful of ticks (the IGMP max response
+/// time), so the loop is short.
+fn min_of_n_uniform(max: u64, n: u64, rng: &mut impl Rng) -> u64 {
+    debug_assert!(max >= 1 && n >= 1);
+    if n == 1 {
+        return rng.gen_range(0..max);
+    }
+    let u: f64 = rng.gen();
+    let mut k = 0;
+    while k + 1 < max {
+        let survival = (((max - (k + 1)) as f64) / max as f64).powi(n.min(i32::MAX as u64) as i32);
+        if u < survival {
+            k += 1;
+        } else {
+            break;
+        }
+    }
+    k
+}
+
 impl Host {
     /// New host with no memberships. (Hosts take all their timing from
-    /// the querier's messages; `_cfg` is accepted for symmetry.)
-    pub fn new(_cfg: Config) -> Host {
-        Host {
-            joined: BTreeMap::new(),
-            rp_mappings: HashMap::new(),
-        }
+    /// the querier's messages.)
+    pub fn new() -> Host {
+        Host::default()
     }
 
     /// The groups currently joined.
@@ -98,9 +143,14 @@ impl Host {
         self.joined.keys().copied()
     }
 
-    /// Is this host currently a member of `g`?
+    /// Is any member here in `g`?
     pub fn is_member(&self, g: Group) -> bool {
         self.joined.contains_key(&g)
+    }
+
+    /// How many members here are in `g`.
+    pub fn members(&self, g: Group) -> u64 {
+        self.joined.get(&g).map_or(0, |m| m.members)
     }
 
     /// Configure the RP set this host will advertise for `g` alongside its
@@ -109,30 +159,33 @@ impl Host {
         self.rp_mappings.insert(g, rps);
     }
 
-    /// Join `g`: sends an unsolicited report immediately (and the RP
-    /// mapping, if configured).
-    pub fn join(&mut self, g: Group) -> Vec<HostOutput> {
-        self.joined.insert(g, None);
-        let mut out = vec![HostOutput::Send {
-            dst: g.addr(),
-            msg: Message::HostReport(HostReport { group: g }),
-        }];
-        if let Some(rps) = self.rp_mappings.get(&g) {
-            out.push(HostOutput::Send {
-                dst: Addr::ALL_PIM_ROUTERS,
-                msg: Message::RpMapping(RpMapping {
-                    group: g,
-                    rps: rps.clone(),
-                }),
-            });
-        }
+    /// `g` now has `members` members (at least one): sends an unsolicited
+    /// report immediately (and the RP mapping, if configured), which
+    /// answers any query outstanding for `g`.
+    pub fn join(&mut self, g: Group, members: u64) -> Vec<HostOutput> {
+        debug_assert!(members >= 1);
+        self.joined.insert(
+            g,
+            Membership {
+                members,
+                pending_report: None,
+            },
+        );
+        let mut out = Vec::new();
+        report(&self.rp_mappings, g, &mut out);
         out
     }
 
-    /// Leave `g`. IGMPv1 leaves are silent: the router's membership timer
-    /// expires on its own.
-    pub fn leave(&mut self, g: Group) {
-        self.joined.remove(&g);
+    /// `members` of `g`'s members leave (all of them, at most). IGMPv1
+    /// leaves are silent: the router's membership timer expires on its
+    /// own.
+    pub fn leave(&mut self, g: Group, members: u64) {
+        if let Some(m) = self.joined.get_mut(&g) {
+            m.members = m.members.saturating_sub(members);
+            if m.members == 0 {
+                self.joined.remove(&g);
+            }
+        }
     }
 
     /// A message arrived on the subnetwork.
@@ -145,17 +198,18 @@ impl Host {
         match msg {
             Message::HostQuery(HostQuery { max_resp_time }) => {
                 let max = (*max_resp_time as u64).max(1);
-                for pending in self.joined.values_mut() {
-                    if pending.is_none() {
-                        *pending = Some(now + Duration(rng.gen_range(0..max)));
+                for m in self.joined.values_mut() {
+                    if m.pending_report.is_none() {
+                        let d = min_of_n_uniform(max, m.members, rng);
+                        m.pending_report = Some(now + Duration(d));
                     }
                 }
                 Vec::new()
             }
             Message::HostReport(HostReport { group }) => {
                 // Another member answered: suppress our own pending report.
-                if let Some(pending) = self.joined.get_mut(group) {
-                    *pending = None;
+                if let Some(m) = self.joined.get_mut(group) {
+                    m.pending_report = None;
                 }
                 Vec::new()
             }
@@ -166,34 +220,38 @@ impl Host {
     /// When the next pending report fires, if any. `None` means the host is
     /// fully idle: no timer needs to be armed until a query arrives.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.joined.values().filter_map(|p| *p).min()
+        self.joined.values().filter_map(|m| m.pending_report).min()
     }
 
     /// Emit any reports whose randomized delay has elapsed. Call at least
     /// once per tick of the subnetwork's owner.
     pub fn tick(&mut self, now: SimTime) -> Vec<HostOutput> {
         let mut out = Vec::new();
-        for (&g, pending) in self.joined.iter_mut() {
-            if let Some(at) = *pending {
-                if now >= at {
-                    *pending = None;
-                    out.push(HostOutput::Send {
-                        dst: g.addr(),
-                        msg: Message::HostReport(HostReport { group: g }),
-                    });
-                    if let Some(rps) = self.rp_mappings.get(&g) {
-                        out.push(HostOutput::Send {
-                            dst: Addr::ALL_PIM_ROUTERS,
-                            msg: Message::RpMapping(RpMapping {
-                                group: g,
-                                rps: rps.clone(),
-                            }),
-                        });
-                    }
-                }
+        for (&g, m) in self.joined.iter_mut() {
+            if m.pending_report.is_some_and(|at| now >= at) {
+                m.pending_report = None;
+                report(&self.rp_mappings, g, &mut out);
             }
         }
         out
+    }
+}
+
+/// Push a report for `g` onto `out`, and the RP mapping if `rp_mappings`
+/// holds one.
+fn report(rp_mappings: &HashMap<Group, Vec<Addr>>, g: Group, out: &mut Vec<HostOutput>) {
+    out.push(HostOutput::Send {
+        dst: g.addr(),
+        msg: Message::HostReport(HostReport { group: g }),
+    });
+    if let Some(rps) = rp_mappings.get(&g) {
+        out.push(HostOutput::Send {
+            dst: Addr::ALL_PIM_ROUTERS,
+            msg: Message::RpMapping(RpMapping {
+                group: g,
+                rps: rps.clone(),
+            }),
+        });
     }
 }
 
@@ -377,8 +435,8 @@ mod tests {
 
     #[test]
     fn join_sends_unsolicited_report() {
-        let mut h = Host::new(Config::default());
-        let out = h.join(g(1));
+        let mut h = Host::new();
+        let out = h.join(g(1), 1);
         assert_eq!(out.len(), 1);
         assert!(matches!(
             &out[0],
@@ -390,10 +448,10 @@ mod tests {
 
     #[test]
     fn join_with_rp_mapping_advertises_it() {
-        let mut h = Host::new(Config::default());
+        let mut h = Host::new();
         let rp = Addr::new(10, 0, 0, 9);
         h.set_rp_mapping(g(1), vec![rp]);
-        let out = h.join(g(1));
+        let out = h.join(g(1), 1);
         assert_eq!(out.len(), 2);
         assert!(matches!(
             &out[1],
@@ -404,8 +462,8 @@ mod tests {
 
     #[test]
     fn query_schedules_delayed_report() {
-        let mut h = Host::new(Config::default());
-        h.join(g(1));
+        let mut h = Host::new();
+        h.join(g(1), 1);
         let mut r = rng();
         h.on_message(
             SimTime(100),
@@ -426,8 +484,8 @@ mod tests {
 
     #[test]
     fn anothers_report_suppresses_ours() {
-        let mut h = Host::new(Config::default());
-        h.join(g(1));
+        let mut h = Host::new();
+        h.join(g(1), 1);
         let mut r = rng();
         h.on_message(
             SimTime(100),
@@ -444,9 +502,9 @@ mod tests {
 
     #[test]
     fn leave_is_silent() {
-        let mut h = Host::new(Config::default());
-        h.join(g(1));
-        h.leave(g(1));
+        let mut h = Host::new();
+        h.join(g(1), 1);
+        h.leave(g(1), 1);
         assert!(!h.is_member(g(1)));
         let mut r = rng();
         h.on_message(
@@ -455,6 +513,67 @@ mod tests {
             &mut r,
         );
         assert!(h.tick(SimTime(200)).is_empty());
+    }
+
+    /// One member's response delay is its own draw: the sampler consumes
+    /// the RNG exactly as `gen_range(0..max)` does, draw for draw.
+    #[test]
+    fn min_of_one_is_the_members_own_draw() {
+        for max in [1u64, 2, 10, 255] {
+            let mut sampled = StdRng::seed_from_u64(max);
+            let mut direct = StdRng::seed_from_u64(max);
+            for _ in 0..1000 {
+                assert_eq!(
+                    min_of_n_uniform(max, 1, &mut sampled),
+                    direct.gen_range(0..max)
+                );
+            }
+        }
+    }
+
+    /// The inverse-CDF sampler must match the empirical distribution of
+    /// an actual min over N uniform draws.
+    #[test]
+    fn min_of_n_matches_explicit_minimum() {
+        let max = 10u64;
+        for n in [1u64, 2, 5, 20] {
+            let mut direct = StdRng::seed_from_u64(100 + n);
+            let mut inverse = StdRng::seed_from_u64(200 + n);
+            let trials = 20_000;
+            let mut hist_direct = vec![0u64; max as usize];
+            let mut hist_inverse = vec![0u64; max as usize];
+            for _ in 0..trials {
+                let m = (0..n).map(|_| direct.gen_range(0..max)).min().unwrap();
+                hist_direct[m as usize] += 1;
+                let s = min_of_n_uniform(max, n, &mut inverse);
+                hist_inverse[s as usize] += 1;
+            }
+            for k in 0..max as usize {
+                let a = hist_direct[k] as f64 / trials as f64;
+                let b = hist_inverse[k] as f64 / trials as f64;
+                assert!(
+                    (a - b).abs() < 0.02,
+                    "n={n} k={k}: direct {a:.3} vs inverse {b:.3}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn min_of_one_is_uniform_and_bounds_hold() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for _ in 0..1000 {
+            let s = min_of_n_uniform(10, 1, &mut rng);
+            assert!(s < 10);
+        }
+        // Degenerate max: the only possible delay is zero.
+        for _ in 0..10 {
+            assert_eq!(min_of_n_uniform(1, 5, &mut rng), 0);
+        }
+        // Huge populations answer almost immediately and never panic.
+        for _ in 0..100 {
+            assert!(min_of_n_uniform(10, 1_000_000, &mut rng) <= 1);
+        }
     }
 
     #[test]
@@ -529,9 +648,9 @@ mod tests {
 
     #[test]
     fn host_deadline_tracks_pending_reports() {
-        let mut h = Host::new(Config::default());
+        let mut h = Host::new();
         assert_eq!(h.next_deadline(), None);
-        h.join(g(1));
+        h.join(g(1), 1);
         // An unsolicited report fires immediately from join(); nothing pends.
         assert_eq!(h.next_deadline(), None);
         let mut r = rng();

@@ -1,11 +1,14 @@
-//! The aggregate-population contract: for small N, a [`PopulationNode`]
-//! is indistinguishable from N explicit [`HostNode`]s as far as the
-//! *router* on the LAN can tell, modulo host-local detail.
+//! The aggregate-site contract: for small N, one [`HostNode`] of N
+//! members is indistinguishable from N single-member [`HostNode`]s as far
+//! as the *router* on the LAN can tell, modulo host-local detail.
 //!
 //! Two worlds are built around the same scripted membership lifecycle —
-//! staggered joins, a data burst, a mass leave — one with N explicit
-//! hosts, one with a single population holding count N. The router-side
-//! observables compared:
+//! staggered joins, a data burst, a mass leave — one with N single-member
+//! hosts, one with a single host counting N members. The reference is the
+//! N single-member hosts: each still draws its own response delay and
+//! suppresses on the others' reports, which is the behaviour the counted
+//! site's one min-of-N report stands in for. The router-side observables
+//! compared:
 //!
 //! * the membership lifecycle (`MemberJoined` at identical ticks, no
 //!   spurious expiry while members exist, one expiry after the leave with
@@ -21,7 +24,7 @@
 //! can slip a second report before suppression arrives) — that is the
 //! "host-local detail" the equivalence is modulo of.
 
-use igmp::{Config, HostNode, PopulationNode, Querier, QuerierOutput};
+use igmp::{Config, HostNode, Querier, QuerierOutput};
 use netsim::{Ctx, Duration, IfaceId, Node, NodeIdx, SimTime, World};
 use proptest::prelude::*;
 use std::any::Any;
@@ -146,12 +149,7 @@ fn sender_addr() -> Addr {
 fn schedule_sends(world: &mut World, sender: NodeIdx, group: Group, packets: u64) {
     for k in 0..packets {
         world.at(SimTime(SEND_BASE + k * SEND_GAP), move |w| {
-            w.call_node(sender, |n, ctx| {
-                n.as_any_mut()
-                    .downcast_mut::<HostNode>()
-                    .expect("sender host")
-                    .send_data(ctx, group);
-            });
+            igmp::with_host(w, sender, |h, ctx| h.send_data(ctx, group));
         });
     }
 }
@@ -170,24 +168,14 @@ fn run_explicit(seed: u64, n: u64, group: Group, packets: u64) -> Observed {
 
     for (i, &h) in hosts.iter().enumerate() {
         world.at(SimTime(JOIN_BASE + JOIN_GAP * i as u64), move |w| {
-            w.call_node(h, |node, ctx| {
-                node.as_any_mut()
-                    .downcast_mut::<HostNode>()
-                    .expect("member host")
-                    .join(ctx, group);
-            });
+            igmp::with_host(w, h, |h, ctx| h.join(ctx, group));
         });
     }
     schedule_sends(&mut world, sender, group, packets);
     let leave_hosts = hosts.clone();
     world.at(SimTime(LEAVE_AT), move |w| {
         for &h in &leave_hosts {
-            w.call_node(h, |node, _ctx| {
-                node.as_any_mut()
-                    .downcast_mut::<HostNode>()
-                    .expect("member host")
-                    .leave(group);
-            });
+            w.node_mut::<HostNode>(h).leave(group);
         }
     });
     world.run_until(SimTime(END_AT));
@@ -209,7 +197,7 @@ fn run_explicit(seed: u64, n: u64, group: Group, packets: u64) -> Observed {
 fn run_aggregate(seed: u64, n: u64, group: Group, packets: u64) -> Observed {
     let mut world = World::new(seed);
     let router = world.add_node(Box::new(QuerierRouter::new(router_addr())));
-    let pop = world.add_node(Box::new(PopulationNode::new(Addr::new(10, 0, 0, 10))));
+    let pop = world.add_node(Box::new(HostNode::new(Addr::new(10, 0, 0, 10))));
     let sender = world.add_node(Box::new(HostNode::new(sender_addr())));
     world.add_lan(&[router, pop, sender], Duration(1));
 
@@ -217,26 +205,16 @@ fn run_aggregate(seed: u64, n: u64, group: Group, packets: u64) -> Observed {
     // the unsolicited-report refreshes line up tick for tick.
     for i in 0..n {
         world.at(SimTime(JOIN_BASE + JOIN_GAP * i), move |w| {
-            w.call_node(pop, |node, ctx| {
-                node.as_any_mut()
-                    .downcast_mut::<PopulationNode>()
-                    .expect("population")
-                    .join_members(ctx, group, 1);
-            });
+            igmp::with_host(w, pop, |h, ctx| h.join_members(ctx, group, 1));
         });
     }
     schedule_sends(&mut world, sender, group, packets);
     world.at(SimTime(LEAVE_AT), move |w| {
-        w.call_node(pop, |node, _ctx| {
-            node.as_any_mut()
-                .downcast_mut::<PopulationNode>()
-                .expect("population")
-                .leave_members(group, n);
-        });
+        w.node_mut::<HostNode>(pop).leave_members(group, n);
     });
     world.run_until(SimTime(END_AT));
 
-    let member_receptions = world.node::<PopulationNode>(pop).member_receptions();
+    let member_receptions = world.node::<HostNode>(pop).member_receptions();
     let r: &QuerierRouter = world.node(router);
     Observed {
         joined: r.joined.clone(),
@@ -298,4 +276,30 @@ proptest! {
         prop_assert_eq!(explicit.member_receptions, n * packets);
         prop_assert_eq!(aggregate.member_receptions, n * packets);
     }
+}
+
+/// A slot-level join sets the site's count to its population, however
+/// often it repeats: join, join, leave on a site of 50 leaves nobody
+/// joined, and each join is one unsolicited report.
+#[test]
+fn repeated_slot_join_then_leave_empties_the_site() {
+    let group = Group::test(1);
+    let mut world = World::new(3);
+    let router = world.add_node(Box::new(QuerierRouter::new(router_addr())));
+    let site = world.add_node(Box::new(HostNode::new(Addr::new(10, 0, 0, 10)).sized(50)));
+    world.add_lan(&[router, site], Duration(1));
+    for at in [JOIN_BASE, JOIN_BASE + JOIN_GAP] {
+        world.at(SimTime(at), move |w| {
+            igmp::with_host(w, site, |h, ctx| h.join(ctx, group));
+        });
+    }
+    // All before the second query (t = 126), so only the joins report.
+    world.at(SimTime(30), move |w| {
+        w.node_mut::<HostNode>(site).leave(group)
+    });
+    world.run_until(SimTime(40));
+    let host: &HostNode = world.node(site);
+    assert_eq!(host.members(group), 0, "a second join must not add 50 more");
+    let r: &QuerierRouter = world.node(router);
+    assert_eq!(r.reports_heard, 2);
 }

@@ -14,29 +14,35 @@ use wire::{Addr, Group, Message};
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Host state machine: joins/leaves/queries/foreign-reports in any
-    /// order leave membership exactly equal to the join/leave ledger, and
-    /// ticks only emit reports for current members.
+    /// Host state machine: joins/leaves of any size, queries and foreign
+    /// reports in any order leave membership exactly equal to the
+    /// join/leave ledger of member counts, and ticks only emit reports for
+    /// current members.
     #[test]
     fn host_membership_coherent(
-        ops in prop::collection::vec((0u8..4, 0u32..5, 0u64..50), 1..60),
+        ops in prop::collection::vec((0u8..4, 0u32..5, 0u64..50, 1u64..4), 1..60),
         seed in any::<u64>(),
     ) {
-        let mut host = Host::new(Config::default());
+        let mut host = Host::new();
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut ledger = std::collections::BTreeSet::new();
+        let mut ledger = std::collections::BTreeMap::new();
         let mut now = 0u64;
-        for (op, gi, dt) in ops {
+        for (op, gi, dt, n) in ops {
             now += dt;
             let g = Group::test(gi);
             match op {
                 0 => {
-                    host.join(g);
-                    ledger.insert(g);
+                    host.join(g, n);
+                    ledger.insert(g, n);
                 }
                 1 => {
-                    host.leave(g);
-                    ledger.remove(&g);
+                    host.leave(g, n);
+                    if let Some(m) = ledger.get_mut(&g) {
+                        *m = m.saturating_sub(n);
+                        if *m == 0 {
+                            ledger.remove(&g);
+                        }
+                    }
                 }
                 2 => {
                     host.on_message(
@@ -57,14 +63,15 @@ proptest! {
                 let igmp::HostOutput::Send { msg, .. } = out;
                 if let Message::HostReport(r) = msg {
                     prop_assert!(
-                        ledger.contains(&r.group),
+                        ledger.contains_key(&r.group),
                         "report for a group the host is not in"
                     );
                 }
             }
             prop_assert_eq!(host.groups().count(), ledger.len());
-            for &g in &ledger {
+            for (&g, &m) in &ledger {
                 prop_assert!(host.is_member(g));
+                prop_assert_eq!(host.members(g), m);
             }
         }
     }

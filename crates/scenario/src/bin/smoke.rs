@@ -8,14 +8,14 @@
 //!
 //! **hier** — scale. One hierarchical internetwork (Waxman backbone, stub
 //! domains of nine routers each — 500 routers at the default 50 domains)
-//! with an [`igmp::PopulationNode`] aggregate site on every domain's leaf
-//! router (10^4 members at the default population of 200), partitioned
-//! along domain boundaries. After a warm-up train that absorbs the PIM
-//! shared-tree → SPT switchover, every probe must reach every other site
-//! and the battery must hold — including the site-scaled state bound,
-//! which fails if any router's table grows with *members* rather than
-//! *sites*. `--domains 200` is the 2 000-router shape of the benchmark's
-//! `hier_ctrl` workloads.
+//! with an aggregate site — one [`igmp::HostNode`] counting its members —
+//! on every domain's leaf router (10^4 members at the default population
+//! of 200), partitioned along domain boundaries. After a warm-up train
+//! that absorbs the PIM shared-tree → SPT switchover, every probe must
+//! reach every other site and the battery must hold — including the
+//! site-scaled state bound, which fails if any router's table grows with
+//! *members* rather than *sites*. `--domains 200` is the 2 000-router
+//! shape of the benchmark's `hier_ctrl` workloads.
 //!
 //! **overload** — congestion. Two workloads on the diamond, each with the
 //! r1-r2 link (link 1, the RP-side edge) capped to a few bytes per tick

@@ -9,7 +9,7 @@ use crate::schedule::FaultSchedule;
 use cbt::{CbtConfig, CbtEngine, CbtRouter};
 use dvmrp::{DvmrpConfig, DvmrpEngine, DvmrpRouter};
 use graph::{Graph, NodeId};
-use igmp::{Endpoint, HostNode, PopulationNode};
+use igmp::HostNode;
 use netsim::build::NodePlan;
 use netsim::{
     host_addr, router_addr, Duration, IfaceId, IfaceSet, Node, NodeIdx, SimTime, Topology, World,
@@ -96,9 +96,9 @@ pub struct ScenarioNet {
     /// Router-router interface map per router, indexed by graph node.
     pub peers: Vec<Vec<IfacePeer>>,
     /// Aggregate member population behind each host slot, in
-    /// `host_routers` order. `1` = an explicit [`HostNode`] (the classic
-    /// scenarios); `> 1` = a [`PopulationNode`] holding that many
-    /// members behind one LAN.
+    /// `host_routers` order: the size of the [`HostNode`] in that slot.
+    /// `1` = one explicit host (the classic scenarios); `> 1` = an
+    /// aggregate site of that many members behind one LAN.
     pub populations: Vec<u64>,
 }
 
@@ -157,10 +157,8 @@ pub fn build_net(
 }
 
 /// [`build_net`] with an aggregate member population per host slot:
-/// slot `k` gets a [`PopulationNode`] holding `populations[k]` members
-/// when that count exceeds one, and the classic explicit [`HostNode`]
-/// otherwise — so a million-member scenario still attaches one world
-/// node per LAN.
+/// slot `k` gets a [`HostNode`] of `populations[k]` members — so a
+/// million-member scenario still attaches one world node per LAN.
 #[allow(clippy::too_many_arguments)]
 pub fn build_net_aggregate(
     g: &Graph,
@@ -274,11 +272,7 @@ impl NetSpec<'_> {
         let mut hosts = Vec::new();
         for (&n, &population) in host_routers.iter().zip(&populations) {
             let ha = host_addr(n, 0);
-            let hi = if population > 1 {
-                world.add_node(Box::new(PopulationNode::new(ha).sized(population)))
-            } else {
-                world.add_node(Box::new(HostNode::new(ha)))
-            };
+            let hi = world.add_node(Box::new(HostNode::new(ha).sized(population)));
             let r = NodeIdx(n.index());
             let (_l, ifs) = world.add_lan(&[r, hi], Duration(1));
             match protocol {
@@ -368,8 +362,8 @@ impl ScenarioNet {
     }
 
     /// The host behind slot `slot`, for post-run inspection.
-    pub fn host(&self, slot: usize) -> &dyn Endpoint {
-        igmp::host(&self.world, self.hosts[slot].0)
+    pub fn host(&self, slot: usize) -> &HostNode {
+        self.world.node(self.hosts[slot].0)
     }
 
     /// Advance the world on `threads` workers. With `router_regions`

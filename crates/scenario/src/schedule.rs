@@ -591,7 +591,7 @@ fn apply(w: &mut World, ev: FaultEvent, hosts: &[NodeIdx], group: Group, mark: b
         FaultEvent::CrashRouter(r) => w.crash_node(NodeIdx(r as usize)),
         FaultEvent::RestartRouter(r) => w.restart_node(NodeIdx(r as usize)),
         FaultEvent::Join(h) => igmp::with_host(w, hosts[h as usize], |m, ctx| m.join(ctx, group)),
-        FaultEvent::Leave(h) => igmp::host_mut(w, hosts[h as usize]).leave(group),
+        FaultEvent::Leave(h) => w.node_mut::<igmp::HostNode>(hosts[h as usize]).leave(group),
         FaultEvent::Bandwidth(l, rate, queue, prio) => {
             let cap = if rate == 0 {
                 LinkCapacity::UNLIMITED

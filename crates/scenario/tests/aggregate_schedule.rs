@@ -1,10 +1,9 @@
 //! Fault schedules drive aggregate host slots: `join`, `burst` and
-//! `leave` aimed at a [`igmp::PopulationNode`] slot install, run, move
-//! the slot's whole population, deliver member-weighted, and stay
-//! byte-identical across thread counts. (They used to downcast every
-//! slot to `HostNode` and panic on the first aggregate one.)
+//! `leave` aimed at a [`HostNode`] of many members install, run, move the
+//! slot's whole population, deliver member-weighted, and stay
+//! byte-identical across thread counts.
 
-use igmp::PopulationNode;
+use igmp::HostNode;
 use netsim::SimTime;
 use scenario::{build_net_aggregate, topology, FaultEvent, FaultSchedule, Protocol, Substrate};
 use std::collections::BTreeSet;
@@ -42,7 +41,7 @@ fn run(protocol: Protocol, threads: usize) -> Vec<String> {
     let got: BTreeSet<u64> = net.seqs(1, source).into_iter().collect();
     assert_eq!(got, (0..10).collect(), "{name}: aggregate slot reception");
     // Every reception counted once per member.
-    let population: &PopulationNode = net.world.node(aggregate.0);
+    let population: &HostNode = net.world.node(aggregate.0);
     assert_eq!(
         population.member_receptions(),
         POPULATION * population.received.len() as u64,

@@ -182,14 +182,14 @@ fn main() {
     // Host A leaves at t=700 (silently; its membership expires ~t=1000),
     // causing r_a to prune (*,G) on the LAN. r_b must override.
     world.at(SimTime(700), move |w| {
-        igmp::host_mut(w, host_a).leave(group);
+        w.node_mut::<igmp::HostNode>(host_a).leave(group);
     });
     println!();
     println!("t=700   hostA leaves (IGMPv1: silently). r_a's membership timer will lapse,");
     println!("        r_a will prune (*,G) onto the LAN — and r_b must override the prune.");
 
     world.run_until(SimTime(2100));
-    let hb = igmp::host(&world, host_b);
+    let hb = world.node::<igmp::HostNode>(host_b);
     let seqs = hb.seqs_from(h_src, group);
     println!();
     println!(
@@ -202,7 +202,7 @@ fn main() {
         seqs.len() >= 79,
         "hostB must not lose packets to r_a's prune"
     );
-    let ha = igmp::host(&world, host_a);
+    let ha = world.node::<igmp::HostNode>(host_a);
     let a_count = ha.seqs_from(h_src, group).len();
     println!("        hostA stopped receiving after its leave (got {a_count}/80).");
     assert!(a_count < 80, "hostA left mid-stream");

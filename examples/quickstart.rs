@@ -105,7 +105,7 @@ fn main() {
         sg.pruned_from_shared
     );
 
-    let received = net.host(0).received();
+    let received = &net.host(0).received;
     let first = received.iter().find(|r| r.seq == 0).expect("seq 0");
     let last = received.iter().find(|r| r.seq == 19).expect("seq 19");
     println!();

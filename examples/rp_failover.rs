@@ -73,7 +73,7 @@ fn main() {
     // Delivery resumed without sender intervention.
     let late: Vec<u64> = net
         .host(0)
-        .received()
+        .received
         .iter()
         .filter(|r| r.source == sender_addr && r.at > SimTime(2500))
         .map(|r| r.seq)

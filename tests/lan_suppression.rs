@@ -158,7 +158,7 @@ fn suppressed_routers_still_deliver() {
     }
     world.run_until(SimTime(2600));
     for (i, &m) in members.iter().enumerate() {
-        let h = igmp::host(&world, m);
+        let h = world.node::<igmp::HostNode>(m);
         assert_eq!(
             h.seqs_from(s_addr, group),
             (0..30).collect::<Vec<u64>>(),

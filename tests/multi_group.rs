@@ -146,7 +146,7 @@ fn state_invariants_after_random_scenario() {
         }
         let leaver = net.hosts[2].0;
         net.world.at(SimTime(700), move |w| {
-            igmp::host_mut(w, leaver).leave(grp);
+            w.node_mut::<igmp::HostNode>(leaver).leave(grp);
         });
         net.world.run_until(SimTime(2500));
 

@@ -131,7 +131,7 @@ fn membership_churn() {
     net.send_at(1, 100, 120, 30); // through t=3670
                                   // Leave at t=900 (silent), rejoin at t=2400.
     net.world.at(SimTime(900), move |w| {
-        igmp::host_mut(w, receiver).leave(group());
+        w.node_mut::<igmp::HostNode>(receiver).leave(group());
     });
     net.join_at(0, 2400);
     net.world.run_until(SimTime(4400));
