@@ -61,9 +61,10 @@ impl HostNode {
         }
     }
 
-    /// Size the slot: an aggregate site of `population` members.
+    /// Size the slot: an aggregate site of `population` members (at least
+    /// one, as a slot always holds a host).
     pub fn sized(mut self, population: u64) -> HostNode {
-        self.population = population;
+        self.population = population.max(1);
         self
     }
 
