@@ -10,28 +10,16 @@ use wire::cbt::{Echo, EchoReply, FlushTree, JoinAck, JoinRequest, Quit};
 use wire::pim::Register;
 use wire::{Addr, Group, Message};
 
-/// Timers for the CBT protocol.
-#[derive(Clone, Copy, Debug)]
-pub struct CbtConfig {
-    /// Retransmit an unacknowledged Join-Request after this (explicit
-    /// reliability — footnote 4's contrast with PIM soft state).
-    pub join_retransmit: Duration,
-    /// Period between child→parent Echo keepalives.
-    pub echo_interval: Duration,
-    /// Parent declares a child dead after this much echo silence; a child
-    /// declares its parent dead likewise.
-    pub echo_timeout: Duration,
-}
+/// Retransmit an unacknowledged Join-Request after this (explicit
+/// reliability — footnote 4's contrast with PIM soft state).
+pub const JOIN_RETRANSMIT: Duration = Duration(15);
 
-impl Default for CbtConfig {
-    fn default() -> Self {
-        CbtConfig {
-            join_retransmit: Duration(15),
-            echo_interval: Duration(30),
-            echo_timeout: Duration(100),
-        }
-    }
-}
+/// Period between child→parent Echo keepalives.
+pub const ECHO_INTERVAL: Duration = Duration(30);
+
+/// Parent declares a child dead after this much echo silence; a child
+/// declares its parent dead likewise.
+pub const ECHO_TIMEOUT: Duration = Duration(100);
 
 /// Per-group tree state at one router.
 ///
@@ -77,23 +65,23 @@ impl TreeState {
         &self.children
     }
 
-    /// When a parent that stays silent is given up on: `echo_timeout`
+    /// When a parent that stays silent is given up on: [`ECHO_TIMEOUT`]
     /// after its last sign of life, while we hang off one.
-    fn parent_deadline(&self, echo_timeout: Duration) -> Option<SimTime> {
-        (self.on_tree && self.parent.is_some()).then(|| self.parent_alive_at + echo_timeout)
+    fn parent_deadline(&self) -> Option<SimTime> {
+        (self.on_tree && self.parent.is_some()).then(|| self.parent_alive_at + ECHO_TIMEOUT)
     }
 
     /// Every armed timer of this tree, found by walking it: the join
     /// retransmit, each child's echo expiry, the parent-silence deadline.
-    fn deadlines(&self, echo_timeout: Duration) -> impl Iterator<Item = SimTime> + '_ {
+    fn deadlines(&self) -> impl Iterator<Item = SimTime> + '_ {
         (self.pending_join.map(|(_, _, retx)| retx).into_iter())
             .chain(self.children.values().copied())
-            .chain(self.parent_deadline(echo_timeout))
+            .chain(self.parent_deadline())
     }
 
     /// Disarm every timer of this tree: it is about to be dropped.
-    fn disarm(&self, timers: &mut Deadlines, echo_timeout: Duration) {
-        timers.disarm_all(self.deadlines(echo_timeout));
+    fn disarm(&self, timers: &mut Deadlines) {
+        timers.disarm_all(self.deadlines());
     }
 
     /// Start, restart or clear our own outstanding join.
@@ -119,20 +107,15 @@ impl TreeState {
 
     /// Change what the parent-silence deadline hangs on (`on_tree`,
     /// `parent`, `parent_alive_at`) through `f`.
-    fn update_parent(
-        &mut self,
-        timers: &mut Deadlines,
-        echo_timeout: Duration,
-        f: impl FnOnce(&mut TreeState),
-    ) {
-        let before = self.parent_deadline(echo_timeout);
+    fn update_parent(&mut self, timers: &mut Deadlines, f: impl FnOnce(&mut TreeState)) {
+        let before = self.parent_deadline();
         f(self);
-        timers.rearm(before, self.parent_deadline(echo_timeout));
+        timers.rearm(before, self.parent_deadline());
     }
 
     /// Detach from the tree: no parent, no outstanding join.
-    fn detach(&mut self, timers: &mut Deadlines, echo_timeout: Duration) {
-        self.update_parent(timers, echo_timeout, |t| {
+    fn detach(&mut self, timers: &mut Deadlines) {
+        self.update_parent(timers, |t| {
             t.on_tree = false;
             t.parent = None;
         });
@@ -169,7 +152,6 @@ impl TreeState {
 
 /// The CBT engine for one router.
 pub struct CbtEngine {
-    cfg: CbtConfig,
     my_addr: Addr,
     /// Group → configured core.
     cores: HashMap<Group, Addr>,
@@ -200,9 +182,8 @@ fn tree_flags(t: &TreeState) -> u8 {
 
 impl CbtEngine {
     /// New engine.
-    pub fn new(my_addr: Addr, cfg: CbtConfig) -> CbtEngine {
+    pub fn new(my_addr: Addr) -> CbtEngine {
         CbtEngine {
-            cfg,
             my_addr,
             cores: HashMap::new(),
             trees: BTreeMap::new(),
@@ -288,7 +269,6 @@ impl CbtEngine {
     /// Begin (or re-begin) our own join toward the core.
     fn initiate_join(&mut self, now: SimTime, group: Group, rib: &dyn Rib) -> Vec<Action> {
         let me = self.my_addr;
-        let cfg = self.cfg;
         let Some(tree) = self.trees.get_mut(&group) else {
             return Vec::new();
         };
@@ -301,7 +281,7 @@ impl CbtEngine {
         };
         tree.set_pending_join(
             &mut self.timers,
-            Some((r.iface, r.next_hop, now + cfg.join_retransmit)),
+            Some((r.iface, r.next_hop, now + JOIN_RETRANSMIT)),
         );
         vec![Action::control(
             r.iface,
@@ -328,9 +308,7 @@ impl CbtEngine {
         }
         let tree = self.trees.get_mut(&group).expect("ensured");
         tree.member_ifaces.insert(iface);
-        tree.update_parent(&mut self.timers, self.cfg.echo_timeout, |t| {
-            t.parent_alive_at = now
-        });
+        tree.update_parent(&mut self.timers, |t| t.parent_alive_at = now);
         self.initiate_join(now, group, rib)
     }
 
@@ -366,7 +344,7 @@ impl CbtEngine {
                 Message::CbtQuit(Quit { group }),
             ));
         }
-        tree.disarm(&mut self.timers, self.cfg.echo_timeout);
+        tree.disarm(&mut self.timers);
         self.trees.remove(&group);
         self.telem.emit(|| Event::EntryExpired {
             group,
@@ -400,7 +378,7 @@ impl CbtEngine {
         if on_tree {
             // Confirm immediately: child edge + ack (explicit reliability).
             let tree = self.trees.get_mut(&jr.group).expect("ensured");
-            tree.refresh_child(&mut self.timers, (iface, src), now + self.cfg.echo_timeout);
+            tree.refresh_child(&mut self.timers, (iface, src), now + ECHO_TIMEOUT);
             self.acks_sent += 1;
             vec![Action::control(
                 iface,
@@ -432,7 +410,6 @@ impl CbtEngine {
         src: Addr,
         ja: &JoinAck,
     ) -> Vec<Action> {
-        let cfg = self.cfg;
         let Some(tree) = self.trees.get_mut(&ja.group) else {
             return Vec::new();
         };
@@ -445,7 +422,7 @@ impl CbtEngine {
         let timers = &mut self.timers;
         tree.set_pending_join(timers, None);
         let from = tree_flags(tree);
-        tree.update_parent(timers, cfg.echo_timeout, |t| {
+        tree.update_parent(timers, |t| {
             t.on_tree = true;
             t.parent = Some((iface, src));
             t.parent_alive_at = now;
@@ -461,7 +438,7 @@ impl CbtEngine {
         let core = tree.core;
         let mut out = Vec::new();
         for (ci, child) in waiting {
-            tree.refresh_child(timers, (ci, child), now + cfg.echo_timeout);
+            tree.refresh_child(timers, (ci, child), now + ECHO_TIMEOUT);
             self.acks_sent += 1;
             out.push(Action::control(
                 ci,
@@ -492,7 +469,7 @@ impl CbtEngine {
         for &group in &e.groups {
             if let Some(tree) = self.trees.get_mut(&group) {
                 if tree.children.contains_key(&(iface, src)) {
-                    tree.refresh_child(&mut self.timers, (iface, src), now + self.cfg.echo_timeout);
+                    tree.refresh_child(&mut self.timers, (iface, src), now + ECHO_TIMEOUT);
                     alive.push(group);
                 }
             }
@@ -521,13 +498,11 @@ impl CbtEngine {
                 continue;
             }
             if er.groups.contains(&group) {
-                tree.update_parent(&mut self.timers, self.cfg.echo_timeout, |t| {
-                    t.parent_alive_at = now
-                });
+                tree.update_parent(&mut self.timers, |t| t.parent_alive_at = now);
             } else if tree.on_tree {
                 // Parent lost the tree: detach and rejoin.
                 let from = tree_flags(tree);
-                tree.detach(&mut self.timers, self.cfg.echo_timeout);
+                tree.detach(&mut self.timers);
                 self.telem.emit(|| Event::EntryModified {
                     group,
                     key: EntryKey::Star,
@@ -565,7 +540,7 @@ impl CbtEngine {
         }
         tree.clear_children(&mut self.timers);
         let from = tree_flags(tree);
-        tree.detach(&mut self.timers, self.cfg.echo_timeout);
+        tree.detach(&mut self.timers);
         if from & flags::ON_TREE != 0 {
             self.telem.emit(|| Event::EntryModified {
                 group: f.group,
@@ -673,7 +648,7 @@ impl CbtEngine {
 
     /// The absolute time of this engine's next pending timer: the echo
     /// schedule, join retransmits, child echo expiries, and parent-silence
-    /// detection (which matures `echo_timeout` after the last sign of
+    /// detection (which matures [`ECHO_TIMEOUT`] after the last sign of
     /// parent life).
     ///
     /// A read of the deadline index, whatever was just mutated. Debug
@@ -693,10 +668,7 @@ impl CbtEngine {
     /// reference the index is checked against.
     #[cfg(any(test, debug_assertions))]
     fn scan_deadline(&self) -> Option<SimTime> {
-        let walked = self
-            .trees
-            .values()
-            .flat_map(|tree| tree.deadlines(self.cfg.echo_timeout));
+        let walked = self.trees.values().flat_map(|tree| tree.deadlines());
         walked.chain([self.next_echo]).min()
     }
 
@@ -712,7 +684,7 @@ impl CbtEngine {
 
         // Echo keepalives to surviving parents, batched per (iface, parent).
         if now >= self.next_echo {
-            self.next_echo = now + self.cfg.echo_interval;
+            self.next_echo = now + ECHO_INTERVAL;
             let mut per_parent: BTreeMap<(IfaceId, Addr), Vec<Group>> = BTreeMap::new();
             for (&group, tree) in &self.trees {
                 if let Some(p) = tree.parent {
@@ -735,7 +707,6 @@ impl CbtEngine {
     /// children, give up on silent parents.
     fn expire(&mut self, now: SimTime, rib: &dyn Rib, out: &mut Vec<Action>) {
         let me = self.my_addr;
-        let cfg = self.cfg;
         let timers = &mut self.timers;
 
         // Join retransmission (explicit reliability).
@@ -747,7 +718,7 @@ impl CbtEngine {
                 continue;
             }
             let core = tree.core;
-            let retx = now + cfg.join_retransmit;
+            let retx = now + JOIN_RETRANSMIT;
             // Recompute the route — it may have changed.
             if let Some(r) = rib.route(core) {
                 tree.set_pending_join(timers, Some((r.iface, r.next_hop, retx)));
@@ -791,12 +762,9 @@ impl CbtEngine {
         let timers = &mut self.timers;
         let mut to_rejoin = Vec::new();
         for (&group, tree) in self.trees.iter_mut() {
-            if tree
-                .parent_deadline(cfg.echo_timeout)
-                .is_some_and(|at| now >= at)
-            {
+            if tree.parent_deadline().is_some_and(|at| now >= at) {
                 let from = tree_flags(tree);
-                tree.detach(timers, cfg.echo_timeout);
+                tree.detach(timers);
                 self.telem.emit(|| Event::EntryModified {
                     group,
                     key: EntryKey::Star,
@@ -818,14 +786,12 @@ impl CbtEngine {
             }
             tree.clear_children(&mut self.timers);
             // Restart the clock for the rejoin.
-            tree.update_parent(&mut self.timers, cfg.echo_timeout, |t| {
-                t.parent_alive_at = now
-            });
+            tree.update_parent(&mut self.timers, |t| t.parent_alive_at = now);
             if !tree.member_ifaces.is_empty() {
                 out.extend(self.initiate_join(now, group, rib));
             } else {
                 // Nothing left to serve: drop the state entirely.
-                tree.disarm(&mut self.timers, cfg.echo_timeout);
+                tree.disarm(&mut self.timers);
                 self.trees.remove(&group);
                 self.telem.emit(|| Event::EntryExpired {
                     group,
@@ -922,7 +888,7 @@ mod tests {
     }
 
     fn engine() -> CbtEngine {
-        let mut e = CbtEngine::new(me(), CbtConfig::default());
+        let mut e = CbtEngine::new(me());
         e.set_core(g(), core());
         e
     }
@@ -1064,7 +1030,7 @@ mod tests {
 
     #[test]
     fn core_is_trivially_on_tree() {
-        let mut e = CbtEngine::new(core(), CbtConfig::default());
+        let mut e = CbtEngine::new(core());
         e.set_core(g(), core());
         let out = e.on_join_request(
             t(0),
@@ -1144,7 +1110,7 @@ mod tests {
 
     #[test]
     fn core_injects_encapsulated_data_onto_tree() {
-        let mut e = CbtEngine::new(core(), CbtConfig::default());
+        let mut e = CbtEngine::new(core());
         e.set_core(g(), core());
         e.on_join_request(
             t(0),
@@ -1446,7 +1412,7 @@ mod tests {
                 let mut walked: Vec<SimTime> = e
                     .trees
                     .values()
-                    .flat_map(|tree| tree.deadlines(e.cfg.echo_timeout))
+                    .flat_map(|tree| tree.deadlines())
                     .collect();
                 walked.sort();
                 assert_eq!(e.timers.as_slice(), walked, "after op {op} at {now}");

@@ -27,6 +27,6 @@
 pub mod engine;
 pub mod router;
 
-pub use engine::{CbtConfig, CbtEngine};
+pub use engine::{CbtEngine, ECHO_INTERVAL, ECHO_TIMEOUT, JOIN_RETRANSMIT};
 pub use node::Action;
 pub use router::CbtRouter;

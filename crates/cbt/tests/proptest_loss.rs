@@ -9,7 +9,7 @@
 //! Both must survive a lossy control plane; `tests/robustness.rs` covers
 //! the PIM half.)
 
-use cbt::{CbtConfig, CbtEngine, CbtRouter};
+use cbt::{CbtEngine, CbtRouter};
 use graph::{Graph, NodeId};
 use igmp::HostNode;
 use netsim::{host_addr, router_addr, Duration, LinkId, Node, NodeIdx, SimTime, Topology, World};
@@ -36,7 +36,7 @@ fn build_line(seed: u64) -> (World, NodeIdx) {
     let ha = host_addr(member_router, 0);
     let oracle = OracleRib::for_all_with_hosts(&g, &topo, &[member_router]);
     let routers = topo.plans().iter().zip(oracle).map(|(plan, rib)| {
-        let mut e = CbtEngine::new(plan.addr, CbtConfig::default());
+        let mut e = CbtEngine::new(plan.addr);
         e.set_core(group, core);
         Box::new(CbtRouter::new(e, Box::new(rib))) as Box<dyn Node>
     });

@@ -23,7 +23,27 @@ pub enum SptPolicy {
     Never,
 }
 
-/// PIM timer and policy configuration.
+/// Neighbor holdtime advertised in queries.
+pub const NEIGHBOR_HOLDTIME: Duration = Duration(105);
+
+/// How long a prune received on a multi-access subnetwork is held before
+/// taking effect, giving other routers the chance to send an overriding
+/// join (§3.7).
+pub const PRUNE_OVERRIDE_DELAY: Duration = Duration(4);
+
+/// TTL used for unicast control messages (Registers).
+pub const UNICAST_TTL: u8 = 64;
+
+/// While a source's DR forwards natively over (S,G) state, it still
+/// re-registers one data packet to the RP(s) this often. Native (S,G) oifs
+/// only prove *some* receiver joined the SPT through us — not that the RP
+/// still has the source. Without the probe, an RP that dropped its (S,G)
+/// state (crash, shared-tree churn) could never reacquire the source for
+/// later shared-tree members. Stands in for PIM-SM's null-register
+/// probing.
+pub const REGISTER_PROBE_INTERVAL: Duration = Duration(120);
+
+/// PIM timer and policy configuration: the timers that some caller sets.
 ///
 /// The paper gives ratios, not absolute values ("the entry is deleted after
 /// 3 times the refresh period"); the defaults keep those ratios with the
@@ -46,24 +66,8 @@ pub struct PimConfig {
     /// Period between PIM Query (hello) messages for neighbor discovery
     /// and DR election (§3.7).
     pub query_interval: Duration,
-    /// Neighbor holdtime advertised in queries.
-    pub neighbor_holdtime: Duration,
-    /// How long a prune received on a multi-access subnetwork is held
-    /// before taking effect, giving other routers the chance to send an
-    /// overriding join (§3.7).
-    pub prune_override_delay: Duration,
     /// Shared-tree → shortest-path-tree switchover policy (§3.3).
     pub spt_policy: SptPolicy,
-    /// TTL used for unicast control messages (Registers).
-    pub unicast_ttl: u8,
-    /// While a source's DR forwards natively over (S,G) state, it still
-    /// re-registers one data packet to the RP(s) this often. Native (S,G)
-    /// oifs only prove *some* receiver joined the SPT through us — not
-    /// that the RP still has the source. Without the probe, an RP that
-    /// dropped its (S,G) state (crash, shared-tree churn) could never
-    /// reacquire the source for later shared-tree members. Stands in for
-    /// PIM-SM's null-register probing.
-    pub register_probe_interval: Duration,
 }
 
 impl Default for PimConfig {
@@ -75,11 +79,7 @@ impl Default for PimConfig {
             rp_reach_period: Duration(60),
             rp_timeout: Duration(180),
             query_interval: Duration(30),
-            neighbor_holdtime: Duration(105),
-            prune_override_delay: Duration(4),
             spt_policy: SptPolicy::Immediate,
-            unicast_ttl: 64,
-            register_probe_interval: Duration(120),
         }
     }
 }
@@ -105,7 +105,7 @@ mod tests {
         assert_eq!(c.holdtime.ticks(), 3 * c.refresh_period.ticks());
         assert_eq!(c.entry_linger.ticks(), 3 * c.refresh_period.ticks());
         assert_eq!(c.rp_timeout.ticks(), 3 * c.rp_reach_period.ticks());
-        assert!(c.prune_override_delay < c.refresh_period);
+        assert!(PRUNE_OVERRIDE_DELAY < c.refresh_period);
     }
 
     #[test]

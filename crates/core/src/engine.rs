@@ -19,7 +19,10 @@
 //! | [`Engine::on_route_change`] | §3.8 unicast routing changes |
 //! | [`Engine::tick`] | §3.4 periodic refresh, §3.6 timers |
 
-use crate::config::{PimConfig, SptPolicy};
+use crate::config::{
+    PimConfig, SptPolicy, NEIGHBOR_HOLDTIME, PRUNE_OVERRIDE_DELAY, REGISTER_PROBE_INTERVAL,
+    UNICAST_TTL,
+};
 use crate::entry::{Entry, GroupState, OifKind};
 use netsim::{Deadlines, Duration, IfaceId, IfaceSet, SimTime};
 use node::Action;
@@ -140,11 +143,6 @@ impl Engine {
     /// This router's address.
     pub fn addr(&self) -> Addr {
         self.my_addr
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &PimConfig {
-        &self.cfg
     }
 
     /// Number of interfaces the engine knows about.
@@ -581,7 +579,7 @@ impl Engine {
         if self.ifaces[iface.index()].is_lan {
             // §3.7: hold the prune so another router on the subnetwork can
             // override it with a join.
-            let execute_at = now + self.cfg.prune_override_delay;
+            let execute_at = now + PRUNE_OVERRIDE_DELAY;
             self.prune_timers.arm(execute_at);
             self.pending_prunes.push(PendingPrune {
                 group,
@@ -952,7 +950,7 @@ impl Engine {
                     // can reacquire it for later shared-tree members.
                     if now >= e.next_register_probe {
                         probe = true;
-                        e.next_register_probe = now + self.cfg.register_probe_interval;
+                        e.next_register_probe = now + REGISTER_PROBE_INTERVAL;
                     }
                     let ifaces = e.forward_set(Some(iface));
                     if !ifaces.is_empty() {
@@ -1006,7 +1004,7 @@ impl Engine {
                     out.push(Action::control(
                         r.iface,
                         rp,
-                        self.cfg.unicast_ttl,
+                        UNICAST_TTL,
                         Message::PimRegister(Register {
                             group,
                             source,
@@ -1571,7 +1569,7 @@ impl Engine {
         // them.
         if now >= self.next_query {
             self.next_query = now + self.cfg.query_interval;
-            let holdtime = self.cfg.neighbor_holdtime.ticks().min(u16::MAX as u64) as u16;
+            let holdtime = NEIGHBOR_HOLDTIME.ticks().min(u16::MAX as u64) as u16;
             if !self.ifaces.is_empty() {
                 out.push(Action::Control {
                     ifaces: IfaceSet::first_n(self.ifaces.len()),

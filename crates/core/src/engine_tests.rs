@@ -11,7 +11,7 @@
 //! plus a "side" path giving A a direct shortest path to S that bypasses
 //! the RP (A iface 2), so the SPT divergence logic is exercised.
 
-use crate::config::{PimConfig, SptPolicy};
+use crate::config::{PimConfig, SptPolicy, REGISTER_PROBE_INTERVAL};
 use crate::engine::Engine;
 use crate::entry::OifKind;
 use netsim::{Duration, IfaceId, SimTime};
@@ -437,7 +437,7 @@ fn non_rp_ignores_register() {
 fn source_dr_suppresses_registers_between_probes() {
     let rib = rib_d();
     let mut e = Engine::new(d(), 2, PimConfig::default());
-    let probe_gap = e.config().register_probe_interval.ticks();
+    let probe_gap = REGISTER_PROBE_INTERVAL.ticks();
     e.set_host_lan(IfaceId(0));
     e.set_rp_mapping(g(), vec![rp()]);
     e.register_local_host(src(), IfaceId(0));
@@ -463,7 +463,7 @@ fn source_dr_suppresses_registers_between_probes() {
     };
     // First native packet still registers once: native oifs only prove a
     // receiver's SPT join reached us, not that the RP holds the source,
-    // so the DR probes on a slow clock (register_probe_interval).
+    // so the DR probes on a slow clock (REGISTER_PROBE_INTERVAL).
     let out = e.on_local_data(t(5), IfaceId(0), src(), g(), b"pkt1", &rib);
     assert!(out.iter().any(is_register), "probe register");
     assert!(out.iter().any(|o| matches!(

@@ -110,7 +110,7 @@ pub struct Entry {
     pub local_source: bool,
     /// For local-source entries: the next time the DR re-registers a data
     /// packet to the RP(s) even though it is forwarding natively (the
-    /// periodic register probe; see `PimConfig::register_probe_interval`).
+    /// periodic register probe; see [`crate::REGISTER_PROBE_INTERVAL`]).
     pub next_register_probe: SimTime,
 }
 

@@ -55,7 +55,10 @@ pub mod engine;
 pub mod entry;
 pub mod router;
 
-pub use config::{PimConfig, SptPolicy};
+pub use config::{
+    PimConfig, SptPolicy, NEIGHBOR_HOLDTIME, PRUNE_OVERRIDE_DELAY, REGISTER_PROBE_INTERVAL,
+    UNICAST_TTL,
+};
 pub use engine::Engine;
 pub use entry::{Entry, GroupState, Oif, OifKind};
 pub use igmp::HostNode;

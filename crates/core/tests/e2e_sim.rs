@@ -25,7 +25,7 @@
 
 use graph::{Graph, NodeId};
 use netsim::{Duration, Node, NodeIdx, SimTime, Topology, World};
-use pim::{Engine, HostNode, PimConfig, PimRouter, SptPolicy};
+use pim::{Engine, HostNode, PimConfig, PimRouter, SptPolicy, REGISTER_PROBE_INTERVAL};
 use unicast::OracleRib;
 use wire::{Addr, Group};
 
@@ -248,11 +248,11 @@ fn after_packets_policy_switches_late() {
 fn sender_side_registers_drop_to_probe_rate() {
     // 30 packets, 20 ticks apart: a 600-tick stream. Once the RP's join
     // arrives, registers are bounded by the probe clock
-    // (register_probe_interval = 120), not the packet rate.
+    // (REGISTER_PROBE_INTERVAL = 120), not the packet rate.
     let net = run_scenario(PimConfig::default(), 30, 20);
     let r3: &PimRouter = net.world.node(NodeIdx(3));
     let sent = r3.engine().registers_sent;
-    let probe_gap = PimConfig::default().register_probe_interval.ticks();
+    let probe_gap = REGISTER_PROBE_INTERVAL.ticks();
     let probe_bound = 1 + 600 / probe_gap + 1;
     assert!(sent >= 1, "at least the first packet registers");
     assert!(

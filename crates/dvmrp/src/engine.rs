@@ -9,37 +9,25 @@ use unicast::Rib;
 use wire::dvmrp::{Graft, GraftAck, Probe, Prune};
 use wire::{Addr, Group, Message};
 
-/// Timers for the dense-mode protocol.
-#[derive(Clone, Copy, Debug)]
-pub struct DvmrpConfig {
-    /// Lifetime carried in prunes; the pruned branch grows back after this
-    /// (§1.1: "pruned branches will grow back after a time-out period").
-    pub prune_lifetime: Duration,
-    /// An (S,G) entry with no data for this long is deleted.
-    pub entry_timeout: Duration,
-    /// Retransmit an unacknowledged graft after this.
-    pub graft_retransmit: Duration,
-    /// Period between neighbor probes.
-    pub probe_interval: Duration,
-    /// A neighbor silent for this long is dropped.
-    pub neighbor_timeout: Duration,
-    /// Minimum spacing between repeated prunes for the same (S,G) (avoids
-    /// a prune per data packet while pruned state is refreshed upstream).
-    pub prune_damping: Duration,
-}
+/// Lifetime carried in prunes; the pruned branch grows back after this
+/// (§1.1: "pruned branches will grow back after a time-out period").
+pub const PRUNE_LIFETIME: Duration = Duration(200);
 
-impl Default for DvmrpConfig {
-    fn default() -> Self {
-        DvmrpConfig {
-            prune_lifetime: Duration(200),
-            entry_timeout: Duration(400),
-            graft_retransmit: Duration(10),
-            probe_interval: Duration(30),
-            neighbor_timeout: Duration(105),
-            prune_damping: Duration(50),
-        }
-    }
-}
+/// An (S,G) entry with no data for this long is deleted.
+pub const ENTRY_TIMEOUT: Duration = Duration(400);
+
+/// Retransmit an unacknowledged graft after this.
+pub const GRAFT_RETRANSMIT: Duration = Duration(10);
+
+/// Period between neighbor probes.
+pub const PROBE_INTERVAL: Duration = Duration(30);
+
+/// A neighbor silent for this long is dropped.
+pub const NEIGHBOR_TIMEOUT: Duration = Duration(105);
+
+/// Minimum spacing between repeated prunes for the same (S,G) (avoids a
+/// prune per data packet while pruned state is refreshed upstream).
+pub const PRUNE_DAMPING: Duration = Duration(50);
 
 /// Per-(S,G) dense-mode state.
 #[derive(Clone, Debug)]
@@ -97,7 +85,6 @@ impl SgEntry {
 
 /// The dense-mode engine for one router.
 pub struct DvmrpEngine {
-    cfg: DvmrpConfig,
     my_addr: Addr,
     iface_count: usize,
     /// Interfaces that are host-facing leaf subnetworks.
@@ -133,9 +120,8 @@ fn sg_flags(e: &SgEntry) -> u8 {
 
 impl DvmrpEngine {
     /// New engine for a router with `iface_count` interfaces.
-    pub fn new(my_addr: Addr, iface_count: usize, cfg: DvmrpConfig) -> DvmrpEngine {
+    pub fn new(my_addr: Addr, iface_count: usize) -> DvmrpEngine {
         DvmrpEngine {
-            cfg,
             my_addr,
             iface_count,
             host_lans: HashSet::new(),
@@ -263,10 +249,7 @@ impl DvmrpEngine {
                     from,
                     to: from & !flags::PRUNED,
                 });
-                e.set_pending_graft(
-                    &mut self.entry_timers,
-                    Some(now + self.cfg.graft_retransmit),
-                );
+                e.set_pending_graft(&mut self.entry_timers, Some(now + GRAFT_RETRANSMIT));
                 if let Some(r) = rib.route(source) {
                     out.push(Action::control(
                         r.iface,
@@ -334,7 +317,7 @@ impl DvmrpEngine {
         if !rpf_ok {
             return out;
         }
-        let expires = now + self.cfg.entry_timeout;
+        let expires = now + ENTRY_TIMEOUT;
         if !self.entries.contains_key(&(source, group)) {
             self.telem.emit(|| Event::EntryCreated {
                 group,
@@ -367,7 +350,7 @@ impl DvmrpEngine {
             let entry = self.entries.get_mut(&(source, group)).expect("inserted");
             let due = entry
                 .last_prune_at
-                .is_none_or(|t| now.since(t) >= self.cfg.prune_damping);
+                .is_none_or(|t| now.since(t) >= PRUNE_DAMPING);
             if due {
                 entry.last_prune_at = Some(now);
                 if !entry.pruned_upstream {
@@ -388,7 +371,7 @@ impl DvmrpEngine {
                         Message::DvmrpPrune(Prune {
                             source,
                             group,
-                            lifetime: self.cfg.prune_lifetime.ticks().min(u32::MAX as u64) as u32,
+                            lifetime: PRUNE_LIFETIME.ticks().min(u32::MAX as u64) as u32,
                         }),
                     ));
                 }
@@ -407,7 +390,7 @@ impl DvmrpEngine {
 
     /// A prune arrived from a downstream router on `iface`.
     pub fn on_prune(&mut self, now: SimTime, iface: IfaceId, p: &Prune) -> Vec<Action> {
-        let expires = now + self.cfg.entry_timeout;
+        let expires = now + ENTRY_TIMEOUT;
         if !self.entries.contains_key(&(p.source, p.group)) {
             self.telem.emit(|| Event::EntryCreated {
                 group: p.group,
@@ -455,10 +438,7 @@ impl DvmrpEngine {
                     from,
                     to: from & !flags::PRUNED,
                 });
-                e.set_pending_graft(
-                    &mut self.entry_timers,
-                    Some(now + self.cfg.graft_retransmit),
-                );
+                e.set_pending_graft(&mut self.entry_timers, Some(now + GRAFT_RETRANSMIT));
                 if let Some(r) = rib.route(gr.source) {
                     out.push(Action::control(
                         r.iface,
@@ -484,7 +464,7 @@ impl DvmrpEngine {
 
     /// A neighbor probe arrived on `iface`.
     pub fn on_probe(&mut self, now: SimTime, iface: IfaceId, src: Addr, _p: &Probe) {
-        let expires = now + self.cfg.neighbor_timeout;
+        let expires = now + NEIGHBOR_TIMEOUT;
         let before = self.neighbors[iface.index()].insert(src, expires);
         self.neighbor_timers.rearm(before, Some(expires));
     }
@@ -522,7 +502,7 @@ impl DvmrpEngine {
     pub fn tick(&mut self, now: SimTime, rib: &dyn Rib) -> Vec<Action> {
         let mut out = Vec::new();
         if now >= self.next_probe {
-            self.next_probe = now + self.cfg.probe_interval;
+            self.next_probe = now + PROBE_INTERVAL;
             for i in 0..self.iface_count {
                 let iface = IfaceId(i as u32);
                 if self.host_lans.contains(&iface) {
@@ -555,7 +535,7 @@ impl DvmrpEngine {
             // Graft retransmission (the one acked DVMRP exchange).
             for (&(source, group), e) in self.entries.iter_mut() {
                 if e.pending_graft.is_some_and(|at| now >= at) {
-                    e.set_pending_graft(timers, Some(now + self.cfg.graft_retransmit));
+                    e.set_pending_graft(timers, Some(now + GRAFT_RETRANSMIT));
                     if let Some(r) = rib.route(source) {
                         out.push(Action::control(
                             r.iface,
@@ -655,7 +635,7 @@ mod tests {
     /// Engine with iface 0 = upstream (toward src), ifaces 1,2 = downstream
     /// router links, iface 3 = host LAN.
     fn engine_with_neighbors() -> (DvmrpEngine, OracleRib) {
-        let mut e = DvmrpEngine::new(me(), 4, DvmrpConfig::default());
+        let mut e = DvmrpEngine::new(me(), 4);
         e.set_host_lan(IfaceId(3));
         // Downstream neighbors on 1 and 2 (and our upstream on 0).
         e.on_probe(t(0), IfaceId(0), up(), &Probe { neighbors: vec![] });
@@ -746,7 +726,7 @@ mod tests {
     #[test]
     fn leaf_router_prunes_upstream_when_no_receivers() {
         // Only the upstream link has a neighbor: we're a leaf router.
-        let mut e = DvmrpEngine::new(me(), 2, DvmrpConfig::default());
+        let mut e = DvmrpEngine::new(me(), 2);
         e.set_host_lan(IfaceId(1));
         e.on_probe(t(0), IfaceId(0), up(), &Probe { neighbors: vec![] });
         let mut rib = OracleRib::empty(me());
@@ -776,7 +756,7 @@ mod tests {
 
     #[test]
     fn member_join_grafts_pruned_branch() {
-        let mut e = DvmrpEngine::new(me(), 2, DvmrpConfig::default());
+        let mut e = DvmrpEngine::new(me(), 2);
         e.set_host_lan(IfaceId(1));
         e.on_probe(t(0), IfaceId(0), up(), &Probe { neighbors: vec![] });
         let mut rib = OracleRib::empty(me());
@@ -855,7 +835,7 @@ mod tests {
 
     #[test]
     fn graft_cascades_upstream() {
-        let mut e = DvmrpEngine::new(me(), 2, DvmrpConfig::default());
+        let mut e = DvmrpEngine::new(me(), 2);
         e.on_probe(t(0), IfaceId(0), up(), &Probe { neighbors: vec![] });
         e.on_probe(
             t(0),

@@ -32,6 +32,9 @@
 pub mod engine;
 pub mod router;
 
-pub use engine::{DvmrpConfig, DvmrpEngine};
+pub use engine::{
+    DvmrpEngine, ENTRY_TIMEOUT, GRAFT_RETRANSMIT, NEIGHBOR_TIMEOUT, PROBE_INTERVAL, PRUNE_DAMPING,
+    PRUNE_LIFETIME,
+};
 pub use node::Action;
 pub use router::DvmrpRouter;

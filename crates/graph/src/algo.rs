@@ -331,9 +331,12 @@ impl SpKernel {
 /// Ties between equal-length paths are broken deterministically by preferring
 /// the path whose final hop has the smaller parent node id, then the smaller
 /// edge id. Deterministic tie-breaking matters: PIM's RPF checks require that
-/// all routers agree on reverse paths, and the simulator's oracle RIB and the
-/// distance-vector/link-state engines must converge to the same trees for the
-/// protocol-independence tests to be meaningful.
+/// all routers agree on reverse paths. The simulator's oracle RIB and the
+/// distance-vector/link-state engines agree on routes only on graphs without
+/// equal-cost ties: the oracle takes the first edge of this run's path from
+/// the router, so it breaks a tie at the last hop, where DV and LS break it
+/// at the first (ROADMAP item 14). So the protocol-independence tests run on
+/// tie-free graphs.
 ///
 /// Every generator in this workspace draws weights ≥ 1, and the rule above
 /// is exact for them. A zero-weight edge is legal and yields a valid

@@ -38,31 +38,21 @@ use std::collections::{BTreeMap, HashMap};
 use wire::igmp::{HostQuery, HostReport, RpMapping};
 use wire::{Addr, Group, Message};
 
-/// Timing constants shared by hosts and queriers.
-#[derive(Clone, Copy, Debug)]
-pub struct Config {
-    /// Interval between general queries sent by the elected querier.
-    pub query_interval: Duration,
-    /// Maximum randomized delay before a host answers a query.
-    pub max_resp_time: Duration,
-    /// How long a router keeps a group alive with no reports. Must exceed
-    /// `query_interval + max_resp_time` (two missed queries by default).
-    pub membership_timeout: Duration,
-    /// If we hear no query from a lower-addressed router for this long,
-    /// (re)assume the querier role.
-    pub other_querier_timeout: Duration,
-}
+/// Interval between general queries sent by the elected querier.
+pub const QUERY_INTERVAL: Duration = Duration(125);
 
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            query_interval: Duration(125),
-            max_resp_time: Duration(10),
-            membership_timeout: Duration(280),
-            other_querier_timeout: Duration(300),
-        }
-    }
-}
+/// Maximum randomized delay before a host answers a query.
+pub const MAX_RESP_TIME: Duration = Duration(10);
+
+/// How long a router keeps a group alive with no reports. Must exceed
+/// `QUERY_INTERVAL + MAX_RESP_TIME` (two missed queries).
+pub const MEMBERSHIP_TIMEOUT: Duration = Duration(280);
+
+const _: () = assert!(MEMBERSHIP_TIMEOUT.ticks() > QUERY_INTERVAL.ticks() + MAX_RESP_TIME.ticks());
+
+/// If we hear no query from a lower-addressed router for this long,
+/// (re)assume the querier role.
+pub const OTHER_QUERIER_TIMEOUT: Duration = Duration(300);
 
 /// An action requested by a [`Host`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -278,7 +268,6 @@ pub enum QuerierOutput {
 /// The router side of IGMP for one interface.
 #[derive(Debug)]
 pub struct Querier {
-    cfg: Config,
     my_addr: Addr,
     /// Are we the elected querier on this subnetwork?
     is_querier: bool,
@@ -296,9 +285,8 @@ pub struct Querier {
 impl Querier {
     /// New querier state for an interface of the router at `my_addr`.
     /// Starts assuming the querier role until a lower address is heard.
-    pub fn new(my_addr: Addr, cfg: Config) -> Querier {
+    pub fn new(my_addr: Addr) -> Querier {
         Querier {
-            cfg,
             my_addr,
             is_querier: true,
             other_querier_until: None,
@@ -330,12 +318,12 @@ impl Querier {
                 // Querier election: lowest address wins.
                 if src < self.my_addr {
                     self.is_querier = false;
-                    self.other_querier_until = Some(now + self.cfg.other_querier_timeout);
+                    self.other_querier_until = Some(now + OTHER_QUERIER_TIMEOUT);
                 }
                 Vec::new()
             }
             Message::HostReport(HostReport { group }) => {
-                let expiry = now + self.cfg.membership_timeout;
+                let expiry = now + MEMBERSHIP_TIMEOUT;
                 // A lapsed entry that merely hasn't been swept by tick()
                 // yet counts as a fresh join, so the routing protocol is
                 // re-notified.
@@ -400,10 +388,10 @@ impl Querier {
             out.push(QuerierOutput::Send {
                 dst: Addr::ALL_HOSTS,
                 msg: Message::HostQuery(HostQuery {
-                    max_resp_time: self.cfg.max_resp_time.ticks().min(255) as u8,
+                    max_resp_time: MAX_RESP_TIME.ticks().min(255) as u8,
                 }),
             });
-            self.next_query = now + self.cfg.query_interval;
+            self.next_query = now + QUERY_INTERVAL;
         }
         if self.member_timers.due(now) {
             self.members.retain(|&g, &mut at| {
@@ -578,7 +566,7 @@ mod tests {
 
     #[test]
     fn querier_emits_periodic_queries() {
-        let mut q = Querier::new(Addr::new(10, 0, 0, 1), Config::default());
+        let mut q = Querier::new(Addr::new(10, 0, 0, 1));
         let out = q.tick(SimTime(0));
         assert!(matches!(
             &out[0],
@@ -590,7 +578,7 @@ mod tests {
 
     #[test]
     fn querier_election_lowest_wins() {
-        let mut q = Querier::new(Addr::new(10, 0, 0, 5), Config::default());
+        let mut q = Querier::new(Addr::new(10, 0, 0, 5));
         q.tick(SimTime(0));
         // Hear a query from a lower address: stand down.
         q.on_message(
@@ -611,7 +599,7 @@ mod tests {
 
     #[test]
     fn higher_addressed_querier_does_not_preempt() {
-        let mut q = Querier::new(Addr::new(10, 0, 0, 5), Config::default());
+        let mut q = Querier::new(Addr::new(10, 0, 0, 5));
         q.on_message(
             SimTime(1),
             Addr::new(10, 0, 0, 9),
@@ -622,7 +610,7 @@ mod tests {
 
     #[test]
     fn membership_lifecycle() {
-        let mut q = Querier::new(Addr::new(10, 0, 0, 1), Config::default());
+        let mut q = Querier::new(Addr::new(10, 0, 0, 1));
         let out = q.on_message(
             SimTime(0),
             Addr::new(10, 0, 0, 20),
@@ -667,7 +655,7 @@ mod tests {
 
     #[test]
     fn querier_deadline_covers_query_election_and_expiry() {
-        let mut q = Querier::new(Addr::new(10, 0, 0, 5), Config::default());
+        let mut q = Querier::new(Addr::new(10, 0, 0, 5));
         // Fresh querier: first query is due immediately.
         assert_eq!(q.next_deadline(), Some(SimTime::ZERO));
         q.tick(SimTime(0));
@@ -695,7 +683,7 @@ mod tests {
 
     #[test]
     fn rp_mapping_surfaces() {
-        let mut q = Querier::new(Addr::new(10, 0, 0, 1), Config::default());
+        let mut q = Querier::new(Addr::new(10, 0, 0, 1));
         let rp = Addr::new(10, 0, 0, 9);
         let out = q.on_message(
             SimTime(0),
@@ -710,7 +698,7 @@ mod tests {
 
     #[test]
     fn report_refresh_keeps_member_alive_indefinitely() {
-        let mut q = Querier::new(Addr::new(10, 0, 0, 1), Config::default());
+        let mut q = Querier::new(Addr::new(10, 0, 0, 1));
         for t in (0..1000).step_by(100) {
             q.on_message(
                 SimTime(t),
@@ -735,7 +723,7 @@ mod tests {
         fn indexed_deadline_is_the_scanned_deadline(
             steps in proptest::prop::collection::vec((0u8..6, 0u32..4, 0usize..6), 1..80),
         ) {
-            let mut q = Querier::new(Addr::new(10, 0, 0, 5), Config::default());
+            let mut q = Querier::new(Addr::new(10, 0, 0, 5));
             let mut now = 0;
             for (op, k, dt) in steps {
                 now += [0, 1, 10, 125, 280, 300][dt];

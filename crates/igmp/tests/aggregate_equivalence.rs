@@ -24,7 +24,7 @@
 //! can slip a second report before suppression arrives) — that is the
 //! "host-local detail" the equivalence is modulo of.
 
-use igmp::{Config, HostNode, Querier, QuerierOutput};
+use igmp::{HostNode, Querier, QuerierOutput, MAX_RESP_TIME};
 use netsim::{Ctx, Duration, IfaceId, Node, NodeIdx, SimTime, World};
 use proptest::prelude::*;
 use std::any::Any;
@@ -55,7 +55,7 @@ impl QuerierRouter {
     fn new(addr: Addr) -> QuerierRouter {
         QuerierRouter {
             addr,
-            querier: Querier::new(addr, Config::default()),
+            querier: Querier::new(addr),
             joined: Vec::new(),
             expired: Vec::new(),
             reports_heard: 0,
@@ -257,7 +257,7 @@ proptest! {
         prop_assert_eq!(ge, group);
         prop_assert_eq!(ga, group);
         prop_assert!(te > LEAVE_AT && ta > LEAVE_AT);
-        let max_resp = Config::default().max_resp_time.ticks();
+        let max_resp = MAX_RESP_TIME.ticks();
         prop_assert!(
             te.abs_diff(ta) <= max_resp + 2,
             "leave latency diverged: explicit {te} vs aggregate {ta}"

@@ -3,7 +3,7 @@
 //! coherent (a querier's member set reflects reports within the timeout,
 //! a host's pending reports never outlive membership).
 
-use igmp::{Config, Host, Querier, QuerierOutput};
+use igmp::{Host, Querier, QuerierOutput, MEMBERSHIP_TIMEOUT};
 use netsim::SimTime;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -82,8 +82,7 @@ proptest! {
     fn querier_member_accounting(
         reports in prop::collection::vec((0u32..4, 0u64..100), 1..40),
     ) {
-        let cfg = Config::default();
-        let mut q = Querier::new(Addr::new(10, 0, 0, 1), cfg);
+        let mut q = Querier::new(Addr::new(10, 0, 0, 1));
         let mut last_report = std::collections::BTreeMap::new();
         let mut now = 0u64;
         for (gi, dt) in reports {
@@ -96,7 +95,7 @@ proptest! {
             );
             let was_member = last_report
                 .get(&g)
-                .is_some_and(|&t| now < t + cfg.membership_timeout.ticks());
+                .is_some_and(|&t| now < t + MEMBERSHIP_TIMEOUT.ticks());
             if was_member {
                 prop_assert!(outs.is_empty(), "refresh must not re-announce");
             } else {
@@ -109,14 +108,14 @@ proptest! {
                 if let QuerierOutput::MemberExpired(g2) = e {
                     let t = last_report.get(&g2).copied().unwrap_or(0);
                     prop_assert!(
-                        now >= t + cfg.membership_timeout.ticks(),
+                        now >= t + MEMBERSHIP_TIMEOUT.ticks(),
                         "premature expiry of {g2}"
                     );
                 }
             }
         }
         // Far future: everything must lapse.
-        q.tick(SimTime(now + 10 * cfg.membership_timeout.ticks()));
+        q.tick(SimTime(now + 10 * MEMBERSHIP_TIMEOUT.ticks()));
         prop_assert_eq!(q.groups().count(), 0);
     }
 }

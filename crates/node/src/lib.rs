@@ -269,8 +269,7 @@ impl<P: ProtocolEngine> ProtocolNode<P> {
         if self.queriers.len() <= iface.index() {
             self.queriers.resize_with(iface.index() + 1, || None);
         }
-        self.queriers[iface.index()] =
-            Some(Querier::new(self.engine.addr(), igmp::Config::default()));
+        self.queriers[iface.index()] = Some(Querier::new(self.engine.addr()));
         for &h in hosts {
             self.engine.register_local_host(h, iface);
             self.unicast.attach_local(h, 1);
@@ -636,7 +635,7 @@ impl<P: ProtocolEngine + 'static> Node for ProtocolNode<P> {
         self.unicast.reset();
         let addr = self.engine.addr();
         for q in self.queriers.iter_mut().flatten() {
-            *q = Querier::new(addr, igmp::Config::default());
+            *q = Querier::new(addr);
         }
         self.wakeup = None;
     }
@@ -653,10 +652,8 @@ impl<P: ProtocolEngine + 'static> Node for ProtocolNode<P> {
         let now = ctx.now();
         // Tick every engine; each gates internally on its own deadlines, so
         // a wakeup armed for one engine costs the others a cheap no-op.
-        if self.unicast.tick_interval().ticks() != u64::MAX {
-            let outs = self.unicast.tick(now);
-            self.handle_unicast_outputs(ctx, outs);
-        }
+        let outs = self.unicast.tick(now);
+        self.handle_unicast_outputs(ctx, outs);
         for i in 0..self.queriers.len() {
             let Some(q) = &mut self.queriers[i] else {
                 continue; // not a host LAN

@@ -6,8 +6,8 @@
 //! under test.
 
 use crate::schedule::FaultSchedule;
-use cbt::{CbtConfig, CbtEngine, CbtRouter};
-use dvmrp::{DvmrpConfig, DvmrpEngine, DvmrpRouter};
+use cbt::{CbtEngine, CbtRouter};
+use dvmrp::{DvmrpEngine, DvmrpRouter};
 use graph::{Graph, NodeId};
 use igmp::HostNode;
 use netsim::build::NodePlan;
@@ -17,7 +17,7 @@ use netsim::{
 use pim::{Engine, PimConfig, PimRouter};
 use telemetry::SharedSink;
 use unicast::dv::{DvConfig, DvEngine};
-use unicast::ls::{LsConfig, LsEngine};
+use unicast::ls::LsEngine;
 use unicast::OracleRib;
 use wire::{Addr, Group};
 
@@ -240,7 +240,7 @@ impl NetSpec<'_> {
                 .map(|plan| Box::new(DvEngine::new(plan, DvConfig::default())) as _)
                 .collect(),
             Substrate::LinkState => plans
-                .map(|plan| Box::new(LsEngine::new(plan, LsConfig::default())) as _)
+                .map(|plan| Box::new(LsEngine::new(plan)) as _)
                 .collect(),
         };
         let make = |(plan, unicast): (&NodePlan, Box<dyn unicast::Engine>)| -> Box<dyn Node> {
@@ -254,11 +254,11 @@ impl NetSpec<'_> {
                     Box::new(r)
                 }
                 Protocol::Dvmrp => Box::new(DvmrpRouter::new(
-                    DvmrpEngine::new(plan.addr, plan.ifaces.len(), DvmrpConfig::default()),
+                    DvmrpEngine::new(plan.addr, plan.ifaces.len()),
                     unicast,
                 )),
                 Protocol::Cbt => {
-                    let mut e = CbtEngine::new(plan.addr, CbtConfig::default());
+                    let mut e = CbtEngine::new(plan.addr);
                     for (grp, cores) in &groups {
                         e.set_core(*grp, cores[0]);
                     }

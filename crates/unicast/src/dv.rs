@@ -7,8 +7,8 @@
 //! * **triggered updates** — metric changes are advertised immediately, not
 //!   only at the next periodic update;
 //! * **route timeout + garbage collection** — a route not refreshed within
-//!   `route_timeout` is poisoned (advertised at infinity) and deleted after
-//!   `gc_timeout` more.
+//!   [`ROUTE_TIMEOUT`] is poisoned (advertised at infinity) and deleted
+//!   after [`GC_TIMEOUT`] more.
 //!
 //! The engine is sans-IO: it receives parsed [`DvUpdate`]s and periodic
 //! ticks, and returns [`Output`]s. DVMRP ("an extension to a RIP-like
@@ -22,16 +22,23 @@ use std::collections::HashMap;
 use wire::unicast::{DvRoute, DvUpdate, INFINITY_METRIC};
 use wire::{Addr, Message};
 
-/// Tunables for [`DvEngine`]. Defaults follow RIP's 30/180/120-second
-/// ratios, scaled to simulator ticks.
+/// Period between full-table advertisements. With [`ROUTE_TIMEOUT`] and
+/// [`GC_TIMEOUT`] it follows RIP's 30/180/120-second ratios, scaled to
+/// simulator ticks.
+pub const UPDATE_INTERVAL: Duration = Duration(30);
+
+/// A route unrefreshed for this long is poisoned.
+pub const ROUTE_TIMEOUT: Duration = Duration(180);
+
+/// A poisoned route is deleted this long after poisoning.
+pub const GC_TIMEOUT: Duration = Duration(120);
+
+const _: () = assert!(ROUTE_TIMEOUT.ticks() == 6 * UPDATE_INTERVAL.ticks());
+const _: () = assert!(GC_TIMEOUT.ticks() == 4 * UPDATE_INTERVAL.ticks());
+
+/// Tunables for [`DvEngine`].
 #[derive(Clone, Copy, Debug)]
 pub struct DvConfig {
-    /// Period between full-table advertisements.
-    pub update_interval: Duration,
-    /// A route unrefreshed for this long is poisoned.
-    pub route_timeout: Duration,
-    /// A poisoned route is deleted this long after poisoning.
-    pub gc_timeout: Duration,
     /// Metrics at or above this are unreachable.
     pub infinity: u32,
 }
@@ -39,9 +46,6 @@ pub struct DvConfig {
 impl Default for DvConfig {
     fn default() -> Self {
         DvConfig {
-            update_interval: Duration(30),
-            route_timeout: Duration(180),
-            gc_timeout: Duration(120),
             infinity: 64 * 1024, // generous for delay-valued metrics
         }
     }
@@ -183,8 +187,7 @@ impl DvEngine {
                     st.refreshed_at = now;
                     if new_metric != st.metric {
                         st.metric = new_metric;
-                        st.gc_at =
-                            (new_metric >= self.cfg.infinity).then(|| now + self.cfg.gc_timeout);
+                        st.gc_at = (new_metric >= self.cfg.infinity).then(|| now + GC_TIMEOUT);
                     } else if new_metric < self.cfg.infinity {
                         st.gc_at = None;
                     }
@@ -245,7 +248,7 @@ impl Rib for DvEngine {
 
 impl Engine for DvEngine {
     fn on_start(&mut self, now: SimTime) -> Vec<Output> {
-        self.next_update = now + self.cfg.update_interval;
+        self.next_update = now + UPDATE_INTERVAL;
         self.broadcast_updates()
     }
 
@@ -267,10 +270,9 @@ impl Engine for DvEngine {
         // Expire and garbage-collect.
         let mut to_delete = Vec::new();
         for (&dst, st) in self.table.iter_mut() {
-            if st.metric < self.cfg.infinity && now.since(st.refreshed_at) >= self.cfg.route_timeout
-            {
+            if st.metric < self.cfg.infinity && now.since(st.refreshed_at) >= ROUTE_TIMEOUT {
                 st.metric = self.cfg.infinity;
-                st.gc_at = Some(now + self.cfg.gc_timeout);
+                st.gc_at = Some(now + GC_TIMEOUT);
                 changed.push(dst);
             }
             if let Some(gc) = st.gc_at {
@@ -292,21 +294,17 @@ impl Engine for DvEngine {
         if now >= self.next_update || !changed.is_empty() {
             out.extend(self.broadcast_updates());
             if now >= self.next_update {
-                self.next_update = now + self.cfg.update_interval;
+                self.next_update = now + UPDATE_INTERVAL;
             }
         }
         out
-    }
-
-    fn tick_interval(&self) -> Duration {
-        self.cfg.update_interval
     }
 
     fn next_deadline(&self) -> Option<SimTime> {
         let mut best = Some(self.next_update);
         for st in self.table.values() {
             if st.metric < self.cfg.infinity {
-                best = netsim::earliest(best, Some(st.refreshed_at + self.cfg.route_timeout));
+                best = netsim::earliest(best, Some(st.refreshed_at + ROUTE_TIMEOUT));
             }
             best = netsim::earliest(best, st.gc_at);
         }
@@ -468,7 +466,7 @@ mod tests {
         let out = e.tick(SimTime(100));
         assert!(!out.iter().any(|o| matches!(o, Output::RouteChanged { .. })));
         assert!(e.route(addr(9)).is_some());
-        // Past route_timeout: poisoned.
+        // Past ROUTE_TIMEOUT: poisoned.
         let out = e.tick(SimTime(181));
         assert!(out.contains(&Output::RouteChanged { dst: addr(9) }));
         assert!(e.route(addr(9)).is_none());
@@ -544,14 +542,7 @@ mod tests {
         // Two engines pointing at each other for a dead destination
         // converge to unreachable rather than counting forever, because
         // metrics saturate at cfg.infinity.
-        let mut e = DvEngine::from_parts(
-            addr(0),
-            vec![1, 4],
-            DvConfig {
-                infinity: 64,
-                ..cfg()
-            },
-        );
+        let mut e = DvEngine::from_parts(addr(0), vec![1, 4], DvConfig { infinity: 64 });
         let mut m = 2u32;
         for step in 0..10_000 {
             e.on_message(

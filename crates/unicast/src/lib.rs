@@ -31,7 +31,7 @@ pub mod oracle;
 
 pub use oracle::OracleRib;
 
-use netsim::{Duration, IfaceId, SimTime};
+use netsim::{IfaceId, SimTime};
 use wire::{Addr, Message};
 
 /// A resolved route to a destination.
@@ -101,12 +101,10 @@ pub trait Engine: Rib + Send {
     fn on_message(&mut self, now: SimTime, iface: IfaceId, src: Addr, msg: &Message)
         -> Vec<Output>;
 
-    /// Periodic maintenance; the adapter calls this every
-    /// [`Engine::tick_interval`].
+    /// Timer maintenance. The adapter calls this on each of its wakeups,
+    /// which it schedules from [`Engine::next_deadline`], so a call may
+    /// come before anything is due.
     fn tick(&mut self, now: SimTime) -> Vec<Output>;
-
-    /// How often [`Engine::tick`] wants to run.
-    fn tick_interval(&self) -> Duration;
 
     /// The absolute time of this engine's next pending timer event, if any.
     /// `None` means the engine is quiescent: no `tick` call is needed until

@@ -22,29 +22,17 @@ use std::collections::{BinaryHeap, HashMap};
 use wire::unicast::{Hello, Lsa, LsaLink};
 use wire::{Addr, Message};
 
-/// Tunables for [`LsEngine`].
-#[derive(Clone, Copy, Debug)]
-pub struct LsConfig {
-    /// Period between hellos on each interface.
-    pub hello_interval: Duration,
-    /// A neighbor silent for this long is declared down.
-    pub neighbor_holdtime: Duration,
-    /// Period between LSA re-originations.
-    pub lsa_refresh: Duration,
-    /// An LSA unrefreshed for this long is flushed from the database.
-    pub lsa_max_age: Duration,
-}
+/// Period between hellos on each interface.
+pub const HELLO_INTERVAL: Duration = Duration(10);
 
-impl Default for LsConfig {
-    fn default() -> Self {
-        LsConfig {
-            hello_interval: Duration(10),
-            neighbor_holdtime: Duration(35),
-            lsa_refresh: Duration(100),
-            lsa_max_age: Duration(350),
-        }
-    }
-}
+/// A neighbor silent for this long is declared down.
+pub const NEIGHBOR_HOLDTIME: Duration = Duration(35);
+
+/// Period between LSA re-originations.
+pub const LSA_REFRESH: Duration = Duration(100);
+
+/// An LSA unrefreshed for this long is flushed from the database.
+pub const LSA_MAX_AGE: Duration = Duration(350);
 
 #[derive(Clone, Copy, Debug)]
 struct Neighbor {
@@ -61,7 +49,6 @@ struct LsaRecord {
 
 /// The link-state engine for one router.
 pub struct LsEngine {
-    cfg: LsConfig,
     local: Addr,
     /// Cost per interface, indexed by `IfaceId`.
     iface_cost: Vec<u32>,
@@ -79,19 +66,17 @@ pub struct LsEngine {
 
 impl LsEngine {
     /// Create an engine for the router described by `plan`.
-    pub fn new(plan: &NodePlan, cfg: LsConfig) -> LsEngine {
+    pub fn new(plan: &NodePlan) -> LsEngine {
         LsEngine::from_parts(
             plan.addr,
             plan.ifaces.iter().map(|p| p.metric.max(1)).collect(),
-            cfg,
         )
     }
 
     /// Create an engine from raw parts (unit-test helper).
-    pub fn from_parts(local: Addr, iface_cost: Vec<u32>, cfg: LsConfig) -> LsEngine {
+    pub fn from_parts(local: Addr, iface_cost: Vec<u32>) -> LsEngine {
         let n = iface_cost.len();
         LsEngine {
-            cfg,
             local,
             iface_cost,
             neighbors: vec![None; n],
@@ -150,7 +135,7 @@ impl LsEngine {
             LsaRecord {
                 seq: self.my_seq,
                 links: lsa.links.clone(),
-                expires_at: now + self.cfg.lsa_max_age,
+                expires_at: now + LSA_MAX_AGE,
             },
         );
         self.flood(&lsa, None)
@@ -175,7 +160,7 @@ impl LsEngine {
                 iface: IfaceId(i as u32),
                 dst: Addr::ALL_ROUTERS,
                 msg: Message::Hello(Hello {
-                    holdtime: self.cfg.neighbor_holdtime.ticks().min(u16::MAX as u64) as u16,
+                    holdtime: NEIGHBOR_HOLDTIME.ticks().min(u16::MAX as u64) as u16,
                 }),
             })
             .collect()
@@ -221,8 +206,9 @@ impl LsEngine {
                     None => true,
                     Some(&old) if nd < old => true,
                     Some(&old) if nd == old => {
-                        // Deterministic tie-break on first-hop address so
-                        // all routers agree with the oracle's convention.
+                        // Deterministic tie-break on the smaller first-hop
+                        // address. The oracle breaks ties at the last hop,
+                        // so the two agree only on tie-free graphs.
                         let new_fh = if u == self.local { v } else { first_hop[&u] };
                         first_hop.get(&v).is_some_and(|&old_fh| new_fh < old_fh)
                     }
@@ -325,7 +311,7 @@ impl LsEngine {
             LsaRecord {
                 seq: lsa.seq,
                 links: lsa.links.clone(),
-                expires_at: now + self.cfg.lsa_max_age,
+                expires_at: now + LSA_MAX_AGE,
             },
         );
         let mut out = self.flood(lsa, Some(iface));
@@ -346,8 +332,8 @@ impl Rib for LsEngine {
 
 impl Engine for LsEngine {
     fn on_start(&mut self, now: SimTime) -> Vec<Output> {
-        self.next_hello = now + self.cfg.hello_interval;
-        self.next_refresh = now + self.cfg.lsa_refresh;
+        self.next_hello = now + HELLO_INTERVAL;
+        self.next_refresh = now + LSA_REFRESH;
         let mut out = self.hellos();
         out.extend(self.originate(now));
         out
@@ -394,17 +380,13 @@ impl Engine for LsEngine {
         }
         if now >= self.next_hello {
             out.extend(self.hellos());
-            self.next_hello = now + self.cfg.hello_interval;
+            self.next_hello = now + HELLO_INTERVAL;
         }
         if now >= self.next_refresh {
             out.extend(self.originate(now));
-            self.next_refresh = now + self.cfg.lsa_refresh;
+            self.next_refresh = now + LSA_REFRESH;
         }
         out
-    }
-
-    fn tick_interval(&self) -> Duration {
-        self.cfg.hello_interval
     }
 
     fn next_deadline(&self) -> Option<SimTime> {
@@ -456,15 +438,11 @@ mod tests {
         Addr::new(10, 0, n, 1)
     }
 
-    fn cfg() -> LsConfig {
-        LsConfig::default()
-    }
-
     /// Drive two engines' mutual discovery by hand: a <-> b over one link,
     /// a iface 0 <-> b iface 0, cost 1 each way.
     fn converge_pair() -> (LsEngine, LsEngine) {
-        let mut a = LsEngine::from_parts(addr(1), vec![1], cfg());
-        let mut b = LsEngine::from_parts(addr(2), vec![1], cfg());
+        let mut a = LsEngine::from_parts(addr(1), vec![1]);
+        let mut b = LsEngine::from_parts(addr(2), vec![1]);
         let t = SimTime(0);
         a.on_start(t);
         b.on_start(t);
@@ -502,7 +480,7 @@ mod tests {
 
     #[test]
     fn stub_hosts_are_advertised_and_routed() {
-        let mut a = LsEngine::from_parts(addr(1), vec![1], cfg());
+        let mut a = LsEngine::from_parts(addr(1), vec![1]);
         a.add_stub_host(Addr::new(10, 0, 1, 10), 1);
         assert!(a
             .my_links()
@@ -512,7 +490,7 @@ mod tests {
         // b learns a's stub through a's LSA.
         let (a2, b) = {
             let mut a2 = a;
-            let mut b = LsEngine::from_parts(addr(2), vec![1], cfg());
+            let mut b = LsEngine::from_parts(addr(2), vec![1]);
             let t = SimTime(0);
             a2.on_start(t);
             b.on_start(t);
@@ -582,7 +560,7 @@ mod tests {
 
     #[test]
     fn periodic_hellos_and_refresh() {
-        let mut a = LsEngine::from_parts(addr(1), vec![1, 1], cfg());
+        let mut a = LsEngine::from_parts(addr(1), vec![1, 1]);
         a.on_start(SimTime(0));
         let out = a.tick(SimTime(10));
         let hellos = out
@@ -611,7 +589,7 @@ mod tests {
     #[test]
     fn bidirectionality_check_blocks_one_way_links() {
         // c claims a link to d, but d's LSA doesn't reciprocate: no route.
-        let mut a = LsEngine::from_parts(addr(1), vec![1], cfg());
+        let mut a = LsEngine::from_parts(addr(1), vec![1]);
         a.on_start(SimTime(0));
         a.on_message(
             SimTime(0),

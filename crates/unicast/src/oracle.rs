@@ -12,7 +12,7 @@ use crate::{Engine, Output, Rib, RouteEntry};
 use graph::algo::{Separators, Side, SpKernel};
 use graph::{Graph, NodeId};
 use netsim::build::{NodePlan, Topology};
-use netsim::{host_addr, node_of_addr, router_addr, Duration, IfaceId, SimTime};
+use netsim::{host_addr, node_of_addr, router_addr, IfaceId, SimTime};
 use std::collections::HashMap;
 use std::sync::Arc;
 use wire::{Addr, Message};
@@ -414,11 +414,6 @@ impl Engine for OracleRib {
 
     fn tick(&mut self, _now: SimTime) -> Vec<Output> {
         Vec::new()
-    }
-
-    fn tick_interval(&self) -> Duration {
-        // Effectively never; the adapter skips scheduling at u64::MAX.
-        Duration(u64::MAX)
     }
 
     fn next_deadline(&self) -> Option<SimTime> {

@@ -5,7 +5,7 @@
 
 use netsim::{IfaceId, SimTime};
 use proptest::prelude::*;
-use unicast::dv::{DvConfig, DvEngine};
+use unicast::dv::{DvConfig, DvEngine, GC_TIMEOUT, ROUTE_TIMEOUT};
 use unicast::{Engine, Rib};
 use wire::unicast::{DvRoute, DvUpdate, INFINITY_METRIC};
 use wire::{Addr, Message};
@@ -37,7 +37,7 @@ proptest! {
             1..50
         )
     ) {
-        let cfg = DvConfig { infinity: 64, ..DvConfig::default() };
+        let cfg = DvConfig { infinity: 64 };
         let mut e = DvEngine::from_parts(me(), vec![1, 3, 7], cfg);
         e.add_local_dest(dest(5)); // one destination is ours
         let mut now = 0u64;
@@ -85,9 +85,9 @@ proptest! {
         // Total silence: every learned route must eventually vanish.
         // First tick poisons (metric → ∞, arming the GC timer); a second
         // tick after the GC timeout removes the carcass.
-        let horizon = now + 10 * cfg.route_timeout.ticks();
+        let horizon = now + 10 * ROUTE_TIMEOUT.ticks();
         e.tick(SimTime(horizon));
-        e.tick(SimTime(horizon + cfg.gc_timeout.ticks() + 1));
+        e.tick(SimTime(horizon + GC_TIMEOUT.ticks() + 1));
         prop_assert_eq!(e.table_size(), 0, "routes must drain without refreshes");
     }
 }

@@ -5,43 +5,54 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "== cargo fmt --check"
+# section TITLE: print the wall time of the section before it, then open
+# TITLE; with no TITLE, close the last section and print the total.
+# (sh has no locals and `gate` below sets `t`, hence the `run_` prefix.)
+run_start=$(date +%s) run_section_start=
+section() {
+    run_now=$(date +%s)
+    [ -z "$run_section_start" ] || echo "-- $((run_now - run_section_start)) s"
+    run_section_start=$run_now
+    if [ $# -gt 0 ]; then echo "== $1"; else echo "-- total $((run_now - run_start)) s"; fi
+}
+
+section "cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo build --release"
+section "cargo build --release"
 cargo build --release --offline
 
-echo "== cargo clippy -D warnings"
+section "cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "== the emission path takes no lock (a dispatch owns its region's telemetry buffer)"
+section "the emission path takes no lock (a dispatch owns its region's telemetry buffer)"
 ! grep -nE 'Mutex|telemetry::lock' crates/netsim/src/ctx.rs crates/netsim/src/region.rs || exit 1
 
-echo "== cargo test -q"
+section "cargo test -q"
 cargo test -q --offline
 
-echo "== indexed deadlines vs the full scan, release profile (next_deadline's own check is compiled out there)"
+section "indexed deadlines vs the full scan, release profile (next_deadline's own check is compiled out there)"
 cargo test -q --offline --release -p pim -p cbt -p dvmrp -p igmp --lib indexed_deadline
 
-echo "== allocation budgets, release profile (exact counts: 0 per Query delivery, constant per Query tick; warm sinks 0 per event, the causal index only to grow; a 2000-router internet's oracle tables keep <= 2 MiB)"
+section "allocation budgets, release profile (exact counts: 0 per Query delivery, constant per Query tick; warm sinks 0 per event, the causal index only to grow; a 2000-router internet's oracle tables keep <= 2 MiB)"
 cargo test -q --offline --release -p node --test alloc_budget
 cargo test -q --offline --release -p telemetry --test alloc_budget
 cargo test -q --offline --release -p unicast --test alloc_budget
 
-echo "== shortest-path kernel, oracle tables (and every table of a 2000-router internet against the streamed build), the Fig. 2 tree walk, trace-line text, the causal index's finger and flight tails, JSONL bytes and coverage vs their references, release profile (the hot loops are where debug and release differ)"
+section "shortest-path kernel, oracle tables (and every table of a 2000-router internet against the streamed build), the Fig. 2 tree walk, trace-line text, the causal index's finger and flight tails, JSONL bytes and coverage vs their references, release profile (the hot loops are where debug and release differ)"
 cargo test -q --offline --release -p graph --test proptest_algo
 cargo test -q --offline --release -p unicast --test proptest_oracle --test oracle_scale
 cargo test -q --offline --release -p mctree
 cargo test -q --offline --release -p scenario --test trace_render_pins --test flight_tail
 cargo test -q --offline --release -p telemetry --test causal_finger --test sink_equivalence
 
-echo "== cargo doc --no-deps (warnings denied)"
+section "cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --quiet
 
-echo "== cargo check benchmark/ (the frozen consumer of the public API)"
+section "cargo check benchmark/ (the frozen consumer of the public API)"
 (cd benchmark && cargo check --offline --all-targets)
 
-echo "== benchmark sim_stats vs benchmark/baseline.json (same work, whatever the speed)"
+section "benchmark sim_stats vs benchmark/baseline.json (same work, whatever the speed)"
 ./scripts/sim_stats.sh
 
 # gate NAME PATTERN CMD...: the parallel-core contract, checked end to
@@ -69,7 +80,7 @@ gate() {
     ! grep -q FAIL "target/check/$name-1t.txt" || { echo "$name: oracle violations"; exit 1; }
 }
 
-echo "== determinism: --threads 1 vs --threads 2 vs --threads 4"
+section "determinism: --threads 1 vs --threads 2 vs --threads 4"
 mkdir -p target/check
 gate fig2a '' ./target/release/fig2a --trials 4
 gate fig2b '' ./target/release/fig2b --smoke
@@ -110,13 +121,14 @@ done
 gate explore '' ./target/release/explore 6 0 --corpus corpus
 echo "determinism + smokes: OK"
 
-echo "== fuzz smoke"
+section "fuzz smoke"
 ./scripts/fuzz.sh smoke
 
-echo "== search smoke"
+section "search smoke"
 # Coverage-guided search gate: replay the committed regression corpus
 # byte-identically, self-test the shrinker (determinism + 1-minimality)
 # on a known violating fixture, and run a bounded guided search.
 ./scripts/search.sh smoke
 
+section
 echo "tier-1: OK"

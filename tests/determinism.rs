@@ -9,7 +9,7 @@
 //! means hidden nondeterminism (hash-map iteration, RNG misuse, or a
 //! broken tie-break).
 
-use cbt::{CbtConfig, CbtEngine, CbtRouter};
+use cbt::{CbtEngine, CbtRouter};
 use graph::{Graph, NodeId};
 use igmp::HostNode;
 use integration_tests::diamond;
@@ -222,7 +222,7 @@ fn run_cbt_member_lans(seed: u64) -> String {
     let group = Group::test(1);
     let me = router_addr(NodeId(0));
     let mut world = World::new(seed);
-    let mut engine = CbtEngine::new(me, CbtConfig::default());
+    let mut engine = CbtEngine::new(me);
     engine.set_core(group, me);
     let r = world.add_node(Box::new(CbtRouter::new(
         engine,

@@ -84,7 +84,7 @@ fn link_failure_reroutes_tree() {
 
     let got = net.seqs(0, s_addr);
     // Pre-failure packets all arrive; post-reconvergence packets arrive;
-    // only the DV detection window (route_timeout = 180) may lose some.
+    // only the DV detection window (dv::ROUTE_TIMEOUT = 180) may lose some.
     let first_window: Vec<u64> = got.iter().copied().filter(|&s| s < 12).collect();
     assert_eq!(
         first_window,

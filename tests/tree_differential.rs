@@ -12,7 +12,7 @@
 //! holds at every sample is a test; the two comparisons that do *not* hold
 //! are kept exactly as strict and marked `#[ignore]` with what they found
 //! (`cargo test -p integration-tests --test tree_differential -- --ignored`
-//! shows them failing; ROADMAP item 1(a) has the diagnosis). DVMRP and the
+//! shows them failing; ROADMAP items 1(i) and 1(ii) have the diagnosis). DVMRP and the
 //! distance-vector and link-state substrates are not covered yet.
 
 use cbt::CbtRouter;
@@ -223,17 +223,17 @@ fn pim_source_tree_is_the_source_rooted_tree_over_the_members() {
     }
 }
 
-/// The comparison as ROADMAP 1(a) words it, with the RP a receiver of
+/// The comparison as ROADMAP 1(i) words it, with the RP a receiver of
 /// every source that registers with it: fails. On the 18 placements of
 /// 24 where the RP is not already a transit router of the members' tree,
 /// its branch flaps with a period of 240 ticks for as long as the source
 /// sends — whole for about 200, gone or cut short for 10 to 50: every
 /// member's router prunes the source off the shared tree, the RP's (S,G)
 /// oif list goes null and it leaves the source's tree, and a later
-/// periodic Register (`register_probe_interval`) has it create the entry
+/// periodic Register (`pim::REGISTER_PROBE_INTERVAL`) has it create the entry
 /// and join again.
 #[test]
-#[ignore = "fails: the RP's branch of a source's tree flaps while the source sends (ROADMAP 1(a))"]
+#[ignore = "fails: the RP's branch of a source's tree flaps while the source sends (ROADMAP 1(i))"]
 fn pim_rp_stays_on_the_source_tree_while_the_source_sends() {
     for p in placements() {
         let (_, with_rp) = p.source_trees();
@@ -300,18 +300,18 @@ fn cbt_parent_pointers_are_links_of_the_core_rooted_tree() {
     }
 }
 
-/// The comparison as ROADMAP 1(a) words it — once built, the tree *is*
+/// The comparison as ROADMAP 1(ii) words it — once built, the tree *is*
 /// the core-rooted tree: fails on 2 placements of 24 (seed 2 turn 1,
 /// seed 13 turn 8), whose branches are torn down and re-joined for as
 /// long as the run lasts; the other 22 do the same for up to 1500 ticks
 /// and then hold. The prime delays of a tie-free graph are long next to
-/// CBT's fixed timers: a child's first Echo leaves up to `echo_interval`
-/// after the Join-Ack and takes a round trip to be answered, so over a
-/// link of more than 35 ticks (2·35 + 30 = `echo_timeout`) parent and
-/// child give each other up unless the engine-wide echo tick happens to
-/// fall early enough.
+/// CBT's fixed timers: a child's first Echo leaves up to
+/// `cbt::ECHO_INTERVAL` after the Join-Ack and takes a round trip to be
+/// answered, so over a link of more than 35 ticks (2·35 + 30 =
+/// `cbt::ECHO_TIMEOUT`) parent and child give each other up unless the
+/// engine-wide echo tick happens to fall early enough.
 #[test]
-#[ignore = "fails: CBT branches over long links never settle on 2 of 24 placements (ROADMAP 1(a))"]
+#[ignore = "fails: CBT branches over long links never settle on 2 of 24 placements (ROADMAP 1(ii))"]
 fn cbt_tree_is_the_core_rooted_tree() {
     for p in placements() {
         let want = p.shared_tree();

@@ -98,7 +98,7 @@ fn distance_vector_reconverges_after_failure() {
     }
     net.world
         .at(SimTime(800), |w| w.set_link_up(netsim::LinkId(0), false));
-    // DV detection needs route_timeout (180) + propagation + update cycles.
+    // DV detection needs dv::ROUTE_TIMEOUT (180) + propagation + update cycles.
     net.world.run_until(SimTime(2200));
     let r0: &PimRouter = net.world.node(NodeIdx(0));
     let r = r0
