@@ -143,12 +143,12 @@ fn main() {
         );
     }
     println!();
-    println!("# Reading the numbers: delivered%% tracks raw per-packet link survival —");
+    println!("# Reading the numbers: delivered% tracks raw per-packet link survival —");
     println!("# a data packet crossing ~5 lossy links survives (1-loss)^5 of the time —");
     println!("# for BOTH protocols, i.e. the *control* plane repaired itself perfectly under");
     println!("# loss in both designs; they differ in cost: PIM's periodic refresh is ~5x");
     println!("# CBT's ack/echo traffic and flat in loss (footnote 4's trade, quantified).");
     println!("# Ablation 2: at this trial count delivery is flat in the refresh period");
     println!("# (loss dominates); the robust signal is cost — control traffic rises");
-    println!("# steadily as the refresh shortens (~15%% more at 20t than at 240t).");
+    println!("# steadily as the refresh shortens (~15% more at 20t than at 240t).");
 }

@@ -580,40 +580,29 @@ impl World {
         });
     }
 
-    /// Immutable access to a node as the trait object it was added as, for
-    /// callers that reach it through a trait several node types implement
-    /// and so cannot name one concrete type.
-    pub fn node_dyn(&self, idx: NodeIdx) -> &dyn Node {
-        self.regions[self.shared.region_of[idx.0] as usize].nodes
-            [self.shared.slot_of[idx.0] as usize]
-            .as_deref()
-            .expect("node is not mid-callback")
-    }
-
-    /// Mutable [`World::node_dyn`]. Unlike [`World::call_node`] this is
-    /// not a dispatch: no context, no provenance edge.
-    pub fn node_dyn_mut(&mut self, idx: NodeIdx) -> &mut dyn Node {
-        self.regions[self.shared.region_of[idx.0] as usize].nodes
-            [self.shared.slot_of[idx.0] as usize]
-            .as_deref_mut()
-            .expect("node is not mid-callback")
-    }
-
     /// Immutable access to a node, downcast to its concrete type.
     ///
     /// # Panics
     /// Panics if the node is of a different type (a test bug, not a runtime
     /// condition).
     pub fn node<T: 'static>(&self, idx: NodeIdx) -> &T {
-        self.node_dyn(idx)
+        self.regions[self.shared.region_of[idx.0] as usize].nodes
+            [self.shared.slot_of[idx.0] as usize]
+            .as_deref()
+            .expect("node is not mid-callback")
             .as_any()
             .downcast_ref()
             .expect("node type mismatch")
     }
 
-    /// Mutable access to a node, downcast to its concrete type.
+    /// Mutable access to a node, downcast to its concrete type. Unlike
+    /// [`World::call_node`] this is not a dispatch: no context, no
+    /// provenance edge.
     pub fn node_mut<T: 'static>(&mut self, idx: NodeIdx) -> &mut T {
-        self.node_dyn_mut(idx)
+        self.regions[self.shared.region_of[idx.0] as usize].nodes
+            [self.shared.slot_of[idx.0] as usize]
+            .as_deref_mut()
+            .expect("node is not mid-callback")
             .as_any_mut()
             .downcast_mut()
             .expect("node type mismatch")

@@ -130,5 +130,8 @@ section "search smoke"
 # on a known violating fixture, and run a bounded guided search.
 ./scripts/search.sh smoke
 
+section "non-test code lines per crate (report only)"
+./scripts/loc.sh
+
 section
 echo "tier-1: OK"
