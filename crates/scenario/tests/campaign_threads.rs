@@ -8,18 +8,39 @@
 //! telemetry fingerprints of every case, so a single reordered event
 //! anywhere in any run fails the gate with the offending (seed,
 //! protocol) pair named.
+//!
+//! The 1-thread runs are also held to a committed table,
+//! `tests/campaign_fingerprints.txt`: one line per case with its trace
+//! fingerprint, telemetry fingerprint and violation count. Flaps,
+//! crashes, loss and churn all reach the three engines here, so an
+//! engine refactor that moves one packet or one event fails by case.
+//! On a mismatch the run's own table is written beside the test binary's
+//! scratch files (the path is in the failure message).
 
 use scenario::{random_schedule, run_case_threads, topologies, Protocol};
+use std::fmt::Write as _;
+
+const TABLE: &str = "tests/campaign_fingerprints.txt";
 
 #[test]
 fn twenty_seed_campaign_is_thread_count_invariant() {
     let zoo = topologies();
     let mut cases = 0usize;
+    let mut table = String::from("# seed protocol topology trace telemetry violations\n");
     for seed in 0..20u64 {
         let topo = &zoo[(seed % zoo.len() as u64) as usize];
         let schedule = random_schedule(topo, seed, seed % 3 == 2);
         for protocol in Protocol::ALL {
             let base = run_case_threads(topo, protocol, &schedule, seed, 1);
+            let _ = writeln!(
+                table,
+                "{seed} {} {} {:016x} {:016x} {}",
+                protocol.name(),
+                topo.name,
+                base.fingerprint,
+                base.telemetry_fingerprint,
+                base.violations.len()
+            );
             for threads in [2usize, 4] {
                 let par = run_case_threads(topo, protocol, &schedule, seed, threads);
                 assert_eq!(
@@ -47,4 +68,19 @@ fn twenty_seed_campaign_is_thread_count_invariant() {
         }
     }
     assert_eq!(cases, 20 * 3);
+    let path = format!("{}/{TABLE}", env!("CARGO_MANIFEST_DIR"));
+    let pinned = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    if table != pinned {
+        let got = format!("{}/campaign_fingerprints.txt", env!("CARGO_TARGET_TMPDIR"));
+        std::fs::write(&got, &table).unwrap_or_else(|e| panic!("{got}: {e}"));
+        let line = table
+            .lines()
+            .zip(pinned.lines())
+            .find(|(a, b)| a != b)
+            .map_or_else(
+                || "(line count)".to_string(),
+                |(a, b)| format!("{a} != {b}"),
+            );
+        panic!("{TABLE} differs from this run ({got}): first difference {line}");
+    }
 }
