@@ -36,13 +36,13 @@ impl ProtocolEngine for CbtEngine {
             Message::CbtJoinAck(ja) => self.on_join_ack(now, iface, src, ja),
             Message::CbtEcho(e) => self.on_echo(now, iface, src, e),
             Message::CbtEchoReply(er) => self.on_echo_reply(now, iface, src, er, rib),
-            Message::CbtQuit(q) => self.on_quit(now, iface, src, q),
+            Message::CbtQuit(q) => self.on_quit(iface, src, q),
             Message::CbtFlushTree(f) => self.on_flush(now, iface, f, rib),
             Message::PimRegister(reg) => {
                 // Senders unicast-encapsulate toward the core; decapsulate
                 // when it is ours, relay when in transit.
                 if dst == CbtEngine::addr(self) {
-                    self.on_encapsulated(now, reg)
+                    self.on_encapsulated(reg)
                 } else {
                     vec![Action::RelayUnicast]
                 }
@@ -53,7 +53,7 @@ impl ProtocolEngine for CbtEngine {
 
     fn on_multicast_data(
         &mut self,
-        now: SimTime,
+        _now: SimTime,
         iface: IfaceId,
         source: Addr,
         group: Group,
@@ -62,9 +62,9 @@ impl ProtocolEngine for CbtEngine {
         rib: &dyn Rib,
     ) -> Vec<Action> {
         if from_host_lan {
-            self.on_local_data(now, iface, source, group, payload, rib)
+            self.on_local_data(iface, source, group, payload, rib)
         } else {
-            self.on_data(now, iface, source, group)
+            self.on_data(iface, source, group)
         }
     }
 
@@ -78,8 +78,8 @@ impl ProtocolEngine for CbtEngine {
         CbtEngine::local_member_joined(self, now, group, iface, rib)
     }
 
-    fn local_member_left(&mut self, now: SimTime, group: Group, iface: IfaceId) -> Vec<Action> {
-        CbtEngine::local_member_left(self, now, group, iface)
+    fn local_member_left(&mut self, _now: SimTime, group: Group, iface: IfaceId) -> Vec<Action> {
+        CbtEngine::local_member_left(self, group, iface)
     }
 
     fn host_lan_attached(&mut self, _iface: IfaceId) -> u32 {
@@ -88,8 +88,9 @@ impl ProtocolEngine for CbtEngine {
         1
     }
 
-    fn register_local_host(&mut self, host: Addr, iface: IfaceId) {
-        CbtEngine::register_local_host(self, host, iface);
+    fn register_local_host(&mut self, _host: Addr, _iface: IfaceId) {
+        // A local sender's data is told by its host-LAN arrival
+        // (`on_local_data`), not by its address.
     }
 
     // CBT re-derives paths on join retransmission; the default no-op

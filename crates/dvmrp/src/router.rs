@@ -39,7 +39,7 @@ impl ProtocolEngine for DvmrpEngine {
             Message::DvmrpPrune(p) => self.on_prune(now, iface, p),
             Message::DvmrpGraft(gr) => self.on_graft(now, iface, gr, rib),
             Message::DvmrpGraftAck(a) => {
-                self.on_graft_ack(now, a);
+                self.on_graft_ack(a);
                 Vec::new()
             }
             _ => Vec::new(),
@@ -75,8 +75,8 @@ impl ProtocolEngine for DvmrpEngine {
         DvmrpEngine::local_member_joined(self, now, group, iface, rib)
     }
 
-    fn local_member_left(&mut self, now: SimTime, group: Group, iface: IfaceId) -> Vec<Action> {
-        DvmrpEngine::local_member_left(self, now, group, iface);
+    fn local_member_left(&mut self, _now: SimTime, group: Group, iface: IfaceId) -> Vec<Action> {
+        DvmrpEngine::local_member_left(self, group, iface);
         Vec::new()
     }
 
