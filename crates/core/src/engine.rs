@@ -1249,35 +1249,18 @@ impl Engine {
             }
         }
 
-        // §3.8 repair: an entry can be left with no upstream when its
-        // unicast route vanished, and the RouteChanged notification for
-        // the route's return skips entries whose oif list was empty at
-        // that instant (nothing to join *for*). If downstream interest
-        // arrived later, the entry is live again but pointing nowhere —
-        // re-resolve it against the RIB and send the triggered join.
-        fn orphan_scan(gs: &GroupState) -> impl Iterator<Item = Addr> + '_ {
-            let star = gs
-                .star
-                .as_ref()
-                .filter(|s| s.iif.is_none() && !s.oifs_empty())
-                .map(|s| s.key);
-            let sources = gs
-                .sources
-                .iter()
-                .filter(|(_, e)| {
-                    !e.is_negative() && !e.local_source && e.iif.is_none() && !e.oifs_empty()
-                })
-                .map(|(&a, _)| a);
-            star.into_iter().chain(sources)
-        }
-        // Orphans are rare (a route flap racing downstream interest): probe
-        // without allocating before building the repair set.
+        // §3.8 repair: re-resolve every orphan against the RIB and send
+        // the triggered join. Orphans are rare (a route flap racing
+        // downstream interest): probe without allocating before building
+        // the repair set.
+        let me = self.my_addr;
         if self
             .groups
             .values()
-            .any(|gs| orphan_scan(gs).next().is_some())
+            .any(|gs| gs.orphans(me).next().is_some())
         {
-            let orphaned: BTreeSet<Addr> = self.groups.values().flat_map(orphan_scan).collect();
+            let orphaned: BTreeSet<Addr> =
+                self.groups.values().flat_map(|gs| gs.orphans(me)).collect();
             for dst in orphaned {
                 out.extend(self.on_route_change(now, dst, rib));
             }
