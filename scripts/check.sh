@@ -87,11 +87,12 @@ gate fig2b '' ./target/release/fig2b --smoke
 # Figure stdout, byte for byte against crates/bench/pins/ (a pin is named
 # after its command): Fig. 2's rows as recorded before the tree walk, and
 # every protocol configuration and the capped-link path of `run_protocol_sim_opts`.
-# The explorer's chaos summary and the random-vs-guided search table are
+# The explorer's chaos summary, the random-vs-guided search table and the
+# fuzz smoke's reject taxonomy and per-protocol absorption lines are
 # pinned the same way.
 for cmd in 'fig2a --quick' 'fig2b --quick' fig1 'overhead --trials 2 --congestion' \
     'spt_switch --seed 7' 'ablation --trials 2' \
-    'explore 6 0 --corpus corpus' 'search compare --budget 12'; do
+    'explore 6 0 --corpus corpus' 'search compare --budget 12' 'fuzz smoke'; do
     pin=crates/bench/pins/$(echo "$cmd" | sed 's/ -*/_/g').txt
     ./target/release/$cmd | cmp - "$pin" || { echo "$cmd differs from $pin"; exit 1; }
 done
