@@ -38,8 +38,9 @@ pub struct TreeState {
     parent: Option<(IfaceId, Addr)>,
     /// Confirmed children: (interface, child address) → echo expiry.
     children: BTreeMap<(IfaceId, Addr), SimTime>,
-    /// Our own outstanding join: (iface, next hop, next retransmit).
-    pending_join: Option<(IfaceId, Addr, SimTime)>,
+    /// Our own outstanding join: (iface, next hop, next retransmit). A
+    /// join that has never had a route to the core has no iface yet.
+    pending_join: Option<(Option<IfaceId>, Addr, SimTime)>,
     /// Downstream joins waiting for our ack: (iface, requester).
     pending_downstream: Vec<(IfaceId, Addr)>,
     /// Host subnetworks with local members, ascending: data fans out to
@@ -80,7 +81,11 @@ impl TreeState {
     }
 
     /// Start, restart or clear our own outstanding join.
-    fn set_pending_join(&mut self, timers: &mut Deadlines, join: Option<(IfaceId, Addr, SimTime)>) {
+    fn set_pending_join(
+        &mut self,
+        timers: &mut Deadlines,
+        join: Option<(Option<IfaceId>, Addr, SimTime)>,
+    ) {
         timers.rearm(
             self.pending_join.map(|(_, _, retx)| retx),
             join.map(|(_, _, retx)| retx),
@@ -119,9 +124,10 @@ impl TreeState {
     }
 
     /// Send our Join-Request toward the core along the current route and
-    /// arm its retransmit. With no route nothing is sent: a first join
-    /// arms nothing, and a pending one keeps its interface and re-arms
-    /// with no next hop.
+    /// arm its retransmit. With no route nothing is sent, but the
+    /// retransmit is armed all the same, with no next hop (a pending join
+    /// keeps its interface), so the join goes out once the route is back.
+    /// The core never gets here: it is on the tree from the start.
     fn send_join(
         &mut self,
         timers: &mut Deadlines,
@@ -132,13 +138,11 @@ impl TreeState {
     ) -> Option<Action> {
         let retx = now + JOIN_RETRANSMIT;
         let Some(r) = rib.route(self.core) else {
-            let unrouted = self
-                .pending_join
-                .map(|(i, _, _)| (i, Addr::UNSPECIFIED, retx));
-            self.set_pending_join(timers, unrouted);
+            let iface = self.pending_join.and_then(|(i, _, _)| i);
+            self.set_pending_join(timers, Some((iface, Addr::UNSPECIFIED, retx)));
             return None;
         };
-        self.set_pending_join(timers, Some((r.iface, r.next_hop, retx)));
+        self.set_pending_join(timers, Some((Some(r.iface), r.next_hop, retx)));
         let jr = JoinRequest {
             group,
             core: self.core,
@@ -455,7 +459,7 @@ impl CbtEngine {
         };
         let matches = tree
             .pending_join
-            .is_some_and(|(i, nh, _)| i == iface && nh == src);
+            .is_some_and(|(i, nh, _)| i == Some(iface) && nh == src);
         if !matches {
             return Vec::new();
         }
@@ -771,12 +775,8 @@ impl StateDump for CbtEngine {
             }
             let _ = write!(s, " parent-alive=t{}", tree.parent_alive_at.ticks());
             if let Some((i, nh, retx)) = tree.pending_join {
-                let _ = write!(
-                    s,
-                    " join-pending={nh}@if{} retx=t{}",
-                    i.index(),
-                    retx.ticks()
-                );
+                let i = i.map_or("-".to_string(), |i| i.index().to_string());
+                let _ = write!(s, " join-pending={nh}@if{i} retx=t{}", retx.ticks());
             }
             let _ = writeln!(s);
             for (&(i, child), &exp) in &tree.children {
@@ -881,6 +881,30 @@ mod tests {
                 ..
             }
         )));
+    }
+
+    /// A first join made while the core is unreachable is retried: once
+    /// the route is there, the Join-Request goes out within one
+    /// retransmit interval. The core itself never arms a join.
+    #[test]
+    fn unrouted_first_join_is_retried_once_routed() {
+        let mut e = engine();
+        let out = e.local_member_joined(t(0), g(), IfaceId(2), &OracleRib::empty(me()));
+        assert!(out.is_empty() && e.join_pending(g()));
+        let limit = t(0) + JOIN_RETRANSMIT;
+        let mut joined = false;
+        while let Some(at) = e.next_deadline().filter(|&at| at <= limit && !joined) {
+            joined = e.tick(at, &rib()).iter().any(|o| {
+                matches!(o, Action::Control { ifaces, msg: Message::CbtJoinRequest(_), .. }
+                    if *ifaces == IfaceId(0).into())
+            });
+        }
+        assert!(joined, "no Join-Request by {limit:?}");
+
+        let mut c = CbtEngine::new(core());
+        c.set_core(g(), core());
+        c.local_member_joined(t(0), g(), IfaceId(2), &OracleRib::empty(core()));
+        assert!(!c.join_pending(g()));
     }
 
     #[test]
