@@ -2,7 +2,7 @@
 //! (see DESIGN.md §2 for the experiment index):
 //!
 //! * [`stats`] — mean/std-dev for the Monte-Carlo figures;
-//! * [`Workload`]/[`run_protocol_sim`] — drive a membership+traffic
+//! * [`Workload`]/[`run_protocol_sim_opts`] — drive a membership+traffic
 //!   scenario over a network from [`scenario::NetSpec`] (PIM in SPT or
 //!   shared-tree mode, DVMRP, or CBT, over any [`graph::Graph`]) and
 //!   collect the paper's overhead metrics (router state, control packets,
@@ -11,11 +11,9 @@
 
 #![warn(missing_docs)]
 
-use cbt::CbtRouter;
-use dvmrp::DvmrpRouter;
 use graph::{Graph, NodeId};
 use netsim::{CtrlProto, LinkCapacity, LinkId, LinkKind, NodeIdx, SimTime};
-use pim::{PimConfig, PimRouter};
+use pim::PimConfig;
 use scenario::{NetSpec, Protocol};
 use std::collections::BTreeSet;
 use wire::Group;
@@ -107,7 +105,7 @@ const SEND_START: u64 = 500;
 const SEND_GAP: u64 = 25;
 const COOLDOWN: u64 = 600;
 
-/// Knobs for [`run_protocol_sim_opts`] beyond the common defaults.
+/// Knobs for [`run_protocol_sim_opts`].
 #[derive(Clone, Copy, Debug)]
 pub struct SimOptions {
     /// Packets each sender transmits.
@@ -141,32 +139,13 @@ impl Default for SimOptions {
 }
 
 /// Run `protocol` over `g` with the given workloads: members join, every
-/// sender transmits `packets_per_sender` packets, and the run continues
-/// long enough for timers to settle. Returns the overhead metrics.
+/// sender transmits [`SimOptions::packets_per_sender`] packets, and the
+/// run continues long enough for timers to settle. Returns the overhead
+/// metrics.
 ///
 /// All protocols share identical topology, host placement, schedule, and
 /// (oracle) unicast routing, so differences in the result are differences
 /// between the multicast protocols alone.
-pub fn run_protocol_sim(
-    g: &Graph,
-    protocol: Protocol,
-    workloads: &[Workload],
-    packets_per_sender: u64,
-    seed: u64,
-) -> SimResult {
-    run_protocol_sim_opts(
-        g,
-        protocol,
-        workloads,
-        &SimOptions {
-            packets_per_sender,
-            seed,
-            ..SimOptions::default()
-        },
-    )
-}
-
-/// [`run_protocol_sim`] with full [`SimOptions`] control.
 pub fn run_protocol_sim_opts(
     g: &Graph,
     protocol: Protocol,
@@ -234,11 +213,7 @@ pub fn run_protocol_sim_opts(
         let state_sample = std::rc::Rc::clone(&state_sample);
         let nodes = g.node_count();
         net.world.at(SimTime(sample_at), move |w| {
-            let entries = |i| match protocol {
-                Protocol::Pim => w.node::<PimRouter>(NodeIdx(i)).engine().entry_count(),
-                Protocol::Dvmrp => w.node::<DvmrpRouter>(NodeIdx(i)).engine().entry_count(),
-                Protocol::Cbt => w.node::<CbtRouter>(NodeIdx(i)).engine().entry_count(),
-            };
+            let entries = |i| protocol.router(w, NodeIdx(i)).entry_count();
             state_sample.set((0..nodes).map(entries).sum());
         });
     }
@@ -536,8 +511,13 @@ mod tests {
             senders: vec![NodeId(17)],
             rendezvous: NodeId(5),
         };
-        let pim = run_protocol_sim(&g, Protocol::Pim, std::slice::from_ref(&w), 8, 2);
-        let dvm = run_protocol_sim(&g, Protocol::Dvmrp, &[w], 8, 2);
+        let opts = SimOptions {
+            packets_per_sender: 8,
+            seed: 2,
+            ..SimOptions::default()
+        };
+        let pim = run_protocol_sim_opts(&g, Protocol::Pim, std::slice::from_ref(&w), &opts);
+        let dvm = run_protocol_sim_opts(&g, Protocol::Dvmrp, &[w], &opts);
         assert!(
             dvm.data_links_used > pim.data_links_used,
             "dense {} vs sparse {}",

@@ -18,6 +18,10 @@ impl ProtocolEngine for CbtEngine {
         CbtEngine::addr(self)
     }
 
+    fn entry_count(&self) -> usize {
+        CbtEngine::entry_count(self)
+    }
+
     fn telem(&mut self) -> &mut telemetry::Telem {
         &mut self.telem
     }

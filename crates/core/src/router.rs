@@ -21,6 +21,10 @@ impl ProtocolEngine for Engine {
         Engine::addr(self)
     }
 
+    fn entry_count(&self) -> usize {
+        Engine::entry_count(self)
+    }
+
     fn telem(&mut self) -> &mut telemetry::Telem {
         &mut self.telem
     }

@@ -18,6 +18,10 @@ impl ProtocolEngine for DvmrpEngine {
         DvmrpEngine::addr(self)
     }
 
+    fn entry_count(&self) -> usize {
+        DvmrpEngine::entry_count(self)
+    }
+
     fn telem(&mut self) -> &mut telemetry::Telem {
         &mut self.telem
     }

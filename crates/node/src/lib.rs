@@ -111,6 +111,9 @@ pub trait ProtocolEngine: StateDump + Send {
     /// This router's address.
     fn addr(&self) -> Addr;
 
+    /// Multicast forwarding entries held (the state-overhead metric).
+    fn entry_count(&self) -> usize;
+
     /// A control message arrived on `iface`. `src`/`dst` are the network
     /// header addresses (Registers need `dst` to tell "for me" from "in
     /// transit").
@@ -708,6 +711,9 @@ mod tests {
     impl ProtocolEngine for Flood {
         fn addr(&self) -> Addr {
             self.addr
+        }
+        fn entry_count(&self) -> usize {
+            0
         }
         fn on_control(
             &mut self,

@@ -19,7 +19,7 @@
 //! `DIR` is replayed byte-identically before the seed sweep; any replay
 //! divergence fails the run the same way a violation does.
 
-use scenario::{explore_seed, random_schedule, replay_corpus, topologies, Artifact, Protocol};
+use scenario::{explore_seed, replay_corpus, topologies, Artifact, Protocol};
 use std::collections::BTreeMap;
 use telemetry::MetricsAggregator;
 
@@ -129,7 +129,7 @@ fn main() {
     let mut violating = 0u64;
     let mut per_protocol = [0u64; 3];
     let mut chaos: [MetricsAggregator; 3] = Default::default();
-    for (t, results) in outcomes.iter().enumerate() {
+    for (t, (schedule, results)) in outcomes.iter().enumerate() {
         let seed = start + t as u64;
         let topo = &zoo[(seed % zoo.len() as u64) as usize];
         for (protocol, outcome) in results {
@@ -169,8 +169,7 @@ fn main() {
                 topo.name,
                 protocol.name(),
             );
-            let schedule = random_schedule(topo, seed, seed % 3 == 2);
-            let artifact = Artifact::capture(topo, *protocol, &schedule, seed, outcome);
+            let artifact = Artifact::capture(topo, *protocol, schedule, seed, outcome);
             eprintln!("--- replay artifact ---\n{}", artifact.to_text());
         }
     }

@@ -26,6 +26,7 @@
 //! Every mode is deterministic: identical flags produce identical
 //! output (and artifacts) at any `--threads` value.
 
+use scenario::explore::HEAL_AT;
 use scenario::schedule::{FaultEvent, FaultSchedule};
 use scenario::{
     coverage_search, random_schedule, random_search, replay_corpus, run_case, shrink_violation,
@@ -44,7 +45,7 @@ fn congestion_fixture() -> (TopoSpec, FaultSchedule) {
     s.push(40, FaultEvent::Join(2));
     s.push(500, FaultEvent::Bandwidth(1, 2, 48, 1));
     s.push(600, FaultEvent::Burst(1, 24, 2));
-    s.push(2950, FaultEvent::Bandwidth(1, 0, 0, 1));
+    s.push(HEAL_AT, FaultEvent::Bandwidth(1, 0, 0, 1));
     (topo, s)
 }
 

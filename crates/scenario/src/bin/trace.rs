@@ -7,7 +7,8 @@
 //!
 //! Defaults: `diamond pim 0`. The run is the explorer's standard
 //! timeline (joins, fault window, heal, probe train, quiescence at
-//! t6000) under the seeded random schedule for `SEED`.
+//! `scenario::explore::CHECK_AT`) under the seeded random schedule for
+//! `SEED`.
 //!
 //! By default the output is a merged human-readable timeline: every
 //! packet transmission (decoded via `netsim::trace::describe_packet`)
@@ -26,7 +27,7 @@
 //! identical at any `--threads`, which check.sh asserts on the corpus.
 
 use scenario::{
-    random_schedule, run_case_threads, run_timeline, slice_lines, topologies, topology, Artifact,
+    random_schedule, run_case_coverage, run_timeline, slice_lines, topologies, topology, Artifact,
     Protocol,
 };
 use std::sync::{Arc, Mutex};
@@ -67,7 +68,7 @@ fn why(args: &[String]) {
     let artifact = Artifact::from_text(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"));
     let topo = topology(&artifact.topology)
         .unwrap_or_else(|| panic!("unknown topology {:?}", artifact.topology));
-    let outcome = run_case_threads(
+    let (outcome, _) = run_case_coverage(
         &topo,
         artifact.protocol,
         &artifact.schedule,

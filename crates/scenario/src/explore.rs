@@ -15,16 +15,21 @@
 //! ## Scenario timeline
 //!
 //! Every generated schedule keeps to a fixed phase structure so the
-//! oracles know when to look:
+//! oracles know when to look. Each phase is one constant below; the
+//! generator, [`FaultSchedule::normalize`], the search mutators, the
+//! case run and the engine fuzzer all read them from here.
 //!
-//! | ticks        | phase                                             |
-//! |--------------|---------------------------------------------------|
-//! | 20–90        | initial joins                                     |
-//! | 100–860      | pre-fault data train (builds protocol state)      |
-//! | 200–2400     | fault injection window                            |
-//! | ≤ 2950       | every fault explicitly healed by the schedule     |
-//! | 4500–4710    | probe train (8 packets, 30 apart)                 |
-//! | 6000         | quiescence checkpoint: oracles run                |
+//! | ticks     | constants                                  | phase                               |
+//! |-----------|--------------------------------------------|-------------------------------------|
+//! | 20–90     | [`JOIN_WINDOW`]                            | initial joins                       |
+//! | 100–860   | [`TRAIN_START`], [`TRAIN`], [`TRAIN_GAP`]  | pre-fault data train (builds state) |
+//! | 200–2400  | [`FAULT_WINDOW`]                           | fault injection window              |
+//! | ≤ 2900    | [`JOIN_MAX`]                               | last join a schedule may make       |
+//! | ≤ 2950    | [`HEAL_AT`]                                | every fault healed by the schedule  |
+//! | 2960 + k  | [`TEARDOWN_AT`]                            | teardown mode: member slot k leaves |
+//! | ≤ 2970    | [`LEAVE_MAX`]                              | last leave a schedule may make      |
+//! | 4500–4710 | [`PROBE_START`], [`PROBES`], [`PROBE_GAP`] | probe train                         |
+//! | 6000      | [`CHECK_AT`]                               | quiescence checkpoint: oracles run  |
 //!
 //! [`run_timeline`] is the one place that runs it.
 //!
@@ -35,7 +40,7 @@
 
 use crate::net::{build_net, Protocol, ScenarioNet, Substrate};
 use crate::oracle::{check_battery, Violation};
-use crate::schedule::{FaultEvent, FaultSchedule};
+use crate::schedule::{FaultEvent, FaultSchedule, BURST_MAX_COUNT, BURST_MAX_GAP};
 use graph::{Graph, NodeId};
 use netsim::trace::write_packet;
 use netsim::{host_addr, SimTime, World};
@@ -43,6 +48,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::ops::{Range, RangeInclusive};
 use std::sync::{Arc, Mutex};
 use telemetry::{
     CausalIndex, CoverageMap, CoverageSink, Fanout, JsonlSink, MetricsAggregator, SharedSink,
@@ -50,18 +56,47 @@ use telemetry::{
 };
 use wire::{write_dec, Group};
 
+/// When the generator's initial joins happen.
+pub const JOIN_WINDOW: RangeInclusive<u64> = 20..=90;
+/// When the pre-fault data train from host slot 0 starts.
+pub const TRAIN_START: u64 = 100;
 /// Number of packets in the pre-fault data train (sequence numbers
 /// `0..TRAIN`).
-const TRAIN: u64 = 20;
-/// Number of post-heal probe packets (sequence numbers
-/// `TRAIN..TRAIN + PROBES`) — the delivery oracle's expectation.
-const PROBES: u64 = 8;
-/// When the probe train starts.
-const PROBE_START: u64 = 4500;
+pub const TRAIN: u64 = 20;
+/// Pre-fault train spacing.
+pub const TRAIN_GAP: u64 = 40;
+/// When the generator's faults strike.
+pub const FAULT_WINDOW: RangeInclusive<u64> = 200..=2400;
+/// The last tick a schedule may join at.
+pub const JOIN_MAX: u64 = 2900;
+/// Every fault is healed by this tick: the generator caps its heals
+/// here and [`FaultSchedule::normalize`] adds any missing heal here.
+pub const HEAL_AT: u64 = 2950;
+/// In teardown mode member slot `k` leaves at `TEARDOWN_AT + k`.
+pub const TEARDOWN_AT: u64 = 2960;
+/// The last tick a schedule may leave at.
+pub const LEAVE_MAX: u64 = 2970;
+/// When the post-heal probe train from host slot 0 starts.
+pub const PROBE_START: u64 = 4500;
+/// Number of post-heal probe packets.
+pub const PROBES: u64 = 8;
 /// Probe spacing.
-const PROBE_GAP: u64 = 30;
+pub const PROBE_GAP: u64 = 30;
+/// The probes' sequence numbers: the delivery oracle's expectation.
+pub const PROBE_SEQS: Range<u64> = TRAIN..TRAIN + PROBES;
 /// When the oracles run.
-const CHECK_AT: u64 = 6000;
+pub const CHECK_AT: u64 = 6000;
+
+// The probes run on a healed network, after the pre-fault train.
+const _: () = assert!(HEAL_AT < PROBE_START && LEAVE_MAX < PROBE_START);
+const _: () = assert!(TRAIN_START + (TRAIN - 1) * TRAIN_GAP < PROBE_START);
+// A burst is traffic and is never healed: the (S,G) state of the
+// latest, longest burst a normalized schedule can hold has expired by
+// the checkpoint.
+const _: () = assert!(
+    HEAL_AT + (BURST_MAX_COUNT as u64 - 1) * BURST_MAX_GAP + dvmrp::ENTRY_TIMEOUT.0 < CHECK_AT
+);
+
 /// Capture-ring limit: generously above any scenario's traffic.
 const CAPTURE_LIMIT: usize = 300_000;
 
@@ -146,12 +181,12 @@ pub fn random_schedule(topo: &TopoSpec, seed: u64, teardown: bool) -> FaultSched
     let mut any_join = false;
     for slot in member_slots.clone() {
         if rng.gen_range(0..3) < 2 {
-            s.push(rng.gen_range(20..=90), FaultEvent::Join(slot));
+            s.push(rng.gen_range(JOIN_WINDOW), FaultEvent::Join(slot));
             any_join = true;
         }
     }
     if !any_join {
-        s.push(rng.gen_range(20..=90), FaultEvent::Join(1));
+        s.push(rng.gen_range(JOIN_WINDOW), FaultEvent::Join(1));
     }
 
     // Faults: 2–5 of them, each healed by its own later event. Channel
@@ -161,8 +196,8 @@ pub fn random_schedule(topo: &TopoSpec, seed: u64, teardown: bool) -> FaultSched
     // corruption during the probes would fail delivery for reasons the
     // protocols cannot observe.
     for _ in 0..rng.gen_range(2..=5) {
-        let at = rng.gen_range(200..=2400u64);
-        let heal = (at + rng.gen_range(100..=400)).min(2950);
+        let at = rng.gen_range(FAULT_WINDOW);
+        let heal = (at + rng.gen_range(100..=400)).min(HEAL_AT);
         match rng.gen_range(0..10) {
             0 => {
                 let l = rng.gen_range(0..links);
@@ -232,8 +267,8 @@ pub fn random_schedule(topo: &TopoSpec, seed: u64, teardown: bool) -> FaultSched
             _ => {
                 // Overload burst from a member slot — traffic, not a
                 // fault, so it is self-contained and needs no heal. Its
-                // (S,G) state expires long before the oracle checkpoint
-                // (max burst end ~3450 + entry timeout 400 < 6000).
+                // (S,G) state expires before the oracle checkpoint
+                // (asserted beside the timeline constants).
                 let slot = rng.gen_range(member_slots.clone());
                 let count = rng.gen_range(8..=32);
                 let gap = rng.gen_range(1..=8);
@@ -246,10 +281,10 @@ pub fn random_schedule(topo: &TopoSpec, seed: u64, teardown: bool) -> FaultSched
         // Everyone leaves after the heal point; the probe train then runs
         // against an empty group and the no-orphans oracle takes over.
         for slot in member_slots {
-            s.push(2960 + u64::from(slot), FaultEvent::Leave(slot));
+            s.push(TEARDOWN_AT + u64::from(slot), FaultEvent::Leave(slot));
         }
     } else if s.final_members(topo.host_routers.len()).is_empty() {
-        s.push(2900, FaultEvent::Join(1));
+        s.push(JOIN_MAX, FaultEvent::Join(1));
     }
     s
 }
@@ -360,31 +395,19 @@ pub fn run_case(
     schedule: &FaultSchedule,
     seed: u64,
 ) -> CaseOutcome {
-    run_case_threads(topo, protocol, schedule, seed, 1)
+    run_case_coverage(topo, protocol, schedule, seed, 1).0
 }
 
 /// [`run_case`] on a region-partitioned world advanced by `threads`
-/// workers. The replay-artifact contract extends across this knob: every
-/// thread count (including 1) produces byte-identical traces, telemetry,
-/// and fingerprints, so campaigns can be parallelized without forking
-/// their artifacts.
-pub fn run_case_threads(
-    topo: &TopoSpec,
-    protocol: Protocol,
-    schedule: &FaultSchedule,
-    seed: u64,
-    threads: usize,
-) -> CaseOutcome {
-    run_case_coverage(topo, protocol, schedule, seed, threads).0
-}
-
-/// [`run_case_threads`] with a [`telemetry::CoverageSink`] attached:
-/// returns the outcome plus the coverage map folded from the run's
-/// event stream — the feedback signal for coverage-guided search. The
-/// sink observes only, so the outcome (trace, telemetry bytes,
-/// fingerprints) is identical to an uninstrumented run; and because the
-/// event stream is byte-identical at any `--threads`, so is the
-/// coverage map (`scenario/tests/coverage.rs` pins this).
+/// workers, with a [`telemetry::CoverageSink`] attached: returns the
+/// outcome plus the coverage map folded from the run's event stream —
+/// the feedback signal for coverage-guided search. The sink observes
+/// only, so the outcome (trace, telemetry bytes, fingerprints) is
+/// identical to an uninstrumented run. The replay-artifact contract
+/// extends across `threads`: every thread count (including 1) produces
+/// byte-identical traces, telemetry, fingerprints and coverage maps, so
+/// campaigns can be parallelized without forking their artifacts
+/// (`scenario/tests/coverage.rs` pins the map).
 pub fn run_case_coverage(
     topo: &TopoSpec,
     protocol: Protocol,
@@ -446,17 +469,30 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// The explorer's timeline for one case, up to the oracle checkpoint:
-/// build the network over the oracle substrate with the capture ring on
-/// and `sink` attached, install `schedule`, queue the pre-fault train and
-/// the post-heal probes from host slot 0, spread the world over
-/// `threads` workers and run it to t6000. Every case, replay and `trace`
-/// run goes through here, so they all run the same world.
+/// [`set_up_timeline`], then [`run_to_check`]. Every case, replay and
+/// `trace` run goes through here, so they all run the same world.
 pub fn run_timeline(
     topo: &TopoSpec,
     protocol: Protocol,
     schedule: &FaultSchedule,
     seed: u64,
     threads: usize,
+    sink: Option<SharedSink>,
+) -> ScenarioNet {
+    let mut net = set_up_timeline(topo, protocol, schedule, seed, sink);
+    run_to_check(&mut net, threads);
+    net
+}
+
+/// The timeline's set-up: build the network over the oracle substrate
+/// with the capture ring on and `sink` attached, install `schedule`, and
+/// queue the pre-fault train and the post-heal probes from host slot 0.
+/// The engine fuzzer adds its injected frames before the run.
+pub(crate) fn set_up_timeline(
+    topo: &TopoSpec,
+    protocol: Protocol,
+    schedule: &FaultSchedule,
+    seed: u64,
     sink: Option<SharedSink>,
 ) -> ScenarioNet {
     let mut net = build_net(
@@ -473,11 +509,16 @@ pub fn run_timeline(
         net.attach_telemetry(sink);
     }
     net.install(schedule);
-    net.send_at(0, 100, TRAIN, 40);
+    net.send_at(0, TRAIN_START, TRAIN, TRAIN_GAP);
     net.send_at(0, PROBE_START, PROBES, PROBE_GAP);
+    net
+}
+
+/// The timeline's run: spread a set-up world over `threads` workers and
+/// run it to the oracle checkpoint.
+pub(crate) fn run_to_check(net: &mut ScenarioNet, threads: usize) {
     net.world.parallelize(threads);
     net.world.run_until(SimTime(CHECK_AT));
-    net
 }
 
 fn run_case_inner(
@@ -511,7 +552,7 @@ fn run_case_inner(
 
     let members = schedule.final_members(topo.host_routers.len());
     let source = host_addr(topo.host_routers[0], 0);
-    let expected: Vec<u64> = (TRAIN..TRAIN + PROBES).collect();
+    let expected: Vec<u64> = PROBE_SEQS.collect();
 
     let violations = check_battery(&net, &members, source, &expected);
 
@@ -586,13 +627,16 @@ pub fn slice_lines(causal: &CausalIndex, id: telemetry::EventId) -> Vec<String> 
 }
 
 /// Explore one seed on one topology: derive its schedule (teardown mode
-/// on every third seed) and run all three protocols against it.
-pub fn explore_seed(topo: &TopoSpec, seed: u64) -> Vec<(Protocol, CaseOutcome)> {
+/// on every third seed) and run all three protocols against it. Returns
+/// the schedule with the outcomes, so a violation's artifact is built
+/// from the schedule that ran.
+pub fn explore_seed(topo: &TopoSpec, seed: u64) -> (FaultSchedule, Vec<(Protocol, CaseOutcome)>) {
     let schedule = random_schedule(topo, seed, seed % 3 == 2);
-    Protocol::ALL
+    let outcomes = Protocol::ALL
         .into_iter()
         .map(|p| (p, run_case(topo, p, &schedule, seed)))
-        .collect()
+        .collect();
+    (schedule, outcomes)
 }
 
 // ---------------------------------------------------------------------

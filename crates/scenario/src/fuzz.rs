@@ -10,25 +10,24 @@
 //!    are total: [`wire::Message::decode`] and [`wire::ip::Header::decap`]
 //!    never panic on any input, and any *accepted* frame re-encodes to a
 //!    buffer that decodes back to the identical message.
-//! 2. **Engine stage** ([`fuzz_engine`]) — run a live scenario per
-//!    protocol and inject malformed control frames directly into
+//! 2. **Engine stage** ([`fuzz_engine`]) — run the explorer's timeline
+//!    per protocol and inject malformed control frames directly into
 //!    routers mid-run. The engines must absorb the garbage: no panic,
 //!    state bounded to the scenario's group, every injected frame
 //!    counted exactly once as a malformed drop, and the post-heal probe
 //!    train still delivered to every member (soft-state refresh heals
 //!    whatever the garbage grazed).
 
-use crate::explore::{panic_message, topologies};
-use crate::net::{build_net, Protocol, Substrate};
+use crate::explore::{
+    panic_message, run_to_check, set_up_timeline, topologies, JOIN_MAX, PROBE_SEQS,
+};
+use crate::net::Protocol;
 use crate::oracle::{
     check_bounded_state, check_cbt_ack_ledger, check_delivery, check_loop_freedom, check_rpf,
     Violation,
 };
 use crate::schedule::{FaultEvent, FaultSchedule};
-use cbt::CbtRouter;
-use dvmrp::DvmrpRouter;
 use netsim::{host_addr, router_addr, NodeIdx, SimTime};
-use pim::PimRouter;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use wire::ip::{Header, Protocol as IpProto, HEADER_LEN};
@@ -290,39 +289,29 @@ fn is_malformed(frame: &[u8]) -> bool {
     }
 }
 
-/// Stage 2: one live scenario on the diamond topology with `frames`
-/// malformed control frames injected into random router interfaces
-/// during the fault window. Checks the no-panic, structural,
-/// bounded-state, accounting, and delivery invariants.
+/// Stage 2: the explorer's timeline on the diamond topology, two members
+/// joining and no faults, with `frames` malformed control frames injected
+/// into random router interfaces during the fault window. Checks the
+/// no-panic, structural, bounded-state, accounting, and delivery
+/// invariants.
 pub fn fuzz_engine(protocol: Protocol, seed: u64, frames: u64) -> EngineFuzzOutcome {
-    const TRAIN: u64 = 10;
-    const PROBES: u64 = 8;
+    /// When the first injected frame arrives.
+    const INJECT_FROM: u64 = 150;
 
     let topo = &topologies()[0]; // diamond: 4 routers, hosts at 0, 1, 3
-    let group = Group::test(1);
     let corpus: Vec<Vec<u8>> = corpus().iter().map(Message::encode).collect();
     let mut rng = SeedStream::new(seed, 0xe9_14e ^ protocol as u64);
 
     let run = AssertUnwindSafe(|| {
-        let mut net = build_net(
-            &topo.graph,
-            protocol,
-            Substrate::Oracle,
-            group,
-            topo.rendezvous,
-            &topo.host_routers,
-            seed,
-        );
         let mut schedule = FaultSchedule::default();
         schedule.push(30, FaultEvent::Join(1));
         schedule.push(60, FaultEvent::Join(2));
-        net.install(&schedule);
-        net.send_at(0, 100, TRAIN, 40);
-        net.send_at(0, 4500, PROBES, 30);
+        let mut net = set_up_timeline(topo, protocol, &schedule, seed, None);
 
-        // Inject malformed frames spread over 150..=2900 — garbage stops
-        // well before the probe train, mirroring the explorer's heal
-        // discipline, so delivery measures recovery, not luck.
+        // Inject malformed frames spread over INJECT_FROM..JOIN_MAX —
+        // garbage stops well before the probe train, mirroring the
+        // explorer's heal discipline, so delivery measures recovery, not
+        // luck.
         let hdr = Header {
             proto: IpProto::Igmp,
             ttl: 8,
@@ -331,7 +320,7 @@ pub fn fuzz_engine(protocol: Protocol, seed: u64, frames: u64) -> EngineFuzzOutc
         };
         let mut injected = 0u64;
         for i in 0..frames {
-            let at = 150 + i * 2750 / frames.max(1);
+            let at = INJECT_FROM + i * (JOIN_MAX - INJECT_FROM) / frames.max(1);
             let r = rng.below(net.router_count);
             let peers = &net.peers[r];
             if peers.is_empty() {
@@ -353,24 +342,20 @@ pub fn fuzz_engine(protocol: Protocol, seed: u64, frames: u64) -> EngineFuzzOutc
             });
         }
 
-        net.world.run_until(SimTime(6000));
+        run_to_check(&mut net, 1);
 
         let mut violations = check_rpf(&net);
         violations.extend(check_loop_freedom(&net));
         violations.extend(check_cbt_ack_ledger(&net));
         violations.extend(check_bounded_state(&net));
-        let members = [1, 2];
+        let members = schedule.final_members(topo.host_routers.len());
         let source = host_addr(topo.host_routers[0], 0);
-        let expected: Vec<u64> = (TRAIN..TRAIN + PROBES).collect();
+        let expected: Vec<u64> = PROBE_SEQS.collect();
         violations.extend(check_delivery(&net, &members, source, &expected));
 
         let decode_failures = net.world.counters().total_decode_failures();
         let malformed_drops: u64 = (0..net.router_count)
-            .map(|n| match protocol {
-                Protocol::Pim => net.world.node::<PimRouter>(NodeIdx(n)).malformed_drops,
-                Protocol::Dvmrp => net.world.node::<DvmrpRouter>(NodeIdx(n)).malformed_drops,
-                Protocol::Cbt => net.world.node::<CbtRouter>(NodeIdx(n)).malformed_drops,
-            })
+            .map(|n| net.router(n).malformed_drops())
             .sum();
         if decode_failures != injected {
             violations.push(Violation {

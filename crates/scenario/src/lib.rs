@@ -48,14 +48,16 @@ pub mod shrink;
 
 pub use explore::{
     explore_seed, load_corpus, random_schedule, replay, replay_corpus, run_case, run_case_coverage,
-    run_case_threads, run_timeline, slice_lines, topologies, topology, verify_replay, Artifact,
-    CaseOutcome, NodeDump, TopoSpec,
+    run_timeline, slice_lines, topologies, topology, verify_replay, Artifact, CaseOutcome,
+    NodeDump, TopoSpec,
 };
 pub use fuzz::{
     corpus, fuzz_engine, fuzz_engines, fuzz_wire, mutate, EngineFuzzOutcome, SeedStream,
     WireFuzzReport,
 };
-pub use net::{build_net, build_net_aggregate, NetSpec, Protocol, ScenarioNet, Substrate};
+pub use net::{
+    build_net, build_net_aggregate, NetSpec, Protocol, RouterView, ScenarioNet, Substrate,
+};
 pub use oracle::{
     check_battery, check_bounded_queues, check_bounded_state, check_cbt_ack_ledger,
     check_congestion_recovery, check_delivery, check_hardening, check_loop_freedom,

@@ -14,6 +14,7 @@ use netsim::build::NodePlan;
 use netsim::{
     host_addr, router_addr, Duration, IfaceId, IfaceSet, Node, NodeIdx, SimTime, Topology, World,
 };
+use node::{ProtocolEngine, ProtocolNode};
 use pim::{Engine, PimConfig, PimRouter};
 use telemetry::SharedSink;
 use unicast::dv::{DvConfig, DvEngine};
@@ -49,6 +50,57 @@ impl Protocol {
     /// Parse an artifact name back.
     pub fn from_name(s: &str) -> Option<Protocol> {
         Protocol::ALL.into_iter().find(|p| p.name() == s)
+    }
+
+    /// World node `n`, a router running this protocol, through the view
+    /// every protocol's router shares.
+    pub fn router(self, world: &World, n: NodeIdx) -> &dyn RouterView {
+        match self {
+            Protocol::Pim => world.node::<PimRouter>(n),
+            Protocol::Dvmrp => world.node::<DvmrpRouter>(n),
+            Protocol::Cbt => world.node::<CbtRouter>(n),
+        }
+    }
+
+    /// [`Protocol::router`], mutably.
+    pub fn router_mut(self, world: &mut World, n: NodeIdx) -> &mut dyn RouterView {
+        match self {
+            Protocol::Pim => world.node_mut::<PimRouter>(n),
+            Protocol::Dvmrp => world.node_mut::<DvmrpRouter>(n),
+            Protocol::Cbt => world.node_mut::<CbtRouter>(n),
+        }
+    }
+}
+
+/// What the harness reads or sets on a router whatever protocol it runs
+/// ([`Protocol::router`]): every router is a [`ProtocolNode`].
+pub trait RouterView {
+    /// The `show mroute`-style state snapshot at `now` (see
+    /// [`telemetry::StateDump`]).
+    fn state_dump(&self, now: SimTime) -> String;
+    /// Multicast forwarding entries held.
+    fn entry_count(&self) -> usize;
+    /// Received payloads dropped because they failed to decode.
+    fn malformed_drops(&self) -> u64;
+    /// Declare `iface` a host subnetwork with `hosts` on it.
+    fn attach_host_lan(&mut self, iface: IfaceId, hosts: &[Addr]);
+}
+
+impl<P: ProtocolEngine> RouterView for ProtocolNode<P> {
+    fn state_dump(&self, now: SimTime) -> String {
+        ProtocolNode::state_dump(self, now)
+    }
+
+    fn entry_count(&self) -> usize {
+        self.engine().entry_count()
+    }
+
+    fn malformed_drops(&self) -> u64 {
+        self.malformed_drops
+    }
+
+    fn attach_host_lan(&mut self, iface: IfaceId, hosts: &[Addr]) {
+        ProtocolNode::attach_host_lan(self, iface, hosts)
     }
 }
 
@@ -275,17 +327,9 @@ impl NetSpec<'_> {
             let hi = world.add_node(Box::new(HostNode::new(ha).sized(population)));
             let r = NodeIdx(n.index());
             let (_l, ifs) = world.add_lan(&[r, hi], Duration(1));
-            match protocol {
-                Protocol::Pim => world
-                    .node_mut::<PimRouter>(r)
-                    .attach_host_lan(ifs[0], &[ha]),
-                Protocol::Dvmrp => world
-                    .node_mut::<DvmrpRouter>(r)
-                    .attach_host_lan(ifs[0], &[ha]),
-                Protocol::Cbt => world
-                    .node_mut::<CbtRouter>(r)
-                    .attach_host_lan(ifs[0], &[ha]),
-            }
+            protocol
+                .router_mut(&mut world, r)
+                .attach_host_lan(ifs[0], &[ha]);
             hosts.push((hi, ha));
         }
 
@@ -448,12 +492,13 @@ impl ScenarioNet {
     /// Router `node`'s `show mroute`-style state snapshot at `now`
     /// (see [`telemetry::StateDump`]).
     pub fn state_dump(&self, node: usize, now: SimTime) -> String {
-        let idx = NodeIdx(node);
-        match self.protocol {
-            Protocol::Pim => self.world.node::<PimRouter>(idx).state_dump(now),
-            Protocol::Dvmrp => self.world.node::<DvmrpRouter>(idx).state_dump(now),
-            Protocol::Cbt => self.world.node::<CbtRouter>(idx).state_dump(now),
-        }
+        self.router(node).state_dump(now)
+    }
+
+    /// Router `node` (graph node index) through the protocol-agnostic
+    /// [`RouterView`].
+    pub fn router(&self, node: usize) -> &dyn RouterView {
+        self.protocol.router(&self.world, NodeIdx(node))
     }
 }
 

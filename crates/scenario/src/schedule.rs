@@ -22,8 +22,14 @@
 //! and its paired [`FaultEvent::Heal`] restores every cut link *and*
 //! resets their channel models to clean in the same tick.
 
+use crate::explore::{HEAL_AT, JOIN_MAX, LEAVE_MAX};
 use netsim::{ChannelModel, LinkCapacity, LinkId, NodeIdx, SimTime, World};
 use wire::Group;
+
+/// The most packets a burst keeps through [`FaultSchedule::normalize`].
+pub const BURST_MAX_COUNT: u32 = 32;
+/// The widest burst gap [`FaultSchedule::normalize`] keeps.
+pub const BURST_MAX_GAP: u64 = 16;
 
 /// One fault, applied at a scheduled instant.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -344,15 +350,18 @@ impl FaultSchedule {
     ///   slots into the member range `1..hosts` — slot 0 stays the
     ///   sender, so burst traffic never perturbs the probe train's
     ///   sequence numbers), per-mille fields clamped to 1000, jitter
-    ///   to 60, burst counts to 32 and burst gaps to 16;
-    /// * fault events are clamped into the `1..=2900` fault window and
-    ///   membership events to the windows the explorer timeline allows
-    ///   (joins by 2900, leaves by 2970), so no fault overlaps the
-    ///   probe train the delivery oracle measures;
+    ///   to 60, burst counts to [`BURST_MAX_COUNT`] and burst gaps to
+    ///   [`BURST_MAX_GAP`];
+    /// * fault events are clamped into the `1..=`[`HEAL_AT`] fault
+    ///   window and membership events to the windows the explorer
+    ///   timeline allows (joins by [`JOIN_MAX`], leaves by
+    ///   [`LEAVE_MAX`]), so no fault overlaps the probe train the
+    ///   delivery oracle measures;
     /// * the **heal discipline** is re-established: any link left
     ///   down, lossy, impaired, or bandwidth-capped and any router left
     ///   crashed at the end of the fault window gets an explicit heal
-    ///   event at 2950, in deterministic (link, then router) order;
+    ///   event at [`HEAL_AT`], in deterministic (link, then router)
+    ///   order;
     /// * empty partition/heal link sets (a mutation artifact the text
     ///   form cannot even express) are dropped;
     /// * events are stably sorted by time, so the result's text form is
@@ -361,14 +370,10 @@ impl FaultSchedule {
     /// Normalization is idempotent: `normalize(normalize(s)) ==
     /// normalize(s)` for any `s` (asserted in tests).
     pub fn normalize(&self, links: usize, routers: usize, hosts: usize) -> FaultSchedule {
-        /// Faults land in the window the explorer's oracles assume.
-        /// `FAULT_MAX == HEAL_AT` so already-appended heal events
-        /// survive re-normalization unchanged (idempotence).
+        /// Faults land in the window the explorer's oracles assume; it
+        /// ends at `HEAL_AT` so already-appended heal events survive
+        /// re-normalization unchanged (idempotence).
         const FAULT_MIN: u64 = 1;
-        const FAULT_MAX: u64 = 2950;
-        const HEAL_AT: u64 = 2950;
-        const JOIN_MAX: u64 = 2900;
-        const LEAVE_MAX: u64 = 2970;
         let wrap = |i: usize, n: usize| if n == 0 { 0 } else { i % n };
         let member = |h: u32| -> u32 {
             if hosts <= 1 {
@@ -379,7 +384,7 @@ impl FaultSchedule {
         };
         let mut events: Vec<(u64, FaultEvent)> = Vec::with_capacity(self.events.len());
         for (t, ev) in &self.events {
-            let fault_t = (*t).clamp(FAULT_MIN, FAULT_MAX);
+            let fault_t = (*t).clamp(FAULT_MIN, HEAL_AT);
             let (t, ev) = match ev {
                 FaultEvent::LinkDown(l) => (fault_t, FaultEvent::LinkDown(wrap(*l, links))),
                 FaultEvent::LinkUp(l) => (fault_t, FaultEvent::LinkUp(wrap(*l, links))),
@@ -434,7 +439,11 @@ impl FaultSchedule {
                 ),
                 FaultEvent::Burst(h, count, gap) => (
                     fault_t,
-                    FaultEvent::Burst(member(*h), (*count).min(32), (*gap).min(16)),
+                    FaultEvent::Burst(
+                        member(*h),
+                        (*count).min(BURST_MAX_COUNT),
+                        (*gap).min(BURST_MAX_GAP),
+                    ),
                 ),
             };
             events.push((t, ev));

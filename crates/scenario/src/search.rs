@@ -19,7 +19,7 @@
 //! the fold back into the global map is sequential in that order. The
 //! thread knob changes wall-clock time and nothing else.
 
-use crate::explore::{random_schedule, run_case_coverage, CaseOutcome, TopoSpec};
+use crate::explore::{random_schedule, run_case_coverage, CaseOutcome, TopoSpec, HEAL_AT};
 use crate::fuzz::SeedStream;
 use crate::net::Protocol;
 use crate::schedule::FaultSchedule;
@@ -208,27 +208,27 @@ fn mutate(
             0 if n > 1 => s = s.with_deleted(rng.below(n)),
             1 if n > 0 => {
                 let i = rng.below(n);
-                let t = 1 + rng.next_u64() % 2950;
+                let t = 1 + rng.next_u64() % HEAL_AT;
                 s = s.with_retimed(i, t);
             }
             2 | 3 if n > 0 => {
                 let i = rng.below(n);
-                let t = 1 + rng.next_u64() % 2950;
+                let t = 1 + rng.next_u64() % HEAL_AT;
                 s = s.with_duplicated(i, t);
             }
             4 | 5 => {
-                let t0 = rng.next_u64() % 2950;
+                let t0 = rng.next_u64() % HEAL_AT;
                 let t1 = t0 + 1 + rng.next_u64() % 1000;
                 s = s.spliced(donor, t0, t1);
             }
             6 => {
                 let fresh = random_schedule(topo, rng.next_u64(), false);
-                let t0 = rng.next_u64() % 2950;
+                let t0 = rng.next_u64() % HEAL_AT;
                 let t1 = t0 + 1 + rng.next_u64() % 1500;
                 s = s.spliced(&fresh, t0, t1);
             }
             _ => {
-                let cut = 1 + rng.next_u64() % 2950;
+                let cut = 1 + rng.next_u64() % HEAL_AT;
                 s = s.crossover(donor, cut);
             }
         }

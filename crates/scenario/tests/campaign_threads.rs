@@ -17,7 +17,7 @@
 //! On a mismatch the run's own table is written beside the test binary's
 //! scratch files (the path is in the failure message).
 
-use scenario::{random_schedule, run_case_threads, topologies, Protocol};
+use scenario::{random_schedule, run_case_coverage, topologies, Protocol};
 use std::fmt::Write as _;
 
 const TABLE: &str = "tests/campaign_fingerprints.txt";
@@ -31,7 +31,7 @@ fn twenty_seed_campaign_is_thread_count_invariant() {
         let topo = &zoo[(seed % zoo.len() as u64) as usize];
         let schedule = random_schedule(topo, seed, seed % 3 == 2);
         for protocol in Protocol::ALL {
-            let base = run_case_threads(topo, protocol, &schedule, seed, 1);
+            let (base, _) = run_case_coverage(topo, protocol, &schedule, seed, 1);
             let _ = writeln!(
                 table,
                 "{seed} {} {} {:016x} {:016x} {}",
@@ -42,7 +42,7 @@ fn twenty_seed_campaign_is_thread_count_invariant() {
                 base.violations.len()
             );
             for threads in [2usize, 4] {
-                let par = run_case_threads(topo, protocol, &schedule, seed, threads);
+                let (par, _) = run_case_coverage(topo, protocol, &schedule, seed, threads);
                 assert_eq!(
                     base.fingerprint, par.fingerprint,
                     "trace fingerprint diverged: seed {seed} {protocol:?} \

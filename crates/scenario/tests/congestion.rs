@@ -3,7 +3,7 @@
 //! (violation -> shrink -> byte-identical replay artifact).
 
 use scenario::{
-    run_case, run_case_threads, shrink_violation, topology, verify_replay, Artifact, FaultEvent,
+    run_case, run_case_coverage, shrink_violation, topology, verify_replay, Artifact, FaultEvent,
     FaultSchedule, Protocol,
 };
 
@@ -53,8 +53,8 @@ fn capacity_disabled_is_trace_compatible_across_threads() {
     let topo = topology("diamond").unwrap();
     let schedule = capacity_free_schedule();
     for protocol in Protocol::ALL {
-        let one = run_case_threads(&topo, protocol, &schedule, 11, 1);
-        let four = run_case_threads(&topo, protocol, &schedule, 11, 4);
+        let (one, _) = run_case_coverage(&topo, protocol, &schedule, 11, 1);
+        let (four, _) = run_case_coverage(&topo, protocol, &schedule, 11, 4);
         assert_eq!(
             one.fingerprint,
             four.fingerprint,
@@ -94,8 +94,8 @@ fn congestion_degrades_gracefully_and_is_thread_invariant() {
     let topo = topology("diamond").unwrap();
     let schedule = congested_schedule();
     for protocol in Protocol::ALL {
-        let one = run_case_threads(&topo, protocol, &schedule, 5, 1);
-        let four = run_case_threads(&topo, protocol, &schedule, 5, 4);
+        let (one, _) = run_case_coverage(&topo, protocol, &schedule, 5, 1);
+        let (four, _) = run_case_coverage(&topo, protocol, &schedule, 5, 4);
         assert_eq!(
             one.fingerprint,
             four.fingerprint,

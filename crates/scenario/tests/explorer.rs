@@ -13,8 +13,8 @@ fn fifty_plus_seeds_all_protocols_green() {
     let mut failures = Vec::new();
     for seed in 0..51u64 {
         let topo = &zoo[(seed % zoo.len() as u64) as usize];
-        let schedule = random_schedule(topo, seed, seed % 3 == 2);
-        for (protocol, outcome) in explore_seed(topo, seed) {
+        let (schedule, outcomes) = explore_seed(topo, seed);
+        for (protocol, outcome) in outcomes {
             runs += 1;
             if !outcome.violations.is_empty() {
                 let artifact = Artifact::capture(topo, protocol, &schedule, seed, &outcome);

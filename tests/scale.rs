@@ -4,7 +4,7 @@
 //! represented" (§1) — plus bit-for-bit reproducibility of a complete
 //! protocol run.
 
-use bench::{run_protocol_sim, run_protocol_sim_opts, SimOptions, Workload};
+use bench::{run_protocol_sim_opts, SimOptions, Workload};
 use graph::gen::{random_connected, RandomGraphParams};
 use graph::NodeId;
 use mctree::GroupSpec;
@@ -40,7 +40,11 @@ fn twenty_sparse_groups_on_fifty_nodes() {
         &mut rng,
     );
     let workloads = many_group_workloads(20, 50, &mut rng);
-    let r = run_protocol_sim(&g, Protocol::Pim, &workloads, 6, 1);
+    let opts = SimOptions {
+        packets_per_sender: 6,
+        ..SimOptions::default()
+    };
+    let r = run_protocol_sim_opts(&g, Protocol::Pim, &workloads, &opts);
     // 20 groups × 2 senders × 3 other members × 6 packets = 720 expected.
     assert_eq!(r.expected_deliveries, 720);
     let rate = r.deliveries as f64 / r.expected_deliveries as f64;
@@ -70,16 +74,18 @@ fn shared_tree_mode_scales_with_less_state() {
         &mut rng,
     );
     let workloads = many_group_workloads(12, 50, &mut rng);
-    let spt = run_protocol_sim(&g, Protocol::Pim, &workloads, 6, 1);
+    let spt_opts = SimOptions {
+        packets_per_sender: 6,
+        ..SimOptions::default()
+    };
+    let spt = run_protocol_sim_opts(&g, Protocol::Pim, &workloads, &spt_opts);
     let shared = run_protocol_sim_opts(
         &g,
         Protocol::Pim,
         &workloads,
         &SimOptions {
-            packets_per_sender: 6,
-            seed: 1,
             pim: PimConfig::shared_tree_only(),
-            ..SimOptions::default()
+            ..spt_opts
         },
     );
     // "Shared trees ... have less per-source overhead" (§3): with 2
@@ -109,7 +115,12 @@ fn full_protocol_run_is_deterministic() {
     let workloads = many_group_workloads(5, 30, &mut rng);
     let runs: Vec<String> = (0..2)
         .map(|_| {
-            let r = run_protocol_sim(&g, Protocol::Pim, &workloads, 8, 42);
+            let opts = SimOptions {
+                packets_per_sender: 8,
+                seed: 42,
+                ..SimOptions::default()
+            };
+            let r = run_protocol_sim_opts(&g, Protocol::Pim, &workloads, &opts);
             format!("{r:?}")
         })
         .collect();
