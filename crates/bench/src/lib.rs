@@ -213,7 +213,7 @@ pub fn run_protocol_sim_opts(
         let state_sample = std::rc::Rc::clone(&state_sample);
         let nodes = g.node_count();
         net.world.at(SimTime(sample_at), move |w| {
-            let entries = |i| protocol.router(w, NodeIdx(i)).entry_count();
+            let entries = |i| protocol.router(w, NodeIdx(i)).engine().entry_count();
             state_sample.set((0..nodes).map(entries).sum());
         });
     }

@@ -62,7 +62,9 @@ pub use config::{
 pub use engine::Engine;
 pub use entry::{Entry, GroupState, Oif, OifKind};
 pub use igmp::HostNode;
-pub use node::Action;
+// The router adapter too, so a harness above the engines can read a
+// router of any protocol as `ProtocolNode<dyn ProtocolEngine>`.
+pub use node::{Action, ProtocolEngine, ProtocolNode};
 pub use router::PimRouter;
 
 #[cfg(test)]

@@ -209,8 +209,11 @@ pub trait ProtocolEngine: StateDump + Send {
 /// A router node: one [`ProtocolEngine`] + one interchangeable unicast
 /// engine + one IGMP [`Querier`] per host-facing interface, glued to the
 /// simulator with deadline-driven scheduling.
-pub struct ProtocolNode<P: ProtocolEngine> {
-    engine: P,
+///
+/// `ProtocolNode<dyn ProtocolEngine>` is a router of any protocol: a
+/// harness that reads what every router has (state dump, entry count,
+/// counters, host-LAN attach) takes one, unsized from the typed router.
+pub struct ProtocolNode<P: ProtocolEngine + ?Sized> {
     unicast: Box<dyn unicast::Engine>,
     /// `queriers[iface]` is `Some` on host-facing interfaces. Indexed, so
     /// ticking them walks interfaces in ascending order — the order their
@@ -235,12 +238,17 @@ pub struct ProtocolNode<P: ProtocolEngine> {
     /// Where outgoing control packets are written before they move to
     /// their shared buffer; kept for its capacity.
     image: Vec<u8>,
+    /// Last, so the node unsizes to `ProtocolNode<dyn ProtocolEngine>`.
+    engine: P,
 }
 
-impl<P: ProtocolEngine> ProtocolNode<P> {
+impl<P: ProtocolEngine + ?Sized> ProtocolNode<P> {
     /// Build a router from its protocol engine and a unicast routing
     /// engine.
-    pub fn new(engine: P, unicast: Box<dyn unicast::Engine>) -> ProtocolNode<P> {
+    pub fn new(engine: P, unicast: Box<dyn unicast::Engine>) -> ProtocolNode<P>
+    where
+        P: Sized,
+    {
         ProtocolNode {
             engine,
             unicast,

@@ -41,8 +41,8 @@ use netsim::{host_addr, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scenario::{
-    build_net_aggregate, check_battery, congested, topology, FaultEvent, FaultSchedule, Protocol,
-    ScenarioNet, Substrate, TopoSpec, Violation,
+    check_battery, congested, topology, FaultEvent, FaultSchedule, NetSpec, Protocol, ScenarioNet,
+    TopoSpec, Violation,
 };
 use std::sync::{Arc, Mutex};
 use telemetry::MetricsAggregator;
@@ -175,16 +175,15 @@ fn usage() -> ! {
 /// Build → install → traffic → run → battery for one workload under one
 /// protocol; prints the PASS/FAIL line and returns whether it passed.
 fn run(table: &str, w: &Workload, proto: Protocol, threads: usize, seed: u64) -> bool {
-    let mut net = build_net_aggregate(
-        &w.topo.graph,
-        proto,
-        Substrate::Oracle,
-        wire::Group::test(1),
-        w.topo.rendezvous,
-        &w.topo.host_routers,
-        &vec![w.population; w.topo.host_routers.len()],
-        par::mix(seed, w.stream, proto as u64),
-    );
+    let mut net = NetSpec {
+        protocol: proto,
+        groups: &[(wire::Group::test(1), vec![w.topo.rendezvous])],
+        host_routers: &w.topo.host_routers,
+        populations: &vec![w.population; w.topo.host_routers.len()],
+        seed: par::mix(seed, w.stream, proto as u64),
+        ..NetSpec::default()
+    }
+    .build(&w.topo.graph);
     net.install(&w.schedule);
     (w.traffic)(&mut net);
     let metrics = Arc::new(Mutex::new(MetricsAggregator::new()));

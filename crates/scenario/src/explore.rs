@@ -38,7 +38,7 @@
 //! ramp to zero), so a schedule is self-contained: replaying it never
 //! depends on generator internals.
 
-use crate::net::{build_net, Protocol, ScenarioNet, Substrate};
+use crate::net::{NetSpec, Protocol, ScenarioNet};
 use crate::oracle::{check_battery, Violation};
 use crate::schedule::{FaultEvent, FaultSchedule, BURST_MAX_COUNT, BURST_MAX_GAP};
 use graph::{Graph, NodeId};
@@ -290,7 +290,7 @@ pub fn random_schedule(topo: &TopoSpec, seed: u64, teardown: bool) -> FaultSched
 }
 
 /// The outcome of one (topology, protocol, schedule, seed) run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CaseOutcome {
     /// Oracle violations, in deterministic order.
     pub violations: Vec<Violation>,
@@ -444,14 +444,7 @@ pub fn run_case_coverage(
                             protocol.name()
                         ),
                     }],
-                    fingerprint: 0,
-                    trace: Vec::new(),
-                    telemetry: String::new(),
-                    telemetry_fingerprint: 0,
-                    metrics: None,
-                    dumps: Vec::new(),
-                    sink_errors: 0,
-                    causal: CausalIndex::new(),
+                    ..CaseOutcome::default()
                 },
                 map,
             )
@@ -469,7 +462,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// The explorer's timeline for one case, up to the oracle checkpoint:
-/// [`set_up_timeline`], then [`run_to_check`]. Every case, replay and
+/// `set_up_timeline`, then `run_to_check`. Every case, replay and
 /// `trace` run goes through here, so they all run the same world.
 pub fn run_timeline(
     topo: &TopoSpec,
@@ -495,15 +488,14 @@ pub(crate) fn set_up_timeline(
     seed: u64,
     sink: Option<SharedSink>,
 ) -> ScenarioNet {
-    let mut net = build_net(
-        &topo.graph,
+    let mut net = NetSpec {
         protocol,
-        Substrate::Oracle,
-        Group::test(1),
-        topo.rendezvous,
-        &topo.host_routers,
+        groups: &[(Group::test(1), vec![topo.rendezvous])],
+        host_routers: &topo.host_routers,
         seed,
-    );
+        ..NetSpec::default()
+    }
+    .build(&topo.graph);
     net.world.enable_capture(CAPTURE_LIMIT);
     if let Some(sink) = sink {
         net.attach_telemetry(sink);
@@ -708,21 +700,19 @@ impl Artifact {
         }
         for d in &self.dumps {
             s.push_str(&format!("dump r{}\n", d.node));
-            s.push_str("flight\n");
-            for l in &d.flight {
-                s.push_str(&format!("  {l}\n"));
-            }
-            s.push_str("end\n");
-            s.push_str("state\n");
-            for l in &d.state {
-                s.push_str(&format!("  {l}\n"));
-            }
-            s.push_str("end\n");
-            // Optional section: absent when the slice is empty, so
+            // The cause section is absent when the slice is empty, so
             // artifacts recorded before causal tracing parse unchanged.
-            if !d.cause.is_empty() {
-                s.push_str("cause\n");
-                for l in &d.cause {
+            let sections = [
+                ("flight", &d.flight),
+                ("state", &d.state),
+                ("cause", &d.cause),
+            ];
+            for (name, lines) in sections {
+                if name == "cause" && lines.is_empty() {
+                    continue;
+                }
+                s.push_str(&format!("{name}\n"));
+                for l in lines {
                     s.push_str(&format!("  {l}\n"));
                 }
                 s.push_str("end\n");

@@ -355,7 +355,7 @@ pub fn fuzz_engine(protocol: Protocol, seed: u64, frames: u64) -> EngineFuzzOutc
 
         let decode_failures = net.world.counters().total_decode_failures();
         let malformed_drops: u64 = (0..net.router_count)
-            .map(|n| net.router(n).malformed_drops())
+            .map(|n| net.router(n).malformed_drops)
             .sum();
         if decode_failures != injected {
             violations.push(Violation {

@@ -55,9 +55,7 @@ pub use fuzz::{
     corpus, fuzz_engine, fuzz_engines, fuzz_wire, mutate, EngineFuzzOutcome, SeedStream,
     WireFuzzReport,
 };
-pub use net::{
-    build_net, build_net_aggregate, NetSpec, Protocol, RouterView, ScenarioNet, Substrate,
-};
+pub use net::{build_net, build_net_aggregate, NetSpec, Protocol, ScenarioNet, Substrate};
 pub use oracle::{
     check_battery, check_bounded_queues, check_bounded_state, check_cbt_ack_ledger,
     check_congestion_recovery, check_delivery, check_hardening, check_loop_freedom,

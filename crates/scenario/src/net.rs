@@ -10,12 +10,9 @@ use cbt::{CbtEngine, CbtRouter};
 use dvmrp::{DvmrpEngine, DvmrpRouter};
 use graph::{Graph, NodeId};
 use igmp::HostNode;
-use netsim::build::NodePlan;
-use netsim::{
-    host_addr, router_addr, Duration, IfaceId, IfaceSet, Node, NodeIdx, SimTime, Topology, World,
-};
-use node::{ProtocolEngine, ProtocolNode};
-use pim::{Engine, PimConfig, PimRouter};
+use netsim::build::{IfacePlan, NodePlan};
+use netsim::{host_addr, router_addr, Duration, IfaceSet, Node, NodeIdx, SimTime, Topology, World};
+use pim::{Engine, PimConfig, PimRouter, ProtocolEngine, ProtocolNode};
 use telemetry::SharedSink;
 use unicast::dv::{DvConfig, DvEngine};
 use unicast::ls::LsEngine;
@@ -52,9 +49,9 @@ impl Protocol {
         Protocol::ALL.into_iter().find(|p| p.name() == s)
     }
 
-    /// World node `n`, a router running this protocol, through the view
-    /// every protocol's router shares.
-    pub fn router(self, world: &World, n: NodeIdx) -> &dyn RouterView {
+    /// World node `n`, a router running this protocol, as a router of
+    /// any protocol: what every router has, whatever its engine.
+    pub fn router(self, world: &World, n: NodeIdx) -> &ProtocolNode<dyn ProtocolEngine> {
         match self {
             Protocol::Pim => world.node::<PimRouter>(n),
             Protocol::Dvmrp => world.node::<DvmrpRouter>(n),
@@ -63,44 +60,16 @@ impl Protocol {
     }
 
     /// [`Protocol::router`], mutably.
-    pub fn router_mut(self, world: &mut World, n: NodeIdx) -> &mut dyn RouterView {
+    pub fn router_mut(
+        self,
+        world: &mut World,
+        n: NodeIdx,
+    ) -> &mut ProtocolNode<dyn ProtocolEngine> {
         match self {
             Protocol::Pim => world.node_mut::<PimRouter>(n),
             Protocol::Dvmrp => world.node_mut::<DvmrpRouter>(n),
             Protocol::Cbt => world.node_mut::<CbtRouter>(n),
         }
-    }
-}
-
-/// What the harness reads or sets on a router whatever protocol it runs
-/// ([`Protocol::router`]): every router is a [`ProtocolNode`].
-pub trait RouterView {
-    /// The `show mroute`-style state snapshot at `now` (see
-    /// [`telemetry::StateDump`]).
-    fn state_dump(&self, now: SimTime) -> String;
-    /// Multicast forwarding entries held.
-    fn entry_count(&self) -> usize;
-    /// Received payloads dropped because they failed to decode.
-    fn malformed_drops(&self) -> u64;
-    /// Declare `iface` a host subnetwork with `hosts` on it.
-    fn attach_host_lan(&mut self, iface: IfaceId, hosts: &[Addr]);
-}
-
-impl<P: ProtocolEngine> RouterView for ProtocolNode<P> {
-    fn state_dump(&self, now: SimTime) -> String {
-        ProtocolNode::state_dump(self, now)
-    }
-
-    fn entry_count(&self) -> usize {
-        self.engine().entry_count()
-    }
-
-    fn malformed_drops(&self) -> u64 {
-        self.malformed_drops
-    }
-
-    fn attach_host_lan(&mut self, iface: IfaceId, hosts: &[Addr]) {
-        ProtocolNode::attach_host_lan(self, iface, hosts)
     }
 }
 
@@ -115,17 +84,6 @@ pub enum Substrate {
     DistanceVector,
     /// OSPF-like link state.
     LinkState,
-}
-
-/// One router-router interface, as the oracles see it.
-#[derive(Clone, Copy, Debug)]
-pub struct IfacePeer {
-    /// The interface id on this router.
-    pub iface: IfaceId,
-    /// The neighbor router's graph node.
-    pub neighbor: NodeId,
-    /// The neighbor router's address.
-    pub neighbor_addr: Addr,
 }
 
 /// A built scenario network: world plus the side tables the oracle layer
@@ -145,8 +103,9 @@ pub struct ScenarioNet {
     pub rendezvous: NodeId,
     /// The router each host slot sits behind.
     pub host_routers: Vec<NodeId>,
-    /// Router-router interface map per router, indexed by graph node.
-    pub peers: Vec<Vec<IfacePeer>>,
+    /// Router-router interface map per router, indexed by graph node:
+    /// the build plan's interfaces (id, neighbor, its address, …).
+    pub peers: Vec<Vec<IfacePlan>>,
     /// Aggregate member population behind each host slot, in
     /// `host_routers` order: the size of the [`HostNode`] in that slot.
     /// `1` = one explicit host (the classic scenarios); `> 1` = an
@@ -187,6 +146,11 @@ pub struct NetSpec<'a> {
 /// Build a network of `protocol` routers over `g` with a host behind each
 /// router in `host_routers`, the rendezvous point (RP or core) at
 /// `rendezvous`, and the chosen unicast substrate.
+///
+/// This and [`build_net_aggregate`] are [`NetSpec::build`] with
+/// positional arguments. Workspace code builds through [`NetSpec`]; the
+/// two stay only because the frozen `benchmark/` package calls them
+/// (ROADMAP item 3(f)).
 pub fn build_net(
     g: &Graph,
     protocol: Protocol,
@@ -333,20 +297,7 @@ impl NetSpec<'_> {
             hosts.push((hi, ha));
         }
 
-        let peers = topo
-            .plans()
-            .iter()
-            .map(|p| {
-                p.ifaces
-                    .iter()
-                    .map(|i| IfacePeer {
-                        iface: i.iface,
-                        neighbor: i.neighbor,
-                        neighbor_addr: i.neighbor_addr,
-                    })
-                    .collect()
-            })
-            .collect();
+        let peers = topo.plans().iter().map(|p| p.ifaces.clone()).collect();
 
         ScenarioNet {
             world,
@@ -495,9 +446,9 @@ impl ScenarioNet {
         self.router(node).state_dump(now)
     }
 
-    /// Router `node` (graph node index) through the protocol-agnostic
-    /// [`RouterView`].
-    pub fn router(&self, node: usize) -> &dyn RouterView {
+    /// Router `node` (graph node index), whatever its protocol (see
+    /// [`Protocol::router`]).
+    pub fn router(&self, node: usize) -> &ProtocolNode<dyn ProtocolEngine> {
         self.protocol.router(&self.world, NodeIdx(node))
     }
 }

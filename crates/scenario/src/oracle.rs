@@ -337,8 +337,8 @@ pub fn check_no_orphans(net: &ScenarioNet) -> Vec<Violation> {
                 }
             }
             Protocol::Cbt => {
-                let my_addr = net.world.node::<CbtRouter>(NodeIdx(n)).engine().addr();
                 let e = net.world.node::<CbtRouter>(NodeIdx(n)).engine();
+                let my_addr = e.addr();
                 for (g, t) in e.trees() {
                     let bare_core_anchor = t.core == my_addr
                         && t.parent().is_none()
@@ -472,41 +472,36 @@ pub fn check_bounded_state(net: &ScenarioNet) -> Vec<Violation> {
         let idx = NodeIdx(n);
         let mut bad_groups: Vec<String> = Vec::new();
         let mut group_entries = 0usize;
-        let malformed_drops = match net.protocol {
+        match net.protocol {
             Protocol::Pim => {
-                let r = net.world.node::<PimRouter>(idx);
-                for (g, gs) in r.engine().groups() {
+                for (g, gs) in net.world.node::<PimRouter>(idx).engine().groups() {
                     if g != net.group {
                         bad_groups.push(format!("{g:?}"));
                     } else {
                         group_entries += usize::from(gs.star.is_some()) + gs.sources.len();
                     }
                 }
-                r.malformed_drops
             }
             Protocol::Dvmrp => {
-                let r = net.world.node::<DvmrpRouter>(idx);
-                for (s, g) in r.engine().entry_keys() {
+                for (s, g) in net.world.node::<DvmrpRouter>(idx).engine().entry_keys() {
                     if g != net.group {
                         bad_groups.push(format!("({s}, {g:?})"));
                     } else {
                         group_entries += 1;
                     }
                 }
-                r.malformed_drops
             }
             Protocol::Cbt => {
-                let r = net.world.node::<CbtRouter>(idx);
-                for (g, _) in r.engine().trees() {
+                for (g, _) in net.world.node::<CbtRouter>(idx).engine().trees() {
                     if g != net.group {
                         bad_groups.push(format!("{g:?}"));
                     } else {
                         group_entries += 1;
                     }
                 }
-                r.malformed_drops
             }
-        };
+        }
+        let malformed_drops = net.router(n).malformed_drops;
         if aggregate && group_entries > site_bound {
             out.push(violation(
                 "hardening",

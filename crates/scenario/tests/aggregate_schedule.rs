@@ -5,7 +5,7 @@
 
 use igmp::HostNode;
 use netsim::SimTime;
-use scenario::{build_net_aggregate, topology, FaultEvent, FaultSchedule, Protocol, Substrate};
+use scenario::{topology, FaultEvent, FaultSchedule, NetSpec, Protocol};
 use std::collections::BTreeSet;
 
 const POPULATION: u64 = 50;
@@ -13,16 +13,15 @@ const POPULATION: u64 = 50;
 /// Run the scenario; returns the rendered capture trace.
 fn run(protocol: Protocol, threads: usize) -> Vec<String> {
     let topo = topology("diamond").expect("diamond topology");
-    let mut net = build_net_aggregate(
-        &topo.graph,
+    let mut net = NetSpec {
         protocol,
-        Substrate::Oracle,
-        wire::Group::test(1),
-        topo.rendezvous,
-        &topo.host_routers,
-        &[1, POPULATION, 1],
-        17,
-    );
+        groups: &[(wire::Group::test(1), vec![topo.rendezvous])],
+        host_routers: &topo.host_routers,
+        populations: &[1, POPULATION, 1],
+        seed: 17,
+        ..NetSpec::default()
+    }
+    .build(&topo.graph);
     let mut schedule = FaultSchedule::default();
     schedule.push(30, FaultEvent::Join(1));
     schedule.push(40, FaultEvent::Join(2));

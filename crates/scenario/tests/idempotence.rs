@@ -11,7 +11,7 @@
 //! vacuous.
 
 use netsim::{host_addr, router_addr, IfaceId, NodeIdx, SimTime};
-use scenario::{build_net, topologies, FaultEvent, FaultSchedule, Protocol, Substrate};
+use scenario::{topologies, FaultEvent, FaultSchedule, NetSpec, Protocol};
 use wire::ip::{Header, Protocol as IpProto};
 use wire::{cbt, dvmrp, igmp, pim, Group, Message};
 
@@ -180,15 +180,14 @@ fn injections(net: &scenario::ScenarioNet, group: Group) -> Vec<Injection> {
 fn run(protocol: Protocol, copies: usize) -> Vec<String> {
     let topo = &topologies()[0];
     let group = Group::test(1);
-    let mut net = build_net(
-        &topo.graph,
+    let mut net = NetSpec {
         protocol,
-        Substrate::Oracle,
-        group,
-        topo.rendezvous,
-        &topo.host_routers,
-        7,
-    );
+        groups: &[(group, vec![topo.rendezvous])],
+        host_routers: &topo.host_routers,
+        seed: 7,
+        ..NetSpec::default()
+    }
+    .build(&topo.graph);
     let mut schedule = FaultSchedule::default();
     schedule.push(30, FaultEvent::Join(1));
     schedule.push(60, FaultEvent::Join(2));

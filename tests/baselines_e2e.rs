@@ -5,7 +5,7 @@
 use cbt::CbtRouter;
 use graph::{Graph, NodeId};
 use netsim::{LinkId, NodeIdx, SimTime};
-use scenario::{build_net, topology, Protocol, ScenarioNet, Substrate};
+use scenario::{topology, NetSpec, Protocol, ScenarioNet};
 use wire::Group;
 
 fn group() -> Group {
@@ -27,15 +27,14 @@ fn build(
     host_routers: &[NodeId],
     seed: u64,
 ) -> ScenarioNet {
-    build_net(
-        g,
+    NetSpec {
         protocol,
-        Substrate::Oracle,
-        group(),
-        core,
+        groups: &[(group(), vec![core])],
         host_routers,
         seed,
-    )
+        ..NetSpec::default()
+    }
+    .build(g)
 }
 
 // ---------------------------------------------------------------------
