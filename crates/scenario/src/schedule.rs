@@ -27,9 +27,9 @@ use netsim::{ChannelModel, LinkCapacity, LinkId, NodeIdx, SimTime, World};
 use wire::Group;
 
 /// The most packets a burst keeps through [`FaultSchedule::normalize`].
-pub const BURST_MAX_COUNT: u32 = 32;
+pub(crate) const BURST_MAX_COUNT: u32 = 32;
 /// The widest burst gap [`FaultSchedule::normalize`] keeps.
-pub const BURST_MAX_GAP: u64 = 16;
+pub(crate) const BURST_MAX_GAP: u64 = 16;
 
 /// One fault, applied at a scheduled instant.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -350,8 +350,8 @@ impl FaultSchedule {
     ///   slots into the member range `1..hosts` — slot 0 stays the
     ///   sender, so burst traffic never perturbs the probe train's
     ///   sequence numbers), per-mille fields clamped to 1000, jitter
-    ///   to 60, burst counts to [`BURST_MAX_COUNT`] and burst gaps to
-    ///   [`BURST_MAX_GAP`];
+    ///   to 60, burst counts to `BURST_MAX_COUNT` and burst gaps to
+    ///   `BURST_MAX_GAP`;
     /// * fault events are clamped into the `1..=`[`HEAL_AT`] fault
     ///   window and membership events to the windows the explorer
     ///   timeline allows (joins by [`JOIN_MAX`], leaves by
