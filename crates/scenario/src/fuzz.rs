@@ -308,10 +308,10 @@ pub fn fuzz_engine(protocol: Protocol, seed: u64, frames: u64) -> EngineFuzzOutc
         schedule.push(60, FaultEvent::Join(2));
         let mut net = set_up_timeline(topo, protocol, &schedule, seed, None);
 
-        // Inject malformed frames spread over INJECT_FROM..JOIN_MAX —
-        // garbage stops well before the probe train, mirroring the
-        // explorer's heal discipline, so delivery measures recovery, not
-        // luck.
+        // Inject malformed frames spread over INJECT_FROM..JOIN_MAX, the
+        // window a schedule may act in — garbage stops well before the
+        // probe train, mirroring the explorer's heal discipline, so
+        // delivery measures recovery, not luck.
         let hdr = Header {
             proto: IpProto::Igmp,
             ttl: 8,

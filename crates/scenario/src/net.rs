@@ -10,8 +10,10 @@ use cbt::{CbtEngine, CbtRouter};
 use dvmrp::{DvmrpEngine, DvmrpRouter};
 use graph::{Graph, NodeId};
 use igmp::HostNode;
-use netsim::build::{IfacePlan, NodePlan};
-use netsim::{host_addr, router_addr, Duration, IfaceSet, Node, NodeIdx, SimTime, Topology, World};
+use netsim::build::NodePlan;
+use netsim::{
+    host_addr, router_addr, Duration, IfaceId, IfaceSet, Node, NodeIdx, SimTime, Topology, World,
+};
 use pim::{Engine, PimConfig, PimRouter, ProtocolEngine, ProtocolNode};
 use telemetry::SharedSink;
 use unicast::dv::{DvConfig, DvEngine};
@@ -86,6 +88,17 @@ pub enum Substrate {
     LinkState,
 }
 
+/// One router-router interface, as the oracles see it.
+#[derive(Clone, Copy, Debug)]
+pub struct IfacePeer {
+    /// The interface id on this router.
+    pub iface: IfaceId,
+    /// The neighbor router's graph node.
+    pub neighbor: NodeId,
+    /// The neighbor router's address.
+    pub neighbor_addr: Addr,
+}
+
 /// A built scenario network: world plus the side tables the oracle layer
 /// needs to interpret router state.
 pub struct ScenarioNet {
@@ -103,9 +116,8 @@ pub struct ScenarioNet {
     pub rendezvous: NodeId,
     /// The router each host slot sits behind.
     pub host_routers: Vec<NodeId>,
-    /// Router-router interface map per router, indexed by graph node:
-    /// the build plan's interfaces (id, neighbor, its address, …).
-    pub peers: Vec<Vec<IfacePlan>>,
+    /// Router-router interface map per router, indexed by graph node.
+    pub peers: Vec<Vec<IfacePeer>>,
     /// Aggregate member population behind each host slot, in
     /// `host_routers` order: the size of the [`HostNode`] in that slot.
     /// `1` = one explicit host (the classic scenarios); `> 1` = an
@@ -297,7 +309,20 @@ impl NetSpec<'_> {
             hosts.push((hi, ha));
         }
 
-        let peers = topo.plans().iter().map(|p| p.ifaces.clone()).collect();
+        let peers = topo
+            .plans()
+            .iter()
+            .map(|p| {
+                p.ifaces
+                    .iter()
+                    .map(|i| IfacePeer {
+                        iface: i.iface,
+                        neighbor: i.neighbor,
+                        neighbor_addr: i.neighbor_addr,
+                    })
+                    .collect()
+            })
+            .collect();
 
         ScenarioNet {
             world,
