@@ -29,10 +29,12 @@
 use scenario::explore::HEAL_AT;
 use scenario::schedule::{FaultEvent, FaultSchedule};
 use scenario::{
-    coverage_search, random_schedule, random_search, replay_corpus, run_case, shrink_violation,
-    shrink_with, topologies, topology, verify_replay, Artifact, CaseOutcome, Protocol,
-    SearchConfig, SearchReport, TopoSpec,
+    coverage_search, random_schedule, random_search, replay_corpus, run_case, run_timeline,
+    shrink_violation, shrink_with, topologies, topology, verify_replay, Artifact, CaseOutcome,
+    Protocol, SearchConfig, SearchReport, TopoSpec,
 };
+use std::sync::{Arc, Mutex};
+use telemetry::{Event, Sink, Ticks};
 
 /// The congestion-degradation fixture: the diamond's r1-r2 link capped
 /// with control priority on, overloaded by a member burst, healed
@@ -49,20 +51,39 @@ fn congestion_fixture() -> (TopoSpec, FaultSchedule) {
     (topo, s)
 }
 
-/// Count `ctrl_send` telemetry lines whose message kind is `kind`.
-fn ctrl_sends(outcome: &CaseOutcome, kind: &str) -> usize {
-    let needle = format!("\"kind\":\"{kind}\"");
-    outcome
-        .telemetry
-        .lines()
-        .filter(|l| l.contains("\"ev\":\"ctrl_send\"") && l.contains(&needle))
-        .count()
+/// Counts the run's `CtrlSend` events of one message kind.
+struct CtrlSends {
+    kind: &'static str,
+    sent: usize,
+}
+
+impl Sink for CtrlSends {
+    fn event(&mut self, _node: u32, _at: Ticks, ev: &Event) {
+        if matches!(ev, Event::CtrlSend { kind, .. } if *kind == self.kind) {
+            self.sent += 1;
+        }
+    }
+}
+
+/// How many `kind` control messages the case's timeline sends.
+fn ctrl_sends(
+    topo: &TopoSpec,
+    protocol: Protocol,
+    schedule: &FaultSchedule,
+    seed: u64,
+    kind: &'static str,
+) -> usize {
+    let sends = Arc::new(Mutex::new(CtrlSends { kind, sent: 0 }));
+    run_timeline(topo, protocol, schedule, seed, 1, Some(sends.clone()));
+    let sent = telemetry::lock(&sends).sent;
+    sent
 }
 
 /// Find the first seed in `0..limit` whose normalized random schedule
-/// satisfies `pred` when run under `protocol`, then shrink it while the
-/// predicate holds. Panics (with the mode's name) if no seed qualifies —
-/// rebuild-corpus must not silently emit a vacuous pin.
+/// satisfies `pred` (given the seed) when run under `protocol`, then
+/// shrink it while the predicate holds. Panics (with the mode's name)
+/// if no seed qualifies — rebuild-corpus must not silently emit a
+/// vacuous pin.
 fn build_pin<F>(
     name: &str,
     topo: &TopoSpec,
@@ -72,11 +93,12 @@ fn build_pin<F>(
     pred: F,
 ) -> (Artifact, u64)
 where
-    F: Fn(&FaultSchedule, &CaseOutcome) -> bool + Copy,
+    F: Fn(u64, &FaultSchedule, &CaseOutcome) -> bool + Copy,
 {
     for seed in 0..limit {
         let schedule = random_schedule(topo, seed, teardown);
         let outcome = run_case(topo, protocol, &schedule, seed);
+        let pred = |s: &FaultSchedule, o: &CaseOutcome| pred(seed, s, o);
         if !pred(&schedule, &outcome) {
             continue;
         }
@@ -334,10 +356,10 @@ fn main() {
                 Protocol::Pim,
                 false,
                 200,
-                |s, o| {
+                |seed, s, o| {
                     o.violations.is_empty()
                         && !s.final_members(3).is_empty()
-                        && ctrl_sends(o, "pim-register") >= 2
+                        && ctrl_sends(&diamond, Protocol::Pim, s, seed, "pim-register") >= 2
                 },
             );
             // orphaned-upstream: a tree is actually built (a join) and
@@ -352,7 +374,7 @@ fn main() {
                 Protocol::Pim,
                 true,
                 200,
-                |s, o| {
+                |_, s, o| {
                     o.violations.is_empty()
                         && s.final_members(4).is_empty()
                         && s.events

@@ -47,9 +47,9 @@ pub mod search;
 pub mod shrink;
 
 pub use explore::{
-    explore_seed, load_corpus, random_schedule, replay, replay_corpus, run_case, run_case_coverage,
-    run_timeline, slice_lines, topologies, topology, verify_replay, Artifact, CaseOutcome,
-    NodeDump, TopoSpec,
+    case_text, explore_seed, load_corpus, random_schedule, replay, replay_corpus, run_case,
+    run_case_coverage, run_timeline, slice_lines, topologies, topology, verify_replay, Artifact,
+    CaseOutcome, CaseText, NodeDump, TextLen, TopoSpec,
 };
 pub use fuzz::{
     corpus, fuzz_engine, fuzz_engines, fuzz_wire, mutate, EngineFuzzOutcome, SeedStream,

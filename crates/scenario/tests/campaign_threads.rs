@@ -17,7 +17,7 @@
 //! On a mismatch the run's own table is written beside the test binary's
 //! scratch files (the path is in the failure message).
 
-use scenario::{random_schedule, run_case_coverage, topologies, Protocol};
+use scenario::{case_text, random_schedule, run_case_coverage, topologies, Protocol};
 use std::fmt::Write as _;
 
 const TABLE: &str = "tests/campaign_fingerprints.txt";
@@ -32,6 +32,7 @@ fn twenty_seed_campaign_is_thread_count_invariant() {
         let schedule = random_schedule(topo, seed, seed % 3 == 2);
         for protocol in Protocol::ALL {
             let (base, _) = run_case_coverage(topo, protocol, &schedule, seed, 1);
+            let base_trace = case_text(topo, protocol, &schedule, seed, 1).trace;
             let _ = writeln!(
                 table,
                 "{seed} {} {} {:016x} {:016x} {}",
@@ -56,7 +57,8 @@ fn twenty_seed_campaign_is_thread_count_invariant() {
                     topo.name
                 );
                 assert_eq!(
-                    base.trace, par.trace,
+                    base_trace,
+                    case_text(topo, protocol, &schedule, seed, threads).trace,
                     "trace diverged: seed {seed} {protocol:?} threads {threads}"
                 );
                 assert_eq!(

@@ -3,7 +3,9 @@
 //! finished aggregators of independent runs merge into exactly what one
 //! aggregator recording both runs would hold.
 
-use scenario::{random_schedule, run_case, topology, FaultEvent, FaultSchedule, Protocol};
+use scenario::{
+    case_text, random_schedule, run_case, topology, FaultEvent, FaultSchedule, Protocol,
+};
 use std::collections::BTreeMap;
 use telemetry::{Histogram, MetricsAggregator};
 
@@ -63,7 +65,8 @@ fn per_kind_counts_equal_the_jsonl_scan() {
     for protocol in Protocol::ALL {
         let outcome = run_case(&topo, protocol, &impaired_schedule(), 9);
         let metrics = outcome.metrics.as_ref().expect("the run finished");
-        let (impairments, drops) = scan(&outcome.telemetry);
+        let text = case_text(&topo, protocol, &impaired_schedule(), 9, 1);
+        let (impairments, drops) = scan(&text.telemetry);
         for kind in ["corrupt", "duplicate", "reorder"] {
             assert!(
                 impairments.get(kind).is_some_and(|&n| n > 0),

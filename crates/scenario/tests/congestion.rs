@@ -3,8 +3,8 @@
 //! (violation -> shrink -> byte-identical replay artifact).
 
 use scenario::{
-    run_case, run_case_coverage, shrink_violation, topology, verify_replay, Artifact, FaultEvent,
-    FaultSchedule, Protocol,
+    case_text, run_case, run_case_coverage, shrink_violation, topology, verify_replay, Artifact,
+    FaultEvent, FaultSchedule, Protocol,
 };
 
 /// A classic (capacity-free) schedule: joins plus a healed link flap.
@@ -61,15 +61,16 @@ fn capacity_disabled_is_trace_compatible_across_threads() {
             "{}: trace diverged across thread counts",
             protocol.name()
         );
+        let one_text = case_text(&topo, protocol, &schedule, 11, 1).telemetry;
         assert_eq!(
-            one.telemetry,
-            four.telemetry,
+            one_text,
+            case_text(&topo, protocol, &schedule, 11, 4).telemetry,
             "{}: telemetry diverged across thread counts",
             protocol.name()
         );
         for kind in ["queue_drop", "ecn_mark", "queue_depth"] {
             assert!(
-                !one.telemetry.contains(&format!("\"ev\":\"{kind}\"")),
+                !one_text.contains(&format!("\"ev\":\"{kind}\"")),
                 "{}: capacity-disabled run emitted a {kind} event",
                 protocol.name()
             );
@@ -102,9 +103,15 @@ fn congestion_degrades_gracefully_and_is_thread_invariant() {
             "{}: congested trace diverged across thread counts",
             protocol.name()
         );
-        assert_eq!(one.telemetry, four.telemetry, "{}", protocol.name());
+        let one_text = case_text(&topo, protocol, &schedule, 5, 1).telemetry;
+        assert_eq!(
+            one_text,
+            case_text(&topo, protocol, &schedule, 5, 4).telemetry,
+            "{}",
+            protocol.name()
+        );
         assert!(
-            one.telemetry.contains("\"ev\":\"queue_depth\""),
+            one_text.contains("\"ev\":\"queue_depth\""),
             "{}: the cap never queued anything — workload too weak",
             protocol.name()
         );

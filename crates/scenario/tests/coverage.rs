@@ -3,7 +3,7 @@
 //! thread count — so the map's stable hash must not move when the
 //! parallel core's `--threads` knob does.
 
-use scenario::{load_corpus, random_schedule, run_case_coverage, topology, Protocol};
+use scenario::{case_text, load_corpus, random_schedule, run_case_coverage, topology, Protocol};
 use std::path::PathBuf;
 
 /// Fixed grid of runs: every topology, every protocol, a fixed seed,
@@ -22,11 +22,11 @@ fn coverage_hash_is_thread_count_invariant() {
     for (name, protocol, seed, teardown) in TABLE {
         let topo = topology(name).unwrap();
         let schedule = random_schedule(&topo, seed, teardown);
-        let (o1, c1) = run_case_coverage(&topo, protocol, &schedule, seed, 1);
-        let (o4, c4) = run_case_coverage(&topo, protocol, &schedule, seed, 4);
+        let (_, c1) = run_case_coverage(&topo, protocol, &schedule, seed, 1);
+        let (_, c4) = run_case_coverage(&topo, protocol, &schedule, seed, 4);
         assert_eq!(
-            o1.telemetry,
-            o4.telemetry,
+            case_text(&topo, protocol, &schedule, seed, 1).telemetry,
+            case_text(&topo, protocol, &schedule, seed, 4).telemetry,
             "{name}/{}/{seed}: telemetry bytes diverged across threads",
             protocol.name()
         );

@@ -3,7 +3,7 @@
 //! stands on; `crates/netsim/tests/determinism.rs` checks the simulator
 //! layer, this checks the full scenario stack on top of it.
 
-use scenario::{random_schedule, run_case, topologies, FaultSchedule, Protocol};
+use scenario::{case_text, random_schedule, run_case, topologies, FaultSchedule, Protocol};
 
 #[test]
 fn identical_runs_produce_identical_traces() {
@@ -13,17 +13,21 @@ fn identical_runs_produce_identical_traces() {
         for protocol in Protocol::ALL {
             let a = run_case(topo, protocol, &schedule, seed);
             let b = run_case(topo, protocol, &schedule, seed);
+            let (a_text, b_text) = (
+                case_text(topo, protocol, &schedule, seed, 1),
+                case_text(topo, protocol, &schedule, seed, 1),
+            );
             assert_eq!(
-                a.trace,
-                b.trace,
+                a_text.trace,
+                b_text.trace,
                 "{} on {}: traces must match line for line",
                 protocol.name(),
                 topo.name
             );
             assert_eq!(a.fingerprint, b.fingerprint);
             assert_eq!(
-                a.telemetry,
-                b.telemetry,
+                a_text.telemetry,
+                b_text.telemetry,
                 "{} on {}: telemetry JSONL streams must be byte-identical",
                 protocol.name(),
                 topo.name

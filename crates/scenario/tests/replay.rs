@@ -7,7 +7,9 @@
 //! fingerprint, same telemetry event stream, same violations, same
 //! dumps.
 
-use scenario::{replay, run_case, topology, Artifact, FaultEvent, FaultSchedule, Protocol};
+use scenario::{
+    case_text, replay, run_case, topology, Artifact, FaultEvent, FaultSchedule, Protocol,
+};
 
 /// line-stub topology: 0-1-2-3-4 with a 2-5 stub. Sender host is behind
 /// r4; crashing r2 forever severs every member from the source.
@@ -187,15 +189,16 @@ fn adversarial_channel_schedule_roundtrips_and_replays_byte_identically() {
 
         // Not vacuous: the channel really impaired traffic, and every
         // corrupted frame shows up in the decode-failure accounting.
+        let text = case_text(&topo, protocol, &parsed, seed, 1).telemetry;
         for what in ["corrupt", "duplicate", "reorder"] {
             assert!(
-                outcome.telemetry.contains(what),
+                text.contains(what),
                 "{}: no {what} impairment mark in telemetry",
                 protocol.name()
             );
         }
         assert!(
-            outcome.telemetry.contains("decode_failed"),
+            text.contains("decode_failed"),
             "{}: corruption never tripped a decode failure",
             protocol.name()
         );

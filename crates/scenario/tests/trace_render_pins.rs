@@ -247,7 +247,9 @@ impl Node for Sender {
 
 #[test]
 fn captured_frames_become_trace_lines_end_to_end() {
-    let frames = frames();
+    // Every frame twice: `trace_lines` decodes a packet once and renders
+    // its repeats from that text, which must be the reference's too.
+    let frames = [frames(), frames()].concat();
     let mut w = World::new(21);
     let quiet = w.add_node(Box::new(Sender {
         frames: Vec::new(),

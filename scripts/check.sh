@@ -49,8 +49,8 @@ cargo test -q --offline --release -p telemetry --test causal_finger --test sink_
 section "cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --quiet
 
-section "cargo check benchmark/ (the frozen consumer of the public API)"
-(cd benchmark && cargo check --offline --all-targets)
+section "cargo check benchmark/ (the frozen consumer of the public API; --locked: a new dependency edge fails here instead of rewriting its committed Cargo.lock)"
+(cd benchmark && cargo check --offline --locked --all-targets)
 
 section "benchmark sim_stats vs benchmark/baseline.json (same work, whatever the speed)"
 ./scripts/sim_stats.sh
