@@ -555,15 +555,17 @@ impl World {
     /// canonically-smallest records it saw, so any record in the true
     /// global first-`limit` (whose region-local rank can only be lower)
     /// is guaranteed to be present in some shard — truncation after the
-    /// merge is exact, not partition-dependent.
-    pub fn captured(&self) -> Vec<CaptureRecord> {
+    /// merge is exact, not partition-dependent. The records are borrowed
+    /// from the shards: a read copies no record and bumps no packet's
+    /// reference count.
+    pub fn captured(&self) -> Vec<&CaptureRecord> {
         let limit = match self.shared.capture_limit {
             Some(l) => l,
             None => return Vec::new(),
         };
         let mut all: Vec<&Captured> = self.regions.iter().flat_map(|r| r.capture.iter()).collect();
-        all.sort_by_key(|c| c.key);
-        all.into_iter().take(limit).map(|c| c.rec.clone()).collect()
+        all.sort_unstable_by_key(|c| c.key);
+        all.into_iter().take(limit).map(|c| &c.rec).collect()
     }
 
     /// Schedule an arbitrary scripted action (host joins a group, link
