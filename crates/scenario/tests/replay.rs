@@ -8,7 +8,8 @@
 //! dumps.
 
 use scenario::{
-    case_text, replay, run_case, topology, Artifact, FaultEvent, FaultSchedule, Protocol,
+    case_causal, case_text, causal_anchor, replay, run_case, topology, verify_replay, Artifact,
+    FaultEvent, FaultSchedule, Protocol,
 };
 
 /// line-stub topology: 0-1-2-3-4 with a 2-5 stub. Sender host is behind
@@ -45,16 +46,23 @@ fn broken_fixture_yields_minimal_replay_artifact() {
             protocol.name()
         );
 
+        // Capture → serialize → parse: exact round-trip. The capture
+        // replays the case for its post-mortems.
+        let artifact = Artifact::capture(&topo, protocol, &schedule, seed, &outcome);
+        let text = artifact.to_text();
+        let parsed = Artifact::from_text(&text).expect("artifact parses back");
+        assert_eq!(parsed, artifact, "artifact text form must round-trip");
+
         // The violation implicates at least one router, so the artifact
         // carries its post-mortem: a non-empty flight recorder tail, a
         // state snapshot, and the backward causal slice explaining the
         // router's final entry-flag transition.
         assert!(
-            !outcome.dumps.is_empty(),
-            "{}: a violating run must dump the implicated routers",
+            !artifact.dumps.is_empty(),
+            "{}: a violating run's artifact must dump the implicated routers",
             protocol.name()
         );
-        for d in &outcome.dumps {
+        for d in &artifact.dumps {
             assert!(
                 !d.state.is_empty(),
                 "{}: r{} state snapshot must not be empty",
@@ -75,12 +83,20 @@ fn broken_fixture_yields_minimal_replay_artifact() {
                 d.cause[0]
             );
         }
-
-        // Capture → serialize → parse: exact round-trip.
-        let artifact = Artifact::capture(&topo, protocol, &schedule, seed, &outcome);
-        let text = artifact.to_text();
-        let parsed = Artifact::from_text(&text).expect("artifact parses back");
-        assert_eq!(parsed, artifact, "artifact text form must round-trip");
+        // A dump's slice depth is its backward chain's length (the
+        // explorer prints the deepest).
+        let case = case_causal(&topo, protocol, &schedule, seed, 1);
+        for d in &artifact.dumps {
+            let anchor =
+                causal_anchor(&case.index, d.node as u32).expect("a dumped router has events");
+            assert_eq!(
+                d.slice_depth(),
+                case.index.backward_chain(anchor).len(),
+                "{}: r{} slice depth",
+                protocol.name(),
+                d.node
+            );
+        }
 
         // Replay: byte-identical re-execution, telemetry included.
         let rerun = replay(&parsed).expect("replay resolves topology");
@@ -106,11 +122,12 @@ fn broken_fixture_yields_minimal_replay_artifact() {
             "{}: replay must reproduce the identical violations",
             protocol.name()
         );
-        assert_eq!(
-            rerun.dumps,
-            artifact.dumps,
-            "{}: replay must reproduce the identical post-mortem dumps",
-            protocol.name()
+        let verified = verify_replay(&parsed);
+        assert!(
+            verified.is_ok(),
+            "{}: replay must reproduce the identical post-mortem dumps: {:?}",
+            protocol.name(),
+            verified.err()
         );
     }
 }
