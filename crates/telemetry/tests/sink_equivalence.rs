@@ -6,10 +6,12 @@
 //!
 //! The references are the writer and the fold as first written — JSON
 //! through `fmt::Write`, field by field, and one FNV feature id per
-//! event — kept here verbatim. The sinks must reproduce them byte for
-//! byte and count for count: the JSONL bytes are the determinism
-//! fingerprint of every replay, and the coverage map's entries and
-//! digest steer the search and pin its corpus.
+//! event. The JSON reference calls none of the writers it judges:
+//! numbers and dotted quads go through `std`'s `{}`, and flag sets are
+//! spelled from a name table of its own. The sinks must reproduce them
+//! byte for byte and count for count: the JSONL bytes are the
+//! determinism fingerprint of every replay, and the coverage map's
+//! entries and digest steer the search and pin its corpus.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -31,8 +33,7 @@ fn reference_write_json(
     out: &mut impl fmt::Write,
 ) -> fmt::Result {
     let mut j = JsonFields(out);
-    j.0.write_str("{\"t\":")?;
-    wire::write_dec(j.0, at)?;
+    write!(j.0, "{{\"t\":{at}")?;
     j.num("node", u64::from(node))?;
     j.text("ev", ev.kind())?;
     match ev {
@@ -112,6 +113,15 @@ fn reference_write_json(
     j.0.write_char('}')
 }
 
+/// Each flag bit with its name, in the order a flag set spells them.
+const FLAG_NAMES: [(u8, &str); 5] = [
+    (flags::WC, "WC"),
+    (flags::RP, "RP"),
+    (flags::SPT, "SPT"),
+    (flags::PRUNED, "PRUNED"),
+    (flags::ON_TREE, "ON_TREE"),
+];
+
 struct JsonFields<'a, W>(&'a mut W);
 
 impl<W: fmt::Write> JsonFields<'_, W> {
@@ -123,7 +133,7 @@ impl<W: fmt::Write> JsonFields<'_, W> {
 
     fn num(&mut self, name: &str, n: u64) -> fmt::Result {
         self.name(name)?;
-        wire::write_dec(self.0, n)
+        write!(self.0, "{n}")
     }
 
     fn flag(&mut self, name: &str, b: bool) -> fmt::Result {
@@ -140,9 +150,8 @@ impl<W: fmt::Write> JsonFields<'_, W> {
 
     fn addr(&mut self, name: &str, a: Addr) -> fmt::Result {
         self.name(name)?;
-        self.0.write_char('"')?;
-        a.write_to(self.0)?;
-        self.0.write_char('"')
+        let [a, b, c, d] = a.to_bytes();
+        write!(self.0, "\"{a}.{b}.{c}.{d}\"")
     }
 
     fn entry_key(&mut self, key: EntryKey) -> fmt::Result {
@@ -154,7 +163,18 @@ impl<W: fmt::Write> JsonFields<'_, W> {
 
     fn flags(&mut self, name: &str, f: u8) -> fmt::Result {
         self.name(name)?;
-        write!(self.0, "\"{}\"", flags::render(f))
+        self.0.write_char('"')?;
+        let mut sep = "";
+        for (bit, flag) in FLAG_NAMES {
+            if f & bit != 0 {
+                write!(self.0, "{sep}{flag}")?;
+                sep = "|";
+            }
+        }
+        if sep.is_empty() {
+            self.0.write_char('-')?;
+        }
+        self.0.write_char('"')
     }
 
     fn escaped(&mut self, name: &str, v: &str) -> fmt::Result {

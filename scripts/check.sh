@@ -40,12 +40,13 @@ cargo test -q --offline --release -p telemetry --test alloc_budget
 cargo test -q --offline --release -p unicast --test alloc_budget
 cargo test -q --offline --release -p scenario --test alloc_budget
 
-section "shortest-path kernel, oracle tables (and every table of a 2000-router internet against the streamed build), the Fig. 2 tree walk, trace-line text, the causal index's finger and flight tails, JSONL bytes and coverage vs their references, release profile (the hot loops are where debug and release differ)"
+section "shortest-path kernel, oracle tables (and every table of a 2000-router internet against the streamed build), the Fig. 2 tree walk, trace-line text, the causal index's finger and flight tails, JSONL bytes and coverage vs their references, the decimal and dotted-quad writers vs std, release profile (the hot loops are where debug and release differ)"
 cargo test -q --offline --release -p graph --test proptest_algo
 cargo test -q --offline --release -p unicast --test proptest_oracle --test oracle_scale
 cargo test -q --offline --release -p mctree
 cargo test -q --offline --release -p scenario --test trace_render_pins --test flight_tail
 cargo test -q --offline --release -p telemetry --test causal_finger --test sink_equivalence
+cargo test -q --offline --release -p wire --test text_writers
 
 section "cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --quiet
