@@ -10,16 +10,16 @@
 //! this experiment that CBT exhibits greater traffic concentrations."
 //!
 //! Run: `cargo run -p bench --release --bin fig2b [--trials N] [--seed N]
-//! [--threads N] [--groups N] [--smoke] [--json PATH]`
-//! (The full 500×6 sweep takes 10 s on one thread of the reference host —
-//! 29 million source trees at 0.3 µs each, `BENCH_fig2.json`; `--quick`
-//! runs 50×6 and `--smoke` runs 3×6 with 60 groups.)
+//! [--threads N] [--groups N] [--smoke]`
+//! (The full 500×6 sweep builds 29 million source trees, about 10 s on
+//! one thread of a 2-vCPU host; `--quick` runs 50×6 and `--smoke` runs
+//! 3×6 with 60 groups.)
 //!
 //! Trials fan out over a deterministic scoped-thread pool: trial `t` of
 //! degree `d` draws from `StdRng::seed_from_u64(par::mix(seed, d, t))`,
 //! so stdout is bit-identical for every `--threads` value.
 
-use bench::{cli, perf, stats};
+use bench::{cli, stats};
 use graph::algo::AllPairs;
 use graph::gen::{random_connected, RandomGraphParams};
 use mctree::flows::{max_flows, one_center};
@@ -52,10 +52,10 @@ fn trial(seed: u64, degree: u32, trial_idx: usize, groups: usize) -> (f64, f64) 
 }
 
 /// The full degree sweep; returns the printable rows.
-fn sweep(args: &cli::Args, threads: usize, groups: usize) -> Vec<String> {
+fn sweep(args: &cli::Args, groups: usize) -> Vec<String> {
     (3..=8u32)
         .map(|degree| {
-            let pairs = par::run_trials(threads, args.trials, |t| {
+            let pairs = par::run_trials(args.threads, args.trials, |t| {
                 trial(args.seed, degree, t, groups)
             });
             let spt_max: Vec<f64> = pairs.iter().map(|p| p.0).collect();
@@ -88,25 +88,9 @@ fn main() {
         "{:<8} {:>8} {:>12} {:>10} {:>12} {:>10} {:>8}",
         "degree", "trials", "spt_mean", "spt_sd", "cbt_mean", "cbt_sd", "cbt/spt"
     );
-    let (rows, wall_ms) = perf::time(|| sweep(&args, args.threads, groups));
-    for row in &rows {
+    for row in sweep(&args, groups) {
         println!("{row}");
     }
     println!("# Paper's shape: center-based trees concentrate noticeably more flows on the");
     println!("# hottest link at every degree, with both curves falling as degree rises.");
-
-    if let Some(path) = &args.json {
-        let (rows_1t, wall_ms_1t) = if args.threads == 1 {
-            (rows.clone(), wall_ms)
-        } else {
-            perf::time(|| sweep(&args, 1, groups))
-        };
-        assert_eq!(rows, rows_1t, "thread fan-out changed the results");
-        let json = format!(
-            "{{\n  \"bench\": \"fig2b\", \"seed\": {}, \"groups\": {groups}, {}\n}}\n",
-            args.seed,
-            perf::timing_fields(args.threads, args.trials * 6, wall_ms, wall_ms_1t),
-        );
-        perf::write_json(path, &json);
-    }
 }

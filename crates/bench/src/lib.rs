@@ -287,8 +287,8 @@ pub fn run_protocol_sim_opts(
 /// `--trials N`, `--quick` (divides trials by 10), `--smoke` (tiny
 /// bin-chosen trial count for the CI gate), `--threads N` (trial
 /// fan-out width; output is bit-identical for every value), `--groups N`
-/// (fig2b: groups per network), `--congestion` (overhead: cap every
-/// link), and `--json PATH` (machine-readable timing record).
+/// (fig2b: groups per network), and `--congestion` (overhead: cap
+/// every link).
 pub mod cli {
     /// Parsed common flags.
     #[derive(Clone, Debug)]
@@ -299,8 +299,6 @@ pub mod cli {
         pub trials: usize,
         /// Worker threads for the deterministic trial fan-out.
         pub threads: usize,
-        /// Where to write the machine-readable timing record, if asked.
-        pub json: Option<String>,
         /// Override for a bin-specific size knob (fig2b: groups per
         /// network).
         pub groups: Option<usize>,
@@ -318,7 +316,6 @@ pub mod cli {
             seed: 1994, // the paper's year; any seed reproduces the shape
             trials: default_trials,
             threads: par::default_threads(),
-            json: None,
             groups: None,
             smoke: false,
             congestion: false,
@@ -351,14 +348,6 @@ pub mod cli {
                         .unwrap_or_else(|| panic!("--threads needs a positive number"));
                     i += 2;
                 }
-                "--json" => {
-                    args.json = Some(
-                        argv.get(i + 1)
-                            .unwrap_or_else(|| panic!("--json needs a path"))
-                            .clone(),
-                    );
-                    i += 2;
-                }
                 "--groups" => {
                     args.groups = Some(
                         argv.get(i + 1)
@@ -381,7 +370,7 @@ pub mod cli {
                 }
                 other => panic!(
                     "unknown flag {other}; supported: --seed N --trials N --quick --smoke \
-                     --threads N --json PATH --groups N --congestion"
+                     --threads N --groups N --congestion"
                 ),
             }
         }
@@ -395,42 +384,6 @@ pub mod cli {
     /// least 1).
     pub fn parse(default_trials: usize) -> Args {
         parse_smoke(default_trials, (default_trials / 25).max(1))
-    }
-}
-
-/// Wall-clock timing and the hand-rolled JSON record `fig2a` / `fig2b`
-/// emit (`BENCH_fig2.json`), so the Fig. 2 sweeps keep a recorded
-/// trajectory.
-pub mod perf {
-    use std::time::Instant;
-
-    /// Run `f`, returning its value and the elapsed wall time in
-    /// milliseconds.
-    pub fn time<T>(f: impl FnOnce() -> T) -> (T, f64) {
-        let t = Instant::now();
-        let v = f();
-        (v, t.elapsed().as_secs_f64() * 1e3)
-    }
-
-    /// Write `json` to `path` and log the write on stdout (comment-style,
-    /// so figure output stays machine-greppable).
-    pub fn write_json(path: &str, json: &str) {
-        std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("# wrote {path}");
-    }
-
-    /// The common timing block of a bench JSON record. `wall_ms_1t` is
-    /// the same sweep re-run with `--threads 1` (equal by construction
-    /// to the multi-thread output — the speedup is free of any
-    /// result-level caveat).
-    pub fn timing_fields(threads: usize, trials: usize, wall_ms: f64, wall_ms_1t: f64) -> String {
-        format!(
-            "\"threads\": {threads}, \"trials\": {trials}, \"wall_ms\": {wall_ms:.1}, \
-             \"trials_per_sec\": {:.2}, \"wall_ms_1thread\": {wall_ms_1t:.1}, \
-             \"speedup_vs_1thread\": {:.2}",
-            trials as f64 / (wall_ms / 1e3),
-            wall_ms_1t / wall_ms
-        )
     }
 }
 

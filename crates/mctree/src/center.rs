@@ -73,10 +73,9 @@ pub fn optimal_center_tree(g: &Graph, ap: &AllPairs, members: &[NodeId]) -> (Cen
 }
 
 /// Reference implementation of the optimal-core search: build the full
-/// [`CenterTree`] for every candidate core and keep the best. Kept (and
-/// exercised by the `prune_equivalence` property tests and the fig2a
-/// `--json` timing comparison) as the ground truth for
-/// [`optimal_center_delay`]'s pruned search.
+/// [`CenterTree`] for every candidate core and keep the best. Kept as
+/// the ground truth the `prune_equivalence` property tests hold
+/// [`optimal_center_delay`]'s pruned search to.
 pub fn optimal_center_tree_exhaustive(
     g: &Graph,
     ap: &AllPairs,
