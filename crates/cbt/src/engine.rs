@@ -763,7 +763,7 @@ impl StateDump for CbtEngine {
                 s,
                 "  group {group} core={} flags={}",
                 tree.core,
-                flags::render(tree_flags(tree))
+                flags::Set(tree_flags(tree))
             );
             match tree.parent {
                 Some((i, p)) => {

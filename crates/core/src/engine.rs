@@ -1611,7 +1611,7 @@ fn dump_entry(s: &mut String, e: &Entry) {
         s,
         "    ({lhs}, {}) flags={}",
         e.group,
-        flags::render(entry_flags(e))
+        flags::Set(entry_flags(e))
     );
     if e.wildcard {
         // For (*,G) the key carries the RP the tree is rooted at.

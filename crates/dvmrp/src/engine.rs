@@ -568,7 +568,7 @@ impl StateDump for DvmrpEngine {
             let _ = write!(
                 s,
                 "    ({source}, {group}) flags={} expires=t{}",
-                flags::render(sg_flags(e)),
+                flags::Set(sg_flags(e)),
                 e.expires_at.ticks()
             );
             if let Some(t) = e.pending_graft {

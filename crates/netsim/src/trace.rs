@@ -35,55 +35,11 @@
 use std::fmt::{self, Write};
 use wire::ip::{Header, Protocol};
 use wire::pim::{GroupEntry, SourceEntry};
-use wire::{Addr, Group, Message};
-
-/// One piece of a summary line. A trace is a line per transmission, so
-/// the pieces go into the output directly — a literal, a dotted quad, a
-/// decimal — and not through `format_args!`.
-trait Piece {
-    fn put<W: Write>(&self, out: &mut W) -> fmt::Result;
-}
-
-impl Piece for &str {
-    fn put<W: Write>(&self, out: &mut W) -> fmt::Result {
-        out.write_str(self)
-    }
-}
-
-impl Piece for Addr {
-    fn put<W: Write>(&self, out: &mut W) -> fmt::Result {
-        self.write_to(out)
-    }
-}
-
-impl Piece for Group {
-    fn put<W: Write>(&self, out: &mut W) -> fmt::Result {
-        self.addr().write_to(out)
-    }
-}
-
-macro_rules! decimal_piece {
-    ($($int:ty),+) => {$(
-        impl Piece for $int {
-            fn put<W: Write>(&self, out: &mut W) -> fmt::Result {
-                wire::write_dec(out, *self as u64)
-            }
-        }
-    )+};
-}
-decimal_piece!(u8, u16, u32, usize);
-
-/// Append each piece to `$out`; evaluates to the `fmt::Result`.
-macro_rules! put {
-    ($out:expr, $($piece:expr),+ $(,)?) => {{
-        $(Piece::put(&$piece, $out)?;)+
-        Ok(())
-    }};
-}
+use wire::Message;
 
 /// `join=` / `prune=` value: the picked entries of every group, comma
 /// separated, `-` when there are none.
-fn put_entries<W: Write>(
+fn write_entries<W: Write>(
     out: &mut W,
     groups: &[GroupEntry],
     pick: impl Fn(&GroupEntry) -> &[SourceEntry],
@@ -94,11 +50,11 @@ fn put_entries<W: Write>(
             out.write_str(sep)?;
             sep = ",";
             if e.wildcard {
-                put!(out, "{*,", ge.group, "}")?;
+                write!(out, "{{*,{}}}", ge.group)?;
             } else if e.rp_bit {
-                put!(out, "{", e.addr, ",", ge.group, "}rpt")?;
+                write!(out, "{{{},{}}}rpt", e.addr, ge.group)?;
             } else {
-                put!(out, "{", e.addr, ",", ge.group, "}")?;
+                write!(out, "{{{},{}}}", e.addr, ge.group)?;
             }
         }
     }
@@ -120,89 +76,72 @@ pub fn describe_packet(packet: &[u8]) -> String {
 /// the summary share one buffer. Fails only if `out` does.
 pub fn write_packet<W: Write>(out: &mut W, packet: &[u8]) -> fmt::Result {
     let Ok((h, payload)) = Header::decap(packet) else {
-        return put!(out, "corrupt(", packet.len(), " bytes)");
+        return write!(out, "corrupt({} bytes)", packet.len());
     };
-    put!(out, h.src, " > ", h.dst, " ttl=", h.ttl, " ")?;
+    write!(out, "{} > {} ttl={} ", h.src, h.dst, h.ttl)?;
     let msg = match h.proto {
-        Protocol::Data => return put!(out, "DATA ", payload.len(), " bytes"),
+        Protocol::Data => return write!(out, "DATA {} bytes", payload.len()),
         Protocol::Igmp => match Message::decode(payload) {
             Err(e) => return write!(out, "IGMP-family corrupt: {e}"),
             Ok(msg) => msg,
         },
     };
     match msg {
-        Message::HostQuery(q) => put!(out, "IGMP Query max_resp=", q.max_resp_time),
-        Message::HostReport(r) => put!(out, "IGMP Report group=", r.group),
+        Message::HostQuery(q) => write!(out, "IGMP Query max_resp={}", q.max_resp_time),
+        Message::HostReport(r) => write!(out, "IGMP Report group={}", r.group),
         Message::RpMapping(m) => {
-            put!(out, "IGMP RP-Mapping group=", m.group)?;
+            write!(out, "IGMP RP-Mapping group={}", m.group)?;
             write!(out, " rps={:?}", m.rps)
         }
-        Message::PimQuery(q) => put!(out, "PIM Query holdtime=", q.holdtime),
-        Message::PimRegister(r) => put!(
+        Message::PimQuery(q) => write!(out, "PIM Query holdtime={}", q.holdtime),
+        Message::PimRegister(r) => write!(
             out,
-            "PIM Register group=",
+            "PIM Register group={} source={} ({} data bytes)",
             r.group,
-            " source=",
             r.source,
-            " (",
-            r.payload.len(),
-            " data bytes)"
+            r.payload.len()
         ),
         Message::PimJoinPrune(jp) => {
-            put!(out, "PIM Join/Prune to=", jp.upstream_neighbor, " join=")?;
-            put_entries(out, &jp.groups, |ge| &ge.joins)?;
+            write!(out, "PIM Join/Prune to={} join=", jp.upstream_neighbor)?;
+            write_entries(out, &jp.groups, |ge| &ge.joins)?;
             out.write_str(" prune=")?;
-            put_entries(out, &jp.groups, |ge| &ge.prunes)?;
-            put!(out, " holdtime=", jp.holdtime)
+            write_entries(out, &jp.groups, |ge| &ge.prunes)?;
+            write!(out, " holdtime={}", jp.holdtime)
         }
-        Message::PimRpReachability(r) => put!(
+        Message::PimRpReachability(r) => write!(
             out,
-            "PIM RP-Reachability group=",
-            r.group,
-            " rp=",
-            r.rp,
-            " holdtime=",
-            r.holdtime
+            "PIM RP-Reachability group={} rp={} holdtime={}",
+            r.group, r.rp, r.holdtime
         ),
-        Message::DvmrpProbe(p) => put!(out, "DVMRP Probe neighbors=", p.neighbors.len()),
-        Message::DvmrpPrune(p) => put!(
+        Message::DvmrpProbe(p) => write!(out, "DVMRP Probe neighbors={}", p.neighbors.len()),
+        Message::DvmrpPrune(p) => write!(
             out,
-            "DVMRP Prune (",
-            p.source,
-            ",",
-            p.group,
-            ") lifetime=",
-            p.lifetime
+            "DVMRP Prune ({},{}) lifetime={}",
+            p.source, p.group, p.lifetime
         ),
-        Message::DvmrpGraft(g) => put!(out, "DVMRP Graft (", g.source, ",", g.group, ")"),
+        Message::DvmrpGraft(g) => write!(out, "DVMRP Graft ({},{})", g.source, g.group),
         Message::DvmrpGraftAck(g) => {
-            put!(out, "DVMRP Graft-Ack (", g.source, ",", g.group, ")")
+            write!(out, "DVMRP Graft-Ack ({},{})", g.source, g.group)
         }
-        Message::CbtJoinRequest(j) => put!(
+        Message::CbtJoinRequest(j) => write!(
             out,
-            "CBT Join-Request group=",
-            j.group,
-            " core=",
-            j.core,
-            " origin=",
-            j.originator
+            "CBT Join-Request group={} core={} origin={}",
+            j.group, j.core, j.originator
         ),
-        Message::CbtJoinAck(j) => put!(out, "CBT Join-Ack group=", j.group, " core=", j.core),
-        Message::CbtEcho(e) => put!(out, "CBT Echo groups=", e.groups.len()),
-        Message::CbtEchoReply(e) => put!(out, "CBT Echo-Reply groups=", e.groups.len()),
-        Message::CbtQuit(q) => put!(out, "CBT Quit group=", q.group),
-        Message::CbtFlushTree(f) => put!(out, "CBT Flush-Tree group=", f.group),
-        Message::DvUpdate(u) => put!(out, "DV Update routes=", u.routes.len()),
-        Message::Lsa(l) => put!(
+        Message::CbtJoinAck(j) => write!(out, "CBT Join-Ack group={} core={}", j.group, j.core),
+        Message::CbtEcho(e) => write!(out, "CBT Echo groups={}", e.groups.len()),
+        Message::CbtEchoReply(e) => write!(out, "CBT Echo-Reply groups={}", e.groups.len()),
+        Message::CbtQuit(q) => write!(out, "CBT Quit group={}", q.group),
+        Message::CbtFlushTree(f) => write!(out, "CBT Flush-Tree group={}", f.group),
+        Message::DvUpdate(u) => write!(out, "DV Update routes={}", u.routes.len()),
+        Message::Lsa(l) => write!(
             out,
-            "LSA origin=",
+            "LSA origin={} seq={} links={}",
             l.origin,
-            " seq=",
             l.seq,
-            " links=",
             l.links.len()
         ),
-        Message::Hello(hh) => put!(out, "Hello holdtime=", hh.holdtime),
+        Message::Hello(hh) => write!(out, "Hello holdtime={}", hh.holdtime),
     }
 }
 

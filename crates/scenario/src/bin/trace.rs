@@ -44,7 +44,7 @@ struct Lines(Vec<(u64, String)>);
 
 impl Sink for Lines {
     fn event(&mut self, node: u32, at: Ticks, ev: &Event) {
-        self.0.push((at, format!("t{at} r{node} {}", ev.render())));
+        self.0.push((at, format!("t{at} r{node} {ev}")));
     }
 }
 

@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use crate::{Event, EventId, Provenance, Sink, Ticks, FNV_OFFSET};
 
 /// One event emitted during a dispatch, as stored in the index: the
-/// compact event itself. Text (`rec.ev.render()`) and the kind tag
+/// compact event itself. Text (`rec.ev.to_string()`) and the kind tag
 /// (`rec.ev.kind()`) are derived by whoever reads the record.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Record {

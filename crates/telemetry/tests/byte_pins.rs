@@ -18,7 +18,7 @@ fn a(last: u8) -> Addr {
     Addr::new(10, 0, 0, last)
 }
 
-/// Every variant once: `(event, render(), to_json(3, 42))`.
+/// Every variant once: `(event, to_string(), to_json(3, 42))`.
 fn table() -> Vec<(Event, &'static str, &'static str)> {
     vec![
         (
@@ -198,7 +198,7 @@ fn every_variant_renders_its_pinned_bytes() {
     let mut sink = JsonlSink::new(Vec::new());
     let mut stream = String::new();
     for (ev, text, json) in &table {
-        assert_eq!(ev.render(), *text, "render of {}", ev.kind());
+        assert_eq!(ev.to_string(), *text, "Display of {}", ev.kind());
         assert_eq!(ev.to_json(3, 42), *json, "to_json of {}", ev.kind());
         sink.event(3, 42, ev);
         stream.push_str(json);
