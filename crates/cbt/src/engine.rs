@@ -1,10 +1,10 @@
 //! The sans-IO CBT engine.
 
 use netsim::{Deadlines, Duration, IfaceId, SimTime};
-use node::Action;
+use node::{Action, ProtocolEngine};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
-use telemetry::{flags, EntryKey, Event, StateDump, Telem};
+use telemetry::{flags, EntryKey, Event, Telem};
 use unicast::Rib;
 use wire::cbt::{Echo, EchoReply, FlushTree, JoinAck, JoinRequest, Quit};
 use wire::pim::Register;
@@ -311,11 +311,6 @@ impl CbtEngine {
         }
     }
 
-    /// The router's address.
-    pub fn addr(&self) -> Addr {
-        self.my_addr
-    }
-
     /// Configure the core for `group`.
     pub fn set_core(&mut self, group: Group, core: Addr) {
         self.cores.insert(group, core);
@@ -324,12 +319,6 @@ impl CbtEngine {
     /// Tree state for `group` (inspection).
     pub fn tree(&self, group: Group) -> Option<&TreeState> {
         self.trees.get(&group)
-    }
-
-    /// Number of groups with tree state (state-overhead metric; CBT keeps
-    /// exactly one entry per group regardless of sender count).
-    pub fn entry_count(&self) -> usize {
-        self.trees.len()
     }
 
     /// Iterate all per-group tree state — the state-inspection hook for
@@ -347,14 +336,6 @@ impl CbtEngine {
             .is_some_and(|t| t.pending_join.is_some())
     }
 
-    /// Crash with total state loss: all tree state is erased; the
-    /// configured group→core mappings survive.
-    pub fn reset(&mut self) {
-        self.trees.clear();
-        self.timers.clear();
-        self.next_echo = SimTime::ZERO;
-    }
-
     /// Drop `group`'s tree with every timer it holds.
     fn drop_tree(&mut self, group: Group) {
         if let Some(tree) = self.trees.remove(&group) {
@@ -364,32 +345,6 @@ impl CbtEngine {
                 key: EntryKey::Star,
             });
         }
-    }
-
-    /// IGMP reported a member of `group` on `iface`.
-    pub fn local_member_joined(
-        &mut self,
-        now: SimTime,
-        group: Group,
-        iface: IfaceId,
-        rib: &dyn Rib,
-    ) -> Vec<Action> {
-        let Some(&core) = self.cores.get(&group) else {
-            return Vec::new(); // no core configured
-        };
-        let me = self.my_addr;
-        let tree = ensure_tree(&mut self.trees, &mut self.telem, me, group, core);
-        tree.member_ifaces.insert(iface);
-        tree.update_parent(&mut self.timers, |t| t.parent_alive_at = now);
-        Vec::from_iter(tree.join(&mut self.timers, now, group, me, rib))
-    }
-
-    /// The last member of `group` on `iface` lapsed.
-    pub fn local_member_left(&mut self, group: Group, iface: IfaceId) -> Vec<Action> {
-        if let Some(tree) = self.trees.get_mut(&group) {
-            tree.member_ifaces.remove(&iface);
-        }
-        Vec::from_iter(self.maybe_quit(group))
     }
 
     /// Leave the tree if we have neither members nor children: a Quit to
@@ -635,61 +590,12 @@ impl CbtEngine {
         Vec::from_iter(tree.and_then(|t| t.forward(iface, source, group)))
     }
 
-    /// The absolute time of this engine's next pending timer: the echo
-    /// schedule, join retransmits, child echo expiries, and parent-silence
-    /// detection (which matures [`ECHO_TIMEOUT`] after the last sign of
-    /// parent life).
-    ///
-    /// A read of the deadline index, whatever was just mutated. Debug
-    /// builds check it against the full walk on every call.
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        let next = netsim::earliest(Some(self.next_echo), self.timers.first());
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            next,
-            self.scan_deadline(),
-            "a timer was written past the deadline index"
-        );
-        next
-    }
-
     /// The earliest pending timer, found by walking all of them: the
     /// reference the index is checked against.
     #[cfg(any(test, debug_assertions))]
     fn scan_deadline(&self) -> Option<SimTime> {
         let walked = self.trees.values().flat_map(|tree| tree.deadlines());
         walked.chain([self.next_echo]).min()
-    }
-
-    /// Periodic maintenance: join retransmits, echoes, child/parent
-    /// timeouts.
-    pub fn tick(&mut self, now: SimTime, rib: &dyn Rib) -> Vec<Action> {
-        let mut out = Vec::new();
-        // The three sweeps over the trees run only when the index holds a
-        // matured deadline; an echo-only wakeup skips them.
-        if self.timers.due(now) {
-            self.expire(now, rib, &mut out);
-        }
-
-        // Echo keepalives to surviving parents, batched per (iface, parent).
-        if now >= self.next_echo {
-            self.next_echo = now + ECHO_INTERVAL;
-            let mut per_parent: BTreeMap<(IfaceId, Addr), Vec<Group>> = BTreeMap::new();
-            for (&group, tree) in &self.trees {
-                if let Some(p) = tree.parent {
-                    per_parent.entry(p).or_default().push(group);
-                }
-            }
-            for ((iface, parent), groups) in per_parent {
-                out.push(Action::control(
-                    iface,
-                    parent,
-                    1,
-                    Message::CbtEcho(Echo { groups }),
-                ));
-            }
-        }
-        out
     }
 
     /// Act on every matured tree timer: retransmit joins, drop silent
@@ -751,13 +657,168 @@ impl CbtEngine {
     }
 }
 
-impl StateDump for CbtEngine {
+impl ProtocolEngine for CbtEngine {
+    /// The router's address.
+    fn addr(&self) -> Addr {
+        self.my_addr
+    }
+
+    /// Number of groups with tree state (state-overhead metric; CBT keeps
+    /// exactly one entry per group regardless of sender count).
+    fn entry_count(&self) -> usize {
+        self.trees.len()
+    }
+
+    fn on_control(
+        &mut self,
+        now: SimTime,
+        iface: IfaceId,
+        src: Addr,
+        dst: Addr,
+        msg: &Message,
+        rib: &dyn Rib,
+    ) -> Vec<Action> {
+        match msg {
+            Message::CbtJoinRequest(jr) => self.on_join_request(now, iface, src, jr, rib),
+            Message::CbtJoinAck(ja) => self.on_join_ack(now, iface, src, ja),
+            Message::CbtEcho(e) => self.on_echo(now, iface, src, e),
+            Message::CbtEchoReply(er) => self.on_echo_reply(now, iface, src, er, rib),
+            Message::CbtQuit(q) => self.on_quit(iface, src, q),
+            Message::CbtFlushTree(f) => self.on_flush(now, iface, f, rib),
+            Message::PimRegister(reg) => {
+                // Senders unicast-encapsulate toward the core; decapsulate
+                // when it is ours, relay when in transit.
+                if dst == CbtEngine::addr(self) {
+                    self.on_encapsulated(reg)
+                } else {
+                    vec![Action::RelayUnicast]
+                }
+            }
+            _ => Vec::new(),
+        }
+    }
+
+    fn on_multicast_data(
+        &mut self,
+        _now: SimTime,
+        iface: IfaceId,
+        source: Addr,
+        group: Group,
+        payload: &[u8],
+        from_host_lan: bool,
+        rib: &dyn Rib,
+    ) -> Vec<Action> {
+        if from_host_lan {
+            self.on_local_data(iface, source, group, payload, rib)
+        } else {
+            self.on_data(iface, source, group)
+        }
+    }
+
+    /// IGMP reported a member of `group` on `iface`.
+    fn local_member_joined(
+        &mut self,
+        now: SimTime,
+        group: Group,
+        iface: IfaceId,
+        rib: &dyn Rib,
+    ) -> Vec<Action> {
+        let Some(&core) = self.cores.get(&group) else {
+            return Vec::new(); // no core configured
+        };
+        let me = self.my_addr;
+        let tree = ensure_tree(&mut self.trees, &mut self.telem, me, group, core);
+        tree.member_ifaces.insert(iface);
+        tree.update_parent(&mut self.timers, |t| t.parent_alive_at = now);
+        Vec::from_iter(tree.join(&mut self.timers, now, group, me, rib))
+    }
+
+    /// The last member of `group` on `iface` lapsed.
+    fn local_member_left(&mut self, _now: SimTime, group: Group, iface: IfaceId) -> Vec<Action> {
+        if let Some(tree) = self.trees.get_mut(&group) {
+            tree.member_ifaces.remove(&iface);
+        }
+        Vec::from_iter(self.maybe_quit(group))
+    }
+
+    fn host_lan_attached(&mut self, _iface: IfaceId, _hosts: &[Addr]) -> u32 {
+        // CBT keeps no per-interface engine state, and a local sender's
+        // data is told by its host-LAN arrival (`on_local_data`), not by
+        // its address; the unicast engine still grows one interface per
+        // attached host LAN.
+        1
+    }
+
+    // CBT re-derives paths on join retransmission; the default no-op
+    // `on_route_change` stands.
+
+    /// Crash with total state loss: all tree state is erased; the
+    /// configured group→core mappings survive.
+    fn reset(&mut self) {
+        self.trees.clear();
+        self.timers.clear();
+        self.next_echo = SimTime::ZERO;
+    }
+
+    /// Periodic maintenance: join retransmits, echoes, child/parent
+    /// timeouts.
+    fn tick(&mut self, now: SimTime, rib: &dyn Rib) -> Vec<Action> {
+        let mut out = Vec::new();
+        // The three sweeps over the trees run only when the index holds a
+        // matured deadline; an echo-only wakeup skips them.
+        if self.timers.due(now) {
+            self.expire(now, rib, &mut out);
+        }
+
+        // Echo keepalives to surviving parents, batched per (iface, parent).
+        if now >= self.next_echo {
+            self.next_echo = now + ECHO_INTERVAL;
+            let mut per_parent: BTreeMap<(IfaceId, Addr), Vec<Group>> = BTreeMap::new();
+            for (&group, tree) in &self.trees {
+                if let Some(p) = tree.parent {
+                    per_parent.entry(p).or_default().push(group);
+                }
+            }
+            for ((iface, parent), groups) in per_parent {
+                out.push(Action::control(
+                    iface,
+                    parent,
+                    1,
+                    Message::CbtEcho(Echo { groups }),
+                ));
+            }
+        }
+        out
+    }
+
+    /// The absolute time of this engine's next pending timer: the echo
+    /// schedule, join retransmits, child echo expiries, and parent-silence
+    /// detection (which matures [`ECHO_TIMEOUT`] after the last sign of
+    /// parent life).
+    ///
+    /// A read of the deadline index, whatever was just mutated. Debug
+    /// builds check it against the full walk on every call.
+    fn next_deadline(&self) -> Option<SimTime> {
+        let next = netsim::earliest(Some(self.next_echo), self.timers.first());
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            next,
+            self.scan_deadline(),
+            "a timer was written past the deadline index"
+        );
+        next
+    }
+
+    fn telem(&mut self) -> &mut Telem {
+        &mut self.telem
+    }
+
     /// `show mroute`-style snapshot: one line per group tree — core,
     /// on-tree flag, parent edge, last parent-liveness proof — plus child
     /// edges with echo expiries, member subnetworks, and pending joins.
-    fn state_dump(&self, now: telemetry::Ticks) -> String {
+    fn state_dump(&self, now: SimTime) -> String {
         let mut s = String::new();
-        let _ = writeln!(s, "cbt {} t{}", self.my_addr, now);
+        let _ = writeln!(s, "cbt {} t{}", self.my_addr, now.ticks());
         for (&group, tree) in &self.trees {
             let _ = write!(
                 s,
@@ -1373,7 +1434,7 @@ mod tests {
         let remote_src = Addr::new(10, 9, 9, 9);
         match op {
             0 => drop(e.local_member_joined(now, group, IfaceId(2), &rib)),
-            1 => drop(e.local_member_left(group, IfaceId(2))),
+            1 => drop(e.local_member_left(now, group, IfaceId(2))),
             2 => {
                 let jr = JoinRequest {
                     group,

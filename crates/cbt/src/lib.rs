@@ -25,8 +25,10 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod router;
 
 pub use engine::{CbtEngine, ECHO_INTERVAL, ECHO_TIMEOUT, JOIN_RETRANSMIT};
 pub use node::Action;
-pub use router::CbtRouter;
+
+/// A CBT router node: the generic [`node::ProtocolNode`] — the same
+/// adapter PIM and DVMRP use — over [`CbtEngine`].
+pub type CbtRouter = node::ProtocolNode<CbtEngine>;

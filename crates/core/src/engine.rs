@@ -25,10 +25,10 @@ use crate::config::{
 };
 use crate::entry::{Entry, GroupState, OifKind};
 use netsim::{Deadlines, Duration, IfaceId, IfaceSet, SimTime};
-use node::Action;
+use node::{Action, ProtocolEngine};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
-use telemetry::{flags, EntryKey, Event, StateDump, Telem};
+use telemetry::{flags, EntryKey, Event, Telem};
 use unicast::Rib;
 use wire::pim::{GroupEntry, JoinPrune, Query, Register, RpReachability, SourceEntry};
 use wire::{Addr, Group, Message};
@@ -236,11 +236,6 @@ impl Engine {
         }
     }
 
-    /// This router's address.
-    pub fn addr(&self) -> Addr {
-        self.my_addr
-    }
-
     /// Number of interfaces the engine knows about.
     pub fn iface_count(&self) -> usize {
         self.ifaces.len()
@@ -261,11 +256,6 @@ impl Engine {
     /// Mark `iface` as a host-facing leaf subnetwork.
     pub fn set_host_lan(&mut self, iface: IfaceId) {
         self.ifaces[iface.index()].is_host_lan = true;
-    }
-
-    /// Register a directly attached host (potential source) on `iface`.
-    pub fn register_local_host(&mut self, host: Addr, iface: IfaceId) {
-        self.local_hosts.insert(host, iface);
     }
 
     /// Configure (or learn, via the host RP-mapping message) the RP set
@@ -308,6 +298,10 @@ impl Engine {
     }
 
     /// Total forwarding entries (the paper's state-overhead metric).
+    ///
+    /// Kept inherent beside [`ProtocolEngine::entry_count`],
+    /// which calls it, because `benchmark/` calls it without the trait
+    /// in scope.
     pub fn entry_count(&self) -> usize {
         self.groups.values().map(|g| g.entry_count()).sum()
     }
@@ -315,34 +309,6 @@ impl Engine {
     /// Iterate over all groups with any state.
     pub fn groups(&self) -> impl Iterator<Item = (Group, &GroupState)> + '_ {
         self.groups.iter().map(|(&g, s)| (g, s))
-    }
-
-    /// Crash with total state loss (§2 robustness). Tree state, neighbor
-    /// adjacencies, and pending work are erased; configuration — address,
-    /// interface roles, attached hosts, and the administratively scoped RP
-    /// mappings (§3.1 footnote 9) — survives, as do the overhead counters
-    /// (they are observability, not protocol state).
-    pub fn reset(&mut self) {
-        self.neighbor_timers.clear();
-        self.entry_timers.clear();
-        self.prune_timers.clear();
-        self.groups.retain(|_, gs| {
-            if gs.rps.is_empty() {
-                return false; // purely dynamic state: forget the group
-            }
-            gs.star = None;
-            gs.sources.clear();
-            gs.current_rp = 0;
-            true
-        });
-        for ifs in self.ifaces.iter_mut() {
-            ifs.neighbors.clear();
-        }
-        self.spt_counters.clear();
-        self.pending_prunes.clear();
-        self.next_refresh = SimTime::ZERO;
-        self.next_query = SimTime::ZERO;
-        self.next_reach = SimTime::ZERO;
     }
 
     // ------------------------------------------------------------------
@@ -355,6 +321,10 @@ impl Engine {
     /// member subnetwork in the oif list, and triggers a join toward the
     /// RP (§3.1–3.2). If no RP mapping exists the group is "not to be
     /// supported with PIM sparse mode" and nothing happens.
+    ///
+    /// Kept inherent beside [`ProtocolEngine::local_member_joined`],
+    /// which calls it, because `benchmark/` calls it without the trait
+    /// in scope.
     pub fn local_member_joined(
         &mut self,
         now: SimTime,
@@ -388,31 +358,6 @@ impl Engine {
             return Vec::new();
         }
         Vec::from_iter(triggered(&self.cfg, gs.star.as_ref(), Entry::as_join))
-    }
-
-    /// The last IGMP member of `group` on `iface` expired.
-    pub fn local_member_left(&mut self, now: SimTime, group: Group, iface: IfaceId) -> Vec<Action> {
-        let Some(gs) = self.groups.get_mut(&group) else {
-            return Vec::new();
-        };
-        let timers = &mut self.entry_timers;
-        let mut affected = false;
-        if let Some(star) = gs.star.as_mut() {
-            if star.remove_oif(timers, iface) {
-                affected = true;
-            }
-            if !star.has_local_members() {
-                star.set_rp_timer(timers, None);
-            }
-        }
-        for e in gs.sources.values_mut() {
-            e.remove_oif(timers, iface);
-        }
-        if affected {
-            self.after_oif_removal(now, group)
-        } else {
-            Vec::new()
-        }
     }
 
     /// Create the (\*,G) entry if absent. Returns true if created.
@@ -1150,51 +1095,6 @@ impl Engine {
     }
 
     // ------------------------------------------------------------------
-    // §3.8 — unicast routing changes
-    // ------------------------------------------------------------------
-
-    /// The unicast route toward `dst` changed. Re-derive the iif/upstream
-    /// of every entry keyed by `dst`, prune the old path, join the new.
-    pub fn on_route_change(&mut self, _now: SimTime, dst: Addr, rib: &dyn Rib) -> Vec<Action> {
-        let mut out = Vec::new();
-        let (iif, upstream) = rpf(self.my_addr, rib, dst);
-        // An entry keyed by `dst` with downstream interest whose upstream
-        // the new route changes.
-        let moves =
-            |e: &Entry| e.key == dst && !e.oifs_empty() && (e.iif, e.upstream) != (iif, upstream);
-        let (cfg, timers) = (&self.cfg, &mut self.entry_timers);
-        for gs in self.groups.values_mut() {
-            let star_moved = gs.star.as_ref().is_some_and(moves);
-            let old_star = if star_moved {
-                gs.move_star(timers, iif, upstream)
-            } else {
-                None
-            };
-            let source = gs.sources.get_mut(&dst);
-            let source = source.filter(|e| !e.is_negative() && !e.local_source && moves(e));
-            let source_moved = source.is_some();
-            let old_source = source.and_then(|e| {
-                e.spt_bit = false; // must re-confirm over the new path
-                e.move_upstream(timers, iif, upstream)
-            });
-            // Prune the old paths, then join the new.
-            let (star, source) = (gs.star.as_ref(), gs.sources.get(&dst));
-            for (old, e) in [(old_star, star), (old_source, source)] {
-                if let (Some(link), Some(e)) = (old, e) {
-                    out.push(join_prune(cfg, link, vec![e.as_prune()]));
-                }
-            }
-            if star_moved {
-                out.extend(triggered(cfg, star, Entry::as_join));
-            }
-            if source_moved {
-                out.extend(triggered(cfg, source, Entry::as_join));
-            }
-        }
-        out
-    }
-
-    // ------------------------------------------------------------------
     // §3.4/§3.6 — timers and periodic refresh
     // ------------------------------------------------------------------
 
@@ -1203,6 +1103,10 @@ impl Engine {
     /// periodic query / RP-reachability / refresh schedule. The router
     /// adapter calls this at [`Engine::next_deadline`]; an early call
     /// finds nothing due and does nothing.
+    ///
+    /// Kept inherent beside [`ProtocolEngine::tick`],
+    /// which calls it, because `benchmark/` calls it without the trait
+    /// in scope.
     pub fn tick(&mut self, now: SimTime, rib: &dyn Rib) -> Vec<Action> {
         let mut out = Vec::new();
 
@@ -1335,37 +1239,6 @@ impl Engine {
         }
 
         out
-    }
-
-    /// The absolute time of this engine's next pending timer: the periodic
-    /// query/reachability/refresh schedule, matured LAN prunes, neighbor
-    /// holdtime expiries, and every entry's soft-state timers. The adapter
-    /// arms exactly one wakeup at this instant instead of polling.
-    ///
-    /// PIM routers are never fully quiescent — queries and join/prune
-    /// refreshes are the protocol's heartbeat — so this always returns
-    /// `Some`, but the deadlines are whole protocol periods apart, not poll
-    /// granules.
-    ///
-    /// A read of the deadline index, whatever was just mutated. Debug
-    /// builds check it against the full walk on every call.
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        let periodic = self.next_query.min(self.next_reach).min(self.next_refresh);
-        let next = [
-            &self.neighbor_timers,
-            &self.entry_timers,
-            &self.prune_timers,
-        ]
-        .into_iter()
-        .filter_map(Deadlines::first)
-        .fold(periodic, SimTime::min);
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            Some(next),
-            self.scan_deadline(),
-            "a timer was written past the deadline index"
-        );
-        Some(next)
     }
 
     /// Every armed soft-state deadline, found by walking all state: the
@@ -1558,14 +1431,233 @@ impl Engine {
     }
 }
 
-impl StateDump for Engine {
+impl ProtocolEngine for Engine {
+    /// This router's address.
+    fn addr(&self) -> Addr {
+        self.my_addr
+    }
+
+    fn entry_count(&self) -> usize {
+        Engine::entry_count(self)
+    }
+
+    fn on_control(
+        &mut self,
+        now: SimTime,
+        iface: IfaceId,
+        src: Addr,
+        dst: Addr,
+        msg: &Message,
+        rib: &dyn Rib,
+    ) -> Vec<Action> {
+        match msg {
+            Message::PimQuery(q) => self.on_query(now, iface, src, q),
+            Message::PimJoinPrune(jp) => self.on_join_prune(now, iface, src, jp, rib),
+            Message::PimRpReachability(r) => self.on_rp_reachability(now, iface, r),
+            Message::PimRegister(reg) => {
+                if dst == Engine::addr(self) {
+                    self.on_register(now, reg, rib)
+                } else {
+                    // In transit toward the RP: ordinary unicast forwarding.
+                    vec![Action::RelayUnicast]
+                }
+            }
+            // DVMRP/CBT messages are other protocols' business; a PIM
+            // router ignores them.
+            _ => Vec::new(),
+        }
+    }
+
+    fn on_multicast_data(
+        &mut self,
+        now: SimTime,
+        iface: IfaceId,
+        source: Addr,
+        group: Group,
+        payload: &[u8],
+        from_host_lan: bool,
+        rib: &dyn Rib,
+    ) -> Vec<Action> {
+        if from_host_lan {
+            self.on_local_data(now, iface, source, group, payload, rib)
+        } else {
+            self.on_data(now, iface, source, group, payload, rib)
+        }
+    }
+
+    fn local_member_joined(
+        &mut self,
+        now: SimTime,
+        group: Group,
+        iface: IfaceId,
+        rib: &dyn Rib,
+    ) -> Vec<Action> {
+        Engine::local_member_joined(self, now, group, iface, rib)
+    }
+
+    /// The last IGMP member of `group` on `iface` expired.
+    fn local_member_left(&mut self, now: SimTime, group: Group, iface: IfaceId) -> Vec<Action> {
+        let Some(gs) = self.groups.get_mut(&group) else {
+            return Vec::new();
+        };
+        let timers = &mut self.entry_timers;
+        let mut affected = false;
+        if let Some(star) = gs.star.as_mut() {
+            if star.remove_oif(timers, iface) {
+                affected = true;
+            }
+            if !star.has_local_members() {
+                star.set_rp_timer(timers, None);
+            }
+        }
+        for e in gs.sources.values_mut() {
+            e.remove_oif(timers, iface);
+        }
+        if affected {
+            self.after_oif_removal(now, group)
+        } else {
+            Vec::new()
+        }
+    }
+
+    fn rp_mapping_learned(&mut self, group: Group, rps: &[Addr]) {
+        // Static configuration wins over host advertisements.
+        if self.rp_mapping(group).is_empty() {
+            self.set_rp_mapping(group, rps.to_vec());
+        }
+    }
+
+    fn host_lan_attached(&mut self, iface: IfaceId, hosts: &[Addr]) -> u32 {
+        // Host LANs are wired after the router-router backbone; grow the
+        // engine's interface table to cover the new index.
+        let mut grown = 0;
+        while self.iface_count() <= iface.index() {
+            self.add_iface();
+            grown += 1;
+        }
+        self.set_host_lan(iface);
+        for &h in hosts {
+            self.local_hosts.insert(h, iface);
+        }
+        grown
+    }
+
+    /// The unicast route toward `dst` changed (§3.8). Re-derive the
+    /// iif/upstream of every entry keyed by `dst`, prune the old path,
+    /// join the new.
+    fn on_route_change(&mut self, _now: SimTime, dst: Addr, rib: &dyn Rib) -> Vec<Action> {
+        let mut out = Vec::new();
+        let (iif, upstream) = rpf(self.my_addr, rib, dst);
+        // An entry keyed by `dst` with downstream interest whose upstream
+        // the new route changes.
+        let moves =
+            |e: &Entry| e.key == dst && !e.oifs_empty() && (e.iif, e.upstream) != (iif, upstream);
+        let (cfg, timers) = (&self.cfg, &mut self.entry_timers);
+        for gs in self.groups.values_mut() {
+            let star_moved = gs.star.as_ref().is_some_and(moves);
+            let old_star = if star_moved {
+                gs.move_star(timers, iif, upstream)
+            } else {
+                None
+            };
+            let source = gs.sources.get_mut(&dst);
+            let source = source.filter(|e| !e.is_negative() && !e.local_source && moves(e));
+            let source_moved = source.is_some();
+            let old_source = source.and_then(|e| {
+                e.spt_bit = false; // must re-confirm over the new path
+                e.move_upstream(timers, iif, upstream)
+            });
+            // Prune the old paths, then join the new.
+            let (star, source) = (gs.star.as_ref(), gs.sources.get(&dst));
+            for (old, e) in [(old_star, star), (old_source, source)] {
+                if let (Some(link), Some(e)) = (old, e) {
+                    out.push(join_prune(cfg, link, vec![e.as_prune()]));
+                }
+            }
+            if star_moved {
+                out.extend(triggered(cfg, star, Entry::as_join));
+            }
+            if source_moved {
+                out.extend(triggered(cfg, source, Entry::as_join));
+            }
+        }
+        out
+    }
+
+    /// Crash with total state loss (§2 robustness). Tree state, neighbor
+    /// adjacencies, and pending work are erased; configuration — address,
+    /// interface roles, attached hosts, and the administratively scoped RP
+    /// mappings (§3.1 footnote 9) — survives, as do the overhead counters
+    /// (they are observability, not protocol state).
+    fn reset(&mut self) {
+        self.neighbor_timers.clear();
+        self.entry_timers.clear();
+        self.prune_timers.clear();
+        self.groups.retain(|_, gs| {
+            if gs.rps.is_empty() {
+                return false; // purely dynamic state: forget the group
+            }
+            gs.star = None;
+            gs.sources.clear();
+            gs.current_rp = 0;
+            true
+        });
+        for ifs in self.ifaces.iter_mut() {
+            ifs.neighbors.clear();
+        }
+        self.spt_counters.clear();
+        self.pending_prunes.clear();
+        self.next_refresh = SimTime::ZERO;
+        self.next_query = SimTime::ZERO;
+        self.next_reach = SimTime::ZERO;
+    }
+
+    fn tick(&mut self, now: SimTime, rib: &dyn Rib) -> Vec<Action> {
+        Engine::tick(self, now, rib)
+    }
+
+    /// The absolute time of this engine's next pending timer: the periodic
+    /// query/reachability/refresh schedule, matured LAN prunes, neighbor
+    /// holdtime expiries, and every entry's soft-state timers. The adapter
+    /// arms exactly one wakeup at this instant instead of polling.
+    ///
+    /// PIM routers are never fully quiescent — queries and join/prune
+    /// refreshes are the protocol's heartbeat — so this always returns
+    /// `Some`, but the deadlines are whole protocol periods apart, not poll
+    /// granules.
+    ///
+    /// A read of the deadline index, whatever was just mutated. Debug
+    /// builds check it against the full walk on every call.
+    fn next_deadline(&self) -> Option<SimTime> {
+        let periodic = self.next_query.min(self.next_reach).min(self.next_refresh);
+        let next = [
+            &self.neighbor_timers,
+            &self.entry_timers,
+            &self.prune_timers,
+        ]
+        .into_iter()
+        .filter_map(Deadlines::first)
+        .fold(periodic, SimTime::min);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            Some(next),
+            self.scan_deadline(),
+            "a timer was written past the deadline index"
+        );
+        Some(next)
+    }
+
+    fn telem(&mut self) -> &mut Telem {
+        &mut self.telem
+    }
+
     /// `show mroute`-style snapshot: per-interface PIM neighbors (the DR
     /// election inputs), then every (\*,G)/(S,G) entry with its flag bits,
     /// iif/upstream, oif list, negative-cache prune leases, and soft-state
     /// deadlines. Rendered from [`BTreeMap`]s, so byte-stable across runs.
-    fn state_dump(&self, now: telemetry::Ticks) -> String {
+    fn state_dump(&self, now: SimTime) -> String {
         let mut s = String::new();
-        let _ = writeln!(s, "pim {} t{}", self.my_addr, now);
+        let _ = writeln!(s, "pim {} t{}", self.my_addr, now.ticks());
         for (i, st) in self.ifaces.iter().enumerate() {
             if st.neighbors.is_empty() {
                 continue;

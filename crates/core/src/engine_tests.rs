@@ -15,7 +15,7 @@ use crate::config::{PimConfig, SptPolicy, REGISTER_PROBE_INTERVAL};
 use crate::engine::Engine;
 use crate::entry::OifKind;
 use netsim::{Duration, IfaceId, SimTime};
-use node::Action;
+use node::{Action, ProtocolEngine};
 use unicast::{OracleRib, RouteEntry};
 use wire::pim::{GroupEntry, JoinPrune, Query, Register, RpReachability, SourceEntry};
 use wire::{Addr, Group, Message};
@@ -335,9 +335,8 @@ fn duplicate_join_refreshes_not_duplicates() {
 fn source_dr_registers_to_rp() {
     let rib = rib_d();
     let mut e = Engine::new(d(), 2, PimConfig::default());
-    e.set_host_lan(IfaceId(0));
     e.set_rp_mapping(g(), vec![rp()]);
-    e.register_local_host(src(), IfaceId(0));
+    e.host_lan_attached(IfaceId(0), &[src()]);
     let out = e.on_local_data(t(5), IfaceId(0), src(), g(), b"pkt0", &rib);
     assert_eq!(out.len(), 1);
     match &out[0] {
@@ -438,9 +437,8 @@ fn source_dr_suppresses_registers_between_probes() {
     let rib = rib_d();
     let mut e = Engine::new(d(), 2, PimConfig::default());
     let probe_gap = REGISTER_PROBE_INTERVAL.ticks();
-    e.set_host_lan(IfaceId(0));
     e.set_rp_mapping(g(), vec![rp()]);
-    e.register_local_host(src(), IfaceId(0));
+    e.host_lan_attached(IfaceId(0), &[src()]);
     // The RP's join for (S,G) arrives on iface 1.
     let jp = JoinPrune {
         upstream_neighbor: d(),
@@ -494,9 +492,8 @@ fn source_dr_suppresses_registers_between_probes() {
 fn non_dr_does_not_register() {
     let rib = rib_d();
     let mut e = Engine::new(d(), 2, PimConfig::default());
-    e.set_host_lan(IfaceId(0));
     e.set_rp_mapping(g(), vec![rp()]);
-    e.register_local_host(src(), IfaceId(0));
+    e.host_lan_attached(IfaceId(0), &[src()]);
     // A higher-addressed neighbor on iface 0 wins the DR election.
     e.on_query(
         t(0),

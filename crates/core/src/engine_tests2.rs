@@ -6,7 +6,7 @@ use crate::config::PimConfig;
 use crate::engine::Engine;
 use crate::entry::OifKind;
 use netsim::{Duration, IfaceId, SimTime};
-use node::Action;
+use node::{Action, ProtocolEngine};
 use unicast::{OracleRib, RouteEntry};
 use wire::pim::{GroupEntry, JoinPrune, Query, Register, RpReachability, SourceEntry};
 use wire::{Addr, Group, Message};
@@ -67,9 +67,8 @@ fn sender_dr() -> (Engine, OracleRib) {
         },
     );
     let mut e = Engine::new(me(), 3, PimConfig::default());
-    e.set_host_lan(IfaceId(0));
     e.set_rp_mapping(g(), vec![rp1(), rp2()]);
-    e.register_local_host(src_host(), IfaceId(0));
+    e.host_lan_attached(IfaceId(0), &[src_host()]);
     (e, rib)
 }
 
@@ -104,9 +103,8 @@ fn register_to_self_when_dr_is_an_rp() {
         },
     );
     let mut e = Engine::new(me(), 3, PimConfig::default());
-    e.set_host_lan(IfaceId(0));
     e.set_rp_mapping(g(), vec![rp1(), me()]);
-    e.register_local_host(src_host(), IfaceId(0));
+    e.host_lan_attached(IfaceId(0), &[src_host()]);
     let out = e.on_local_data(t(5), IfaceId(0), src_host(), g(), b"p", &rib);
     assert_eq!(sent_registers(&out), vec![(IfaceId(1), rp1())]);
 }
@@ -124,9 +122,8 @@ fn unreachable_rp_is_skipped_gracefully() {
     );
     // rp1 has no route at all.
     let mut e = Engine::new(me(), 3, PimConfig::default());
-    e.set_host_lan(IfaceId(0));
     e.set_rp_mapping(g(), vec![rp1(), rp2()]);
-    e.register_local_host(src_host(), IfaceId(0));
+    e.host_lan_attached(IfaceId(0), &[src_host()]);
     let out = e.on_local_data(t(5), IfaceId(0), src_host(), g(), b"p", &rib);
     assert_eq!(sent_registers(&out), vec![(IfaceId(2), rp2())]);
 }
@@ -727,9 +724,8 @@ proptest::proptest! {
         };
         let (_, mut rib) = sender_dr();
         let mut e = Engine::new(me(), 4, cfg);
-        e.set_host_lan(IfaceId(0));
         e.set_lan(IfaceId(3));
-        e.register_local_host(src_host(), IfaceId(0));
+        e.host_lan_attached(IfaceId(0), &[src_host()]);
         e.set_rp_mapping(g(), vec![rp1(), rp2()]);
         e.set_rp_mapping(Group::test(2), vec![me()]);
         let mut now = 0;

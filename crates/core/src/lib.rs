@@ -13,11 +13,11 @@
 //! * [`engine`] — the sans-IO protocol engine: join/prune processing,
 //!   registers, RP reachability and multi-RP failover, LAN prune override
 //!   and join suppression, DR election, unicast-change repair, soft-state
-//!   timers;
-//! * [`router`] — the [`netsim`] adapter that combines the engine with an
-//!   interchangeable unicast routing engine (distance-vector, link-state,
-//!   or oracle — PIM's protocol independence made concrete) and per-LAN
-//!   IGMP queriers;
+//!   timers; the engine implements [`ProtocolEngine`] itself;
+//! * [`PimRouter`] — the [`netsim`] adapter: the generic [`ProtocolNode`]
+//!   over the engine, which combines it with an interchangeable unicast
+//!   routing engine (distance-vector, link-state, or oracle — PIM's
+//!   protocol independence made concrete) and per-LAN IGMP queriers;
 //! * [`HostNode`] (re-exported from `igmp`) — a simulated end host: IGMP membership plus data
 //!   sending/receiving with sequence tracking for loss/duplicate analysis.
 //!
@@ -53,7 +53,6 @@
 pub mod config;
 pub mod engine;
 pub mod entry;
-pub mod router;
 
 pub use config::{
     PimConfig, SptPolicy, NEIGHBOR_HOLDTIME, PRUNE_OVERRIDE_DELAY, REGISTER_PROBE_INTERVAL,
@@ -65,7 +64,9 @@ pub use igmp::HostNode;
 // The router adapter too, so a harness above the engines can read a
 // router of any protocol as `ProtocolNode<dyn ProtocolEngine>`.
 pub use node::{Action, ProtocolEngine, ProtocolNode};
-pub use router::PimRouter;
+
+/// A PIM-speaking router node for the simulator.
+pub type PimRouter = ProtocolNode<Engine>;
 
 #[cfg(test)]
 #[path = "engine_tests.rs"]

@@ -1,10 +1,10 @@
 //! The sans-IO dense-mode engine.
 
 use netsim::{Deadlines, Duration, IfaceId, SimTime};
-use node::Action;
+use node::{Action, ProtocolEngine};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
-use telemetry::{flags, EntryKey, Event, StateDump, Telem};
+use telemetry::{flags, EntryKey, Event, Telem};
 use unicast::Rib;
 use wire::dvmrp::{Graft, GraftAck, Probe, Prune};
 use wire::{Addr, Group, Message};
@@ -175,11 +175,6 @@ impl DvmrpEngine {
         }
     }
 
-    /// The router's address.
-    pub fn addr(&self) -> Addr {
-        self.my_addr
-    }
-
     /// Grow the interface table.
     pub fn add_iface(&mut self) -> IfaceId {
         self.iface_count += 1;
@@ -195,17 +190,6 @@ impl DvmrpEngine {
     /// Mark `iface` host-facing (a candidate for truncation).
     pub fn set_host_lan(&mut self, iface: IfaceId) {
         self.host_lans.insert(iface);
-    }
-
-    /// Register a directly attached host.
-    pub fn register_local_host(&mut self, host: Addr, iface: IfaceId) {
-        self.local_hosts.insert(host, iface);
-    }
-
-    /// Number of (S,G) entries held (the state-overhead metric — note that
-    /// dense mode accumulates these on *every* router data reaches).
-    pub fn entry_count(&self) -> usize {
-        self.entries.len()
     }
 
     /// Read-only check: is `iface` pruned for (source, group)?
@@ -227,20 +211,6 @@ impl DvmrpEngine {
     /// detection after prune + timeout).
     pub fn entry_keys(&self) -> impl Iterator<Item = (Addr, Group)> + '_ {
         self.entries.keys().copied()
-    }
-
-    /// Crash with total state loss: forwarding entries, neighbor liveness,
-    /// and IGMP-fed membership are erased; interface roles and attached
-    /// hosts are configuration and survive.
-    pub fn reset(&mut self) {
-        for n in self.neighbors.iter_mut() {
-            n.clear();
-        }
-        self.members.clear();
-        self.entries.clear();
-        self.neighbor_timers.clear();
-        self.entry_timers.clear();
-        self.next_probe = SimTime::ZERO;
     }
 
     /// The (source, group) entry, made on first involvement with GC
@@ -271,33 +241,6 @@ impl DvmrpEngine {
 
     fn has_any_member(&self, group: Group) -> bool {
         self.members.get(&group).is_some_and(|s| !s.is_empty())
-    }
-
-    /// IGMP reported a first member of `group` on `iface`. If any (S,G)
-    /// for the group is pruned upstream, graft back on (and un-prune the
-    /// member interface downstreams).
-    pub fn local_member_joined(
-        &mut self,
-        now: SimTime,
-        group: Group,
-        iface: IfaceId,
-        rib: &dyn Rib,
-    ) -> Vec<Action> {
-        self.members.entry(group).or_default().insert(iface);
-        let (timers, telem) = (&mut self.entry_timers, &mut self.telem);
-        self.entries
-            .iter_mut()
-            .filter(|((_, g), _)| *g == group)
-            .filter_map(|(&key, e)| e.unprune_upstream(timers, telem, now, key, rib))
-            .collect()
-    }
-
-    /// The last member of `group` on `iface` lapsed.
-    pub fn local_member_left(&mut self, group: Group, iface: IfaceId) {
-        if let Some(s) = self.members.get_mut(&group) {
-            s.remove(&iface);
-        }
-        // Prunes happen lazily on the next data packet (data-driven).
     }
 
     /// The forwarding rule: all interfaces except the arrival interface,
@@ -449,25 +392,6 @@ impl DvmrpEngine {
         self.neighbor_timers.rearm(before, Some(expires));
     }
 
-    /// The absolute time of this engine's next pending timer: the probe
-    /// schedule, neighbor timeouts, graft retransmits, and entry GC.
-    ///
-    /// A read of the deadline index, whatever was just mutated. Debug
-    /// builds check it against the full walk on every call.
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        let next = [&self.neighbor_timers, &self.entry_timers]
-            .into_iter()
-            .filter_map(Deadlines::first)
-            .fold(self.next_probe, SimTime::min);
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            Some(next),
-            self.scan_deadline(),
-            "a timer was written past the deadline index"
-        );
-        Some(next)
-    }
-
     /// The earliest pending timer, found by walking all of them: the
     /// reference the indexes are checked against.
     #[cfg(any(test, debug_assertions))]
@@ -476,10 +400,124 @@ impl DvmrpEngine {
         let entries = self.entries.values().flat_map(SgEntry::deadlines);
         neighbors.chain(entries).chain([self.next_probe]).min()
     }
+}
+
+impl ProtocolEngine for DvmrpEngine {
+    /// The router's address.
+    fn addr(&self) -> Addr {
+        self.my_addr
+    }
+
+    /// Number of (S,G) entries held (the state-overhead metric — note that
+    /// dense mode accumulates these on *every* router data reaches).
+    fn entry_count(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn on_control(
+        &mut self,
+        now: SimTime,
+        iface: IfaceId,
+        src: Addr,
+        _dst: Addr,
+        msg: &Message,
+        rib: &dyn Rib,
+    ) -> Vec<Action> {
+        match msg {
+            Message::DvmrpProbe(p) => {
+                self.on_probe(now, iface, src, p);
+                Vec::new()
+            }
+            Message::DvmrpPrune(p) => self.on_prune(now, iface, p),
+            Message::DvmrpGraft(gr) => self.on_graft(now, iface, gr, rib),
+            Message::DvmrpGraftAck(a) => {
+                self.on_graft_ack(a);
+                Vec::new()
+            }
+            _ => Vec::new(),
+        }
+    }
+
+    fn on_multicast_data(
+        &mut self,
+        now: SimTime,
+        iface: IfaceId,
+        source: Addr,
+        group: Group,
+        _payload: &[u8],
+        _from_host_lan: bool,
+        rib: &dyn Rib,
+    ) -> Vec<Action> {
+        // Dense mode treats host and router arrivals alike: RPF-check and
+        // broadcast-and-prune.
+        self.on_data(now, iface, source, group, rib)
+    }
+
+    fn relays_unicast(&self) -> bool {
+        false // dense mode drops non-multicast data
+    }
+
+    /// IGMP reported a first member of `group` on `iface`. If any (S,G)
+    /// for the group is pruned upstream, graft back on (and un-prune the
+    /// member interface downstreams).
+    fn local_member_joined(
+        &mut self,
+        now: SimTime,
+        group: Group,
+        iface: IfaceId,
+        rib: &dyn Rib,
+    ) -> Vec<Action> {
+        self.members.entry(group).or_default().insert(iface);
+        let (timers, telem) = (&mut self.entry_timers, &mut self.telem);
+        self.entries
+            .iter_mut()
+            .filter(|((_, g), _)| *g == group)
+            .filter_map(|(&key, e)| e.unprune_upstream(timers, telem, now, key, rib))
+            .collect()
+    }
+
+    /// The last member of `group` on `iface` lapsed.
+    fn local_member_left(&mut self, _now: SimTime, group: Group, iface: IfaceId) -> Vec<Action> {
+        if let Some(s) = self.members.get_mut(&group) {
+            s.remove(&iface);
+        }
+        // Prunes happen lazily on the next data packet (data-driven).
+        Vec::new()
+    }
+
+    fn host_lan_attached(&mut self, iface: IfaceId, hosts: &[Addr]) -> u32 {
+        let mut grown = 0;
+        while self.iface_count() <= iface.index() {
+            self.add_iface();
+            grown += 1;
+        }
+        self.set_host_lan(iface);
+        for &h in hosts {
+            self.local_hosts.insert(h, iface);
+        }
+        grown
+    }
+
+    // Dense mode re-derives RPF lazily per packet; nothing to repair on
+    // route changes — the default no-op `on_route_change` stands.
+
+    /// Crash with total state loss: forwarding entries, neighbor liveness,
+    /// and IGMP-fed membership are erased; interface roles and attached
+    /// hosts are configuration and survive.
+    fn reset(&mut self) {
+        for n in self.neighbors.iter_mut() {
+            n.clear();
+        }
+        self.members.clear();
+        self.entries.clear();
+        self.neighbor_timers.clear();
+        self.entry_timers.clear();
+        self.next_probe = SimTime::ZERO;
+    }
 
     /// Periodic maintenance: probes, neighbor expiry, graft retransmits,
     /// entry GC.
-    pub fn tick(&mut self, now: SimTime, rib: &dyn Rib) -> Vec<Action> {
+    fn tick(&mut self, now: SimTime, rib: &dyn Rib) -> Vec<Action> {
         let mut out = Vec::new();
         if now >= self.next_probe {
             self.next_probe = now + PROBE_INTERVAL;
@@ -532,15 +570,36 @@ impl DvmrpEngine {
         }
         out
     }
-}
 
-impl StateDump for DvmrpEngine {
+    /// The absolute time of this engine's next pending timer: the probe
+    /// schedule, neighbor timeouts, graft retransmits, and entry GC.
+    ///
+    /// A read of the deadline index, whatever was just mutated. Debug
+    /// builds check it against the full walk on every call.
+    fn next_deadline(&self) -> Option<SimTime> {
+        let next = [&self.neighbor_timers, &self.entry_timers]
+            .into_iter()
+            .filter_map(Deadlines::first)
+            .fold(self.next_probe, SimTime::min);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            Some(next),
+            self.scan_deadline(),
+            "a timer was written past the deadline index"
+        );
+        Some(next)
+    }
+
+    fn telem(&mut self) -> &mut Telem {
+        &mut self.telem
+    }
+
     /// `show mroute`-style snapshot: per-interface DVMRP neighbors, local
     /// membership, then every (S,G) entry with its pruned branch set,
     /// upstream prune/graft state, and GC deadline.
-    fn state_dump(&self, now: telemetry::Ticks) -> String {
+    fn state_dump(&self, now: SimTime) -> String {
         let mut s = String::new();
-        let _ = writeln!(s, "dvmrp {} t{}", self.my_addr, now);
+        let _ = writeln!(s, "dvmrp {} t{}", self.my_addr, now.ticks());
         for (i, nb) in self.neighbors.iter().enumerate() {
             if nb.is_empty() {
                 continue;
@@ -863,7 +922,7 @@ mod tests {
     fn local_source_floods_from_host_lan() {
         let (mut e, rib) = engine_with_neighbors();
         let local_src = Addr::new(10, 0, 1, 10);
-        e.register_local_host(local_src, IfaceId(3));
+        e.host_lan_attached(IfaceId(3), &[local_src]);
         let out = e.on_data(t(1), IfaceId(3), local_src, g(), &rib);
         assert!(matches!(
             &out[0],
@@ -884,7 +943,7 @@ mod tests {
         let nbr = [up(), Addr::new(10, 0, 2, 1), Addr::new(10, 0, 3, 1)][(b % 3) as usize];
         match op {
             0 => drop(e.local_member_joined(now, group, IfaceId(3), rib)),
-            1 => e.local_member_left(group, IfaceId(3)),
+            1 => drop(e.local_member_left(now, group, IfaceId(3))),
             // Data on and off the RPF interface.
             2 | 3 => drop(e.on_data(now, iface, source, group, rib)),
             4 => {
@@ -920,7 +979,7 @@ mod tests {
             steps in proptest::prop::collection::vec((0u8..12, 0u8..12, 0u8..12, 0usize..6), 1..100),
         ) {
             let (mut e, mut rib) = engine_with_neighbors();
-            e.register_local_host(Addr::new(10, 0, 1, 10), IfaceId(3));
+            e.host_lan_attached(IfaceId(3), &[Addr::new(10, 0, 1, 10)]);
             rib.insert(
                 Addr::new(10, 0, 1, 10),
                 RouteEntry {

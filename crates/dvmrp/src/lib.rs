@@ -30,11 +30,14 @@
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod router;
 
 pub use engine::{
     DvmrpEngine, ENTRY_TIMEOUT, GRAFT_RETRANSMIT, NEIGHBOR_TIMEOUT, PROBE_INTERVAL, PRUNE_DAMPING,
     PRUNE_LIFETIME,
 };
 pub use node::Action;
-pub use router::DvmrpRouter;
+
+/// A dense-mode (DVMRP-style) router node: the generic
+/// [`node::ProtocolNode`] over [`DvmrpEngine`] — the same adapter PIM and
+/// CBT use, so the overhead experiments compare protocols, not adapters.
+pub type DvmrpRouter = node::ProtocolNode<DvmrpEngine>;

@@ -21,7 +21,7 @@
 use igmp::{Querier, QuerierOutput};
 use netsim::{earliest, Ctx, Duration, IfaceId, IfaceSet, Node, SimTime, TimerId};
 use std::any::Any;
-use telemetry::{message_kind, Event, StateDump, Telem};
+use telemetry::{message_kind, Event, Telem};
 use unicast::Rib;
 use wire::ip::{Header, Protocol};
 use wire::{Addr, Group, Message};
@@ -103,11 +103,7 @@ impl Action {
 /// IGMP host messages and unicast routing messages never reach
 /// [`on_control`](ProtocolEngine::on_control) — the node routes those to
 /// the per-interface [`Querier`]s and the unicast engine itself.
-///
-/// The [`StateDump`] supertrait is the `show mroute` of the simulator:
-/// every engine renders its live (*,G)/(S,G)/tree state as stable text
-/// for replay artifacts and debugging.
-pub trait ProtocolEngine: StateDump + Send {
+pub trait ProtocolEngine: Send {
     /// This router's address.
     fn addr(&self) -> Addr;
 
@@ -166,13 +162,11 @@ pub trait ProtocolEngine: StateDump + Send {
     /// Only PIM cares; the default ignores it.
     fn rp_mapping_learned(&mut self, _group: Group, _rps: &[Addr]) {}
 
-    /// `iface` was declared a host-facing subnetwork. Grow/mark any
-    /// engine-side per-interface state; return how many interfaces the
-    /// unicast engine must grow to stay index-aligned.
-    fn host_lan_attached(&mut self, iface: IfaceId) -> u32;
-
-    /// Register a directly attached host (a potential source) on `iface`.
-    fn register_local_host(&mut self, host: Addr, iface: IfaceId);
+    /// `iface` was declared a host-facing subnetwork with the directly
+    /// attached `hosts` (potential sources) on it. Grow/mark any
+    /// engine-side per-interface state and register the hosts; return how
+    /// many interfaces the unicast engine must grow to stay index-aligned.
+    fn host_lan_attached(&mut self, iface: IfaceId, hosts: &[Addr]) -> u32;
 
     /// The unicast route toward `dst` changed (§3.8 repair for PIM; the
     /// dense/CBT baselines re-derive paths lazily and ignore it).
@@ -204,6 +198,13 @@ pub trait ProtocolEngine: StateDump + Send {
     /// a sink and moves what it holds into the running dispatch before
     /// acting on the engine's [`Action`]s.
     fn telem(&mut self) -> &mut Telem;
+
+    /// The `show mroute` of the simulator: the engine's live
+    /// (\*,G)/(S,G)/tree state at `now` — entries with flag bits,
+    /// outgoing interfaces and timers — one entry per line, for replay
+    /// artifacts and debugging. Deterministic (sorted maps) and free of
+    /// wall-clock values.
+    fn state_dump(&self, now: SimTime) -> String;
 }
 
 /// A router node: one [`ProtocolEngine`] + one interchangeable unicast
@@ -264,7 +265,7 @@ impl<P: ProtocolEngine + ?Sized> ProtocolNode<P> {
 
     /// The engine's `show mroute`-style state snapshot at `now`.
     pub fn state_dump(&self, now: SimTime) -> String {
-        self.engine.state_dump(now.ticks())
+        self.engine.state_dump(now)
     }
 
     /// Declare `iface` a host-facing subnetwork: an IGMP querier runs
@@ -273,7 +274,7 @@ impl<P: ProtocolEngine + ?Sized> ProtocolNode<P> {
     pub fn attach_host_lan(&mut self, iface: IfaceId, hosts: &[Addr]) {
         IfaceSet::check_width(iface.index() + 1)
             .unwrap_or_else(|e| panic!("router {}: {e}", self.engine.addr()));
-        let grow = self.engine.host_lan_attached(iface);
+        let grow = self.engine.host_lan_attached(iface, hosts);
         for _ in 0..grow {
             self.unicast.grow_iface(1);
         }
@@ -282,7 +283,6 @@ impl<P: ProtocolEngine + ?Sized> ProtocolNode<P> {
         }
         self.queriers[iface.index()] = Some(Querier::new(self.engine.addr()));
         for &h in hosts {
-            self.engine.register_local_host(h, iface);
             self.unicast.attach_local(h, 1);
         }
     }
@@ -710,12 +710,6 @@ mod tests {
         telem: Telem,
     }
 
-    impl StateDump for Flood {
-        fn state_dump(&self, _now: u64) -> String {
-            String::new()
-        }
-    }
-
     impl ProtocolEngine for Flood {
         fn addr(&self) -> Addr {
             self.addr
@@ -769,10 +763,9 @@ mod tests {
         fn local_member_left(&mut self, _: SimTime, _: Group, _: IfaceId) -> Vec<Action> {
             Vec::new()
         }
-        fn host_lan_attached(&mut self, _: IfaceId) -> u32 {
+        fn host_lan_attached(&mut self, _: IfaceId, _: &[Addr]) -> u32 {
             0
         }
-        fn register_local_host(&mut self, _: Addr, _: IfaceId) {}
         fn reset(&mut self) {}
         fn tick(&mut self, _: SimTime, _: &dyn Rib) -> Vec<Action> {
             Vec::new()
@@ -782,6 +775,9 @@ mod tests {
         }
         fn telem(&mut self) -> &mut Telem {
             &mut self.telem
+        }
+        fn state_dump(&self, _: SimTime) -> String {
+            String::new()
         }
     }
 

@@ -342,7 +342,7 @@ pub struct NodeDump {
     /// router's last [`FLIGHT_RECORDER_CAP`] events, read off the causal
     /// index ([`telemetry::CausalIndex::tail`]).
     pub flight: Vec<String>,
-    /// State-snapshot lines ([`telemetry::StateDump`] output, split).
+    /// State-snapshot lines ([`pim::ProtocolEngine::state_dump`] output, split).
     pub state: Vec<String>,
     /// Backward causal slice ending at this router's last entry-flag
     /// transition (fallback: its last event) — the minimal ancestry

@@ -466,7 +466,7 @@ impl ScenarioNet {
     }
 
     /// Router `node`'s `show mroute`-style state snapshot at `now`
-    /// (see [`telemetry::StateDump`]).
+    /// (see [`ProtocolEngine::state_dump`]).
     pub fn state_dump(&self, node: usize, now: SimTime) -> String {
         self.router(node).state_dump(now)
     }

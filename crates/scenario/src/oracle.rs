@@ -38,7 +38,7 @@ use crate::net::{Protocol, ScenarioNet};
 use cbt::CbtRouter;
 use dvmrp::DvmrpRouter;
 use netsim::{node_of_addr, NodeIdx};
-use pim::PimRouter;
+use pim::{PimRouter, ProtocolEngine};
 use std::collections::BTreeSet;
 use std::fmt;
 use wire::Addr;

@@ -1607,17 +1607,6 @@ impl Sink for CoverageSink {
     }
 }
 
-/// `show mroute`-style introspection: every protocol engine renders
-/// its live multicast state — (*,G)/(S,G) entries with flag bits,
-/// outgoing interfaces, and timers — as stable text for replay
-/// artifacts and debugging sessions.
-pub trait StateDump {
-    /// Render the full multicast routing state at sim time `now`, one
-    /// entry per line. Must be deterministic (iterate sorted maps) and
-    /// free of wall-clock values.
-    fn state_dump(&self, now: Ticks) -> String;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
