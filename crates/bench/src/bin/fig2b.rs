@@ -10,7 +10,7 @@
 //! this experiment that CBT exhibits greater traffic concentrations."
 //!
 //! Run: `cargo run -p bench --release --bin fig2b [--trials N] [--seed N]
-//! [--threads N] [--groups N] [--smoke]`
+//! [--threads N] [--quick] [--smoke]`
 //! (The full 500×6 sweep builds 29 million source trees, about 10 s on
 //! one thread of a 2-vCPU host; `--quick` runs 50×6 and `--smoke` runs
 //! 3×6 with 60 groups.)
@@ -78,7 +78,7 @@ fn sweep(args: &cli::Args, groups: usize) -> Vec<String> {
 
 fn main() {
     let args = cli::parse_smoke(500, 3);
-    let groups = args.groups.unwrap_or(if args.smoke { 60 } else { 300 });
+    let groups = if args.smoke { 60 } else { 300 };
     println!("# Figure 2(b): max traffic flows on any link, SPT vs center-based tree");
     println!(
         "# {NODES}-node networks, {groups} groups x {MEMBERS} members ({SENDERS} senders), {} networks per degree, seed {}",

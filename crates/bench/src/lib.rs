@@ -286,9 +286,8 @@ pub fn run_protocol_sim_opts(
 /// Minimal CLI parsing for the experiment binaries: `--seed N`,
 /// `--trials N`, `--quick` (divides trials by 10), `--smoke` (tiny
 /// bin-chosen trial count for the CI gate), `--threads N` (trial
-/// fan-out width; output is bit-identical for every value), `--groups N`
-/// (fig2b: groups per network), and `--congestion` (overhead: cap
-/// every link).
+/// fan-out width; output is bit-identical for every value), and
+/// `--congestion` (overhead: cap every link).
 pub mod cli {
     /// Parsed common flags.
     #[derive(Clone, Debug)]
@@ -299,9 +298,6 @@ pub mod cli {
         pub trials: usize,
         /// Worker threads for the deterministic trial fan-out.
         pub threads: usize,
-        /// Override for a bin-specific size knob (fig2b: groups per
-        /// network).
-        pub groups: Option<usize>,
         /// `--smoke` was given (bins may also shrink non-trial knobs).
         pub smoke: bool,
         /// `--congestion` was given (overhead: cap every link and
@@ -316,7 +312,6 @@ pub mod cli {
             seed: 1994, // the paper's year; any seed reproduces the shape
             trials: default_trials,
             threads: par::default_threads(),
-            groups: None,
             smoke: false,
             congestion: false,
         };
@@ -348,14 +343,6 @@ pub mod cli {
                         .unwrap_or_else(|| panic!("--threads needs a positive number"));
                     i += 2;
                 }
-                "--groups" => {
-                    args.groups = Some(
-                        argv.get(i + 1)
-                            .and_then(|s| s.parse().ok())
-                            .unwrap_or_else(|| panic!("--groups needs a number")),
-                    );
-                    i += 2;
-                }
                 "--quick" => {
                     args.trials = (args.trials / 10).max(1);
                     i += 1;
@@ -370,7 +357,7 @@ pub mod cli {
                 }
                 other => panic!(
                     "unknown flag {other}; supported: --seed N --trials N --quick --smoke \
-                     --threads N --groups N --congestion"
+                     --threads N --congestion"
                 ),
             }
         }

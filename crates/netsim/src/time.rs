@@ -17,11 +17,6 @@ impl Duration {
     /// The zero duration.
     pub const ZERO: Duration = Duration(0);
 
-    /// Construct from a tick count.
-    pub const fn from_ticks(t: u64) -> Duration {
-        Duration(t)
-    }
-
     /// The tick count.
     pub const fn ticks(self) -> u64 {
         self.0
