@@ -114,7 +114,7 @@ impl Edge {
 #[derive(Clone, Debug, Default)]
 pub struct Graph {
     edges: Vec<Edge>,
-    /// adjacency[v] = list of incident edge ids.
+    /// `adjacency[v]` = list of incident edge ids.
     adjacency: Vec<Vec<EdgeId>>,
 }
 

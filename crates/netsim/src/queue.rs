@@ -105,7 +105,7 @@ pub(crate) enum Event {
         /// delivery per attached receiver, and the `Arc` makes each a
         /// refcount bump on the single serialized buffer instead of a
         /// per-receiver copy. Receivers only ever see `&[u8]`
-        /// ([`Node::on_packet`]), so immutability is free.
+        /// ([`crate::Node::on_packet`]), so immutability is free.
         packet: Arc<[u8]>,
         link: LinkId,
     },

@@ -83,7 +83,7 @@ pub(crate) struct Outgoing {
 /// the main thread, through `World::shared_mut`.
 pub(crate) struct Shared {
     pub(crate) links: Vec<Link>,
-    /// ifaces[node.0][iface.0] = link the interface attaches to.
+    /// `ifaces[node.0][iface.0]` = link the interface attaches to.
     pub(crate) ifaces: Vec<Vec<LinkId>>,
     /// node_up[node.0]: false while the node is crashed. Down nodes get no
     /// deliveries and no timer callbacks.
@@ -127,7 +127,7 @@ pub(crate) struct Region {
     pub(crate) outbox: Vec<Outgoing>,
     /// Capacity-model queue state, `tx_dirs[node slot][iface]`. A node's
     /// column grows to cover an interface the first time it transmits on
-    /// a link with a [`LinkCapacity`] configured; an unlimited link never
+    /// a link with a [`crate::LinkCapacity`] configured; an unlimited link never
     /// touches it.
     pub(crate) tx_dirs: Vec<Vec<TxDir>>,
     /// Wall-clock/event-count attribution shard, `Some` when profiling

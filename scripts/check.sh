@@ -48,8 +48,11 @@ cargo test -q --offline --release -p scenario --test trace_render_pins --test fl
 cargo test -q --offline --release -p telemetry --test causal_finger --test sink_equivalence
 cargo test -q --offline --release -p wire --test text_writers
 
-section "cargo doc --no-deps (warnings denied)"
+section "cargo doc --no-deps (warnings denied; public items, then private items too)"
+# The public run flags public docs that link to private items; the
+# private-items run flags broken links in the private docs.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --quiet
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --quiet --document-private-items
 
 section "cargo check benchmark/ (the frozen consumer of the public API; --locked: a new dependency edge fails here instead of rewriting its committed Cargo.lock)"
 (cd benchmark && cargo check --offline --locked --all-targets)
