@@ -122,7 +122,7 @@ impl<'a> Ctx<'a> {
         link: LinkId,
     ) {
         let tag = self.next_tag(due);
-        let dst = self.shared.region_of[node.0];
+        let dst = self.shared.place[node.0].0;
         let ev = Event::Deliver {
             node,
             iface,
@@ -158,7 +158,7 @@ impl<'a> Ctx<'a> {
         if cap.is_unlimited() || (cap.ctrl_priority && class == PacketClass::Control) {
             return Some(Duration(0));
         }
-        let dirs = &mut self.region.tx_dirs[self.slot];
+        let dirs = &mut self.region.slots[self.slot].tx_dirs;
         if dirs.len() <= iface.index() {
             dirs.resize(iface.index() + 1, TxDir::default());
         }
@@ -214,7 +214,7 @@ impl<'a> Ctx<'a> {
         at: SimTime,
     ) {
         let link = link_id.0 as u32;
-        let copies = if chan.duplicate(&mut self.region.rngs[self.slot]) {
+        let copies = if chan.duplicate(&mut self.region.slots[self.slot].rng) {
             self.region.counters.record_duplicated(link_id);
             let what = "duplicate";
             self.emit_for(to.0, || telemetry::Event::ChannelImpaired { what, link });
@@ -225,13 +225,13 @@ impl<'a> Ctx<'a> {
         for _ in 0..copies {
             let mut copy = Arc::clone(packet);
             let mut due = at;
-            if let Some(bytes) = chan.corrupt(&mut self.region.rngs[self.slot], &copy) {
+            if let Some(bytes) = chan.corrupt(&mut self.region.slots[self.slot].rng, &copy) {
                 copy = bytes;
                 self.region.counters.record_corrupted(link_id);
                 let what = "corrupt";
                 self.emit_for(to.0, || telemetry::Event::ChannelImpaired { what, link });
             }
-            if let Some(extra) = chan.reorder(&mut self.region.rngs[self.slot]) {
+            if let Some(extra) = chan.reorder(&mut self.region.slots[self.slot].rng) {
                 due += extra;
                 self.region.counters.record_reordered(link_id);
                 let what = "reorder";
@@ -278,7 +278,7 @@ impl<'a> Ctx<'a> {
                 self.region.counters.record_pkt_dropped_node_down();
                 continue;
             }
-            if link.loss > 0.0 && self.region.rngs[self.slot].gen::<f64>() < link.loss {
+            if link.loss > 0.0 && self.region.slots[self.slot].rng.gen::<f64>() < link.loss {
                 self.region.counters.record_loss(link_id);
                 continue;
             }
@@ -345,7 +345,7 @@ impl<'a> Ctx<'a> {
     /// seed and the node index — so one node's draws can never perturb
     /// another's, whatever the partition.
     pub fn rng(&mut self) -> &mut impl Rng {
-        &mut self.region.rngs[self.slot]
+        &mut self.region.slots[self.slot].rng
     }
 
     /// Record that a data packet was delivered to a locally attached group

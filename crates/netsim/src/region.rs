@@ -88,24 +88,38 @@ pub(crate) struct Shared {
     /// node_up[node.0]: false while the node is crashed. Down nodes get no
     /// deliveries and no timer callbacks.
     pub(crate) node_up: Vec<bool>,
-    /// region_of[node.0] = owning region id.
-    pub(crate) region_of: Vec<u32>,
-    /// slot_of[node.0] = the node's slot inside its region.
-    pub(crate) slot_of: Vec<u32>,
+    /// `place[node.0] = (region, slot)`: where the node's [`Slot`] lives.
+    pub(crate) place: Vec<(u32, u32)>,
     /// Packet capture limit, `Some(limit)` when enabled.
     pub(crate) capture_limit: Option<usize>,
 }
 
-/// One region of the partitioned world: its nodes, their RNG streams and
-/// dispatch counters, an event queue + arena, a `Counters` shard, capture
-/// shard, telemetry buffer, and the cross-region outbox.
+/// One node's record, held by the region it lives in: everything of the
+/// simulator's that is the node's own. A node's **slot** is its index in
+/// [`Region::slots`]; the slot moves whole when the node changes region.
+pub(crate) struct Slot {
+    /// `None` only while the node runs (see [`Region::dispatch`]).
+    pub(crate) node: Option<Box<dyn Node>>,
+    /// The node's RNG stream: a pure function of the world seed and the
+    /// node index, whatever region holds it.
+    pub(crate) rng: StdRng,
+    /// The node's dispatch counter: the `seq` component of its canonical
+    /// tags.
+    pub(crate) dispatch_seq: u64,
+    /// Capacity-model queue state, one per interface. Grows to cover an
+    /// interface the first time the node transmits on a link with a
+    /// [`crate::LinkCapacity`] configured; an unlimited link never
+    /// touches it.
+    pub(crate) tx_dirs: Vec<TxDir>,
+}
+
+/// One region of the partitioned world: its nodes' slots, an event queue
+/// and arena, a `Counters` shard, capture shard, telemetry buffer, and
+/// the cross-region outbox.
 pub(crate) struct Region {
     pub(crate) id: u32,
     pub(crate) now: SimTime,
-    pub(crate) nodes: Vec<Option<Box<dyn Node>>>,
-    pub(crate) rngs: Vec<StdRng>,
-    /// Per-slot dispatch counter: the `seq` component of canonical tags.
-    pub(crate) dispatch_seq: Vec<u64>,
+    pub(crate) slots: Vec<Slot>,
     pub(crate) queue: EventQueue,
     /// Event arena, indexed by the slot carried in the queue. Slots are
     /// vacated (and recycled via `free`) as events fire or are cancelled,
@@ -125,11 +139,6 @@ pub(crate) struct Region {
     /// `run_s` with no sink attached (EXPERIMENTS.md PERF).
     pub(crate) buf: Option<Box<RegionBuf>>,
     pub(crate) outbox: Vec<Outgoing>,
-    /// Capacity-model queue state, `tx_dirs[node slot][iface]`. A node's
-    /// column grows to cover an interface the first time it transmits on
-    /// a link with a [`crate::LinkCapacity`] configured; an unlimited link never
-    /// touches it.
-    pub(crate) tx_dirs: Vec<Vec<TxDir>>,
     /// Wall-clock/event-count attribution shard, `Some` when profiling
     /// (see [`crate::World::enable_profile`]). Only the profiler reads
     /// wall-clock; nothing inside the simulation ever does.
@@ -141,9 +150,7 @@ impl Region {
         Region {
             id,
             now: SimTime::ZERO,
-            nodes: Vec::new(),
-            rngs: Vec::new(),
-            dispatch_seq: Vec::new(),
+            slots: Vec::new(),
             queue: EventQueue::default(),
             events: Vec::new(),
             free: Vec::new(),
@@ -152,7 +159,6 @@ impl Region {
             cap_seq: 0,
             buf: None,
             outbox: Vec::new(),
-            tx_dirs: Vec::new(),
             prof: None,
         }
     }
@@ -171,8 +177,8 @@ impl Region {
         cause: Option<Tag>,
         f: impl FnOnce(&mut dyn Node, &mut Ctx<'_>),
     ) {
-        let slot = shared.slot_of[node.0] as usize;
-        let seq = next_dispatch_seq(&mut self.dispatch_seq[slot]);
+        let slot = shared.place[node.0].1 as usize;
+        let seq = next_dispatch_seq(&mut self.slots[slot].dispatch_seq);
         let tag = Tag {
             time: self.now,
             epoch,
@@ -183,7 +189,7 @@ impl Region {
         if let Some(buf) = &mut self.buf {
             buf.begin(tag, cause);
         }
-        let mut node_box = self.nodes[slot].take().expect("node re-entrancy");
+        let mut node_box = self.slots[slot].node.take().expect("node re-entrancy");
         {
             let mut ctx = Ctx {
                 region: self,
@@ -195,7 +201,7 @@ impl Region {
             };
             f(node_box.as_mut(), &mut ctx);
         }
-        self.nodes[slot] = Some(node_box);
+        self.slots[slot].node = Some(node_box);
     }
 
     /// Process every event in this region due strictly before `bound`,
