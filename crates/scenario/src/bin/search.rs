@@ -1,8 +1,7 @@
 //! Coverage-guided schedule search driver.
 //!
 //! ```text
-//! search MODE [--budget N] [--seed S] [--threads N] [--topology NAME]
-//!             [--corpus DIR] [--out DIR]
+//! search MODE [--budget N] [--seed S] [--threads N] [--corpus DIR]
 //! ```
 //!
 //! Modes:
@@ -18,10 +17,11 @@
 //!   1k runs, coverage curve checkpoints).
 //! - `full` — guided search over the zoo at `--budget`; every violating
 //!   schedule is shrunk to 1-minimal, its artifact replay-verified, and
-//!   written under `--out`.
+//!   written under `target/search` (as is any violation `smoke` finds).
 //! - `rebuild-corpus` — regenerate the committed regression pins
-//!   (PR 2's register-suppression and orphaned-upstream scenarios,
-//!   shrinker-minimized) into `--corpus`.
+//!   (PR 2's register-suppression and orphaned-upstream scenarios and
+//!   the congestion-degradation fixture, shrinker-minimized) into
+//!   `--corpus`.
 //!
 //! Every mode is deterministic: identical flags produce identical
 //! output (and artifacts) at any `--threads` value.
@@ -80,42 +80,53 @@ fn ctrl_sends(
 }
 
 /// Find the first seed in `0..limit` whose normalized random schedule
-/// satisfies `pred` (given the seed) when run under `protocol`, then
-/// shrink it while the predicate holds. Panics (with the mode's name)
-/// if no seed qualifies — rebuild-corpus must not silently emit a
-/// vacuous pin.
-fn build_pin<F>(
+/// satisfies `pred` (given the seed) when run under `protocol`, and
+/// [`pin`] it. Panics (with the pin's name) if no seed qualifies —
+/// rebuild-corpus must not silently emit a vacuous pin.
+fn seek_pin<F>(
     name: &str,
     topo: &TopoSpec,
     protocol: Protocol,
     teardown: bool,
     limit: u64,
     pred: F,
-) -> (Artifact, u64)
+) -> Artifact
 where
-    F: Fn(u64, &FaultSchedule, &CaseOutcome) -> bool + Copy,
+    F: Fn(u64, &FaultSchedule, &CaseOutcome) -> bool,
 {
     for seed in 0..limit {
         let schedule = random_schedule(topo, seed, teardown);
         let outcome = run_case(topo, protocol, &schedule, seed);
         let pred = |s: &FaultSchedule, o: &CaseOutcome| pred(seed, s, o);
-        if !pred(&schedule, &outcome) {
-            continue;
+        if pred(&schedule, &outcome) {
+            return pin(name, topo, protocol, seed, &schedule, pred);
         }
-        let result = shrink_with(topo, protocol, seed, &schedule, pred)
-            .expect("predicate held on the unshrunk schedule");
-        let artifact = Artifact::capture(topo, protocol, &result.schedule, seed, &result.outcome);
-        verify_replay(&artifact).expect("minimized pin must replay byte-identically");
-        println!(
-            "pin {name}: seed {seed}, {} -> {} events in {} runs ({} passes)",
-            result.stats.initial_events,
-            result.stats.final_events,
-            result.stats.runs,
-            result.stats.passes,
-        );
-        return (artifact, seed);
     }
     panic!("rebuild-corpus: no seed in 0..{limit} satisfies the {name} predicate");
+}
+
+/// Shrink `schedule` while `pred` holds, capture the minimized case,
+/// check that it replays byte for byte, and print its `pin` line.
+fn pin(
+    name: &str,
+    topo: &TopoSpec,
+    protocol: Protocol,
+    seed: u64,
+    schedule: &FaultSchedule,
+    pred: impl Fn(&FaultSchedule, &CaseOutcome) -> bool,
+) -> Artifact {
+    let result = shrink_with(topo, protocol, seed, schedule, pred)
+        .unwrap_or_else(|| panic!("rebuild-corpus: the {name} predicate fails unshrunk"));
+    let artifact = Artifact::capture(topo, protocol, &result.schedule, seed, &result.outcome);
+    verify_replay(&artifact).expect("minimized pin must replay byte-identically");
+    println!(
+        "pin {name}: seed {seed}, {} -> {} events in {} runs ({} passes)",
+        result.stats.initial_events,
+        result.stats.final_events,
+        result.stats.runs,
+        result.stats.passes,
+    );
+    artifact
 }
 
 /// The known-violating shrinker fixture: crash the line-stub's junction
@@ -165,9 +176,14 @@ fn shrinker_selftest() -> Result<(), String> {
     Ok(())
 }
 
+/// Where `smoke` and `full` write the artifacts of the violations they
+/// find.
+const OUT: &str = "target/search";
+
 /// Shrink every violating evaluation in `report` and write the verified
-/// artifacts under `out`. Returns how many were written.
-fn write_violations(topo: &TopoSpec, report: &SearchReport, out: &std::path::Path) -> usize {
+/// artifacts under [`OUT`]. Returns how many were written.
+fn write_violations(topo: &TopoSpec, report: &SearchReport) -> usize {
+    let out = std::path::Path::new(OUT);
     let mut written = 0;
     for (i, ev) in report.violating.iter().enumerate() {
         for (protocol, _) in &ev.violations {
@@ -184,7 +200,7 @@ fn write_violations(topo: &TopoSpec, report: &SearchReport, out: &std::path::Pat
                         eprintln!("artifact {i} ({}) failed replay: {e}", protocol.name());
                         continue;
                     }
-                    std::fs::create_dir_all(out).expect("create --out dir");
+                    std::fs::create_dir_all(out).expect("create the artifact dir");
                     let path = out.join(format!("{}-{}-{i}.replay", topo.name, protocol.name()));
                     std::fs::write(&path, artifact.to_text()).expect("write artifact");
                     println!(
@@ -208,9 +224,7 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mode = argv.first().cloned().unwrap_or_else(|| "smoke".to_string());
     let mut cfg = SearchConfig::default();
-    let mut topo_filter: Option<String> = None;
     let mut corpus = "corpus".to_string();
-    let mut out = "target/search".to_string();
     let mut i = 1;
     while i < argv.len() {
         let val = |i: usize| -> &str {
@@ -221,18 +235,12 @@ fn main() {
             "--budget" => cfg.budget = val(i).parse().expect("--budget needs a number"),
             "--seed" => cfg.seed = val(i).parse().expect("--seed needs a number"),
             "--threads" => cfg.threads = val(i).parse().expect("--threads needs a number"),
-            "--topology" => topo_filter = Some(val(i).to_string()),
             "--corpus" => corpus = val(i).to_string(),
-            "--out" => out = val(i).to_string(),
             other => panic!("unknown flag {other}"),
         }
         i += 2;
     }
-    let zoo: Vec<TopoSpec> = topologies()
-        .into_iter()
-        .filter(|t| topo_filter.as_deref().is_none_or(|f| f == t.name))
-        .collect();
-    assert!(!zoo.is_empty(), "--topology matched nothing");
+    let zoo = topologies();
 
     match mode.as_str() {
         "smoke" => {
@@ -282,7 +290,7 @@ fn main() {
                 failed = true;
             }
             if !report.violating.is_empty() {
-                write_violations(&zoo[0], &report, std::path::Path::new(&out));
+                write_violations(&zoo[0], &report);
                 failed = true;
             }
             if failed {
@@ -332,7 +340,7 @@ fn main() {
                     report.entries,
                     report.violating.len()
                 );
-                total_viol += write_violations(topo, &report, std::path::Path::new(&out));
+                total_viol += write_violations(topo, &report);
             }
             if total_viol > 0 {
                 std::process::exit(1);
@@ -350,7 +358,7 @@ fn main() {
             // and converges clean — the run the PR 2 suppression
             // deadlock used to wedge.
             let diamond = topology("diamond").unwrap();
-            let (reg, _) = build_pin(
+            let reg = seek_pin(
                 "register-suppression",
                 &diamond,
                 Protocol::Pim,
@@ -368,7 +376,7 @@ fn main() {
             // router must not resurrect upstream state; the no-orphans
             // oracle passing pins the PR 2 orphaned-upstream fix.
             let line = topology("line-stub").unwrap();
-            let (orp, _) = build_pin(
+            let orp = seek_pin(
                 "orphaned-upstream",
                 &line,
                 Protocol::Pim,
@@ -408,30 +416,24 @@ fn main() {
                         .iter()
                         .any(|(_, e)| matches!(e, FaultEvent::Bandwidth(_, r, _, _) if *r > 0))
             };
-            let cresult = shrink_with(&ctopo, Protocol::Pim, 5, &cs, cpred)
-                .expect("congestion fixture must congest and converge clean");
-            let cng = Artifact::capture(
+            let cng = pin(
+                "congestion-degradation",
                 &ctopo,
                 Protocol::Pim,
-                &cresult.schedule,
                 5,
-                &cresult.outcome,
-            );
-            verify_replay(&cng).expect("minimized pin must replay byte-identically");
-            println!(
-                "pin congestion-degradation: seed 5, {} -> {} events in {} runs ({} passes)",
-                cresult.stats.initial_events,
-                cresult.stats.final_events,
-                cresult.stats.runs,
-                cresult.stats.passes,
+                &cs,
+                cpred,
             );
             let dir = std::path::Path::new(&corpus);
             std::fs::create_dir_all(dir).expect("create corpus dir");
-            std::fs::write(dir.join("register-suppression.replay"), reg.to_text())
-                .expect("write pin");
-            std::fs::write(dir.join("orphaned-upstream.replay"), orp.to_text()).expect("write pin");
-            std::fs::write(dir.join("congestion-degradation.replay"), cng.to_text())
-                .expect("write pin");
+            for (name, artifact) in [
+                ("register-suppression", reg),
+                ("orphaned-upstream", orp),
+                ("congestion-degradation", cng),
+            ] {
+                std::fs::write(dir.join(format!("{name}.replay")), artifact.to_text())
+                    .expect("write pin");
+            }
             let results = replay_corpus(dir).expect("corpus unreadable");
             for (name, r) in &results {
                 r.as_ref()

@@ -60,10 +60,11 @@ pub struct SearchConfig {
     /// Worker threads for the batch fan-out. Any value produces
     /// bit-identical results.
     pub threads: usize,
-    /// Bound on the interesting-schedule pool; lowest-novelty entries
-    /// are evicted first.
-    pub pool_cap: usize,
 }
+
+/// Bound on a guided search's interesting-schedule pool; lowest-novelty
+/// entries are evicted first.
+const POOL_CAP: usize = 64;
 
 impl Default for SearchConfig {
     fn default() -> SearchConfig {
@@ -72,7 +73,6 @@ impl Default for SearchConfig {
             budget: 192,
             batch: 16,
             threads: 1,
-            pool_cap: 64,
         }
     }
 }
@@ -312,7 +312,7 @@ fn search(topo: &TopoSpec, cfg: &SearchConfig, guided: bool) -> SearchReport {
             }
             if guided && novel > 0 {
                 pool.push((ev.schedule, novel as u64));
-                if pool.len() > cfg.pool_cap {
+                if pool.len() > POOL_CAP {
                     let evict = pool
                         .iter()
                         .enumerate()
