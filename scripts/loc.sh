@@ -4,7 +4,8 @@
 #
 # A line counts when it is not blank, is not a `//` comment (`///` and
 # `//!` docs included), sits in a file whose name does not contain
-# `tests`, and comes before any column-0 `#[cfg(test)]` in its file.
+# `tests`, and comes before any column-0 `#[cfg(test)]` in its file (or
+# `#![cfg(test)]`: the whole of a test-only module's file).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -14,7 +15,7 @@ for src in crates/*/src; do
     crate=$(basename "$(dirname "$src")")
     n=$(find "$src" -name '*.rs' ! -name '*tests*' | sort | xargs awk '
         FNR == 1 { in_test = 0 }
-        /^#\[cfg\(test\)\]/ { in_test = 1 }
+        /^#!?\[cfg\(test\)\]/ { in_test = 1 }
         in_test { next }
         /^[[:space:]]*$/ { next }
         /^[[:space:]]*\/\// { next }
